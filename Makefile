@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-quick bench-dataplane bench-peer bench-tune bench-overhead bench-snapshot benchdiff lint-telemetry lint-fault fuzz-smoke fmt
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-dataplane bench-peer bench-tune bench-overhead bench-snapshot benchdiff lint-telemetry lint-fault fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -9,13 +9,17 @@ test:
 	$(GO) test ./...
 
 # verify is the CI tier: compile everything, static checks, telemetry
-# lint, full test suite under the race detector.
+# lint, full test suite under the race detector, and the benchmark
+# harness's own vet and tests (bench/ is a module of its own, so the
+# root ./... patterns do not reach it — this line is what catches an
+# internal/ change that breaks the harness).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-quick
 	$(MAKE) bench-overhead
@@ -92,7 +96,15 @@ soak: chaos-agent
 		./internal/agent/ ./internal/naming/ ./internal/orb/ \
 		./internal/spmd/ ./internal/transport/
 
+# bench runs the one benchmark harness (BENCHMARK.json + bench/): all
+# four workloads over loopback TCP, one result line each. See
+# bench/README.md for single workloads, traced runs and -compare.
 bench:
+	$(GO) run -C bench .
+
+# bench-paper runs the root testing.B benches, one per paper
+# table/figure plus ablations, once each.
+bench-paper:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-quick is the hot-path smoke ration run as part of verify: one

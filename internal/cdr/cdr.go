@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ByteOrder identifies the endianness of a CDR stream. CDR is
@@ -89,6 +90,10 @@ func (e *Encoder) ResetTo(order ByteOrder, base int) {
 	e.order = order
 	e.base = base
 }
+
+// Reserve makes room for n more bytes, so that a value marshaled piece
+// by piece grows the buffer once instead of once per piece.
+func (e *Encoder) Reserve(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // grow extends the buffer by n zero bytes and returns the extension.
 // The append(make) form is recognized by the compiler and does not
@@ -552,43 +557,43 @@ func (d *Decoder) DoubleSeq() ([]float64, error) { return d.DoubleSeqInto(nil) }
 // It returns the filled slice, whose length is the wire element count;
 // a same-endianness stream moves as one memcpy.
 func (d *Decoder) DoubleSeqInto(dst []float64) ([]float64, error) {
-	n, err := d.ULong()
+	raw, err := d.DoubleSeqRaw()
 	if err != nil {
 		return nil, err
 	}
+	n := len(raw) / 8
 	if n == 0 {
 		if dst != nil {
 			return dst[:0], nil
 		}
 		return nil, nil
 	}
-	if uint64(n) > uint64(d.Remaining())/8+1 {
-		return nil, fmt.Errorf("%w: double sequence of %d", ErrTooLarge, n)
-	}
-	d.align(8)
-	if err := d.need(int(n) * 8); err != nil {
-		return nil, err
-	}
-	if cap(dst) >= int(n) {
+	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]float64, n)
 	}
-	b := d.buf[d.pos : d.pos+int(n)*8]
-	switch d.order {
-	case NativeOrder:
-		copy(f64Bytes(dst), b)
-	case BigEndian:
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8:]))
-		}
-	default:
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	}
-	d.pos += int(n) * 8
+	DecodeDoubles(dst, raw, d.order)
 	return dst, nil
+}
+
+// DoubleSeqRaw reads a sequence<double> without decoding it: the
+// returned slice is the element data (len/8 doubles in the decoder's
+// byte order), aliasing the decoder's buffer, for callers that
+// DecodeDoubles it piecewise into destinations of their own.
+func (d *Decoder) DoubleSeqRaw() ([]byte, error) {
+	n, err := d.ULong()
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if uint64(n) > uint64(d.Remaining())/8+1 {
+		return nil, fmt.Errorf("%w: double sequence of %d", ErrTooLarge, n)
+	}
+	d.align(8)
+	return d.Octets(int(n) * 8)
 }
 
 // LongSeq reads a sequence<long>.

@@ -167,3 +167,77 @@ func TestResetTo(t *testing.T) {
 		t.Fatalf("after ResetTo: % x want % x", e.Bytes(), want)
 	}
 }
+
+// TestDoubleSeqPiecewise pins the marshal-in-place forms to the
+// sequence<double> wire: a count plus PutDoubles per block (empty
+// blocks included, after one Reserve) must emit what PutDoubleSeq emits
+// for the concatenation, and DoubleSeqRaw must hand back exactly the
+// element bytes DecodeDoubles needs to refill the blocks — in both byte
+// orders and from a misaligned stream position.
+func TestDoubleSeqPiecewise(t *testing.T) {
+	blocks := [][]float64{{1.5, -2.25}, nil, {3}, {}, {4e300, 5e-300, 6}}
+	var flat []float64
+	for _, b := range blocks {
+		flat = append(flat, b...)
+	}
+	for _, o := range orders {
+		whole := NewEncoderAt(o, 3)
+		whole.PutOctet(7)
+		whole.PutDoubleSeq(flat)
+		whole.PutOctet(9)
+
+		pieces := NewEncoderAt(o, 3)
+		pieces.PutOctet(7)
+		pieces.Reserve(16 + len(flat)*8)
+		held := cap(pieces.Bytes())
+		pieces.PutULong(uint32(len(flat)))
+		for _, b := range blocks {
+			pieces.PutDoubles(b)
+		}
+		if cap(pieces.Bytes()) != held {
+			t.Fatalf("%v: buffer regrew after Reserve", o)
+		}
+		pieces.PutOctet(9)
+		if !bytes.Equal(whole.Bytes(), pieces.Bytes()) {
+			t.Fatalf("%v: piecewise encoding diverges from PutDoubleSeq", o)
+		}
+
+		d := NewDecoderAt(o, whole.Bytes(), 3)
+		if _, err := d.Octet(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := d.DoubleSeqRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != len(flat)*8 {
+			t.Fatalf("%v: raw holds %d bytes for %d doubles", o, len(raw), len(flat))
+		}
+		for _, b := range blocks {
+			got := make([]float64, len(b))
+			DecodeDoubles(got, raw[:len(b)*8], o)
+			raw = raw[len(b)*8:]
+			for i := range b {
+				if got[i] != b[i] {
+					t.Fatalf("%v: decoded %v, want %v", o, got, b)
+				}
+			}
+		}
+		if tail, err := d.Octet(); err != nil || tail != 9 {
+			t.Fatalf("%v: decoder misplaced after DoubleSeqRaw: %v %v", o, tail, err)
+		}
+	}
+
+	// An empty sequence carries no alignment padding and no elements; a
+	// count beyond the stream is refused.
+	e := NewEncoder(BigEndian)
+	e.PutDoubleSeq(nil)
+	if raw, err := NewDecoder(BigEndian, e.Bytes()).DoubleSeqRaw(); err != nil || len(raw) != 0 {
+		t.Fatalf("empty sequence: %v %v", raw, err)
+	}
+	e.Reset()
+	e.PutULong(1 << 20)
+	if _, err := NewDecoder(BigEndian, e.Bytes()).DoubleSeqRaw(); err == nil {
+		t.Fatal("oversized count accepted")
+	}
+}

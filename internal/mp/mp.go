@@ -43,6 +43,7 @@ const (
 	tagReduce
 	tagAllgather
 	tagPut
+	tagLend
 )
 
 // SendMode selects the point-to-point send protocol.
@@ -561,6 +562,82 @@ func (p *Proc) GatherV(root int, local []float64, counts []int) ([]float64, erro
 		copy(out[offs[i]:], blk)
 	}
 	return out, nil
+}
+
+// LendV is GatherV by reference: root receives every rank's block as a
+// slice aliasing that rank's local, in rank order, and no element is
+// copied; other ranks return nil. Root may read and write the blocks;
+// a lender must leave its block alone from the call until it has passed
+// a later collective that root also enters. Root answers every lender
+// with the collective's verdict, so a rank whose arguments fail
+// validation (it sends its error text in place of its block) or whose
+// block is not counts[r] long fails the call on every rank alike,
+// instead of leaving the others blocked.
+func (p *Proc) LendV(root int, local []float64, counts []int) ([][]float64, error) {
+	if root < 0 || root >= p.w.size {
+		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
+	}
+	var bad error
+	switch {
+	case len(counts) != p.w.size:
+		bad = fmt.Errorf("mp: LendV counts has %d entries for %d ranks", len(counts), p.w.size)
+	case len(local) != counts[p.rank]:
+		bad = fmt.Errorf("mp: LendV rank %d lends %d elements, counts says %d",
+			p.rank, len(local), counts[p.rank])
+	}
+	if p.rank != root {
+		m := &message{src: p.rank, tag: tagLend, f: local}
+		if bad != nil {
+			m = &message{src: p.rank, tag: tagLend, b: []byte(bad.Error())}
+		}
+		if err := p.send(root, m); err != nil {
+			return nil, err
+		}
+		verdict, _, err := p.Recv(root, tagLend)
+		if err != nil {
+			return nil, err
+		}
+		if len(verdict) > 0 {
+			return nil, errors.New(string(verdict))
+		}
+		return nil, nil
+	}
+	blocks := make([][]float64, p.w.size)
+	blocks[root] = local
+	for i := range blocks {
+		if i == root {
+			continue
+		}
+		m, err := p.recvMatch(i, tagLend)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case bad != nil:
+		case m.b != nil:
+			bad = errors.New(string(m.b))
+		case len(m.f) != counts[i]:
+			bad = fmt.Errorf("mp: LendV rank %d lent %d elements, counts says %d",
+				i, len(m.f), counts[i])
+		}
+		blocks[i] = m.f
+	}
+	var verdict []byte
+	if bad != nil {
+		verdict = []byte(bad.Error())
+	}
+	for i := range blocks {
+		if i == root {
+			continue
+		}
+		if err := p.sendTagged(i, tagLend, verdict, false); err != nil {
+			return nil, err
+		}
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	return blocks, nil
 }
 
 // ScatterV splits data at root into blocks of counts[r] elements and

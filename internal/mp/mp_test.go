@@ -742,3 +742,49 @@ func TestPutFenceArgumentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLendVBothSendModes: root receives aliases of the lenders' own
+// slices — not copies — under eager and rendezvous sends alike, and a
+// lender's bad block fails every rank instead of blocking root.
+func TestLendVBothSendModes(t *testing.T) {
+	counts := []int{2, 0, 3}
+	for _, mode := range []SendMode{Eager, Rendezvous} {
+		err := Run(3, func(p *Proc) error {
+			local := make([]float64, counts[p.Rank()])
+			blocks, err := p.LendV(1, local, counts)
+			if err != nil {
+				return err
+			}
+			if p.Rank() == 1 {
+				for r, blk := range blocks {
+					if len(blk) != counts[r] {
+						return fmt.Errorf("%v: block %d has %d elements", mode, r, len(blk))
+					}
+					for i := range blk {
+						blk[i] = float64(10*r + i)
+					}
+				}
+			} else if blocks != nil {
+				return fmt.Errorf("%v: non-root got blocks", mode)
+			}
+			if err := p.Barrier(); err != nil {
+				return err
+			}
+			for i, v := range local {
+				if v != float64(10*p.Rank()+i) {
+					return fmt.Errorf("%v: rank %d local[%d] = %v: root wrote to a copy", mode, p.Rank(), i, v)
+				}
+			}
+			if p.Rank() == 2 {
+				local = local[:1]
+			}
+			if _, err := p.LendV(1, local, counts); err == nil {
+				return fmt.Errorf("%v: rank %d accepted a short block on rank 2", mode, p.Rank())
+			}
+			return p.Barrier()
+		}, WithSendMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -301,6 +301,35 @@ func (t *thread) ScatterDoubles(root int, data []float64, counts []int) ([]float
 	return out, nil
 }
 
+// LendDoubles: every thread exposes its block and the root keeps the
+// epoch's window table itself — the one-sided gather with the GET left
+// out. A thread whose arguments fail validation exposes the error text
+// beside its window; every thread reads all of them once the epoch is
+// fully exposed, so all reach the same verdict without another round.
+func (t *thread) LendDoubles(root int, local []float64, counts []int) ([][]float64, error) {
+	var bad []byte
+	if err := t.checkCollective(root, counts, len(local)); err != nil {
+		bad = []byte(err.Error())
+	}
+	epoch, err := t.expose(local, bad)
+	if err != nil {
+		return nil, err
+	}
+	t.d.mu.Lock()
+	wins, errs := t.d.windowsF64[epoch], t.d.windowsByte[epoch]
+	t.d.mu.Unlock()
+	t.d.finish(epoch)
+	for _, e := range errs {
+		if e != nil {
+			return nil, errors.New(string(e))
+		}
+	}
+	if t.rank != root {
+		return nil, nil
+	}
+	return wins, nil
+}
+
 // AllgatherU64: thread 0 aggregates from exposed single-value windows
 // and publishes the vector for direct reads.
 func (t *thread) AllgatherU64(v uint64) ([]uint64, error) {

@@ -41,6 +41,14 @@ type Thread interface {
 	// ScatterDoubles splits data at root into counts[r]-sized blocks
 	// and returns each thread its block.
 	ScatterDoubles(root int, data []float64, counts []int) ([]float64, error)
+	// LendDoubles is GatherDoubles by reference: root receives thread
+	// r's local as blocks[r], aliasing it — nothing is copied — and may
+	// read and write the blocks; non-roots return nil. A lender must not
+	// touch its block from the call until it has passed a later
+	// collective that root also enters. A thread whose local is not
+	// counts[r] long, or whose counts has the wrong shape, fails the call
+	// on every thread rather than blocking the others.
+	LendDoubles(root int, local []float64, counts []int) ([][]float64, error)
 	// AllgatherU64 gathers one uint64 per thread to all threads, in
 	// rank order. It backs the identical-scalar-argument check.
 	AllgatherU64(v uint64) ([]uint64, error)
@@ -126,6 +134,11 @@ func (m *MessagePassing) GatherDoubles(root int, local []float64, counts []int) 
 // ScatterDoubles implements Thread.
 func (m *MessagePassing) ScatterDoubles(root int, data []float64, counts []int) ([]float64, error) {
 	return m.proc.ScatterV(root, data, counts)
+}
+
+// LendDoubles implements Thread.
+func (m *MessagePassing) LendDoubles(root int, local []float64, counts []int) ([][]float64, error) {
+	return m.proc.LendV(root, local, counts)
 }
 
 // AllgatherU64 implements Thread.

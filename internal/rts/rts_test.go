@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"pardis/internal/dist"
 	"pardis/internal/mp"
 	"pardis/internal/rts"
 	"pardis/internal/rts/onesided"
@@ -308,4 +310,159 @@ func TestWindowArgumentErrors(t *testing.T) {
 		}
 		return w.Fence()
 	})
+}
+
+// TestLendDoubles is the by-reference gather's conformance test: over
+// section sizes 1, 2 and 4, BLOCK and Proportions layouts, and lengths
+// that leave ranks empty, root must receive every thread's block as an
+// alias of that thread's own slice (lengths per the layout, contents
+// intact, root's writes visible to the lender after the next
+// collective) while non-roots receive nothing.
+func TestLendDoubles(t *testing.T) {
+	uneven, err := dist.Proportions(5, 1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 2, 4} {
+		specs := map[string]dist.Spec{"block": dist.Block()}
+		if size == 4 {
+			specs["proportions"] = uneven
+		}
+		for name, spec := range specs {
+			for _, length := range []int{0, 1, size - 1, 37} {
+				layout := spec.MustApply(length, size)
+				root := size - 1
+				t.Run(fmt.Sprintf("p%d/%s/len%d", size, name, length), func(t *testing.T) {
+					harness(t, size, func(th rts.Thread) error {
+						return lendRoundTrip(th, layout, root)
+					})
+				})
+			}
+		}
+	}
+}
+
+func lendRoundTrip(th rts.Thread, layout dist.Layout, root int) error {
+	rank := th.Rank()
+	local := make([]float64, layout.Count(rank))
+	for i := range local {
+		local[i] = float64(layout.Lo(rank) + i)
+	}
+	blocks, err := th.LendDoubles(root, local, layout.Counts())
+	if err != nil {
+		return err
+	}
+	if rank != root {
+		if blocks != nil {
+			return fmt.Errorf("rank %d: non-root received blocks", rank)
+		}
+	} else {
+		if len(blocks) != th.Size() {
+			return fmt.Errorf("root received %d blocks for %d threads", len(blocks), th.Size())
+		}
+		for r, blk := range blocks {
+			if len(blk) != layout.Count(r) {
+				return fmt.Errorf("block %d has %d elements, layout says %d", r, len(blk), layout.Count(r))
+			}
+			for i := range blk {
+				if blk[i] != float64(layout.Lo(r)+i) {
+					return fmt.Errorf("block %d[%d] = %v", r, i, blk[i])
+				}
+				blk[i] = -blk[i] - 1
+			}
+		}
+	}
+	// The lend ends at the next collective root enters; the lender then
+	// sees what root wrote through the alias.
+	if err := th.Barrier(); err != nil {
+		return err
+	}
+	for i, v := range local {
+		if want := -float64(layout.Lo(rank)+i) - 1; v != want {
+			return fmt.Errorf("rank %d: local[%d] = %v after root's write, want %v", rank, i, v, want)
+		}
+	}
+	return nil
+}
+
+// TestLendDoublesBadArguments: a thread whose block disagrees with
+// counts, or whose counts has the wrong shape, must fail the collective
+// on every thread — none may be left blocked — and the section must
+// stay usable for the next collective.
+func TestLendDoublesBadArguments(t *testing.T) {
+	const size = 4
+	counts := []int{2, 0, 3, 1}
+	cases := map[string]func(rank int) (local []float64, counts []int){
+		"short block on one rank": func(rank int) ([]float64, []int) {
+			n := counts[rank]
+			if rank == 2 {
+				n--
+			}
+			return make([]float64, n), counts
+		},
+		"short block on root": func(rank int) ([]float64, []int) {
+			n := counts[rank]
+			if rank == 0 {
+				n--
+			}
+			return make([]float64, n), counts
+		},
+		"counts of wrong length on one rank": func(rank int) ([]float64, []int) {
+			if rank == 3 {
+				return make([]float64, counts[rank]), counts[:3]
+			}
+			return make([]float64, counts[rank]), counts
+		},
+		"counts of wrong length everywhere": func(rank int) ([]float64, []int) {
+			return make([]float64, counts[rank]), counts[:2]
+		},
+	}
+	flavors := map[string]func() ([]rts.Thread, func()){
+		"message-passing": func() ([]rts.Thread, func()) {
+			w := mp.MustWorld(size)
+			ths := make([]rts.Thread, size)
+			for r := range ths {
+				ths[r] = rts.NewMessagePassing(w.Rank(r))
+			}
+			return ths, w.Close
+		},
+		"one-sided": func() ([]rts.Thread, func()) {
+			d := onesided.MustDomain(size)
+			ths := make([]rts.Thread, size)
+			for r := range ths {
+				ths[r] = d.Thread(r)
+			}
+			return ths, d.Close
+		},
+	}
+	for name, args := range cases {
+		for flavor, section := range flavors {
+			t.Run(name+"/"+flavor, func(t *testing.T) {
+				ths, closeSection := section()
+				defer closeSection()
+				errc := make(chan error, size)
+				for _, th := range ths {
+					go func(th rts.Thread) {
+						local, c := args(th.Rank())
+						if blocks, err := th.LendDoubles(0, local, c); err == nil {
+							errc <- fmt.Errorf("rank %d: bad lend succeeded (%d blocks)", th.Rank(), len(blocks))
+							return
+						}
+						errc <- lendRoundTrip(th, dist.Block().MustApply(9, size), 0)
+					}(th)
+				}
+				deadline := time.After(10 * time.Second)
+				for range ths {
+					select {
+					case err := <-errc:
+						if err != nil {
+							t.Error(err)
+						}
+					case <-deadline:
+						t.Fatal("a thread is still blocked in the failed collective")
+					}
+				}
+			})
+		}
+	}
 }

@@ -518,10 +518,13 @@ func (b *Binding) Invoke(ctx context.Context, spec *CallSpec) error {
 	return p.Wait(ctx)
 }
 
-// InvokeAsync begins a non-blocking invocation: all argument transfer
-// happens before it returns, but the reply is awaited by Pending.Wait
-// (collective), letting the client overlap remote computation with
-// its own — the futures model of the paper's diffusion_nb stub.
+// InvokeAsync begins a non-blocking invocation: multi-port argument
+// transfer happens before it returns, but the reply is awaited by
+// Pending.Wait (collective), letting the client overlap remote
+// computation with its own — the futures model of the paper's
+// diffusion_nb stub. Under Centralized the arguments' local blocks stay
+// lent to the communicator, which marshals from them, until Wait
+// returns: the caller must not touch them in between.
 func (b *Binding) InvokeAsync(ctx context.Context, spec *CallSpec) (*Pending, error) {
 	return b.start(ctx, spec)
 }
@@ -532,9 +535,18 @@ type Pending struct {
 	b        *Binding
 	spec     *CallSpec
 	inv      uint64
-	fut      *future.Future[replyEnvelope]
 	outSinks []*outCollector
 	span     *telemetry.Span // covers start through Wait; nil unsampled
+
+	// Communicator only. fut resolves when the invoke goroutine exits;
+	// stop cancels it. lent[i] holds every thread's local block of
+	// centralized argument i: the goroutine marshals the request from
+	// them on each attempt and Wait unmarshals the reply into them, so
+	// the goroutine must have exited before Wait's status broadcast hands
+	// the blocks back to their threads.
+	fut  *future.Future[replyEnvelope]
+	stop context.CancelFunc
+	lent [][][]float64
 }
 
 type replyEnvelope struct {
@@ -732,22 +744,23 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 		}
 	}
 
-	// Gather (centralized) — "the distributed arguments are gathered
-	// and scattered by the communicators of the client and server as
-	// part of the marshaling or unmarshaling process" (§3.2).
-	gathered := make([][]float64, len(spec.Args))
+	// Centralized — "the distributed arguments are gathered and scattered
+	// by the communicators of the client and server as part of the
+	// marshaling or unmarshaling process" (§3.2): every thread lends the
+	// communicator its local block of each argument, to marshal the
+	// request from and unmarshal the reply into. The lend ends at Wait's
+	// status broadcast.
 	if b.method == Centralized {
+		p.lent = make([][][]float64, len(spec.Args))
 		for i, a := range spec.Args {
-			if a.Mode != In && a.Mode != InOut {
-				continue
-			}
-			full, err := dseq.GatherDoubles(a.Seq, b.th, 0)
+			blocks, err := b.th.LendDoubles(0, a.Seq.LocalData(), a.Seq.Layout().Counts())
 			if err != nil {
-				p.cancelSinks()
 				return nil, err
 			}
-			gathered[i] = full
-			b.stats.bytesOut.Add(uint64(a.Seq.LocalLen()) * 8)
+			p.lent[i] = blocks
+			if a.Mode != Out {
+				b.stats.bytesOut.Add(uint64(a.Seq.LocalLen()) * 8)
+			}
 		}
 	}
 
@@ -765,12 +778,8 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 			if b.method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
 				aw.ClientEndpoints = b.allEndpoints
 			}
-			if b.method == Centralized && (a.Mode == In || a.Mode == InOut) {
-				data := gathered[i]
-				if data == nil {
-					data = []float64{}
-				}
-				aw.Data = data
+			if b.method == Centralized && a.Mode != Out {
+				aw.Blocks = p.lent[i]
 			}
 			w.Args[i] = aw
 		}
@@ -784,12 +793,15 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 		}
 		fut, resolver := future.New[replyEnvelope]()
 		p.fut = fut
+		ictx, stop := context.WithCancel(ctx)
+		p.stop = stop
 		// InvokeRef rather than a pinned communicator endpoint: for a
 		// conventional (Threads==1) object it fails over across every
 		// replica endpoint; for an SPMD object the failover set is
-		// exactly the communicator port.
+		// exactly the communicator port. It runs w.encode once per
+		// attempt, which only reads the lent blocks.
 		go func() {
-			rh, order, body, err := b.oc.InvokeRef(ctx, b.ref, hdr, w.encode)
+			rh, order, body, err := b.oc.InvokeRef(ictx, b.ref, hdr, w.encode)
 			if err != nil {
 				resolver.Reject(err)
 				return
@@ -839,12 +851,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	}
 	flags, err := b.th.AllgatherU64(flag)
 	if err != nil {
-		p.cancelSinks()
+		p.abandon()
 		return nil, err
 	}
 	for r, f := range flags {
 		if f != 0 {
-			p.cancelSinks()
+			p.abandon()
 			if sendErr != nil {
 				return nil, sendErr
 			}
@@ -882,6 +894,69 @@ func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, se
 	return err
 }
 
+// abandon gives up an invocation whose start phase failed after the
+// request was issued: the sinks go, and the communicator stops and
+// joins the invoke goroutine so nothing reads the lent blocks once
+// start has returned.
+func (p *Pending) abandon() {
+	p.cancelSinks()
+	if p.fut != nil {
+		p.stop()
+		<-p.fut.Done()
+	}
+}
+
+// awaitReply returns the invoke goroutine's outcome on the
+// communicator, and only once that goroutine has exited: when ctx ends
+// first the invocation is cancelled and joined.
+func (p *Pending) awaitReply(ctx context.Context) (replyEnvelope, error) {
+	env, err := p.fut.GetContext(ctx)
+	p.stop()
+	<-p.fut.Done()
+	return env, err
+}
+
+// unmarshalReply decodes a reply body on the communicator — the scalar
+// encapsulation, then the centralized out-arguments, as Object.dispatch
+// wrote them right after the 8-octet ReplyHeader — scattering as part
+// of unmarshaling: the out-arguments decode straight into the threads'
+// lent blocks. It returns the scalar encapsulation for the status
+// broadcast.
+func (p *Pending) unmarshalReply(env replyEnvelope) ([]byte, error) {
+	rd := cdr.NewDecoderAt(env.order, env.body, 8)
+	scalars, err := rd.OctetSeq()
+	if err != nil {
+		return nil, err
+	}
+	nOut, err := rd.ULong()
+	if err != nil {
+		return nil, err
+	}
+	if p.b.method != Centralized {
+		return scalars, nil
+	}
+	idx := uint32(0)
+	for i, a := range p.spec.Args {
+		if a.Mode != Out && a.Mode != InOut {
+			continue
+		}
+		if idx >= nOut {
+			return nil, fmt.Errorf("reply missing out argument %d", idx)
+		}
+		idx++
+		raw, err := rd.DoubleSeqRaw()
+		if err != nil {
+			return nil, err
+		}
+		if len(raw) != a.Seq.Len()*8 {
+			return nil, fmt.Errorf("reply out argument %d has %d of %d elements",
+				idx-1, len(raw)/8, a.Seq.Len())
+		}
+		decodeDoubleBlocks(p.lent[i], raw, env.order)
+	}
+	return scalars, nil
+}
+
 func (p *Pending) cancelSinks() {
 	for _, c := range p.outSinks {
 		if c.cancel != nil {
@@ -915,39 +990,33 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	}()
 
 	// A oneway invocation has nothing to collect or decode; the
-	// threads only resynchronize.
+	// threads only resynchronize, once the communicator has seen the
+	// request leave (or fail): until then it marshals from lent blocks.
 	if p.spec.Oneway {
+		if b.rank == 0 {
+			_, _ = p.awaitReply(ctx)
+		}
 		return b.exitBarrier()
 	}
 	defer p.cancelSinks()
 
-	// The communicator awaits the reply; every thread then learns
-	// the outcome (completion status broadcast of §3.2).
+	// The communicator awaits the reply and unmarshals it; every thread
+	// then learns the outcome (completion status broadcast of §3.2) and
+	// the scalar results. Whatever went wrong on the communicator alone
+	// travels in the status, so no thread is left behind in a collective.
 	var envBytes []byte
 	if b.rank == 0 {
-		env, err := p.fut.GetContext(ctx)
+		var scalars []byte
+		env, err := p.awaitReply(ctx)
+		if err == nil {
+			scalars, err = p.unmarshalReply(env)
+		}
 		e := cdr.NewEncoder(cdr.BigEndian)
+		e.PutBoolean(err == nil)
 		if err != nil {
-			e.PutBoolean(false)
 			e.PutString(err.Error())
 		} else {
-			e.PutBoolean(true)
-			// Re-encode the reply body big-endian if needed so all
-			// threads decode uniformly.
-			body := env.body
-			if env.order != cdr.BigEndian {
-				var rerr error
-				body, rerr = reencodeReplyBody(env.order, env.body)
-				if rerr != nil {
-					e.Reset()
-					e.PutBoolean(false)
-					e.PutString(rerr.Error())
-					body = nil
-				}
-			}
-			if body != nil {
-				e.PutOctetSeq(body)
-			}
+			e.PutOctetSeq(scalars)
 		}
 		envBytes = e.Bytes()
 		if _, err := b.th.Bcast(0, envBytes); err != nil {
@@ -970,7 +1039,8 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		msg, _ := d.String()
 		return fmt.Errorf("%w: %s", ErrRemote, msg)
 	}
-	body, err := d.OctetSeq()
+	// The scalar encapsulation carries its own byte-order flag.
+	scalarEnc, err := d.Encapsulation()
 	if err != nil {
 		return err
 	}
@@ -1012,45 +1082,11 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		}
 	}
 
-	// Reply body layout (from Object.dispatch): scalar encapsulation
-	// then centralized out-args. It was encoded at stream base 8; the
-	// octet-seq embedding shifts offsets, so decode from a copy at
-	// base 8 for alignment correctness.
-	rd := cdr.NewDecoderAt(cdr.BigEndian, body, 8)
-	scalarEnc, err := rd.Encapsulation()
-	if err != nil {
-		return err
-	}
-	nOut, err := rd.ULong()
-	if err != nil {
-		return err
-	}
-	outs := make([][]float64, nOut)
-	for i := range outs {
-		if outs[i], err = rd.DoubleSeq(); err != nil {
-			return err
-		}
-	}
-
-	// Scatter centralized out-args back into the caller's sequences.
 	if b.method == Centralized {
-		idx := 0
 		for _, a := range p.spec.Args {
-			if a.Mode != Out && a.Mode != InOut {
-				continue
+			if a.Mode == Out || a.Mode == InOut {
+				b.stats.bytesIn.Add(uint64(a.Seq.LocalLen()) * 8)
 			}
-			var full []float64
-			if b.rank == 0 {
-				if idx >= len(outs) {
-					return fmt.Errorf("%w: reply missing out argument %d", ErrRemote, idx)
-				}
-				full = outs[idx]
-			}
-			idx++
-			if err := dseq.ScatterDoubles(a.Seq, b.th, 0, full); err != nil {
-				return err
-			}
-			b.stats.bytesIn.Add(uint64(a.Seq.LocalLen()) * 8)
 		}
 	}
 
@@ -1075,33 +1111,4 @@ func (b *Binding) exitBarrier() error {
 	err := b.th.Barrier()
 	b.rankLag.ObserveDuration(time.Since(t))
 	return err
-}
-
-// reencodeReplyBody normalizes a foreign-order reply body to
-// big-endian. Bodies are produced by Object.dispatch at stream base 8:
-// a scalar encapsulation (order-tagged internally, copied verbatim)
-// followed by the centralized out-argument sequences.
-func reencodeReplyBody(order cdr.ByteOrder, body []byte) ([]byte, error) {
-	d := cdr.NewDecoderAt(order, body, 8)
-	raw, err := d.OctetSeq()
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.ULong()
-	if err != nil {
-		return nil, err
-	}
-	outs := make([][]float64, n)
-	for i := range outs {
-		if outs[i], err = d.DoubleSeq(); err != nil {
-			return nil, err
-		}
-	}
-	e := cdr.NewEncoderAt(cdr.BigEndian, 8)
-	e.PutOctetSeq(raw)
-	e.PutULong(n)
-	for _, o := range outs {
-		e.PutDoubleSeq(o)
-	}
-	return e.Bytes(), nil
 }

@@ -496,11 +496,7 @@ func (c *control) encode(e *cdr.Encoder) {
 	for _, a := range c.Args {
 		e.PutOctet(byte(a.Mode))
 		e.PutULong(uint32(a.Length))
-		u := make([]uint32, len(a.ClientCounts))
-		for i, x := range a.ClientCounts {
-			u[i] = uint32(x)
-		}
-		e.PutULongSeq(u)
+		putCounts(e, a.ClientCounts)
 		e.PutStringSeq(a.ClientEndpoints)
 	}
 	e.PutString(c.ErrMsg)
@@ -637,6 +633,13 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 				fmt.Sprintf("arg %d mode %v, declared %v", i, a.Mode, op.Spec.Args[i].Mode))
 			return nil
 		}
+		// Only this thread sees the inline data, so only it can find it
+		// malformed: it must, here, before the collective is engaged.
+		if w.Method == Centralized && a.Mode != Out && len(a.Raw) != a.Length*8 {
+			_ = in.ReplySystemException("BAD_PARAM",
+				fmt.Sprintf("arg %d: inline data %d of %d elements", i, len(a.Raw)/8, a.Length))
+			return nil
+		}
 	}
 	if w.Method == MultiPort && !o.cfg.MultiPort {
 		_ = in.ReplySystemException("BAD_PARAM", "object does not export multi-port endpoints")
@@ -681,7 +684,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 	o.bcastControl(ctrl)
 
-	replyBody, derr := o.dispatch(ctx, ctrl, w, in.Header)
+	marshalReply, derr := o.dispatch(ctx, ctrl, w, in.Header)
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
 		// stopped waiting (or stopped existing), so the verdict must not
@@ -693,7 +696,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		_ = in.ReplySystemException("UNKNOWN", derr.Error())
 		return nil
 	}
-	return in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutOctets(replyBody) })
+	return in.Reply(giop.ReplyOK, marshalReply)
 }
 
 // workerServeOne participates in one collective dispatch.
@@ -724,11 +727,13 @@ func (o *Object) bcastControl(c *control) {
 
 // dispatch is the collective body run by every thread: materialize
 // local argument blocks, invoke the handler, return out-data. Only
-// the communicator (which passes w != nil) builds the reply body. ctx
+// the communicator (which passes w != nil) returns the reply body's
+// marshaler; it reads the centralized out-arguments from the threads'
+// own blocks, which stay lent to it until the reply is written. ctx
 // is the Serve context: it (or Close) unblocks threads waiting on
 // block transfers whose sender died. (The per-request Incoming.Ctx is
 // useless here — it is cancelled as soon as the request is queued.)
-func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, hdr giop.RequestHeader) (_ []byte, err error) {
+func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, hdr giop.RequestHeader) (_ func(*cdr.Encoder), err error) {
 	o.served.Add(1)
 	defer func() {
 		if err != nil {
@@ -785,20 +790,14 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		if ca.Mode == In || ca.Mode == InOut {
 			switch ctrl.Method {
 			case Centralized:
-				// Communicator holds the full data; scatter by the
-				// server layout.
-				var full []float64
-				if o.rank == 0 {
-					full = w.Args[i].Data
-					if len(full) != ca.Length {
-						firstErr = fmt.Errorf("%w: inline data %d of %d elements",
-							ErrBadCall, len(full), ca.Length)
-					}
-				}
-				if firstErr == nil {
-					if err := dseq.ScatterDoubles(seq, o.th, 0, full); err != nil {
-						firstErr = err
-					}
+				// Scatter as part of unmarshaling (§3.2): the communicator
+				// decodes the request frame straight into every thread's
+				// block, lent to it until the agreement below.
+				blocks, err := o.th.LendDoubles(0, seq.LocalData(), serverLayout.Counts())
+				if err != nil {
+					firstErr = err
+				} else if o.rank == 0 {
+					decodeDoubleBlocks(blocks, w.Args[i].Raw, w.order)
 				}
 			case MultiPort:
 				plan, err := dist.Plan(clientLayout, seq.Layout())
@@ -846,18 +845,20 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 
 	// Phase 3: return out/inout data.
 	phaseT = time.Now()
-	var replyArgs [][]float64
+	var replyArgs [][][]float64
 	for i, ca := range ctrl.Args {
 		if ca.Mode != Out && ca.Mode != InOut {
 			continue
 		}
 		switch ctrl.Method {
 		case Centralized:
-			full, err := dseq.GatherDoubles(args[i], o.th, 0)
+			// Gather as part of marshaling: the threads lend their blocks
+			// and the communicator encodes the reply from them.
+			blocks, err := o.th.LendDoubles(0, args[i].LocalData(), args[i].Layout().Counts())
 			if err != nil {
 				firstErr = err
 			} else if o.rank == 0 {
-				replyArgs = append(replyArgs, full)
+				replyArgs = append(replyArgs, blocks)
 			}
 		case MultiPort:
 			plan, err := dist.Plan(args[i].Layout(), clientLayouts[i])
@@ -891,19 +892,17 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if o.rank != 0 {
 		return nil, nil
 	}
-	// The reply body continues the reply message right after the
-	// 8-octet ReplyHeader, so base the encoder there for correct
-	// alignment. The server ORB marshals replies big-endian (its
-	// default), matching this encoder.
-	e := cdr.NewEncoderAt(cdr.BigEndian, 8)
-	e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) {
-		ie.PutOctets(call.reply.Bytes())
-	})
-	e.PutULong(uint32(len(replyArgs)))
-	for _, full := range replyArgs {
-		e.PutDoubleSeq(full)
-	}
-	return e.Bytes(), nil
+	// Reply body: the scalar results as an encapsulation, then the
+	// centralized out-arguments, marshaled in the reply's own encoder.
+	return func(e *cdr.Encoder) {
+		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) {
+			ie.PutOctets(call.reply.Bytes())
+		})
+		e.PutULong(uint32(len(replyArgs)))
+		for _, blocks := range replyArgs {
+			putDoubleBlocks(e, blocks)
+		}
+	}, nil
 }
 
 // receiveBlocks collects this thread's share of a multi-port in
@@ -1039,18 +1038,12 @@ func (o *Object) agree(local error) error {
 	return nil
 }
 
-// blockHeaderLen is the encoded size of a BlockTransferHeader — all
-// fields are fixed-width and the encoding starts at stream offset 0,
-// so the length is a constant (independent of values and byte order).
+// blockHeaderLen is the encoded size of a BlockTransferHeader, and so
+// the stream offset a block payload decodes at — all fields are
+// fixed-width and the encoding starts at stream offset 0, so the length
+// is a constant (independent of values and byte order).
 var blockHeaderLen = func() int {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	new(giop.BlockTransferHeader).Encode(e)
 	return e.Len()
 }()
-
-// blockPayloadBase returns the stream offset at which a block payload
-// starts (right after its header), needed for alignment-correct
-// decoding.
-func blockPayloadBase(h giop.BlockTransferHeader, order cdr.ByteOrder) int {
-	return blockHeaderLen
-}

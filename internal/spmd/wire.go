@@ -126,24 +126,57 @@ type argWire struct {
 	// ClientEndpoints carries the client threads' listening
 	// endpoints when out-data must return multi-port.
 	ClientEndpoints []string
-	// Data is the full gathered sequence (centralized in/inout only;
-	// nil otherwise, and nil on every thread but the communicator).
-	Data []float64
+	// Blocks is the inline element data of a centralized in/inout
+	// argument on the encoding side: the client threads' local blocks in
+	// rank order, lent to the communicator (nil otherwise). They marshal
+	// as one sequence<double>; the gathered sequence never exists.
+	Blocks [][]float64
+	// Raw is the same data on the decoding side: the still-encoded
+	// elements in the request's byte order, aliasing the request frame
+	// (empty when the argument carried none).
+	Raw []byte
+}
+
+// putCounts marshals a layout's counts as a sequence<unsigned long>.
+func putCounts(e *cdr.Encoder, counts []int) {
+	e.PutULong(uint32(len(counts)))
+	for _, c := range counts {
+		e.PutULong(uint32(c))
+	}
+}
+
+// putDoubleBlocks marshals rank-ordered blocks as the one
+// sequence<double> they partition.
+func putDoubleBlocks(e *cdr.Encoder, blocks [][]float64) {
+	n := 0
+	for _, blk := range blocks {
+		n += len(blk)
+	}
+	e.Reserve(16 + n*8) // count, alignment, elements
+	e.PutULong(uint32(n))
+	for _, blk := range blocks {
+		e.PutDoubles(blk)
+	}
+}
+
+// decodeDoubleBlocks is putDoubleBlocks' inverse: it unmarshals raw
+// (the element data of one sequence<double>, at least as long as the
+// blocks together) straight into the blocks that partition it.
+func decodeDoubleBlocks(blocks [][]float64, raw []byte, order cdr.ByteOrder) {
+	for _, blk := range blocks {
+		cdr.DecodeDoubles(blk, raw[:len(blk)*8], order)
+		raw = raw[len(blk)*8:]
+	}
 }
 
 func (a *argWire) encode(e *cdr.Encoder) {
 	e.PutOctet(byte(a.Mode))
 	e.PutULong(uint32(a.Length))
-	counts := make([]uint32, len(a.ClientCounts))
-	for i, c := range a.ClientCounts {
-		counts[i] = uint32(c)
-	}
-	e.PutULongSeq(counts)
+	putCounts(e, a.ClientCounts)
 	e.PutStringSeq(a.ClientEndpoints)
-	hasData := a.Data != nil
-	e.PutBoolean(hasData)
-	if hasData {
-		e.PutDoubleSeq(a.Data)
+	e.PutBoolean(a.Blocks != nil)
+	if a.Blocks != nil {
+		putDoubleBlocks(e, a.Blocks)
 	}
 }
 
@@ -178,11 +211,8 @@ func decodeArgWire(d *cdr.Decoder) (*argWire, error) {
 		return nil, err
 	}
 	if hasData {
-		if a.Data, err = d.DoubleSeq(); err != nil {
+		if a.Raw, err = d.DoubleSeqRaw(); err != nil {
 			return nil, err
-		}
-		if a.Data == nil {
-			a.Data = []float64{}
 		}
 	}
 	return &a, nil
@@ -203,6 +233,9 @@ type invocationWire struct {
 	// argument list — interoperate unchanged. A client only sets it
 	// after the object's describe advertised the capability.
 	PeerWindows bool
+	// order is the byte order of the request a decoded wire came from,
+	// in which its arguments' Raw element data still is.
+	order cdr.ByteOrder
 }
 
 func (w *invocationWire) encode(e *cdr.Encoder) {
@@ -218,7 +251,7 @@ func (w *invocationWire) encode(e *cdr.Encoder) {
 }
 
 func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
-	var w invocationWire
+	w := invocationWire{order: d.Order()}
 	m, err := d.Octet()
 	if err != nil {
 		return nil, err
@@ -298,12 +331,7 @@ func (w *describeWire) encode(e *cdr.Encoder) {
 		for _, a := range op.Args {
 			e.PutOctet(byte(a.Mode))
 			e.PutOctet(byte(a.Dist.Kind()))
-			ws := a.Dist.Weights()
-			u := make([]uint32, len(ws))
-			for i, x := range ws {
-				u[i] = uint32(x)
-			}
-			e.PutULongSeq(u)
+			putCounts(e, a.Dist.Weights())
 		}
 	}
 	if w.PeerWindows {

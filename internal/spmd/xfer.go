@@ -433,7 +433,7 @@ func (a *blockAssembler) accept(blk orb.Block) error {
 		return a.finish(fmt.Errorf("%w: block [%d,%d) overflows local block of %d",
 			ErrBadCall, h.DstOff, end, len(a.local)))
 	}
-	d := cdr.NewDecoderAt(blk.Order, blk.Payload, blockPayloadBase(h, blk.Order))
+	d := cdr.NewDecoderAt(blk.Order, blk.Payload, blockHeaderLen)
 	// The three-index slice caps capacity at the block's window, so
 	// the decoder fills it in place and cannot write beyond it.
 	data, err := d.DoubleSeqInto(a.local[h.DstOff:h.DstOff:end])
