@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-dataplane bench-peer bench-tune bench-overhead bench-snapshot benchdiff lint-telemetry lint-fault fuzz-smoke fmt
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-dataplane bench-tune bench-overhead bench-snapshot benchdiff lint-telemetry lint-fault fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -119,27 +119,20 @@ bench-quick:
 	$(GO) test -run '^$$' -benchtime 100x -benchmem \
 		-bench 'InvokeEcho|InvokeConcurrent8' ./internal/orb/
 	$(MAKE) bench-dataplane BENCHTIME=10x
-	$(MAKE) bench-peer BENCHTIME=10x
 	$(MAKE) bench-tune BENCHTIME=10x
 
 # bench-dataplane measures the SPMD data plane: dsequence
-# redistribution (allocation ledger) and the multi-port in-transfer
-# grid (wall clock and bandwidth), both with allocation counts.
+# redistribution (allocation ledger), the one-sided window-put micro at
+# the ORB layer, and the multi-port in-transfer grid (wall clock and
+# bandwidth), all with allocation counts.
 BENCHTIME ?= 100x
 bench-dataplane:
 	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
 		-bench 'Redistribute' ./internal/dseq/
 	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
-		-bench 'MultiPortInTransfer' ./internal/spmd/
-
-# bench-peer A/Bs the peer data plane: the one-sided window-put micro
-# against the routed block send at the ORB layer, then the in-transfer
-# sweep run peer-vs-routed over the same server object so the two
-# planes are measured under identical load.
-bench-peer:
+		-bench 'WindowPut' ./internal/orb/
 	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
-		-bench 'SendBlock|WindowPut' ./internal/orb/
-	$(GO) run ./cmd/pardis-bench -dataplane -peer -reps 3 -doubles 131072
+		-bench 'MultiPortInTransfer' ./internal/spmd/
 
 # bench-tune A/Bs the self-tuning transport against the static knobs:
 # the tuned in-transfer microbenchmark (allocation ledger for the

@@ -33,10 +33,6 @@ type dataplaneConfig struct {
 	reps          int
 	doubles       int // 0 = sweep the default length grid
 	jsonOut       bool
-	// peerAB runs the length grid twice against the same server
-	// object — peer window plane, then routed fallback (PeerXfer -1 on
-	// the binding) — so one invocation isolates the plane under test.
-	peerAB bool
 	// tuneAB runs the grid twice — static knobs, then the self-tuning
 	// transport (AutoTune 1 on the binding, converged during warm-up) —
 	// so one invocation isolates the tuner's contribution.
@@ -69,7 +65,6 @@ type dataplaneResult struct {
 	XferWindow    int              `json:"xfer_window"`
 	XferChunk     int              `json:"xfer_chunk_bytes"`
 	Stripes       int              `json:"stripes"`
-	PeerXfer      bool             `json:"peer_xfer"`
 	AutoTune      bool             `json:"auto_tune"`
 	WANSeconds    float64          `json:"wan_latency_seconds,omitempty"`
 	Points        []dataplanePoint `json:"points"`
@@ -105,34 +100,27 @@ func runDataplane(cfg dataplaneConfig) {
 	defer closeObj()
 
 	// One pass per plane, all against the same server export. The
-	// default single pass inherits the process-wide knobs; -peer adds a
-	// routed pass (PeerXfer -1 on the binding), -tune a static-vs-tuned
-	// pair (AutoTune forced off, then on, per binding).
+	// default single pass inherits the process-wide knobs; -tune runs a
+	// static-vs-tuned pair (AutoTune forced off, then on, per binding).
 	type pass struct {
 		name     string
-		peerKnob int
 		tuneKnob int
 		warmReps int // A/B warm-up invocations at the largest length
 	}
-	planes := []pass{{"", 0, 0, 0}}
-	switch {
-	case cfg.tuneAB:
+	planes := []pass{{"", 0, 0}}
+	if cfg.tuneAB {
 		// The tuned pass warms longer: beyond heap and frame-pool fill,
 		// its warm-up is what feeds the tuner past its MinSamples gate so
 		// the measured reps run on converged knobs.
-		planes = []pass{{"static", 0, -1, 1}, {"tuned", 0, 1, 8}}
-	case cfg.peerAB:
-		planes = []pass{{"peer", 0, 0, 1}, {"routed", -1, 0, 1}}
-	}
+		planes = []pass{{"static", -1, 1}, {"tuned", 1, 8}}
 
-	// In A/B mode, warm every plane at the largest length before any
-	// measured pass: the first plane through the process otherwise pays
-	// the heap growth and frame-pool fill for both, skewing the ratio.
-	if cfg.peerAB || cfg.tuneAB {
+		// Warm both planes at the largest length before any measured
+		// pass: the first plane through the process otherwise pays the
+		// heap growth and frame-pool fill for both, skewing the ratio.
 		for _, plane := range planes {
 			warm := cfg
 			warm.reps = plane.warmReps
-			if _, err := dataplaneOnePoint(reg, ref, warm, lengths[len(lengths)-1], plane.peerKnob, plane.tuneKnob); err != nil {
+			if _, err := dataplaneOnePoint(reg, ref, warm, lengths[len(lengths)-1], plane.tuneKnob); err != nil {
 				fatal(err)
 			}
 		}
@@ -149,12 +137,11 @@ func runDataplane(cfg dataplaneConfig) {
 			XferWindow:    spmd.ResolvedXferWindow(),
 			XferChunk:     spmd.ResolvedXferChunkBytes(),
 			Stripes:       orb.DefaultStripeWidth(),
-			PeerXfer:      plane.peerKnob >= 0 && spmd.ResolvedPeerXfer(),
 			AutoTune:      tuned,
 			WANSeconds:    cfg.wanLatency.Seconds(),
 		}
 		for _, length := range lengths {
-			pt, err := dataplaneOnePoint(reg, ref, cfg, length, plane.peerKnob, plane.tuneKnob)
+			pt, err := dataplaneOnePoint(reg, ref, cfg, length, plane.tuneKnob)
 			if err != nil {
 				fatal(err)
 			}
@@ -199,20 +186,12 @@ func runDataplane(cfg dataplaneConfig) {
 				st.Rec.XferChunkBytes, st.Rec.XferWindow, st.Rec.Stripes)
 		}
 	}
-	if len(results) == 2 {
-		// First pass is the preferred plane (peer / tuned), second the
-		// baseline (routed / static); in tune mode the baseline ran
-		// first, so flip to keep "speedup = baseline/preferred".
-		pref, base := results[0], results[1]
-		label := "peer vs routed"
-		if cfg.tuneAB {
-			pref, base = results[1], results[0]
-			label = "tuned vs static"
-		}
-		fmt.Printf("%s speedup:\n", label)
-		for i, pt := range pref.Points {
-			rt := base.Points[i]
-			fmt.Printf("  %10d %11.2fx\n", pt.Doubles, rt.SecPerOp/pt.SecPerOp)
+	if cfg.tuneAB {
+		// The static baseline ran first: speedup = static/tuned.
+		base, tuned := results[0], results[1]
+		fmt.Printf("tuned vs static speedup:\n")
+		for i, pt := range tuned.Points {
+			fmt.Printf("  %10d %11.2fx\n", pt.Doubles, base.Points[i].SecPerOp/pt.SecPerOp)
 		}
 	}
 }
@@ -275,7 +254,7 @@ func startDataplaneObject(reg *transport.Registry, m int, listenAt string) (*ior
 }
 
 func dataplaneOnePoint(reg *transport.Registry, ref *ior.Ref,
-	cfg dataplaneConfig, length, peerXfer, autoTune int) (dataplanePoint, error) {
+	cfg dataplaneConfig, length, autoTune int) (dataplanePoint, error) {
 	var elapsed time.Duration
 	err := mp.Run(cfg.clientThreads, func(proc *mp.Proc) error {
 		th := rts.NewMessagePassing(proc)
@@ -284,7 +263,6 @@ func dataplaneOnePoint(reg *transport.Registry, ref *ior.Ref,
 			Registry:       reg,
 			Method:         spmd.MultiPort,
 			ListenEndpoint: "inproc:*",
-			PeerXfer:       peerXfer,
 			AutoTune:       autoTune,
 		}, ref)
 		if err != nil {

@@ -51,7 +51,6 @@ type liveResult struct {
 	Stripes     int     `json:"stripes"`
 	XferWindow  int     `json:"xfer_window"`
 	XferChunk   int     `json:"xfer_chunk_bytes"`
-	PeerXfer    bool    `json:"peer_xfer"`
 	AutoTune    bool    `json:"auto_tune"`
 	Faulty      bool    `json:"faulty"`
 	Elapsed     float64 `json:"elapsed_seconds"`
@@ -202,7 +201,6 @@ func runLive(cfg liveConfig) {
 		// executed under (what the zero-valued knobs meant here).
 		XferWindow:  spmd.ResolvedXferWindow(),
 		XferChunk:   spmd.ResolvedXferChunkBytes(),
-		PeerXfer:    spmd.ResolvedPeerXfer(),
 		AutoTune:    spmd.DefaultAutoTune,
 		Faulty:      cfg.faulty,
 		Elapsed:     elapsed.Seconds(),

@@ -37,12 +37,10 @@
 // -dataplane benchmarks the real SPMD data plane instead: an n-thread
 // client streams a block-distributed dsequence<double> into an
 // m-thread multi-port object and the Figure-4-style bandwidth curve
-// is reported (add -json for machine-readable points; -xfer-window,
-// -xfer-chunk and -peer-xfer pin the transfer knobs under test, and
-// -peer runs a peer-vs-routed A/B over the same server object):
+// is reported (add -json for machine-readable points; -xfer-window
+// and -xfer-chunk pin the transfer knobs under test):
 //
 //	pardis-bench -dataplane -threads 4
-//	pardis-bench -dataplane -peer
 //	pardis-bench -dataplane -xfer-window 1 -xfer-chunk -1 -json
 //
 // -tune A/Bs the self-tuning transport against the static knobs over
@@ -107,8 +105,6 @@ func main() {
 	serverThreads := flag.Int("threads", 4, "server SPMD threads (m) in -dataplane mode")
 	xferWindow := flag.Int("xfer-window", 0, "concurrent block streams per SPMD transfer (0 = default, min(4, GOMAXPROCS); 1 = serial)")
 	xferChunk := flag.Int("xfer-chunk", 0, "SPMD block chunk size in bytes (0 = default 256KiB, negative = disable chunking)")
-	peerAB := flag.Bool("peer", false, "in -dataplane mode, A/B the peer window plane against the routed fallback over the same server object")
-	peerXfer := flag.Int("peer-xfer", 0, "process-wide default for the SPMD peer data plane (0 = on when both endpoints are capable, negative = routed fallback only)")
 	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport process-wide: per-endpoint path models re-derive chunk/window/stripe knobs from live transfer telemetry")
 	tuneAB := flag.Bool("tune", false, "in -dataplane mode, A/B the self-tuning transport against the static knobs over the same server object")
 	wan := flag.Duration("wan", 0, "in -dataplane mode, emulate a WAN path: add this latency to every dial and delivered write (0 = direct in-process transport)")
@@ -119,9 +115,6 @@ func main() {
 	}
 	if *xferChunk != 0 {
 		spmd.DefaultXferChunkBytes = *xferChunk
-	}
-	if *peerXfer != 0 {
-		spmd.DefaultPeerXfer = *peerXfer > 0
 	}
 	if *autoTune {
 		spmd.DefaultAutoTune = true
@@ -148,7 +141,6 @@ func main() {
 			reps:          *reps,
 			doubles:       pick(*doubles, 1024, 0),
 			jsonOut:       *jsonOut,
-			peerAB:        *peerAB,
 			tuneAB:        *tuneAB,
 			wanLatency:    *wan,
 		})

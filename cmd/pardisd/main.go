@@ -88,7 +88,6 @@ func main() {
 	flightErrs := flag.Int("flight-errors", telemetry.DefaultFlightErrCap, "recent errored invocations the flight recorder keeps per op")
 	xferWindow := flag.Int("xfer-window", 0, "process-wide default for concurrent SPMD block streams per transfer (0 = min(4, GOMAXPROCS); 1 = serial)")
 	xferChunk := flag.Int("xfer-chunk", 0, "process-wide default SPMD block chunk size in bytes (0 = 256KiB, negative = disable chunking)")
-	peerXfer := flag.Int("peer-xfer", 0, "process-wide default for the SPMD peer data plane (0 = on when both endpoints are capable, negative = routed fallback only)")
 	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport: per-endpoint path models re-derive SPMD chunk/window/stripe knobs from live transfer telemetry")
 	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently running handlers; over-cap requests wait in a bounded queue and are shed TRANSIENT beyond it (0 = unlimited, no admission control)")
 	maxInflightConn := flag.Int("max-inflight-per-conn", 0, "per-connection cap on concurrently running handlers (0 = derived: half of -max-inflight)")
@@ -106,9 +105,6 @@ func main() {
 	}
 	if *xferChunk != 0 {
 		spmd.DefaultXferChunkBytes = *xferChunk
-	}
-	if *peerXfer != 0 {
-		spmd.DefaultPeerXfer = *peerXfer > 0
 	}
 	if *autoTune {
 		spmd.DefaultAutoTune = true
@@ -300,7 +296,6 @@ func main() {
 				"data_plane": map[string]any{
 					"xfer_window":      spmd.ResolvedXferWindow(),
 					"xfer_chunk_bytes": spmd.ResolvedXferChunkBytes(),
-					"peer_xfer":        spmd.ResolvedPeerXfer(),
 					"auto_tune":        spmd.DefaultAutoTune,
 				},
 			}

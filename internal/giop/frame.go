@@ -346,14 +346,11 @@ func (fr *FrameReader) ReadWindowPayload(order cdr.ByteOrder, dst []float64) err
 	return nil
 }
 
-// ReadPayloadBytes reads n remaining body bytes into a fresh slice —
-// the buffered path for a window put that raced its registration.
-func (fr *FrameReader) ReadPayloadBytes(n int) ([]byte, error) {
-	b := make([]byte, n)
-	if _, err := io.ReadFull(fr.br, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+// ReadPayloadBytes reads the len(b) remaining body bytes into b — the
+// buffered path for a window put that raced its registration.
+func (fr *FrameReader) ReadPayloadBytes(b []byte) error {
+	_, err := io.ReadFull(fr.br, b)
+	return err
 }
 
 // DiscardPayload consumes and drops n remaining body bytes, keeping

@@ -202,18 +202,13 @@ func (c *Client) NewInvocationID() uint64 {
 	return c.invPrefix | (c.invCounter.Add(1) & 0xFFFFFFFF)
 }
 
-// ExpectBlocks registers a sink for block transfers addressed to this
-// client under the given invocation id. The channel must have
-// capacity for the whole expected plan. The returned cancel must be
-// called when the transfer completes.
-func (c *Client) ExpectBlocks(inv uint64, ch chan<- Block) (func(), error) {
-	return c.blocks.register(inv, ch)
-}
-
-// ExpectBlocksFunc registers a callback sink: blocks for inv are
-// handed to fn directly on the delivering connection's read goroutine.
-// fn may run concurrently (one call per delivering connection) and
-// must not block; returning an error tears down that connection.
+// ExpectBlocksFunc registers a callback sink for block transfers
+// addressed to this client under the given invocation id: blocks for
+// inv are handed to fn directly on the delivering connection's read
+// goroutine. fn may run concurrently (one call per delivering
+// connection) and must not block; returning an error tears down that
+// connection. The returned cancel must be called when the transfer
+// completes.
 func (c *Client) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), error) {
 	return c.blocks.registerFunc(inv, fn)
 }

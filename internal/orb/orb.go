@@ -135,28 +135,11 @@ var (
 	pendingBlockReclaimed = telemetry.Default.Counter("pardis_orb_pending_reclaimed_total")
 )
 
-// blockSink is one registered consumer of block transfers: either a
-// buffered channel (legacy path) or a callback invoked directly on the
-// connection's read goroutine (the fast path for parallel assembly —
-// multiple connections delivering to the same invocation run their
-// callbacks concurrently, so callbacks must be safe for concurrent
-// use and must not block).
-type blockSink struct {
-	ch chan<- Block
-	fn func(Block) error
-}
-
-func (s blockSink) send(b Block) error {
-	if s.fn != nil {
-		return s.fn(b)
-	}
-	select {
-	case s.ch <- b:
-		return nil
-	default:
-		return fmt.Errorf("orb: block sink full for invocation %d", b.Header.InvocationID)
-	}
-}
+// blockSink is one registered consumer of block transfers: a callback
+// invoked directly on the connection's read goroutine. Multiple
+// connections delivering to the same invocation run it concurrently, so
+// it must be safe for concurrent use and must not block.
+type blockSink func(Block) error
 
 // pendingEntry is one invocation's buffered early blocks plus the
 // accounting the byte budget and TTL sweep need.
@@ -216,10 +199,8 @@ func (r *blockRouter) stats() BlockRouterStats {
 	}
 }
 
-// deliver hands a block to its registered sink, or buffers it until
-// the sink registers. Channel sinks must be buffered generously (at
-// least the plan size) — delivery never blocks on a channel; callback
-// sinks run inline on the calling goroutine.
+// deliver hands a block to its registered sink, which runs inline on
+// the calling goroutine, or buffers it until the sink registers.
 func (r *blockRouter) deliver(b Block) error {
 	r.mu.Lock()
 	sink, ok := r.sinks[b.Header.InvocationID]
@@ -248,7 +229,7 @@ func (r *blockRouter) deliver(b Block) error {
 		return nil
 	}
 	r.mu.Unlock()
-	return sink.send(b)
+	return sink(b)
 }
 
 // sweep reclaims every pending buffer whose last arrival is older than
@@ -278,22 +259,12 @@ func (r *blockRouter) sweep(now time.Time) int {
 	return dropped
 }
 
-// register installs a channel sink for an invocation id, flushing any
-// blocks that arrived early. The returned cancel function removes the
-// sink and discards later strays.
-func (r *blockRouter) register(inv uint64, ch chan<- Block) (cancel func(), err error) {
-	return r.install(inv, blockSink{ch: ch})
-}
-
-// registerFunc installs a callback sink: every block for inv is handed
-// to fn on the delivering connection's read goroutine. fn may be
-// called concurrently from multiple connections and must not block; a
-// non-nil error from fn tears down the delivering connection.
-func (r *blockRouter) registerFunc(inv uint64, fn func(Block) error) (cancel func(), err error) {
-	return r.install(inv, blockSink{fn: fn})
-}
-
-func (r *blockRouter) install(inv uint64, sink blockSink) (cancel func(), err error) {
+// registerFunc installs a callback sink for an invocation id, flushing
+// any blocks that arrived early: every block for inv is handed to sink
+// on the delivering connection's read goroutine. A non-nil error from
+// sink tears down the delivering connection. The returned cancel
+// function removes the sink; later strays buffer and age out.
+func (r *blockRouter) registerFunc(inv uint64, sink blockSink) (cancel func(), err error) {
 	r.mu.Lock()
 	if _, dup := r.sinks[inv]; dup {
 		r.mu.Unlock()
@@ -315,7 +286,7 @@ func (r *blockRouter) install(inv uint64, sink blockSink) (cancel func(), err er
 		r.mu.Unlock()
 	}
 	for _, b := range early {
-		if err := sink.send(b); err != nil {
+		if err := sink(b); err != nil {
 			cancel()
 			return nil, err
 		}

@@ -278,11 +278,16 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// chanSink adapts a test channel to a callback sink.
+func chanSink(ch chan<- Block) func(Block) error {
+	return func(b Block) error { ch <- b; return nil }
+}
+
 func TestBlockTransferClientToServer(t *testing.T) {
 	cli, srv, ep := newPair(t)
 	inv := cli.NewInvocationID()
 	sink := make(chan Block, 4)
-	cancel, err := srv.ExpectBlocks(inv, sink)
+	cancel, err := srv.ExpectBlocksFunc(inv, chanSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestBlockArrivingBeforeSinkIsBuffered(t *testing.T) {
 	// Give the block time to arrive before the sink exists.
 	time.Sleep(20 * time.Millisecond)
 	sink := make(chan Block, 1)
-	cancel, err := srv.ExpectBlocks(inv, sink)
+	cancel, err := srv.ExpectBlocksFunc(inv, chanSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,13 +352,13 @@ func TestBlockArrivingBeforeSinkIsBuffered(t *testing.T) {
 
 func TestDuplicateSinkRejected(t *testing.T) {
 	_, srv, _ := newPair(t)
-	ch := make(chan Block, 1)
-	cancel, err := srv.ExpectBlocks(7, ch)
+	sink := func(Block) error { return nil }
+	cancel, err := srv.ExpectBlocksFunc(7, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	if _, err := srv.ExpectBlocks(7, ch); err == nil {
+	if _, err := srv.ExpectBlocksFunc(7, sink); err == nil {
 		t.Fatal("duplicate sink accepted")
 	}
 }

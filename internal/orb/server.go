@@ -217,15 +217,9 @@ func (s *Server) handler(key string) (Handler, bool) {
 	return h, ok
 }
 
-// ExpectBlocks registers a sink for inbound block transfers under an
-// invocation id (in-arguments of multi-port invocations). The channel
-// must have capacity for the whole expected plan.
-func (s *Server) ExpectBlocks(inv uint64, ch chan<- Block) (func(), error) {
-	return s.blocks.register(inv, ch)
-}
-
-// ExpectBlocksFunc registers a callback sink: blocks for inv are
-// handed to fn directly on the delivering connection's read goroutine,
+// ExpectBlocksFunc registers a callback sink for inbound block
+// transfers under an invocation id: blocks for inv are handed to fn
+// directly on the delivering connection's read goroutine,
 // so blocks from different senders (different connections) are
 // assembled concurrently. fn must be safe for concurrent use and must
 // not block; returning an error tears down that connection.
@@ -531,8 +525,8 @@ func (sc *serverConn) readLoop() {
 // streams wire → destination slice (bounds checked first; a range
 // violation poisons the window, not the connection, and the payload is
 // skimmed to keep the stream framed). Unregistered window: the payload
-// is buffered under the pending budgets until registration, exactly
-// like an early routed block. Only stream-level failures tear the
+// is buffered (in a recycled buffer) under the pending budgets until
+// registration, exactly like an early routed block. Only stream-level failures tear the
 // connection down.
 func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader) error {
 	wh, err := fr.ReadWindowPut(fh)
@@ -551,11 +545,12 @@ func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader)
 		w.landed(wh.Count)
 		return nil
 	}
-	payload, err := fr.ReadPayloadBytes(int(wh.Count) * 8)
-	if err != nil {
+	buf := acquirePutBuf(int(wh.Count) * 8)
+	if err := fr.ReadPayloadBytes(*buf); err != nil {
+		releasePutBuf(buf)
 		return err
 	}
-	return sc.srv.blocks.bufferWindowPut(wh, fh.Order, payload)
+	return sc.srv.blocks.bufferWindowPut(wh, fh.Order, buf)
 }
 
 func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte) error {

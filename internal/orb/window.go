@@ -1,5 +1,5 @@
-// One-sided destination windows: the receiving half of the peer data
-// plane. A Window is a caller-owned []float64 registered under a
+// One-sided destination windows: the receiving half of the multi-port
+// data plane. A Window is a caller-owned []float64 registered under a
 // 64-bit ID before the sender is told the ID exists; MsgWindowPut
 // frames addressed to it are landed by the connection read loop
 // straight off the read buffer into dst[DstOff:DstOff+Count] — no body
@@ -8,17 +8,18 @@
 // have) are buffered under the router's existing pending budgets and
 // flushed into the window when it registers.
 //
-// The safety argument mirrors the routed blockAssembler: every put is
-// bounds-checked against the registered destination before any byte
-// lands; the sender derives disjoint [DstOff, DstOff+Count) ranges
-// from the same transfer plan both sides computed, so concurrent
-// lands from multiple connections never overlap; and completion is
-// element-counted against the plan total, so a short stream can only
-// end in a failed window, never a silently partial one.
+// The safety argument: every put is bounds-checked against the
+// registered destination before any byte lands; the sender derives
+// disjoint [DstOff, DstOff+Count) ranges from the same transfer plan
+// both sides computed, so concurrent lands from multiple connections
+// never overlap; and completion is element-counted against the plan
+// total, so a short stream can only end in a failed window, never a
+// silently partial one.
 package orb
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,8 +84,7 @@ func (w *Window) complete() {
 }
 
 // checkRange validates a put against the registered destination before
-// any byte lands, exactly as blockAssembler.accept does for routed
-// blocks.
+// any byte lands.
 func (w *Window) checkRange(h giop.WindowPutHeader) error {
 	if int64(h.DstOff)+int64(h.Count) > int64(len(w.dst)) {
 		return fmt.Errorf("orb: window %#x put [%d,%d) exceeds destination of %d elements",
@@ -108,9 +108,54 @@ func (w *Window) landed(count uint32) {
 // windowPut is one buffered early put: raw element bytes held until
 // the window registers.
 type windowPut struct {
-	h       giop.WindowPutHeader
-	order   cdr.ByteOrder
-	payload []byte
+	h     giop.WindowPutHeader
+	order cdr.ByteOrder
+	buf   *[]byte // from acquirePutBuf; released once landed
+}
+
+// Early-put buffers are recycled, one pool per power-of-two capacity
+// from 4 KiB to 1 MiB (the chunk sizes the data plane ships; anything
+// else is allocated and left to the GC). How many of an invocation's
+// puts beat their window's registration is a race the sender usually
+// wins, so without recycling the bytes an invocation allocates swing
+// with timing by most of the argument's size.
+const (
+	minPutBufShift = 12
+	maxPutBufShift = 20
+)
+
+var putBufPools [maxPutBufShift - minPutBufShift + 1]sync.Pool
+
+// putBufClass is the pool holding buffers of the smallest pooled
+// capacity >= n, or -1 when n is outside the pooled range.
+func putBufClass(n int) int {
+	if n <= 0 || n > 1<<maxPutBufShift {
+		return -1
+	}
+	return max(bits.Len(uint(n-1)), minPutBufShift) - minPutBufShift
+}
+
+// acquirePutBuf returns an n-byte buffer for one early put's payload.
+func acquirePutBuf(n int) *[]byte {
+	c := putBufClass(n)
+	if c < 0 {
+		b := make([]byte, n)
+		return &b
+	}
+	if bp, ok := putBufPools[c].Get().(*[]byte); ok {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n, 1<<(c+minPutBufShift))
+	return &b
+}
+
+// releasePutBuf recycles a buffer whose payload has landed (or was
+// dropped). The caller must not touch it afterwards.
+func releasePutBuf(bp *[]byte) {
+	if c := putBufClass(cap(*bp)); c >= 0 && cap(*bp) == 1<<(c+minPutBufShift) {
+		putBufPools[c].Put(bp)
+	}
 }
 
 // windowPendingEntry mirrors pendingEntry for window puts.
@@ -134,11 +179,14 @@ func (r *blockRouter) windowFor(id uint64) (*Window, bool) {
 // loop's lookup miss and this call are not one critical section, so
 // the window may have registered — and flushed an empty pending set —
 // in between. Landing the put here instead of parking it closes that
-// gap; buffering would strand the put forever.
-func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrder, payload []byte) error {
+// gap; buffering would strand the put forever. It takes ownership of
+// buf (see acquirePutBuf), which holds the put's payload.
+func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrder, buf *[]byte) error {
+	payload := *buf
 	r.mu.Lock()
 	if w, ok := r.windows[h.WindowID]; ok {
 		r.mu.Unlock()
+		defer releasePutBuf(buf)
 		if err := w.checkRange(h); err != nil {
 			w.fail(err)
 			return nil
@@ -149,10 +197,12 @@ func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrde
 	}
 	if r.pendingLen >= r.pol.MaxBlocks {
 		r.mu.Unlock()
+		releasePutBuf(buf)
 		return fmt.Errorf("%w: window %#x", ErrTooManyBlocks, h.WindowID)
 	}
 	if r.pendingBytes+len(payload) > r.pol.MaxBytes {
 		r.mu.Unlock()
+		releasePutBuf(buf)
 		return fmt.Errorf("%w: window %#x (%d buffered + %d new > %d)",
 			ErrPendingBlockBytes, h.WindowID, r.pendingBytes, len(payload), r.pol.MaxBytes)
 	}
@@ -161,7 +211,7 @@ func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrde
 		pe = &windowPendingEntry{}
 		r.wpending[h.WindowID] = pe
 	}
-	pe.puts = append(pe.puts, windowPut{h: h, order: order, payload: payload})
+	pe.puts = append(pe.puts, windowPut{h: h, order: order, buf: buf})
 	pe.bytes += len(payload)
 	pe.last = time.Now()
 	r.pendingLen++
@@ -212,8 +262,11 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 			w.fail(err)
 			break
 		}
-		cdr.DecodeDoubles(dst[p.h.DstOff:int64(p.h.DstOff)+int64(p.h.Count)], p.payload, p.order)
+		cdr.DecodeDoubles(dst[p.h.DstOff:int64(p.h.DstOff)+int64(p.h.Count)], *p.buf, p.order)
 		w.landed(p.h.Count)
+	}
+	for _, p := range early {
+		releasePutBuf(p.buf)
 	}
 	return w, cancel, nil
 }

@@ -115,6 +115,78 @@ func TestWindowPutBeforeRegistrationBuffered(t *testing.T) {
 	}
 }
 
+// TestEarlyPutBufferClasses pins the recycling rule of the parking
+// buffers: a buffer is drawn at its class's full capacity, so a release
+// finds the class again from the capacity alone, and sizes outside the
+// pooled range are allocated exactly.
+func TestEarlyPutBufferClasses(t *testing.T) {
+	for _, c := range []struct{ n, class int }{
+		{0, -1}, {1, 0}, {4096, 0}, {4097, 1}, {256 << 10, 6},
+		{256<<10 + 8, 7}, {1 << 20, 8}, {1<<20 + 1, -1},
+	} {
+		if got := putBufClass(c.n); got != c.class {
+			t.Errorf("putBufClass(%d) = %d, want %d", c.n, got, c.class)
+		}
+		if c.n == 0 {
+			continue
+		}
+		bp := acquirePutBuf(c.n)
+		wantCap := c.n
+		if c.class >= 0 {
+			wantCap = 1 << (c.class + minPutBufShift)
+		}
+		if len(*bp) != c.n || cap(*bp) != wantCap {
+			t.Errorf("acquirePutBuf(%d): len %d cap %d, want cap %d", c.n, len(*bp), cap(*bp), wantCap)
+		}
+		releasePutBuf(bp)
+	}
+}
+
+// TestEarlyPutBufferReuseKeepsData parks and flushes puts one after
+// another, so later ones ride recycled buffers: each window must hold
+// its own put's values, and an earlier destination must not change when
+// its former buffer is overwritten.
+func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const n = 1024
+	var dsts [4][]float64
+	for round := range dsts {
+		key := windowKey(t, uint64(40+round), 0)
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = float64(round*n + i)
+		}
+		h := giop.WindowPutHeader{WindowID: key, DstOff: 0, Last: true}
+		if _, err := cli.PutWindow(ep, h, src); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.BlockStats().Pending == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("early put never buffered")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		dsts[round] = make([]float64, n)
+		win, cancel, err := srv.RegisterWindow(key, dsts[round], n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, win)
+		cancel()
+		if err := win.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round, dst := range dsts {
+		for i, v := range dst {
+			if v != float64(round*n+i) {
+				t.Fatalf("round %d element %d = %v, want %v", round, i, v, float64(round*n+i))
+			}
+		}
+	}
+}
+
 // TestWindowRegistrationRaceLandsPut pins the race the read loop cannot
 // avoid: its window lookup misses, the window registers (flushing an
 // empty pending set), and only then does the read loop try to buffer
@@ -138,7 +210,8 @@ func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	e.PutDoubles(want)
 	h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Count: n, Last: true}
-	if err := srv.blocks.bufferWindowPut(h, cdr.NativeOrder, e.Bytes()); err != nil {
+	payload := e.Bytes()
+	if err := srv.blocks.bufferWindowPut(h, cdr.NativeOrder, &payload); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, win)

@@ -49,7 +49,7 @@ func WANPath() Path {
 // `bytes` payload bytes over the path and returns its wall-clock time.
 //
 // The simulation executes the data plane's actual send protocol
-// (sendPlanBlocks/sendPlanPuts): the transfer splits into
+// (spmd.sendPlanPuts): the transfer splits into
 // ceil(bytes/chunkBytes) chunks issued in order under a window-credit
 // semaphore; each chunk occupies one of `stripes` connection slots
 // while it pays the fixed per-chunk cost, transmits over the shared
@@ -79,7 +79,7 @@ func (pt Path) TransferSeconds(bytes, chunkBytes, window, stripes int) float64 {
 			n := min(chunkBytes, bytes-off)
 			// The issue loop acquires the credit (the in-flight window
 			// bound) before the chunk goroutine exists, exactly like
-			// the semaphore in sendPlanBlocks.
+			// the semaphore in sendPlanPuts.
 			credits.Acquire(p)
 			sim.Spawn("chunk", func(cp *des.Proc) {
 				slots.Acquire(cp)

@@ -54,12 +54,6 @@ type BindConfig struct {
 	// into pipelined chunks (0 = spmd.DefaultXferChunkBytes, negative
 	// = chunking disabled).
 	XferChunkBytes int
-	// PeerXfer controls the one-sided peer data plane (0 =
-	// spmd.DefaultPeerXfer, negative = routed blocks only). It takes
-	// effect only when the bound object advertises window-put capable
-	// ports; otherwise the binding falls back to the routed path
-	// (counted in pardis_spmd_peer_fallback_total).
-	PeerXfer int
 	// AutoTune enables the self-tuning transport (0 =
 	// spmd.DefaultAutoTune, negative = off): the binding probes the
 	// path RTT at bind time, feeds every transfer's bytes/seconds into
@@ -94,12 +88,10 @@ type Binding struct {
 
 	stats bindingStats
 
-	// window/chunkElems/peer are the resolved data-plane knobs (see
-	// BindConfig.XferWindow / XferChunkBytes / PeerXfer); peer is true
-	// only after the object's describe advertised the capability.
+	// window/chunkElems are the resolved data-plane knobs (see
+	// BindConfig.XferWindow / XferChunkBytes).
 	window     int
 	chunkElems int
-	peer       bool
 	// autoTune/pathKey: when tuning is on, sendBlocks re-resolves
 	// (window, chunkElems) from AutoTuner's recommendation for pathKey
 	// before each transfer and records the observed rate after it.
@@ -156,8 +148,8 @@ func (b *Binding) Stats() Stats {
 }
 
 // BlockStats reports this thread's receive-port block-router state.
-// Between invocations it must be empty — a nonzero sink count means
-// an out-block sink leaked.
+// Between invocations it must be empty — a nonzero window count means
+// an out-argument window leaked.
 func (b *Binding) BlockStats() orb.BlockRouterStats {
 	if b.recv == nil {
 		return orb.BlockRouterStats{}
@@ -426,20 +418,6 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			ErrBadCall, ref.Key)
 	}
 	b.desc = desc
-	// Peer-data-plane negotiation: the binding goes one-sided only when
-	// the knob allows it AND the object advertised window-put capable
-	// ports. Either miss is a counted fallback onto the routed path,
-	// which stays byte-identical to the pre-peer wire.
-	if cfg.Method == MultiPort {
-		switch {
-		case !resolvePeer(cfg.PeerXfer):
-			peerFallbackDisabled.Inc()
-		case !desc.PeerWindows:
-			peerFallbackEndpoint.Inc()
-		default:
-			b.peer = true
-		}
-	}
 	return b, nil
 }
 
@@ -483,7 +461,7 @@ func (b *Binding) Close() {
 // server-side lease alive while the binding is idle (invocations renew
 // it implicitly). Only the communicator thread sends; other threads
 // return nil immediately, so Renew need not be collective. Worker-rank
-// leases are re-established by the block traffic of the next
+// leases are re-established by the put traffic of the next
 // invocation, so the communicator ping is all an idle binding needs.
 func (b *Binding) Renew(ctx context.Context) error {
 	if b.rank != 0 {
@@ -554,34 +532,13 @@ type replyEnvelope struct {
 	body  []byte
 }
 
-// outCollector owns the concurrent assembly of one argument's
-// multi-port out-blocks on this client thread. Routed: server threads
-// decode straight into the sequence's local block via the assembler,
-// on their delivering connections' read goroutines. Peer: the local
-// block is registered as a one-sided window and the server's puts land
-// straight off the read buffers — exactly one of asm/win is set.
+// outCollector is one argument's multi-port out-transfer on this client
+// thread: the sequence's local block registered as a one-sided window,
+// into which the server threads' puts land straight off their delivering
+// connections' read buffers.
 type outCollector struct {
-	arg    int
-	asm    *blockAssembler
 	win    *orb.Window
 	cancel func()
-	seq    *dseq.Doubles
-}
-
-// wait blocks until the argument's out-transfer completes or fails.
-func (c *outCollector) wait(ctx contextDoner) error {
-	if c.win != nil {
-		return waitWindow(c.win, ctx, nil, nil)
-	}
-	return c.asm.wait(ctx, nil, nil)
-}
-
-// bytes is the payload volume received for this argument.
-func (c *outCollector) bytes() uint64 {
-	if c.win != nil {
-		return uint64(c.win.Bytes())
-	}
-	return c.asm.nbytes.Load()
 }
 
 // start validates the call collectively, ships in-arguments, issues
@@ -702,7 +659,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 		serverLayouts[i] = sl
 	}
 
-	// Register out-block sinks before anything is sent.
+	// Register out-argument windows before anything is sent.
 	if b.method == MultiPort {
 		for i, a := range spec.Args {
 			if a.Mode != Out && a.Mode != InOut {
@@ -722,25 +679,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 				p.cancelSinks()
 				return nil, err
 			}
-			col := &outCollector{arg: i, seq: a.Seq}
-			if b.peer {
-				win, cancel, err := b.recv.RegisterWindow(key, a.Seq.LocalData(), int64(expect), nil)
-				if err != nil {
-					p.cancelSinks()
-					return nil, err
-				}
-				col.win = win
-				col.cancel = cancel
-			} else {
-				col.asm = newBlockAssembler(b.rank, a.Seq.LocalData(), expect)
-				cancel, err := b.recv.ExpectBlocksFunc(key, col.asm.accept)
-				if err != nil {
-					p.cancelSinks()
-					return nil, err
-				}
-				col.cancel = cancel
+			win, cancel, err := b.recv.RegisterWindow(key, a.Seq.LocalData(), int64(expect), nil)
+			if err != nil {
+				p.cancelSinks()
+				return nil, err
 			}
-			p.outSinks = append(p.outSinks, col)
+			p.outSinks = append(p.outSinks, &outCollector{win: win, cancel: cancel})
 		}
 	}
 
@@ -767,8 +711,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	// The communicator issues the request.
 	if b.rank == 0 {
 		w := &invocationWire{Method: b.method, Scalars: scalarBytes,
-			PeerWindows: b.peer,
-			Args:        make([]*argWire, len(spec.Args))}
+			Args: make([]*argWire, len(spec.Args))}
 		for i, a := range spec.Args {
 			aw := &argWire{
 				Mode:         a.Mode,
@@ -867,24 +810,16 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 }
 
 // sendBlocks ships this client thread's share of an in transfer,
-// chunked and windowed (see sendPlanBlocks); a peer binding ships the
-// blocks as one-sided puts into the windows the server's ranks
-// registered (sendPlanPuts).
+// chunked and windowed, as one-sided puts into the windows the server's
+// ranks registered (see sendPlanPuts).
 func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
 	window, chunkElems := b.window, b.chunkElems
 	if b.autoTune {
 		window, chunkElems = tunedKnobs(b.pathKey, window, chunkElems)
 	}
 	t := time.Now()
-	var n uint64
-	var err error
-	if b.peer {
-		n, err = sendPlanPuts(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
-			b.ref.ThreadEndpoint, window, chunkElems)
-	} else {
-		n, err = sendPlanBlocks(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
-			b.ref.ThreadEndpoint, window, chunkElems)
-	}
+	n, err := sendPlanPuts(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
+		b.ref.ThreadEndpoint, window, chunkElems)
 	elapsed := time.Since(t)
 	b.stats.bytesOut.Add(n)
 	b.xferIn.ObserveDuration(elapsed)
@@ -895,7 +830,7 @@ func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, se
 }
 
 // abandon gives up an invocation whose start phase failed after the
-// request was issued: the sinks go, and the communicator stops and
+// request was issued: the windows go, and the communicator stops and
 // joins the invoke goroutine so nothing reads the lent blocks once
 // start has returned.
 func (p *Pending) abandon() {
@@ -969,10 +904,10 @@ func (p *Pending) cancelSinks() {
 
 // Wait completes the invocation collectively: the communicator
 // receives the reply and broadcasts the completion status (§3.2);
-// on success every thread collects its multi-port out-blocks (the
-// ORB buffers blocks that arrived before or after the reply), the
-// scalar results and centralized out-data are distributed, and the
-// threads synchronize on the exit barrier (§3.3).
+// on success every thread collects its multi-port out-blocks (puts
+// land in the registered windows whether they arrive before or after
+// the reply), the scalar results and centralized out-data are
+// distributed, and the threads synchronize on the exit barrier (§3.3).
 //
 // Status travels before block collection so that a failed invocation
 // cannot strand threads waiting for out-blocks the server never sent.
@@ -1047,17 +982,17 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 
 	// Collect multi-port out-blocks destined for this thread. The
 	// server completed successfully, so every planned block was (or
-	// is being) sent; blocks were (and still are) decoded straight
-	// into the sequences' local data by the per-argument assemblers —
-	// this loop only awaits completion.
+	// is being) sent; puts landed (and still land) straight in the
+	// sequences' local data through the per-argument windows — this
+	// loop only awaits completion.
 	var localErr error
 	if len(p.outSinks) > 0 {
 		t := time.Now()
 		for _, col := range p.outSinks {
 			if localErr == nil {
-				localErr = col.wait(ctx)
+				localErr = waitWindow(ctx, col.win, nil, nil)
 			}
-			b.stats.bytesIn.Add(col.bytes())
+			b.stats.bytesIn.Add(uint64(col.win.Bytes()))
 			col.cancel()
 			col.cancel = nil
 		}

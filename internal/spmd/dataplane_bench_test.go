@@ -87,7 +87,7 @@ func startBenchObject(b *testing.B, reg *transport.Registry, m int) *benchObject
 	}}
 }
 
-func benchInTransfer(b *testing.B, length, threads, peerXfer, autoTune int) {
+func benchInTransfer(b *testing.B, length, threads, autoTune int) {
 	reg := newReg()
 	obj := startBenchObject(b, reg, threads)
 	defer obj.close()
@@ -100,7 +100,6 @@ func benchInTransfer(b *testing.B, length, threads, peerXfer, autoTune int) {
 			Registry:       reg,
 			Method:         MultiPort,
 			ListenEndpoint: "inproc:*",
-			PeerXfer:       peerXfer,
 			AutoTune:       autoTune,
 		}, obj.ref)
 		if err != nil {
@@ -131,23 +130,20 @@ func benchInTransfer(b *testing.B, length, threads, peerXfer, autoTune int) {
 	}
 }
 
-// The plane dimension A/Bs the data planes over the same server
-// object: peer (one-sided window puts, the default) against routed
-// (block frames through the sink router, forced by PeerXfer=-1 on the
-// binding), plus tuned (the peer plane with the self-tuning transport
-// re-resolving chunk/window per transfer, AutoTune=1 on the binding),
-// so the allocation ledger covers the tuner's hot path too.
+// The plane dimension A/Bs the static knobs (peer) against the
+// self-tuning transport re-resolving chunk/window per transfer (tuned,
+// AutoTune=1 on the binding), so the allocation ledger covers the
+// tuner's hot path too.
 func BenchmarkMultiPortInTransfer(b *testing.B) {
 	planes := []struct {
 		name     string
-		peer     int
 		autoTune int
-	}{{"peer", 0, 0}, {"routed", -1, 0}, {"tuned", 0, 1}}
+	}{{"peer", 0}, {"tuned", 1}}
 	for _, length := range []int{16 << 10, 128 << 10, 1 << 20} {
 		for _, threads := range []int{1, 4} {
 			for _, plane := range planes {
 				b.Run(fmt.Sprintf("len=%dKi/threads=%d/plane=%s", length>>10, threads, plane.name),
-					func(b *testing.B) { benchInTransfer(b, length, threads, plane.peer, plane.autoTune) })
+					func(b *testing.B) { benchInTransfer(b, length, threads, plane.autoTune) })
 			}
 		}
 	}

@@ -1,117 +1,42 @@
 package spmd
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"fmt"
-	"strings"
+	"strconv"
+	"sync"
 	"testing"
-	"time"
 
-	"pardis/internal/cdr"
 	"pardis/internal/dist"
-	"pardis/internal/dseq"
 	"pardis/internal/giop"
 	"pardis/internal/mp"
-	"pardis/internal/orb"
 	"pardis/internal/rts"
 	"pardis/internal/transport"
 )
 
-// recordingSender captures SendBlock traffic exactly as the ORB
-// client would encode it (header then payload on one CDR stream).
-type recordingSender struct {
-	endpoints []string
-	frames    [][]byte
+// recordingPutter captures the puts sendPlanPuts issues, standing in
+// for the ORB client (it is called from several goroutines when the
+// send window is concurrent).
+type recordingPutter struct {
+	mu    sync.Mutex
+	eps   []string
+	hdrs  []giop.WindowPutHeader
+	bytes int
 }
 
-func (r *recordingSender) SendBlock(ep string, hdr giop.BlockTransferHeader,
-	payload func(*cdr.Encoder)) (int, error) {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	hdr.Encode(e)
-	hdrLen := e.Len()
-	if payload != nil {
-		payload(e)
-	}
-	r.endpoints = append(r.endpoints, ep)
-	r.frames = append(r.frames, append([]byte(nil), e.Bytes()...))
-	return e.Len() - hdrLen, nil
+func (r *recordingPutter) PutWindow(ep string, hdr giop.WindowPutHeader, blk []float64) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.eps = append(r.eps, ep)
+	r.hdrs = append(r.hdrs, hdr)
+	r.bytes += len(blk) * 8
+	return len(blk) * 8, nil
 }
 
-// legacySendBlocks is the pre-data-plane serial send loop, retained
-// verbatim as the reference encoding.
-func legacySendBlocks(oc *recordingSender, inv uint64, argIdx uint32, rank int,
-	plan []dist.Transfer, local []float64, endpointFor func(int) string) {
-	mine := dist.PlanFor(plan, rank)
-	lastIdx := make(map[int]int)
-	for idx, tr := range mine {
-		lastIdx[tr.To] = idx
-	}
-	for idx, tr := range mine {
-		h := giop.BlockTransferHeader{
-			InvocationID: inv<<8 | uint64(argIdx),
-			ArgIndex:     argIdx,
-			FromThread:   int32(rank),
-			ToThread:     int32(tr.To),
-			DstOff:       uint32(tr.DstOff),
-			Count:        uint32(tr.Count),
-			Last:         lastIdx[tr.To] == idx,
-		}
-		blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-		_, _ = oc.SendBlock(endpointFor(tr.To), h, func(e *cdr.Encoder) { e.PutDoubleSeq(blk) })
-	}
-}
-
-// TestSerialWireIdentical pins the serial-semantics guarantee: with
-// window=1 and chunking disabled, sendPlanBlocks produces exactly the
-// frames (order, headers, payload bytes) the legacy serial loop did.
-func TestSerialWireIdentical(t *testing.T) {
-	// Misaligned layouts so several transfers cross rank boundaries.
-	src, err := dist.FromCounts([]int{7, 13, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := dist.FromCounts([]int{10, 10, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := dist.Plan(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epFor := func(to int) string { return fmt.Sprintf("inproc:t%d", to) }
-	const inv, argIdx = uint64(0xABCDE), uint32(1)
-	for rank := 0; rank < 3; rank++ {
-		local := make([]float64, src.Count(rank))
-		for i := range local {
-			local[i] = float64(src.Lo(rank) + i)
-		}
-		legacy := &recordingSender{}
-		legacySendBlocks(legacy, inv, argIdx, rank, plan, local, epFor)
-		got := &recordingSender{}
-		if _, err := sendPlanBlocks(got, inv, argIdx, rank, plan, local, epFor, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		if len(got.frames) != len(legacy.frames) {
-			t.Fatalf("rank %d: %d frames, legacy %d", rank, len(got.frames), len(legacy.frames))
-		}
-		for i := range got.frames {
-			if got.endpoints[i] != legacy.endpoints[i] {
-				t.Fatalf("rank %d frame %d: endpoint %q, legacy %q",
-					rank, i, got.endpoints[i], legacy.endpoints[i])
-			}
-			if !bytes.Equal(got.frames[i], legacy.frames[i]) {
-				t.Fatalf("rank %d frame %d: wire bytes differ", rank, i)
-			}
-		}
-	}
-}
-
-// TestChunkedSendCoversPlan: with chunking and a concurrent window,
-// the chunk set must tile exactly the legacy transfer set (same
-// destinations, disjoint offsets, same total elements), with every
-// chunk's payload under the threshold.
+// TestChunkedSendCoversPlan: with chunking, serially and under a
+// concurrent window, the puts must tile exactly this rank's share of
+// the plan — every chunk under the threshold and addressed to its
+// destination's endpoint, destination ranges disjoint, Last on exactly
+// one chunk per destination, and the byte total 8 x the elements.
 func TestChunkedSendCoversPlan(t *testing.T) {
 	src, err := dist.FromCounts([]int{1000, 1000})
 	if err != nil {
@@ -125,116 +50,67 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := make([]float64, 1000)
-	rec := &recordingSender{}
-	// Note: recordingSender is not safe for concurrent use, so pin
-	// window=1 here; chunking is what is under test.
-	const chunkElems = 128
-	n, err := sendPlanBlocks(rec, 7, 0, 0, plan, local,
-		func(int) string { return "inproc:x" }, 1, chunkElems)
+	const inv, argIdx, chunkElems = 7, 0, 128
+	key, err := giop.BlockSinkKey(inv, argIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("no bytes accounted")
-	}
-	covered := make(map[int]bool)
-	for _, frame := range rec.frames {
-		d := cdr.NewDecoder(cdr.BigEndian, frame)
-		h, err := giop.DecodeBlockTransferHeader(d)
+	epFor := func(to int) string { return strconv.Itoa(to) }
+	local := make([]float64, 1000)
+	for _, window := range []int{1, 4} {
+		rec := &recordingPutter{}
+		n, err := sendPlanPuts(rec, inv, argIdx, 0, plan, local, epFor, window, chunkElems)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Count > chunkElems {
-			t.Fatalf("chunk of %d elements exceeds threshold %d", h.Count, chunkElems)
-		}
-		for i := int(h.DstOff); i < int(h.DstOff)+int(h.Count); i++ {
-			key := int(h.ToThread)<<24 | i
-			if covered[key] {
-				t.Fatalf("destination (%d, %d) covered twice", h.ToThread, i)
+		covered := make(map[[2]int]bool) // (destination thread, offset)
+		lasts := make(map[int]int)
+		for i, h := range rec.hdrs {
+			to, err := strconv.Atoi(rec.eps[i])
+			if err != nil {
+				t.Fatal(err)
 			}
-			covered[key] = true
+			if h.WindowID != key || h.FromThread != 0 {
+				t.Fatalf("window=%d: put header %+v, want window %d from thread 0", window, h, key)
+			}
+			if h.Count == 0 || h.Count > chunkElems {
+				t.Fatalf("window=%d: chunk of %d elements, threshold %d", window, h.Count, chunkElems)
+			}
+			for off := int(h.DstOff); off < int(h.DstOff)+int(h.Count); off++ {
+				if covered[[2]int{to, off}] {
+					t.Fatalf("window=%d: destination (%d, %d) covered twice", window, to, off)
+				}
+				covered[[2]int{to, off}] = true
+			}
+			if h.Last {
+				lasts[to]++
+			}
 		}
-	}
-	want := 0
-	for _, tr := range dist.PlanFor(plan, 0) {
-		want += tr.Count
-	}
-	if len(covered) != want {
-		t.Fatalf("chunks cover %d destination elements, plan has %d", len(covered), want)
-	}
-}
-
-// TestCrossOrderBlockAssembly: a little-endian client and a
-// big-endian client ship interleaved chunks of one argument to the
-// same sink; the assembler must decode both orders straight into the
-// destination, out of order, from concurrent connections.
-func TestCrossOrderBlockAssembly(t *testing.T) {
-	reg := newReg()
-	srv := orb.NewServer(reg)
-	ep, err := srv.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const n = 1024
-	local := make([]float64, n)
-	asm := newBlockAssembler(0, local, n)
-	key, err := giop.BlockSinkKey(99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel, err := srv.ExpectBlocksFunc(key, asm.accept)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	le := orb.NewClient(reg, orb.WithByteOrder(cdr.LittleEndian))
-	be := orb.NewClient(reg, orb.WithByteOrder(cdr.BigEndian))
-	defer le.Close()
-	defer be.Close()
-
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = float64(i) * 1.5
-	}
-	send := func(cli *orb.Client, from int32, off, count int) {
-		h := giop.BlockTransferHeader{
-			InvocationID: key, ArgIndex: 0, FromThread: from, ToThread: 0,
-			DstOff: uint32(off), Count: uint32(count), Last: true,
+		want := 0
+		for _, tr := range dist.PlanFor(plan, 0) {
+			want += tr.Count
+			for off := tr.DstOff; off < tr.DstOff+tr.Count; off++ {
+				if !covered[[2]int{tr.To, off}] {
+					t.Fatalf("window=%d: destination (%d, %d) never covered", window, tr.To, off)
+				}
+			}
+			if lasts[tr.To] != 1 {
+				t.Fatalf("window=%d: destination %d has %d Last chunks, want 1", window, tr.To, lasts[tr.To])
+			}
 		}
-		blk := want[off : off+count]
-		if _, err := cli.SendBlock(ep, h, func(e *cdr.Encoder) { e.PutDoubleSeq(blk) }); err != nil {
-			t.Error(err)
+		if len(covered) != want {
+			t.Fatalf("window=%d: chunks cover %d destination elements, plan has %d", window, len(covered), want)
 		}
-	}
-	// Interleave the two senders, highest offsets first.
-	send(le, 1, 768, 256)
-	send(be, 0, 512, 256)
-	send(le, 1, 256, 256)
-	send(be, 0, 0, 256)
-
-	ctx, cancelCtx := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelCtx()
-	if err := asm.wait(ctx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	for i := range want {
-		if local[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, local[i], want[i])
+		if n != uint64(want)*8 || rec.bytes != want*8 {
+			t.Fatalf("window=%d: accounted %d bytes, shipped %d, want %d", window, n, rec.bytes, want*8)
 		}
-	}
-	if st := srv.BlockStats(); st.Sinks != 0 {
-		t.Fatalf("sink leak: %+v", st)
 	}
 }
 
 // TestChunkedTransferEndToEnd runs the diffusion invocation with a
 // tiny chunk threshold and a concurrent window on both sides, so in-
 // and out-transfers exercise chunked, windowed, out-of-order
-// assembly, and verifies element-exact results.
+// landing, and verifies element-exact results and leak-freedom.
 func TestChunkedTransferEndToEnd(t *testing.T) {
 	reg := newReg()
 	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
@@ -259,18 +135,18 @@ func TestChunkedTransferEndToEnd(t *testing.T) {
 		if err := invokeDiffusion(b, th, 4000, 2); err != nil {
 			return err
 		}
-		if st := b.BlockStats(); st.Sinks != 0 {
-			return fmt.Errorf("rank %d: sink leak: %+v", th.Rank(), st)
-		}
-		return nil
+		return noLeak(b.BlockStats())
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // cutDialTransport serves "inproc" endpoints but routes dials through
-// a fault-injecting wrapper, so only this process's outbound block
+// a fault-injecting wrapper, so only this process's outbound put
 // streams are cut — listeners stay clean and keep their scheme.
 type cutDialTransport struct {
 	listen transport.Transport // plain shared inproc
@@ -282,106 +158,3 @@ func (c cutDialTransport) Listen(a string) (transport.Listener, error) {
 	return c.listen.Listen(a)
 }
 func (c cutDialTransport) Dial(a string) (transport.Conn, error) { return c.dial.Dial(a) }
-
-// TestFaultCutBlockStream cuts one of several concurrent in-block
-// streams mid-transfer: the cut rank sees its transport error, every
-// other client rank fails the same invocation with ErrPartialFailure,
-// no thread deadlocks, and neither side leaks a block sink. Pinned to
-// the routed data plane (PeerXfer -1 on both sides) so the routed path
-// keeps fault coverage now that peer windows are the default; the peer
-// twin is TestFaultCutPeerWindowStream.
-func TestFaultCutBlockStream(t *testing.T) {
-	inproc := transport.NewInproc()
-	okReg := transport.NewRegistry()
-	okReg.Register(inproc)
-	cut := transport.NewFaulty(inproc, transport.FaultPlan{
-		Seed: 7, Cut: 1, CutAfter: 8 << 10,
-	})
-	cutReg := transport.NewRegistry()
-	cutReg.Register(cutDialTransport{listen: inproc, dial: cut})
-
-	// AutoTune rides along so the chaos sweep covers the self-tuning
-	// transport under faults: a failed send must not feed the tuner, and
-	// tuning must not change the failure verdict or leak sinks.
-	obj := startObjectCfg(t, okReg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.PeerXfer = -1
-		cfg.AutoTune = 1
-	})
-
-	clientErr := mp.Run(3, func(proc *mp.Proc) error {
-		th := rts.NewMessagePassing(proc)
-		reg := okReg
-		if th.Rank() == 1 {
-			reg = cutReg
-		}
-		b, err := Bind(context.Background(), BindConfig{
-			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
-			PeerXfer: -1, AutoTune: 1,
-		}, obj.ref)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		// 30000 doubles: every rank streams 80 KB to its server
-		// thread concurrently; rank 1's connection dies after 8 KB.
-		seq, err := dseq.NewDoubles(30000, dist.Block(), th.Size(), th.Rank())
-		if err != nil {
-			return err
-		}
-		done := make(chan error, 1)
-		go func() {
-			done <- b.Invoke(context.Background(), &CallSpec{
-				Operation: "diffusion",
-				Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
-				Args:      []DistArg{{Mode: InOut, Seq: seq}},
-			})
-		}()
-		var ierr error
-		select {
-		case ierr = <-done:
-		case <-time.After(20 * time.Second):
-			return fmt.Errorf("rank %d: invocation deadlocked on the cut stream", th.Rank())
-		}
-		if ierr == nil {
-			return fmt.Errorf("rank %d: invocation succeeded despite the cut", th.Rank())
-		}
-		if th.Rank() != 1 {
-			if !errors.Is(ierr, ErrPartialFailure) {
-				return fmt.Errorf("rank %d: want ErrPartialFailure, got %v", th.Rank(), ierr)
-			}
-			if !strings.Contains(ierr.Error(), "thread 1") {
-				return fmt.Errorf("rank %d: error does not name the cut rank: %v", th.Rank(), ierr)
-			}
-		}
-		if st := b.BlockStats(); st.Sinks != 0 {
-			return fmt.Errorf("rank %d: client sink leak after failure: %+v", th.Rank(), st)
-		}
-		return nil
-	})
-	if clientErr != nil {
-		t.Fatal(clientErr)
-	}
-
-	// The server thread whose sender died is parked waiting for
-	// elements that will never arrive; Close must unwind it on every
-	// rank (not just the communicator).
-	obj.close()
-	for i := 0; i < 3; i++ {
-		select {
-		case <-obj.donech:
-		case <-time.After(20 * time.Second):
-			t.Fatal("a server thread did not unwind after Close")
-		}
-	}
-	for rank, o := range obj.threadObjects() {
-		if o == nil {
-			continue
-		}
-		if st := o.BlockStats(); st.Sinks != 0 {
-			t.Fatalf("server thread %d leaked block sinks: %+v", rank, st)
-		}
-	}
-	if st := cut.Stats(); st.CutConns == 0 {
-		t.Fatal("fault plan injected no cut — the test exercised nothing")
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,26 +15,67 @@ import (
 	"pardis/internal/giop"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
-	"pardis/internal/orb"
 	"pardis/internal/rts"
 )
 
-// TestMaliciousBlockRejected: a block transfer whose header points
-// outside the receiver's local block must fail the invocation, not
-// corrupt memory or crash.
+// TestMaliciousBlockRejected: a window put whose header points outside
+// the receiver's local block must fail the invocation it was aimed at,
+// not corrupt memory, crash or hang, and must leave nothing behind.
+//
+// Invocation ids are client-chosen and sequential per ORB client, so
+// client thread 0 forges puts at server thread 1 under the ids its
+// binding's next invocations will use. A separate client first parks
+// the serve loops in a blocked handler: the real invocations' requests
+// queue behind it and every put — forged and legitimate — is parked in
+// the pending buffer before any window registers. On release each
+// server thread-1 window flushes its forged put first and is poisoned
+// by it, so every invocation fails deterministically and no legitimate
+// put can straggle in after a window is gone.
 func TestMaliciousBlockRejected(t *testing.T) {
+	held := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // a failed run must not strand the handlers
+	ops := func(th rts.Thread) map[string]*Op {
+		m := diffusionOps(th)
+		m["hold"] = &Op{Handler: func(call *Call) error {
+			if call.Thread.Rank() == 0 {
+				close(held)
+			}
+			<-release
+			return nil
+		}}
+		return m
+	}
 	reg := newReg()
-	obj := startObject(t, reg, 2, true, diffusionOps)
+	obj := startObject(t, reg, 2, true, ops)
 	defer obj.close()
 
-	// A legitimate client connection is used to push a forged block
-	// ahead of an invocation: craft an invocation id, send a bogus
-	// block to server thread 1, then run a real invocation under the
-	// same id by... — invocation ids are client-chosen, so instead we
-	// verify the server's bounds check directly by sending a block
-	// with an absurd DstOff for a pending invocation and checking the
-	// invocation fails rather than crashing.
-	err := mp.Run(2, func(proc *mp.Proc) error {
+	holder, hw, err := BindPlain(context.Background(), reg, Centralized, "", obj.ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hw.Close()
+	defer holder.Close()
+	holdDone := make(chan error, 1)
+	go func() { holdDone <- holder.Invoke(context.Background(), &CallSpec{Operation: "hold"}) }()
+	<-held
+
+	const forged = 3
+	// parked waits until server thread 1's pending buffer holds n puts.
+	parked := func(n int) error {
+		deadline := time.Now().Add(10 * time.Second)
+		for obj.threadObjects()[1].BlockStats().Pending != n {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("server thread 1 parked %+v, want %d puts",
+					obj.threadObjects()[1].BlockStats(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	err = mp.Run(2, func(proc *mp.Proc) error {
 		th := rts.NewMessagePassing(proc)
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
@@ -42,50 +84,79 @@ func TestMaliciousBlockRejected(t *testing.T) {
 			return err
 		}
 		defer b.Close()
-		seq, _ := dseq.NewDoubles(100, dist.Block(), th.Size(), th.Rank())
 
-		// Thread 0 forges a block under the NEXT invocation id this
-		// binding will use (ids are sequential per client).
 		if th.Rank() == 0 {
-			// Peek the id the next start() will allocate: send a
-			// forged block for a range of plausible upcoming ids so
-			// one of them collides.
 			base := b.oc.NewInvocationID()
-			for k := uint64(1); k <= 3; k++ {
-				h := giop.BlockTransferHeader{
-					InvocationID: (base + k) << 8,
-					ArgIndex:     0,
-					FromThread:   0,
-					ToThread:     1,
-					DstOff:       1 << 30, // way outside
-					Count:        4,
-					Last:         false,
-				}
-				ep := obj.ref.ThreadEndpoint(1)
-				if _, err := b.oc.SendBlock(ep, h, func(e *cdr.Encoder) {
-					e.PutDoubleSeq([]float64{1, 2, 3, 4})
-				}); err != nil {
+			for k := uint64(1); k <= forged; k++ {
+				key, err := giop.BlockSinkKey(base+k, 0)
+				if err != nil {
 					return err
 				}
+				h := giop.WindowPutHeader{
+					WindowID:   key,
+					FromThread: 0,
+					DstOff:     1 << 30, // way outside
+					Count:      4,
+				}
+				if _, err := b.oc.PutWindow(obj.ref.ThreadEndpoint(1), h, []float64{1, 2, 3, 4}); err != nil {
+					return err
+				}
+			}
+			// Parked ahead of the legitimate puts: a window flushes its
+			// early puts in arrival order.
+			if err := parked(forged); err != nil {
+				return err
 			}
 		}
 		if err := th.Barrier(); err != nil {
 			return err
 		}
-		err = b.Invoke(context.Background(), &CallSpec{
-			Operation: "diffusion",
-			Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
-			Args:      []DistArg{{Mode: InOut, Seq: seq}},
-		})
-		// Either the forged block hit this invocation (remote error)
-		// or it landed on an unused id (success); both are sound —
-		// the requirement is no crash and no hang.
-		if err != nil && !errors.Is(err, ErrRemote) {
-			return fmt.Errorf("unexpected error class: %v", err)
+		// Each invocation ships this thread's 50 elements to the server
+		// thread of the same rank as one put.
+		var pending []*Pending
+		for k := 0; k < forged; k++ {
+			seq, err := dseq.NewDoubles(100, dist.Block(), th.Size(), th.Rank())
+			if err != nil {
+				return err
+			}
+			p, err := b.InvokeAsync(context.Background(), &CallSpec{
+				Operation: "diffusion",
+				Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
+				Args:      []DistArg{{Mode: InOut, Seq: seq}},
+			})
+			if err != nil {
+				return err
+			}
+			pending = append(pending, p)
+		}
+		if err := th.Barrier(); err != nil {
+			return err
+		}
+		if th.Rank() == 0 {
+			// Both client threads' puts have been written; server thread
+			// 1 must have parked its share before any window registers.
+			if err := parked(2 * forged); err != nil {
+				return err
+			}
+			unblock()
+		}
+		for k, p := range pending {
+			if err := p.Wait(context.Background()); !errors.Is(err, ErrRemote) {
+				return fmt.Errorf("invocation %d hit by a forged put: want ErrRemote, got %v", k, err)
+			}
+		}
+		if err := noLeak(b.BlockStats()); err != nil {
+			return fmt.Errorf("client thread %d: %w", th.Rank(), err)
 		}
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-holdDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -292,8 +363,6 @@ func TestOnewayWithOutArgRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-var _ = orb.ErrClosed // keep the orb import for documentation parity
 
 // TestFaultBindPartialFailure: one client thread failing to open its
 // multi-port receive port must surface ErrPartialFailure naming that

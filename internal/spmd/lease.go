@@ -4,10 +4,10 @@
 // server rank, identified by the 24-bit random prefix of its
 // invocation ids (one prefix per client ORB process). Traffic renews
 // the lease: requests and describe/renew calls at the communicator,
-// block arrivals at every rank. When a client dies — between
+// put arrivals at every rank. When a client dies — between
 // `_spmd_bind` and invoke, or mid-transfer — its traffic stops, the
 // lease expires TTL later, and every rank-side wait tied to it
-// unwinds with ErrLeaseExpired: block sinks are cancelled by their
+// unwinds with ErrLeaseExpired: windows are cancelled by their
 // owning dispatch, the collective agrees on the failure, and the
 // object keeps serving other clients. Idle-but-alive clients keep
 // their lease with the cheap RenewOperation ping (Binding.Renew).

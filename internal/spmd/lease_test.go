@@ -53,9 +53,9 @@ func TestLeaseTableSweep(t *testing.T) {
 
 // TestFaultLeaseReclaimsAbandonedTransfer is the headline reclamation
 // scenario: a client engages the collective (the invocation control
-// reaches every rank and every rank registers a block sink) and then
+// reaches every rank and every rank registers a window) and then
 // dies without shipping a single argument block. Lease expiry must
-// unwind every rank's wait, reclaim every block sink, answer the
+// unwind every rank's wait, reclaim every window, answer the
 // orphaned request with a timeout-class verdict, and leave the object
 // serving other clients.
 func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
@@ -89,7 +89,7 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 		done <- err
 	}()
 
-	// Every rank parks in block assembly; the lease expires TTL later
+	// Every rank parks on its window; the lease expires TTL later
 	// and the communicator reports the abandoned dispatch as a timeout.
 	select {
 	case err := <-done:
@@ -104,23 +104,21 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 	}
 	cli.Close()
 
-	// Every rank's block sink and lease must be reclaimed.
+	// Every rank's window and lease must be reclaimed.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		sinks, leases := 0, 0
+		leakErr := obj.noLeak(noLeak)
+		leases := 0
 		for _, o := range obj.threadObjects() {
-			if o == nil {
-				continue
+			if o != nil {
+				leases += o.Leases()
 			}
-			st := o.BlockStats()
-			sinks += st.Sinks + st.Pending
-			leases += o.Leases()
 		}
-		if sinks == 0 && leases == 0 {
+		if leakErr == nil && leases == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rank state not reclaimed: %d sinks/pending, %d leases", sinks, leases)
+			t.Fatalf("rank state not reclaimed: %v, %d leases", leakErr, leases)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -1,7 +1,6 @@
 package spmd
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,171 +16,32 @@ import (
 	"pardis/internal/transport"
 )
 
-// TestPeerTransferEndToEnd pins the peer data plane's happy path: with
-// both sides capable (the default), the binding negotiates peer mode,
-// the transfer moves as window puts, and neither side leaks a window.
+// TestPeerTransferEndToEnd pins the multi-port happy path: the transfer
+// moves as window puts, and neither side leaks a window.
 func TestPeerTransferEndToEnd(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 3, true, diffusionOps)
 	defer obj.close()
 	before := peerBlocksTotal.Value()
 	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-		if !b.peer {
-			return fmt.Errorf("capable endpoint did not negotiate peer windows")
-		}
 		if err := invokeDiffusion(b, th, 600, 2); err != nil {
 			return err
 		}
-		if st := b.BlockStats(); st.Windows != 0 || st.Sinks != 0 {
-			return fmt.Errorf("rank %d: client leak: %+v", th.Rank(), st)
-		}
-		return nil
+		return noLeak(b.BlockStats())
 	})
 	if got := peerBlocksTotal.Value(); got == before {
-		t.Fatal("no window puts counted — the transfer did not take the peer plane")
+		t.Fatal("no window puts counted")
 	}
-	for rank, o := range obj.threadObjects() {
-		if o == nil || o.srv == nil {
-			continue
-		}
-		if st := o.BlockStats(); st.Windows != 0 {
-			t.Fatalf("server thread %d leaked windows: %+v", rank, st)
-		}
+	if err := obj.noLeak(noLeak); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPeerFallbackToRoutedServer binds a peer-capable client to an
-// object exported with the peer plane disabled: the describe does not
-// advertise the capability, the client must fall back to the routed
-// path (counted under reason="endpoint"), and the invocation still
-// succeeds.
-func TestPeerFallbackToRoutedServer(t *testing.T) {
-	reg := newReg()
-	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.PeerXfer = -1
-	})
-	defer obj.close()
-	before := peerFallbackEndpoint.Value()
-	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-		if b.peer {
-			return fmt.Errorf("negotiated peer windows against a routed-only endpoint")
-		}
-		return invokeDiffusion(b, th, 600, 1)
-	})
-	if got := peerFallbackEndpoint.Value(); got == before {
-		t.Fatal("endpoint fallback not counted")
-	}
-}
-
-// TestPeerDisabledByClientKnob forces the routed path from the client
-// side: the knob wins over a capable endpoint and is counted under
-// reason="disabled".
-func TestPeerDisabledByClientKnob(t *testing.T) {
-	reg := newReg()
-	obj := startObject(t, reg, 3, true, diffusionOps)
-	defer obj.close()
-	before := peerFallbackDisabled.Value()
-	err := mp.Run(2, func(proc *mp.Proc) error {
-		th := rts.NewMessagePassing(proc)
-		b, err := Bind(context.Background(), BindConfig{
-			Thread: th, Registry: reg, Method: MultiPort,
-			ListenEndpoint: "inproc:*", PeerXfer: -1,
-		}, obj.ref)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		if b.peer {
-			return fmt.Errorf("knob did not disable peer windows")
-		}
-		return invokeDiffusion(b, th, 600, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peerFallbackDisabled.Value(); got == before {
-		t.Fatal("disabled fallback not counted")
-	}
-}
-
-// TestPeerWireTrailingFlagCompat pins the interop encoding: the peer
-// capability travels as a trailing optional field, so a routed
-// invocation (and a non-advertising describe) stays byte-identical to
-// the pre-peer wire, and decoders treat the missing field as false.
-func TestPeerWireTrailingFlagCompat(t *testing.T) {
-	inv := &invocationWire{
-		Method:  MultiPort,
-		Scalars: []byte{1, 2, 3},
-		Args: []*argWire{{
-			Mode: In, Length: 10,
-			ClientCounts:    []int{5, 5},
-			ClientEndpoints: []string{"inproc:a", "inproc:b"},
-		}},
-	}
-	encode := func(w *invocationWire) []byte {
-		e := cdr.NewEncoder(cdr.BigEndian)
-		w.encode(e)
-		return append([]byte(nil), e.Bytes()...)
-	}
-	legacy := encode(inv)
-	inv.PeerWindows = true
-	flagged := encode(inv)
-	if !bytes.Equal(legacy, flagged[:len(flagged)-1]) {
-		t.Fatal("peer flag is not a pure trailing addition to the invocation wire")
-	}
-	if len(flagged) != len(legacy)+1 {
-		t.Fatalf("peer flag added %d bytes, want 1", len(flagged)-len(legacy))
-	}
-	got, err := decodeInvocationWire(cdr.NewDecoder(cdr.BigEndian, legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PeerWindows {
-		t.Fatal("legacy invocation decoded with peer windows set")
-	}
-	got, err = decodeInvocationWire(cdr.NewDecoder(cdr.BigEndian, flagged))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.PeerWindows {
-		t.Fatal("flagged invocation decoded without peer windows")
-	}
-
-	desc := &describeWire{
-		Threads: 2, MultiPort: true,
-		Ops: map[string]*OpSpec{"op": {Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}}},
-	}
-	e := cdr.NewEncoder(cdr.BigEndian)
-	desc.encode(e)
-	legacyDesc := append([]byte(nil), e.Bytes()...)
-	desc.PeerWindows = true
-	e = cdr.NewEncoder(cdr.BigEndian)
-	desc.encode(e)
-	flaggedDesc := append([]byte(nil), e.Bytes()...)
-	if !bytes.Equal(legacyDesc, flaggedDesc[:len(flaggedDesc)-1]) {
-		t.Fatal("peer flag is not a pure trailing addition to the describe wire")
-	}
-	gotDesc, err := decodeDescribeWire(cdr.NewDecoder(cdr.BigEndian, legacyDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDesc.PeerWindows {
-		t.Fatal("legacy describe decoded with peer windows set")
-	}
-	gotDesc, err = decodeDescribeWire(cdr.NewDecoder(cdr.BigEndian, flaggedDesc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotDesc.PeerWindows {
-		t.Fatal("flagged describe decoded without peer windows")
-	}
-}
-
-// TestFaultCutPeerWindowStream is TestFaultCutBlockStream on the peer
-// data plane: one client rank's direct window-put stream dies
-// mid-transfer. Every healthy rank must fail the invocation with
-// ErrPartialFailure naming the cut rank, nothing deadlocks, and both
-// sides come out with zero registered windows, sinks, or pending puts.
+// TestFaultCutPeerWindowStream cuts one of several concurrent in-put
+// streams mid-transfer: the cut rank sees its transport error, every
+// healthy rank fails the same invocation with ErrPartialFailure naming
+// the cut rank, nothing deadlocks, and both sides come out with zero
+// registered windows or sinks.
 func TestFaultCutPeerWindowStream(t *testing.T) {
 	inproc := transport.NewInproc()
 	okReg := transport.NewRegistry()
@@ -192,7 +52,12 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 	cutReg := transport.NewRegistry()
 	cutReg.Register(cutDialTransport{listen: inproc, dial: cut})
 
-	obj := startObject(t, okReg, 3, true, diffusionOps)
+	// AutoTune rides along so the chaos sweep covers the self-tuning
+	// transport under faults: a failed send must not feed the tuner, and
+	// tuning must not change the failure verdict or leak windows.
+	obj := startObjectCfg(t, okReg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
+		cfg.AutoTune = 1
+	})
 
 	clientErr := mp.Run(3, func(proc *mp.Proc) error {
 		th := rts.NewMessagePassing(proc)
@@ -202,14 +67,12 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 		}
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
+			AutoTune: 1,
 		}, obj.ref)
 		if err != nil {
 			return err
 		}
 		defer b.Close()
-		if !b.peer {
-			return fmt.Errorf("rank %d: binding did not negotiate the peer plane", th.Rank())
-		}
 		// 30000 doubles: every rank streams 80 KB of window puts to its
 		// server thread; rank 1's connection dies after 8 KB.
 		seq, err := dseq.NewDoubles(30000, dist.Block(), th.Size(), th.Rank())
@@ -241,8 +104,8 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 				return fmt.Errorf("rank %d: error does not name the cut rank: %v", th.Rank(), ierr)
 			}
 		}
-		if st := b.BlockStats(); st.Windows != 0 || st.Sinks != 0 {
-			return fmt.Errorf("rank %d: client leak after failure: %+v", th.Rank(), st)
+		if err := noWindows(b.BlockStats()); err != nil {
+			return fmt.Errorf("rank %d after failure: %w", th.Rank(), err)
 		}
 		return nil
 	})
@@ -261,13 +124,8 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 			t.Fatal("a server thread did not unwind after Close")
 		}
 	}
-	for rank, o := range obj.threadObjects() {
-		if o == nil || o.srv == nil {
-			continue
-		}
-		if st := o.BlockStats(); st.Windows != 0 || st.Sinks != 0 {
-			t.Fatalf("server thread %d leaked after cut: %+v", rank, st)
-		}
+	if err := obj.noLeak(noWindows); err != nil {
+		t.Fatalf("after cut: %v", err)
 	}
 	if st := cut.Stats(); st.CutConns == 0 {
 		t.Fatal("fault plan injected no cut — the test exercised nothing")

@@ -84,13 +84,6 @@ type ObjectConfig struct {
 	// split into pipelined chunks (0 = spmd.DefaultXferChunkBytes,
 	// negative = chunking disabled).
 	XferChunkBytes int
-	// PeerXfer controls the one-sided peer data plane (0 =
-	// spmd.DefaultPeerXfer, negative = routed blocks only). When
-	// enabled and MultiPort, the object advertises window-put capable
-	// ports in its describe reply and honors peer invocations with
-	// registered windows and direct out-puts. All threads must pass
-	// the same value.
-	PeerXfer int
 	// AutoTune enables the self-tuning transport for out-argument
 	// transfers (0 = spmd.DefaultAutoTune, negative = off): each rank
 	// feeds its out-transfer bytes/seconds into the process-wide tuner
@@ -101,7 +94,7 @@ type ObjectConfig struct {
 	// wins over the tuner's stripe recommendation.
 	AutoTune int
 	// LeaseTTL is how long a client's server-side lease survives
-	// without traffic before its rank-side state (block sinks,
+	// without traffic before its rank-side state (registered windows,
 	// in-dispatch waits) is reclaimed. 0 = DefaultLeaseTTL, negative =
 	// leases disabled (the pre-lease behavior: waits are bounded only
 	// by the Serve context and Close).
@@ -131,20 +124,18 @@ type Object struct {
 	served atomic.Uint64
 	failed atomic.Uint64
 
-	// window/chunkElems/peer are the resolved data-plane knobs (see
-	// ObjectConfig.XferWindow / XferChunkBytes / PeerXfer); with
-	// autoTune on, sendBlocks re-resolves window/chunkElems from the
-	// shared tuner per transfer.
+	// window/chunkElems are the resolved data-plane knobs (see
+	// ObjectConfig.XferWindow / XferChunkBytes); with autoTune on,
+	// sendBlocks re-resolves them from the shared tuner per transfer.
 	window     int
 	chunkElems int
-	peer       bool
 	autoTune   bool
 
 	// rankLag is this rank's interned post-invocation barrier
 	// histogram (rank is fixed for the object's lifetime).
 	rankLag *telemetry.Histogram
 	// xferIn/xferOut time this rank's transfer phases (in-argument
-	// assembly / out-argument fan-out).
+	// landing / out-argument fan-out).
 	xferIn, xferOut *telemetry.Histogram
 }
 
@@ -176,8 +167,8 @@ func (o *Object) Stats() ObjectStats {
 }
 
 // BlockStats reports this thread's block-router state (registered
-// sinks and buffered early blocks). After the serve loops exit it
-// must be empty — a nonzero sink count is a leak.
+// windows and buffered early puts). After the serve loops exit it
+// must be empty — a nonzero window count is a leak.
 func (o *Object) BlockStats() orb.BlockRouterStats {
 	if o.srv == nil {
 		return orb.BlockRouterStats{}
@@ -214,7 +205,6 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	}
 	o.window = resolveWindow(cfg.XferWindow)
 	o.chunkElems = resolveChunkElems(cfg.XferChunkBytes)
-	o.peer = cfg.MultiPort && resolvePeer(cfg.PeerXfer)
 	o.autoTune = resolveAutoTune(cfg.AutoTune)
 	if cfg.LeaseTTL >= 0 {
 		ttl := cfg.LeaseTTL
@@ -346,7 +336,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 
 	// The communicator accepts requests and queues them for the
 	// collective serve loop; non-communicator ports only receive
-	// block transfers (handled inside the ORB), but they still
+	// window puts (handled inside the ORB), but they still
 	// answer describe/locate for robustness.
 	if o.rank == 0 {
 		o.queue = make(chan *orb.Incoming, 64)
@@ -430,8 +420,7 @@ func (o *Object) Ref() *ior.Ref { return o.ref }
 
 func (o *Object) replyDescribe(in *orb.Incoming) {
 	w := describeWire{Threads: o.size, MultiPort: o.cfg.MultiPort,
-		PeerWindows: o.peer,
-		Ops:         make(map[string]*OpSpec, len(o.cfg.Ops))}
+		Ops: make(map[string]*OpSpec, len(o.cfg.Ops))}
 	for name, op := range o.cfg.Ops {
 		spec := op.Spec
 		w.Ops[name] = &spec
@@ -441,9 +430,9 @@ func (o *Object) replyDescribe(in *orb.Incoming) {
 
 // Close shuts the object down. Serve loops return ErrClosed on all
 // threads once in-flight requests complete. Collective. Every rank
-// closes its own closed channel so worker threads blocked in block
-// assembly (a sender died mid-transfer) unwind instead of waiting for
-// blocks that will never arrive.
+// closes its own closed channel so worker threads blocked on a window
+// (a sender died mid-transfer) unwind instead of waiting for puts that
+// will never arrive.
 func (o *Object) Close() {
 	select {
 	case <-o.closed:
@@ -466,15 +455,11 @@ type control struct {
 	// DeadlineMicros is the client deadline budget still remaining when
 	// the communicator broadcast the control record (0 = none). Every
 	// rank rebases it onto its own clock and bounds its dispatch — in
-	// particular the block-assembly waits — by it.
+	// particular the window waits — by it.
 	DeadlineMicros uint64
-	// PeerWindows means the client negotiated the one-sided peer data
-	// plane for this invocation: every rank registers windows for its
-	// in-argument shares and ships out-argument blocks as window puts.
-	PeerWindows bool
-	Scalars     []byte
-	Args        []controlArg
-	ErrMsg      string
+	Scalars        []byte
+	Args           []controlArg
+	ErrMsg         string
 }
 
 type controlArg struct {
@@ -490,7 +475,6 @@ func (c *control) encode(e *cdr.Encoder) {
 	e.PutULongLong(c.Inv)
 	e.PutOctet(byte(c.Method))
 	e.PutULongLong(c.DeadlineMicros)
-	e.PutBoolean(c.PeerWindows)
 	e.PutOctetSeq(c.Scalars)
 	e.PutULong(uint32(len(c.Args)))
 	for _, a := range c.Args {
@@ -520,9 +504,6 @@ func decodeControl(d *cdr.Decoder) (*control, error) {
 	}
 	c.Method = TransferMethod(m)
 	if c.DeadlineMicros, err = d.ULongLong(); err != nil {
-		return nil, err
-	}
-	if c.PeerWindows, err = d.Boolean(); err != nil {
 		return nil, err
 	}
 	if c.Scalars, err = d.OctetSeq(); err != nil {
@@ -651,10 +632,6 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		Op:     in.Header.Operation,
 		Inv:    in.Header.InvocationID,
 		Method: w.Method,
-		// Peer is taken only when the client asked for it AND this
-		// object advertised it — an honest client asks only after
-		// seeing the describe advertisement, so both legs agree.
-		PeerWindows: w.PeerWindows && o.peer,
 		// The scalar encapsulation reaches every thread byte-equal:
 		// "the invocation mechanism provided by PARDIS will ensure
 		// that the same value of non-distributed argument will be
@@ -749,7 +726,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 
 	// Bound the dispatch by the propagated deadline, rebased onto this
 	// rank's clock: a client that stopped waiting must not strand the
-	// collective in a block-assembly wait past the budget it asked for.
+	// collective in a window wait past the budget it asked for.
 	if ctrl.DeadlineMicros > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx,
@@ -805,7 +782,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 					firstErr = err
 					break
 				}
-				if err := o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, seq, ctrl.PeerWindows); err != nil {
+				if err := o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, seq); err != nil {
 					firstErr = err
 				}
 			}
@@ -866,7 +843,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 				firstErr = err
 				break
 			}
-			if err := o.sendBlocks(ctrl.Inv, uint32(i), plan, args[i], ca.ClientEndpoints, ctrl.PeerWindows); err != nil {
+			if err := o.sendBlocks(ctrl.Inv, uint32(i), plan, args[i], ca.ClientEndpoints); err != nil {
 				firstErr = err
 			}
 		}
@@ -906,16 +883,13 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 }
 
 // receiveBlocks collects this thread's share of a multi-port in
-// transfer into seq's local block. Routed: each arriving block is
-// decoded straight into the destination on its delivering connection's
-// read goroutine (blocks from different senders assemble concurrently
-// and out of order), while this thread waits for the element count to
-// reach the plan's total. Peer: the destination is registered as a
-// one-sided window and the sender's puts land straight off the read
-// buffer — same bounds checks, same element-counted completion, no
-// decode step at all. ctx (or object close) bounds the wait so a dead
-// sender cannot strand the dispatch.
-func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles, peer bool) error {
+// transfer into seq's local block: the block is registered as a
+// one-sided window and the senders' puts land in it straight off their
+// delivering connections' read buffers (concurrently and out of order),
+// while this thread waits for the element count to reach the plan's
+// total. ctx (or object close) bounds the wait so a dead sender cannot
+// strand the dispatch.
+func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
 	expect := planElemsTo(plan, o.rank)
 	if expect == 0 {
 		return nil
@@ -928,55 +902,31 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, p
 		return err
 	}
 	t := time.Now()
-	// The wait rides the invoking client's lease: every block (or put)
-	// it lands renews the lease, and if the client dies mid-transfer
-	// the lease expiry unwinds the wait (teardown via the deferred
-	// cancel) instead of stranding the collective until the Serve
-	// context ends.
+	// The wait rides the invoking client's lease: every put it lands
+	// renews the lease, and if the client dies mid-transfer the lease
+	// expiry unwinds the wait (teardown via the deferred cancel) instead
+	// of stranding the collective until the Serve context ends.
 	var expired <-chan struct{}
-	var l *lease
+	var onPut func()
 	if o.leases != nil {
-		l = o.leases.acquire(leaseClient(inv))
+		l := o.leases.acquire(leaseClient(inv))
 		expired = l.expired
+		onPut = func() { l.last.Store(time.Now().UnixNano()) }
 	}
-	if peer {
-		var onPut func()
-		if l != nil {
-			onPut = func() { l.last.Store(time.Now().UnixNano()) }
-		}
-		win, cancel, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect), onPut)
-		if err != nil {
-			return err
-		}
-		defer cancel()
-		err = waitWindow(win, ctx, o.closed, expired)
-		o.xferIn.ObserveDuration(time.Since(t))
-		return err
-	}
-	asm := newBlockAssembler(o.rank, seq.LocalData(), expect)
-	accept := asm.accept
-	if l != nil {
-		accept = func(blk orb.Block) error {
-			l.last.Store(time.Now().UnixNano())
-			return asm.accept(blk)
-		}
-	}
-	cancel, err := o.srv.ExpectBlocksFunc(key, accept)
+	win, cancel, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect), onPut)
 	if err != nil {
 		return err
 	}
 	defer cancel()
-	err = asm.wait(ctx, o.closed, expired)
+	err = waitWindow(ctx, win, o.closed, expired)
 	o.xferIn.ObserveDuration(time.Since(t))
 	return err
 }
 
 // sendBlocks ships this thread's share of a multi-port out transfer
-// directly to the client threads' endpoints, chunked and windowed
-// (see sendPlanBlocks); under the peer data plane the blocks travel as
-// window puts into the destinations the client registered
-// (sendPlanPuts).
-func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles, endpoints []string, peer bool) error {
+// directly to the client threads' endpoints, chunked and windowed, as
+// puts into the windows the client registered (see sendPlanPuts).
+func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles, endpoints []string) error {
 	if len(dist.PlanFor(plan, o.rank)) == 0 {
 		return nil
 	}
@@ -998,15 +948,8 @@ func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq
 		window, chunkElems = tunedKnobs(pathKey, window, chunkElems)
 	}
 	t := time.Now()
-	var n uint64
-	var err error
-	if peer {
-		n, err = sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
-			endpointFor, window, chunkElems)
-	} else {
-		n, err = sendPlanBlocks(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
-			endpointFor, window, chunkElems)
-	}
+	n, err := sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
+		endpointFor, window, chunkElems)
 	elapsed := time.Since(t)
 	o.xferOut.ObserveDuration(elapsed)
 	if o.autoTune && err == nil {
@@ -1037,13 +980,3 @@ func (o *Object) agree(local error) error {
 	}
 	return nil
 }
-
-// blockHeaderLen is the encoded size of a BlockTransferHeader, and so
-// the stream offset a block payload decodes at — all fields are
-// fixed-width and the encoding starts at stream offset 0, so the length
-// is a constant (independent of values and byte order).
-var blockHeaderLen = func() int {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	new(giop.BlockTransferHeader).Encode(e)
-	return e.Len()
-}()

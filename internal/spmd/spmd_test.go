@@ -14,6 +14,7 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
+	"pardis/internal/orb"
 	"pardis/internal/rts"
 	"pardis/internal/transport"
 )
@@ -35,6 +36,42 @@ func (o *testObject) threadObjects() []*Object {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return append([]*Object(nil), o.objs...)
+}
+
+// noLeak is the "no leak" assertion for one block router once its
+// invocations have completed: no registered window or sink and no
+// parked early put. (A multi-port invocation registers windows, so a
+// check of Sinks alone cannot fail.)
+func noLeak(st orb.BlockRouterStats) error {
+	if st.Pending != 0 {
+		return fmt.Errorf("block router not empty: %+v", st)
+	}
+	return noWindows(st)
+}
+
+// noWindows is the assertion that still holds after an invocation was
+// cut short: every registration is gone. Puts that were in flight when
+// it unwound may stay parked until the ORB's pending-TTL sweep reclaims
+// them, so Pending is not an invariant there.
+func noWindows(st orb.BlockRouterStats) error {
+	if st.Windows != 0 || st.Sinks != 0 {
+		return fmt.Errorf("block router holds registrations: %+v", st)
+	}
+	return nil
+}
+
+// noLeak applies check (noLeak or noWindows) to every exported server
+// thread.
+func (o *testObject) noLeak(check func(orb.BlockRouterStats) error) error {
+	for rank, obj := range o.threadObjects() {
+		if obj == nil {
+			continue
+		}
+		if err := check(obj.BlockStats()); err != nil {
+			return fmt.Errorf("server thread %d: %w", rank, err)
+		}
+	}
+	return nil
 }
 
 // startObject launches an m-thread SPMD object serving ops until the
@@ -770,10 +807,9 @@ func TestStatsCounters(t *testing.T) {
 			return fmt.Errorf("stats = %+v", st)
 		}
 		// Each thread ships its half (64 doubles) and receives it
-		// back, twice (inout under multi-port). The default peer data
-		// plane moves raw element payloads — window puts carry no CDR
-		// sequence framing — so the counters account exactly 64*8
-		// bytes per block.
+		// back, twice (inout under multi-port). Window puts carry raw
+		// element payloads, no CDR sequence framing, so the counters
+		// account exactly 64*8 bytes per block.
 		const blockBytes = 64 * 8
 		if st.BytesOut != 2*blockBytes || st.BytesIn != 2*blockBytes {
 			return fmt.Errorf("byte counters = %+v", st)

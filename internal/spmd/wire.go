@@ -224,15 +224,6 @@ type invocationWire struct {
 	Method  TransferMethod
 	Scalars []byte // client-order CDR encapsulation of scalar in-args
 	Args    []*argWire
-	// PeerWindows asks for the one-sided peer data plane on this
-	// invocation: the client has registered destination windows for its
-	// out-arguments and will ship in-argument blocks as MsgWindowPut
-	// frames. It is a trailing optional field (encoded only when set),
-	// so the body stays byte-identical to the pre-peer wire for routed
-	// invocations, and pre-peer servers — which stop decoding after the
-	// argument list — interoperate unchanged. A client only sets it
-	// after the object's describe advertised the capability.
-	PeerWindows bool
 	// order is the byte order of the request a decoded wire came from,
 	// in which its arguments' Raw element data still is.
 	order cdr.ByteOrder
@@ -244,9 +235,6 @@ func (w *invocationWire) encode(e *cdr.Encoder) {
 	e.PutULong(uint32(len(w.Args)))
 	for _, a := range w.Args {
 		a.encode(e)
-	}
-	if w.PeerWindows {
-		e.PutBoolean(true)
 	}
 }
 
@@ -276,11 +264,6 @@ func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
 			return nil, err
 		}
 	}
-	if d.Remaining() > 0 {
-		if w.PeerWindows, err = d.Boolean(); err != nil {
-			return nil, err
-		}
-	}
 	return &w, nil
 }
 
@@ -304,13 +287,6 @@ type describeWire struct {
 	Threads   int
 	MultiPort bool
 	Ops       map[string]*OpSpec
-	// PeerWindows advertises that every port of the object accepts
-	// one-sided MsgWindowPut frames, so clients may take the peer data
-	// plane. Trailing optional field, encoded only when set: pre-peer
-	// clients stop decoding after the operation table and interoperate
-	// unchanged, and pre-peer servers never emit it, steering new
-	// clients onto the routed fallback.
-	PeerWindows bool
 }
 
 func (w *describeWire) encode(e *cdr.Encoder) {
@@ -333,9 +309,6 @@ func (w *describeWire) encode(e *cdr.Encoder) {
 			e.PutOctet(byte(a.Dist.Kind()))
 			putCounts(e, a.Dist.Weights())
 		}
-	}
-	if w.PeerWindows {
-		e.PutBoolean(true)
 	}
 }
 
@@ -394,11 +367,6 @@ func decodeDescribeWire(d *cdr.Decoder) (*describeWire, error) {
 			op.Args[j] = ArgSpec{Mode: ArgMode(m), Dist: spec}
 		}
 		w.Ops[name] = op
-	}
-	if d.Remaining() > 0 {
-		if w.PeerWindows, err = d.Boolean(); err != nil {
-			return nil, err
-		}
 	}
 	return &w, nil
 }
