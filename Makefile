@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-dataplane bench-tune bench-overhead bench-snapshot benchdiff lint-telemetry lint-fault fuzz-smoke fmt
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,9 @@ test:
 # lint, full test suite under the race detector, and the benchmark
 # harness's own vet and tests (bench/ is a module of its own, so the
 # root ./... patterns do not reach it — this line is what catches an
-# internal/ change that breaks the harness).
+# internal/ change that breaks the harness), then the fuzz smoke, the
+# micro-benchmark compile-and-run smoke and the telemetry overhead
+# gate. Nothing here measures performance; `make bench` does.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -23,21 +25,6 @@ verify:
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-quick
 	$(MAKE) bench-overhead
-	$(MAKE) benchdiff
-
-# benchdiff gates allocation regressions: when at least two dated
-# BENCH_*.json snapshots exist, the oldest is the baseline and a >10%
-# allocs/op regression in the newest fails the build. With a single
-# snapshot only its internal seed/this_pr pairs are checked.
-benchdiff:
-	@set -- BENCH_*.json; \
-	if [ ! -e "$$1" ]; then echo 'benchdiff: no BENCH_*.json snapshots, skipping'; exit 0; fi; \
-	if [ $$# -ge 2 ]; then \
-		old=$$1; while [ $$# -gt 1 ]; do shift; done; \
-		$(GO) run ./scripts/benchdiff.go $$old $$1; \
-	else \
-		$(GO) run ./scripts/benchdiff.go $$1; \
-	fi
 
 # lint-telemetry forbids raw printf-style output in internal/ (tests
 # excepted): library code must log through telemetry.Logger(), which
@@ -107,46 +94,14 @@ bench:
 bench-paper:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-quick is the hot-path smoke ration run as part of verify: one
-# short pass over the framing, sequence-codec and invoke benchmarks
-# with allocation counts, enough to spot a pooling or vectorization
-# regression without the cost of a full benchmark run.
+# bench-quick is the micro-benchmark smoke run as part of verify:
+# every benchmark in the hot-path packages compiled and run once with
+# allocation counts, so a benchmark that no longer builds or panics is
+# caught here. It measures nothing — `make bench` does.
 bench-quick:
-	$(GO) test -run '^$$' -benchtime 100x -benchmem \
-		-bench 'WriteMessage|FrameReader|AcquireEncoder' ./internal/giop/
-	$(GO) test -run '^$$' -benchtime 100x -benchmem \
-		-bench 'PutDoubleSeq|PutLongSeq|SeqInto' ./internal/cdr/
-	$(GO) test -run '^$$' -benchtime 100x -benchmem \
-		-bench 'InvokeEcho|InvokeConcurrent8' ./internal/orb/
-	$(MAKE) bench-dataplane BENCHTIME=10x
-	$(MAKE) bench-tune BENCHTIME=10x
-
-# bench-dataplane measures the SPMD data plane: dsequence
-# redistribution (allocation ledger), the one-sided window-put micro at
-# the ORB layer, and the multi-port in-transfer grid (wall clock and
-# bandwidth), all with allocation counts.
-BENCHTIME ?= 100x
-bench-dataplane:
-	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
-		-bench 'Redistribute' ./internal/dseq/
-	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
-		-bench 'WindowPut' ./internal/orb/
-	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
-		-bench 'MultiPortInTransfer' ./internal/spmd/
-
-# bench-tune A/Bs the self-tuning transport against the static knobs:
-# the tuned in-transfer microbenchmark (allocation ledger for the
-# tuner's hot path), then the in-transfer sweep run static-then-tuned
-# over the same server object with a cross-config warm-up that
-# converges the tuner before the measured reps — once on the direct
-# in-process transport (tuned must hold parity) and once over an
-# emulated 200us WAN path, where the larger tuned chunks amortize the
-# per-write cost and tuned stripes overlap it across connections.
-bench-tune:
-	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
-		-bench 'MultiPortInTransfer/len=128Ki/threads=4' ./internal/spmd/
-	$(GO) run ./cmd/pardis-bench -dataplane -tune -reps 3 -doubles 131072
-	$(GO) run ./cmd/pardis-bench -dataplane -tune -wan 200us -reps 3 -doubles 1048576
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem \
+		./internal/giop/ ./internal/cdr/ ./internal/orb/ \
+		./internal/dseq/ ./internal/spmd/
 
 # bench-overhead gates the observability plane's hot-path cost: an
 # interleaved A/B of the echo workload with exemplars, the flight
@@ -155,13 +110,6 @@ bench-tune:
 # keep the median robust against scheduler noise on a loaded CI host.
 bench-overhead:
 	$(GO) run ./cmd/pardis-bench -overhead -ops 6000 -overhead-rounds 9 -overhead-gate
-
-# bench-snapshot archives a dated live-stack benchmark summary
-# (ops/s and p50/p95/p99 invoke latency from the telemetry registry)
-# so perf regressions are visible across commits.
-bench-snapshot:
-	$(GO) run ./cmd/pardis-bench -live -json > BENCH_$$(date +%Y%m%d).json
-	@cat BENCH_$$(date +%Y%m%d).json
 
 fmt:
 	gofmt -l -w .

@@ -11,46 +11,15 @@
 // value. See EXPERIMENTS.md for the per-cell comparison and the
 // Figure 4 unit reconciliation.
 //
-// -live instead benchmarks the real ORB stack in-process and reports
-// the latency histogram and retry/failover summary straight from the
-// telemetry registry (add -json for the bench-snapshot format, -faulty
-// to run through the fault-injection transport):
+// -overhead instead A/Bs the in-process echo workload with the
+// observability plane's hot-path additions off vs on and gates the
+// median throughput cost on the instrumentation budget (see
+// overhead.go; `make bench-overhead`):
 //
-//	pardis-bench -live -ops 5000 -doubles 1024
-//	pardis-bench -live -faulty
-//	pardis-bench -live -json
+//	pardis-bench -overhead -overhead-gate
 //
-// -ha drives the NetSolve-style agent stack in-process: an agent, N
-// heartbeat-tracked echo replicas and a static naming fallback under
-// a sustained name-level invocation burst, with one replica crashed
-// mid-run (disable with -kill=false). -agents replicates the control
-// plane itself: heartbeats fan out to every agent, the agents
-// peer-sync their tables, the resolver rotates on failure — and -kill
-// then crashes an agent mid-run too. The summary reports the client-
-// visible error count next to the failover/re-resolution work that
-// absorbed the crashes:
-//
-//	pardis-bench -ha -replicas 3
-//	pardis-bench -ha -agents 2
-//	pardis-bench -ha -json
-//
-// -dataplane benchmarks the real SPMD data plane instead: an n-thread
-// client streams a block-distributed dsequence<double> into an
-// m-thread multi-port object and the Figure-4-style bandwidth curve
-// is reported (add -json for machine-readable points; -xfer-window
-// and -xfer-chunk pin the transfer knobs under test):
-//
-//	pardis-bench -dataplane -threads 4
-//	pardis-bench -dataplane -xfer-window 1 -xfer-chunk -1 -json
-//
-// -tune A/Bs the self-tuning transport against the static knobs over
-// the same server object, -wan emulates a high-latency path (per-dial
-// and per-write latency through the fault-injection transport, no
-// faults), and -auto-tune enables the tuner process-wide for any mode:
-//
-//	pardis-bench -dataplane -tune
-//	pardis-bench -dataplane -tune -wan 200us
-//	pardis-bench -dataplane -auto-tune -json
+// Performance of the real stack is measured by the benchmark harness
+// in bench/ (`make bench`), not here.
 package main
 
 import (
@@ -61,17 +30,11 @@ import (
 
 	"pardis/internal/perfmodel"
 	"pardis/internal/simnet"
-	"pardis/internal/spmd"
 )
 
-// pick returns v unless it still holds the flag default def, in which
-// case it returns fallback (used where two modes share a flag but
-// want different defaults).
-func pick(v, def, fallback int) int {
-	if v == def {
-		return fallback
-	}
-	return v
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "pardis-bench:", err)
+	os.Exit(1)
 }
 
 func main() {
@@ -83,91 +46,26 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	seed := flag.Int64("seed", 0, "override simulation seed (0 = calibrated default)")
 	reps := flag.Int("reps", 0, "override invocation repetitions (0 = default)")
-	live := flag.Bool("live", false, "benchmark the real ORB stack in-process instead of the model")
-	ops := flag.Int("ops", 5000, "invocations to issue in -live mode")
-	doubles := flag.Int("doubles", 1024, "payload doubles per invocation in -live mode")
-	concurrency := flag.Int("concurrency", 4, "concurrent invokers in -live mode")
-	stripes := flag.Int("stripes", 0, "connections per endpoint for the -live client (0 = orb default, min(4, GOMAXPROCS))")
-	faulty := flag.Bool("faulty", false, "route -live traffic through the fault-injection transport")
-	maxInflight := flag.Int("max-inflight", 0, "admission cap on concurrently running handlers in the -live server (0 = unlimited; -1 = orb defaults)")
-	jsonOut := flag.Bool("json", false, "emit the -live summary as JSON (bench-snapshot format)")
-	ha := flag.Bool("ha", false, "drive the agent HA stack in-process: heartbeat-tracked replicas, load-ranked resolution, client failover")
-	replicas := flag.Int("replicas", 3, "replica count in -ha mode")
-	agents := flag.Int("agents", 1, "agent count in -ha mode; >1 replicates the control plane (heartbeat fan-out, peer sync, resolver rotation)")
-	kill := flag.Bool("kill", true, "crash one replica (and, with -agents >1, one agent) mid-run in -ha mode (-kill=false for a fault-free baseline)")
+	ops := flag.Int("ops", 5000, "invocations per side and round in -overhead mode")
+	doubles := flag.Int("doubles", 256, "payload doubles per invocation in -overhead mode")
+	concurrency := flag.Int("concurrency", 4, "concurrent invokers in -overhead mode")
+	jsonOut := flag.Bool("json", false, "emit the -overhead summary as JSON")
 	overhead := flag.Bool("overhead", false, "measure the observability plane's throughput cost: A/B the echo workload with exemplars+flight recorder+digest collection off vs on")
 	overheadRounds := flag.Int("overhead-rounds", 5, "interleaved baseline/loaded round pairs in -overhead mode")
 	overheadSample := flag.Float64("overhead-sample", 0.05, "trace-sampling rate held equal on both -overhead sides (exemplars need sampled traces)")
 	overheadBudget := flag.Float64("overhead-budget", 0.05, "instrumentation budget as a fraction of baseline throughput")
 	overheadGate := flag.Bool("overhead-gate", false, "exit nonzero when the median -overhead cost exceeds -overhead-budget")
-	dataplane := flag.Bool("dataplane", false, "benchmark the real SPMD data plane (Figure-4-style in-transfer bandwidth curve)")
-	clientThreads := flag.Int("client-threads", 1, "client SPMD threads (n) in -dataplane mode")
-	serverThreads := flag.Int("threads", 4, "server SPMD threads (m) in -dataplane mode")
-	xferWindow := flag.Int("xfer-window", 0, "concurrent block streams per SPMD transfer (0 = default, min(4, GOMAXPROCS); 1 = serial)")
-	xferChunk := flag.Int("xfer-chunk", 0, "SPMD block chunk size in bytes (0 = default 256KiB, negative = disable chunking)")
-	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport process-wide: per-endpoint path models re-derive chunk/window/stripe knobs from live transfer telemetry")
-	tuneAB := flag.Bool("tune", false, "in -dataplane mode, A/B the self-tuning transport against the static knobs over the same server object")
-	wan := flag.Duration("wan", 0, "in -dataplane mode, emulate a WAN path: add this latency to every dial and delivered write (0 = direct in-process transport)")
 	flag.Parse()
-
-	if *xferWindow != 0 {
-		spmd.DefaultXferWindow = *xferWindow
-	}
-	if *xferChunk != 0 {
-		spmd.DefaultXferChunkBytes = *xferChunk
-	}
-	if *autoTune {
-		spmd.DefaultAutoTune = true
-	}
 
 	if *overhead {
 		runOverhead(overheadConfig{
 			ops:         *ops,
-			doubles:     pick(*doubles, 1024, 256),
+			doubles:     *doubles,
 			concurrency: *concurrency,
 			rounds:      *overheadRounds,
 			sample:      *overheadSample,
 			budget:      *overheadBudget,
 			gate:        *overheadGate,
-			jsonOut:     *jsonOut,
-		})
-		return
-	}
-
-	if *dataplane {
-		runDataplane(dataplaneConfig{
-			clientThreads: *clientThreads,
-			serverThreads: *serverThreads,
-			reps:          *reps,
-			doubles:       pick(*doubles, 1024, 0),
-			jsonOut:       *jsonOut,
-			tuneAB:        *tuneAB,
-			wanLatency:    *wan,
-		})
-		return
-	}
-
-	if *ha {
-		runHA(haConfig{
-			ops:         *ops,
-			doubles:     pick(*doubles, 1024, 256),
-			concurrency: *concurrency,
-			replicas:    *replicas,
-			agents:      *agents,
-			kill:        *kill,
-			jsonOut:     *jsonOut,
-		})
-		return
-	}
-
-	if *live {
-		runLive(liveConfig{
-			ops:         *ops,
-			doubles:     *doubles,
-			concurrency: *concurrency,
-			stripes:     *stripes,
-			faulty:      *faulty,
-			maxInflight: *maxInflight,
 			jsonOut:     *jsonOut,
 		})
 		return

@@ -171,7 +171,6 @@ func runOverhead(cfg overheadConfig) {
 		loadRates = append(loadRates, l)
 		overheads = append(overheads, (b-l)/b)
 	}
-	baseline() // leave the process-wide switches as the other modes expect
 
 	res := overheadResult{
 		Date:           time.Now().UTC().Format("2006-01-02"),

@@ -34,9 +34,8 @@
 // and -flight-slow/-flight-errors size the slow-request flight
 // recorder behind /debug/slow. /healthz
 // answers a JSON body carrying admission queue depth, active SPMD
-// leases, outbound breaker states, and the resolved data-plane knobs
-// (plus per-endpoint tuner state under -auto-tune) alongside the 503
-// saturation signal, so the agent (and humans) can scrape one endpoint.
+// leases and outbound breaker states alongside the 503 saturation
+// signal, so the agent (and humans) can scrape one endpoint.
 //
 // Inspect a running domain with -list:
 //
@@ -79,16 +78,12 @@ func main() {
 	checkpoint := flag.Duration("checkpoint", 30*time.Second, "checkpoint interval when -state is set")
 	drain := flag.Duration("drain", 5*time.Second, "grace period for in-flight requests on SIGTERM/SIGINT before the listener is force-closed")
 	retries := flag.Int("retries", 3, "invocation attempts for -list (retry/backoff on transient failures)")
-	stripes := flag.Int("stripes", 0, "connections per endpoint for -list's ORB client (0 = orb default, min(4, GOMAXPROCS))")
 	rpcTimeout := flag.Duration("rpc-timeout", 10*time.Second, "per-invocation deadline for -list")
 	metricsListen := flag.String("metrics-listen", "", "host:port to serve /metrics, /healthz, /debug/vars, /debug/traces and /debug/pprof at (empty = disabled)")
 	logLevel := flag.String("log-level", "", "enable structured logging on stderr at this level: debug, info, warn or error (empty = silent)")
 	traceSample := flag.Float64("trace-sample", 0, "probability a root request starts a recorded trace, in [0,1]")
 	flightSlow := flag.Int("flight-slow", telemetry.DefaultFlightSlowK, "slowest invocations the flight recorder keeps per op (0 = disable the recorder)")
 	flightErrs := flag.Int("flight-errors", telemetry.DefaultFlightErrCap, "recent errored invocations the flight recorder keeps per op")
-	xferWindow := flag.Int("xfer-window", 0, "process-wide default for concurrent SPMD block streams per transfer (0 = min(4, GOMAXPROCS); 1 = serial)")
-	xferChunk := flag.Int("xfer-chunk", 0, "process-wide default SPMD block chunk size in bytes (0 = 256KiB, negative = disable chunking)")
-	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport: per-endpoint path models re-derive SPMD chunk/window/stripe knobs from live transfer telemetry")
 	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently running handlers; over-cap requests wait in a bounded queue and are shed TRANSIENT beyond it (0 = unlimited, no admission control)")
 	maxInflightConn := flag.Int("max-inflight-per-conn", 0, "per-connection cap on concurrently running handlers (0 = derived: half of -max-inflight)")
 	maxQueue := flag.Int("max-queue", 0, "bound on requests waiting for an admission slot (0 = derived: 2x -max-inflight)")
@@ -99,16 +94,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", agent.DefaultHeartbeatInterval, "agent heartbeat interval (registration TTL is 3x this)")
 	instance := flag.String("instance", "", "instance identity for agent registration (empty = generated)")
 	flag.Parse()
-
-	if *xferWindow != 0 {
-		spmd.DefaultXferWindow = *xferWindow
-	}
-	if *xferChunk != 0 {
-		spmd.DefaultXferChunkBytes = *xferChunk
-	}
-	if *autoTune {
-		spmd.DefaultAutoTune = true
-	}
 
 	if *logLevel != "" {
 		lvl, err := parseLevel(*logLevel)
@@ -125,7 +110,7 @@ func main() {
 	}
 
 	if *list {
-		runList(*at, *prefix, *retries, *stripes, *rpcTimeout, *traceSample)
+		runList(*at, *prefix, *retries, *rpcTimeout, *traceSample)
 		return
 	}
 	if *namingAt != "" && *serveEcho == "" {
@@ -291,18 +276,6 @@ func main() {
 				"inflight":            telemetry.Default.GaugeValue("pardis_server_inflight"),
 				"spmd_leases":         spmd.ActiveLeases(),
 				"spmd_leases_expired": spmd.ExpiredLeases(),
-				// The resolved data-plane defaults this process runs
-				// with — what a zero-valued knob actually means here.
-				"data_plane": map[string]any{
-					"xfer_window":      spmd.ResolvedXferWindow(),
-					"xfer_chunk_bytes": spmd.ResolvedXferChunkBytes(),
-					"auto_tune":        spmd.DefaultAutoTune,
-				},
-			}
-			if spmd.DefaultAutoTune {
-				// Per-endpoint tuner state: estimates and the currently
-				// recommended knobs, one entry per observed path.
-				body["tune"] = spmd.AutoTuner.Snapshot()
 			}
 			if oc != nil {
 				breakers := make(map[string]string)
@@ -390,19 +363,14 @@ func main() {
 // runs under one root span whose trace id is printed as "TRACE=<hex>",
 // so a cross-process test (or an operator) can find the server-side
 // spans of the same trace in the service's /debug/traces.
-func runList(at, prefix string, retries, stripes int, rpcTimeout time.Duration, traceSample float64) {
+func runList(at, prefix string, retries int, rpcTimeout time.Duration, traceSample float64) {
 	pol := orb.DefaultRetryPolicy()
 	if retries > 0 {
 		pol.MaxAttempts = retries
 	}
-	clientOpts := []orb.ClientOption{
+	oc := orb.NewClient(nil,
 		orb.WithRetryPolicy(pol),
-		orb.WithDefaultDeadline(rpcTimeout),
-	}
-	if stripes > 0 {
-		clientOpts = append(clientOpts, orb.WithStripes(stripes))
-	}
-	oc := orb.NewClient(nil, clientOpts...)
+		orb.WithDefaultDeadline(rpcTimeout))
 	defer oc.Close()
 	nc := naming.NewClient(oc, at)
 

@@ -216,8 +216,16 @@ func (fx *haFixture) haResolver(freshFor time.Duration, agentEPs []string) (*orb
 // both agents. Killing one agent mid-burst must be invisible to
 // clients (the resolver rotates to the survivor), and the restarted
 // agent must converge — from empty — within about one sweep via peer
-// sync, not one TTL via heartbeats.
+// sync, not one TTL via heartbeats. The second input crashes a replica
+// at the same kill point as the agent: still nothing reaches the
+// client, and the surviving agent ranks only the two live replicas
+// once the dead one's TTL lapses.
 func TestFaultAgentKillOneOfTwoMidBurst(t *testing.T) {
+	t.Run("agent", func(t *testing.T) { killOneOfTwoMidBurst(t, false) })
+	t.Run("agent+replica", func(t *testing.T) { killOneOfTwoMidBurst(t, true) })
+}
+
+func killOneOfTwoMidBurst(t *testing.T, killReplica bool) {
 	fx := newHA(t, 2, 50*time.Millisecond)
 	eps := fx.agentEndpoints()
 	for i := 0; i < 3; i++ {
@@ -239,6 +247,9 @@ func TestFaultAgentKillOneOfTwoMidBurst(t *testing.T) {
 	go func() {
 		for done.Load() < killAt {
 			time.Sleep(time.Millisecond)
+		}
+		if killReplica {
+			fx.replicas[0].crash()
 		}
 		fx.kill(0)
 		close(killed)
@@ -277,18 +288,24 @@ func TestFaultAgentKillOneOfTwoMidBurst(t *testing.T) {
 	}
 	<-killed
 
-	// The survivor alone still answers a fresh resolution.
+	// The survivor alone still answers a fresh resolution — with every
+	// live replica, which excludes a crashed one once its TTL lapses.
+	live := 3
+	if killReplica {
+		live = 2
+		awaitTable(t, fx.agents[1].table, live, 10*fx.ttl, "survivor reaps the dead replica")
+	}
 	res.Invalidate(chaosName)
 	ref, err := res.RefFor(context.Background(), chaosName)
-	if err != nil || len(ref.Endpoints) != 3 {
-		t.Fatalf("resolve against survivor: %v, %v", ref, err)
+	if err != nil || len(ref.Endpoints) != live {
+		t.Fatalf("resolve against survivor: %v, %v (want %d endpoints)", ref, err, live)
 	}
 
 	// Restart the dead agent empty: its Peers loop's immediate first
 	// round pulls the survivor's table, so it converges within about
 	// one sweep — several times faster than the heartbeat TTL rebuild.
 	fx.restart(t, 0)
-	took := awaitTable(t, fx.agents[0].table, 3, fx.ttl, "restarted agent")
+	took := awaitTable(t, fx.agents[0].table, live, fx.ttl, "restarted agent")
 	t.Logf("restarted agent converged in %v (sweep %v, ttl %v)", took, fx.sweep, fx.ttl)
 }
 
@@ -382,7 +399,7 @@ func TestFaultPeerPartitionHeal(t *testing.T) {
 	for i, a := range fx.agents {
 		other := fx.agents[1-i]
 		a.peers = NewPeers(PeersConfig{Table: a.table,
-			Clients:  []*Client{NewClient(oc, "faulty+" + other.ep)},
+			Clients:  []*Client{NewClient(oc, "faulty+"+other.ep)},
 			Interval: fx.sweep})
 		a.peers.Start()
 		t.Cleanup(a.peers.Stop)
@@ -424,10 +441,14 @@ func TestFaultPeerPartitionHeal(t *testing.T) {
 	awaitTable(t, fx.agents[0].table, 2, 2*time.Second, "A sees replica-1")
 
 	// Several sync cadences pass; B must NOT learn replica-1 through a
-	// blackholed link.
+	// blackholed link. (Its replica-0 row, learned by sync with a 3x
+	// interval TTL, may or may not have aged out by now — that depends
+	// on the wall clock, not on the partition, so it is not asserted.)
 	time.Sleep(4 * fx.sweep)
-	if _, reps := fx.agents[1].table.Size(); reps != 1 {
-		t.Fatalf("B holds %d replicas during partition, want 1 (the link is blackholed)", reps)
+	for _, ri := range fx.agents[1].table.List(chaosName)[chaosName] {
+		if ri.Instance == "replica-1" {
+			t.Fatalf("B learned replica-1 during the partition (the link is blackholed)")
+		}
 	}
 	if faulty.Stats().BlackholedConns == 0 {
 		t.Fatalf("partition injected nothing (stats %+v)", faulty.Stats())

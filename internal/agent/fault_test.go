@@ -30,14 +30,11 @@ type chaosReplica struct {
 	reg *Registrar
 }
 
-// crash simulates process death: the server drops its connections and
-// the heartbeats stop without a deregistration (Stop under an already-
-// canceled context skips nothing but cannot reach the agent), so only
-// the TTL can reap the table entry.
+// crash simulates process death: the heartbeats stop without a
+// deregistration and the server drops its connections, so only the
+// TTL can reap the table entry.
 func (r *chaosReplica) crash() {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_ = r.reg.Stop(ctx)
+	r.reg.halt()
 	r.srv.Close()
 }
 

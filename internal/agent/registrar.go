@@ -225,6 +225,25 @@ func (r *Registrar) beat() {
 	wg.Wait()
 }
 
+// halt ends the heartbeat loop without telling any agent — what
+// process death looks like from the agents' side. Reports false when
+// the registrar was already stopped.
+func (r *Registrar) halt() bool {
+	r.mu.Lock()
+	if r.stopped {
+		r.mu.Unlock()
+		return false
+	}
+	r.stopped = true
+	started := r.started
+	r.mu.Unlock()
+	if started {
+		close(r.done)
+		r.wg.Wait()
+	}
+	return true
+}
+
 // Stop ends the heartbeat loop and deregisters the instance from
 // every configured agent, concurrently, so a dying replica does not
 // linger in any surviving agent's table for a full TTL. Each attempt
@@ -233,17 +252,8 @@ func (r *Registrar) beat() {
 // survivors' tombstones stop peer sync from resurrecting them).
 // Returns the joined errors of the failed attempts. Idempotent.
 func (r *Registrar) Stop(ctx context.Context) error {
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
+	if !r.halt() {
 		return nil
-	}
-	r.stopped = true
-	started := r.started
-	r.mu.Unlock()
-	if started {
-		close(r.done)
-		r.wg.Wait()
 	}
 	errs := make([]error, len(r.clients))
 	var wg sync.WaitGroup

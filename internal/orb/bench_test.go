@@ -12,8 +12,8 @@ import (
 
 // newBenchPair builds a client/server pair over inproc with an echo
 // handler for benchmarks. The server runs with admission control at
-// the default caps so every benchmark exercises the admit fast path —
-// the allocs/op gate in benchdiff then covers its cost.
+// the default caps so every benchmark exercises the admit fast path
+// and its allocs/op show in -benchmem.
 func newBenchPair(b *testing.B, payload int, opts ...ClientOption) (*Client, string) {
 	b.Helper()
 	reg := transport.NewRegistry()

@@ -134,7 +134,10 @@ func DefaultStripeWidth() int {
 // endpoint. Connections are added lazily: a serial caller stays on
 // one, and a new stripe connection is dialed only when every existing
 // one is busy. Values below 1 are clamped to 1 (the pre-striping
-// single-connection behavior).
+// single-connection behavior). No binary or config field reaches this
+// option: like WithByteOrder it is the orb tests' and benchmarks' pin
+// for a fixed width; everything else runs at DefaultStripeWidth, plus
+// WithStripeCap growth under auto-tune.
 func WithStripes(n int) ClientOption {
 	return func(c *Client) {
 		if n < 1 {

@@ -42,10 +42,6 @@ type BindConfig struct {
 	// Deadline is the default per-invocation deadline applied when a
 	// call's context has none (0 = no default deadline).
 	Deadline time.Duration
-	// Stripes caps how many connections this thread's ORB client may
-	// open per endpoint (0 = orb.DefaultStripeWidth()). Concurrent
-	// invocations and block sends spread across the stripe.
-	Stripes int
 	// XferWindow bounds how many block sends this thread keeps in
 	// flight per transfer (0 = spmd.DefaultXferWindow, negative =
 	// serial).
@@ -61,10 +57,10 @@ type BindConfig struct {
 	// chunk, window, and stripe knobs from the tuner's recommendation
 	// before each transfer. Until the path has enough samples — and
 	// whenever tuning is off — the statically resolved XferWindow /
-	// XferChunkBytes / Stripes values apply unchanged. The path is
-	// keyed by the reference's first endpoint: replicas of one object
-	// are assumed co-located enough to share a path model. An explicit
-	// Stripes pin always wins over the tuner's stripe recommendation.
+	// XferChunkBytes values and the ORB's static stripe width apply
+	// unchanged. The path is keyed by the reference's first endpoint:
+	// replicas of one object are assumed co-located enough to share a
+	// path model.
 	AutoTune int
 }
 
@@ -236,20 +232,17 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	if cfg.Deadline > 0 {
 		clientOpts = append(clientOpts, orb.WithDefaultDeadline(cfg.Deadline))
 	}
-	if cfg.Stripes > 0 {
-		clientOpts = append(clientOpts, orb.WithStripes(cfg.Stripes))
-	}
 	autoTune := resolveAutoTune(cfg.AutoTune)
 	pathKey := ""
 	if autoTune && len(ref.Endpoints) > 0 {
 		pathKey = ref.Endpoints[0]
 	}
 	autoTune = autoTune && pathKey != ""
-	if autoTune && cfg.Stripes == 0 {
+	if autoTune {
 		// Tuner-capped lazy stripe growth: the ORB client may open
 		// connections past the static width, up to the tuner's stripe
 		// recommendation, still one at a time and only under observed
-		// queueing (an explicit Stripes pin wins — see BindConfig).
+		// queueing.
 		clientOpts = append(clientOpts, orb.WithStripeCap(func(string) int {
 			if rec, ok := AutoTuner.Recommend(pathKey); ok {
 				return rec.Stripes

@@ -72,10 +72,6 @@ type ObjectConfig struct {
 	// Ops maps operation names to their distributed-argument
 	// declarations and handlers.
 	Ops map[string]*Op
-	// Stripes caps how many connections this thread's outbound ORB
-	// client (result blocks back to client ports) may open per
-	// endpoint (0 = orb.DefaultStripeWidth()).
-	Stripes int
 	// XferWindow bounds how many out-block sends this thread keeps in
 	// flight per transfer (0 = spmd.DefaultXferWindow, negative =
 	// serial).
@@ -90,8 +86,7 @@ type ObjectConfig struct {
 	// (spmd.AutoTuner) and re-resolves its chunk, window, and stripe
 	// knobs per transfer. The path is keyed by the invoking client's
 	// first receive endpoint (its threads are assumed co-located).
-	// All threads must pass the same value. An explicit Stripes pin
-	// wins over the tuner's stripe recommendation.
+	// All threads must pass the same value.
 	AutoTune int
 	// LeaseTTL is how long a client's server-side lease survives
 	// without traffic before its rank-side state (registered windows,
@@ -233,9 +228,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		}
 	}
 	var outOpts []orb.ClientOption
-	if cfg.Stripes > 0 {
-		outOpts = append(outOpts, orb.WithStripes(cfg.Stripes))
-	} else if o.autoTune {
+	if o.autoTune {
 		// Tuner-capped lazy stripe growth toward each client endpoint:
 		// the out-client may open connections past the static width, up
 		// to the tuner's recommendation for that destination, still only

@@ -33,23 +33,22 @@ import (
 	"pardis/internal/tune"
 )
 
-// Package-wide data-plane defaults, overridable per binding/object via
-// BindConfig/ObjectConfig and process-wide via the -xfer-window /
-// -xfer-chunk flags of pardisd and pardis-bench.
-var (
+// Package-wide data-plane defaults: what a zero-valued XferWindow /
+// XferChunkBytes / AutoTune field on BindConfig/ObjectConfig resolves
+// to. Fixed at build time; a binding or object that wants something
+// else sets its own field.
+const (
 	// DefaultXferWindow is the default bound on concurrently in-flight
 	// block sends per transfer (0 = min(4, GOMAXPROCS)).
 	DefaultXferWindow = 0
 	// DefaultXferChunkBytes is the default payload-size threshold above
-	// which a block is split into pipelined chunks (<0 disables
-	// chunking). 256 KiB keeps chunks inside the pooled-encoder
-	// retention cap.
+	// which a block is split into pipelined chunks. 256 KiB keeps
+	// chunks inside the pooled-encoder retention cap.
 	DefaultXferChunkBytes = 256 << 10
-	// DefaultAutoTune resolves the per-endpoint self-tuning transport
-	// (AutoTune knobs on BindConfig/ObjectConfig; the pardisd and
-	// pardis-bench -auto-tune flags flip it process-wide). Off by
-	// default: tuning changes knobs between transfers, which A/B
-	// benchmarks must be able to rely on not happening.
+	// DefaultAutoTune is the default for the per-endpoint self-tuning
+	// transport (AutoTune fields on BindConfig/ObjectConfig). Off:
+	// tuning changes knobs between transfers, which a measurement must
+	// be able to rely on not happening unless it asked for it.
 	DefaultAutoTune = false
 )
 

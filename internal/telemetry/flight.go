@@ -227,8 +227,7 @@ func (f *FlightRecorder) Snapshot() []FlightOp {
 }
 
 // writeFlightRecordText renders one record as a single indented line,
-// shared by /debug/slow?format=text, the /debug/traces cross-link and
-// pardis-bench summaries.
+// shared by /debug/slow?format=text and the /debug/traces cross-link.
 func writeFlightRecordText(w io.Writer, fr FlightRecord) {
 	fmt.Fprintf(w, "  %10s %s/%s", fr.Duration.Round(time.Microsecond), fr.Side, fr.Op)
 	if fr.Key != "" {

@@ -570,7 +570,7 @@ func formatFloat(v float64) string {
 
 // Snapshot returns every metric's current value keyed by its full
 // "name{labels}" string: counters and gauges as numbers, histograms as
-// HistogramSnapshot. Used by /debug/vars and pardis-bench.
+// HistogramSnapshot. Used by /debug/vars.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"pardis/internal/telemetry"
 )
 
 // faultyPair builds an inproc transport wrapped in a Faulty layer and
@@ -250,5 +252,54 @@ func TestInprocDialRespectsClose(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("dial not released by listener close")
+	}
+}
+
+// TestFaultLedgerMatchesTelemetry: the transport's own fault ledger
+// (Stats) and the mirrored pardis_faults_injected_total counters are
+// independent bookkeeping paths and must agree — class by class, and
+// so in total — after a seeded plan that injects every class.
+func TestFaultLedgerMatchesTelemetry(t *testing.T) {
+	classes := []string{"dial_refused", "cut", "truncated_write", "blackhole"}
+	counter := func(class string) uint64 {
+		return telemetry.Default.Counter("pardis_faults_injected_total", "class", class).Value()
+	}
+	before := make(map[string]uint64)
+	for _, c := range classes {
+		before[c] = counter(c)
+	}
+	total0 := telemetry.Default.CounterValue("pardis_faults_injected_total")
+
+	f, addr, _ := faultyPair(t, FaultPlan{
+		Seed: 7, DialRefuse: 0.25, Cut: 0.4, CutAfter: 32, Truncate: 0.5, Blackhole: 0.3})
+	msg := make([]byte, 64)
+	for i := 0; i < 200; i++ {
+		c, err := f.Dial(addr)
+		if err != nil {
+			continue // refused
+		}
+		_, _ = c.Write(msg) // past CutAfter: a doomed conn dies here
+		c.Close()
+	}
+
+	st := f.Stats()
+	ledger := map[string]int{
+		"dial_refused":    st.RefusedDials,
+		"cut":             st.CutConns,
+		"truncated_write": st.TruncatedWrites,
+		"blackhole":       st.BlackholedConns,
+	}
+	sum := 0
+	for _, c := range classes {
+		if ledger[c] == 0 {
+			t.Errorf("plan injected no %s fault (stats %+v); the test proved nothing", c, st)
+		}
+		if got := counter(c) - before[c]; got != uint64(ledger[c]) {
+			t.Errorf("class %s: telemetry counted %d, ledger %d", c, got, ledger[c])
+		}
+		sum += ledger[c]
+	}
+	if got := telemetry.Default.CounterValue("pardis_faults_injected_total") - total0; got != uint64(sum) {
+		t.Errorf("telemetry counted %d faults over all classes, ledger %d (stats %+v)", got, sum, st)
 	}
 }

@@ -160,8 +160,8 @@ type Recommendation struct {
 	Stripes        int `json:"stripes"`
 }
 
-// PathState is an observable snapshot of one path's model, served by
-// pardisd /healthz under -auto-tune.
+// PathState is an observable snapshot of one path's model (see
+// Tuner.Snapshot).
 type PathState struct {
 	Endpoint     string         `json:"endpoint"`
 	BandwidthBps float64        `json:"bandwidth_bytes_per_sec"`
