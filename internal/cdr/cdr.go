@@ -104,6 +104,17 @@ func (e *Encoder) grow(n int) []byte {
 	return e.buf[off:]
 }
 
+// extend extends the buffer by n bytes and returns the extension with
+// whatever the spare capacity held — a recycled encoder's previous
+// message, typically. Only for callers that overwrite all n bytes
+// before returning: the bulk element writers, for which grow's zeroing
+// pass over a payload-sized region is pure waste.
+func (e *Encoder) extend(n int) []byte {
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:off+n]
+	return e.buf[off:]
+}
+
 // align pads the buffer with zero octets so the next write lands on a
 // multiple of n relative to the stream start.
 func (e *Encoder) align(n int) {
@@ -212,7 +223,7 @@ func (e *Encoder) PutDoubleSeq(v []float64) {
 		return
 	}
 	e.align(8)
-	b := e.grow(len(v) * 8)
+	b := e.extend(len(v) * 8)
 	switch e.order {
 	case NativeOrder:
 		copy(b, f64Bytes(v))
@@ -235,7 +246,7 @@ func (e *Encoder) PutDoubles(v []float64) {
 		return
 	}
 	e.align(8)
-	b := e.grow(len(v) * 8)
+	b := e.extend(len(v) * 8)
 	switch e.order {
 	case NativeOrder:
 		copy(b, f64Bytes(v))
@@ -293,7 +304,7 @@ func (e *Encoder) PutULongSeq(v []uint32) {
 func (e *Encoder) putULongSeqBody(v []uint32) {
 	e.PutULong(uint32(len(v)))
 	e.align(4) // count leaves us 4-aligned; explicit for clarity
-	b := e.grow(len(v) * 4)
+	b := e.extend(len(v) * 4)
 	switch e.order {
 	case NativeOrder:
 		copy(b, u32Bytes(v))

@@ -74,17 +74,16 @@ func putHeader(hdr *[HeaderLen]byte, order cdr.ByteOrder, t MsgType, n uint32) {
 	}
 }
 
-// maxRetainedEncoderBytes caps the buffer capacity a released encoder
-// may bring back to the pool; encoders grown beyond it by a huge
-// payload are dropped to the GC instead of pinning the memory.
-const maxRetainedEncoderBytes = 1 << 20
-
 // PooledEncoder is a cdr.Encoder drawn from the package pool by
 // AcquireEncoder. Release returns it; after Release the encoder and
 // any slice obtained from Bytes() must not be used (the buffer will
 // back a later message). A second sequential Release is a safe no-op
 // — the pool never receives the encoder twice, so a later frame
-// cannot be corrupted by two owners sharing one buffer.
+// cannot be corrupted by two owners sharing one buffer. An encoder
+// keeps whatever capacity its largest message grew it to: the pool is
+// emptied by the GC, so idle buffers are not pinned, and a busy
+// connection's large requests and replies reuse one buffer instead of
+// allocating and zeroing a payload-sized one each.
 type PooledEncoder struct {
 	*cdr.Encoder
 	released atomic.Bool
@@ -92,7 +91,7 @@ type PooledEncoder struct {
 
 var encPool = sync.Pool{New: func() any {
 	encPoolMisses.Inc()
-	return &PooledEncoder{Encoder: cdr.NewEncoder(cdr.BigEndian)}
+	return &PooledEncoder{Encoder: cdr.NewEncoder(cdr.NativeOrder)}
 }}
 
 // AcquireEncoder returns a pooled encoder reset to the given byte
@@ -111,9 +110,6 @@ func AcquireEncoder(order cdr.ByteOrder) *PooledEncoder {
 func (pe *PooledEncoder) Release() {
 	if pe.released.Swap(true) {
 		return
-	}
-	if cap(pe.Encoder.Bytes()) > maxRetainedEncoderBytes {
-		return // oversized one-off: let the GC have it
 	}
 	encPool.Put(pe)
 }

@@ -164,35 +164,45 @@ func BenchmarkSendBlock(b *testing.B) {
 // the same 32 KiB payload lands straight into a registered window with
 // no CDR sequence framing and (native order) no payload copy on either
 // side. The window is re-registered per put so each iteration measures
-// a complete land, not a hot overshoot.
+// a complete land, not a hot overshoot. The foreign sub-benchmark pins
+// the client to the other byte order: no default reaches the swap path
+// (encode into a pooled buffer, chunked swap on landing) any more, and
+// this keeps it compiled, run and priced.
 func BenchmarkWindowPut(b *testing.B) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	srv := NewServer(reg)
-	ep, err := srv.Listen("inproc:*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cli := NewClient(reg)
-	defer cli.Close()
-	payload := make([]float64, 1<<12)
-	dst := make([]float64, 1<<12)
-	hdr := giop.WindowPutHeader{WindowID: 1, Last: true}
-	b.SetBytes(int64(len(payload) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		win, cancel, err := srv.RegisterWindow(1, dst, int64(len(payload)), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cli.PutWindow(ep, hdr, payload); err != nil {
-			b.Fatal(err)
-		}
-		<-win.Done()
-		if err := win.Err(); err != nil {
-			b.Fatal(err)
-		}
-		cancel()
+	for _, c := range []struct {
+		name  string
+		order cdr.ByteOrder
+	}{{"native", cdr.NativeOrder}, {"foreign", foreignOrder()}} {
+		b.Run(c.name, func(b *testing.B) {
+			reg := transport.NewRegistry()
+			reg.Register(transport.NewInproc())
+			srv := NewServer(reg)
+			ep, err := srv.Listen("inproc:*")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			cli := NewClient(reg, WithByteOrder(c.order))
+			defer cli.Close()
+			payload := make([]float64, 1<<12)
+			dst := make([]float64, 1<<12)
+			hdr := giop.WindowPutHeader{WindowID: 1, Last: true}
+			b.SetBytes(int64(len(payload) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				win, cancel, err := srv.RegisterWindow(1, dst, int64(len(payload)), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cli.PutWindow(ep, hdr, payload); err != nil {
+					b.Fatal(err)
+				}
+				<-win.Done()
+				if err := win.Err(); err != nil {
+					b.Fatal(err)
+				}
+				cancel()
+			}
+		})
 	}
 }

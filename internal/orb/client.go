@@ -93,7 +93,11 @@ func (c *Client) attemptHist(ep string) *telemetry.Histogram {
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithByteOrder sets the byte order the client marshals in.
+// WithByteOrder sets the byte order the client marshals in. The default
+// is the host's (cdr.NativeOrder): CDR is receiver-makes-right, so the
+// sender writes its own order, flags it, and bulk data moves by writev
+// and memcpy. Nothing but tests and benchmarks sets this — it is their
+// pin for playing a foreign-order peer.
 func WithByteOrder(o cdr.ByteOrder) ClientOption {
 	return func(c *Client) { c.order = o }
 }
@@ -167,7 +171,7 @@ func NewClient(reg *transport.Registry, opts ...ClientOption) *Client {
 	}
 	c := &Client{
 		reg:         reg,
-		order:       cdr.BigEndian,
+		order:       cdr.NativeOrder,
 		health:      newHealthTable(0, 0),
 		stripeWidth: DefaultStripeWidth(),
 		stripes:     make(map[string]*stripe),

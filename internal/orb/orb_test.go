@@ -14,9 +14,39 @@ import (
 	"pardis/internal/transport"
 )
 
+// foreignOrder is the byte order this host does not have: the pin that
+// sends a client or server down the swap paths no default reaches.
+func foreignOrder() cdr.ByteOrder {
+	if cdr.NativeOrder == cdr.BigEndian {
+		return cdr.LittleEndian
+	}
+	return cdr.BigEndian
+}
+
+// bothOrders runs fn as a "native" and a "foreign" subtest, handing it
+// the byte order to pin the sending side to.
+func bothOrders(t *testing.T, fn func(t *testing.T, order cdr.ByteOrder)) {
+	t.Helper()
+	t.Run("native", func(t *testing.T) { fn(t, cdr.NativeOrder) })
+	t.Run("foreign", func(t *testing.T) { fn(t, foreignOrder()) })
+}
+
+// TestDefaultOrderIsNative: receiver-makes-right only pays off when the
+// sender writes its own order, so that is what an unconfigured client
+// and server must do.
+func TestDefaultOrderIsNative(t *testing.T) {
+	cli := NewClient(nil)
+	defer cli.Close()
+	srv := NewServer(nil)
+	defer srv.Close()
+	if cli.Order() != cdr.NativeOrder || srv.Order() != cdr.NativeOrder {
+		t.Fatalf("default orders: client %v, server %v, host %v", cli.Order(), srv.Order(), cdr.NativeOrder)
+	}
+}
+
 // newPair starts a server on an inproc endpoint with an echo handler
 // for key "echo" and returns (client, server, endpoint).
-func newPair(t *testing.T) (*Client, *Server, string) {
+func newPair(t *testing.T, opts ...ClientOption) (*Client, *Server, string) {
 	t.Helper()
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
@@ -34,7 +64,7 @@ func newPair(t *testing.T) (*Client, *Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(reg)
+	cli := NewClient(reg, opts...)
 	t.Cleanup(func() {
 		cli.Close()
 		srv.Close()
@@ -284,37 +314,39 @@ func chanSink(ch chan<- Block) func(Block) error {
 }
 
 func TestBlockTransferClientToServer(t *testing.T) {
-	cli, srv, ep := newPair(t)
-	inv := cli.NewInvocationID()
-	sink := make(chan Block, 4)
-	cancel, err := srv.ExpectBlocksFunc(inv, chanSink(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	hdr := giop.BlockTransferHeader{
-		InvocationID: inv, ArgIndex: 0, FromThread: 1, ToThread: 2,
-		DstOff: 10, Count: 3, Last: true,
-	}
-	_, err = cli.SendBlock(ep, hdr, func(e *cdr.Encoder) {
-		e.PutDoubleSeq([]float64{1, 2, 3})
+	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
+		cli, srv, ep := newPair(t, WithByteOrder(order))
+		inv := cli.NewInvocationID()
+		sink := make(chan Block, 4)
+		cancel, err := srv.ExpectBlocksFunc(inv, chanSink(sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		hdr := giop.BlockTransferHeader{
+			InvocationID: inv, ArgIndex: 0, FromThread: 1, ToThread: 2,
+			DstOff: 10, Count: 3, Last: true,
+		}
+		_, err = cli.SendBlock(ep, hdr, func(e *cdr.Encoder) {
+			e.PutDoubleSeq([]float64{1, 2, 3})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case blk := <-sink:
+			if blk.Header != hdr || blk.Order != order {
+				t.Fatalf("header = %+v, order %v", blk.Header, blk.Order)
+			}
+			d := cdr.NewDecoderAt(blk.Order, blk.Payload, payloadBase(blk))
+			v, err := d.DoubleSeq()
+			if err != nil || len(v) != 3 || v[2] != 3 {
+				t.Fatalf("payload = %v %v", v, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("block never delivered")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case blk := <-sink:
-		if blk.Header != hdr {
-			t.Fatalf("header = %+v", blk.Header)
-		}
-		d := cdr.NewDecoderAt(blk.Order, blk.Payload, payloadBase(blk))
-		v, err := d.DoubleSeq()
-		if err != nil || len(v) != 3 || v[2] != 3 {
-			t.Fatalf("payload = %v %v", v, err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("block never delivered")
-	}
 }
 
 // payloadBase computes the stream offset of a block payload: the CDR
@@ -376,41 +408,47 @@ func TestInvocationIDsUnique(t *testing.T) {
 	}
 }
 
+// TestCrossByteOrderInterop crosses the byte-order boundary in both
+// directions — whichever order the host has, one run has the foreign
+// client and the other the foreign server: receiver makes right.
 func TestCrossByteOrderInterop(t *testing.T) {
-	// Little-endian client against big-endian server: receiver makes
-	// right.
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	srv := NewServer(reg, WithServerByteOrder(cdr.BigEndian))
-	srv.Handle("sum", func(in *Incoming) {
-		d := in.Decoder()
-		a, _ := d.Long()
-		b, err := d.Long()
-		if err != nil {
-			_ = in.ReplySystemException("MARSHAL", err.Error())
-			return
-		}
-		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutLong(a + b) })
-	})
-	ep, err := srv.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli := NewClient(reg, WithByteOrder(cdr.LittleEndian))
-	defer cli.Close()
-	_, order, body, err := cli.Invoke(context.Background(), ep,
-		requestHeader(cli, "sum", "add"),
-		func(e *cdr.Encoder) { e.PutLong(40); e.PutLong(2) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order != cdr.BigEndian {
-		t.Fatalf("reply order = %v", order)
-	}
-	v, err := cdr.NewDecoder(order, body).Long()
-	if err != nil || v != 42 {
-		t.Fatalf("sum = %d %v", v, err)
+	for _, cliOrder := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
+		srvOrder := cliOrder ^ 1 // the other one
+		t.Run(cliOrder.String()+" client", func(t *testing.T) {
+			reg := transport.NewRegistry()
+			reg.Register(transport.NewInproc())
+			srv := NewServer(reg, WithServerByteOrder(srvOrder))
+			srv.Handle("sum", func(in *Incoming) {
+				d := in.Decoder()
+				a, _ := d.Long()
+				b, err := d.Long()
+				if err != nil {
+					_ = in.ReplySystemException("MARSHAL", err.Error())
+					return
+				}
+				_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutLong(a + b) })
+			})
+			ep, err := srv.Listen("inproc:*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cli := NewClient(reg, WithByteOrder(cliOrder))
+			defer cli.Close()
+			_, order, body, err := cli.Invoke(context.Background(), ep,
+				requestHeader(cli, "sum", "add"),
+				func(e *cdr.Encoder) { e.PutLong(40); e.PutLong(2) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if order != srvOrder {
+				t.Fatalf("reply order = %v", order)
+			}
+			v, err := cdr.NewDecoder(order, body).Long()
+			if err != nil || v != 42 {
+				t.Fatalf("sum = %d %v", v, err)
+			}
+		})
 	}
 }
 

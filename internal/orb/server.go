@@ -133,7 +133,9 @@ func (s *Server) keyMetricsFor(key string) *serverKeyMetrics {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithServerByteOrder sets the byte order replies are marshaled in.
+// WithServerByteOrder sets the byte order replies are marshaled in
+// (default: the host's, see WithByteOrder; this is the tests' pin for a
+// foreign-order server).
 func WithServerByteOrder(o cdr.ByteOrder) ServerOption {
 	return func(s *Server) { s.order = o }
 }
@@ -153,7 +155,7 @@ func NewServer(reg *transport.Registry, opts ...ServerOption) *Server {
 	}
 	s := &Server{
 		reg:      reg,
-		order:    cdr.BigEndian,
+		order:    cdr.NativeOrder,
 		handlers: make(map[string]Handler),
 		conns:    make(map[*serverConn]struct{}),
 		blocks:   newBlockRouter(),

@@ -30,89 +30,93 @@ func waitDone(t *testing.T, w *Window) {
 }
 
 func TestWindowPutEndToEnd(t *testing.T) {
-	cli, srv, ep := newPair(t)
-	const n = 512
-	dst := make([]float64, n)
-	key := windowKey(t, 21, 0)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = float64(i) * 0.5
-	}
-	// Two puts, highest offset first: landing is element-counted, not
-	// ordered.
-	for _, off := range []int{n / 2, 0} {
-		h := giop.WindowPutHeader{WindowID: key, FromThread: 3, DstOff: uint32(off), Last: off == 0}
-		nb, err := cli.PutWindow(ep, h, want[off:off+n/2])
+	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
+		cli, srv, ep := newPair(t, WithByteOrder(order))
+		const n = 512
+		dst := make([]float64, n)
+		key := windowKey(t, 21, 0)
+		win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nb != n/2*8 {
-			t.Fatalf("put accounted %d bytes, want %d", nb, n/2*8)
+		defer cancel()
+
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = float64(i) * 0.5
 		}
-	}
-	waitDone(t, win)
-	if err := win.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if win.Bytes() != n*8 {
-		t.Fatalf("window landed %d bytes, want %d", win.Bytes(), n*8)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+		// Two puts, highest offset first: landing is element-counted, not
+		// ordered.
+		for _, off := range []int{n / 2, 0} {
+			h := giop.WindowPutHeader{WindowID: key, FromThread: 3, DstOff: uint32(off), Last: off == 0}
+			nb, err := cli.PutWindow(ep, h, want[off:off+n/2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nb != n/2*8 {
+				t.Fatalf("put accounted %d bytes, want %d", nb, n/2*8)
+			}
 		}
-	}
-	cancel()
-	if st := srv.BlockStats(); st.Windows != 0 || st.Pending != 0 {
-		t.Fatalf("window leak after cancel: %+v", st)
-	}
+		waitDone(t, win)
+		if err := win.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if win.Bytes() != n*8 {
+			t.Fatalf("window landed %d bytes, want %d", win.Bytes(), n*8)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+			}
+		}
+		cancel()
+		if st := srv.BlockStats(); st.Windows != 0 || st.Pending != 0 {
+			t.Fatalf("window leak after cancel: %+v", st)
+		}
+	})
 }
 
 func TestWindowPutBeforeRegistrationBuffered(t *testing.T) {
-	cli, srv, ep := newPair(t)
-	const n = 64
-	key := windowKey(t, 22, 1)
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = float64(i + 1)
-	}
-	h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Last: true}
-	if _, err := cli.PutWindow(ep, h, want); err != nil {
-		t.Fatal(err)
-	}
-	// The put raced ahead of registration; wait until the router has
-	// parked it under the pending budgets.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.BlockStats().Pending == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("early put never buffered")
+	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
+		cli, srv, ep := newPair(t, WithByteOrder(order))
+		const n = 64
+		key := windowKey(t, 22, 1)
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = float64(i + 1)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	dst := make([]float64, n)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	waitDone(t, win)
-	if err := win.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+		h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Last: true}
+		if _, err := cli.PutWindow(ep, h, want); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
-		t.Fatalf("flushed put still accounted as pending: %+v", st)
-	}
+		// The put raced ahead of registration; wait until the router has
+		// parked it under the pending budgets.
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.BlockStats().Pending == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("early put never buffered")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		dst := make([]float64, n)
+		win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		waitDone(t, win)
+		if err := win.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+			}
+		}
+		if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
+			t.Fatalf("flushed put still accounted as pending: %+v", st)
+		}
+	})
 }
 
 // TestEarlyPutBufferClasses pins the recycling rule of the parking
@@ -147,44 +151,46 @@ func TestEarlyPutBufferClasses(t *testing.T) {
 // its own put's values, and an earlier destination must not change when
 // its former buffer is overwritten.
 func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
-	cli, srv, ep := newPair(t)
-	const n = 1024
-	var dsts [4][]float64
-	for round := range dsts {
-		key := windowKey(t, uint64(40+round), 0)
-		src := make([]float64, n)
-		for i := range src {
-			src[i] = float64(round*n + i)
-		}
-		h := giop.WindowPutHeader{WindowID: key, DstOff: 0, Last: true}
-		if _, err := cli.PutWindow(ep, h, src); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.BlockStats().Pending == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("early put never buffered")
+	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
+		cli, srv, ep := newPair(t, WithByteOrder(order))
+		const n = 1024
+		var dsts [4][]float64
+		for round := range dsts {
+			key := windowKey(t, uint64(40+round), 0)
+			src := make([]float64, n)
+			for i := range src {
+				src[i] = float64(round*n + i)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		dsts[round] = make([]float64, n)
-		win, cancel, err := srv.RegisterWindow(key, dsts[round], n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitDone(t, win)
-		cancel()
-		if err := win.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round, dst := range dsts {
-		for i, v := range dst {
-			if v != float64(round*n+i) {
-				t.Fatalf("round %d element %d = %v, want %v", round, i, v, float64(round*n+i))
+			h := giop.WindowPutHeader{WindowID: key, DstOff: 0, Last: true}
+			if _, err := cli.PutWindow(ep, h, src); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for srv.BlockStats().Pending == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("early put never buffered")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			dsts[round] = make([]float64, n)
+			win, cancel, err := srv.RegisterWindow(key, dsts[round], n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, win)
+			cancel()
+			if err := win.Err(); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		for round, dst := range dsts {
+			for i, v := range dst {
+				if v != float64(round*n+i) {
+					t.Fatalf("round %d element %d = %v, want %v", round, i, v, float64(round*n+i))
+				}
+			}
+		}
+	})
 }
 
 // TestWindowRegistrationRaceLandsPut pins the race the read loop cannot
@@ -193,39 +199,41 @@ func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
 // the put. bufferWindowPut must land the put into the now-registered
 // window instead of parking it forever.
 func TestWindowRegistrationRaceLandsPut(t *testing.T) {
-	_, srv, _ := newPair(t)
-	const n = 16
-	key := windowKey(t, 23, 0)
-	dst := make([]float64, n)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = float64(i) * 3
-	}
-	e := cdr.NewEncoder(cdr.NativeOrder)
-	e.PutDoubles(want)
-	h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Count: n, Last: true}
-	payload := e.Bytes()
-	if err := srv.blocks.bufferWindowPut(h, cdr.NativeOrder, &payload); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, win)
-	if err := win.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
+		_, srv, _ := newPair(t)
+		const n = 16
+		key := windowKey(t, 23, 0)
+		dst := make([]float64, n)
+		win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := srv.BlockStats(); st.Pending != 0 {
-		t.Fatalf("raced put parked as pending instead of landing: %+v", st)
-	}
+		defer cancel()
+
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = float64(i) * 3
+		}
+		e := cdr.NewEncoder(order)
+		e.PutDoubles(want)
+		h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Count: n, Last: true}
+		payload := e.Bytes()
+		if err := srv.blocks.bufferWindowPut(h, order, &payload); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, win)
+		if err := win.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+			}
+		}
+		if st := srv.BlockStats(); st.Pending != 0 {
+			t.Fatalf("raced put parked as pending instead of landing: %+v", st)
+		}
+	})
 }
 
 func TestWindowRangeViolationPoisonsWindowNotConnection(t *testing.T) {
@@ -283,11 +291,7 @@ func TestWindowPutCrossOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	foreign := cdr.BigEndian
-	if cdr.NativeOrder == cdr.BigEndian {
-		foreign = cdr.LittleEndian
-	}
-	cli := NewClient(reg, WithByteOrder(foreign))
+	cli := NewClient(reg, WithByteOrder(foreignOrder()))
 	defer cli.Close()
 
 	const n = 100_000 // several swap chunks on the cross-order land path

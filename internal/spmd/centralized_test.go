@@ -240,63 +240,66 @@ func TestFaultCentralizedShortReply(t *testing.T) {
 	})
 }
 
-// TestCentralizedCrossEndian runs the centralized round trip across a
-// byte-order boundary in each direction: a little-endian client into a
-// real (big-endian) object, whose communicator must unmarshal the
-// foreign-order frame straight into its threads' blocks, and a real
-// (big-endian) binding against a little-endian server, whose reply the
-// client communicator must unmarshal into its threads' blocks.
+// TestCentralizedCrossEndian runs the centralized round trip with the
+// raw peer pinned to each byte order in turn, so that on any host one of
+// the two crosses a byte-order boundary: a foreign-order client into a
+// real object, whose communicator must unmarshal the frame straight
+// into its threads' blocks, and a real binding against a foreign-order
+// server, whose reply the client communicator must unmarshal into its
+// threads' blocks.
 func TestCentralizedCrossEndian(t *testing.T) {
 	const n = 301
-	t.Run("little-endian client", func(t *testing.T) {
-		reg := newReg()
-		obj := startObject(t, reg, 3, false, diffusionOps)
-		defer obj.close()
-		cli := orb.NewClient(reg, orb.WithByteOrder(cdr.LittleEndian))
-		defer cli.Close()
-		rh, d := rawInvoke(t, cli, obj.ref, legacyInvocation(2, InOut, n, ramp(n)))
-		if rh.Status != giop.ReplyOK {
-			t.Fatalf("status %v", rh.Status)
-		}
-		enc, err := d.Encapsulation()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if steps, err := enc.Long(); err != nil || steps != 2 {
-			t.Fatalf("scalar reply %d (%v)", steps, err)
-		}
-		if _, err := d.ULong(); err != nil {
-			t.Fatal(err)
-		}
-		out, err := d.DoubleSeq()
-		if err != nil || len(out) != n {
-			t.Fatalf("out argument: %d elements (%v)", len(out), err)
-		}
-		for i, v := range out {
-			if v != float64(4*i) {
-				t.Fatalf("out[%d] = %v, want %v", i, v, 4*i)
+	for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
+		t.Run(order.String()+" client", func(t *testing.T) {
+			reg := newReg()
+			obj := startObject(t, reg, 3, false, diffusionOps)
+			defer obj.close()
+			cli := orb.NewClient(reg, orb.WithByteOrder(order))
+			defer cli.Close()
+			rh, d := rawInvoke(t, cli, obj.ref, legacyInvocation(2, InOut, n, ramp(n)))
+			if rh.Status != giop.ReplyOK {
+				t.Fatalf("status %v", rh.Status)
 			}
-		}
-	})
-	t.Run("little-endian server", func(t *testing.T) {
-		reg := newReg()
-		ref := fakeObject(t, reg, func(in *orb.Incoming) {
-			w, err := decodeInvocationWire(in.Decoder())
-			if err != nil || len(w.Args) != 1 {
-				_ = in.ReplySystemException("MARSHAL", fmt.Sprint(err))
-				return
+			enc, err := d.Encapsulation()
+			if err != nil {
+				t.Fatal(err)
 			}
-			out := make([]float64, w.Args[0].Length)
-			cdr.DecodeDoubles(out, w.Args[0].Raw, in.Order)
-			for i := range out {
-				out[i] *= 4
+			if steps, err := enc.Long(); err != nil || steps != 2 {
+				t.Fatalf("scalar reply %d (%v)", steps, err)
 			}
-			_ = in.Reply(giop.ReplyOK, legacyReply(2, out))
-		}, orb.WithServerByteOrder(cdr.LittleEndian))
-		everyRank(t, reg, 3, ref, func(b *Binding, th rts.Thread) error {
-			return invokeDiffusion(b, th, n, 2)
+			if _, err := d.ULong(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := d.DoubleSeq()
+			if err != nil || len(out) != n {
+				t.Fatalf("out argument: %d elements (%v)", len(out), err)
+			}
+			for i, v := range out {
+				if v != float64(4*i) {
+					t.Fatalf("out[%d] = %v, want %v", i, v, 4*i)
+				}
+			}
 		})
-	})
+		t.Run(order.String()+" server", func(t *testing.T) {
+			reg := newReg()
+			ref := fakeObject(t, reg, func(in *orb.Incoming) {
+				w, err := decodeInvocationWire(in.Decoder())
+				if err != nil || len(w.Args) != 1 {
+					_ = in.ReplySystemException("MARSHAL", fmt.Sprint(err))
+					return
+				}
+				out := make([]float64, w.Args[0].Length)
+				cdr.DecodeDoubles(out, w.Args[0].Raw, in.Order)
+				for i := range out {
+					out[i] *= 4
+				}
+				_ = in.Reply(giop.ReplyOK, legacyReply(2, out))
+			}, orb.WithServerByteOrder(order))
+			everyRank(t, reg, 3, ref, func(b *Binding, th rts.Thread) error {
+				return invokeDiffusion(b, th, n, 2)
+			})
+		})
+	}
 }
 
 // TestCentralizedRequestWireUnchanged: marshaling from lent blocks must

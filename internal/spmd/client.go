@@ -324,9 +324,10 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	// broadcasts it (collective part of _spmd_bind). The describe
 	// invocation fails over across every replica endpoint of the
 	// reference (InvokeRef), so a dead first endpoint does not doom
-	// the bind. The broadcast payload is tagged: 1 + describe bytes
-	// on success, 0 + error text on failure, so the peers report the
-	// failed thread and cause instead of a bare "bind failed".
+	// the bind. The broadcast payload is tagged: 1 + the reply's
+	// byte-order octet + describe bytes on success, 0 + error text on
+	// failure, so the peers report the failed thread and cause instead
+	// of a bare "bind failed".
 	var raw []byte
 	if b.rank == 0 {
 		hdr := giop.RequestHeader{
@@ -348,22 +349,13 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		if err == nil && rh.Status != giop.ReplyOK {
 			err = fmt.Errorf("%w: describe returned %v", ErrRemote, rh.Status)
 		}
-		// Re-encode big-endian so every thread decodes uniformly.
-		if err == nil && order != cdr.BigEndian {
-			w, derr := decodeDescribeWire(cdr.NewDecoder(order, body))
-			if derr != nil {
-				err = derr
-			} else {
-				e := cdr.NewEncoder(cdr.BigEndian)
-				w.encode(e)
-				body = e.Bytes()
-			}
-		}
 		var payload []byte
 		if err != nil {
 			payload = append([]byte{0}, err.Error()...)
 		} else {
-			payload = append([]byte{1}, body...)
+			// The reply travels on as the server wrote it, behind its
+			// byte-order octet: every thread decodes in that order.
+			payload = append([]byte{1, byte(order)}, body...)
 		}
 		if _, berr := b.th.Bcast(0, payload); berr != nil {
 			b.Close()
@@ -373,7 +365,7 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			b.Close()
 			return nil, err
 		}
-		raw = body
+		raw = payload[1:]
 	} else {
 		payload, err := b.th.Bcast(0, nil)
 		if err != nil {
@@ -391,11 +383,11 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		}
 		raw = payload[1:]
 	}
-	if len(raw) == 0 {
+	if len(raw) < 2 {
 		b.Close()
 		return nil, fmt.Errorf("%w: bind failed on communicator", ErrRemote)
 	}
-	desc, err := decodeDescribeWire(cdr.NewDecoder(cdr.BigEndian, raw))
+	desc, err := decodeDescribeWire(cdr.NewDecoder(cdr.ByteOrder(raw[0]&1), raw[1:]))
 	if err != nil {
 		b.Close()
 		return nil, err

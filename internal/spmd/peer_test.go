@@ -11,7 +11,9 @@ import (
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
+	"pardis/internal/giop"
 	"pardis/internal/mp"
+	"pardis/internal/orb"
 	"pardis/internal/rts"
 	"pardis/internal/transport"
 )
@@ -34,6 +36,127 @@ func TestPeerTransferEndToEnd(t *testing.T) {
 	}
 	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPeerTransferCrossEndian is TestCentralizedCrossEndian's multi-port
+// twin: a raw ORB client pinned to each byte order in turn — one of them
+// foreign to this host — puts an in-argument into an exported object's
+// windows and invokes on it. Half the puts go out before the request and
+// are parked until the windows register and flush them; the rest follow
+// once every rank waits on its window and land straight off the read
+// buffer. The handler sees every element exact either way.
+func TestPeerTransferCrossEndian(t *testing.T) {
+	const n, m = 70_000, 3 // two chunks a rank: one parked, one not
+	ops := func(th rts.Thread) map[string]*Op {
+		return map[string]*Op{
+			"check": {
+				Spec: OpSpec{Args: []ArgSpec{{Mode: In, Dist: dist.Block()}}},
+				Handler: func(call *Call) error {
+					seq := call.Args[0]
+					for i, v := range seq.LocalData() {
+						if want := float64(seq.Lo()+i) / 7; v != want {
+							return fmt.Errorf("rank %d: [%d] = %v, want %v", call.Thread.Rank(), i, v, want)
+						}
+					}
+					call.Reply().PutLong(int32(seq.Len()))
+					return nil
+				},
+			},
+		}
+	}
+	for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
+		t.Run(order.String()+" client", func(t *testing.T) {
+			reg := newReg()
+			obj := startObject(t, reg, m, true, ops)
+			defer obj.close()
+			cli := orb.NewClient(reg, orb.WithByteOrder(order))
+			defer cli.Close()
+
+			data := make([]float64, n)
+			for i := range data {
+				data[i] = float64(i) / 7
+			}
+			serverLayout, err := dist.Block().Apply(n, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clientLayout, err := dist.FromCounts([]int{n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := dist.Plan(clientLayout, serverLayout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := dist.Chunk(plan, resolveChunkElems(0)/2)
+			inv := cli.NewInvocationID()
+			put := func(chunks []dist.Transfer) {
+				if _, err := sendPlanPuts(cli, inv, 0, 0, chunks, data, obj.ref.ThreadEndpoint, 1, 0); err != nil {
+					t.Error(err)
+				}
+			}
+			var early, late []dist.Transfer
+			for i, tr := range chunks {
+				if i%2 == 0 {
+					early = append(early, tr)
+				} else {
+					late = append(late, tr)
+				}
+			}
+			// awaitRanks polls until every server thread's block router
+			// satisfies ok.
+			awaitRanks := func(what string, ok func(orb.BlockRouterStats) bool) {
+				deadline := time.Now().Add(10 * time.Second)
+				for _, o := range obj.threadObjects() {
+					for !ok(o.BlockStats()) {
+						if time.Now().After(deadline) {
+							t.Errorf("no %s on every rank: %+v", what, o.BlockStats())
+							return
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}
+			put(early)
+			awaitRanks("parked put", func(st orb.BlockRouterStats) bool { return st.Pending == 1 })
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				awaitRanks("registered window", func(st orb.BlockRouterStats) bool { return st.Windows == 1 })
+				put(late)
+			}()
+			w := &invocationWire{Method: MultiPort, Scalars: []byte{byte(order)},
+				Args: []*argWire{{Mode: In, Length: n, ClientCounts: []int{n}}}}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			rh, rorder, raw, err := cli.Invoke(ctx, obj.ref.Endpoints[0], giop.RequestHeader{
+				InvocationID:     inv,
+				ResponseExpected: true,
+				ObjectKey:        obj.ref.Key,
+				Operation:        "check",
+				ThreadCount:      1,
+			}, w.encode)
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := cdr.NewDecoderAt(rorder, raw, 8)
+			if rh.Status != giop.ReplyOK {
+				ex, _ := giop.DecodeSystemException(d)
+				t.Fatalf("status %v: %+v", rh.Status, ex)
+			}
+			enc, err := d.Encapsulation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := enc.Long(); err != nil || got != n {
+				t.Fatalf("scalar reply %d (%v), want %d", got, err, n)
+			}
+			if err := obj.noLeak(noLeak); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

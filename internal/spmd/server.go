@@ -32,9 +32,13 @@ type Call struct {
 	// values are delivered to every thread, as §2.1 promises.
 	Scalars *cdr.Decoder
 	// Args holds the distributed arguments. In and InOut arguments
-	// arrive filled; Out arguments arrive zeroed at the length the
+	// arrive filled, their local block exactly Layout().Count(rank)
+	// elements long; Out arguments arrive zeroed at the length the
 	// client declared. The servant mutates InOut/Out contents in
-	// place.
+	// place. The local blocks belong to the object, which hands the
+	// same storage to later invocations: they are valid until the
+	// handler returns, and a handler that wants the data afterwards
+	// copies it.
 	Args []*dseq.Doubles
 
 	reply *cdr.Encoder
@@ -132,6 +136,11 @@ type Object struct {
 	// xferIn/xferOut time this rank's transfer phases (in-argument
 	// landing / out-argument fan-out).
 	xferIn, xferOut *telemetry.Histogram
+
+	// argBlocks[i] is the storage behind this rank's local block of
+	// distributed argument i, kept from one dispatch to the next (see
+	// argBlock). Touched only by the rank's serve loop.
+	argBlocks [][]float64
 }
 
 // Interned once at package load — the per-dispatch phase histograms
@@ -708,6 +717,9 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	defer func() {
 		if err != nil {
 			o.failed.Add(1)
+			// A failed dispatch may leave a put mid-landing or a lent
+			// block mid-read; the next one starts on fresh storage.
+			o.argBlocks = nil
 		}
 	}()
 	op := o.cfg.Ops[ctrl.Op]
@@ -750,7 +762,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		}
 		clientLayouts[i] = clientLayout
 		seq, err := dseq.DoublesFromLocal(serverLayout, o.rank,
-			make([]float64, serverLayout.Count(o.rank)), dseq.Owner)
+			o.argBlock(i, serverLayout.Count(o.rank), ca.Mode), dseq.Owner)
 		if err != nil {
 			firstErr = err
 			break
@@ -873,6 +885,27 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 			putDoubleBlocks(e, blocks)
 		}
 	}, nil
+}
+
+// argBlock returns this rank's n-element local block of distributed
+// argument i, reusing the storage of earlier dispatches and growing it
+// when a longer sequence arrives. Dispatches on one object are strictly
+// serial, and the last reader of a block — the out-transfer's writes,
+// or the communicator marshaling the reply from the lent blocks — is
+// done before the next control broadcast, so nothing of the previous
+// invocation still looks at it. In and InOut blocks are overwritten in
+// full by the in-transfer; Out blocks are cleared here. The capacity is
+// clipped so a handler cannot reslice into a longer predecessor's tail.
+func (o *Object) argBlock(i, n int, mode ArgMode) []float64 {
+	for len(o.argBlocks) <= i {
+		o.argBlocks = append(o.argBlocks, nil)
+	}
+	if cap(o.argBlocks[i]) < n {
+		o.argBlocks[i] = make([]float64, n)
+	} else if mode == Out {
+		clear(o.argBlocks[i][:n])
+	}
+	return o.argBlocks[i][:n:n]
 }
 
 // receiveBlocks collects this thread's share of a multi-port in

@@ -408,6 +408,106 @@ func TestInOnlyAndOutOnlyArgs(t *testing.T) {
 	}
 }
 
+// TestArgumentBlocksReusedAcrossInvocations drives one binding through
+// lengths L, L/2 and 2L — the object hands every dispatch the storage of
+// the one before — with a failed dispatch in between, and checks the
+// Call.Args contract from inside the handler: an out block arrives all
+// zero however much the previous invocation wrote there, and no block
+// lets the handler reslice into a longer predecessor's tail.
+func TestArgumentBlocksReusedAcrossInvocations(t *testing.T) {
+	ops := func(th rts.Thread) map[string]*Op {
+		return map[string]*Op{
+			"mix": {
+				Spec: OpSpec{Args: []ArgSpec{
+					{Mode: In, Dist: dist.Block()},
+					{Mode: InOut, Dist: dist.Block()},
+					{Mode: Out, Dist: dist.Block()},
+				}},
+				Handler: func(call *Call) error {
+					fail, err := call.Scalars.Boolean()
+					if err != nil {
+						return err
+					}
+					for i, a := range call.Args {
+						blk := a.LocalData()
+						if want := a.Layout().Count(call.Thread.Rank()); len(blk) != want || cap(blk) != want {
+							return fmt.Errorf("arg %d: block len %d cap %d, layout says %d", i, len(blk), cap(blk), want)
+						}
+					}
+					in, inout, out := call.Args[0].LocalData(), call.Args[1].LocalData(), call.Args[2].LocalData()
+					for i, v := range out {
+						if v != 0 {
+							return fmt.Errorf("out[%d] = %v on entry", i, v)
+						}
+					}
+					for i := range in {
+						inout[i] += in[i]
+						out[i] = 3*in[i] + 1
+					}
+					if fail {
+						return errors.New("asked to fail")
+					}
+					return nil
+				},
+			},
+		}
+	}
+	const L = 1200
+	for _, method := range []TransferMethod{Centralized, MultiPort} {
+		t.Run(method.String(), func(t *testing.T) {
+			reg := newReg()
+			obj := startObject(t, reg, 3, true, ops)
+			defer obj.close()
+			runClient(t, reg, 2, method, obj.ref, func(b *Binding, th rts.Thread) error {
+				for round, c := range []struct {
+					length int
+					fail   bool
+				}{{L, false}, {L / 2, false}, {L, true}, {2 * L, false}} {
+					var seqs [3]*dseq.Doubles
+					for i := range seqs {
+						seq, err := dseq.NewDoubles(c.length, dist.Block(), th.Size(), th.Rank())
+						if err != nil {
+							return err
+						}
+						seqs[i] = seq
+					}
+					for i := range seqs[0].LocalData() {
+						g := float64(seqs[0].Lo() + i)
+						seqs[0].LocalData()[i] = g / 7
+						seqs[1].LocalData()[i] = g
+					}
+					err := b.Invoke(context.Background(), &CallSpec{
+						Operation: "mix",
+						Scalars:   func(e *cdr.Encoder) { e.PutBoolean(c.fail) },
+						Args: []DistArg{
+							{Mode: In, Seq: seqs[0]}, {Mode: InOut, Seq: seqs[1]}, {Mode: Out, Seq: seqs[2]},
+						},
+					})
+					if c.fail {
+						if !errors.Is(err, ErrRemote) {
+							return fmt.Errorf("round %d: want ErrRemote, got %v", round, err)
+						}
+						continue
+					}
+					if err != nil {
+						return fmt.Errorf("round %d: %w", round, err)
+					}
+					for i := range seqs[0].LocalData() {
+						g := float64(seqs[0].Lo() + i)
+						if got, want := seqs[1].LocalData()[i], g+g/7; got != want {
+							return fmt.Errorf("round %d: inout[%d] = %v, want %v", round, i, got, want)
+						}
+						if got, want := seqs[2].LocalData()[i], 3*(g/7)+1; got != want {
+							return fmt.Errorf("round %d: out[%d] = %v, want %v", round, i, got, want)
+						}
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
 func TestNonBlockingInvocationFutures(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 2, true, diffusionOps)

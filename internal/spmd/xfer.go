@@ -42,8 +42,9 @@ const (
 	// block sends per transfer (0 = min(4, GOMAXPROCS)).
 	DefaultXferWindow = 0
 	// DefaultXferChunkBytes is the default payload-size threshold above
-	// which a block is split into pipelined chunks. 256 KiB keeps
-	// chunks inside the pooled-encoder retention cap.
+	// which a block is split into pipelined chunks. 256 KiB keeps a
+	// chunk that beats its window's registration inside the early-put
+	// buffer sizes the ORB recycles.
 	DefaultXferChunkBytes = 256 << 10
 	// DefaultAutoTune is the default for the per-endpoint self-tuning
 	// transport (AutoTune fields on BindConfig/ObjectConfig). Off:

@@ -8,8 +8,8 @@
 // and the recommendation follows classic transport sizing:
 //
 //   - chunk size amortizes the per-chunk fixed cost (framing, encode,
-//     syscall) against the path's byte rate, growing toward the pooled
-//     encoder retention cap on fast paths;
+//     syscall) against the path's byte rate, growing toward the largest
+//     early-put buffer the ORB recycles on fast paths;
 //   - the transfer window must cover BDP/chunk so the wire never idles
 //     waiting for a chunk acknowledgment on long-RTT paths;
 //   - stripes follow window depth, so a deep window is not serialized
@@ -49,8 +49,9 @@ const (
 	// DefaultMinChunkBytes is the static data-plane default: tuning
 	// never shrinks chunks below it.
 	DefaultMinChunkBytes = 256 << 10
-	// DefaultMaxChunkBytes is the pooled-encoder retention cap: chunks
-	// above it would defeat encoder pooling on the routed path.
+	// DefaultMaxChunkBytes is the largest early-put buffer the ORB
+	// recycles (orb/window.go): a chunk above it that beats its window's
+	// registration would be parked in a fresh allocation every time.
 	DefaultMaxChunkBytes = 1 << 20
 	DefaultMaxWindow     = 32
 	DefaultMaxStripes    = 8
@@ -189,7 +190,7 @@ type path struct {
 
 	// poolHit is an EWMA of the process pool hit rate observed while
 	// this path was transferring; below 1/2 with the chunk at its cap,
-	// the chunk backs off one power of two (retention misses mean the
+	// the chunk backs off one power of two (pool misses mean the
 	// encode path is allocating instead of pooling).
 	poolHit float64
 
@@ -378,11 +379,11 @@ func (t *Tuner) derive(bw, rtt, poolHit float64) Recommendation {
 
 	// Chunk: big enough to amortize per-chunk fixed cost at this byte
 	// rate AND to cover a useful fraction of the BDP, power-of-two for
-	// stability, bounded by the static floor and the retention cap.
+	// stability, bounded by the static floor and the recycled-buffer cap.
 	chunk := pow2Ceil(int(math.Max(bw*chunkAmortSeconds, bdp/4)))
 	chunk = clamp(chunk, t.cfg.MinChunkBytes, t.cfg.MaxChunkBytes)
 	if poolHit < 0.5 && chunk > t.cfg.MinChunkBytes {
-		// Retention misses: the encode path is allocating, not
+		// Pool misses: the encode path is allocating, not
 		// pooling — trade a step of chunk size back for pool hits.
 		chunk /= 2
 	}
