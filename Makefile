@@ -9,10 +9,13 @@ test:
 	$(GO) test ./...
 
 # verify is the CI tier: compile everything, static checks, telemetry
-# lint, full test suite under the race detector, and the benchmark
-# harness's own vet and tests (bench/ is a module of its own, so the
-# root ./... patterns do not reach it — this line is what catches an
-# internal/ change that breaks the harness), then the fuzz smoke, the
+# lint, full test suite under the race detector, the framing packages'
+# tests again under the pardis_poison build tag (every released frame
+# body and pooled encoder is overwritten with a signalling-NaN pattern,
+# so a read after release fails the test that makes it), and the
+# benchmark harness's own vet and tests (bench/ is a module of its own,
+# so the root ./... patterns do not reach it — this line is what catches
+# an internal/ change that breaks the harness), then the fuzz smoke, the
 # micro-benchmark compile-and-run smoke and the telemetry overhead
 # gate. Nothing here measures performance; `make bench` does.
 verify:
@@ -21,6 +24,7 @@ verify:
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
 	$(GO) test -race ./...
+	$(GO) test -tags pardis_poison ./internal/giop/ ./internal/orb/ ./internal/spmd/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-quick

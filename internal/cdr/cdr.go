@@ -56,6 +56,19 @@ type Encoder struct {
 	// relative to the logical start of the stream, which matters when
 	// an encoder continues a partially written message.
 	base int
+	// splices, when set, is where PutDoublesRef records element data it
+	// references instead of copying (see NewSplicingEncoder). One
+	// pointer, so the Encoder stays in its allocation size class.
+	splices *[]Splice
+}
+
+// A Splice is element data an Encoder references instead of copying: on
+// the wire, Data sits at offset Off of the encoder's own bytes, ahead of
+// whatever was encoded after it. Data is always a whole number of 8-byte
+// elements, so leaving it out of the buffer shifts no later alignment.
+type Splice struct {
+	Off  int
+	Data []byte
 }
 
 // NewEncoder returns an Encoder writing in the given byte order.
@@ -69,31 +82,63 @@ func NewEncoderAt(order ByteOrder, base int) *Encoder {
 	return &Encoder{order: order, buf: make([]byte, 0, 64), base: base}
 }
 
+// NewSplicingEncoder returns an Encoder whose PutDoublesRef, when the
+// encoder writes the host's order, records the element data in
+// *splices instead of copying it. Its message is then Bytes() with
+// every Splice inserted at its offset, which only a gather writer that
+// walks Splices (giop.WriteEncoded) puts together; Bytes alone is not
+// the message. Reset and ResetTo empty *splices, dropping the
+// references.
+func NewSplicingEncoder(order ByteOrder, splices *[]Splice) *Encoder {
+	return &Encoder{order: order, buf: make([]byte, 0, 64), splices: splices}
+}
+
 // Order reports the byte order the encoder writes in.
 func (e *Encoder) Order() ByteOrder { return e.order }
 
-// Bytes returns the encoded stream. The slice aliases the encoder's
-// internal buffer; it is valid until the next Write call.
+// Bytes returns the encoded stream — the encoder's own bytes, without
+// any spliced data. The slice aliases the encoder's internal buffer; it
+// is valid until the next Write call.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far (excluding base).
+// Splices returns the element data PutDoublesRef referenced since the
+// last reset, in stream order (nil for an encoder that does not
+// splice). The Data slices alias the caller's storage.
+func (e *Encoder) Splices() []Splice {
+	if e.splices == nil {
+		return nil
+	}
+	return *e.splices
+}
+
+// Len returns the number of bytes encoded into the encoder's own buffer
+// so far (excluding base and any spliced data).
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Reset discards the buffer contents and splices, retaining capacity.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	e.dropSplices()
+}
 
-// ResetTo discards the buffer contents and re-targets the encoder to a
-// byte order and stream base, retaining capacity — how pooled encoders
-// are recycled across messages.
+// ResetTo discards the buffer contents and splices and re-targets the
+// encoder to a byte order and stream base, retaining capacity — how
+// pooled encoders are recycled across messages.
 func (e *Encoder) ResetTo(order ByteOrder, base int) {
 	e.buf = e.buf[:0]
 	e.order = order
 	e.base = base
+	e.dropSplices()
 }
 
-// Reserve makes room for n more bytes, so that a value marshaled piece
-// by piece grows the buffer once instead of once per piece.
-func (e *Encoder) Reserve(n int) { e.buf = slices.Grow(e.buf, n) }
+// dropSplices empties the splice list, clearing the references so a
+// recycled encoder does not keep its last message's element data alive.
+func (e *Encoder) dropSplices() {
+	if e.splices != nil && len(*e.splices) > 0 {
+		clear(*e.splices)
+		*e.splices = (*e.splices)[:0]
+	}
+}
 
 // grow extends the buffer by n zero bytes and returns the extension.
 // The append(make) form is recognized by the compiler and does not
@@ -259,6 +304,25 @@ func (e *Encoder) PutDoubles(v []float64) {
 			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
 		}
 	}
+}
+
+// PutDoublesRef is PutDoubles for element data that stays unmodified
+// until the encoded message has been written out. On a splicing encoder
+// in the host's order it pads to 8 and records v as a Splice rather
+// than copying it, so the payload goes from v to the socket in the same
+// writev as the rest of the message; otherwise (another order, or an
+// encoder that does not splice) it copies exactly as PutDoubles does.
+// Either way the stream is the same bytes.
+func (e *Encoder) PutDoublesRef(v []float64) {
+	if e.splices == nil || e.order != NativeOrder {
+		e.PutDoubles(v)
+		return
+	}
+	if len(v) == 0 {
+		return
+	}
+	e.align(8)
+	*e.splices = append(*e.splices, Splice{Off: len(e.buf), Data: f64Bytes(v)})
 }
 
 // DecodeDoubles fills dst from exactly len(dst)*8 bytes of raw element

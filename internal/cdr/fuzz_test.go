@@ -226,7 +226,11 @@ func encoderScript(e *Encoder, data []byte, after func()) {
 			s := str()
 			e.PutEncapsulation(e.Order(), func(ie *Encoder) { ie.PutString(s); ie.PutDouble(1.5) })
 		case 13:
-			e.Reserve(int(next()))
+			v := make([]float64, next()%40)
+			for i := range v {
+				v[i] = float64(next()) / 5
+			}
+			e.PutDoublesRef(v) // copies on an encoder that does not splice
 		}
 		after()
 	}

@@ -168,12 +168,25 @@ func TestResetTo(t *testing.T) {
 	}
 }
 
+// joinSplices is the message a splicing encoder stands for: its own
+// bytes with every spliced segment inserted at its offset.
+func joinSplices(e *Encoder) []byte {
+	var out []byte
+	off := 0
+	for _, s := range e.Splices() {
+		out = append(out, e.Bytes()[off:s.Off]...)
+		out = append(out, s.Data...)
+		off = s.Off
+	}
+	return append(out, e.Bytes()[off:]...)
+}
+
 // TestDoubleSeqPiecewise pins the marshal-in-place forms to the
-// sequence<double> wire: a count plus PutDoubles per block (empty
-// blocks included, after one Reserve) must emit what PutDoubleSeq emits
-// for the concatenation, and DoubleSeqRaw must hand back exactly the
-// element bytes DecodeDoubles needs to refill the blocks — in both byte
-// orders and from a misaligned stream position.
+// sequence<double> wire: a count plus PutDoubles — or PutDoublesRef,
+// copying or spliced — per block (empty blocks included) must emit
+// what PutDoubleSeq emits for the concatenation, and DoubleSeqRaw must
+// hand back exactly the element bytes DecodeDoubles needs to refill the
+// blocks — in both byte orders and from a misaligned stream position.
 func TestDoubleSeqPiecewise(t *testing.T) {
 	blocks := [][]float64{{1.5, -2.25}, nil, {3}, {}, {4e300, 5e-300, 6}}
 	var flat []float64
@@ -186,20 +199,48 @@ func TestDoubleSeqPiecewise(t *testing.T) {
 		whole.PutDoubleSeq(flat)
 		whole.PutOctet(9)
 
-		pieces := NewEncoderAt(o, 3)
-		pieces.PutOctet(7)
-		pieces.Reserve(16 + len(flat)*8)
-		held := cap(pieces.Bytes())
-		pieces.PutULong(uint32(len(flat)))
-		for _, b := range blocks {
-			pieces.PutDoubles(b)
+		var splices []Splice
+		spliced := NewSplicingEncoder(o, &splices)
+		spliced.ResetTo(o, 3)
+		for _, p := range []struct {
+			name string
+			put  func(*Encoder, []float64)
+		}{
+			{"PutDoubles", (*Encoder).PutDoubles},
+			{"PutDoublesRef", (*Encoder).PutDoublesRef}, // last: spliced keeps its splices
+		} {
+			name, put := p.name, p.put
+			for _, pieces := range []*Encoder{NewEncoderAt(o, 3), spliced} {
+				pieces.ResetTo(o, 3)
+				pieces.PutOctet(7)
+				pieces.PutULong(uint32(len(flat)))
+				for _, b := range blocks {
+					put(pieces, b)
+				}
+				pieces.PutOctet(9)
+				if !bytes.Equal(whole.Bytes(), joinSplices(pieces)) {
+					t.Fatalf("%v: %s encoding diverges from PutDoubleSeq (%d splices)",
+						o, name, len(pieces.Splices()))
+				}
+			}
 		}
-		if cap(pieces.Bytes()) != held {
-			t.Fatalf("%v: buffer regrew after Reserve", o)
+		if o == NativeOrder && len(spliced.Splices()) != 3 {
+			t.Fatalf("%v: %d splices for three non-empty blocks", o, len(spliced.Splices()))
 		}
-		pieces.PutOctet(9)
-		if !bytes.Equal(whole.Bytes(), pieces.Bytes()) {
-			t.Fatalf("%v: piecewise encoding diverges from PutDoubleSeq", o)
+		if o != NativeOrder && len(spliced.Splices()) != 0 {
+			t.Fatalf("%v: a foreign-order encoder spliced instead of swapping", o)
+		}
+		// A reset drops the references, so a recycled encoder does not
+		// keep the last message's element data reachable.
+		n := len(splices)
+		spliced.Reset()
+		if len(spliced.Splices()) != 0 {
+			t.Fatalf("%v: Reset kept %d splices", o, len(spliced.Splices()))
+		}
+		for i, s := range splices[:n] {
+			if s.Data != nil {
+				t.Fatalf("%v: splice %d still references its data after Reset", o, i)
+			}
 		}
 
 		d := NewDecoderAt(o, whole.Bytes(), 3)

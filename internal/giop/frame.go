@@ -3,29 +3,34 @@
 // and paid two raw Read calls (header, then body) per inbound frame.
 // This file removes all of that:
 //
-//   - WriteMessage gathers header and body with net.Buffers (writev on
-//     TCP), so the body is never copied into a combined slice; the
-//     12-byte header comes from a scratch pool.
+//   - WriteMessage and WriteEncoded gather header, body and any element
+//     blocks the encoder spliced with net.Buffers (writev on TCP), so
+//     no payload is copied into a combined slice; the 12-byte header and
+//     the gather vector come from a scratch pool.
 //   - FrameReader reads frames through an internal bufio.Reader, so a
 //     header+body pair costs at most one raw Read on the connection.
 //   - AcquireEncoder hands out pooled cdr.Encoders with an explicit
 //     Release discipline, so the request/reply encode path stops
 //     allocating a fresh buffer per message.
-//   - Control-frame bodies (CancelRequest, LocateRequest,
-//     CloseConnection, MessageError) come from a body pool and are
-//     returned with Frame.Release; bodies of Request/Reply/
-//     BlockTransfer frames escape to their consumers and are therefore
-//     always freshly allocated — ownership transfers with the frame.
+//   - Frame bodies are recycled where their owner is known: control-
+//     frame bodies (CancelRequest, LocateRequest, CloseConnection,
+//     MessageError) come from a 1 KiB pool and go back when the read
+//     loop is done with them; Request and Reply bodies too big for the
+//     FrameReader's buffer come from size-classed pools and go back
+//     when their consumer — the one owner the read loop hands them to —
+//     releases them. Everything else is allocated per frame.
 //
 // Pool traffic is accounted in pardis_giop_pool_gets_total and
 // pardis_giop_pool_misses_total (labeled by pool), so the hit rate is
-// 1 - misses/gets.
+// 1 - misses/gets; large bodies handed back are counted in
+// pardis_giop_pool_puts_total.
 package giop
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -42,23 +47,31 @@ type BuffersWriter interface {
 }
 
 var (
-	encPoolGets    = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "encoder")
-	encPoolMisses  = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "encoder")
-	bodyPoolGets   = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "frame_body")
-	bodyPoolMisses = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "frame_body")
+	encPoolGets     = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "encoder")
+	encPoolMisses   = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "encoder")
+	bodyPoolGets    = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "frame_body")
+	bodyPoolMisses  = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "frame_body")
+	largePoolGets   = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
+	largePoolMisses = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "large_body")
+	largePoolPuts   = telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body")
 )
 
 // writeScratch is the per-write header and gather vector, pooled so a
-// message write allocates nothing. The vector has room for a third
-// segment so WriteMessageTail can gather header, body head and a raw
-// payload tail in one writev.
+// message write allocates nothing. vec starts on the inline array, room
+// for header, body head, one block and a tail; a longer gather grows it
+// once and the scratch keeps the longer vector.
 type writeScratch struct {
 	hdr  [HeaderLen]byte
-	vec  [3][]byte
+	arr  [4][]byte
+	vec  [][]byte
 	bufs net.Buffers // aliases vec for the duration of one write
 }
 
-var writePool = sync.Pool{New: func() any { return new(writeScratch) }}
+var writePool = sync.Pool{New: func() any {
+	s := new(writeScratch)
+	s.vec = s.arr[:0]
+	return s
+}}
 
 // putHeader fills a PIOP message header.
 func putHeader(hdr *[HeaderLen]byte, order cdr.ByteOrder, t MsgType, n uint32) {
@@ -75,23 +88,30 @@ func putHeader(hdr *[HeaderLen]byte, order cdr.ByteOrder, t MsgType, n uint32) {
 }
 
 // PooledEncoder is a cdr.Encoder drawn from the package pool by
-// AcquireEncoder. Release returns it; after Release the encoder and
-// any slice obtained from Bytes() must not be used (the buffer will
-// back a later message). A second sequential Release is a safe no-op
-// — the pool never receives the encoder twice, so a later frame
-// cannot be corrupted by two owners sharing one buffer. An encoder
-// keeps whatever capacity its largest message grew it to: the pool is
-// emptied by the GC, so idle buffers are not pinned, and a busy
-// connection's large requests and replies reuse one buffer instead of
-// allocating and zeroing a payload-sized one each.
+// AcquireEncoder. Release returns it; after Release the encoder, any
+// slice obtained from Bytes() and its Splices must not be used (the
+// buffer will back a later message). A second sequential Release is a
+// safe no-op — the pool never receives the encoder twice, so a later
+// frame cannot be corrupted by two owners sharing one buffer.
+//
+// A pooled encoder splices: in the host's order, PutDoublesRef records
+// element blocks by reference, so a message written with WriteEncoded
+// carries its bulk payload from the caller's storage straight to the
+// socket and the encoder itself only ever holds headers and counts.
+// (It keeps whatever capacity its largest message grew it to; the pool
+// is emptied by the GC, so idle buffers are not pinned.) Release drops
+// the splice references along with the buffer.
 type PooledEncoder struct {
 	*cdr.Encoder
+	splices  []cdr.Splice
 	released atomic.Bool
 }
 
 var encPool = sync.Pool{New: func() any {
 	encPoolMisses.Inc()
-	return &PooledEncoder{Encoder: cdr.NewEncoder(cdr.NativeOrder)}
+	pe := new(PooledEncoder)
+	pe.Encoder = cdr.NewSplicingEncoder(cdr.NativeOrder, &pe.splices)
+	return pe
 }}
 
 // AcquireEncoder returns a pooled encoder reset to the given byte
@@ -111,24 +131,66 @@ func (pe *PooledEncoder) Release() {
 	if pe.released.Swap(true) {
 		return
 	}
+	b := pe.Bytes()
+	poison(b[:cap(b)])
+	pe.Reset() // drops the splice references too
 	encPool.Put(pe)
 }
 
-// pooledBodyMax bounds pooled control-frame bodies; larger (or
-// escaping) bodies are allocated fresh.
-const pooledBodyMax = 1 << 10
-
-// pooledBody is a recyclable control-frame body with a double-release
-// guard.
-type pooledBody struct {
-	b        [pooledBodyMax]byte
+// Buffer is a frame body drawn from a pool: a control-frame body from
+// the 1 KiB pool, or a Request or Reply body larger than
+// DefaultReadBufSize from the size-classed large-body pools. It has
+// exactly one owner at a time — the read loop, then whoever the loop
+// hands the frame to (Frame.Detach) — and goes back to its pool when
+// that owner calls Release. A body that is never released is left to
+// the garbage collector, which is always safe.
+type Buffer struct {
+	b        []byte
+	pool     *sync.Pool
 	released atomic.Bool
 }
 
-var bodyPool = sync.Pool{New: func() any {
-	bodyPoolMisses.Inc()
-	return new(pooledBody)
-}}
+// Release hands the body back for reuse; afterwards nothing may read
+// it. A second Release through the same handle is a no-op, and so is
+// Release on a nil *Buffer (a body that was allocated, not pooled).
+func (bb *Buffer) Release() {
+	if bb == nil || bb.released.Swap(true) {
+		return
+	}
+	poison(bb.b[:cap(bb.b)])
+	if bb.pool != &bodyPool {
+		largePoolPuts.Inc()
+	}
+	bb.pool.Put(bb)
+}
+
+// getBuffer draws a buffer for an n-byte body from pool, whose buffers
+// hold bodies of up to size bytes. A miss on an empty pool makes an
+// n-byte buffer, so a body its consumer never releases costs exactly
+// what an unpooled one did; a pooled buffer too short for this body
+// (made for a shorter one) is dropped and replaced by a size-byte one,
+// which fits every later body of the pool.
+func getBuffer(pool *sync.Pool, n, size int, gets, misses *telemetry.Counter) *Buffer {
+	gets.Inc()
+	bb, _ := pool.Get().(*Buffer)
+	if bb == nil || cap(bb.b) < n {
+		misses.Inc()
+		c := n
+		if bb != nil {
+			c = size
+		}
+		bb = &Buffer{b: make([]byte, c), pool: pool}
+	}
+	bb.released.Store(false)
+	bb.b = bb.b[:n]
+	return bb
+}
+
+// pooledBodyMax bounds pooled control-frame bodies; larger ones are
+// allocated fresh.
+const pooledBodyMax = 1 << 10
+
+var bodyPool sync.Pool
 
 // releasableType reports whether a message type's body never escapes
 // its read loop, making it safe to draw from the body pool.
@@ -140,34 +202,63 @@ func releasableType(t MsgType) bool {
 	return false
 }
 
+// Large Request and Reply bodies come from largePools: eight size
+// classes per power of two above DefaultReadBufSize, each holding
+// buffers of one capacity (a class is an eighth of its power of two
+// wide). Rounding to a class, not to the exact length, is what makes
+// them recycle: the request and the reply of one invocation differ by
+// a few dozen bytes and must share a buffer class.
+const (
+	largeClassesPerDoubling = 8
+	largeMinShift           = 16 // DefaultReadBufSize == 1<<largeMinShift
+	largeMaxShift           = 30 // MaxBodyLen == 1<<largeMaxShift
+)
+
+var largePools [(largeMaxShift - largeMinShift) * largeClassesPerDoubling]sync.Pool
+
+// largeClass returns the pool index and buffer capacity for an n-byte
+// body, DefaultReadBufSize < n <= MaxBodyLen.
+func largeClass(n int) (class, size int) {
+	k := bits.Len(uint(n-1)) - 1 // 1<<k < n <= 1<<(k+1)
+	step := (1 << k) / largeClassesPerDoubling
+	sub := (n - 1 - 1<<k) / step
+	return (k-largeMinShift)*largeClassesPerDoubling + sub, 1<<k + (sub+1)*step
+}
+
 // Release returns the frame's pooled body, if any, for reuse. Safe to
-// call more than once (including on copies of the frame: the
-// underlying buffer is returned at most once). After Release, Body
-// must not be used. Frames whose bodies were not pooled (Request,
-// Reply, BlockTransfer — their bodies transfer ownership to the
-// consumer) make this a no-op.
+// call more than once on one Frame value. After Release, Body must not
+// be used. Frames whose bodies were not pooled — or whose body was
+// Detached by its consumer — make this a no-op.
 func (f *Frame) Release() {
-	pb := f.pb
-	if pb == nil {
+	if f.buf == nil {
 		return
 	}
-	f.pb = nil
+	bb := f.buf
+	f.buf = nil
 	f.Body = nil
-	if pb.released.Swap(true) {
-		return
-	}
-	bodyPool.Put(pb)
+	bb.Release()
+}
+
+// Detach transfers ownership of the frame's pooled body to the caller,
+// who must Release it once nothing reads Body any more — or never, and
+// leave it to the garbage collector. Body stays valid until then. Nil
+// when the body was not pooled (Release on it is a no-op).
+func (f *Frame) Detach() *Buffer {
+	bb := f.buf
+	f.buf = nil
+	return bb
 }
 
 // DefaultReadBufSize is the FrameReader's internal buffer size: large
-// enough that a typical header+body pair arrives in one raw Read.
+// enough that a typical header+body pair arrives in one raw Read. It is
+// also the boundary above which Request and Reply bodies are recycled.
 const DefaultReadBufSize = 64 << 10
 
 // FrameReader reads PIOP frames through an internal buffered reader,
 // with a reusable header scratch, so steady-state frame reads cost one
-// body allocation (for escaping frame types) and usually one raw Read
-// syscall. Not safe for concurrent use; each connection read loop owns
-// one.
+// body allocation (for frame types whose bodies are not recycled) and
+// usually one raw Read syscall. Not safe for concurrent use; each
+// connection read loop owns one.
 type FrameReader struct {
 	br  *bufio.Reader
 	hdr [HeaderLen]byte
@@ -180,9 +271,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, DefaultReadBufSize)}
 }
 
-// ReadFrame reads and validates one PIOP message. Control-frame
-// bodies are pooled: callers that finish with such a frame should call
-// Frame.Release.
+// ReadFrame reads and validates one PIOP message. Control-frame bodies
+// and large Request/Reply bodies are pooled: the caller that finishes
+// with such a frame calls Frame.Release, or Detaches the body and hands
+// it on with the rest of the frame.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
 	return readFrame(fr.br, &fr.hdr, true)
 }
@@ -208,7 +300,7 @@ func (fr *FrameReader) ReadFrameHeader() (FrameHeader, error) {
 }
 
 // ReadFrameBody completes a ReadFrameHeader into a Frame, with the
-// same body pooling rules as ReadFrame.
+// same body recycling rules as ReadFrame.
 func (fr *FrameReader) ReadFrameBody(h FrameHeader) (Frame, error) {
 	return readFrameBody(fr.br, h, true)
 }
@@ -248,31 +340,35 @@ func readFrameHeader(r io.Reader, hdr *[HeaderLen]byte) (FrameHeader, error) {
 }
 
 // readFrameBody reads the body announced by h. pooled enables drawing
-// control-frame bodies from the body pool.
+// control-frame and large Request/Reply bodies from the pools.
 func readFrameBody(r io.Reader, h FrameHeader, pooled bool) (Frame, error) {
 	f := Frame{Type: h.Type, Order: h.Order, Minor: h.Minor}
-	n := h.BodyLen
+	n := int(h.BodyLen)
 	if n == 0 {
 		return f, nil
 	}
-	if pooled && n <= pooledBodyMax && releasableType(h.Type) {
-		bodyPoolGets.Inc()
-		pb := bodyPool.Get().(*pooledBody)
-		pb.released.Store(false)
-		f.pb = pb
-		f.Body = pb.b[:n]
-	} else {
+	switch {
+	case pooled && n <= pooledBodyMax && releasableType(h.Type):
+		f.buf = getBuffer(&bodyPool, n, pooledBodyMax, bodyPoolGets, bodyPoolMisses)
+		f.Body = f.buf.b
+	case pooled && n > DefaultReadBufSize && (h.Type == MsgRequest || h.Type == MsgReply):
+		c, size := largeClass(n)
+		f.buf = getBuffer(&largePools[c], n, size, largePoolGets, largePoolMisses)
+		f.Body = f.buf.b
+	default:
 		f.Body = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, f.Body); err != nil {
-		f.Release()
+		// A torn body is left to the GC, not recycled: the connection is
+		// dying, and recycling capacity a peer announced but never sent
+		// would let it park arbitrary amounts of memory in the pools.
 		return Frame{}, err
 	}
 	return f, nil
 }
 
 // readFrame reads one frame using the caller's header scratch. pooled
-// enables drawing control-frame bodies from the body pool.
+// enables body recycling (see readFrameBody).
 func readFrame(r io.Reader, hdr *[HeaderLen]byte, pooled bool) (Frame, error) {
 	h, err := readFrameHeader(r, hdr)
 	if err != nil {

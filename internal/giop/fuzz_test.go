@@ -2,8 +2,103 @@ package giop
 
 import (
 	"bytes"
+	"io"
 	"testing"
+
+	"pardis/internal/cdr"
 )
+
+// FuzzGatherEquivalence: the gather writer must put on the wire exactly
+// what a copying encoder framed by WriteMessage does. The script drives
+// an interleaving of Put* calls and referenced double blocks (empty
+// ones included) into a pooled encoder, which splices the blocks when
+// it writes the host's order, and into a plain one, which copies them;
+// the frames must match byte for byte through a gathering
+// (BuffersWriter) connection and through a plain io.Writer alike.
+func FuzzGatherEquivalence(f *testing.F) {
+	f.Add([]byte{6, 3, 'k', 'e', 'y', 1, 7, 0, 4, 2, 9, 0, 9, 0, 1, 2, 1}, true)
+	f.Add([]byte{9, 3, 9, 0, 9, 5, 4, 1, 9, 2, 3, 1, 2, 3, 7, 2, 'a', 'b'}, false)
+	f.Add([]byte{9, 1, 9, 1, 9, 1, 8, 3, 1, 2, 3, 0, 5}, true)
+	f.Fuzz(func(t *testing.T, script []byte, native bool) {
+		order := cdr.NativeOrder
+		if !native {
+			order = 1 - order
+		}
+		copying := cdr.NewEncoder(order)
+		gatherScript(copying, script)
+		var want bytes.Buffer
+		if err := WriteMessage(&want, order, MsgRequest, copying.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+
+		pe := AcquireEncoder(order)
+		defer pe.Release()
+		gatherScript(pe.Encoder, script)
+		if !native && len(pe.Splices()) > 0 {
+			t.Fatal("a foreign-order encoder spliced instead of swapping")
+		}
+		var gather buffersRecorder
+		if err := WriteEncoded(&gather, MsgRequest, pe.Encoder); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gather.Bytes(), want.Bytes()) {
+			t.Fatalf("gathered frame (%d splices) diverges:\n got % x\nwant % x",
+				len(pe.Splices()), gather.Bytes(), want.Bytes())
+		}
+		var plain bytes.Buffer
+		if err := WriteEncoded(struct{ io.Writer }{&plain}, MsgRequest, pe.Encoder); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.Bytes(), want.Bytes()) {
+			t.Fatal("per-segment write of a gathered frame diverges")
+		}
+	})
+}
+
+// gatherScript interprets data as Put* calls on e: one opcode octet,
+// then the operands it wants (an exhausted script reads as zeros).
+// Opcode 9 references a block of doubles with PutDoublesRef.
+func gatherScript(e *cdr.Encoder, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	doubles := func() []float64 {
+		v := make([]float64, next()%24)
+		for i := range v {
+			v[i] = float64(next()) - 0.5
+		}
+		return v
+	}
+	for len(data) > 0 {
+		switch next() % 10 {
+		case 0:
+			e.PutOctet(next())
+		case 1:
+			e.PutUShort(uint16(next()) << 4)
+		case 2:
+			e.PutULong(uint32(next()) << 9)
+		case 3:
+			e.PutULongLong(uint64(next()) << 33)
+		case 4:
+			e.PutDouble(float64(next()) / 3)
+		case 5:
+			e.PutBoolean(next()&1 == 1)
+		case 6:
+			e.PutString(string(bytes.Repeat([]byte{'s'}, int(next()%11))))
+		case 7:
+			e.PutOctetSeq(bytes.Repeat([]byte{next()}, int(next()%13)))
+		case 8:
+			e.PutDoubleSeq(doubles())
+		case 9:
+			e.PutDoublesRef(doubles())
+		}
+	}
+}
 
 // FuzzReadMessage: the wire reader must never panic or over-allocate
 // on hostile frames.

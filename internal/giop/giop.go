@@ -106,64 +106,67 @@ var (
 // callers serialize concurrent writers above us, keeping frames whole
 // on the wire.
 func WriteMessage(w io.Writer, order cdr.ByteOrder, t MsgType, body []byte) error {
-	if t >= msgTypeCount {
-		return fmt.Errorf("%w: %d", ErrBadType, t)
-	}
-	if len(body) > MaxBodyLen {
-		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(body))
-	}
-	s := writePool.Get().(*writeScratch)
-	putHeader(&s.hdr, order, t, uint32(len(body)))
-	var err error
-	if len(body) == 0 {
-		_, err = w.Write(s.hdr[:])
-	} else {
-		// The gather vector lives in the pooled scratch so taking its
-		// address (WriteTo/WriteBuffers consume the slice in place)
-		// does not force a per-call allocation.
-		s.vec[0], s.vec[1] = s.hdr[:], body
-		s.bufs = net.Buffers(s.vec[:2])
-		if bw, ok := w.(BuffersWriter); ok {
-			_, err = bw.WriteBuffers(&s.bufs)
-		} else {
-			_, err = s.bufs.WriteTo(w)
-		}
-		s.vec[0], s.vec[1] = nil, nil
-		s.bufs = nil
-	}
-	writePool.Put(s)
-	return err
+	return writeFrame(w, order, t, body, nil)
 }
 
-// WriteMessageTail frames head followed by tail as one message body,
-// gather-writing all three segments (header, head, tail) in a single
-// writev. The tail — typically raw element data aliasing application
-// memory on the window-put send path — is never copied into a frame
-// buffer; the caller guarantees it stays unmodified for the duration
-// of the write.
-func WriteMessageTail(w io.Writer, order cdr.ByteOrder, t MsgType, head, tail []byte) error {
-	if len(tail) == 0 {
-		return WriteMessage(w, order, t, head)
-	}
+// WriteEncoded frames and writes the message e encoded, in e's byte
+// order, as one gather write: the header, then the encoder's own bytes
+// with every element block it spliced (cdr.Encoder.PutDoublesRef)
+// inserted in place. Spliced data is never copied into a frame buffer;
+// the caller guarantees it stays unmodified until WriteEncoded returns.
+// For an encoder that spliced nothing this is WriteMessage of e.Bytes().
+func WriteEncoded(w io.Writer, t MsgType, e *cdr.Encoder) error {
+	return writeFrame(w, e.Order(), t, e.Bytes(), e.Splices())
+}
+
+// writeFrame is the one gather writer behind WriteMessage and
+// WriteEncoded: header, then body with each splice inserted at its
+// offset. The length checked against MaxBodyLen and announced in the
+// header is the whole body, splices included.
+func writeFrame(w io.Writer, order cdr.ByteOrder, t MsgType, body []byte, splices []cdr.Splice) error {
 	if t >= msgTypeCount {
 		return fmt.Errorf("%w: %d", ErrBadType, t)
 	}
-	n := len(head) + len(tail)
+	n := len(body)
+	for _, sp := range splices {
+		n += len(sp.Data)
+	}
 	if n > MaxBodyLen {
 		return fmt.Errorf("%w: %d bytes", ErrTooLong, n)
 	}
 	s := writePool.Get().(*writeScratch)
 	putHeader(&s.hdr, order, t, uint32(n))
-	s.vec[0], s.vec[1], s.vec[2] = s.hdr[:], head, tail
-	s.bufs = net.Buffers(s.vec[:3])
 	var err error
-	if bw, ok := w.(BuffersWriter); ok {
-		_, err = bw.WriteBuffers(&s.bufs)
+	if n == 0 {
+		_, err = w.Write(s.hdr[:])
 	} else {
-		_, err = s.bufs.WriteTo(w)
+		// The gather vector lives in the pooled scratch so taking its
+		// address (WriteTo/WriteBuffers consume the slice in place)
+		// does not force a per-call allocation.
+		vec := append(s.vec[:0], s.hdr[:])
+		off := 0
+		for _, sp := range splices {
+			if sp.Off > off {
+				vec = append(vec, body[off:sp.Off])
+				off = sp.Off
+			}
+			vec = append(vec, sp.Data)
+		}
+		if off < len(body) {
+			vec = append(vec, body[off:])
+		}
+		if cap(vec) > cap(s.vec) {
+			s.vec = vec[:0] // keep the longer vector for the next gather
+		}
+		s.bufs = net.Buffers(vec)
+		if bw, ok := w.(BuffersWriter); ok {
+			_, err = bw.WriteBuffers(&s.bufs)
+		} else {
+			_, err = s.bufs.WriteTo(w)
+		}
+		clear(vec) // the pooled scratch must not keep the body alive
+		s.bufs = nil
 	}
-	s.vec[0], s.vec[1], s.vec[2] = nil, nil, nil
-	s.bufs = nil
 	writePool.Put(s)
 	return err
 }
@@ -177,16 +180,16 @@ type Frame struct {
 	Minor byte
 	Body  []byte
 
-	// pb is the pooled backing of Body for control frames read with a
-	// FrameReader; see Frame.Release.
-	pb *pooledBody
+	// buf is the pooled backing of Body for frames read with a
+	// FrameReader; see Frame.Release and Frame.Detach.
+	buf *Buffer
 }
 
 // ReadFrame reads and validates one PIOP message, keeping the sender's
 // minor protocol version alongside the body. The header scratch is
 // pooled; the body is always freshly allocated (ownership transfers
 // to the caller). Read loops should prefer a FrameReader, which adds
-// read buffering and body pooling.
+// read buffering and body recycling.
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := writePool.Get().(*writeScratch)
 	f, err := readFrame(r, &hdr.hdr, false)

@@ -348,16 +348,46 @@ const maxForwards = 4
 // stringified IOR and the request is re-issued at the forwarded
 // endpoints — the CORBA mechanism that lets objects migrate without
 // breaking clients.
+//
+// The returned body is the caller's to keep: it is never handed back
+// for reuse (see Reply for the releasable form InvokeRef returns).
 func (c *Client) Invoke(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
-	return c.invokeEndpoints(ctx, []string{endpoint}, hdr, body, 0)
+	r, err := c.invokeEndpoints(ctx, []string{endpoint}, hdr, body, 0)
+	return r.Header, r.Order, r.Body, err
 }
 
 // InvokeRef invokes across all of a reference's failover endpoints:
 // the attempt rotates to the next replica when one fails inside the
 // safe-to-retry window, skipping endpoints whose circuit breaker is
 // open. For SPMD references only the communicator endpoint is used.
-func (c *Client) InvokeRef(ctx context.Context, ref *ior.Ref, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
+//
+// The body callback runs once per attempt into a pooled encoder whose
+// PutDoublesRef splices element blocks instead of copying them, so
+// every block it references must stay unmodified until InvokeRef
+// returns. The caller owns the returned Reply and should Release it
+// once it has decoded what it needs.
+func (c *Client) InvokeRef(ctx context.Context, ref *ior.Ref, hdr giop.RequestHeader, body func(*cdr.Encoder)) (Reply, error) {
 	return c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, 0)
+}
+
+// Reply is one received reply: its header, the body's byte order, and
+// the body after the 8-octet ReplyHeader (decode it at stream offset
+// 8). A body larger than giop.DefaultReadBufSize is a recycled buffer;
+// Release hands it back, after which Body must not be read. A Reply
+// that is never released is left to the garbage collector.
+type Reply struct {
+	Header giop.ReplyHeader
+	Order  cdr.ByteOrder
+	Body   []byte
+	buf    *giop.Buffer
+}
+
+// Release hands the reply body back for reuse. Body is cleared; a
+// second Release is a no-op.
+func (r *Reply) Release() {
+	r.Body = nil
+	r.buf.Release()
+	r.buf = nil
 }
 
 // invStats accumulates one logical invocation's attempt path — how
@@ -377,9 +407,9 @@ type invStats struct {
 // delegates to the forward-following engine. reresolves counts the
 // InvokeNamed re-resolution rounds that preceded this call (0 for
 // direct invokes).
-func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), reresolves int) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
+func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), reresolves int) (Reply, error) {
 	if len(endpoints) == 0 {
-		return giop.ReplyHeader{}, 0, nil, fmt.Errorf("%w: no endpoints", ErrUnreachable)
+		return Reply{}, fmt.Errorf("%w: no endpoints", ErrUnreachable)
 	}
 	if c.deadline > 0 {
 		if _, has := ctx.Deadline(); !has {
@@ -395,7 +425,7 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 	m := c.opMetricsFor(hdr.Operation)
 	st := &invStats{}
 	start := time.Now()
-	rh, order, raw, err := c.invokeForward(ctx, endpoints, hdr, body, st)
+	r, err := c.invokeForward(ctx, endpoints, hdr, body, st)
 	dur := time.Since(start)
 	m.invokes.Inc()
 	m.latency.ObserveDurationExemplar(dur, st.traceID)
@@ -422,29 +452,31 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 		Attempts: st.attempts, Retries: retries, Failovers: st.failovers,
 		ReResolves: reresolves, DeadlineRemaining: deadlineRem,
 	})
-	return rh, order, raw, err
+	return r, err
 }
 
 // invokeForward follows location forwards (bounded, cycle-checked),
-// delegating each hop to the retry/failover engine.
-func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), st *invStats) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
+// delegating each hop to the retry/failover engine. A forward reply
+// that is followed is released once its IOR is decoded.
+func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), st *invStats) (Reply, error) {
 	seen := map[string]bool{endpoints[0]: true}
 	for hop := 0; ; hop++ {
-		rh, order, raw, err := c.invokeRetry(ctx, endpoints, hdr, body, st)
-		if err != nil || rh.Status != giop.ReplyLocationForward {
-			return rh, order, raw, err
+		r, err := c.invokeRetry(ctx, endpoints, hdr, body, st)
+		if err != nil || r.Header.Status != giop.ReplyLocationForward {
+			return r, err
 		}
 		if hop >= maxForwards {
-			return rh, order, raw, fmt.Errorf("orb: too many location forwards (%d)", hop+1)
+			return r, fmt.Errorf("orb: too many location forwards (%d)", hop+1)
 		}
-		fwd, err := decodeForward(order, raw)
+		fwd, err := decodeForward(r.Order, r.Body)
 		if err != nil {
-			return rh, order, raw, err
+			return r, err
 		}
 		if seen[fwd[0]] {
-			return rh, order, raw, fmt.Errorf("%w: %s seen twice after %d forwards",
+			return r, fmt.Errorf("%w: %s seen twice after %d forwards",
 				ErrForwardCycle, fwd[0], hop+1)
 		}
+		r.Release()
 		seen[fwd[0]] = true
 		endpoints = fwd
 	}
@@ -452,7 +484,7 @@ func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop
 
 // invokeRetry runs the retry/backoff/failover loop for one logical
 // request at one location (forward hops restart it).
-func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), st *invStats) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
+func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), st *invStats) (Reply, error) {
 	pol := c.retry
 	attempts := pol.attempts()
 	rotor := 0
@@ -461,11 +493,10 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			if !pol.Budget.spend() {
-				return giop.ReplyHeader{}, 0, nil,
-					fmt.Errorf("orb: retry budget exhausted after %d attempts: %w", attempt-1, lastErr)
+				return Reply{}, fmt.Errorf("orb: retry budget exhausted after %d attempts: %w", attempt-1, lastErr)
 			}
 			if err := sleepCtx(ctx, pol.backoff(attempt-1)); err != nil {
-				return giop.ReplyHeader{}, 0, nil, fmt.Errorf("%w: %v (last error: %v)", ErrCanceled, err, lastErr)
+				return Reply{}, fmt.Errorf("%w: %v (last error: %v)", ErrCanceled, err, lastErr)
 			}
 			c.opMetricsFor(hdr.Operation).retries.Inc()
 		}
@@ -494,10 +525,10 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 			}
 		}
 		attemptStart := time.Now()
-		rh, order, raw, err := c.invokeOnce(attemptCtx, ep, hdr, body)
+		r, err := c.invokeOnce(attemptCtx, ep, hdr, body)
 		c.attemptHist(ep).ObserveDuration(time.Since(attemptStart))
-		if err == nil && rh.Status == giop.ReplySystemException {
-			if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(order, raw)); derr == nil {
+		if err == nil && r.Header.Status == giop.ReplySystemException {
+			if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr == nil {
 				switch ex.Code {
 				case "TRANSIENT":
 					// A draining or overloaded server answers TRANSIENT:
@@ -512,6 +543,9 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 					err = fmt.Errorf("%w: %s: %s", ErrDeadlineExpired, ep, ex.Detail)
 				}
 			}
+			if err != nil {
+				r.Release() // the exception became the error
+			}
 		}
 		if err != nil {
 			span.Annotate("error", err.Error())
@@ -520,22 +554,21 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 		if err == nil {
 			c.health.onSuccess(ep)
 			pol.Budget.onSuccess()
-			return rh, order, raw, nil
+			return r, nil
 		}
 		if retryable(err) {
 			c.health.onFailure(ep, err)
 		}
 		if !retryable(err) || ctx.Err() != nil {
-			return giop.ReplyHeader{}, 0, nil, err
+			return Reply{}, err
 		}
 		lastErr = err
 		rotor++ // prefer a different replica on the next attempt
 	}
 	if attempts > 1 {
-		return giop.ReplyHeader{}, 0, nil,
-			fmt.Errorf("orb: %d attempts across %d endpoints failed: %w", attempts, len(endpoints), lastErr)
+		return Reply{}, fmt.Errorf("orb: %d attempts across %d endpoints failed: %w", attempts, len(endpoints), lastErr)
 	}
-	return giop.ReplyHeader{}, 0, nil, lastErr
+	return Reply{}, lastErr
 }
 
 // pickEndpoint chooses the attempt's endpoint: the first one from
@@ -568,10 +601,10 @@ func decodeForward(order cdr.ByteOrder, body []byte) ([]string, error) {
 	return ref.FailoverEndpoints(), nil
 }
 
-func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
+func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (Reply, error) {
 	cc, err := c.conn(endpoint)
 	if err != nil {
-		return giop.ReplyHeader{}, 0, nil, err
+		return Reply{}, err
 	}
 	hdr.RequestID = cc.nextID.Add(1)
 	// The attempt's trace identity (if any) rides the request header,
@@ -591,8 +624,9 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 		}
 	}
 
-	// The request is marshaled into a pooled encoder, released as soon
-	// as the frame write has consumed the bytes.
+	// The request is marshaled into a pooled encoder — element blocks
+	// the body splices go out from the caller's storage in the same
+	// writev — released as soon as the frame write has returned.
 	e := giop.AcquireEncoder(c.order)
 	hdr.Encode(e.Encoder)
 	if body != nil {
@@ -600,33 +634,37 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 	}
 
 	if !hdr.ResponseExpected {
-		err := cc.write(giop.MsgRequest, e.Bytes())
+		err := cc.write(giop.MsgRequest, e)
 		e.Release()
 		if err != nil {
-			return giop.ReplyHeader{}, 0, nil, err
+			return Reply{}, err
 		}
-		return giop.ReplyHeader{RequestID: hdr.RequestID, Status: giop.ReplyOK}, c.order, nil, nil
+		return Reply{Header: giop.ReplyHeader{RequestID: hdr.RequestID, Status: giop.ReplyOK}, Order: c.order}, nil
 	}
 
 	ch := make(chan reply, 1)
 	cc.addPending(hdr.RequestID, ch)
 	defer cc.removePending(hdr.RequestID)
 
-	werr := cc.write(giop.MsgRequest, e.Bytes())
+	werr := cc.write(giop.MsgRequest, e)
 	e.Release()
 	if werr != nil {
-		return giop.ReplyHeader{}, 0, nil, werr
+		return Reply{}, werr
 	}
 	select {
 	case r := <-ch:
-		if r.err != nil {
-			return giop.ReplyHeader{}, 0, nil, r.err
-		}
-		return r.hdr, r.order, r.body, nil
+		return r.Reply, r.err
 	case <-ctx.Done():
 		// Best-effort cancel through the connection's preallocated
-		// cancel frame; the reply, if it still comes, is discarded by
-		// removePending.
+		// cancel frame. Once the waiter is gone the read loop releases
+		// a late reply itself; one it delivered in the meantime sits in
+		// ch and is released here.
+		cc.removePending(hdr.RequestID)
+		select {
+		case r := <-ch:
+			r.Release()
+		default:
+		}
 		_ = cc.sendCancel(hdr.RequestID)
 		// A deadline expiring with nothing framed back is a strike
 		// against the connection — connDeadlineStrikes of them in a row
@@ -638,7 +676,7 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 			cc.shutdown(fmt.Errorf("%w: evicted after %d consecutive deadline misses",
 				ErrConnectionLost, connDeadlineStrikes))
 		}
-		return giop.ReplyHeader{}, 0, nil, fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+		return Reply{}, fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
 	}
 }
 
@@ -661,17 +699,18 @@ func (c *Client) SendBlock(endpoint string, hdr giop.BlockTransferHeader, payloa
 		payload(e.Encoder)
 	}
 	n := e.Len() - hdrLen
-	err = cc.write(giop.MsgBlockTransfer, e.Bytes())
+	err = cc.write(giop.MsgBlockTransfer, e)
 	e.Release()
 	return n, err
 }
 
 // PutWindow ships one one-sided window put to endpoint. The header
 // comes from a pooled encoder; on the native-byte-order path the
-// element payload gather-writes straight from blk (one writev, zero
-// copies into frame buffers), so blk must stay unmodified until
-// PutWindow returns. Count is taken from len(blk), keeping header and
-// payload consistent by construction. Returns the payload byte count.
+// element payload is spliced, gather-writing straight from blk (one
+// writev, zero copies into frame buffers), so blk must stay unmodified
+// until PutWindow returns. Count is taken from len(blk), keeping header
+// and payload consistent by construction. Returns the payload byte
+// count.
 func (c *Client) PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []float64) (int, error) {
 	cc, err := c.conn(endpoint)
 	if err != nil {
@@ -682,15 +721,10 @@ func (c *Client) PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []floa
 	hdr.Count = uint32(len(blk))
 	e := giop.AcquireEncoder(c.order)
 	hdr.Encode(e.Encoder)
-	n := len(blk) * 8
-	if c.order == cdr.NativeOrder {
-		err = cc.writeTail(giop.MsgWindowPut, e.Bytes(), cdr.Float64Bytes(blk))
-	} else {
-		e.PutDoubles(blk)
-		err = cc.write(giop.MsgWindowPut, e.Bytes())
-	}
+	e.PutDoublesRef(blk)
+	err = cc.write(giop.MsgWindowPut, e)
 	e.Release()
-	return n, err
+	return len(blk) * 8, err
 }
 
 // Locate asks whether endpoint serves the object key, returning the
@@ -707,7 +741,7 @@ func (c *Client) Locate(ctx context.Context, endpoint, key string) (giop.LocateS
 	ch := make(chan reply, 1)
 	cc.addPending(id, ch)
 	defer cc.removePending(id)
-	werr := cc.write(giop.MsgLocateRequest, e.Bytes())
+	werr := cc.write(giop.MsgLocateRequest, e)
 	e.Release()
 	if werr != nil {
 		return 0, "", werr
@@ -717,7 +751,7 @@ func (c *Client) Locate(ctx context.Context, endpoint, key string) (giop.LocateS
 		if r.err != nil {
 			return 0, "", r.err
 		}
-		d := cdr.NewDecoder(r.order, r.body)
+		d := cdr.NewDecoder(r.Order, r.Body)
 		lh, err := giop.DecodeLocateReplyHeader(d)
 		if err != nil {
 			return 0, "", err
@@ -757,10 +791,8 @@ func (c *Client) Close() error {
 
 // reply is what the read loop hands back to a waiting invoker.
 type reply struct {
-	hdr   giop.ReplyHeader
-	order cdr.ByteOrder
-	body  []byte
-	err   error
+	Reply
+	err error
 }
 
 // clientConn is one stripe member: a cached connection with a reader
@@ -796,22 +828,13 @@ type clientConn struct {
 	dead    bool
 }
 
-func (cc *clientConn) write(t giop.MsgType, body []byte) error {
+// write frames the message e encoded, spliced element blocks
+// included, as one gather write under the write lock; see
+// giop.WriteEncoded.
+func (cc *clientConn) write(t giop.MsgType, e *giop.PooledEncoder) error {
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
-	if err := giop.WriteMessage(cc.raw, cc.owner.order, t, body); err != nil {
-		cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
-	}
-	return nil
-}
-
-// writeTail frames head+tail as one message under the write lock; see
-// giop.WriteMessageTail.
-func (cc *clientConn) writeTail(t giop.MsgType, head, tail []byte) error {
-	cc.writeMu.Lock()
-	defer cc.writeMu.Unlock()
-	if err := giop.WriteMessageTail(cc.raw, cc.owner.order, t, head, tail); err != nil {
+	if err := giop.WriteEncoded(cc.raw, t, e.Encoder); err != nil {
 		cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
 	}
@@ -894,9 +917,11 @@ func (cc *clientConn) shutdown(cause error) {
 func (cc *clientConn) readLoop() {
 	// A FrameReader buffers the socket so a header+body pair costs one
 	// raw Read in the common case. Reply/LocateReply/BlockTransfer
-	// bodies transfer ownership out of the loop (never pooled), so
-	// slicing them into reply/Block values is safe; control-frame
-	// bodies are released back to the frame pool here.
+	// bodies transfer ownership out of the loop, so slicing them into
+	// reply/Block values is safe: a recycled (large) reply body goes to
+	// its waiter with the Reply, which releases it — or back to the
+	// pool right here when no waiter is left. Control-frame bodies are
+	// released back to the frame pool here.
 	fr := giop.NewFrameReader(cc.raw)
 	for {
 		f, err := fr.ReadFrame()
@@ -909,12 +934,15 @@ func (cc *clientConn) readLoop() {
 			d := cdr.NewDecoder(f.Order, f.Body)
 			rh, err := giop.DecodeReplyHeader(d)
 			if err != nil {
+				f.Release()
 				cc.shutdown(fmt.Errorf("%w: bad reply header: %v", ErrConnectionLost, err))
 				return
 			}
 			cc.strikes.Store(0) // the flow demonstrably delivers replies
 			if ch, ok := cc.takePending(rh.RequestID); ok {
-				ch <- reply{hdr: rh, order: f.Order, body: f.Body[d.Pos():]}
+				ch <- reply{Reply: Reply{Header: rh, Order: f.Order, Body: f.Body[d.Pos():], buf: f.Detach()}}
+			} else {
+				f.Release() // its waiter gave up: nobody will read it
 			}
 		case giop.MsgLocateReply:
 			// LocateReply shares the pending table; the request id
@@ -926,7 +954,7 @@ func (cc *clientConn) readLoop() {
 				return
 			}
 			if ch, ok := cc.takePending(id); ok {
-				ch <- reply{order: f.Order, body: f.Body}
+				ch <- reply{Reply: Reply{Order: f.Order, Body: f.Body}}
 			}
 		case giop.MsgBlockTransfer:
 			d := cdr.NewDecoder(f.Order, f.Body)

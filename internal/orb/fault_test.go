@@ -94,18 +94,18 @@ func TestFaultFailoverUnderConnectionCuts(t *testing.T) {
 			WithDefaultDeadline(5*time.Second),
 			WithBreaker(3, 20*time.Millisecond))
 		msg := fmt.Sprintf("msg-%d", i)
-		rh, order, body, err := cli.InvokeRef(context.Background(), fx.ref,
+		r, err := cli.InvokeRef(context.Background(), fx.ref,
 			requestHeader(cli, "echo", "op"),
 			func(e *cdr.Encoder) { e.PutString(msg) })
 		if err != nil {
 			cli.Close()
 			t.Fatalf("invocation %d lost despite retry+failover: %v", i, err)
 		}
-		if rh.Status != giop.ReplyOK {
+		if r.Header.Status != giop.ReplyOK {
 			cli.Close()
-			t.Fatalf("invocation %d: status %v", i, rh.Status)
+			t.Fatalf("invocation %d: status %v", i, r.Header.Status)
 		}
-		s, derr := cdr.NewDecoderAt(order, body, 8).String()
+		s, derr := cdr.NewDecoderAt(r.Order, r.Body, 8).String()
 		cli.Close()
 		if derr != nil || !strings.HasSuffix(s, ":"+msg) {
 			t.Fatalf("invocation %d: reply %q, %v", i, s, derr)
@@ -129,7 +129,7 @@ func TestFaultDialRefusalFailover(t *testing.T) {
 			WithRetryPolicy(RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Millisecond,
 				MaxBackoff: 5 * time.Millisecond}),
 			WithBreaker(2, 10*time.Millisecond))
-		_, _, _, err := cli.InvokeRef(context.Background(), fx.ref,
+		_, err := cli.InvokeRef(context.Background(), fx.ref,
 			requestHeader(cli, "echo", "op"),
 			func(e *cdr.Encoder) { e.PutString("x") })
 		cli.Close()
@@ -149,7 +149,7 @@ func TestFaultHungServerDeadline(t *testing.T) {
 	cli := NewClient(fx.reg, WithDefaultDeadline(150*time.Millisecond))
 	defer cli.Close()
 	start := time.Now()
-	_, _, _, err := cli.InvokeRef(context.Background(), fx.ref,
+	_, err := cli.InvokeRef(context.Background(), fx.ref,
 		requestHeader(cli, "echo", "op"),
 		func(e *cdr.Encoder) { e.PutString("x") })
 	if !errors.Is(err, ErrCanceled) {
@@ -301,12 +301,12 @@ func TestFaultGracefulShutdownDrains(t *testing.T) {
 	}
 
 	// New work fails over to the backup replica.
-	_, order, body, err := cli.InvokeRef(context.Background(), ref,
+	r, err := cli.InvokeRef(context.Background(), ref,
 		requestHeader(cli, "echo", "op"), nil)
 	if err != nil {
 		t.Fatalf("failover after shutdown: %v", err)
 	}
-	if s, _ := cdr.NewDecoderAt(order, body, 8).String(); s != "backup" {
+	if s, _ := cdr.NewDecoderAt(r.Order, r.Body, 8).String(); s != "backup" {
 		t.Fatalf("reply came from %q, want the backup replica", s)
 	}
 }
@@ -399,12 +399,12 @@ func TestFaultTransientRejectionDuringDrain(t *testing.T) {
 	}
 
 	// A request sent mid-drain must land on the backup.
-	_, order, body, err := cli.InvokeRef(context.Background(), ref,
+	r, err := cli.InvokeRef(context.Background(), ref,
 		requestHeader(cli, "echo", "op"), nil)
 	if err != nil {
 		t.Fatalf("mid-drain invocation: %v", err)
 	}
-	if s, _ := cdr.NewDecoderAt(order, body, 8).String(); s != "backup" {
+	if s, _ := cdr.NewDecoderAt(r.Order, r.Body, 8).String(); s != "backup" {
 		t.Fatalf("mid-drain reply from %q, want backup", s)
 	}
 	close(release)

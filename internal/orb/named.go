@@ -38,7 +38,8 @@ var reResolves = telemetry.Default.Counter("pardis_client_reresolves_total")
 // invalidated and the name re-resolved (up to maxResolveRounds
 // rounds) — the client-visible contract is that a request keeps
 // completing as long as *some* live replica exists, even if the one
-// it was routed to died mid-burst.
+// it was routed to died mid-burst. As with Invoke, the returned body is
+// the caller's to keep.
 func (c *Client) InvokeNamed(ctx context.Context, src RefSource, name string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
 	var lastErr error
 	for round := 0; round < maxResolveRounds; round++ {
@@ -53,9 +54,9 @@ func (c *Client) InvokeNamed(ctx context.Context, src RefSource, name string, hd
 		// round doubles as the invocation's re-resolve count so the
 		// flight record of the attempt that finally lands shows how
 		// many resolutions it burned getting there.
-		rh, order, raw, err := c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, round)
+		r, err := c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, round)
 		if err == nil || !retryable(err) || ctx.Err() != nil {
-			return rh, order, raw, err
+			return r.Header, r.Order, r.Body, err
 		}
 		// The whole resolved replica set failed: the ranking is stale
 		// (dead replicas, moved object). Drop it and ask again.

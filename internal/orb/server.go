@@ -44,6 +44,9 @@ type Incoming struct {
 	Endpoint string
 
 	conn *serverConn
+	// buf is Body's recycled backing when the request was larger than
+	// giop.DefaultReadBufSize (nil otherwise); see Release.
+	buf *giop.Buffer
 }
 
 // Decoder returns a CDR decoder positioned at the first in-argument.
@@ -51,7 +54,22 @@ func (in *Incoming) Decoder() *cdr.Decoder {
 	return cdr.NewDecoderAt(in.Order, in.Body, in.BodyBase)
 }
 
-// Reply sends a normal or exceptional reply with a marshaled body.
+// Release hands the request body back for reuse once nothing reads it
+// any more — in particular nothing decoded from it that still aliases
+// it. Body is cleared. A handler that never calls Release leaves the
+// body to the garbage collector; a second Release is a no-op. Replying
+// does not release: the reply may be marshaled from the request's
+// bytes.
+func (in *Incoming) Release() {
+	in.Body = nil
+	in.buf.Release()
+	in.buf = nil
+}
+
+// Reply sends a normal or exceptional reply with a marshaled body. The
+// body callback writes into a pooled encoder whose PutDoublesRef
+// splices element blocks instead of copying them: those blocks must
+// stay unmodified until Reply returns.
 func (in *Incoming) Reply(status giop.ReplyStatus, body func(*cdr.Encoder)) error {
 	if !in.Header.ResponseExpected {
 		return nil
@@ -61,7 +79,7 @@ func (in *Incoming) Reply(status giop.ReplyStatus, body func(*cdr.Encoder)) erro
 	if body != nil {
 		body(e.Encoder)
 	}
-	err := in.conn.write(giop.MsgReply, e.Bytes())
+	err := in.conn.write(giop.MsgReply, e)
 	e.Release()
 	return err
 }
@@ -420,10 +438,19 @@ type serverConn struct {
 	dead     bool
 }
 
-func (sc *serverConn) write(t giop.MsgType, body []byte) error {
+// write frames one message under the write lock, as one gather write:
+// the bytes e encoded, spliced element blocks included, or an empty
+// body when e is nil.
+func (sc *serverConn) write(t giop.MsgType, e *giop.PooledEncoder) error {
 	sc.writeMu.Lock()
 	defer sc.writeMu.Unlock()
-	if err := giop.WriteMessage(sc.raw, sc.srv.order, t, body); err != nil {
+	var err error
+	if e == nil {
+		err = giop.WriteMessage(sc.raw, sc.srv.order, t, nil)
+	} else {
+		err = giop.WriteEncoded(sc.raw, t, e.Encoder)
+	}
+	if err != nil {
 		sc.close()
 		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
 	}
@@ -456,7 +483,8 @@ func (sc *serverConn) readLoop() {
 	// version, which the header decoder needs: 1.0 peers frame request
 	// headers without trace bytes. Control-frame bodies are pooled and
 	// released here once decoded; Request/BlockTransfer bodies escape
-	// to handlers and block sinks, so ownership transfers with them.
+	// to handlers and block sinks, so ownership transfers with them (a
+	// recycled request body to the handler's Incoming; see Release).
 	fr := giop.NewFrameReader(sc.raw)
 	for {
 		fh, err := fr.ReadFrameHeader()
@@ -479,7 +507,8 @@ func (sc *serverConn) readLoop() {
 		t, order, body := f.Type, f.Order, f.Body
 		switch t {
 		case giop.MsgRequest:
-			if err := sc.handleRequest(f.Minor, order, body); err != nil {
+			if err := sc.handleRequest(&f); err != nil {
+				f.Release()
 				return
 			}
 		case giop.MsgLocateRequest:
@@ -555,26 +584,32 @@ func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader)
 	return sc.srv.blocks.bufferWindowPut(wh, fh.Order, buf)
 }
 
-func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte) error {
-	d := cdr.NewDecoder(order, body)
-	hdr, err := giop.DecodeRequestHeaderV(d, minor)
+// handleRequest decodes the request header of f and dispatches the
+// request to its handler, which takes over the frame's body. Requests
+// answered before a handler sees them release the body right after the
+// reply; on an error return f still owns it.
+func (sc *serverConn) handleRequest(f *giop.Frame) error {
+	d := cdr.NewDecoder(f.Order, f.Body)
+	hdr, err := giop.DecodeRequestHeaderV(d, f.Minor)
 	if err != nil {
 		// Unparseable request: poison the stream, give up.
 		return fmt.Errorf("orb: bad request header: %w", err)
 	}
 	in := &Incoming{
 		Header:   hdr,
-		Order:    order,
-		Body:     body[d.Pos():],
+		Order:    f.Order,
+		Body:     f.Body[d.Pos():],
 		BodyBase: d.Pos(),
 		Endpoint: sc.endpoint,
 		conn:     sc,
+		buf:      f.Detach(),
 	}
 	h, ok := sc.srv.handler(hdr.ObjectKey)
 	if !ok {
 		telemetry.Default.Counter("pardis_server_no_object_total", "key", hdr.ObjectKey).Inc()
 		_ = in.ReplySystemException("OBJECT_NOT_EXIST",
 			fmt.Sprintf("no object with key %q", hdr.ObjectKey))
+		in.Release()
 		return nil
 	}
 	// Admission is gated on the drain flag under the server mutex, so
@@ -587,6 +622,7 @@ func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte
 		sc.srv.mu.Unlock()
 		telemetry.Default.Counter("pardis_server_transient_rejections_total").Inc()
 		_ = in.ReplySystemException("TRANSIENT", "server draining")
+		in.Release()
 		return nil
 	}
 	sc.srv.reqWG.Add(1)
@@ -623,6 +659,7 @@ func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte
 			sc.mu.Unlock()
 			cancel()
 			span.End()
+			in.Release()
 			sc.srv.reqWG.Done()
 			return nil
 		}
@@ -683,6 +720,7 @@ func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte
 			shedExpired.Inc()
 			failure = "deadline expired before dispatch"
 			_ = in.ReplySystemException("TIMEOUT", "request deadline expired before dispatch")
+			in.Release()
 			return
 		}
 		if sc.srv.adm != nil {
@@ -691,6 +729,7 @@ func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte
 			queueWait = time.Since(admitStart)
 			if !ok {
 				failure = "shed by admission control"
+				in.Release()
 				return
 			}
 			defer release()
@@ -715,7 +754,7 @@ func (sc *serverConn) handleLocate(order cdr.ByteOrder, body []byte) error {
 	}
 	e := giop.AcquireEncoder(sc.srv.order)
 	(&giop.LocateReplyHeader{RequestID: lh.RequestID, Status: status}).Encode(e.Encoder)
-	err = sc.write(giop.MsgLocateReply, e.Bytes())
+	err = sc.write(giop.MsgLocateReply, e)
 	e.Release()
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"pardis/internal/mp"
 	"pardis/internal/orb"
 	"pardis/internal/rts"
+	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
 
@@ -246,7 +248,9 @@ func TestFaultCentralizedShortReply(t *testing.T) {
 // real object, whose communicator must unmarshal the frame straight
 // into its threads' blocks, and a real binding against a foreign-order
 // server, whose reply the client communicator must unmarshal into its
-// threads' blocks.
+// threads' blocks. Each raw peer speaks both the gathered encoding and
+// the marshal-in-place one, whose blocks a foreign-order pooled encoder
+// must copy and swap instead of splicing.
 func TestCentralizedCrossEndian(t *testing.T) {
 	const n = 301
 	for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
@@ -256,32 +260,42 @@ func TestCentralizedCrossEndian(t *testing.T) {
 			defer obj.close()
 			cli := orb.NewClient(reg, orb.WithByteOrder(order))
 			defer cli.Close()
-			rh, d := rawInvoke(t, cli, obj.ref, legacyInvocation(2, InOut, n, ramp(n)))
-			if rh.Status != giop.ReplyOK {
-				t.Fatalf("status %v", rh.Status)
-			}
-			enc, err := d.Encapsulation()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if steps, err := enc.Long(); err != nil || steps != 2 {
-				t.Fatalf("scalar reply %d (%v)", steps, err)
-			}
-			if _, err := d.ULong(); err != nil {
-				t.Fatal(err)
-			}
-			out, err := d.DoubleSeq()
-			if err != nil || len(out) != n {
-				t.Fatalf("out argument: %d elements (%v)", len(out), err)
-			}
-			for i, v := range out {
-				if v != float64(4*i) {
-					t.Fatalf("out[%d] = %v, want %v", i, v, 4*i)
+			in := ramp(n)
+			inPlace := &invocationWire{Method: Centralized, Args: []*argWire{{
+				Mode: InOut, Length: n, ClientCounts: []int{n},
+				Blocks: [][]float64{in[:100], nil, in[100:]},
+			}}}
+			inPlace.Scalars = []byte{byte(cdr.BigEndian), 0, 0, 0, 0, 0, 0, 2}
+			for _, body := range []func(*cdr.Encoder){legacyInvocation(2, InOut, n, in), inPlace.encode} {
+				rh, d := rawInvoke(t, cli, obj.ref, body)
+				if rh.Status != giop.ReplyOK {
+					t.Fatalf("status %v", rh.Status)
+				}
+				enc, err := d.Encapsulation()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if steps, err := enc.Long(); err != nil || steps != 2 {
+					t.Fatalf("scalar reply %d (%v)", steps, err)
+				}
+				if _, err := d.ULong(); err != nil {
+					t.Fatal(err)
+				}
+				out, err := d.DoubleSeq()
+				if err != nil || len(out) != n {
+					t.Fatalf("out argument: %d elements (%v)", len(out), err)
+				}
+				for i, v := range out {
+					if v != float64(4*i) {
+						t.Fatalf("out[%d] = %v, want %v", i, v, 4*i)
+					}
 				}
 			}
 		})
 		t.Run(order.String()+" server", func(t *testing.T) {
 			reg := newReg()
+			var mu sync.Mutex
+			calls := 0 // odd calls answer gathered, even ones in place
 			ref := fakeObject(t, reg, func(in *orb.Incoming) {
 				w, err := decodeInvocationWire(in.Decoder())
 				if err != nil || len(w.Args) != 1 {
@@ -293,10 +307,24 @@ func TestCentralizedCrossEndian(t *testing.T) {
 				for i := range out {
 					out[i] *= 4
 				}
-				_ = in.Reply(giop.ReplyOK, legacyReply(2, out))
+				mu.Lock()
+				calls++
+				legacy := calls%2 == 1
+				mu.Unlock()
+				if legacy {
+					_ = in.Reply(giop.ReplyOK, legacyReply(2, out))
+					return
+				}
+				r := &replyWire{Scalars: []byte{0, 0, 0, 0, 0, 0, 2}, Args: [][][]float64{{out[:7], nil, out[7:]}}}
+				_ = in.Reply(giop.ReplyOK, r.encode)
 			}, orb.WithServerByteOrder(order))
 			everyRank(t, reg, 3, ref, func(b *Binding, th rts.Thread) error {
-				return invokeDiffusion(b, th, n, 2)
+				for i := 0; i < 2; i++ {
+					if err := invokeDiffusion(b, th, n, 2); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 		})
 	}
@@ -304,16 +332,26 @@ func TestCentralizedCrossEndian(t *testing.T) {
 
 // TestCentralizedRequestWireUnchanged: marshaling from lent blocks must
 // emit, on every attempt, exactly the bytes the gathered sequence
-// marshaled to — empty blocks and both byte orders included.
+// marshaled to — empty blocks and both byte orders included — and so
+// must the frames the gather writer puts on the wire, request and
+// reply: header, encoded head, the spliced blocks and the encoded tail,
+// seen by a metered connection as one writev, byte for byte what a
+// copying encoder framed with WriteMessage emits, wherever in the
+// stream the blocks start.
 func TestCentralizedRequestWireUnchanged(t *testing.T) {
 	full := ramp(11)
+	blocks := [][]float64{full[:4], nil, full[4:]}
 	w := &invocationWire{
 		Method:  Centralized,
 		Scalars: []byte{byte(cdr.BigEndian), 0, 0, 0, 0, 0, 0, 7},
 		Args: []*argWire{{
 			Mode: InOut, Length: 11, ClientCounts: []int{4, 0, 7},
-			Blocks: [][]float64{full[:4], nil, full[4:]},
+			Blocks: blocks,
 		}},
+	}
+	reply := &replyWire{
+		Scalars: []byte{0, 0, 0, 0, 0, 0, 7},
+		Args:    [][][]float64{blocks, {nil, {}, full[:1]}, {full[9:], full[:9]}},
 	}
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		want := cdr.NewEncoderAt(order, 5)
@@ -333,6 +371,143 @@ func TestCentralizedRequestWireUnchanged(t *testing.T) {
 				t.Fatalf("%v, attempt %d: request body differs from the gathered encoding", order, attempt)
 			}
 		}
+
+		// The frames as sent: every object key length from 0 to 7 moves
+		// the invocation body to another stream offset mod 8.
+		for pad := 0; pad < 8; pad++ {
+			hdr := giop.RequestHeader{RequestID: 3, InvocationID: 9, ResponseExpected: true,
+				ObjectKey: strings.Repeat("k", pad), Operation: "diffusion", ThreadCount: 2}
+			rh := giop.ReplyHeader{RequestID: uint32(pad), Status: giop.ReplyOK}
+			for name, msg := range map[string]struct {
+				t      giop.MsgType
+				encode func(*cdr.Encoder)
+			}{
+				"request": {giop.MsgRequest, func(e *cdr.Encoder) { hdr.Encode(e); w.encode(e) }},
+				"reply":   {giop.MsgReply, func(e *cdr.Encoder) { rh.Encode(e); reply.encode(e) }},
+			} {
+				copying := cdr.NewEncoder(order)
+				msg.encode(copying)
+				var wantFrame bytes.Buffer
+				if err := giop.WriteMessage(&wantFrame, order, msg.t, copying.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				for attempt := 1; attempt <= 2; attempt++ {
+					pe := giop.AcquireEncoder(order)
+					msg.encode(pe.Encoder)
+					spliced := len(pe.Splices())
+					var conn wireRecorder
+					err := giop.WriteEncoded(&conn, msg.t, pe.Encoder)
+					pe.Release()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(conn.Bytes(), wantFrame.Bytes()) {
+						t.Fatalf("%v %s, key %d, attempt %d: gathered frame differs from the copying encoder's\n got % x\nwant % x",
+							order, name, pad, attempt, conn.Bytes(), wantFrame.Bytes())
+					}
+					if conn.writes != 1 {
+						t.Fatalf("%v %s: %d writes for one frame", order, name, conn.writes)
+					}
+					if (order == cdr.NativeOrder) != (spliced > 0) {
+						t.Fatalf("%v %s: %d blocks spliced (host order %v)", order, name, spliced, cdr.NativeOrder)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShedRequestsReleasedOnce: a recycled request body that the
+// communicator answers before the collective is engaged — MARSHAL for
+// an undecodable invocation, BAD_PARAM for inline data of the wrong
+// length, TIMEOUT for a queued request whose deadline passed — goes back
+// to its pool exactly once, as does the body of a dispatched one.
+func TestShedRequestsReleasedOnce(t *testing.T) {
+	hang, hanging := make(chan struct{}), make(chan struct{}, 3)
+	ops := func(th rts.Thread) map[string]*Op {
+		ops := diffusionOps(th)
+		ops["hang"] = &Op{Spec: ops["diffusion"].Spec, Handler: func(*Call) error {
+			hanging <- struct{}{}
+			<-hang
+			return nil
+		}}
+		return ops
+	}
+	reg := newReg()
+	obj := startObject(t, reg, 3, false, ops)
+	defer obj.close()
+	cli := orb.NewClient(reg)
+	defer cli.Close()
+	const n = giop.DefaultReadBufSize / 8 * 2
+	ledger := func() (gets, puts uint64) {
+		return telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body").Value(),
+			telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body").Value()
+	}
+	invoke := func(ctx context.Context, op string, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
+		return cli.Invoke(ctx, obj.ref.Endpoints[0], giop.RequestHeader{
+			InvocationID: cli.NewInvocationID(), ResponseExpected: true,
+			ObjectKey: obj.ref.Key, Operation: op, ThreadCount: 1,
+		}, body)
+	}
+	wantException := func(what, code string, rh giop.ReplyHeader, order cdr.ByteOrder, raw []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		ex, derr := giop.DecodeSystemException(cdr.NewDecoderAt(order, raw, 8))
+		if rh.Status != giop.ReplySystemException || derr != nil || ex.Code != code {
+			t.Fatalf("%s: status %v, exception %+v (%v), want %s", what, rh.Status, ex, derr, code)
+		}
+	}
+
+	g0, p0 := ledger()
+	rh, order, raw, err := invoke(context.Background(), "diffusion", func(e *cdr.Encoder) {
+		e.PutOctet(byte(Centralized))
+		e.PutOctetSeq(make([]byte, 2*giop.DefaultReadBufSize))
+		e.PutULong(1 << 30) // more arguments than bytes left
+	})
+	wantException("undecodable invocation", "MARSHAL", rh, order, raw, err)
+	rh, order, raw, err = invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, 300, ramp(n)))
+	wantException("inline data of the wrong length", "BAD_PARAM", rh, order, raw, err)
+
+	// Park the collective in a hung dispatch, queue a request behind it
+	// that gives up first, then let the dispatch finish: the communicator
+	// pops an expired request and sheds it.
+	hung := make(chan error, 1)
+	go func() {
+		_, _, _, err := invoke(context.Background(), "hang", legacyInvocation(1, InOut, 8, ramp(8)))
+		hung <- err
+	}()
+	<-hanging
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, _, _, err = invoke(ctx, "diffusion", legacyInvocation(1, InOut, n, ramp(n)))
+	cancel()
+	if !errors.Is(err, orb.ErrCanceled) {
+		t.Fatalf("queued invocation: %v, want it to give up", err)
+	}
+	// The server rebased the deadline on arrival, a hair after the
+	// client stamped it; give its clock that hair before unparking.
+	time.Sleep(20 * time.Millisecond)
+	close(hang)
+	if err := <-hung; err != nil {
+		t.Fatal(err)
+	}
+	if rh, _, _, err := invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, n, ramp(n))); err != nil || rh.Status != giop.ReplyOK {
+		t.Fatalf("dispatched invocation: %v %v", rh.Status, err)
+	}
+
+	// Four large requests: MARSHAL, BAD_PARAM, TIMEOUT, served. The
+	// served one's reply is large too and stays with Invoke's caller.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g, p := ledger()
+		if g-g0 == 5 && p-p0 == 4 {
+			break
+		}
+		if p-p0 > g-g0 || time.Now().After(deadline) {
+			t.Fatalf("%d large bodies drawn, %d handed back; want 5 and 4", g-g0, p-p0)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

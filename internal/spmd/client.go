@@ -339,15 +339,15 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			ThreadCount:      int32(b.size),
 		}
 		describeT := time.Now()
-		rh, order, body, err := b.oc.InvokeRef(ctx, ref, hdr, nil)
+		r, err := b.oc.InvokeRef(ctx, ref, hdr, nil)
 		// The describe round trip doubles as the bind-time RTT probe: it
 		// is the cheapest request/reply pair the binding ever issues, and
 		// it happens exactly once, before any transfer needs the model.
 		if b.autoTune && err == nil {
 			AutoTuner.Probe(b.pathKey, time.Since(describeT))
 		}
-		if err == nil && rh.Status != giop.ReplyOK {
-			err = fmt.Errorf("%w: describe returned %v", ErrRemote, rh.Status)
+		if err == nil && r.Header.Status != giop.ReplyOK {
+			err = fmt.Errorf("%w: describe returned %v", ErrRemote, r.Header.Status)
 		}
 		var payload []byte
 		if err != nil {
@@ -355,8 +355,9 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		} else {
 			// The reply travels on as the server wrote it, behind its
 			// byte-order octet: every thread decodes in that order.
-			payload = append([]byte{1, byte(order)}, body...)
+			payload = append([]byte{1, byte(r.Order)}, r.Body...)
 		}
+		r.Release() // payload holds a copy
 		if _, berr := b.th.Bcast(0, payload); berr != nil {
 			b.Close()
 			return nil, berr
@@ -460,12 +461,13 @@ func (b *Binding) Renew(ctx context.Context) error {
 		ThreadRank:       0,
 		ThreadCount:      int32(b.size),
 	}
-	rh, _, _, err := b.oc.InvokeRef(ctx, b.ref, hdr, nil)
+	r, err := b.oc.InvokeRef(ctx, b.ref, hdr, nil)
 	if err != nil {
 		return err
 	}
-	if rh.Status != giop.ReplyOK {
-		return fmt.Errorf("%w: renew returned %v", ErrRemote, rh.Status)
+	r.Release()
+	if r.Header.Status != giop.ReplyOK {
+		return fmt.Errorf("%w: renew returned %v", ErrRemote, r.Header.Status)
 	}
 	return nil
 }
@@ -503,18 +505,14 @@ type Pending struct {
 
 	// Communicator only. fut resolves when the invoke goroutine exits;
 	// stop cancels it. lent[i] holds every thread's local block of
-	// centralized argument i: the goroutine marshals the request from
-	// them on each attempt and Wait unmarshals the reply into them, so
-	// the goroutine must have exited before Wait's status broadcast hands
-	// the blocks back to their threads.
-	fut  *future.Future[replyEnvelope]
+	// centralized argument i: the goroutine writes the request from
+	// them on each attempt (spliced, not copied, in the host's order)
+	// and Wait unmarshals the reply into them, so the goroutine must have
+	// exited before Wait's status broadcast hands the blocks back to
+	// their threads.
+	fut  *future.Future[orb.Reply]
 	stop context.CancelFunc
 	lent [][][]float64
-}
-
-type replyEnvelope struct {
-	order cdr.ByteOrder
-	body  []byte
 }
 
 // outCollector is one argument's multi-port out-transfer on this client
@@ -719,7 +717,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 			ThreadRank:       0,
 			ThreadCount:      int32(b.size),
 		}
-		fut, resolver := future.New[replyEnvelope]()
+		fut, resolver := future.New[orb.Reply]()
 		p.fut = fut
 		ictx, stop := context.WithCancel(ctx)
 		p.stop = stop
@@ -727,26 +725,29 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 		// conventional (Threads==1) object it fails over across every
 		// replica endpoint; for an SPMD object the failover set is
 		// exactly the communicator port. It runs w.encode once per
-		// attempt, which only reads the lent blocks.
+		// attempt, which only reads the lent blocks, and writes each
+		// attempt's request straight from them.
 		go func() {
-			rh, order, body, err := b.oc.InvokeRef(ictx, b.ref, hdr, w.encode)
+			r, err := b.oc.InvokeRef(ictx, b.ref, hdr, w.encode)
 			if err != nil {
 				resolver.Reject(err)
 				return
 			}
-			switch rh.Status {
+			switch r.Header.Status {
 			case giop.ReplyOK:
-				resolver.Resolve(replyEnvelope{order: order, body: body})
+				resolver.Resolve(r) // Wait releases it
+				return
 			case giop.ReplySystemException:
-				ex, derr := giop.DecodeSystemException(cdr.NewDecoder(order, body))
-				if derr != nil {
-					resolver.Reject(fmt.Errorf("%w: undecodable system exception", ErrRemote))
-					return
+				if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr != nil {
+					err = fmt.Errorf("%w: undecodable system exception", ErrRemote)
+				} else {
+					err = fmt.Errorf("%w: %v", ErrRemote, ex)
 				}
-				resolver.Reject(fmt.Errorf("%w: %v", ErrRemote, ex))
 			default:
-				resolver.Reject(fmt.Errorf("%w: reply status %v", ErrRemote, rh.Status))
+				err = fmt.Errorf("%w: reply status %v", ErrRemote, r.Header.Status)
 			}
+			r.Release()
+			resolver.Reject(err)
 		}()
 	}
 
@@ -828,12 +829,14 @@ func (p *Pending) abandon() {
 
 // awaitReply returns the invoke goroutine's outcome on the
 // communicator, and only once that goroutine has exited: when ctx ends
-// first the invocation is cancelled and joined.
-func (p *Pending) awaitReply(ctx context.Context) (replyEnvelope, error) {
-	env, err := p.fut.GetContext(ctx)
+// first the invocation is cancelled and joined (a reply that made it
+// regardless is left to the garbage collector). The caller owns a
+// returned reply.
+func (p *Pending) awaitReply(ctx context.Context) (orb.Reply, error) {
+	r, err := p.fut.GetContext(ctx)
 	p.stop()
 	<-p.fut.Done()
-	return env, err
+	return r, err
 }
 
 // unmarshalReply decodes a reply body on the communicator — the scalar
@@ -841,9 +844,9 @@ func (p *Pending) awaitReply(ctx context.Context) (replyEnvelope, error) {
 // wrote them right after the 8-octet ReplyHeader — scattering as part
 // of unmarshaling: the out-arguments decode straight into the threads'
 // lent blocks. It returns the scalar encapsulation for the status
-// broadcast.
-func (p *Pending) unmarshalReply(env replyEnvelope) ([]byte, error) {
-	rd := cdr.NewDecoderAt(env.order, env.body, 8)
+// broadcast, which aliases the reply body.
+func (p *Pending) unmarshalReply(r orb.Reply) ([]byte, error) {
+	rd := cdr.NewDecoderAt(r.Order, r.Body, 8)
 	scalars, err := rd.OctetSeq()
 	if err != nil {
 		return nil, err
@@ -872,7 +875,7 @@ func (p *Pending) unmarshalReply(env replyEnvelope) ([]byte, error) {
 			return nil, fmt.Errorf("reply out argument %d has %d of %d elements",
 				idx-1, len(raw)/8, a.Seq.Len())
 		}
-		decodeDoubleBlocks(p.lent[i], raw, env.order)
+		decodeDoubleBlocks(p.lent[i], raw, r.Order)
 	}
 	return scalars, nil
 }
@@ -927,9 +930,9 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	var envBytes []byte
 	if b.rank == 0 {
 		var scalars []byte
-		env, err := p.awaitReply(ctx)
+		r, err := p.awaitReply(ctx)
 		if err == nil {
-			scalars, err = p.unmarshalReply(env)
+			scalars, err = p.unmarshalReply(r)
 		}
 		e := cdr.NewEncoder(cdr.BigEndian)
 		e.PutBoolean(err == nil)
@@ -938,6 +941,10 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		} else {
 			e.PutOctetSeq(scalars)
 		}
+		// The status envelope holds its own copy of the scalars; the
+		// out-arguments are in the lent blocks. Nothing reads the reply
+		// body any more.
+		r.Release()
 		envBytes = e.Bytes()
 		if _, err := b.th.Bcast(0, envBytes); err != nil {
 			return err

@@ -361,10 +361,12 @@ func Export(cfg ObjectConfig) (*Object, error) {
 				return
 			}
 			select {
-			case o.queue <- in:
+			case o.queue <- in: // the communicator owns it now
 			case <-o.closed:
 				_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
+				in.Release()
 			case <-in.Ctx.Done():
+				in.Release()
 			}
 		})
 	} else if o.srv != nil {
@@ -581,6 +583,11 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		o.bcastControl(&control{OK: false})
 		return ctx.Err()
 	}
+	// The request body is this function's alone: the invocation wire's
+	// scalars and inline data alias it, and rank 0 decodes from both
+	// through phase 2 of the dispatch. Every path out — an early reply or
+	// the reply to the dispatch — has written its reply first.
+	defer in.Release()
 
 	// A queued invocation whose propagated deadline already passed is
 	// shed here, before the collective is engaged: the client has given
@@ -663,7 +670,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 	o.bcastControl(ctrl)
 
-	marshalReply, derr := o.dispatch(ctx, ctrl, w, in.Header)
+	reply, derr := o.dispatch(ctx, ctrl, w, in.Header)
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
 		// stopped waiting (or stopped existing), so the verdict must not
@@ -675,7 +682,10 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		_ = in.ReplySystemException("UNKNOWN", derr.Error())
 		return nil
 	}
-	return in.Reply(giop.ReplyOK, marshalReply)
+	// The reply is written straight from the threads' argument blocks;
+	// Reply returns only once the write has, before the next control
+	// broadcast lets any thread touch its blocks again.
+	return in.Reply(giop.ReplyOK, reply.encode)
 }
 
 // workerServeOne participates in one collective dispatch.
@@ -706,13 +716,13 @@ func (o *Object) bcastControl(c *control) {
 
 // dispatch is the collective body run by every thread: materialize
 // local argument blocks, invoke the handler, return out-data. Only
-// the communicator (which passes w != nil) returns the reply body's
-// marshaler; it reads the centralized out-arguments from the threads'
-// own blocks, which stay lent to it until the reply is written. ctx
-// is the Serve context: it (or Close) unblocks threads waiting on
-// block transfers whose sender died. (The per-request Incoming.Ctx is
-// useless here — it is cancelled as soon as the request is queued.)
-func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, hdr giop.RequestHeader) (_ func(*cdr.Encoder), err error) {
+// the communicator (which passes w != nil) returns the reply body; it
+// references the centralized out-arguments in the threads' own blocks,
+// which stay lent to it until the reply is written. ctx is the Serve
+// context: it (or Close) unblocks threads waiting on block transfers
+// whose sender died. (The per-request Incoming.Ctx is useless here —
+// it is cancelled as soon as the request is queued.)
+func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, hdr giop.RequestHeader) (_ *replyWire, err error) {
 	o.served.Add(1)
 	defer func() {
 		if err != nil {
@@ -874,17 +884,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if o.rank != 0 {
 		return nil, nil
 	}
-	// Reply body: the scalar results as an encapsulation, then the
-	// centralized out-arguments, marshaled in the reply's own encoder.
-	return func(e *cdr.Encoder) {
-		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) {
-			ie.PutOctets(call.reply.Bytes())
-		})
-		e.PutULong(uint32(len(replyArgs)))
-		for _, blocks := range replyArgs {
-			putDoubleBlocks(e, blocks)
-		}
-	}, nil
+	return &replyWire{Scalars: call.reply.Bytes(), Args: replyArgs}, nil
 }
 
 // argBlock returns this rank's n-element local block of distributed

@@ -12,6 +12,7 @@ import (
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
+	"pardis/internal/giop"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
 	"pardis/internal/orb"
@@ -146,6 +147,11 @@ func diffusionOps(th rts.Thread) map[string]*Op {
 				if err != nil {
 					return err
 				}
+				if steps < 0 || steps > 64 {
+					// A scalar read from a released (poisoned) request body
+					// must fail the call, not spin the handler for hours.
+					return fmt.Errorf("implausible step count %d", steps)
+				}
 				local := call.Args[0].LocalData()
 				for s := int32(0); s < steps; s++ {
 					for i := range local {
@@ -229,14 +235,28 @@ func invokeDiffusion(b *Binding, th rts.Thread, length int, steps int32) error {
 	return nil
 }
 
+// TestDiffusionCentralized runs the paper's example over the
+// centralized method. The large case's request and reply bodies exceed
+// the frame reader's buffer, so both are recycled, and it invokes
+// repeatedly so that every invocation after the first reads into a
+// body an earlier one gave back.
 func TestDiffusionCentralized(t *testing.T) {
-	for _, cfg := range []struct{ n, m int }{{1, 1}, {1, 4}, {2, 2}, {4, 2}, {3, 5}} {
-		t.Run(fmt.Sprintf("n%d_m%d", cfg.n, cfg.m), func(t *testing.T) {
+	for _, cfg := range []struct {
+		n, m, length int
+		name         string
+	}{{1, 1, 1000, ""}, {1, 4, 1000, ""}, {2, 2, 1000, ""}, {4, 2, 1000, ""}, {3, 5, 1000, ""},
+		{2, 4, 3 * giop.DefaultReadBufSize / 8, "_recycled"}} {
+		t.Run(fmt.Sprintf("n%d_m%d%s", cfg.n, cfg.m, cfg.name), func(t *testing.T) {
 			reg := newReg()
 			obj := startObject(t, reg, cfg.m, false, diffusionOps)
 			defer obj.close()
 			runClient(t, reg, cfg.n, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
-				return invokeDiffusion(b, th, 1000, 3)
+				for round := 0; round < 3; round++ {
+					if err := invokeDiffusion(b, th, cfg.length, 3); err != nil {
+						return fmt.Errorf("round %d: %w", round, err)
+					}
+				}
+				return nil
 			})
 		})
 	}

@@ -129,11 +129,15 @@ type argWire struct {
 	// Blocks is the inline element data of a centralized in/inout
 	// argument on the encoding side: the client threads' local blocks in
 	// rank order, lent to the communicator (nil otherwise). They marshal
-	// as one sequence<double>; the gathered sequence never exists.
+	// as one sequence<double>; the gathered sequence never exists, and
+	// on a pooled encoder in the host's order the blocks are spliced,
+	// not copied, so they must stay unmodified until the request has
+	// been written.
 	Blocks [][]float64
 	// Raw is the same data on the decoding side: the still-encoded
 	// elements in the request's byte order, aliasing the request frame
-	// (empty when the argument carried none).
+	// (empty when the argument carried none) — valid until the
+	// communicator releases the request.
 	Raw []byte
 }
 
@@ -146,16 +150,17 @@ func putCounts(e *cdr.Encoder, counts []int) {
 }
 
 // putDoubleBlocks marshals rank-ordered blocks as the one
-// sequence<double> they partition.
+// sequence<double> they partition. Each block goes in by PutDoublesRef:
+// spliced — written to the socket straight from the block — when e is
+// a pooled encoder in the host's order, copied (and swapped) otherwise.
 func putDoubleBlocks(e *cdr.Encoder, blocks [][]float64) {
 	n := 0
 	for _, blk := range blocks {
 		n += len(blk)
 	}
-	e.Reserve(16 + n*8) // count, alignment, elements
 	e.PutULong(uint32(n))
 	for _, blk := range blocks {
-		e.PutDoubles(blk)
+		e.PutDoublesRef(blk)
 	}
 }
 
@@ -222,7 +227,7 @@ func decodeArgWire(d *cdr.Decoder) (*argWire, error) {
 // after the request header.
 type invocationWire struct {
 	Method  TransferMethod
-	Scalars []byte // client-order CDR encapsulation of scalar in-args
+	Scalars []byte // client-order CDR encapsulation of scalar in-args; decoded, it aliases the request frame
 	Args    []*argWire
 	// order is the byte order of the request a decoded wire came from,
 	// in which its arguments' Raw element data still is.
@@ -265,6 +270,30 @@ func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
 		}
 	}
 	return &w, nil
+}
+
+// replyWire is the reply body the communicator sends after the
+// ReplyHeader: the scalar results as a big-endian encapsulation, then
+// the centralized out-arguments, each marshaled from the server
+// threads' blocks as the one sequence<double> they partition (decoded
+// by Pending.unmarshalReply).
+type replyWire struct {
+	// Scalars is the encapsulation's payload, encoded at stream offset 1
+	// (after the byte-order flag octet).
+	Scalars []byte
+	// Args holds each centralized out/inout argument's blocks in rank
+	// order, lent to the communicator until the reply has been written.
+	Args [][][]float64
+}
+
+func (w *replyWire) encode(e *cdr.Encoder) {
+	e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) {
+		ie.PutOctets(w.Scalars)
+	})
+	e.PutULong(uint32(len(w.Args)))
+	for _, blocks := range w.Args {
+		putDoubleBlocks(e, blocks)
+	}
 }
 
 // ArgSpec describes one distributed parameter of an operation as the

@@ -2,10 +2,12 @@ package spmd
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
+	"pardis/internal/giop"
 )
 
 // The three SPMD wires (invocation body, describe reply, control
@@ -13,15 +15,44 @@ import (
 // build. Each round-trip test encodes, decodes and re-encodes: any field
 // added to one half of a codec only shows up as differing bytes.
 
+// wireRecorder is what a metered connection sees of frame writes: the
+// bytes, and how many gather writes carried them.
+type wireRecorder struct {
+	bytes.Buffer
+	writes int
+}
+
+func (r *wireRecorder) WriteBuffers(v *net.Buffers) (int64, error) {
+	r.writes++
+	return v.WriteTo(&r.Buffer)
+}
+
+// gathered encodes a message body the way the ORB sends one — a pooled
+// encoder in order, whose PutDoublesRef splices element blocks, written
+// by giop.WriteEncoded — and returns the body bytes as the connection
+// received them, with the number of blocks that were spliced.
+func gathered(t *testing.T, order cdr.ByteOrder, encode func(*cdr.Encoder)) ([]byte, int) {
+	t.Helper()
+	e := giop.AcquireEncoder(order)
+	defer e.Release()
+	encode(e.Encoder)
+	var rec wireRecorder
+	if err := giop.WriteEncoded(&rec, giop.MsgRequest, e.Encoder); err != nil {
+		t.Fatal(err)
+	}
+	if rec.writes != 1 {
+		t.Fatalf("one message took %d gather writes", rec.writes)
+	}
+	return rec.Bytes()[giop.HeaderLen:], len(e.Splices())
+}
+
 // roundTrip checks encode(decode(encode(v))) == encode(v) in both byte
-// orders.
+// orders, on the bytes the gather writer puts on the wire.
 func roundTrip(t *testing.T, name string, encode func(*cdr.Encoder),
 	recode func(*cdr.Decoder) (func(*cdr.Encoder), error)) {
 	t.Helper()
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
-		e := cdr.NewEncoder(order)
-		encode(e)
-		want := append([]byte(nil), e.Bytes()...)
+		want, _ := gathered(t, order, encode)
 		d := cdr.NewDecoder(order, want)
 		again, err := recode(d)
 		if err != nil {
@@ -30,10 +61,8 @@ func roundTrip(t *testing.T, name string, encode func(*cdr.Encoder),
 		if d.Remaining() != 0 {
 			t.Fatalf("%s (order %v): decoder left %d bytes unread", name, order, d.Remaining())
 		}
-		e = cdr.NewEncoder(order)
-		again(e)
-		if !bytes.Equal(e.Bytes(), want) {
-			t.Fatalf("%s (order %v): re-encoded bytes differ\n got %x\nwant %x", name, order, e.Bytes(), want)
+		if got, _ := gathered(t, order, again); !bytes.Equal(got, want) {
+			t.Fatalf("%s (order %v): re-encoded bytes differ\n got %x\nwant %x", name, order, got, want)
 		}
 	}
 }
@@ -49,6 +78,8 @@ func TestInvocationWireRoundTrip(t *testing.T) {
 		"centralized": {Method: Centralized, Scalars: []byte{1}, Args: []*argWire{
 			{Mode: In, Length: 3, ClientCounts: []int{2, 1}, Blocks: [][]float64{{1.5, -2}, {3}}},
 			{Mode: Out, Length: 4, ClientCounts: []int{4}},
+			{Mode: InOut, Length: 5, ClientCounts: []int{0, 2, 0, 3},
+				Blocks: [][]float64{nil, {4, 5}, {}, {6, 7, 8}}},
 		}},
 	}
 	for name, w := range cases {
