@@ -49,12 +49,14 @@ lint-telemetry:
 lint-fault:
 	@$(GO) run ./scripts/faultlint.go internal cmd
 
-# fuzz-smoke runs every Fuzz* target in the wire-facing packages for a
-# short burst each (10s by default) — enough to catch a freshly
-# introduced decoder panic in CI without a dedicated fuzz farm.
+# fuzz-smoke runs every Fuzz* target in every package that has one for
+# a short burst each (10s by default) — enough to catch a freshly
+# introduced decoder panic in CI without a dedicated fuzz farm. Packages
+# are found by their ^func Fuzz declarations, so a new target needs no
+# edit here.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/cdr ./internal/giop ./internal/idl ./internal/ior; do \
+	@for pkg in $$(grep -l '^func Fuzz' $$(find . -name '*_test.go' -not -path './bench/*') | xargs -n1 dirname | sort -u); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -145,8 +145,11 @@ func (pe *PooledEncoder) Release() {
 // that owner calls Release. A body that is never released is left to
 // the garbage collector, which is always safe.
 type Buffer struct {
-	b        []byte
-	pool     *sync.Pool
+	b    []byte
+	pool *sync.Pool
+	// home is the spare slot of the FrameReader that read a large body
+	// into this buffer, which takes it back first (largeBuffer).
+	home     *atomic.Pointer[Buffer]
 	released atomic.Bool
 }
 
@@ -160,6 +163,9 @@ func (bb *Buffer) Release() {
 	poison(bb.b[:cap(bb.b)])
 	if bb.pool != &bodyPool {
 		largePoolPuts.Inc()
+	}
+	if bb.home != nil && bb.home.CompareAndSwap(nil, bb) {
+		return
 	}
 	bb.pool.Put(bb)
 }
@@ -183,6 +189,32 @@ func getBuffer(pool *sync.Pool, n, size int, gets, misses *telemetry.Counter) *B
 	}
 	bb.released.Store(false)
 	bb.b = bb.b[:n]
+	return bb
+}
+
+// largeBuffer draws a buffer for an n-byte Request or Reply body for the
+// FrameReader whose spare slot is spare: the reader's spare if it holds
+// n, else one from n's class pool. Either way the buffer comes back to
+// spare when released, if spare is empty then. A sync.Pool keeps a lone
+// released buffer in the releasing P's private slot, out of reach of a
+// reader on another P; with one large body in flight per centralized
+// invocation, every move of the server's read loop to the other P (a
+// collection is enough) made a fresh 8 MiB buffer. The spare is in
+// reach of its reader wherever either runs. A reader holds at most one
+// spare, and it goes with the reader.
+func largeBuffer(spare *atomic.Pointer[Buffer], n int) *Buffer {
+	c, size := largeClass(n)
+	if bb := spare.Swap(nil); bb != nil {
+		if bb.pool == &largePools[c] && cap(bb.b) >= n {
+			largePoolGets.Inc()
+			bb.released.Store(false)
+			bb.b = bb.b[:n]
+			return bb
+		}
+		bb.pool.Put(bb)
+	}
+	bb := getBuffer(&largePools[c], n, size, largePoolGets, largePoolMisses)
+	bb.home = spare
 	return bb
 }
 
@@ -262,6 +294,8 @@ const DefaultReadBufSize = 64 << 10
 type FrameReader struct {
 	br  *bufio.Reader
 	hdr [HeaderLen]byte
+	// spare is the large body this reader read last, once released.
+	spare atomic.Pointer[Buffer]
 	// wp is the window-put preamble scratch for ReadWindowPut.
 	wp [WindowPutPayloadBase]byte
 }
@@ -276,7 +310,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // with such a frame calls Frame.Release, or Detaches the body and hands
 // it on with the rest of the frame.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
-	return readFrame(fr.br, &fr.hdr, true)
+	return readFrame(fr.br, &fr.hdr, &fr.spare)
 }
 
 // FrameHeader is the validated fixed header of one PIOP message. After
@@ -302,7 +336,7 @@ func (fr *FrameReader) ReadFrameHeader() (FrameHeader, error) {
 // ReadFrameBody completes a ReadFrameHeader into a Frame, with the
 // same body recycling rules as ReadFrame.
 func (fr *FrameReader) ReadFrameBody(h FrameHeader) (Frame, error) {
-	return readFrameBody(fr.br, h, true)
+	return readFrameBody(fr.br, h, &fr.spare)
 }
 
 // readFrameHeader reads and validates one message header using the
@@ -339,9 +373,11 @@ func readFrameHeader(r io.Reader, hdr *[HeaderLen]byte) (FrameHeader, error) {
 	return FrameHeader{Type: t, Order: order, Minor: hdr[5], BodyLen: n}, nil
 }
 
-// readFrameBody reads the body announced by h. pooled enables drawing
-// control-frame and large Request/Reply bodies from the pools.
-func readFrameBody(r io.Reader, h FrameHeader, pooled bool) (Frame, error) {
+// readFrameBody reads the body announced by h. spare, the reading
+// FrameReader's, enables drawing control-frame and large Request/Reply
+// bodies from the pools; nil reads every body fresh.
+func readFrameBody(r io.Reader, h FrameHeader, spare *atomic.Pointer[Buffer]) (Frame, error) {
+	pooled := spare != nil
 	f := Frame{Type: h.Type, Order: h.Order, Minor: h.Minor}
 	n := int(h.BodyLen)
 	if n == 0 {
@@ -352,8 +388,7 @@ func readFrameBody(r io.Reader, h FrameHeader, pooled bool) (Frame, error) {
 		f.buf = getBuffer(&bodyPool, n, pooledBodyMax, bodyPoolGets, bodyPoolMisses)
 		f.Body = f.buf.b
 	case pooled && n > DefaultReadBufSize && (h.Type == MsgRequest || h.Type == MsgReply):
-		c, size := largeClass(n)
-		f.buf = getBuffer(&largePools[c], n, size, largePoolGets, largePoolMisses)
+		f.buf = largeBuffer(spare, n)
 		f.Body = f.buf.b
 	default:
 		f.Body = make([]byte, n)
@@ -367,14 +402,14 @@ func readFrameBody(r io.Reader, h FrameHeader, pooled bool) (Frame, error) {
 	return f, nil
 }
 
-// readFrame reads one frame using the caller's header scratch. pooled
+// readFrame reads one frame using the caller's header scratch. spare
 // enables body recycling (see readFrameBody).
-func readFrame(r io.Reader, hdr *[HeaderLen]byte, pooled bool) (Frame, error) {
+func readFrame(r io.Reader, hdr *[HeaderLen]byte, spare *atomic.Pointer[Buffer]) (Frame, error) {
 	h, err := readFrameHeader(r, hdr)
 	if err != nil {
 		return Frame{}, err
 	}
-	return readFrameBody(r, h, pooled)
+	return readFrameBody(r, h, spare)
 }
 
 // ReadWindowPut reads the fixed window-put preamble (header plus its
@@ -436,6 +471,15 @@ func (fr *FrameReader) ReadWindowPayload(order cdr.ByteOrder, dst []float64) err
 	}
 	swapPool.Put(bp)
 	return nil
+}
+
+// Peek returns the next n body bytes without consuming them; they are
+// valid until the next read. n must not exceed DefaultReadBufSize or
+// the bytes the current body has left. A reply landing parses the
+// body's prefix this way before it reads the elements, with
+// ReadWindowPayload, straight into their destination.
+func (fr *FrameReader) Peek(n int) ([]byte, error) {
+	return fr.br.Peek(n)
 }
 
 // ReadPayloadBytes reads the len(b) remaining body bytes into b — the

@@ -338,6 +338,69 @@ func TestFrameReaderRecyclesLargeBodies(t *testing.T) {
 	f2.Release()
 }
 
+// TestFrameReaderTakesBackItsBody: a large body released on another
+// goroutine comes back to the FrameReader that read it, for its next
+// body of the class, without passing through the sync.Pool (which would
+// keep it where a reader on another P cannot draw it); another reader
+// never draws it, and a body of another class sends it to its pool.
+func TestFrameReaderTakesBackItsBody(t *testing.T) {
+	const n = 8<<20 + 150
+	var buf bytes.Buffer
+	for i := 0; i < 3; i++ {
+		if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, bytes.Repeat([]byte{byte(i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, make([]byte, 2*n)); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&buf)
+	f, err := fr.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &f.Body[0]
+	done := make(chan struct{})
+	go func() { f.Release(); close(done) }()
+	<-done
+	if bb := fr.spare.Load(); bb == nil || &bb.b[:1][0] != first {
+		t.Fatal("the released body did not go to its reader's spare")
+	}
+	if f, err = fr.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if &f.Body[0] != first {
+		t.Fatal("the reader did not take back the body it read last")
+	}
+	if f.Body[0] != 1 || f.Body[n-1] != 1 {
+		t.Fatal("the body taken back does not hold the frame's bytes")
+	}
+	f.Release()
+
+	var other bytes.Buffer
+	_ = WriteMessage(&other, cdr.NativeOrder, MsgRequest, make([]byte, n))
+	g, err := NewFrameReader(&other).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.Body[0] == first {
+		t.Fatal("another reader drew this reader's spare")
+	}
+	g.Release()
+
+	if f, err = fr.ReadFrame(); err != nil || &f.Body[0] != first {
+		t.Fatal("the spare was not kept for its reader", err)
+	}
+	f.Release()
+	if f, err = fr.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if &f.Body[0] == first || fr.spare.Load() != nil {
+		t.Fatal("a body of another class did not send the spare to its pool")
+	}
+	f.Release()
+}
+
 // TestGetBufferSizes: a miss on an empty pool makes exactly the body's
 // length, so a body nobody releases costs what an unpooled one did, and
 // a pooled buffer made for a shorter body of the class is never handed

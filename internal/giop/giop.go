@@ -192,7 +192,7 @@ type Frame struct {
 // read buffering and body recycling.
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := writePool.Get().(*writeScratch)
-	f, err := readFrame(r, &hdr.hdr, false)
+	f, err := readFrame(r, &hdr.hdr, nil)
 	writePool.Put(hdr)
 	return f, err
 }

@@ -302,7 +302,7 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 		endpoint: endpoint,
 		slot:     slot,
 		raw:      raw,
-		pending:  make(map[uint32]chan reply),
+		pending:  make(map[uint32]waiter),
 		depth: telemetry.Default.Gauge("pardis_client_stripe_depth",
 			"endpoint", endpoint, "stripe", strconv.Itoa(slot)),
 	}
@@ -352,7 +352,7 @@ const maxForwards = 4
 // The returned body is the caller's to keep: it is never handed back
 // for reuse (see Reply for the releasable form InvokeRef returns).
 func (c *Client) Invoke(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
-	r, err := c.invokeEndpoints(ctx, []string{endpoint}, hdr, body, 0)
+	r, err := c.invokeEndpoints(ctx, []string{endpoint}, hdr, body, nil, 0)
 	return r.Header, r.Order, r.Body, err
 }
 
@@ -367,7 +367,41 @@ func (c *Client) Invoke(ctx context.Context, endpoint string, hdr giop.RequestHe
 // returns. The caller owns the returned Reply and should Release it
 // once it has decoded what it needs.
 func (c *Client) InvokeRef(ctx context.Context, ref *ior.Ref, hdr giop.RequestHeader, body func(*cdr.Encoder)) (Reply, error) {
-	return c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, 0)
+	return c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, nil, 0)
+}
+
+// InvokeRefLanding is InvokeRef with a destination for the reply: on
+// every attempt land is registered with the pending request before the
+// request is written, and an OK reply is handed to it straight off the
+// connection instead of being read into a body. The Reply returned for
+// it is marked Landed and its Body is what land returned. Replies of
+// any other status arrive as InvokeRef returns them.
+//
+// Whatever land writes belongs to the caller again once this returns:
+// a caller that gives up while its reply is landing tears the
+// connection down, since nothing else stops a landing, and waits until
+// the landing has stopped.
+func (c *Client) InvokeRefLanding(ctx context.Context, ref *ior.Ref, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander) (Reply, error) {
+	return c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, land, 0)
+}
+
+// A ReplyLander consumes an OK reply's body off the connection, for
+// InvokeRefLanding. LandReply runs on the connection's read goroutine
+// with the frame header h just read and the body, ReplyHeader first,
+// unread on fr. It returns the Reply's Body, or an error for the
+// waiter:
+//
+//   - nil or any other error: the lander consumed exactly h.BodyLen
+//     bytes, so the connection carries on; an error means it rejected
+//     the reply, and the invocation fails with it, not retried.
+//   - an error wrapping ErrConnectionLost: reading the body failed
+//     before the lander wrote anything of its destination. The
+//     connection is torn down and the invocation may be retried.
+//   - an error wrapping ErrLandingTorn: reading the body failed after
+//     the lander began writing its destination. The connection is torn
+//     down and the invocation fails, not retried.
+type ReplyLander interface {
+	LandReply(fr *giop.FrameReader, h giop.FrameHeader) ([]byte, error)
 }
 
 // Reply is one received reply: its header, the body's byte order, and
@@ -378,6 +412,9 @@ func (c *Client) InvokeRef(ctx context.Context, ref *ior.Ref, hdr giop.RequestHe
 type Reply struct {
 	Header giop.ReplyHeader
 	Order  cdr.ByteOrder
+	// Landed marks a reply its ReplyLander consumed; Body is then what
+	// the lander returned.
+	Landed bool
 	Body   []byte
 	buf    *giop.Buffer
 }
@@ -407,7 +444,7 @@ type invStats struct {
 // delegates to the forward-following engine. reresolves counts the
 // InvokeNamed re-resolution rounds that preceded this call (0 for
 // direct invokes).
-func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), reresolves int) (Reply, error) {
+func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, reresolves int) (Reply, error) {
 	if len(endpoints) == 0 {
 		return Reply{}, fmt.Errorf("%w: no endpoints", ErrUnreachable)
 	}
@@ -425,7 +462,7 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 	m := c.opMetricsFor(hdr.Operation)
 	st := &invStats{}
 	start := time.Now()
-	r, err := c.invokeForward(ctx, endpoints, hdr, body, st)
+	r, err := c.invokeForward(ctx, endpoints, hdr, body, land, st)
 	dur := time.Since(start)
 	m.invokes.Inc()
 	m.latency.ObserveDurationExemplar(dur, st.traceID)
@@ -458,10 +495,10 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 // invokeForward follows location forwards (bounded, cycle-checked),
 // delegating each hop to the retry/failover engine. A forward reply
 // that is followed is released once its IOR is decoded.
-func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), st *invStats) (Reply, error) {
+func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, st *invStats) (Reply, error) {
 	seen := map[string]bool{endpoints[0]: true}
 	for hop := 0; ; hop++ {
-		r, err := c.invokeRetry(ctx, endpoints, hdr, body, st)
+		r, err := c.invokeRetry(ctx, endpoints, hdr, body, land, st)
 		if err != nil || r.Header.Status != giop.ReplyLocationForward {
 			return r, err
 		}
@@ -484,7 +521,7 @@ func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop
 
 // invokeRetry runs the retry/backoff/failover loop for one logical
 // request at one location (forward hops restart it).
-func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), st *invStats) (Reply, error) {
+func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, st *invStats) (Reply, error) {
 	pol := c.retry
 	attempts := pol.attempts()
 	rotor := 0
@@ -525,7 +562,7 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 			}
 		}
 		attemptStart := time.Now()
-		r, err := c.invokeOnce(attemptCtx, ep, hdr, body)
+		r, err := c.invokeOnce(attemptCtx, ep, hdr, body, land)
 		c.attemptHist(ep).ObserveDuration(time.Since(attemptStart))
 		if err == nil && r.Header.Status == giop.ReplySystemException {
 			if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr == nil {
@@ -601,7 +638,7 @@ func decodeForward(order cdr.ByteOrder, body []byte) ([]string, error) {
 	return ref.FailoverEndpoints(), nil
 }
 
-func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (Reply, error) {
+func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander) (Reply, error) {
 	cc, err := c.conn(endpoint)
 	if err != nil {
 		return Reply{}, err
@@ -643,7 +680,7 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 	}
 
 	ch := make(chan reply, 1)
-	cc.addPending(hdr.RequestID, ch)
+	cc.addPending(hdr.RequestID, waiter{ch: ch, land: land})
 	defer cc.removePending(hdr.RequestID)
 
 	werr := cc.write(giop.MsgRequest, e)
@@ -659,7 +696,15 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 		// cancel frame. Once the waiter is gone the read loop releases
 		// a late reply itself; one it delivered in the meantime sits in
 		// ch and is released here.
-		cc.removePending(hdr.RequestID)
+		if cc.abandon(hdr.RequestID, ch) {
+			// The read loop is landing the reply into the caller's
+			// destination. Only the end of the connection stops a
+			// landing, and the destination is the caller's again once
+			// this returns, so tear the connection down and wait for the
+			// landing to deliver its failure.
+			cc.shutdown(fmt.Errorf("%w: reply abandoned while landing", ErrConnectionLost))
+			<-ch
+		}
 		select {
 		case r := <-ch:
 			r.Release()
@@ -739,7 +784,7 @@ func (c *Client) Locate(ctx context.Context, endpoint, key string) (giop.LocateS
 	(&giop.LocateRequestHeader{RequestID: id, ObjectKey: key}).Encode(e.Encoder)
 
 	ch := make(chan reply, 1)
-	cc.addPending(id, ch)
+	cc.addPending(id, waiter{ch: ch})
 	defer cc.removePending(id)
 	werr := cc.write(giop.MsgLocateRequest, e)
 	e.Release()
@@ -824,8 +869,22 @@ type clientConn struct {
 	cancelBuf [4]byte // preallocated CancelRequest body, guarded by writeMu
 
 	mu      sync.Mutex
-	pending map[uint32]chan reply
+	pending map[uint32]waiter
 	dead    bool
+
+	// landing is the reply channel of the waiter whose reply the read
+	// loop is landing, nil when none: set as the read loop takes the
+	// entry and cleared once the lander has returned, so a waiter that
+	// gives up knows whether a landing may still write its destination
+	// (abandon).
+	landing chan reply
+}
+
+// waiter is one pending request's reply channel and, for
+// InvokeRefLanding, the destination its OK reply lands in.
+type waiter struct {
+	ch   chan reply
+	land ReplyLander
 }
 
 // write frames the message e encoded, spliced element blocks
@@ -860,14 +919,14 @@ func (cc *clientConn) sendCancel(id uint32) error {
 	return nil
 }
 
-func (cc *clientConn) addPending(id uint32, ch chan reply) {
+func (cc *clientConn) addPending(id uint32, w waiter) {
 	cc.mu.Lock()
 	if cc.dead {
 		cc.mu.Unlock()
-		ch <- reply{err: ErrConnectionLost}
+		w.ch <- reply{err: ErrConnectionLost}
 		return
 	}
-	cc.pending[id] = ch
+	cc.pending[id] = w
 	cc.depth.Inc()
 	cc.mu.Unlock()
 }
@@ -875,19 +934,45 @@ func (cc *clientConn) addPending(id uint32, ch chan reply) {
 // takePending removes and returns the waiter for id. The depth gauge
 // is decremented only when an entry was actually removed, so the read
 // loop and the invoker's deferred removePending cannot double-count.
-func (cc *clientConn) takePending(id uint32) (chan reply, bool) {
+// With replyOK set and a ReplyLander registered, it reports
+// landing and records the waiter as landing until landed is called.
+func (cc *clientConn) takePending(id uint32, replyOK bool) (w waiter, found, landing bool) {
 	cc.mu.Lock()
-	ch, ok := cc.pending[id]
-	if ok {
+	w, found = cc.pending[id]
+	if found {
 		delete(cc.pending, id)
 		cc.depth.Dec()
+		if landing = replyOK && w.land != nil; landing {
+			cc.landing = w.ch
+		}
 	}
 	cc.mu.Unlock()
-	return ch, ok
+	return w, found, landing
+}
+
+// landed marks the end of the landing takePending recorded.
+func (cc *clientConn) landed() {
+	cc.mu.Lock()
+	cc.landing = nil
+	cc.mu.Unlock()
+}
+
+// abandon removes the entry of a waiter that gave up. It reports
+// whether the read loop has taken the entry to land its reply and the
+// lander has not yet returned.
+func (cc *clientConn) abandon(id uint32, ch chan reply) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if _, found := cc.pending[id]; found {
+		delete(cc.pending, id)
+		cc.depth.Dec()
+		return false
+	}
+	return cc.landing == ch
 }
 
 func (cc *clientConn) removePending(id uint32) {
-	cc.takePending(id)
+	cc.takePending(id, false)
 }
 
 // shutdown closes the socket and fails all waiters exactly once.
@@ -899,16 +984,16 @@ func (cc *clientConn) shutdown(cause error) {
 	}
 	cc.dead = true
 	waiters := cc.pending
-	cc.pending = make(map[uint32]chan reply)
+	cc.pending = make(map[uint32]waiter)
 	if n := len(waiters); n > 0 {
 		cc.depth.Add(-int64(n))
 	}
 	cc.mu.Unlock()
 	cc.raw.Close()
 	cc.owner.dropConn(cc)
-	for _, ch := range waiters {
+	for _, w := range waiters {
 		select {
-		case ch <- reply{err: cause}:
+		case w.ch <- reply{err: cause}:
 		default:
 		}
 	}
@@ -916,34 +1001,34 @@ func (cc *clientConn) shutdown(cause error) {
 
 func (cc *clientConn) readLoop() {
 	// A FrameReader buffers the socket so a header+body pair costs one
-	// raw Read in the common case. Reply/LocateReply/BlockTransfer
-	// bodies transfer ownership out of the loop, so slicing them into
-	// reply/Block values is safe: a recycled (large) reply body goes to
-	// its waiter with the Reply, which releases it — or back to the
-	// pool right here when no waiter is left. Control-frame bodies are
-	// released back to the frame pool here.
+	// raw Read in the common case. An OK reply with a ReplyLander waiting
+	// for it never becomes a body: the lander reads it off the buffer
+	// (readReply). Other Reply/LocateReply/BlockTransfer bodies transfer
+	// ownership out of the loop, so slicing them into reply/Block values
+	// is safe: a recycled (large) reply body goes to its waiter with the
+	// Reply, which releases it — or back to the pool right here when no
+	// waiter is left. Control-frame bodies are released back to the
+	// frame pool here.
 	fr := giop.NewFrameReader(cc.raw)
 	for {
-		f, err := fr.ReadFrame()
+		h, err := fr.ReadFrameHeader()
+		if err != nil {
+			cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+			return
+		}
+		if h.Type == giop.MsgReply {
+			if err := cc.readReply(fr, h); err != nil {
+				cc.shutdown(err)
+				return
+			}
+			continue
+		}
+		f, err := fr.ReadFrameBody(h)
 		if err != nil {
 			cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 			return
 		}
 		switch f.Type {
-		case giop.MsgReply:
-			d := cdr.NewDecoder(f.Order, f.Body)
-			rh, err := giop.DecodeReplyHeader(d)
-			if err != nil {
-				f.Release()
-				cc.shutdown(fmt.Errorf("%w: bad reply header: %v", ErrConnectionLost, err))
-				return
-			}
-			cc.strikes.Store(0) // the flow demonstrably delivers replies
-			if ch, ok := cc.takePending(rh.RequestID); ok {
-				ch <- reply{Reply: Reply{Header: rh, Order: f.Order, Body: f.Body[d.Pos():], buf: f.Detach()}}
-			} else {
-				f.Release() // its waiter gave up: nobody will read it
-			}
 		case giop.MsgLocateReply:
 			// LocateReply shares the pending table; the request id
 			// is the header's first field in both layouts.
@@ -953,8 +1038,8 @@ func (cc *clientConn) readLoop() {
 				cc.shutdown(fmt.Errorf("%w: bad locate reply: %v", ErrConnectionLost, err))
 				return
 			}
-			if ch, ok := cc.takePending(id); ok {
-				ch <- reply{Reply: Reply{Order: f.Order, Body: f.Body}}
+			if w, found, _ := cc.takePending(id, false); found {
+				w.ch <- reply{Reply: Reply{Order: f.Order, Body: f.Body}}
 			}
 		case giop.MsgBlockTransfer:
 			d := cdr.NewDecoder(f.Order, f.Body)
@@ -987,3 +1072,49 @@ func (cc *clientConn) readLoop() {
 		}
 	}
 }
+
+// readReply delivers the Reply frame whose header h the read loop just
+// read. It peeks the ReplyHeader and takes the waiter: an OK reply
+// whose waiter registered a ReplyLander is landed by it, any other is
+// read whole and its body handed over with it. An error means the
+// connection must go.
+func (cc *clientConn) readReply(fr *giop.FrameReader, h giop.FrameHeader) error {
+	if h.BodyLen < replyHeaderLen {
+		return fmt.Errorf("%w: bad reply header: %d-byte body", ErrConnectionLost, h.BodyLen)
+	}
+	b, err := fr.Peek(replyHeaderLen)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
+	}
+	rh, _ := giop.DecodeReplyHeader(cdr.NewDecoder(h.Order, b)) // eight bytes always decode
+	// The flow demonstrably delivers replies.
+	cc.strikes.Store(0)
+	w, found, landing := cc.takePending(rh.RequestID, rh.Status == giop.ReplyOK)
+	if landing {
+		body, err := w.land.LandReply(fr, h)
+		cc.landed()
+		w.ch <- reply{Reply: Reply{Header: rh, Order: h.Order, Landed: err == nil, Body: body}, err: err}
+		if errors.Is(err, ErrConnectionLost) || errors.Is(err, ErrLandingTorn) {
+			return fmt.Errorf("%w: reply landing failed: %v", ErrConnectionLost, err)
+		}
+		return nil
+	}
+	f, err := fr.ReadFrameBody(h)
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
+		if found {
+			w.ch <- reply{err: err}
+		}
+		return err
+	}
+	if found {
+		w.ch <- reply{Reply: Reply{Header: rh, Order: f.Order, Body: f.Body[replyHeaderLen:], buf: f.Detach()}}
+	} else {
+		f.Release() // its waiter gave up: nobody will read it
+	}
+	return nil
+}
+
+// replyHeaderLen is the encoded size of a giop.ReplyHeader: two ULongs
+// at the start of the body, so never padded.
+const replyHeaderLen = 8

@@ -54,7 +54,7 @@ func (c *Client) InvokeNamed(ctx context.Context, src RefSource, name string, hd
 		// round doubles as the invocation's re-resolve count so the
 		// flight record of the attempt that finally lands shows how
 		// many resolutions it burned getting there.
-		r, err := c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, round)
+		r, err := c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, nil, round)
 		if err == nil || !retryable(err) || ctx.Err() != nil {
 			return r.Header, r.Order, r.Body, err
 		}

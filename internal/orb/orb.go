@@ -52,6 +52,10 @@ var (
 	// ErrForwardCycle reports a LOCATION_FORWARD loop (an endpoint
 	// forwarded back to a location already visited).
 	ErrForwardCycle = errors.New("orb: location forward cycle")
+	// ErrLandingTorn means the connection failed while a ReplyLander
+	// was writing its destination: that now holds part of the reply,
+	// which a retry would send back as in-data, so it is not retried.
+	ErrLandingTorn = errors.New("orb: reply landing torn")
 )
 
 // Block is one received block-transfer message: a slice of a

@@ -11,11 +11,56 @@ import (
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/rts"
+	"pardis/internal/telemetry"
 )
 
 // Not built under -race: the detector's instrumentation defeats the
 // compiler's append(make) elision and sync.Pool reuse, so there the
 // budgets below would measure the detector, not this package.
+
+// TestCentralizedLargeBodiesRecycled: once warm, a run of centralized
+// invocations with 8 MiB inout payloads draws one large frame body per
+// invocation — the request's; the reply lands in the lent blocks — and
+// never misses the pool. The communicator hands the request body back
+// before it writes the reply, so a client whose next request follows
+// the reply at once cannot beat the release and find the pool empty.
+func TestCentralizedLargeBodiesRecycled(t *testing.T) {
+	const ops = 16
+	gets := telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
+	misses := telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "large_body")
+	reg := newReg()
+	obj := startObject(t, reg, 4, false, diffusionOps)
+	defer obj.close()
+	var g0, m0 uint64
+	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
+		seq, err := dseq.NewDoubles(1<<20, dist.Block(), th.Size(), th.Rank())
+		if err != nil {
+			return err
+		}
+		spec := &CallSpec{
+			Operation: "diffusion",
+			Scalars:   func(e *cdr.Encoder) { e.PutLong(0) },
+			Args:      []DistArg{{Mode: InOut, Seq: seq}},
+		}
+		for i := -2; i < ops; i++ { // two warm-up operations
+			if i == 0 {
+				if err := th.Barrier(); err != nil {
+					return err
+				}
+				if th.Rank() == 0 {
+					g0, m0 = gets.Value(), misses.Value()
+				}
+			}
+			if err := b.Invoke(context.Background(), spec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if g, m := gets.Value()-g0, misses.Value()-m0; g != ops || m != 0 {
+		t.Fatalf("%d invocations drew %d large bodies with %d pool misses; want %d and 0", ops, g, m, ops)
+	}
+}
 
 // TestCentralizedAllocBudget pins the allocation ledger of both
 // transfer methods, client and server in one process. A centralized

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,9 +89,9 @@ func ramp(n int) []float64 {
 }
 
 // fakeObject is a bare ORB server standing in for a one-thread SPMD
-// object exporting diffusionOps: it answers describe itself and hands
-// every invocation to serve.
-func fakeObject(t *testing.T, reg *transport.Registry, serve orb.Handler, opts ...orb.ServerOption) *ior.Ref {
+// object exporting the one operation op: it answers describe itself and
+// hands every invocation to serve.
+func fakeObject(t *testing.T, reg *transport.Registry, op string, spec OpSpec, serve orb.Handler, opts ...orb.ServerOption) *ior.Ref {
 	t.Helper()
 	srv := orb.NewServer(reg, opts...)
 	t.Cleanup(func() { srv.Close() })
@@ -101,8 +102,7 @@ func fakeObject(t *testing.T, reg *transport.Registry, serve orb.Handler, opts .
 	ref := &ior.Ref{TypeID: "IDL:test_object:1.0", Key: "objects/fake", Threads: 1, Endpoints: []string{ep}}
 	srv.Handle(ref.Key, func(in *orb.Incoming) {
 		if in.Header.Operation == DescribeOperation {
-			spec := diffusionOps(nil)["diffusion"].Spec
-			w := describeWire{Threads: 1, Ops: map[string]*OpSpec{"diffusion": &spec}}
+			w := describeWire{Threads: 1, Ops: map[string]*OpSpec{op: &spec}}
 			_ = in.Reply(giop.ReplyOK, w.encode)
 			return
 		}
@@ -193,53 +193,81 @@ func TestFaultCentralizedShortInlineData(t *testing.T) {
 }
 
 // TestFaultCentralizedShortReply: a reply that lacks the out-argument,
-// or carries it short, is seen by the communicator alone; every client
-// thread must fail the invocation alike (none stranded in the scatter)
-// and the binding must carry the next invocation.
+// carries it short, or announces it whole but ends before its elements
+// do, is seen by the communicator alone, which rejects it before any
+// element lands; every client thread must fail the invocation alike
+// (none stranded in the scatter), the connection must survive, and the
+// binding must carry the next invocation. Once with a payload inside
+// the connection's read buffer and once with one several times its size.
 func TestFaultCentralizedShortReply(t *testing.T) {
-	reg := newReg()
-	var mu sync.Mutex
-	calls := 0
-	ref := fakeObject(t, reg, func(in *orb.Incoming) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		switch n {
-		case 1:
-			_ = in.Reply(giop.ReplyOK, legacyReply(1))
-		case 2:
-			_ = in.Reply(giop.ReplyOK, legacyReply(1, ramp(250)))
-		default:
-			_ = in.Reply(giop.ReplyOK, legacyReply(1, ramp(300)))
-		}
-	})
-	everyRank(t, reg, 3, ref, func(b *Binding, th rts.Thread) error {
-		seq, err := dseq.NewDoubles(300, dist.Block(), th.Size(), th.Rank())
-		if err != nil {
-			return err
-		}
-		spec := &CallSpec{
-			Operation: "diffusion",
-			Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
-			Args:      []DistArg{{Mode: InOut, Seq: seq}},
-		}
-		for _, what := range []string{"missing", "short"} {
-			err := b.Invoke(context.Background(), spec)
-			if !errors.Is(err, ErrRemote) {
-				return fmt.Errorf("rank %d: reply with %s out argument: %v", th.Rank(), what, err)
+	for _, n := range []int{300, 4 * giop.DefaultReadBufSize / 8} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			inproc := transport.NewInproc()
+			dials := transport.NewFaulty(inproc, transport.FaultPlan{})
+			reg := transport.NewRegistry()
+			reg.Register(cutDialTransport{listen: inproc, dial: dials})
+			var mu sync.Mutex
+			calls := 0
+			ref := fakeObject(t, reg, "diffusion", diffusionOps(nil)["diffusion"].Spec, func(in *orb.Incoming) {
+				mu.Lock()
+				calls++
+				k := calls
+				mu.Unlock()
+				switch k {
+				case 1:
+					_ = in.Reply(giop.ReplyOK, legacyReply(1))
+				case 2:
+					_ = in.Reply(giop.ReplyOK, legacyReply(1, ramp(n-50)))
+				case 3:
+					// One out-argument announced at its full length n, in a
+					// body that ends one element early.
+					_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) {
+						e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) { ie.PutLong(1) })
+						e.PutULong(1)
+						e.PutULong(uint32(n))
+						e.PutDoubles(ramp(n - 1))
+					})
+				default:
+					_ = in.Reply(giop.ReplyOK, legacyReply(1, ramp(n)))
+				}
+			})
+			everyRank(t, reg, 3, ref, func(b *Binding, th rts.Thread) error {
+				seq, err := dseq.NewDoubles(n, dist.Block(), th.Size(), th.Rank())
+				if err != nil {
+					return err
+				}
+				seq.Fill(-1)
+				spec := &CallSpec{
+					Operation: "diffusion",
+					Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
+					Args:      []DistArg{{Mode: InOut, Seq: seq}},
+				}
+				for _, what := range []string{"missing", "short", "truncated"} {
+					err := b.Invoke(context.Background(), spec)
+					if !errors.Is(err, ErrRemote) {
+						return fmt.Errorf("rank %d: reply with %s out argument: %v", th.Rank(), what, err)
+					}
+					for i, v := range seq.LocalData() {
+						if v != -1 {
+							return fmt.Errorf("rank %d: [%d] = %v after the %s reply was rejected", th.Rank(), i, v, what)
+						}
+					}
+				}
+				if err := b.Invoke(context.Background(), spec); err != nil {
+					return fmt.Errorf("rank %d: well-formed reply after the bad ones: %v", th.Rank(), err)
+				}
+				for i, v := range seq.LocalData() {
+					if v != float64(seq.Lo()+i) {
+						return fmt.Errorf("rank %d: [%d] = %v", th.Rank(), i, v)
+					}
+				}
+				return nil
+			})
+			if st := dials.Stats(); st.Dials != 1 {
+				t.Fatalf("%d dials: a rejected reply cost the connection", st.Dials)
 			}
-		}
-		if err := b.Invoke(context.Background(), spec); err != nil {
-			return fmt.Errorf("rank %d: well-formed reply after the bad ones: %v", th.Rank(), err)
-		}
-		for i, v := range seq.LocalData() {
-			if v != float64(seq.Lo()+i) {
-				return fmt.Errorf("rank %d: [%d] = %v", th.Rank(), i, v)
-			}
-		}
-		return nil
-	})
+		})
+	}
 }
 
 // TestCentralizedCrossEndian runs the centralized round trip with the
@@ -247,12 +275,16 @@ func TestFaultCentralizedShortReply(t *testing.T) {
 // the two crosses a byte-order boundary: a foreign-order client into a
 // real object, whose communicator must unmarshal the frame straight
 // into its threads' blocks, and a real binding against a foreign-order
-// server, whose reply the client communicator must unmarshal into its
-// threads' blocks. Each raw peer speaks both the gathered encoding and
-// the marshal-in-place one, whose blocks a foreign-order pooled encoder
-// must copy and swap instead of splicing.
+// server, whose reply the client communicator must land in its threads'
+// blocks — through the swap scratch, in several rounds, since the
+// payload is larger than the connection's read buffer. Each raw peer
+// speaks both the gathered encoding and the marshal-in-place one, whose
+// blocks a foreign-order pooled encoder must copy and swap instead of
+// splicing. The server's operation has several out-arguments, one of
+// them empty (no alignment pad on the wire), and an in-argument between
+// them that the reply skips.
 func TestCentralizedCrossEndian(t *testing.T) {
-	const n = 301
+	const n = giop.DefaultReadBufSize/8 + 301
 	for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
 		t.Run(order.String()+" client", func(t *testing.T) {
 			reg := newReg()
@@ -293,35 +325,81 @@ func TestCentralizedCrossEndian(t *testing.T) {
 			}
 		})
 		t.Run(order.String()+" server", func(t *testing.T) {
+			// scale: inout a (a *= 4), in b, out c (empty), out d (d = 3b).
+			const m = 77
+			spec := OpSpec{Args: []ArgSpec{{Mode: InOut}, {Mode: In}, {Mode: Out}, {Mode: Out}}}
 			reg := newReg()
 			var mu sync.Mutex
 			calls := 0 // odd calls answer gathered, even ones in place
-			ref := fakeObject(t, reg, func(in *orb.Incoming) {
+			ref := fakeObject(t, reg, "scale", spec, func(in *orb.Incoming) {
 				w, err := decodeInvocationWire(in.Decoder())
-				if err != nil || len(w.Args) != 1 {
+				if err != nil || len(w.Args) != 4 {
 					_ = in.ReplySystemException("MARSHAL", fmt.Sprint(err))
 					return
 				}
-				out := make([]float64, w.Args[0].Length)
-				cdr.DecodeDoubles(out, w.Args[0].Raw, in.Order)
-				for i := range out {
-					out[i] *= 4
+				a := make([]float64, w.Args[0].Length)
+				cdr.DecodeDoubles(a, w.Args[0].Raw, in.Order)
+				d := make([]float64, w.Args[1].Length)
+				cdr.DecodeDoubles(d, w.Args[1].Raw, in.Order)
+				for i := range a {
+					a[i] *= 4
+				}
+				for i := range d {
+					d[i] *= 3
 				}
 				mu.Lock()
 				calls++
 				legacy := calls%2 == 1
 				mu.Unlock()
 				if legacy {
-					_ = in.Reply(giop.ReplyOK, legacyReply(2, out))
+					_ = in.Reply(giop.ReplyOK, legacyReply(2, a, nil, d))
 					return
 				}
-				r := &replyWire{Scalars: []byte{0, 0, 0, 0, 0, 0, 2}, Args: [][][]float64{{out[:7], nil, out[7:]}}}
+				r := &replyWire{Scalars: []byte{0, 0, 0, 0, 0, 0, 2},
+					Args: [][][]float64{{a[:7], nil, a[7:]}, {nil}, {d[:m-1], d[m-1:]}}}
 				_ = in.Reply(giop.ReplyOK, r.encode)
 			}, orb.WithServerByteOrder(order))
 			everyRank(t, reg, 3, ref, func(b *Binding, th rts.Thread) error {
-				for i := 0; i < 2; i++ {
-					if err := invokeDiffusion(b, th, n, 2); err != nil {
+				seqs := make([]*dseq.Doubles, 4)
+				for i, l := range []int{n, m, 0, m} {
+					var err error
+					if seqs[i], err = dseq.NewDoubles(l, dist.Block(), th.Size(), th.Rank()); err != nil {
 						return err
+					}
+				}
+				for k := 0; k < 2; k++ {
+					for i := range seqs[0].LocalData() {
+						seqs[0].LocalData()[i] = float64(seqs[0].Lo() + i)
+					}
+					for i := range seqs[1].LocalData() {
+						seqs[1].LocalData()[i] = float64(seqs[1].Lo() + i)
+					}
+					seqs[3].Fill(-1)
+					var steps int32
+					err := b.Invoke(context.Background(), &CallSpec{
+						Operation: "scale",
+						Args: []DistArg{{Mode: InOut, Seq: seqs[0]}, {Mode: In, Seq: seqs[1]},
+							{Mode: Out, Seq: seqs[2]}, {Mode: Out, Seq: seqs[3]}},
+						DecodeReply: func(d *cdr.Decoder) (err error) {
+							steps, err = d.Long()
+							return err
+						},
+					})
+					if err != nil {
+						return err
+					}
+					if steps != 2 {
+						return fmt.Errorf("rank %d: scalar reply %d", th.Rank(), steps)
+					}
+					for _, c := range []struct {
+						seq   *dseq.Doubles
+						scale float64
+					}{{seqs[0], 4}, {seqs[3], 3}} {
+						for i, v := range c.seq.LocalData() {
+							if want := c.scale * float64(c.seq.Lo()+i); v != want {
+								return fmt.Errorf("rank %d, call %d: [%d] = %v, want %v", th.Rank(), k, c.seq.Lo()+i, v, want)
+							}
+						}
 					}
 				}
 				return nil
@@ -553,12 +631,142 @@ func TestFaultCentralizedRetryReencodes(t *testing.T) {
 	}
 }
 
+// TestFaultCentralizedReplyCutMidLanding cuts the object's connection
+// half-way through the elements of its reply, while the client
+// communicator lands them in the lent blocks: the invocation must fail
+// on every thread, and must not be retried — the inout blocks hold part
+// of the out-data now, which a retry would send as in-data — so the
+// object sees the one request.
+func TestFaultCentralizedReplyCutMidLanding(t *testing.T) {
+	const n = 1 << 16 // a 512 KiB reply
+	inproc := transport.NewInproc()
+	h := &handoff{}
+	cut := transport.NewFaulty(h, transport.FaultPlan{Seed: 5, Cut: 1, CutAfter: 256 << 10, Truncate: 1})
+	reg := transport.NewRegistry()
+	reg.Register(&cutAcceptTransport{Inproc: inproc, h: h, cut: cut})
+	var requests atomic.Int32
+	obj := startObject(t, reg, 2, false, func(th rts.Thread) map[string]*Op {
+		ops := diffusionOps(th)
+		serve := ops["diffusion"].Handler
+		ops["diffusion"].Handler = func(call *Call) error {
+			if th.Rank() == 0 {
+				requests.Add(1)
+			}
+			return serve(call)
+		}
+		return ops
+	})
+	defer obj.close()
+	everyRank(t, reg, 2, obj.ref, func(b *Binding, th rts.Thread) error {
+		err := invokeDiffusion(b, th, n, 1)
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), orb.ErrLandingTorn.Error()) {
+			return fmt.Errorf("rank %d: invocation cut mid-landing: %v", th.Rank(), err)
+		}
+		return nil
+	})
+	if st := cut.Stats(); st.CutConns != 1 {
+		t.Fatalf("want the reply's connection cut, got %+v", st)
+	}
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("object served %d requests, want 1: a torn landing was retried", got)
+	}
+}
+
+// cutAcceptTransport serves "inproc" endpoints whose accepted
+// connections pass through a fault-injecting wrapper, so what it cuts
+// are the server's own writes — its replies.
+type cutAcceptTransport struct {
+	*transport.Inproc
+	h   *handoff
+	cut *transport.Faulty // over h
+}
+
+func (c *cutAcceptTransport) Listen(a string) (transport.Listener, error) {
+	l, err := c.Inproc.Listen(a)
+	if err != nil {
+		return nil, err
+	}
+	return cutAcceptListener{Listener: l, t: c}, nil
+}
+
+type cutAcceptListener struct {
+	transport.Listener
+	t *cutAcceptTransport
+}
+
+func (l cutAcceptListener) Accept() (transport.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.t.h.through(conn, l.t.cut)
+}
+
+// handoff is the transport under a Faulty that wraps accepted
+// connections: its Dial returns the connection being handed through.
+type handoff struct {
+	mu   sync.Mutex
+	conn transport.Conn
+}
+
+func (h *handoff) through(conn transport.Conn, f *transport.Faulty) (transport.Conn, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.conn = conn
+	return f.Dial("")
+}
+
+func (h *handoff) Scheme() string { return "inproc" }
+func (h *handoff) Listen(string) (transport.Listener, error) {
+	return nil, errors.New("handoff: no listener")
+}
+func (h *handoff) Dial(string) (transport.Conn, error) { return h.conn, nil }
+
 // TestCentralizedCancelMidInvoke gives up on invocations at every stage
-// of the request — while it is being marshaled, written, or served —
-// and rewrites the argument the moment Invoke returns. The blocks are
-// lent to the communicator's invoke goroutine, so under -race this
-// fails unless Wait joined that goroutine before handing them back.
+// of the request — while it is being marshaled, written, or served, and
+// while its reply is landing in the lent blocks — and rewrites the
+// argument the moment Invoke returns. The blocks are lent to the
+// communicator's invoke goroutine and the reply lands in them on the
+// connection's read goroutine, so under -race this fails unless Wait
+// joined the one and the landing on the other had stopped before the
+// blocks were handed back.
 func TestCentralizedCancelMidInvoke(t *testing.T) {
+	t.Run("landing", func(t *testing.T) {
+		// The client's read loop copies the reply's elements into a block
+		// slowly, so the invocation is given up in the middle of landing.
+		st := &slowReadTransport{Inproc: transport.NewInproc(), slowed: make(chan struct{})}
+		reg := transport.NewRegistry()
+		reg.Register(st)
+		obj := startObject(t, reg, 2, false, diffusionOps)
+		defer obj.close()
+		everyRank(t, reg, 2, obj.ref, func(b *Binding, th rts.Thread) error {
+			seq, err := dseq.NewDoubles(1<<18, dist.Block(), th.Size(), th.Rank())
+			if err != nil {
+				return err
+			}
+			if th.Rank() == 0 {
+				st.armed.Store(true)
+			}
+			if err := th.Barrier(); err != nil {
+				return err
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				<-st.slowed
+				cancel()
+			}()
+			err = b.Invoke(ctx, &CallSpec{Operation: "diffusion",
+				Scalars: func(e *cdr.Encoder) { e.PutLong(1) },
+				Args:    []DistArg{{Mode: InOut, Seq: seq}}})
+			cancel()
+			if err == nil {
+				return fmt.Errorf("rank %d: invocation abandoned mid-landing succeeded", th.Rank())
+			}
+			seq.Fill(-1)
+			return nil
+		})
+	})
+
 	hang := make(chan struct{})
 	ops := func(th rts.Thread) map[string]*Op {
 		ops := diffusionOps(th)
@@ -601,4 +809,46 @@ func TestCentralizedCancelMidInvoke(t *testing.T) {
 		seq.Fill(-1)
 		return nil
 	})
+}
+
+// slowReadTransport serves "inproc" endpoints whose dialed connections,
+// once armed, make the first Read larger than the FrameReader's buffer —
+// a reply landing straight into a block — copy what it received into
+// the caller's buffer 64 KiB at a time, a millisecond apart, closing
+// slowed after the first piece. The
+// copy runs to its end even if the connection is closed meanwhile, as
+// a kernel copy already under way would.
+type slowReadTransport struct {
+	*transport.Inproc
+	armed  atomic.Bool
+	slowed chan struct{}
+}
+
+func (s *slowReadTransport) Dial(a string) (transport.Conn, error) {
+	conn, err := s.Inproc.Dial(a)
+	if err != nil {
+		return nil, err
+	}
+	return slowReadConn{Conn: conn, s: s}, nil
+}
+
+type slowReadConn struct {
+	transport.Conn
+	s *slowReadTransport
+}
+
+func (c slowReadConn) Read(p []byte) (int, error) {
+	if len(p) <= giop.DefaultReadBufSize || !c.s.armed.CompareAndSwap(true, false) {
+		return c.Conn.Read(p)
+	}
+	tmp := make([]byte, len(p))
+	n, err := c.Conn.Read(tmp)
+	for off := 0; off < n; off += 64 << 10 {
+		copy(p[off:n], tmp[off:min(off+64<<10, n)])
+		if off == 0 {
+			close(c.s.slowed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return n, err
 }

@@ -2,6 +2,8 @@ package spmd
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -507,9 +509,9 @@ type Pending struct {
 	// stop cancels it. lent[i] holds every thread's local block of
 	// centralized argument i: the goroutine writes the request from
 	// them on each attempt (spliced, not copied, in the host's order)
-	// and Wait unmarshals the reply into them, so the goroutine must have
-	// exited before Wait's status broadcast hands the blocks back to
-	// their threads.
+	// and the reply lands in them (LandReply) before the goroutine
+	// learns of it, so the goroutine must have exited before Wait's
+	// status broadcast hands the blocks back to their threads.
 	fut  *future.Future[orb.Reply]
 	stop context.CancelFunc
 	lent [][][]float64
@@ -721,23 +723,24 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 		p.fut = fut
 		ictx, stop := context.WithCancel(ctx)
 		p.stop = stop
-		// InvokeRef rather than a pinned communicator endpoint: for a
-		// conventional (Threads==1) object it fails over across every
-		// replica endpoint; for an SPMD object the failover set is
-		// exactly the communicator port. It runs w.encode once per
+		// A reference invocation rather than a pinned communicator
+		// endpoint: for a conventional (Threads==1) object it fails over
+		// across every replica endpoint; for an SPMD object the failover
+		// set is exactly the communicator port. It runs w.encode once per
 		// attempt, which only reads the lent blocks, and writes each
-		// attempt's request straight from them.
+		// attempt's request straight from them; an OK reply lands through
+		// p on the connection's read goroutine.
 		go func() {
-			r, err := b.oc.InvokeRef(ictx, b.ref, hdr, w.encode)
+			r, err := b.oc.InvokeRefLanding(ictx, b.ref, hdr, w.encode, p)
 			if err != nil {
 				resolver.Reject(err)
 				return
 			}
-			switch r.Header.Status {
-			case giop.ReplyOK:
-				resolver.Resolve(r) // Wait releases it
+			switch {
+			case r.Landed, spec.Oneway:
+				resolver.Resolve(r) // a landed reply's Body is Wait's status envelope
 				return
-			case giop.ReplySystemException:
+			case r.Header.Status == giop.ReplySystemException:
 				if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr != nil {
 					err = fmt.Errorf("%w: undecodable system exception", ErrRemote)
 				} else {
@@ -839,24 +842,54 @@ func (p *Pending) awaitReply(ctx context.Context) (orb.Reply, error) {
 	return r, err
 }
 
-// unmarshalReply decodes a reply body on the communicator — the scalar
-// encapsulation, then the centralized out-arguments, as Object.dispatch
-// wrote them right after the 8-octet ReplyHeader — scattering as part
-// of unmarshaling: the out-arguments decode straight into the threads'
-// lent blocks. It returns the scalar encapsulation for the status
-// broadcast, which aliases the reply body.
-func (p *Pending) unmarshalReply(r orb.Reply) ([]byte, error) {
-	rd := cdr.NewDecoderAt(r.Order, r.Body, 8)
-	scalars, err := rd.OctetSeq()
-	if err != nil {
-		return nil, err
+// LandReply lands the reply to the invocation on the communicator's
+// connection, as the ORB's read loop hands it over (orb.ReplyLander;
+// nothing else calls it) — scattering "as part of the unmarshaling
+// process" (§3.2) with no copy in between: each centralized
+// out-argument's elements are read off the connection straight into
+// the threads' lent blocks, once its length has been checked against
+// the argument's. The scalar encapsulation lands in the status envelope
+// Wait broadcasts, which it returns. A reply it rejects fails the
+// invocation with ErrRemote.
+func (p *Pending) LandReply(fr *giop.FrameReader, h giop.FrameHeader) ([]byte, error) {
+	r := replyReader{fr: fr, order: h.Order, size: int(h.BodyLen)}
+	env, err := p.land(&r)
+	r.skip(r.size - r.pos) // trailing bytes, or the rest of a rejected reply
+	switch {
+	case r.err != nil && r.torn:
+		return nil, fmt.Errorf("%w: %v", orb.ErrLandingTorn, r.err)
+	case r.err != nil:
+		return nil, fmt.Errorf("%w: %v", orb.ErrConnectionLost, r.err)
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
 	}
-	nOut, err := rd.ULong()
-	if err != nil {
-		return nil, err
+	return env, nil
+}
+
+// land parses the reply body — ReplyHeader, scalar encapsulation,
+// out-argument count, then each centralized out-argument as the one
+// sequence<double> its blocks partition, as Object.dispatch wrote them —
+// into the status envelope and the lent blocks. It stops at the first
+// thing wrong, with an error or r.err set; trailing bytes are left.
+func (p *Pending) land(r *replyReader) ([]byte, error) {
+	if r.size < 8 {
+		return nil, errors.New("reply header truncated")
+	}
+	r.skip(8) // the ReplyHeader, which the ORB decoded
+	n, ok := r.ulong()
+	if !ok || int64(n) > int64(r.size-r.pos) {
+		return nil, errors.New("reply scalars truncated")
+	}
+	env := okEnvelope(int(n))
+	if !r.read(env[len(env)-int(n):]) {
+		return nil, nil
+	}
+	nOut, ok := r.ulong()
+	if !ok {
+		return nil, errors.New("reply out-argument count truncated")
 	}
 	if p.b.method != Centralized {
-		return scalars, nil
+		return env, nil
 	}
 	idx := uint32(0)
 	for i, a := range p.spec.Args {
@@ -866,18 +899,91 @@ func (p *Pending) unmarshalReply(r orb.Reply) ([]byte, error) {
 		if idx >= nOut {
 			return nil, fmt.Errorf("reply missing out argument %d", idx)
 		}
+		n, ok := r.ulong()
+		if !ok {
+			return nil, fmt.Errorf("reply out argument %d truncated", idx)
+		}
+		if int(n) != a.Seq.Len() {
+			return nil, fmt.Errorf("reply out argument %d has %d of %d elements", idx, n, a.Seq.Len())
+		}
+		if n > 0 {
+			pad := -r.pos & 7
+			if int64(pad)+8*int64(n) > int64(r.size-r.pos) {
+				return nil, fmt.Errorf("reply out argument %d truncated", idx)
+			}
+			if !r.skip(pad) {
+				return nil, nil
+			}
+			r.torn = true
+			for _, blk := range p.lent[i] {
+				if err := r.fr.ReadWindowPayload(r.order, blk); err != nil {
+					r.err = err
+					return nil, nil
+				}
+				r.pos += 8 * len(blk)
+			}
+		}
 		idx++
-		raw, err := rd.DoubleSeqRaw()
-		if err != nil {
-			return nil, err
-		}
-		if len(raw) != a.Seq.Len()*8 {
-			return nil, fmt.Errorf("reply out argument %d has %d of %d elements",
-				idx-1, len(raw)/8, a.Seq.Len())
-		}
-		decodeDoubleBlocks(p.lent[i], raw, r.Order)
 	}
-	return scalars, nil
+	return env, nil
+}
+
+// okEnvelope returns the status envelope of a successful invocation,
+// with its last n bytes left for the scalar encapsulation: TRUE, then
+// the encapsulation as a big-endian sequence<octet> — the bytes
+// PutBoolean(true) and PutOctetSeq write, which Wait decodes.
+func okEnvelope(n int) []byte {
+	env := make([]byte, 8+n)
+	env[0] = 1
+	binary.BigEndian.PutUint32(env[4:8], uint32(n))
+	return env
+}
+
+// replyReader walks a reply body on the connection's read buffer as a
+// CDR stream, never past its end: pos is the stream offset (the bytes
+// consumed), size the body length. err is the first failure of the
+// stream itself, after which nothing more is read; torn is set once
+// element data started landing in the lent blocks.
+type replyReader struct {
+	fr        *giop.FrameReader
+	order     cdr.ByteOrder
+	pos, size int
+	err       error
+	torn      bool
+}
+
+// ulong reads an aligned ULong. It reports false when the body ends
+// first or the stream failed.
+func (r *replyReader) ulong() (uint32, bool) {
+	pad := -r.pos & 3
+	if r.err != nil || r.size-r.pos < pad+4 {
+		return 0, false
+	}
+	b, err := r.fr.Peek(pad + 4)
+	if err != nil {
+		r.err = err
+		return 0, false
+	}
+	v, _ := cdr.NewDecoder(r.order, b[pad:]).ULong() // four bytes always decode
+	return v, r.skip(pad + 4)
+}
+
+// read fills b from the body, which must hold len(b) more bytes.
+func (r *replyReader) read(b []byte) bool {
+	if r.err == nil {
+		r.err = r.fr.ReadPayloadBytes(b)
+	}
+	r.pos += len(b)
+	return r.err == nil
+}
+
+// skip consumes n body bytes.
+func (r *replyReader) skip(n int) bool {
+	if r.err == nil {
+		r.err = r.fr.DiscardPayload(n)
+	}
+	r.pos += n
+	return r.err == nil
 }
 
 func (p *Pending) cancelSinks() {
@@ -923,29 +1029,22 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	}
 	defer p.cancelSinks()
 
-	// The communicator awaits the reply and unmarshals it; every thread
-	// then learns the outcome (completion status broadcast of §3.2) and
-	// the scalar results. Whatever went wrong on the communicator alone
-	// travels in the status, so no thread is left behind in a collective.
+	// The communicator awaits the reply, which has landed: the
+	// out-arguments are in the lent blocks and the scalar results in the
+	// status envelope. Every thread then learns the outcome (completion
+	// status broadcast of §3.2) and the scalar results. Whatever went
+	// wrong on the communicator alone travels in the status, so no thread
+	// is left behind in a collective.
 	var envBytes []byte
 	if b.rank == 0 {
-		var scalars []byte
 		r, err := p.awaitReply(ctx)
-		if err == nil {
-			scalars, err = p.unmarshalReply(r)
-		}
-		e := cdr.NewEncoder(cdr.BigEndian)
-		e.PutBoolean(err == nil)
+		envBytes = r.Body
 		if err != nil {
+			e := cdr.NewEncoder(cdr.BigEndian)
+			e.PutBoolean(false)
 			e.PutString(err.Error())
-		} else {
-			e.PutOctetSeq(scalars)
+			envBytes = e.Bytes()
 		}
-		// The status envelope holds its own copy of the scalars; the
-		// out-arguments are in the lent blocks. Nothing reads the reply
-		// body any more.
-		r.Release()
-		envBytes = e.Bytes()
 		if _, err := b.th.Bcast(0, envBytes); err != nil {
 			return err
 		}

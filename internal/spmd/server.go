@@ -585,8 +585,10 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 	// The request body is this function's alone: the invocation wire's
 	// scalars and inline data alias it, and rank 0 decodes from both
-	// through phase 2 of the dispatch. Every path out — an early reply or
-	// the reply to the dispatch — has written its reply first.
+	// through phase 2 of the dispatch. The early replies below release it
+	// on the way out; a dispatched request releases it before its reply
+	// is written, so the client's next request, which may follow the
+	// reply at once, finds the body back in its pool.
 	defer in.Release()
 
 	// A queued invocation whose propagated deadline already passed is
@@ -671,6 +673,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	o.bcastControl(ctrl)
 
 	reply, derr := o.dispatch(ctx, ctrl, w, in.Header)
+	in.Release() // nothing reads w any more
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
 		// stopped waiting (or stopped existing), so the verdict must not

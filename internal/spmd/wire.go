@@ -275,8 +275,8 @@ func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
 // replyWire is the reply body the communicator sends after the
 // ReplyHeader: the scalar results as a big-endian encapsulation, then
 // the centralized out-arguments, each marshaled from the server
-// threads' blocks as the one sequence<double> they partition (decoded
-// by Pending.unmarshalReply).
+// threads' blocks as the one sequence<double> they partition (landed
+// by Pending.LandReply).
 type replyWire struct {
 	// Scalars is the encapsulation's payload, encoded at stream offset 1
 	// (after the byte-order flag octet).
