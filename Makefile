@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault fuzz-smoke fmt
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-untuned fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,7 @@ verify:
 	$(GO) vet ./...
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
+	$(MAKE) lint-untuned
 	$(GO) test -race ./...
 	$(GO) test -tags pardis_poison ./internal/giop/ ./internal/orb/ ./internal/spmd/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -48,6 +49,16 @@ lint-telemetry:
 # must be named TestFault*, so `make chaos`/`make soak` cover it.
 lint-fault:
 	@$(GO) run ./scripts/faultlint.go internal cmd
+
+# lint-untuned keeps the self-tuner out of the data plane: the binaries
+# and the core library must not depend on internal/tune, which only the
+# benchmark harness still imports until its rows are retired.
+lint-untuned:
+	@if $(GO) list -deps ./cmd/... ./internal/core/... | grep -qx 'pardis/internal/tune'; then \
+		echo 'lint-untuned: internal/tune is wired into a binary or internal/core'; \
+		exit 1; \
+	fi
+	@echo 'lint-untuned: ok'
 
 # fuzz-smoke runs every Fuzz* target in every package that has one for
 # a short burst each (10s by default) — enough to catch a freshly

@@ -38,8 +38,7 @@ type Client struct {
 	retry       RetryPolicy
 	deadline    time.Duration // default per-invoke deadline (0 = none)
 	health      *healthTable
-	stripeWidth int                       // max connections per endpoint
-	stripeCap   func(endpoint string) int // dynamic ceiling (nil/<=0 = stripeWidth)
+	stripeWidth int // max connections per endpoint
 
 	mu      sync.Mutex
 	stripes map[string]*stripe
@@ -140,8 +139,7 @@ func DefaultStripeWidth() int {
 // one is busy. Values below 1 are clamped to 1 (the pre-striping
 // single-connection behavior). No binary or config field reaches this
 // option: like WithByteOrder it is the orb tests' and benchmarks' pin
-// for a fixed width; everything else runs at DefaultStripeWidth, plus
-// WithStripeCap growth under auto-tune.
+// for a fixed width; everything else runs at DefaultStripeWidth.
 func WithStripes(n int) ClientOption {
 	return func(c *Client) {
 		if n < 1 {
@@ -149,18 +147,6 @@ func WithStripes(n int) ClientOption {
 		}
 		c.stripeWidth = n
 	}
-}
-
-// WithStripeCap installs a dynamic per-endpoint stripe ceiling: before
-// each growth decision, conn consults cap(endpoint) and may open
-// connections past the static width up to that value (a return <= 0
-// means "no opinion" and the static width applies). Growth stays lazy —
-// a new connection is still dialed only when every existing one is
-// busy — so a larger cap costs nothing on an idle path. The self-tuning
-// transport uses this to let its stripe recommendation take effect
-// without rebuilding clients.
-func WithStripeCap(capFn func(endpoint string) int) ClientOption {
-	return func(c *Client) { c.stripeCap = capFn }
 }
 
 // NewClient creates a client using the given transport registry (nil
@@ -280,13 +266,7 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 			best, bestDepth = cc, d
 		}
 	}
-	width := c.stripeWidth
-	if c.stripeCap != nil {
-		if w := c.stripeCap(endpoint); w > width {
-			width = w
-		}
-	}
-	if best != nil && (bestDepth == 0 || len(st.conns) >= width) {
+	if best != nil && (bestDepth == 0 || len(st.conns) >= c.stripeWidth) {
 		return best, nil
 	}
 	raw, err := c.reg.Dial(endpoint)

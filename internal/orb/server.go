@@ -576,7 +576,15 @@ func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader)
 		w.landed(wh.Count)
 		return nil
 	}
-	buf := acquirePutBuf(int(wh.Count) * 8)
+	// A put larger than the whole pending budget can never be parked:
+	// refuse it before allocating its buffer, not after reading a
+	// payload the header alone may have announced at up to a GiB.
+	n := int(wh.Count) * 8
+	if budget := sc.srv.blocks.pol.MaxBytes; n > budget {
+		return fmt.Errorf("%w: window %#x put of %d bytes > %d",
+			ErrPendingBlockBytes, wh.WindowID, n, budget)
+	}
+	buf := acquirePutBuf(n)
 	if err := fr.ReadPayloadBytes(*buf); err != nil {
 		releasePutBuf(buf)
 		return err

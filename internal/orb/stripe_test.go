@@ -151,63 +151,6 @@ func TestStripeDepthGaugeBalanced(t *testing.T) {
 	}
 }
 
-// TestStripeCapRaisesWidth: a dynamic stripe cap above the static
-// width lets the stripe grow past it under load — but no further than
-// the cap — while a cap with no opinion (<= 0) leaves the static width
-// in force.
-func TestStripeCapRaisesWidth(t *testing.T) {
-	run := func(t *testing.T, capWidth, wantConns int) {
-		reg := transport.NewRegistry()
-		reg.Register(transport.NewInproc())
-		srv := NewServer(reg)
-		release := make(chan struct{})
-		srv.Handle("slow", func(in *Incoming) {
-			<-release
-			_ = in.Reply(giop.ReplyOK, nil)
-		})
-		ep, err := srv.Listen("inproc:*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli := NewClient(reg, WithStripes(2),
-			WithStripeCap(func(string) int { return capWidth }))
-		t.Cleanup(func() {
-			cli.Close()
-			srv.Close()
-		})
-
-		var wg sync.WaitGroup
-		for i := 0; i < 4*(wantConns+1); i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, _, _, err := cli.Invoke(context.Background(), ep,
-					requestHeader(cli, "slow", "op"), nil)
-				if err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		deadline := time.After(5 * time.Second)
-		for stripeConns(cli, ep) < wantConns {
-			select {
-			case <-deadline:
-				t.Fatalf("stripe stuck at %d conns, want %d", stripeConns(cli, ep), wantConns)
-			case <-time.After(time.Millisecond):
-			}
-		}
-		// Give growth a moment to overshoot if it were going to.
-		time.Sleep(10 * time.Millisecond)
-		if n := stripeConns(cli, ep); n > wantConns {
-			t.Fatalf("stripe overgrew to %d conns, cap %d", n, wantConns)
-		}
-		close(release)
-		wg.Wait()
-	}
-	t.Run("raised", func(t *testing.T) { run(t, 5, 5) })
-	t.Run("no-opinion", func(t *testing.T) { run(t, 0, 2) })
-}
-
 // TestWithStripesClamp: widths below one collapse to the single-conn
 // behavior rather than disabling the endpoint.
 func TestWithStripesClamp(t *testing.T) {

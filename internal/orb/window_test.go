@@ -2,6 +2,9 @@ package orb
 
 import (
 	"context"
+	"errors"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -261,6 +264,44 @@ func TestWindowRangeViolationPoisonsWindowNotConnection(t *testing.T) {
 		requestHeader(cli, "echo", "op"),
 		func(e *cdr.Encoder) { e.PutString("still-alive") }); err != nil {
 		t.Fatalf("connection unusable after poisoned window: %v", err)
+	}
+}
+
+// TestEarlyPutOverBudgetRefusedBeforeAlloc: a put header addressed to
+// an unregistered window and announcing more than the whole pending
+// byte budget drops the connection at once. The server must neither
+// allocate the announced payload nor wait to read it.
+func TestEarlyPutOverBudgetRefusedBeforeAlloc(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg)
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := reg.Dial(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	const count = 256 << 20 / 8 // 256 MiB, four times the default budget
+	h := giop.WindowPutHeader{WindowID: windowKey(t, 28, 0), Count: count, Last: true}
+	frame := putFrame(cdr.NativeOrder, h, giop.WindowPutPayloadBase+8*count, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = raw.Read(make([]byte, 1))
+	runtime.ReadMemStats(&after)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept the connection open, waiting for the over-budget payload")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("server allocated %d MiB for a put it must refuse", grew>>20)
 	}
 }
 

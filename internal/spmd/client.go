@@ -44,26 +44,6 @@ type BindConfig struct {
 	// Deadline is the default per-invocation deadline applied when a
 	// call's context has none (0 = no default deadline).
 	Deadline time.Duration
-	// XferWindow bounds how many block sends this thread keeps in
-	// flight per transfer (0 = spmd.DefaultXferWindow, negative =
-	// serial).
-	XferWindow int
-	// XferChunkBytes is the payload size above which a block is split
-	// into pipelined chunks (0 = spmd.DefaultXferChunkBytes, negative
-	// = chunking disabled).
-	XferChunkBytes int
-	// AutoTune enables the self-tuning transport (0 =
-	// spmd.DefaultAutoTune, negative = off): the binding probes the
-	// path RTT at bind time, feeds every transfer's bytes/seconds into
-	// the process-wide tuner (spmd.AutoTuner), and re-resolves its
-	// chunk, window, and stripe knobs from the tuner's recommendation
-	// before each transfer. Until the path has enough samples — and
-	// whenever tuning is off — the statically resolved XferWindow /
-	// XferChunkBytes values and the ORB's static stripe width apply
-	// unchanged. The path is keyed by the reference's first endpoint:
-	// replicas of one object are assumed co-located enough to share a
-	// path model.
-	AutoTune int
 }
 
 // Binding is one client thread's stub-side connection to an SPMD
@@ -85,16 +65,6 @@ type Binding struct {
 	allEndpoints []string
 
 	stats bindingStats
-
-	// window/chunkElems are the resolved data-plane knobs (see
-	// BindConfig.XferWindow / XferChunkBytes).
-	window     int
-	chunkElems int
-	// autoTune/pathKey: when tuning is on, sendBlocks re-resolves
-	// (window, chunkElems) from AutoTuner's recommendation for pathKey
-	// before each transfer and records the observed rate after it.
-	autoTune bool
-	pathKey  string
 
 	// rankLag is this rank's interned exit-barrier histogram (rank is
 	// fixed for the binding's lifetime, so resolve the labels once).
@@ -234,24 +204,6 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	if cfg.Deadline > 0 {
 		clientOpts = append(clientOpts, orb.WithDefaultDeadline(cfg.Deadline))
 	}
-	autoTune := resolveAutoTune(cfg.AutoTune)
-	pathKey := ""
-	if autoTune && len(ref.Endpoints) > 0 {
-		pathKey = ref.Endpoints[0]
-	}
-	autoTune = autoTune && pathKey != ""
-	if autoTune {
-		// Tuner-capped lazy stripe growth: the ORB client may open
-		// connections past the static width, up to the tuner's stripe
-		// recommendation, still one at a time and only under observed
-		// queueing.
-		clientOpts = append(clientOpts, orb.WithStripeCap(func(string) int {
-			if rec, ok := AutoTuner.Recommend(pathKey); ok {
-				return rec.Stripes
-			}
-			return 0
-		}))
-	}
 	b := &Binding{
 		cfg:    cfg,
 		th:     cfg.Thread,
@@ -261,10 +213,6 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		oc:     orb.NewClient(reg, clientOpts...),
 		method: cfg.Method,
 	}
-	b.window = resolveWindow(cfg.XferWindow)
-	b.chunkElems = resolveChunkElems(cfg.XferChunkBytes)
-	b.autoTune = autoTune
-	b.pathKey = pathKey
 	b.rankLag = telemetry.Default.Histogram("pardis_spmd_rank_lag_seconds",
 		"side", "client", "rank", strconv.Itoa(b.rank))
 	b.xferIn = telemetry.Default.Histogram("pardis_spmd_transfer_seconds",
@@ -340,14 +288,7 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			ThreadRank:       0,
 			ThreadCount:      int32(b.size),
 		}
-		describeT := time.Now()
 		r, err := b.oc.InvokeRef(ctx, ref, hdr, nil)
-		// The describe round trip doubles as the bind-time RTT probe: it
-		// is the cheapest request/reply pair the binding ever issues, and
-		// it happens exactly once, before any transfer needs the model.
-		if b.autoTune && err == nil {
-			AutoTuner.Probe(b.pathKey, time.Since(describeT))
-		}
 		if err == nil && r.Header.Status != giop.ReplyOK {
 			err = fmt.Errorf("%w: describe returned %v", ErrRemote, r.Header.Status)
 		}
@@ -802,19 +743,11 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 // chunked and windowed, as one-sided puts into the windows the server's
 // ranks registered (see sendPlanPuts).
 func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
-	window, chunkElems := b.window, b.chunkElems
-	if b.autoTune {
-		window, chunkElems = tunedKnobs(b.pathKey, window, chunkElems)
-	}
 	t := time.Now()
 	n, err := sendPlanPuts(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
-		b.ref.ThreadEndpoint, window, chunkElems)
-	elapsed := time.Since(t)
+		b.ref.ThreadEndpoint, ResolvedXferWindow(), xferChunkElems)
 	b.stats.bytesOut.Add(n)
-	b.xferIn.ObserveDuration(elapsed)
-	if b.autoTune && err == nil {
-		AutoTuner.Record(b.pathKey, n, elapsed)
-	}
+	b.xferIn.ObserveDuration(time.Since(t))
 	return err
 }
 

@@ -105,7 +105,7 @@ func startBenchObject(b *testing.B, reg *transport.Registry, m int, listen strin
 	}}
 }
 
-func benchInTransfer(b *testing.B, length, threads, autoTune int) {
+func benchInTransfer(b *testing.B, length, threads int) {
 	reg := newReg()
 	obj := startBenchObject(b, reg, threads, "inproc:*", true, benchSinkOps)
 	defer obj.close()
@@ -118,7 +118,6 @@ func benchInTransfer(b *testing.B, length, threads, autoTune int) {
 			Registry:       reg,
 			Method:         MultiPort,
 			ListenEndpoint: "inproc:*",
-			AutoTune:       autoTune,
 		}, obj.ref)
 		if err != nil {
 			return err
@@ -148,21 +147,11 @@ func benchInTransfer(b *testing.B, length, threads, autoTune int) {
 	}
 }
 
-// The plane dimension A/Bs the static knobs (peer) against the
-// self-tuning transport re-resolving chunk/window per transfer (tuned,
-// AutoTune=1 on the binding), so the allocation ledger covers the
-// tuner's hot path too.
 func BenchmarkMultiPortInTransfer(b *testing.B) {
-	planes := []struct {
-		name     string
-		autoTune int
-	}{{"peer", 0}, {"tuned", 1}}
 	for _, length := range []int{16 << 10, 128 << 10, 1 << 20} {
 		for _, threads := range []int{1, 4} {
-			for _, plane := range planes {
-				b.Run(fmt.Sprintf("len=%dKi/threads=%d/plane=%s", length>>10, threads, plane.name),
-					func(b *testing.B) { benchInTransfer(b, length, threads, plane.autoTune) })
-			}
+			b.Run(fmt.Sprintf("len=%dKi/threads=%d", length>>10, threads),
+				func(b *testing.B) { benchInTransfer(b, length, threads) })
 		}
 	}
 }

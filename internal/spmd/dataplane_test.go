@@ -1,31 +1,41 @@
 package spmd
 
 import (
-	"context"
+	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
 	"pardis/internal/dist"
 	"pardis/internal/giop"
-	"pardis/internal/mp"
 	"pardis/internal/rts"
 	"pardis/internal/transport"
 )
 
 // recordingPutter captures the puts sendPlanPuts issues, standing in
 // for the ORB client (it is called from several goroutines when the
-// send window is concurrent).
+// send window is concurrent). With failAt set, that put (1-based) fails
+// the way a cut stream does: orb.Client.PutWindow still reports the
+// chunk's size. Only the puts that succeeded are recorded.
 type recordingPutter struct {
-	mu    sync.Mutex
-	eps   []string
-	hdrs  []giop.WindowPutHeader
-	bytes int
+	mu     sync.Mutex
+	failAt int
+	calls  int
+	eps    []string
+	hdrs   []giop.WindowPutHeader
+	bytes  int
 }
+
+var errPutCut = errors.New("put stream cut")
 
 func (r *recordingPutter) PutWindow(ep string, hdr giop.WindowPutHeader, blk []float64) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.calls++
+	if r.calls == r.failAt {
+		return len(blk) * 8, errPutCut
+	}
 	r.eps = append(r.eps, ep)
 	r.hdrs = append(r.hdrs, hdr)
 	r.bytes += len(blk) * 8
@@ -105,40 +115,86 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 			t.Fatalf("window=%d: accounted %d bytes, shipped %d, want %d", window, n, rec.bytes, want*8)
 		}
 	}
+
+	// A failed put is neither returned as shipped nor counted in the
+	// chunk metrics, serially or under a concurrent window.
+	for _, window := range []int{1, 4} {
+		rec := &recordingPutter{failAt: 3}
+		blocksBefore, histBefore := peerBlocksTotal.Value(), chunkBytesHist.Snapshot()
+		n, err := sendPlanPuts(rec, inv, argIdx, 0, plan, local, epFor, window, chunkElems)
+		if !errors.Is(err, errPutCut) {
+			t.Fatalf("window=%d: err = %v, want the cut", window, err)
+		}
+		hist := chunkBytesHist.Snapshot()
+		if got := peerBlocksTotal.Value() - blocksBefore; got != uint64(len(rec.hdrs)) {
+			t.Fatalf("window=%d: counted %d puts, %d succeeded", window, got, len(rec.hdrs))
+		}
+		if got := hist.Count - histBefore.Count; got != uint64(len(rec.hdrs)) {
+			t.Fatalf("window=%d: observed %d chunk sizes, %d puts succeeded", window, got, len(rec.hdrs))
+		}
+		if got := hist.Sum - histBefore.Sum; got != float64(rec.bytes) || n != uint64(rec.bytes) {
+			t.Fatalf("window=%d: observed %v bytes, returned %d, shipped %d", window, got, n, rec.bytes)
+		}
+	}
 }
 
-// TestChunkedTransferEndToEnd runs the diffusion invocation with a
-// tiny chunk threshold and a concurrent window on both sides, so in-
-// and out-transfers exercise chunked, windowed, out-of-order
-// landing, and verifies element-exact results and leak-freedom.
+// TestAutoTuneOffByDefault pins the static data plane the benchmark
+// harness reports: nothing tunes itself, the send window is
+// min(4, GOMAXPROCS), and chunks are 1 MiB.
+func TestAutoTuneOffByDefault(t *testing.T) {
+	if DefaultAutoTune {
+		t.Fatal("DefaultAutoTune is on; the data plane has no tuner")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if w := ResolvedXferWindow(); w != 1 {
+		t.Fatalf("window at GOMAXPROCS=1 is %d, want 1", w)
+	}
+	runtime.GOMAXPROCS(8)
+	if w := ResolvedXferWindow(); w != 4 {
+		t.Fatalf("window at GOMAXPROCS=8 is %d, want 4", w)
+	}
+	if c := ResolvedXferChunkBytes(); c != 1<<20 {
+		t.Fatalf("chunk is %d bytes, want 1 MiB", c)
+	}
+}
+
+// TestChunkedTransferEndToEnd runs the diffusion invocation with blocks
+// larger than a chunk and a concurrent window on both sides, so in- and
+// out-transfers exercise chunked, windowed, out-of-order landing, and
+// verifies element-exact results, the chunk count and leak-freedom.
 func TestChunkedTransferEndToEnd(t *testing.T) {
-	reg := newReg()
-	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.XferWindow = 3
-		cfg.XferChunkBytes = 1 << 10 // 128 doubles per chunk
-	})
-	defer obj.close()
-	err := mp.Run(2, func(proc *mp.Proc) error {
-		th := rts.NewMessagePassing(proc)
-		b, err := Bind(context.Background(), BindConfig{
-			Thread: th, Registry: reg, Method: MultiPort,
-			ListenEndpoint: "inproc:*",
-			XferWindow:     4,
-			XferChunkBytes: 1 << 10,
-		}, obj.ref)
+	// The window is min(4, GOMAXPROCS): raise it above 1 on small hosts.
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	// 2^20 doubles over 2 -> 3 ranks: every block of the plan, both
+	// ways, holds more than one chunk (the smallest is n/6 elements).
+	const n, clients, servers = 1 << 20, 2, 3
+	wantPuts := 0
+	for _, counts := range [][2]int{{clients, servers}, {servers, clients}} {
+		plan, err := dist.Plan(dist.Block().MustApply(n, counts[0]), dist.Block().MustApply(n, counts[1]))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		defer b.Close()
-		// 4000 doubles: each client rank ships 2000 (16 chunks), and
-		// the uneven 2->3 rank mapping splits blocks across threads.
-		if err := invokeDiffusion(b, th, 4000, 2); err != nil {
+		for _, tr := range plan {
+			if tr.Count <= xferChunkElems {
+				t.Fatalf("block of %d elements fits one chunk", tr.Count)
+			}
+		}
+		wantPuts += len(dist.Chunk(plan, xferChunkElems))
+	}
+
+	reg := newReg()
+	obj := startObject(t, reg, servers, true, diffusionOps)
+	defer obj.close()
+	before := peerBlocksTotal.Value()
+	runClient(t, reg, clients, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
+		if err := invokeDiffusion(b, th, n, 2); err != nil {
 			return err
 		}
 		return noLeak(b.BlockStats())
 	})
-	if err != nil {
-		t.Fatal(err)
+	if got := peerBlocksTotal.Value() - before; got != uint64(wantPuts) {
+		t.Fatalf("shipped %d puts, want %d chunks", got, wantPuts)
 	}
 	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatal(err)

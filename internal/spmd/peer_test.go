@@ -47,7 +47,8 @@ func TestPeerTransferEndToEnd(t *testing.T) {
 // once every rank waits on its window and land straight off the read
 // buffer. The handler sees every element exact either way.
 func TestPeerTransferCrossEndian(t *testing.T) {
-	const n, m = 70_000, 3 // two chunks a rank: one parked, one not
+	const m = 3
+	const n = m * xferChunkElems * 3 / 2 // two chunks a rank: one parked, one not
 	ops := func(th rts.Thread) map[string]*Op {
 		return map[string]*Op{
 			"check": {
@@ -89,7 +90,7 @@ func TestPeerTransferCrossEndian(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chunks := dist.Chunk(plan, resolveChunkElems(0)/2)
+			chunks := dist.Chunk(plan, xferChunkElems)
 			inv := cli.NewInvocationID()
 			put := func(chunks []dist.Transfer) {
 				if _, err := sendPlanPuts(cli, inv, 0, 0, chunks, data, obj.ref.ThreadEndpoint, 1, 0); err != nil {
@@ -175,12 +176,7 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 	cutReg := transport.NewRegistry()
 	cutReg.Register(cutDialTransport{listen: inproc, dial: cut})
 
-	// AutoTune rides along so the chaos sweep covers the self-tuning
-	// transport under faults: a failed send must not feed the tuner, and
-	// tuning must not change the failure verdict or leak windows.
-	obj := startObjectCfg(t, okReg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.AutoTune = 1
-	})
+	obj := startObject(t, okReg, 3, true, diffusionOps)
 
 	clientErr := mp.Run(3, func(proc *mp.Proc) error {
 		th := rts.NewMessagePassing(proc)
@@ -190,7 +186,6 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 		}
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
-			AutoTune: 1,
 		}, obj.ref)
 		if err != nil {
 			return err

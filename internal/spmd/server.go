@@ -76,22 +76,6 @@ type ObjectConfig struct {
 	// Ops maps operation names to their distributed-argument
 	// declarations and handlers.
 	Ops map[string]*Op
-	// XferWindow bounds how many out-block sends this thread keeps in
-	// flight per transfer (0 = spmd.DefaultXferWindow, negative =
-	// serial).
-	XferWindow int
-	// XferChunkBytes is the payload size above which an out-block is
-	// split into pipelined chunks (0 = spmd.DefaultXferChunkBytes,
-	// negative = chunking disabled).
-	XferChunkBytes int
-	// AutoTune enables the self-tuning transport for out-argument
-	// transfers (0 = spmd.DefaultAutoTune, negative = off): each rank
-	// feeds its out-transfer bytes/seconds into the process-wide tuner
-	// (spmd.AutoTuner) and re-resolves its chunk, window, and stripe
-	// knobs per transfer. The path is keyed by the invoking client's
-	// first receive endpoint (its threads are assumed co-located).
-	// All threads must pass the same value.
-	AutoTune int
 	// LeaseTTL is how long a client's server-side lease survives
 	// without traffic before its rank-side state (registered windows,
 	// in-dispatch waits) is reclaimed. 0 = DefaultLeaseTTL, negative =
@@ -122,13 +106,6 @@ type Object struct {
 
 	served atomic.Uint64
 	failed atomic.Uint64
-
-	// window/chunkElems are the resolved data-plane knobs (see
-	// ObjectConfig.XferWindow / XferChunkBytes); with autoTune on,
-	// sendBlocks re-resolves them from the shared tuner per transfer.
-	window     int
-	chunkElems int
-	autoTune   bool
 
 	// rankLag is this rank's interned post-invocation barrier
 	// histogram (rank is fixed for the object's lifetime).
@@ -207,9 +184,6 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		size:   th.Size(),
 		closed: make(chan struct{}),
 	}
-	o.window = resolveWindow(cfg.XferWindow)
-	o.chunkElems = resolveChunkElems(cfg.XferChunkBytes)
-	o.autoTune = resolveAutoTune(cfg.AutoTune)
 	if cfg.LeaseTTL >= 0 {
 		ttl := cfg.LeaseTTL
 		if ttl == 0 {
@@ -236,20 +210,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 			myEndpoint = ep
 		}
 	}
-	var outOpts []orb.ClientOption
-	if o.autoTune {
-		// Tuner-capped lazy stripe growth toward each client endpoint:
-		// the out-client may open connections past the static width, up
-		// to the tuner's recommendation for that destination, still only
-		// under observed queueing.
-		outOpts = append(outOpts, orb.WithStripeCap(func(ep string) int {
-			if rec, ok := AutoTuner.Recommend(ep); ok {
-				return rec.Stripes
-			}
-			return 0
-		}))
-	}
-	o.out = orb.NewClient(reg, outOpts...)
+	o.out = orb.NewClient(reg)
 
 	// Collective verdict on the listen phase: if any thread failed to
 	// open its port, every thread learns which one and returns a
@@ -968,22 +929,10 @@ func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq
 		}
 		return endpoints[0]
 	}
-	window, chunkElems := o.window, o.chunkElems
-	pathKey := ""
-	if o.autoTune {
-		// Keyed by the client's first receive endpoint: its threads are
-		// assumed co-located, so one path model covers the fan-out.
-		pathKey = endpoints[0]
-		window, chunkElems = tunedKnobs(pathKey, window, chunkElems)
-	}
 	t := time.Now()
-	n, err := sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
-		endpointFor, window, chunkElems)
-	elapsed := time.Since(t)
-	o.xferOut.ObserveDuration(elapsed)
-	if o.autoTune && err == nil {
-		AutoTuner.Record(pathKey, n, elapsed)
-	}
+	_, err := sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
+		endpointFor, ResolvedXferWindow(), xferChunkElems)
+	o.xferOut.ObserveDuration(time.Since(t))
 	return err
 }
 

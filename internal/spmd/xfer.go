@@ -30,96 +30,42 @@ import (
 	"pardis/internal/giop"
 	"pardis/internal/orb"
 	"pardis/internal/telemetry"
-	"pardis/internal/tune"
 )
 
-// Package-wide data-plane defaults: what a zero-valued XferWindow /
-// XferChunkBytes / AutoTune field on BindConfig/ObjectConfig resolves
-// to. Fixed at build time; a binding or object that wants something
-// else sets its own field.
+// The data plane's fixed shape. A thread keeps up to ResolvedXferWindow
+// puts in flight per transfer and splits every block into chunks of at
+// most DefaultXferChunkBytes.
 const (
-	// DefaultXferWindow is the default bound on concurrently in-flight
-	// block sends per transfer (0 = min(4, GOMAXPROCS)).
-	DefaultXferWindow = 0
-	// DefaultXferChunkBytes is the default payload-size threshold above
-	// which a block is split into pipelined chunks. 256 KiB keeps a
-	// chunk that beats its window's registration inside the early-put
-	// buffer sizes the ORB recycles.
-	DefaultXferChunkBytes = 256 << 10
-	// DefaultAutoTune is the default for the per-endpoint self-tuning
-	// transport (AutoTune fields on BindConfig/ObjectConfig). Off:
-	// tuning changes knobs between transfers, which a measurement must
-	// be able to rely on not happening unless it asked for it.
+	// DefaultXferChunkBytes is the largest window put the data plane
+	// ships. It sits at the ORB's largest recycled early-put buffer
+	// (maxPutBufShift in orb/window.go, 1 MiB): a chunk that beats its
+	// window's registration is parked in a pooled buffer, not a fresh
+	// one, and an 8 MiB argument between 2 and 4 ranks moves in 8 puts
+	// per leg rather than 32 (EXPERIMENTS.md E15).
+	DefaultXferChunkBytes = 1 << 20
+	// xferChunkElems is DefaultXferChunkBytes in float64 elements.
+	xferChunkElems = DefaultXferChunkBytes / 8
+	// DefaultAutoTune is read only by the benchmark harness, which
+	// reports it as a state row. Nothing in the data plane tunes itself;
+	// it stays false.
 	DefaultAutoTune = false
 )
 
-// AutoTuner is the process-wide path estimator self-tuning bindings
-// and objects share: transfer engines feed it per-transfer
-// bytes/seconds (plus the bind-time RTT probe) and re-resolve their
-// chunk, window and stripe knobs from it before every transfer.
-// Sharing one tuner means every binding to the same endpoint benefits
-// from every other binding's samples.
-var AutoTuner = tune.New(tune.Config{})
+// ResolvedXferWindow reports how many puts a thread keeps in flight per
+// transfer: min(4, GOMAXPROCS).
+func ResolvedXferWindow() int { return min(4, runtime.GOMAXPROCS(0)) }
 
-// resolveAutoTune maps an AutoTune knob to the effective wish:
-// 0 = package default, negative = off.
-func resolveAutoTune(v int) bool {
-	if v == 0 {
-		return DefaultAutoTune
-	}
-	return v > 0
-}
-
-// ResolvedXferWindow reports the effective process-wide default
-// transfer window (what a zero XferWindow config resolves to).
-func ResolvedXferWindow() int { return resolveWindow(0) }
-
-// ResolvedXferChunkBytes reports the effective process-wide default
-// chunk threshold in bytes (0 when chunking is disabled).
-func ResolvedXferChunkBytes() int { return resolveChunkElems(0) * 8 }
-
-// tunedKnobs re-resolves (window, chunkElems) from the shared tuner
-// for one transfer, falling back to the statically resolved values
-// until the path has enough samples.
-func tunedKnobs(pathKey string, window, chunkElems int) (int, int) {
-	rec, ok := AutoTuner.Recommend(pathKey)
-	if !ok {
-		return window, chunkElems
-	}
-	return rec.XferWindow, max(rec.XferChunkBytes/8, 1)
-}
-
-// resolveWindow maps a config value to an effective send window:
-// 0 = package default, negative = serial (window 1).
-func resolveWindow(w int) int {
-	if w == 0 {
-		w = DefaultXferWindow
-	}
-	if w == 0 {
-		w = min(4, runtime.GOMAXPROCS(0))
-	}
-	return max(w, 1)
-}
-
-// resolveChunkElems maps a config byte threshold to a per-chunk
-// element cap for float64 payloads: 0 = package default, negative =
-// chunking disabled.
-func resolveChunkElems(bytes int) int {
-	if bytes == 0 {
-		bytes = DefaultXferChunkBytes
-	}
-	if bytes < 0 {
-		return 0
-	}
-	return max(bytes/8, 1)
-}
+// ResolvedXferChunkBytes reports the chunk size in bytes.
+func ResolvedXferChunkBytes() int { return DefaultXferChunkBytes }
 
 // Interned once: the data-plane counters are touched per chunk.
 var (
 	blocksInflight = telemetry.Default.Gauge("pardis_spmd_blocks_inflight")
 	chunkBytesHist = telemetry.Default.HistogramWithBuckets("pardis_spmd_chunk_bytes",
 		[]float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20})
-	// peerBlocksTotal counts the window-put chunks shipped.
+	// peerBlocksTotal counts the window-put chunks shipped. A failed
+	// PutWindow still reports the chunk's size, so only puts whose
+	// write succeeded are counted here or in chunkBytesHist.
 	peerBlocksTotal = telemetry.Default.Counter("pardis_spmd_peer_blocks_total")
 )
 
@@ -174,11 +120,11 @@ func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
 			blocksInflight.Inc()
 			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
 			blocksInflight.Dec()
-			peerBlocksTotal.Inc()
-			chunkBytesHist.Observe(float64(n))
 			if err != nil {
 				return total, err
 			}
+			peerBlocksTotal.Inc()
+			chunkBytesHist.Observe(float64(n))
 			total += uint64(n)
 		}
 		return total, nil
@@ -207,8 +153,6 @@ func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
 			}()
 			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
 			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
-			peerBlocksTotal.Inc()
-			chunkBytesHist.Observe(float64(n))
 			if err != nil {
 				if failed.CompareAndSwap(false, true) {
 					errMu.Lock()
@@ -217,6 +161,8 @@ func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
 				}
 				return
 			}
+			peerBlocksTotal.Inc()
+			chunkBytesHist.Observe(float64(n))
 			total.Add(uint64(n))
 		}(idx, tr)
 	}

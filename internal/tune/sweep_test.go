@@ -9,9 +9,10 @@ import (
 	"pardis/internal/telemetry"
 )
 
-// staticKnobs is the data plane's static default configuration
-// (spmd.DefaultXferChunkBytes, min(4, GOMAXPROCS) window and stripes),
-// pinned so the sweep is machine-independent.
+// staticKnobs is the static configuration the tuner was measured
+// against (256 KiB chunks, the data plane's chunk size while the tuner
+// was wired in; min(4, GOMAXPROCS) window and stripes), pinned so the
+// sweep is machine-independent.
 var staticKnobs = Recommendation{XferChunkBytes: 256 << 10, XferWindow: 4, Stripes: 4}
 
 // TestFigure4SweepTunedDominatesStatic runs the Figure-4 length sweep

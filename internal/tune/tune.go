@@ -22,6 +22,12 @@
 // Figure-4 sweep test in sweep_test.go checks it against an
 // independent simnet path model.
 //
+// Nothing in the data plane uses this package any more: the SPMD
+// transfers run fixed knobs (spmd.DefaultXferChunkBytes and
+// spmd.ResolvedXferWindow), and only the benchmark harness's replay
+// rows still import it. `make lint-untuned` keeps it out of the
+// binaries and internal/core.
+//
 // Hysteresis: a recommendation is re-derived only when the model has
 // drifted beyond Config.Hysteresis from the values that produced it,
 // so noisy per-transfer samples do not flap the knobs between
@@ -149,9 +155,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// staticWindow is the data plane's static default window/stripe width
-// (mirrors spmd.resolveWindow(0) and orb.DefaultStripeWidth without
-// importing either package).
+// staticWindow is the data plane's static window/stripe width (mirrors
+// spmd.ResolvedXferWindow and orb.DefaultStripeWidth without importing
+// either package).
 func staticWindow() int { return max(min(4, runtime.GOMAXPROCS(0)), 1) }
 
 // Recommendation is one path's derived data-plane configuration.
