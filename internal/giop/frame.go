@@ -12,25 +12,23 @@
 //   - AcquireEncoder hands out pooled cdr.Encoders with an explicit
 //     Release discipline, so the request/reply encode path stops
 //     allocating a fresh buffer per message.
-//   - Frame bodies are recycled where their owner is known: control-
-//     frame bodies (CancelRequest, LocateRequest, CloseConnection,
-//     MessageError) come from a 1 KiB pool and go back when the read
-//     loop is done with them; Request and Reply bodies too big for the
-//     FrameReader's buffer come from size-classed pools and go back
-//     when their consumer — the one owner the read loop hands them to —
-//     releases them. Everything else is allocated per frame.
+//   - A Request body too big for the FrameReader's buffer is recycled:
+//     its consumer — the one owner the read loop hands it to — releases
+//     it back to the reader that read it, which reads its next large
+//     request into it. Every other body is allocated per frame, and
+//     read in growing steps, so an announced length costs only the
+//     bytes that actually arrive.
 //
 // Pool traffic is accounted in pardis_giop_pool_gets_total and
-// pardis_giop_pool_misses_total (labeled by pool), so the hit rate is
-// 1 - misses/gets; large bodies handed back are counted in
-// pardis_giop_pool_puts_total.
+// pardis_giop_pool_misses_total (labeled by pool: encoder, large_body),
+// so the hit rate is 1 - misses/gets; large bodies handed back are
+// counted in pardis_giop_pool_puts_total.
 package giop
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -49,8 +47,6 @@ type BuffersWriter interface {
 var (
 	encPoolGets     = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "encoder")
 	encPoolMisses   = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "encoder")
-	bodyPoolGets    = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "frame_body")
-	bodyPoolMisses  = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "frame_body")
 	largePoolGets   = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
 	largePoolMisses = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "large_body")
 	largePoolPuts   = telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body")
@@ -137,130 +133,59 @@ func (pe *PooledEncoder) Release() {
 	encPool.Put(pe)
 }
 
-// Buffer is a frame body drawn from a pool: a control-frame body from
-// the 1 KiB pool, or a Request or Reply body larger than
-// DefaultReadBufSize from the size-classed large-body pools. It has
-// exactly one owner at a time — the read loop, then whoever the loop
-// hands the frame to (Frame.Detach) — and goes back to its pool when
-// that owner calls Release. A body that is never released is left to
-// the garbage collector, which is always safe.
+// Buffer is a Request body larger than DefaultReadBufSize, read by a
+// FrameReader. It has exactly one owner at a time — the read loop, then
+// whoever the loop hands the frame to (Frame.Detach) — and when that
+// owner calls Release it goes back to the reader that read it, as the
+// reader's spare for its next large request. A body that is never
+// released is left to the garbage collector, which is always safe.
+//
+// One spare per reader, rather than a shared pool, is what keeps the
+// body in reach: a sync.Pool keeps a lone released buffer in the
+// releasing P's private slot, out of reach of a reader on another P, so
+// with one large request in flight per centralized invocation every
+// move of the server's read loop to the other P (a collection is
+// enough) made a fresh 8 MiB buffer.
 type Buffer struct {
-	b    []byte
-	pool *sync.Pool
-	// home is the spare slot of the FrameReader that read a large body
-	// into this buffer, which takes it back first (largeBuffer).
+	b []byte
+	// home is the spare slot of the FrameReader that read this body.
 	home     *atomic.Pointer[Buffer]
 	released atomic.Bool
 }
 
-// Release hands the body back for reuse; afterwards nothing may read
-// it. A second Release through the same handle is a no-op, and so is
-// Release on a nil *Buffer (a body that was allocated, not pooled).
+// Release hands the body back to its reader's spare, or leaves it to
+// the garbage collector when the spare is taken; afterwards nothing may
+// read it. A second Release through the same handle is a no-op, and so
+// is Release on a nil *Buffer (a body that was not recycled).
 func (bb *Buffer) Release() {
 	if bb == nil || bb.released.Swap(true) {
 		return
 	}
 	poison(bb.b[:cap(bb.b)])
-	if bb.pool != &bodyPool {
-		largePoolPuts.Inc()
-	}
-	if bb.home != nil && bb.home.CompareAndSwap(nil, bb) {
-		return
-	}
-	bb.pool.Put(bb)
+	largePoolPuts.Inc()
+	bb.home.CompareAndSwap(nil, bb)
 }
 
-// getBuffer draws a buffer for an n-byte body from pool, whose buffers
-// hold bodies of up to size bytes. A miss on an empty pool makes an
-// n-byte buffer, so a body its consumer never releases costs exactly
-// what an unpooled one did; a pooled buffer too short for this body
-// (made for a shorter one) is dropped and replaced by a size-byte one,
-// which fits every later body of the pool.
-func getBuffer(pool *sync.Pool, n, size int, gets, misses *telemetry.Counter) *Buffer {
-	gets.Inc()
-	bb, _ := pool.Get().(*Buffer)
+// largeBuffer takes the spare from its slot for an n-byte Request body
+// if the spare's capacity holds the body. A spare too short is dropped
+// to the garbage collector; nil means the body is read fresh, into
+// exactly n bytes (readBody), and earns the spare slot when released.
+func largeBuffer(spare *atomic.Pointer[Buffer], n int) *Buffer {
+	largePoolGets.Inc()
+	bb := spare.Swap(nil)
 	if bb == nil || cap(bb.b) < n {
-		misses.Inc()
-		c := n
-		if bb != nil {
-			c = size
-		}
-		bb = &Buffer{b: make([]byte, c), pool: pool}
+		largePoolMisses.Inc()
+		return nil
 	}
 	bb.released.Store(false)
 	bb.b = bb.b[:n]
 	return bb
 }
 
-// largeBuffer draws a buffer for an n-byte Request or Reply body for the
-// FrameReader whose spare slot is spare: the reader's spare if it holds
-// n, else one from n's class pool. Either way the buffer comes back to
-// spare when released, if spare is empty then. A sync.Pool keeps a lone
-// released buffer in the releasing P's private slot, out of reach of a
-// reader on another P; with one large body in flight per centralized
-// invocation, every move of the server's read loop to the other P (a
-// collection is enough) made a fresh 8 MiB buffer. The spare is in
-// reach of its reader wherever either runs. A reader holds at most one
-// spare, and it goes with the reader.
-func largeBuffer(spare *atomic.Pointer[Buffer], n int) *Buffer {
-	c, size := largeClass(n)
-	if bb := spare.Swap(nil); bb != nil {
-		if bb.pool == &largePools[c] && cap(bb.b) >= n {
-			largePoolGets.Inc()
-			bb.released.Store(false)
-			bb.b = bb.b[:n]
-			return bb
-		}
-		bb.pool.Put(bb)
-	}
-	bb := getBuffer(&largePools[c], n, size, largePoolGets, largePoolMisses)
-	bb.home = spare
-	return bb
-}
-
-// pooledBodyMax bounds pooled control-frame bodies; larger ones are
-// allocated fresh.
-const pooledBodyMax = 1 << 10
-
-var bodyPool sync.Pool
-
-// releasableType reports whether a message type's body never escapes
-// its read loop, making it safe to draw from the body pool.
-func releasableType(t MsgType) bool {
-	switch t {
-	case MsgCancelRequest, MsgLocateRequest, MsgCloseConnection, MsgError:
-		return true
-	}
-	return false
-}
-
-// Large Request and Reply bodies come from largePools: eight size
-// classes per power of two above DefaultReadBufSize, each holding
-// buffers of one capacity (a class is an eighth of its power of two
-// wide). Rounding to a class, not to the exact length, is what makes
-// them recycle: the request and the reply of one invocation differ by
-// a few dozen bytes and must share a buffer class.
-const (
-	largeClassesPerDoubling = 8
-	largeMinShift           = 16 // DefaultReadBufSize == 1<<largeMinShift
-	largeMaxShift           = 30 // MaxBodyLen == 1<<largeMaxShift
-)
-
-var largePools [(largeMaxShift - largeMinShift) * largeClassesPerDoubling]sync.Pool
-
-// largeClass returns the pool index and buffer capacity for an n-byte
-// body, DefaultReadBufSize < n <= MaxBodyLen.
-func largeClass(n int) (class, size int) {
-	k := bits.Len(uint(n-1)) - 1 // 1<<k < n <= 1<<(k+1)
-	step := (1 << k) / largeClassesPerDoubling
-	sub := (n - 1 - 1<<k) / step
-	return (k-largeMinShift)*largeClassesPerDoubling + sub, 1<<k + (sub+1)*step
-}
-
-// Release returns the frame's pooled body, if any, for reuse. Safe to
-// call more than once on one Frame value. After Release, Body must not
-// be used. Frames whose bodies were not pooled — or whose body was
-// Detached by its consumer — make this a no-op.
+// Release returns the frame's recycled body, if any, to its reader.
+// Safe to call more than once on one Frame value. After Release, Body
+// must not be used. Frames whose bodies were not recycled — or whose
+// body was Detached by its consumer — make this a no-op.
 func (f *Frame) Release() {
 	if f.buf == nil {
 		return
@@ -271,10 +196,10 @@ func (f *Frame) Release() {
 	bb.Release()
 }
 
-// Detach transfers ownership of the frame's pooled body to the caller,
-// who must Release it once nothing reads Body any more — or never, and
-// leave it to the garbage collector. Body stays valid until then. Nil
-// when the body was not pooled (Release on it is a no-op).
+// Detach transfers ownership of the frame's recycled body to the
+// caller, who must Release it once nothing reads Body any more — or
+// never, and leave it to the garbage collector. Body stays valid until
+// then. Nil when the body was not recycled (Release on it is a no-op).
 func (f *Frame) Detach() *Buffer {
 	bb := f.buf
 	f.buf = nil
@@ -283,13 +208,14 @@ func (f *Frame) Detach() *Buffer {
 
 // DefaultReadBufSize is the FrameReader's internal buffer size: large
 // enough that a typical header+body pair arrives in one raw Read. It is
-// also the boundary above which Request and Reply bodies are recycled.
+// also the boundary above which Request bodies are recycled, and the
+// smallest first step of a body read in steps (readBody).
 const DefaultReadBufSize = 64 << 10
 
 // FrameReader reads PIOP frames through an internal buffered reader,
 // with a reusable header scratch, so steady-state frame reads cost one
-// body allocation (for frame types whose bodies are not recycled) and
-// usually one raw Read syscall. Not safe for concurrent use; each
+// body allocation (none for a large Request body, which is recycled)
+// and usually one raw Read syscall. Not safe for concurrent use; each
 // connection read loop owns one.
 type FrameReader struct {
 	br  *bufio.Reader
@@ -305,10 +231,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, DefaultReadBufSize)}
 }
 
-// ReadFrame reads and validates one PIOP message. Control-frame bodies
-// and large Request/Reply bodies are pooled: the caller that finishes
-// with such a frame calls Frame.Release, or Detaches the body and hands
-// it on with the rest of the frame.
+// ReadFrame reads and validates one PIOP message. A Request body larger
+// than DefaultReadBufSize is recycled: the caller that finishes with
+// such a frame calls Frame.Release, or Detaches the body and hands it
+// on with the rest of the frame. Every other body is the caller's.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
 	return readFrame(fr.br, &fr.hdr, &fr.spare)
 }
@@ -374,32 +300,77 @@ func readFrameHeader(r io.Reader, hdr *[HeaderLen]byte) (FrameHeader, error) {
 }
 
 // readFrameBody reads the body announced by h. spare, the reading
-// FrameReader's, enables drawing control-frame and large Request/Reply
-// bodies from the pools; nil reads every body fresh.
+// FrameReader's, enables recycling a large Request body; nil reads
+// every body fresh.
 func readFrameBody(r io.Reader, h FrameHeader, spare *atomic.Pointer[Buffer]) (Frame, error) {
-	pooled := spare != nil
 	f := Frame{Type: h.Type, Order: h.Order, Minor: h.Minor}
 	n := int(h.BodyLen)
 	if n == 0 {
 		return f, nil
 	}
-	switch {
-	case pooled && n <= pooledBodyMax && releasableType(h.Type):
-		f.buf = getBuffer(&bodyPool, n, pooledBodyMax, bodyPoolGets, bodyPoolMisses)
-		f.Body = f.buf.b
-	case pooled && n > DefaultReadBufSize && (h.Type == MsgRequest || h.Type == MsgReply):
-		f.buf = largeBuffer(spare, n)
-		f.Body = f.buf.b
-	default:
-		f.Body = make([]byte, n)
+	// A torn body is left to the GC, not recycled: the connection is
+	// dying, and recycling capacity a peer announced but never sent
+	// would let it park arbitrary amounts of memory in the spare.
+	recycled := spare != nil && h.Type == MsgRequest && n > DefaultReadBufSize
+	if recycled {
+		if bb := largeBuffer(spare, n); bb != nil {
+			if _, err := io.ReadFull(r, bb.b); err != nil {
+				return Frame{}, err
+			}
+			f.buf, f.Body = bb, bb.b
+			return f, nil
+		}
 	}
-	if _, err := io.ReadFull(r, f.Body); err != nil {
-		// A torn body is left to the GC, not recycled: the connection is
-		// dying, and recycling capacity a peer announced but never sent
-		// would let it park arbitrary amounts of memory in the pools.
+	b, err := readBody(r, n)
+	if err != nil {
 		return Frame{}, err
 	}
+	f.Body = b
+	if recycled {
+		f.buf = &Buffer{b: b, home: spare}
+	}
 	return f, nil
+}
+
+// bodyStepShift sets the steps a body is read in: each buffer is
+// 1<<bodyStepShift times the size of the one before it.
+const bodyStepShift = 4
+
+// readBody reads an n-byte body into a buffer of exactly n bytes. The
+// buffer grows as the bytes arrive, through the sizes n>>4j, ...,
+// n>>4, n, starting at the first of them that is at least
+// DefaultReadBufSize (or at n, for a body that fits one step). A header
+// announcing up to MaxBodyLen therefore costs what its peer actually
+// sends, not what it announced: reading a body that stops short
+// allocates less than 1 MiB plus 256/15 (about 17) times the bytes that
+// arrived. Growing to n from below in ×16 steps, rather than doubling
+// up from the first step, keeps what a body that does arrive pays for
+// its steps to a fifteenth of its length: one extra 512 KiB step for an
+// 8 MiB body, whose first read on a connection is a set-up cost of
+// every centralized binding.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	shift := 0
+	for n>>(shift+bodyStepShift) >= DefaultReadBufSize {
+		shift += bodyStepShift
+	}
+	b := make([]byte, n>>shift)
+	have := 0
+	for {
+		if _, err := io.ReadFull(r, b[have:]); err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF // torn mid-body, as one ReadFull reports it
+			}
+			return nil, err
+		}
+		if shift == 0 {
+			return b, nil
+		}
+		shift -= bodyStepShift
+		have = len(b)
+		grown := make([]byte, n>>shift)
+		copy(grown, b)
+		b = grown
+	}
 }
 
 // readFrame reads one frame using the caller's header scratch. spare

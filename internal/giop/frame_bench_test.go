@@ -81,11 +81,7 @@ func (l *loopReader) Read(p []byte) (int, error) {
 func BenchmarkFrameReader(b *testing.B) {
 	for _, n := range []int{4, 256, 8 << 10} {
 		var buf bytes.Buffer
-		t := MsgCancelRequest // pooled when small
-		if n > pooledBodyMax {
-			t = MsgReply
-		}
-		if err := WriteMessage(&buf, cdr.BigEndian, t, make([]byte, n)); err != nil {
+		if err := WriteMessage(&buf, cdr.BigEndian, MsgReply, make([]byte, n)); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(byteCountName(n), func(b *testing.B) {

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
 	"pardis/internal/cdr"
-	"pardis/internal/telemetry"
 )
 
 // buffersRecorder implements BuffersWriter and records whether the
@@ -126,45 +126,6 @@ func TestPooledEncoderDoubleRelease(t *testing.T) {
 	b.Release()
 }
 
-// TestFrameDoubleRelease: a pooled control-frame body released twice
-// (directly and through a copy of the frame) must not corrupt later
-// frames by entering the pool twice.
-func TestFrameDoubleRelease(t *testing.T) {
-	var buf bytes.Buffer
-	for i := byte(0); i < 3; i++ {
-		if err := WriteMessage(&buf, cdr.BigEndian, MsgCancelRequest, []byte{i, i, i, i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	f0, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup := f0
-	f0.Release()
-	dup.Release() // second release of the same pooled body: no-op
-
-	// If the body had been pooled twice, these two live frames would
-	// alias one buffer and the second read would clobber the first.
-	f1, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f1.Body, []byte{1, 1, 1, 1}) {
-		t.Fatalf("frame 1 body corrupted after double release: % x", f1.Body)
-	}
-	if !bytes.Equal(f2.Body, []byte{2, 2, 2, 2}) {
-		t.Fatalf("frame 2 body corrupted: % x", f2.Body)
-	}
-	f1.Release()
-	f2.Release()
-}
-
 // TestReplyBodyValidAfterRelease: a reply body below the recycling
 // boundary escapes its read loop as a plain allocation (it is handed to
 // a waiting invoker), so Release on its frame must be a no-op and the
@@ -233,40 +194,13 @@ func TestPooledEncoderConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFrameReaderPooledBodyOnlyControl: below DefaultReadBufSize only
-// control bodies are pooled — oversized control bodies and small
-// request/reply bodies bypass the pools (Release is a no-op for them),
-// so the read path of every small Request and Reply is unchanged.
-func TestFrameReaderPooledBodyOnlyControl(t *testing.T) {
-	var buf bytes.Buffer
-	big := make([]byte, pooledBodyMax+1)
-	if err := WriteMessage(&buf, cdr.BigEndian, MsgError, big); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMessage(&buf, cdr.BigEndian, MsgRequest, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMessage(&buf, cdr.BigEndian, MsgReply, make([]byte, DefaultReadBufSize)); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf)
-	for _, what := range []string{"oversized control", "small request", "reply at the boundary"} {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.buf != nil {
-			t.Fatalf("%s body drawn from a pool", what)
-		}
-	}
-}
-
-// TestFrameReaderRecyclesLargeBodies: Request and Reply bodies above
-// DefaultReadBufSize come from the size-classed pools — the request
-// and reply of one invocation, a few dozen bytes apart, share a class —
-// while a large body of any other type is allocated as before. A
-// detached body stays valid after the frame is released, and a double
-// Release does not put a buffer into its pool twice.
+// TestFrameReaderRecyclesLargeBodies: only a Request body above
+// DefaultReadBufSize is recycled. A large Reply or block-transfer body,
+// a control body and a small Request are plain allocations (Release is
+// a no-op for them), so every other read path is what it was before
+// recycling. A detached body stays valid after the frame is released,
+// a double Release does not hand a body back twice, and two live
+// frames never share a body.
 func TestFrameReaderRecyclesLargeBodies(t *testing.T) {
 	const n = 8<<20 + 150
 	req, rep := bytes.Repeat([]byte{1}, n), bytes.Repeat([]byte{2}, n-40)
@@ -274,62 +208,61 @@ func TestFrameReaderRecyclesLargeBodies(t *testing.T) {
 	for _, m := range []struct {
 		t    MsgType
 		body []byte
-	}{{MsgRequest, req}, {MsgReply, rep}, {MsgBlockTransfer, req}} {
+	}{
+		{MsgRequest, req}, {MsgReply, rep}, {MsgBlockTransfer, req},
+		{MsgCancelRequest, []byte{1, 2, 3, 4}}, {MsgError, make([]byte, 2<<10)},
+		{MsgRequest, []byte{1}}, {MsgRequest, make([]byte, DefaultReadBufSize)},
+	} {
 		if err := WriteMessage(&buf, cdr.NativeOrder, m.t, m.body); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cq, _ := largeClass(len(req))
-	if cp, _ := largeClass(len(rep)); cq != cp {
-		t.Fatalf("request (%d B) and reply (%d B) fall in different classes", len(req), len(rep))
 	}
 	fr := NewFrameReader(&buf)
 	fq, err := fr.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
+	if fq.buf == nil {
+		t.Fatal("large request body not recycled")
 	}
-	fb, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
+	if len(fq.Body) != n || cap(fq.Body) != n || !bytes.Equal(fq.Body, req) {
+		t.Fatalf("large request body: len %d cap %d, want %d and %d with the frame's bytes", len(fq.Body), cap(fq.Body), n, n)
 	}
-	if fq.buf == nil || fp.buf == nil {
-		t.Fatal("large request/reply body not drawn from the recycler")
-	}
-	if fb.buf != nil {
-		t.Fatal("large block-transfer body drawn from the recycler")
-	}
-	if _, size := largeClass(n); (cap(fq.Body) != n && cap(fq.Body) != size) || size > n+n/8 {
-		t.Fatalf("body capacity %d, class size %d for %d bytes", cap(fq.Body), size, n)
-	}
-	if !bytes.Equal(fq.Body, req) || !bytes.Equal(fp.Body, rep) {
-		t.Fatal("recycled bodies do not hold the frames' bytes")
+	for _, what := range []string{"large reply", "large block transfer", "control", "oversized control", "small request", "request at the boundary"} {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.buf != nil {
+			t.Fatalf("%s body recycled", what)
+		}
+		if what == "large reply" && !bytes.Equal(f.Body, rep) {
+			t.Fatal("large reply body does not hold the frame's bytes")
+		}
 	}
 
-	held := fp.Detach()
-	fp.Release() // the frame no longer owns the body: a no-op
-	if !bytes.Equal(fp.Body, rep) {
+	held := fq.Detach()
+	fq.Release() // the frame no longer owns the body: a no-op
+	if !bytes.Equal(fq.Body, req) {
 		t.Fatal("detached body changed when its frame was released")
 	}
 	held.Release()
-	held.Release() // no-op: the buffer enters its pool once
-	fq.Release()
-	fq.Release()
+	held.Release() // no-op: the body goes back once
+	if fr.spare.Load() != held {
+		t.Fatal("the released body did not go to its reader's spare")
+	}
 
 	a, b := bytes.Repeat([]byte{3}, n), bytes.Repeat([]byte{4}, n-8)
 	buf.Reset()
 	_ = WriteMessage(&buf, cdr.NativeOrder, MsgRequest, a)
-	_ = WriteMessage(&buf, cdr.NativeOrder, MsgReply, b)
+	_ = WriteMessage(&buf, cdr.NativeOrder, MsgRequest, b)
 	f1, err1 := fr.ReadFrame()
 	f2, err2 := fr.ReadFrame()
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
 	if &f1.Body[0] == &f2.Body[0] {
-		t.Fatal("two live frames share one recycled buffer")
+		t.Fatal("two live frames share one recycled body")
 	}
 	if !bytes.Equal(f1.Body, a) || !bytes.Equal(f2.Body, b) {
 		t.Fatal("live recycled bodies clobbered each other")
@@ -338,11 +271,9 @@ func TestFrameReaderRecyclesLargeBodies(t *testing.T) {
 	f2.Release()
 }
 
-// TestFrameReaderTakesBackItsBody: a large body released on another
-// goroutine comes back to the FrameReader that read it, for its next
-// body of the class, without passing through the sync.Pool (which would
-// keep it where a reader on another P cannot draw it); another reader
-// never draws it, and a body of another class sends it to its pool.
+// TestFrameReaderTakesBackItsBody: a large request body released on
+// another goroutine comes back to the FrameReader that read it, for its
+// next large request; another reader never draws it.
 func TestFrameReaderTakesBackItsBody(t *testing.T) {
 	const n = 8<<20 + 150
 	var buf bytes.Buffer
@@ -350,9 +281,6 @@ func TestFrameReaderTakesBackItsBody(t *testing.T) {
 		if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, bytes.Repeat([]byte{byte(i)}, n)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, make([]byte, 2*n)); err != nil {
-		t.Fatal(err)
 	}
 	fr := NewFrameReader(&buf)
 	f, err := fr.ReadFrame()
@@ -392,62 +320,86 @@ func TestFrameReaderTakesBackItsBody(t *testing.T) {
 		t.Fatal("the spare was not kept for its reader", err)
 	}
 	f.Release()
-	if f, err = fr.ReadFrame(); err != nil {
+}
+
+// TestFrameReaderDropsShortSpare: a spare too short for the next large
+// request is dropped, and that body is read into exactly its own length
+// (a miss costs what an unrecycled body would), which then becomes the
+// spare; a shorter request reuses the longer spare.
+func TestFrameReaderDropsShortSpare(t *testing.T) {
+	const n = DefaultReadBufSize + 100
+	var buf bytes.Buffer
+	for i, size := range []int{n, 3 * n, n} {
+		if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, bytes.Repeat([]byte{byte(i + 1)}, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&buf)
+	small, err := fr.ReadFrame()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if &f.Body[0] == first || fr.spare.Load() != nil {
-		t.Fatal("a body of another class did not send the spare to its pool")
+	short := &small.Body[0]
+	small.Release()
+	large, err := fr.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.Release()
+	if &large.Body[0] == short || fr.spare.Load() != nil {
+		t.Fatal("a spare too short for the body was not dropped")
+	}
+	if len(large.Body) != 3*n || cap(large.Body) != 3*n || large.Body[3*n-1] != 2 {
+		t.Fatalf("miss: len %d cap %d, want exactly %d bytes of the frame", len(large.Body), cap(large.Body), 3*n)
+	}
+	long := &large.Body[0]
+	large.Release()
+	again, err := fr.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Body[0] != long || len(again.Body) != n || again.Body[n-1] != 3 {
+		t.Fatal("a shorter request did not reuse the longer spare")
+	}
+	again.Release()
 }
 
-// TestGetBufferSizes: a miss on an empty pool makes exactly the body's
-// length, so a body nobody releases costs what an unpooled one did, and
-// a pooled buffer made for a shorter body of the class is never handed
-// out for a longer one — it is replaced by one of the class's full size.
-// (sync.Pool may drop items, under -race at random, so the assertions
-// hold whichever buffer comes back.)
-func TestGetBufferSizes(t *testing.T) {
-	var pool sync.Pool
-	reg := telemetry.NewRegistry()
-	gets, misses := reg.Counter("gets"), reg.Counter("misses")
-	a := getBuffer(&pool, 100, 200, gets, misses)
-	if len(a.b) != 100 || cap(a.b) != 100 {
-		t.Fatalf("miss on an empty pool: len %d cap %d, want 100 and 100", len(a.b), cap(a.b))
+// TestReadBodyInSteps: a body is read into a buffer that grows as its
+// bytes arrive. A body delivered whole survives the steps intact in
+// exactly its own length; one whose header announces 512 MiB and then
+// stops costs what arrived, not what was announced.
+func TestReadBodyInSteps(t *testing.T) {
+	const n = 17*DefaultReadBufSize + 7 // two steps: n>>4, then n
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = byte(i * 7)
 	}
-	a.Release()
-	b := getBuffer(&pool, 150, 200, gets, misses)
-	if b == a || len(b.b) != 150 || (cap(b.b) != 150 && cap(b.b) != 200) {
-		t.Fatalf("150-byte body got len %d cap %d (reused the 100-byte buffer: %v)", len(b.b), cap(b.b), b == a)
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, cdr.NativeOrder, MsgReply, body); err != nil {
+		t.Fatal(err)
 	}
-	b.Release()
-	c := getBuffer(&pool, 120, 200, gets, misses)
-	if len(c.b) != 120 || cap(c.b) < 120 {
-		t.Fatalf("120-byte body got len %d cap %d", len(c.b), cap(c.b))
+	f, err := NewFrameReader(&buf).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gets.Value() != 3 || misses.Value() < 2 {
-		t.Fatalf("ledger: %d gets, %d misses", gets.Value(), misses.Value())
+	if !bytes.Equal(f.Body, body) || cap(f.Body) != n {
+		t.Fatalf("stepped body: len %d cap %d, intact %v", len(f.Body), cap(f.Body), bytes.Equal(f.Body, body))
 	}
-}
 
-// TestLargeClass pins the class arithmetic: every length above
-// DefaultReadBufSize up to MaxBodyLen maps into the pool table, to a
-// capacity that holds it with at most an eighth to spare, and lengths
-// that share a class share its capacity.
-func TestLargeClass(t *testing.T) {
-	prevClass, prevSize := -1, 0
-	for _, n := range []int{DefaultReadBufSize + 1, DefaultReadBufSize + 8192, DefaultReadBufSize + 8193,
-		1 << 17, 1<<17 + 1, 1<<20 - 1, 1 << 20, 1<<20 + 1, 9 << 20, 9<<20 + 1, MaxBodyLen - 1, MaxBodyLen} {
-		c, size := largeClass(n)
-		if c < 0 || c >= len(largePools) {
-			t.Fatalf("largeClass(%d) = %d, outside the %d pools", n, c, len(largePools))
+	for _, typ := range []MsgType{MsgRequest, MsgReply} {
+		buf.Reset()
+		hdr := [HeaderLen]byte{}
+		putHeader(&hdr, cdr.NativeOrder, typ, 512<<20)
+		buf.Write(hdr[:])
+		buf.Write(make([]byte, 1<<20))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewFrameReader(&buf).ReadFrame()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%v: torn body read: %v, want io.ErrUnexpectedEOF", typ, err)
 		}
-		if size < n || size-n > n/8 {
-			t.Fatalf("largeClass(%d): capacity %d", n, size)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("%v: a 512 MiB announcement with 1 MiB sent allocated %d MiB", typ, grew>>20)
 		}
-		if c < prevClass || (c == prevClass && size != prevSize) {
-			t.Fatalf("largeClass(%d) = (%d, %d) after (%d, %d)", n, c, size, prevClass, prevSize)
-		}
-		prevClass, prevSize = c, size
 	}
 }

@@ -123,7 +123,7 @@ func FuzzReadMessage(f *testing.F) {
 
 // FuzzFrameReader: the buffered frame reader must agree with the
 // unbuffered ReadMessage on every input — same accept/reject verdict,
-// same frame contents — and never panic, whatever the pool state.
+// same frame contents — and never panic, whatever the spare holds.
 func FuzzFrameReader(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteMessage(&buf, 0, MsgRequest, []byte("seed body"))

@@ -180,8 +180,8 @@ type Frame struct {
 	Minor byte
 	Body  []byte
 
-	// buf is the pooled backing of Body for frames read with a
-	// FrameReader; see Frame.Release and Frame.Detach.
+	// buf is the recycled backing of Body for a large Request read with
+	// a FrameReader; see Frame.Release and Frame.Detach.
 	buf *Buffer
 }
 

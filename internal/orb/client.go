@@ -23,9 +23,9 @@ import (
 // Client is the invocation side of the ORB. It stripes each endpoint
 // across a small pool of cached connections (grown on demand up to the
 // configured width), multiplexes concurrent requests over each, and
-// routes inbound block transfers (out-arguments of multi-port
-// invocations) to the engines expecting them. A Client is safe for
-// concurrent use.
+// ships one-sided window puts, the multi-port data plane (out-arguments
+// come back the same way, as puts to the binding's receive Server). A
+// Client is safe for concurrent use.
 //
 // Invocations are fault-tolerant to the extent the configured
 // RetryPolicy allows: failures inside the safe-to-retry window are
@@ -329,8 +329,7 @@ const maxForwards = 4
 // endpoints — the CORBA mechanism that lets objects migrate without
 // breaking clients.
 //
-// The returned body is the caller's to keep: it is never handed back
-// for reuse (see Reply for the releasable form InvokeRef returns).
+// The returned body is the caller's to keep.
 func (c *Client) Invoke(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
 	r, err := c.invokeEndpoints(ctx, []string{endpoint}, hdr, body, nil, 0)
 	return r.Header, r.Order, r.Body, err
@@ -344,8 +343,7 @@ func (c *Client) Invoke(ctx context.Context, endpoint string, hdr giop.RequestHe
 // The body callback runs once per attempt into a pooled encoder whose
 // PutDoublesRef splices element blocks instead of copying them, so
 // every block it references must stay unmodified until InvokeRef
-// returns. The caller owns the returned Reply and should Release it
-// once it has decoded what it needs.
+// returns. The returned Reply's Body is the caller's to keep.
 func (c *Client) InvokeRef(ctx context.Context, ref *ior.Ref, hdr giop.RequestHeader, body func(*cdr.Encoder)) (Reply, error) {
 	return c.invokeEndpoints(ctx, ref.FailoverEndpoints(), hdr, body, nil, 0)
 }
@@ -386,9 +384,7 @@ type ReplyLander interface {
 
 // Reply is one received reply: its header, the body's byte order, and
 // the body after the 8-octet ReplyHeader (decode it at stream offset
-// 8). A body larger than giop.DefaultReadBufSize is a recycled buffer;
-// Release hands it back, after which Body must not be read. A Reply
-// that is never released is left to the garbage collector.
+// 8). The body is a plain allocation, the caller's to keep.
 type Reply struct {
 	Header giop.ReplyHeader
 	Order  cdr.ByteOrder
@@ -396,15 +392,6 @@ type Reply struct {
 	// the lander returned.
 	Landed bool
 	Body   []byte
-	buf    *giop.Buffer
-}
-
-// Release hands the reply body back for reuse. Body is cleared; a
-// second Release is a no-op.
-func (r *Reply) Release() {
-	r.Body = nil
-	r.buf.Release()
-	r.buf = nil
 }
 
 // invStats accumulates one logical invocation's attempt path — how
@@ -473,8 +460,7 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 }
 
 // invokeForward follows location forwards (bounded, cycle-checked),
-// delegating each hop to the retry/failover engine. A forward reply
-// that is followed is released once its IOR is decoded.
+// delegating each hop to the retry/failover engine.
 func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, st *invStats) (Reply, error) {
 	seen := map[string]bool{endpoints[0]: true}
 	for hop := 0; ; hop++ {
@@ -493,7 +479,6 @@ func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop
 			return r, fmt.Errorf("%w: %s seen twice after %d forwards",
 				ErrForwardCycle, fwd[0], hop+1)
 		}
-		r.Release()
 		seen[fwd[0]] = true
 		endpoints = fwd
 	}
@@ -559,9 +544,6 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 					// at that replica — so the loop returns it below.
 					err = fmt.Errorf("%w: %s: %s", ErrDeadlineExpired, ep, ex.Detail)
 				}
-			}
-			if err != nil {
-				r.Release() // the exception became the error
 			}
 		}
 		if err != nil {
@@ -673,9 +655,9 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 		return r.Reply, r.err
 	case <-ctx.Done():
 		// Best-effort cancel through the connection's preallocated
-		// cancel frame. Once the waiter is gone the read loop releases
-		// a late reply itself; one it delivered in the meantime sits in
-		// ch and is released here.
+		// cancel frame. Once the waiter is gone the read loop drops a
+		// late reply; one it delivered in the meantime sits in ch for
+		// the garbage collector.
 		if cc.abandon(hdr.RequestID, ch) {
 			// The read loop is landing the reply into the caller's
 			// destination. Only the end of the connection stops a
@@ -684,11 +666,6 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 			// landing to deliver its failure.
 			cc.shutdown(fmt.Errorf("%w: reply abandoned while landing", ErrConnectionLost))
 			<-ch
-		}
-		select {
-		case r := <-ch:
-			r.Release()
-		default:
 		}
 		_ = cc.sendCancel(hdr.RequestID)
 		// A deadline expiring with nothing framed back is a strike
@@ -983,12 +960,9 @@ func (cc *clientConn) readLoop() {
 	// A FrameReader buffers the socket so a header+body pair costs one
 	// raw Read in the common case. An OK reply with a ReplyLander waiting
 	// for it never becomes a body: the lander reads it off the buffer
-	// (readReply). Other Reply/LocateReply/BlockTransfer bodies transfer
-	// ownership out of the loop, so slicing them into reply/Block values
-	// is safe: a recycled (large) reply body goes to its waiter with the
-	// Reply, which releases it — or back to the pool right here when no
-	// waiter is left. Control-frame bodies are released back to the
-	// frame pool here.
+	// (readReply). Every other body is a plain allocation that leaves the
+	// loop with the reply or Block sliced from it, so it is never handed
+	// back.
 	fr := giop.NewFrameReader(cc.raw)
 	for {
 		h, err := fr.ReadFrameHeader()
@@ -1036,17 +1010,14 @@ func (cc *clientConn) readLoop() {
 		case giop.MsgCloseConnection:
 			// Orderly shutdown: the server promises it processed
 			// nothing further, so waiters may re-issue elsewhere.
-			f.Release()
 			cc.shutdown(ErrServerClosed)
 			return
 		case giop.MsgError:
-			f.Release()
 			cc.shutdown(ErrConnectionLost)
 			return
 		default:
 			// Requests arriving at a client connection are a
 			// protocol violation.
-			f.Release()
 			cc.shutdown(fmt.Errorf("%w: unexpected %v on client connection", ErrConnectionLost, f.Type))
 			return
 		}
@@ -1088,9 +1059,7 @@ func (cc *clientConn) readReply(fr *giop.FrameReader, h giop.FrameHeader) error 
 		return err
 	}
 	if found {
-		w.ch <- reply{Reply: Reply{Header: rh, Order: f.Order, Body: f.Body[replyHeaderLen:], buf: f.Detach()}}
-	} else {
-		f.Release() // its waiter gave up: nobody will read it
+		w.ch <- reply{Reply: Reply{Header: rh, Order: f.Order, Body: f.Body[replyHeaderLen:]}}
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"math"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,6 +162,130 @@ func FuzzWindowPut(f *testing.F) {
 				if math.Float64bits(v) != math.Float64bits(want[i]) {
 					t.Fatalf("element %d = %v, want %v", int(dstOff)+i, v, want[i])
 				}
+			}
+		}
+	})
+}
+
+// replyConn is a streamConn that keeps what the server writes back.
+type replyConn struct {
+	streamConn
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (c *replyConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.Write(b)
+}
+
+// replied reports whether the bytes written back hold an OK reply to id.
+func (c *replyConn) replied(id uint32) bool {
+	c.mu.Lock()
+	out := bytes.NewReader(c.out.Bytes())
+	c.mu.Unlock()
+	fr := giop.NewFrameReader(out)
+	for {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			return false
+		}
+		if f.Type != giop.MsgReply {
+			continue
+		}
+		if rh, err := giop.DecodeReplyHeader(cdr.NewDecoder(f.Order, f.Body)); err == nil &&
+			rh.RequestID == id && rh.Status == giop.ReplyOK {
+			return true
+		}
+	}
+}
+
+const (
+	fuzzProbeKey = "probe"
+	fuzzProbeReq = 0x7e57
+	// fuzzAllocSlack is what a read loop may allocate beyond eighteen
+	// times the bytes it was sent (a stepped body read allocates less
+	// than 1 MiB plus 256/15 times what arrived): its reader's buffer, a
+	// first body step, and the decoding and dispatch of a request or two.
+	fuzzAllocSlack = 2 << 20
+)
+
+// requestBody encodes a request header for key in order, as the body of
+// a MsgRequest frame.
+func requestBody(order cdr.ByteOrder, id uint32, key string) []byte {
+	e := cdr.NewEncoder(order)
+	(&giop.RequestHeader{RequestID: id, ResponseExpected: true, ObjectKey: key,
+		Operation: "ping", ThreadRank: -1, ThreadCount: 1}).Encode(e)
+	return e.Bytes()
+}
+
+// FuzzRequestFrame drives a server connection's read loop with one
+// forged Request frame, whose header announces bodyLen bytes of which
+// body follows, and then a well-formed probe request. The read loop must
+// not panic and must allocate no more than eighteen times the bytes it
+// was sent plus a constant, whatever length the forged header announced;
+// when the forged frame is complete and its request header decodes, the
+// stream must stay framed and the probe must be answered.
+func FuzzRequestFrame(f *testing.F) {
+	native, foreign := cdr.NativeOrder, cdr.BigEndian
+	if native == cdr.BigEndian {
+		foreign = cdr.LittleEndian
+	}
+	req := requestBody(native, 1, "elsewhere")
+	f.Add(native == cdr.LittleEndian, uint32(len(req)), req)             // in range
+	f.Add(native == cdr.LittleEndian, uint32(giop.MaxBodyLen), []byte{}) // 1 GiB announced, absent
+	f.Add(native == cdr.LittleEndian, uint32(len(req)+100), req)         // shorter than announced
+	freq := requestBody(foreign, 2, fuzzProbeKey)
+	f.Add(foreign == cdr.LittleEndian, uint32(len(freq)), freq) // foreign byte order
+
+	f.Fuzz(func(t *testing.T, little bool, bodyLen uint32, body []byte) {
+		order := cdr.BigEndian
+		if little {
+			order = cdr.LittleEndian
+		}
+		if uint64(len(body)) > uint64(bodyLen) {
+			body = body[:bodyLen]
+		}
+		stream := append(announce(order, giop.MsgRequest, bodyLen), body...)
+		var probe bytes.Buffer
+		if err := giop.WriteMessage(&probe, cdr.NativeOrder, giop.MsgRequest,
+			requestBody(cdr.NativeOrder, fuzzProbeReq, fuzzProbeKey)); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, probe.Bytes()...)
+
+		srv := NewServer(nil)
+		defer srv.Close()
+		answered := make(chan struct{}, 2)
+		srv.Handle(fuzzProbeKey, func(in *Incoming) {
+			if in.Reply(giop.ReplyOK, nil) == nil {
+				answered <- struct{}{}
+			}
+		})
+		conn := &replyConn{streamConn: streamConn{bytes.NewReader(stream)}}
+		sc := &serverConn{srv: srv, raw: conn, endpoint: "fuzz", inflight: make(map[uint32]context.CancelFunc)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc.readLoop()
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, 18*uint64(len(stream))+fuzzAllocSlack; grew > bound {
+			t.Fatalf("a %d-byte stream announcing %d body bytes allocated %d bytes, bound %d",
+				len(stream), bodyLen, grew, bound)
+		}
+
+		if uint64(len(body)) != uint64(bodyLen) {
+			return
+		}
+		if _, err := giop.DecodeRequestHeader(cdr.NewDecoder(order, body)); err != nil {
+			return
+		}
+		deadline := time.After(5 * time.Second)
+		for !conn.replied(fuzzProbeReq) {
+			select {
+			case <-answered:
+			case <-deadline:
+				t.Fatal("a well-formed request tore the stream: the probe after it was never answered")
 			}
 		}
 	})

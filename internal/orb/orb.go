@@ -2,8 +2,9 @@
 // client-side invocation engine (connection caching, request/reply
 // matching, cancellation, locate queries) and the server-side object
 // adapter (endpoint listeners, request dispatch, reply writing), plus
-// the routing of multi-port block-transfer messages that distinguishes
-// PARDIS from a conventional ORB.
+// the one-sided window puts that carry multi-port arguments straight
+// into registered destination slices, which distinguish PARDIS from a
+// conventional ORB.
 //
 // The ORB is deliberately mechanism-only: argument marshaling lives in
 // compiler-generated stubs (package idlgen) and the SPMD collective

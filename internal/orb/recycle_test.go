@@ -1,14 +1,15 @@
 package orb
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/giop"
-	"pardis/internal/ior"
 	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
@@ -18,7 +19,7 @@ import (
 const bigDoubles = giop.DefaultReadBufSize / 8 * 2
 
 // largeBodyLedger reads the recycler's process-wide counts: large
-// Request/Reply bodies drawn from their pools and handed back.
+// Request bodies drawn from their readers' spares and handed back.
 func largeBodyLedger() (gets, puts uint64) {
 	return telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body").Value(),
 		telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body").Value()
@@ -44,25 +45,21 @@ func awaitLedger(t *testing.T, what string, g0, p0, wantGets, wantPuts uint64) {
 	}
 }
 
-// TestLargeReplyReleasedOnce follows a recycled reply body through every
-// way a client can end with it: InvokeRef's caller releases it (a
-// second Release is a no-op); a reply that arrives after its waiter gave
-// up is released by the read loop that finds no pending entry; Invoke's
-// caller keeps its body, which is then never handed back — left to the
-// garbage collector, as before recycling existed.
-func TestLargeReplyReleasedOnce(t *testing.T) {
+// TestLargeReplyBodyKept: a reply body larger than the FrameReader's
+// buffer is a plain allocation that belongs to Invoke's caller. It
+// stays intact while the same connection carries later large replies
+// (under the pardis_poison tag a body handed back for reuse would read
+// as NaN here), and no reply ever draws from the recycler.
+func TestLargeReplyBodyKept(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
 	srv := NewServer(reg)
 	defer srv.Close()
-	big := make([]float64, bigDoubles)
-	for i := range big {
-		big[i] = float64(i)
-	}
-	late := make(chan struct{})
 	srv.Handle("big", func(in *Incoming) {
-		if in.Header.Operation == "late" {
-			<-late
+		fill, _ := in.Decoder().Double()
+		big := make([]float64, bigDoubles)
+		for i := range big {
+			big[i] = fill + float64(i)
 		}
 		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutDoubleSeq(big) })
 	})
@@ -70,41 +67,37 @@ func TestLargeReplyReleasedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(reg)
+	cli := NewClient(reg, WithStripes(1))
 	defer cli.Close()
-	ref := &ior.Ref{TypeID: "IDL:big:1.0", Key: "big", Threads: 1, Endpoints: []string{ep}}
+	invoke := func(fill float64) []byte {
+		t.Helper()
+		rh, order, body, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "big", "op"),
+			func(e *cdr.Encoder) { e.PutDouble(fill) })
+		if err != nil || rh.Status != giop.ReplyOK || order != cdr.NativeOrder {
+			t.Fatalf("invoke: %v %v", rh.Status, err)
+		}
+		return body
+	}
+	check := func(what string, body []byte, fill float64) {
+		t.Helper()
+		got, err := cdr.NewDecoderAt(cdr.NativeOrder, body, 8).DoubleSeq()
+		if err != nil || len(got) != bigDoubles {
+			t.Fatalf("%s: %d doubles (%v)", what, len(got), err)
+		}
+		for i, v := range got {
+			if v != fill+float64(i) {
+				t.Fatalf("%s: element %d = %v, want %v", what, i, v, fill+float64(i))
+			}
+		}
+	}
 
 	g0, p0 := largeBodyLedger()
-	r, err := cli.InvokeRef(context.Background(), ref, requestHeader(cli, "big", "op"), nil)
-	if err != nil {
-		t.Fatal(err)
+	first := invoke(1e6)
+	for i := 0; i < 4; i++ {
+		check("later reply", invoke(float64(i)), float64(i))
 	}
-	got, err := cdr.NewDecoderAt(r.Order, r.Body, 8).DoubleSeq()
-	if err != nil || len(got) != len(big) || got[len(got)-1] != big[len(big)-1] {
-		t.Fatalf("reply: %d doubles (%v)", len(got), err)
-	}
-	r.Release()
-	r.Release()
-	if r.Body != nil {
-		t.Fatal("Body still set after Release")
-	}
-	awaitLedger(t, "released by InvokeRef's caller", g0, p0, 1, 1)
-
-	g0, p0 = largeBodyLedger()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	_, err = cli.InvokeRef(ctx, ref, requestHeader(cli, "big", "late"), nil)
-	cancel()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("late invocation: %v, want ErrCanceled", err)
-	}
-	close(late)
-	awaitLedger(t, "reply after its waiter gave up", g0, p0, 1, 1)
-
-	g0, p0 = largeBodyLedger()
-	if _, _, body, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "big", "op"), nil); err != nil || len(body) < len(big)*8 {
-		t.Fatalf("Invoke: %d body bytes (%v)", len(body), err)
-	}
-	awaitLedger(t, "kept by Invoke's caller", g0, p0, 1, 0)
+	check("first reply after later traffic", first, 1e6)
+	awaitLedger(t, "large replies", g0, p0, 0, 0)
 }
 
 // TestLargeRequestReleasedOnce: a recycled request body goes back once
@@ -151,4 +144,78 @@ func TestLargeRequestReleasedOnce(t *testing.T) {
 		t.Fatalf("unknown object: %v %v", rh.Status, err)
 	}
 	awaitLedger(t, "answered without a handler", g0, p0, 1, 1)
+}
+
+// announce writes a message header in order that announces an n-byte
+// body of type t.
+func announce(order cdr.ByteOrder, t giop.MsgType, n uint32) []byte {
+	e := cdr.NewEncoder(order)
+	e.PutULong(n)
+	return append([]byte{'P', 'I', 'O', 'P', giop.VersionMajor, giop.VersionMinor,
+		byte(order) & 1, byte(t)}, e.Bytes()...)
+}
+
+// boundedAlloc is what a read loop may allocate for a header announcing
+// 512 MiB that no body follows.
+const boundedAlloc = 64 << 20
+
+// TestServerBoundsAnnouncedRequest: a peer that announces a 512 MiB
+// request and closes the connection costs the server's read loop what
+// it sent, not what it announced.
+func TestServerBoundsAnnouncedRequest(t *testing.T) {
+	srv := NewServer(nil)
+	defer srv.Close()
+	sc := &serverConn{srv: srv, raw: streamConn{bytes.NewReader(announce(cdr.NativeOrder, giop.MsgRequest, 512<<20))},
+		endpoint: "bounded", inflight: make(map[uint32]context.CancelFunc)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sc.readLoop()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > boundedAlloc {
+		t.Fatalf("an announced 512 MiB request allocated %d MiB", grew>>20)
+	}
+}
+
+// TestClientBoundsAnnouncedReply: a server that answers with a header
+// announcing a 512 MiB reply, its ReplyHeader and nothing more, then
+// closes, fails the invocation with the connection, at the cost of what
+// it sent.
+func TestClientBoundsAnnouncedReply(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	ln, err := reg.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		f, err := giop.NewFrameReader(conn).ReadFrame()
+		if err != nil {
+			return
+		}
+		rh, err := giop.DecodeRequestHeader(cdr.NewDecoder(f.Order, f.Body))
+		if err != nil {
+			return
+		}
+		e := cdr.NewEncoder(cdr.NativeOrder)
+		(&giop.ReplyHeader{RequestID: rh.RequestID, Status: giop.ReplyOK}).Encode(e)
+		_, _ = conn.Write(append(announce(cdr.NativeOrder, giop.MsgReply, 512<<20), e.Bytes()...))
+	}()
+	cli := NewClient(reg)
+	defer cli.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = cli.Invoke(context.Background(), ln.Endpoint(), requestHeader(cli, "x", "op"), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrConnectionLost) {
+		t.Fatalf("invoke: %v, want ErrConnectionLost", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > boundedAlloc {
+		t.Fatalf("an announced 512 MiB reply allocated %d MiB", grew>>20)
+	}
 }

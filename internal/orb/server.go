@@ -481,10 +481,11 @@ func (sc *serverConn) readLoop() {
 	// The FrameReader buffers the socket (one raw Read per header+body
 	// in the common case) and surfaces the sender's protocol minor
 	// version, which the header decoder needs: 1.0 peers frame request
-	// headers without trace bytes. Control-frame bodies are pooled and
-	// released here once decoded; Request/BlockTransfer bodies escape
-	// to handlers and block sinks, so ownership transfers with them (a
-	// recycled request body to the handler's Incoming; see Release).
+	// headers without trace bytes. Request/BlockTransfer bodies escape
+	// to handlers and block sinks, so ownership transfers with them: a
+	// recycled (large) request body goes to the handler's Incoming,
+	// whose Release hands it back to fr (see Incoming.Release). Every
+	// other body is a plain allocation, dropped once decoded.
 	fr := giop.NewFrameReader(sc.raw)
 	for {
 		fh, err := fr.ReadFrameHeader()
@@ -512,15 +513,12 @@ func (sc *serverConn) readLoop() {
 				return
 			}
 		case giop.MsgLocateRequest:
-			err := sc.handleLocate(order, body)
-			f.Release()
-			if err != nil {
+			if err := sc.handleLocate(order, body); err != nil {
 				return
 			}
 		case giop.MsgCancelRequest:
 			d := cdr.NewDecoder(order, body)
 			ch, err := giop.DecodeCancelRequestHeader(d)
-			f.Release()
 			if err != nil {
 				return
 			}
@@ -541,11 +539,9 @@ func (sc *serverConn) readLoop() {
 				return
 			}
 		case giop.MsgCloseConnection, giop.MsgError:
-			f.Release()
 			return
 		default:
 			// Replies have no business arriving at a server.
-			f.Release()
 			_ = giop.WriteMessage(sc.raw, sc.srv.order, giop.MsgError, nil)
 			return
 		}

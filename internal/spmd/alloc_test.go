@@ -21,9 +21,10 @@ import (
 // TestCentralizedLargeBodiesRecycled: once warm, a run of centralized
 // invocations with 8 MiB inout payloads draws one large frame body per
 // invocation — the request's; the reply lands in the lent blocks — and
-// never misses the pool. The communicator hands the request body back
-// before it writes the reply, so a client whose next request follows
-// the reply at once cannot beat the release and find the pool empty.
+// never misses its reader's spare. The communicator hands the request
+// body back before it writes the reply, so a client whose next request
+// follows the reply at once cannot beat the release and find the spare
+// empty.
 func TestCentralizedLargeBodiesRecycled(t *testing.T) {
 	const ops = 16
 	gets := telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
@@ -58,7 +59,7 @@ func TestCentralizedLargeBodiesRecycled(t *testing.T) {
 		return nil
 	})
 	if g, m := gets.Value()-g0, misses.Value()-m0; g != ops || m != 0 {
-		t.Fatalf("%d invocations drew %d large bodies with %d pool misses; want %d and 0", ops, g, m, ops)
+		t.Fatalf("%d invocations drew %d large bodies with %d spare misses; want %d and 0", ops, g, m, ops)
 	}
 }
 

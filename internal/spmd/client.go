@@ -300,7 +300,6 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			// byte-order octet: every thread decodes in that order.
 			payload = append([]byte{1, byte(r.Order)}, r.Body...)
 		}
-		r.Release() // payload holds a copy
 		if _, berr := b.th.Bcast(0, payload); berr != nil {
 			b.Close()
 			return nil, berr
@@ -408,7 +407,6 @@ func (b *Binding) Renew(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	r.Release()
 	if r.Header.Status != giop.ReplyOK {
 		return fmt.Errorf("%w: renew returned %v", ErrRemote, r.Header.Status)
 	}
@@ -690,7 +688,6 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 			default:
 				err = fmt.Errorf("%w: reply status %v", ErrRemote, r.Header.Status)
 			}
-			r.Release()
 			resolver.Reject(err)
 		}()
 	}

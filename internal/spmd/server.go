@@ -549,7 +549,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	// through phase 2 of the dispatch. The early replies below release it
 	// on the way out; a dispatched request releases it before its reply
 	// is written, so the client's next request, which may follow the
-	// reply at once, finds the body back in its pool.
+	// reply at once, finds the body back with the connection's reader.
 	defer in.Release()
 
 	// A queued invocation whose propagated deadline already passed is
