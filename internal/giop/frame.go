@@ -446,9 +446,10 @@ func (fr *FrameReader) ReadWindowPayload(order cdr.ByteOrder, dst []float64) err
 
 // Peek returns the next n body bytes without consuming them; they are
 // valid until the next read. n must not exceed DefaultReadBufSize or
-// the bytes the current body has left. A reply landing parses the
-// body's prefix this way before it reads the elements, with
-// ReadWindowPayload, straight into their destination.
+// the bytes the current body has left. A landing — of a reply, or of a
+// request the server read loop leaves parked — parses the body's prefix
+// this way before it reads the elements, with ReadWindowPayload,
+// straight into their destination.
 func (fr *FrameReader) Peek(n int) ([]byte, error) {
 	return fr.br.Peek(n)
 }

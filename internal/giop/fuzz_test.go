@@ -148,3 +148,72 @@ func FuzzFrameReader(f *testing.F) {
 		got.Release()
 	})
 }
+
+// FuzzRequestHeader: a RequestHeader round-trips through Encode (PIOP
+// 1.1, with the trace and deadline extensions) and EncodeV10 (1.0,
+// without them) in either byte order and at any stream offset mod 8,
+// consuming exactly the bytes it encoded, and a 1.0 decode leaves the
+// extensions zero. Arbitrary bytes decode without panicking, and
+// whatever decodes re-encodes to a header that decodes the same — the
+// server's read loop decodes large requests' headers straight from its
+// peek window.
+func FuzzRequestHeader(f *testing.F) {
+	f.Add(uint32(7), uint64(42), true, "objects/diffusion", "diffusion", int32(0), int32(2),
+		uint64(0xfeed), uint64(0xbeef), true, uint64(1500000), true, byte(1), uint8(0), []byte{})
+	f.Add(uint32(0), uint64(0), false, "", "", int32(-1), int32(1),
+		uint64(0), uint64(0), false, uint64(1<<62), false, byte(0), uint8(5), []byte{0, 0, 0, 1})
+	f.Add(uint32(1<<31), ^uint64(0), true, "k", "op", int32(3), int32(4),
+		^uint64(0), uint64(1), false, ^uint64(0), true, byte(1), uint8(3),
+		[]byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 'k', 0})
+	f.Fuzz(func(t *testing.T, reqID uint32, inv uint64, resp bool, key, op string, rank, count int32,
+		traceID, spanID uint64, sampled bool, deadline uint64, little bool, minor byte, base uint8, raw []byte) {
+		order := cdr.BigEndian
+		if little {
+			order = cdr.LittleEndian
+		}
+		minor &= 1
+		off := int(base % 8)
+		h := RequestHeader{
+			RequestID: reqID, InvocationID: inv, ResponseExpected: resp,
+			ObjectKey: key, Operation: op, ThreadRank: rank, ThreadCount: count,
+		}
+		if minor == 1 {
+			h.Trace.TraceID, h.Trace.SpanID, h.Trace.Sampled = traceID, spanID, sampled
+			h.DeadlineMicros = deadline
+		}
+		e := cdr.NewEncoderAt(order, off)
+		if minor == 1 {
+			h.Encode(e)
+		} else {
+			h.EncodeV10(e)
+		}
+		d := cdr.NewDecoderAt(order, e.Bytes(), off)
+		got, err := DecodeRequestHeaderV(d, minor)
+		if err != nil {
+			t.Fatalf("minor %d: %v", minor, err)
+		}
+		if got != h {
+			t.Fatalf("minor %d: decoded %+v, encoded %+v", minor, got, h)
+		}
+		if d.Remaining() != 0 {
+			t.Fatalf("minor %d: %d of %d bytes left undecoded", minor, d.Remaining(), e.Len())
+		}
+
+		for m := byte(0); m <= 1; m++ {
+			h, err := DecodeRequestHeaderV(cdr.NewDecoderAt(order, raw, off), m)
+			if err != nil {
+				continue
+			}
+			e := cdr.NewEncoderAt(order, off)
+			if m == 1 {
+				h.Encode(e)
+			} else {
+				h.EncodeV10(e)
+			}
+			again, err := DecodeRequestHeaderV(cdr.NewDecoderAt(order, e.Bytes(), off), m)
+			if err != nil || again != h {
+				t.Fatalf("minor %d: %+v re-encoded decodes as %+v (%v)", m, h, again, err)
+			}
+		}
+	})
+}

@@ -283,6 +283,7 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 		slot:     slot,
 		raw:      raw,
 		pending:  make(map[uint32]waiter),
+		closed:   make(chan struct{}),
 		depth: telemetry.Default.Gauge("pardis_client_stripe_depth",
 			"endpoint", endpoint, "stripe", strconv.Itoa(slot)),
 	}
@@ -633,7 +634,7 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 	}
 
 	if !hdr.ResponseExpected {
-		err := cc.write(giop.MsgRequest, e)
+		err := cc.writeRequest(ctx, e)
 		e.Release()
 		if err != nil {
 			return Reply{}, err
@@ -645,7 +646,7 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 	cc.addPending(hdr.RequestID, waiter{ch: ch, land: land})
 	defer cc.removePending(hdr.RequestID)
 
-	werr := cc.write(giop.MsgRequest, e)
+	werr := cc.writeRequest(ctx, e)
 	e.Release()
 	if werr != nil {
 		return Reply{}, werr
@@ -824,10 +825,15 @@ type clientConn struct {
 
 	writeMu   sync.Mutex
 	cancelBuf [4]byte // preallocated CancelRequest body, guarded by writeMu
+	// watch and wrote talk to the write watcher (watchWrites), made
+	// with it under writeMu.
+	watch chan (<-chan struct{})
+	wrote chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint32]waiter
 	dead    bool
+	closed  chan struct{} // closed once the connection is dead
 
 	// landing is the reply channel of the waiter whose reply the read
 	// loop is landing, nil when none: set as the read loop takes the
@@ -855,6 +861,79 @@ func (cc *clientConn) write(t giop.MsgType, e *giop.PooledEncoder) error {
 		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
 	}
 	return nil
+}
+
+// writeRequest writes a Request frame like write. One whose body is
+// larger than giop.DefaultReadBufSize may be parked by the server —
+// left on the connection until its object lands it
+// (Server.HandleLanding), possibly behind a long dispatch — and its
+// write then lasts until the landing, so ctx bounds it: a request whose
+// ctx has ended is not written, and one whose ctx ends mid-write fails
+// with ErrCanceled and takes the connection down with it, the frame
+// being torn.
+func (cc *clientConn) writeRequest(ctx context.Context, e *giop.PooledEncoder) error {
+	done := ctx.Done()
+	if done == nil || bodyLen(e.Encoder) <= giop.DefaultReadBufSize {
+		return cc.write(giop.MsgRequest, e)
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCanceled, err)
+	}
+	cc.writeMu.Lock()
+	defer cc.writeMu.Unlock()
+	if cc.watch == nil {
+		cc.watch, cc.wrote = make(chan (<-chan struct{})), make(chan struct{})
+		go cc.watchWrites()
+	}
+	select {
+	case cc.watch <- done:
+	case <-cc.closed:
+		return fmt.Errorf("%w: connection closed", ErrConnectionLost)
+	}
+	err := giop.WriteEncoded(cc.raw, giop.MsgRequest, e.Encoder)
+	cc.wrote <- struct{}{}
+	// The watcher is done with this write: undo a deadline it may have
+	// set just as the write completed.
+	_ = cc.raw.SetWriteDeadline(time.Time{})
+	if err != nil {
+		cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("%w: %v mid-write", ErrCanceled, cerr)
+		}
+		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
+	}
+	return nil
+}
+
+// watchWrites is the connection's write watcher, started with its first
+// watched write (writeRequest): for each, it receives the Done channel
+// of the write's context on watch and fails the write, through a write
+// deadline in the past, if that closes before the writer reports the
+// write over on wrote. It exits with the connection.
+func (cc *clientConn) watchWrites() {
+	for {
+		var done <-chan struct{}
+		select {
+		case done = <-cc.watch:
+		case <-cc.closed:
+			return
+		}
+		select {
+		case <-done:
+			_ = cc.raw.SetWriteDeadline(time.Unix(1, 0))
+			<-cc.wrote
+		case <-cc.wrote:
+		}
+	}
+}
+
+// bodyLen is the length of the body e encoded, spliced blocks included.
+func bodyLen(e *cdr.Encoder) int {
+	n := e.Len()
+	for _, sp := range e.Splices() {
+		n += len(sp.Data)
+	}
+	return n
 }
 
 // sendCancel writes a CancelRequest for id through the connection's
@@ -940,6 +1019,7 @@ func (cc *clientConn) shutdown(cause error) {
 		return
 	}
 	cc.dead = true
+	close(cc.closed)
 	waiters := cc.pending
 	cc.pending = make(map[uint32]waiter)
 	if n := len(waiters); n > 0 {

@@ -2,7 +2,6 @@ package orb
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"net"
 	"runtime"
@@ -124,8 +123,7 @@ func FuzzWindowPut(f *testing.F) {
 		}
 		defer cancelProbe()
 
-		sc := &serverConn{srv: srv, raw: streamConn{bytes.NewReader(stream)},
-			endpoint: "fuzz", inflight: make(map[uint32]context.CancelFunc)}
+		sc := newServerConn(srv, streamConn{bytes.NewReader(stream)}, "fuzz")
 		sc.readLoop()
 
 		for i, v := range backing[fuzzWindowN:] {
@@ -264,7 +262,7 @@ func FuzzRequestFrame(f *testing.F) {
 			}
 		})
 		conn := &replyConn{streamConn: streamConn{bytes.NewReader(stream)}}
-		sc := &serverConn{srv: srv, raw: conn, endpoint: "fuzz", inflight: make(map[uint32]context.CancelFunc)}
+		sc := newServerConn(srv, conn, "fuzz")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sc.readLoop()

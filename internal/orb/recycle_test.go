@@ -165,8 +165,7 @@ const boundedAlloc = 64 << 20
 func TestServerBoundsAnnouncedRequest(t *testing.T) {
 	srv := NewServer(nil)
 	defer srv.Close()
-	sc := &serverConn{srv: srv, raw: streamConn{bytes.NewReader(announce(cdr.NativeOrder, giop.MsgRequest, 512<<20))},
-		endpoint: "bounded", inflight: make(map[uint32]context.CancelFunc)}
+	sc := newServerConn(srv, streamConn{bytes.NewReader(announce(cdr.NativeOrder, giop.MsgRequest, 512<<20))}, "bounded")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sc.readLoop()

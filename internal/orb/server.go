@@ -2,8 +2,10 @@ package orb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -24,8 +26,11 @@ type Incoming struct {
 	Header giop.RequestHeader
 	// Order is the byte order of Body.
 	Order cdr.ByteOrder
+	// parked is set while the body is still on the connection, in
+	// conn's parking slot (see Parked).
+	parked bool
 	// Body is the CDR-encoded in-arguments (stream offset continues
-	// from the request header).
+	// from the request header); nil while the request is Parked.
 	Body []byte
 	// BodyBase is the stream offset at which Body starts, for
 	// alignment-correct decoding.
@@ -59,11 +64,108 @@ func (in *Incoming) Decoder() *cdr.Decoder {
 // it. Body is cleared. A handler that never calls Release leaves the
 // body to the garbage collector; a second Release is a no-op. Replying
 // does not release: the reply may be marshaled from the request's
-// bytes.
+// bytes. Releasing a parked request skims its body off the connection
+// unread.
 func (in *Incoming) Release() {
+	if in.parked {
+		_ = in.unpark(parkAsk{})
+	}
 	in.Body = nil
 	in.buf.Release()
 	in.buf = nil
+}
+
+// Parked reports whether the request's body is still on the connection:
+// the request was larger than giop.DefaultReadBufSize and its key was
+// installed with HandleLanding. Body is then nil, and the connection
+// reads nothing more until the handler — or whoever it hands the
+// request to — calls exactly one of Land, ReadBody and Release.
+func (in *Incoming) Parked() bool { return in.parked }
+
+// BodyLen returns the length of a parked request's whole body,
+// RequestHeader included, as its frame announced it; for any other
+// request, BodyBase plus the length of Body.
+func (in *Incoming) BodyLen() int {
+	if in.parked {
+		return int(in.conn.parking.fh.BodyLen)
+	}
+	return in.BodyBase + len(in.Body)
+}
+
+// Prefix returns what the connection's read buffer already holds of a
+// parked request's in-arguments, from stream offset BodyBase on: at
+// most giop.DefaultReadBufSize bytes of the body, request header
+// included, are buffered. The bytes are valid until Land, ReadBody or
+// Release, and nil for a request that is not parked.
+func (in *Incoming) Prefix() []byte {
+	if !in.parked {
+		return nil
+	}
+	return in.conn.parking.prefix
+}
+
+// ReadBody reads a parked request's body whole, as an unparked request
+// arrives: Body, Decoder and Release then work as for any other. An
+// error means the connection failed and the request cannot be served.
+func (in *Incoming) ReadBody() error { return in.unpark(parkAsk{into: in}) }
+
+// Land hands a parked request's body to l, which reads it off the
+// connection on its read goroutine, and returns once l has returned,
+// with l's error: whatever l writes is the caller's again when Land
+// returns. An error wrapping ErrConnectionLost means the connection
+// failed, before l ran or while it read.
+func (in *Incoming) Land(l RequestLander) error { return in.unpark(parkAsk{land: l}) }
+
+// unpark hands the parked body to the read loop with what to do with
+// it, and waits for the outcome unless the body is only skimmed.
+func (in *Incoming) unpark(a parkAsk) error {
+	if !in.parked {
+		return errors.New("orb: request body is not parked")
+	}
+	in.parked = false
+	p := in.conn.parking
+	select {
+	case p.ask <- a:
+	case <-in.conn.done:
+		return fmt.Errorf("%w: connection closed with the request parked", ErrConnectionLost)
+	}
+	if a == (parkAsk{}) {
+		return nil
+	}
+	return <-p.done
+}
+
+// A RequestLander consumes a parked request's body off the connection,
+// for Incoming.Land. LandRequest runs on the connection's read
+// goroutine with the frame header h and the whole body, RequestHeader
+// first, unread on fr. It returns nil, or an error for Land's caller:
+//
+//   - nil or an error not wrapping ErrConnectionLost: the lander
+//     consumed exactly h.BodyLen bytes, and the connection carries on;
+//   - an error wrapping ErrConnectionLost: reading the body failed, and
+//     the connection is torn down.
+type RequestLander interface {
+	LandRequest(fr *giop.FrameReader, h giop.FrameHeader) error
+}
+
+// parking is a connection's slot for the one request whose body its
+// read loop leaves on the connection, waiting on ask until the
+// request's consumer lands it, asks for it whole, or releases it.
+type parking struct {
+	fr *giop.FrameReader
+	fh giop.FrameHeader
+	// prefix is what the read buffer shows of the request's
+	// in-arguments (Incoming.Prefix).
+	prefix []byte
+	ask    chan parkAsk
+	done   chan error // the outcome of a landing or a whole read
+}
+
+// parkAsk is what a parked body's consumer wants done with it: land it
+// through land, read it whole into into, or — the zero value — skim it.
+type parkAsk struct {
+	land RequestLander
+	into *Incoming
 }
 
 // Reply sends a normal or exceptional reply with a marshaled body. The
@@ -108,6 +210,7 @@ type Server struct {
 	mu        sync.Mutex
 	listeners []transport.Listener
 	handlers  map[string]Handler
+	landing   map[string]bool // keys installed with HandleLanding
 	conns     map[*serverConn]struct{}
 	draining  bool
 	closed    bool
@@ -175,6 +278,7 @@ func NewServer(reg *transport.Registry, opts ...ServerOption) *Server {
 		reg:      reg,
 		order:    cdr.NativeOrder,
 		handlers: make(map[string]Handler),
+		landing:  make(map[string]bool),
 		conns:    make(map[*serverConn]struct{}),
 		blocks:   newBlockRouter(),
 		quit:     make(chan struct{}),
@@ -219,6 +323,19 @@ func (s *Server) Order() cdr.ByteOrder { return s.order }
 func (s *Server) Handle(key string, h Handler) {
 	s.mu.Lock()
 	s.handlers[key] = h
+	delete(s.landing, key)
+	s.mu.Unlock()
+}
+
+// HandleLanding installs a handler for an object key like Handle, whose
+// requests larger than giop.DefaultReadBufSize reach it parked (see
+// Incoming.Parked): their bodies are left on the connection for the
+// handler to land where they belong. A parked request must be landed,
+// read or released — until then its connection reads nothing more.
+func (s *Server) HandleLanding(key string, h Handler) {
+	s.mu.Lock()
+	s.handlers[key] = h
+	s.landing[key] = true
 	s.mu.Unlock()
 }
 
@@ -226,7 +343,15 @@ func (s *Server) Handle(key string, h Handler) {
 func (s *Server) Unhandle(key string) {
 	s.mu.Lock()
 	delete(s.handlers, key)
+	delete(s.landing, key)
 	s.mu.Unlock()
+}
+
+// lands reports whether key was installed with HandleLanding.
+func (s *Server) lands(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.landing[key]
 }
 
 // handler looks up the handler for a key.
@@ -292,12 +417,7 @@ func (s *Server) acceptLoop(l transport.Listener) {
 		if err != nil {
 			return
 		}
-		sc := &serverConn{
-			srv:      s,
-			raw:      raw,
-			endpoint: l.Endpoint(),
-			inflight: make(map[uint32]context.CancelFunc),
-		}
+		sc := newServerConn(s, raw, l.Endpoint())
 		if s.adm != nil && s.adm.cfg.MaxPerConn > 0 {
 			sc.slots = make(chan struct{}, s.adm.cfg.MaxPerConn)
 		}
@@ -436,6 +556,21 @@ type serverConn struct {
 	mu       sync.Mutex
 	inflight map[uint32]context.CancelFunc
 	dead     bool
+	done     chan struct{} // closed once the connection is dead
+
+	// parking is the read loop's slot for parked requests, made with
+	// the first and never replaced.
+	parking *parking
+}
+
+func newServerConn(s *Server, raw transport.Conn, endpoint string) *serverConn {
+	return &serverConn{
+		srv:      s,
+		raw:      raw,
+		endpoint: endpoint,
+		inflight: make(map[uint32]context.CancelFunc),
+		done:     make(chan struct{}),
+	}
 }
 
 // write frames one message under the write lock, as one gather write:
@@ -464,6 +599,7 @@ func (sc *serverConn) close() {
 		return
 	}
 	sc.dead = true
+	close(sc.done)
 	cancels := make([]context.CancelFunc, 0, len(sc.inflight))
 	for _, c := range sc.inflight {
 		cancels = append(cancels, c)
@@ -484,8 +620,9 @@ func (sc *serverConn) readLoop() {
 	// headers without trace bytes. Request/BlockTransfer bodies escape
 	// to handlers and block sinks, so ownership transfers with them: a
 	// recycled (large) request body goes to the handler's Incoming,
-	// whose Release hands it back to fr (see Incoming.Release). Every
-	// other body is a plain allocation, dropped once decoded.
+	// whose Release hands it back to fr (see Incoming.Release), unless
+	// its key takes it parked (parkRequest). Every other body is a plain
+	// allocation, dropped once decoded.
 	fr := giop.NewFrameReader(sc.raw)
 	for {
 		fh, err := fr.ReadFrameHeader()
@@ -500,6 +637,15 @@ func (sc *serverConn) readLoop() {
 				return
 			}
 			continue
+		}
+		if fh.Type == giop.MsgRequest && fh.BodyLen > giop.DefaultReadBufSize {
+			parked, err := sc.parkRequest(fr, fh)
+			if err != nil {
+				return
+			}
+			if parked {
+				continue
+			}
 		}
 		f, err := fr.ReadFrameBody(fh)
 		if err != nil {
@@ -599,7 +745,7 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 		// Unparseable request: poison the stream, give up.
 		return fmt.Errorf("orb: bad request header: %w", err)
 	}
-	in := &Incoming{
+	sc.dispatch(&Incoming{
 		Header:   hdr,
 		Order:    f.Order,
 		Body:     f.Body[d.Pos():],
@@ -607,14 +753,103 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 		Endpoint: sc.endpoint,
 		conn:     sc,
 		buf:      f.Detach(),
+	}, false)
+	return nil
+}
+
+// parkRequest serves a Request larger than giop.DefaultReadBufSize,
+// whose frame header fh the read loop just read, parked when its key
+// was installed with HandleLanding: the request header is decoded from
+// the peek window and the request dispatched with its body still on the
+// connection, and the read loop waits until the body has been landed,
+// read whole or skimmed (awaitParked). A request answered before its
+// handler sees it is skimmed here. It reports false, having consumed
+// nothing, for a request that is not parked — its header does not
+// decode from the window, or its key takes no landing — which the
+// caller reads whole.
+func (sc *serverConn) parkRequest(fr *giop.FrameReader, fh giop.FrameHeader) (bool, error) {
+	win, err := fr.Peek(giop.DefaultReadBufSize)
+	if err != nil {
+		return false, err
 	}
+	d := cdr.NewDecoder(fh.Order, win)
+	hdr, err := giop.DecodeRequestHeaderV(d, fh.Minor)
+	if err != nil || !sc.srv.lands(hdr.ObjectKey) {
+		return false, nil
+	}
+	p := sc.parking
+	if p == nil {
+		p = &parking{fr: fr, ask: make(chan parkAsk), done: make(chan error, 1)}
+		sc.parking = p
+	}
+	p.fh, p.prefix = fh, win[d.Pos():]
+	in := &Incoming{
+		Header:   hdr,
+		Order:    fh.Order,
+		BodyBase: d.Pos(),
+		Endpoint: sc.endpoint,
+		conn:     sc,
+	}
+	if !sc.dispatch(in, true) {
+		return true, fr.DiscardPayload(int(fh.BodyLen))
+	}
+	return true, sc.awaitParked(p)
+}
+
+// awaitParked waits for what the consumer of the request parked in p
+// wants done with its body and does it on the read goroutine. An error
+// means the connection must go.
+func (sc *serverConn) awaitParked(p *parking) error {
+	var a parkAsk
+	select {
+	case a = <-p.ask:
+	case <-sc.done:
+		return ErrConnectionLost
+	}
+	switch {
+	case a.land != nil:
+		err := a.land.LandRequest(p.fr, p.fh)
+		p.done <- err
+		if errors.Is(err, ErrConnectionLost) {
+			return err
+		}
+		return nil
+	case a.into != nil:
+		f, err := p.fr.ReadFrameBody(p.fh)
+		if err == nil {
+			a.into.Body, a.into.buf = f.Body[a.into.BodyBase:], f.Detach()
+		}
+		p.done <- err
+		return err
+	default:
+		return p.fr.DiscardPayload(int(p.fh.BodyLen))
+	}
+}
+
+// maxBudgetMicros is the largest propagated deadline budget a
+// time.Duration holds, about 292 years; a longer one is clamped to it
+// rather than wrapped into the past.
+const maxBudgetMicros = math.MaxInt64 / int64(time.Microsecond)
+
+// budget converts a propagated deadline budget to a duration.
+func budget(micros uint64) time.Duration {
+	return time.Duration(min(micros, uint64(maxBudgetMicros))) * time.Microsecond
+}
+
+// dispatch starts in's handler on its own goroutine, or answers the
+// request itself when no handler may see it (no object, draining). For
+// a request whose body is parked in the connection's slot it reports
+// whether the handler goroutine was started, owning the parked body; if
+// not, the body is still unread and the caller skims it.
+func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
+	hdr := in.Header
 	h, ok := sc.srv.handler(hdr.ObjectKey)
 	if !ok {
 		telemetry.Default.Counter("pardis_server_no_object_total", "key", hdr.ObjectKey).Inc()
 		_ = in.ReplySystemException("OBJECT_NOT_EXIST",
 			fmt.Sprintf("no object with key %q", hdr.ObjectKey))
 		in.Release()
-		return nil
+		return false
 	}
 	// Admission is gated on the drain flag under the server mutex, so
 	// Shutdown's reqWG.Wait cannot race a late Add: once draining is
@@ -627,7 +862,7 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 		telemetry.Default.Counter("pardis_server_transient_rejections_total").Inc()
 		_ = in.ReplySystemException("TRANSIENT", "server draining")
 		in.Release()
-		return nil
+		return false
 	}
 	sc.srv.reqWG.Add(1)
 	sc.srv.mu.Unlock()
@@ -639,7 +874,7 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if hdr.DeadlineMicros > 0 {
-		in.Expiry = time.Now().Add(time.Duration(hdr.DeadlineMicros) * time.Microsecond)
+		in.Expiry = time.Now().Add(budget(hdr.DeadlineMicros))
 		ctx, cancel = context.WithDeadline(context.Background(), in.Expiry)
 	} else {
 		ctx, cancel = context.WithCancel(context.Background())
@@ -665,7 +900,7 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 			span.End()
 			in.Release()
 			sc.srv.reqWG.Done()
-			return nil
+			return false
 		}
 		sc.inflight[hdr.RequestID] = cancel
 		sc.mu.Unlock()
@@ -673,6 +908,9 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 	km := sc.srv.keyMetricsFor(hdr.ObjectKey)
 	serverInflight.Inc()
 	start := time.Now()
+	// From here on the handler goroutine owns a parked body: every path
+	// out of it lands, reads or releases the request.
+	in.parked = parked
 	go func() {
 		// Dispatch accounting for the flight recorder: how long the
 		// request sat in the admission gate, how much deadline budget
@@ -743,7 +981,7 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 		}
 		h(in)
 	}()
-	return nil
+	return parked
 }
 
 func (sc *serverConn) handleLocate(order cdr.ByteOrder, body []byte) error {

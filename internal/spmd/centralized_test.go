@@ -273,11 +273,11 @@ func TestFaultCentralizedShortReply(t *testing.T) {
 // TestCentralizedCrossEndian runs the centralized round trip with the
 // raw peer pinned to each byte order in turn, so that on any host one of
 // the two crosses a byte-order boundary: a foreign-order client into a
-// real object, whose communicator must unmarshal the frame straight
-// into its threads' blocks, and a real binding against a foreign-order
-// server, whose reply the client communicator must land in its threads'
-// blocks — through the swap scratch, in several rounds, since the
-// payload is larger than the connection's read buffer. Each raw peer
+// real object, and a real binding against a foreign-order server. Either
+// communicator must land the message's elements off the connection
+// straight into its threads' blocks — through the swap scratch, in
+// several rounds, since the payload is larger than the connection's
+// read buffer; the object must not read the request whole. Each raw peer
 // speaks both the gathered encoding and the marshal-in-place one, whose
 // blocks a foreign-order pooled encoder must copy and swap instead of
 // splicing. The server's operation has several out-arguments, one of
@@ -298,6 +298,7 @@ func TestCentralizedCrossEndian(t *testing.T) {
 				Blocks: [][]float64{in[:100], nil, in[100:]},
 			}}}
 			inPlace.Scalars = []byte{byte(cdr.BigEndian), 0, 0, 0, 0, 0, 0, 2}
+			g0 := largeBodies()
 			for _, body := range []func(*cdr.Encoder){legacyInvocation(2, InOut, n, in), inPlace.encode} {
 				rh, d := rawInvoke(t, cli, obj.ref, body)
 				if rh.Status != giop.ReplyOK {
@@ -322,6 +323,9 @@ func TestCentralizedCrossEndian(t *testing.T) {
 						t.Fatalf("out[%d] = %v, want %v", i, v, 4*i)
 					}
 				}
+			}
+			if g := largeBodies() - g0; g != 0 {
+				t.Fatalf("%d requests read whole; want both landed", g)
 			}
 		})
 		t.Run(order.String()+" server", func(t *testing.T) {
@@ -495,15 +499,58 @@ func TestCentralizedRequestWireUnchanged(t *testing.T) {
 	}
 }
 
-// TestShedRequestsReleasedOnce: a recycled request body that the
-// communicator answers before the collective is engaged — MARSHAL for
-// an undecodable invocation, BAD_PARAM for inline data of the wrong
-// length, TIMEOUT for a queued request whose deadline passed — goes back
-// to its reader exactly once, as does the body of a dispatched one.
+// pairInvocation marshals a centralized invocation of an operation with
+// two in-arguments, each with its inline data — so the first argument's
+// elements come before the second's metadata on the wire, and a large
+// request of this shape is read whole rather than landed.
+func pairInvocation(length int, first, second []float64) func(*cdr.Encoder) {
+	return func(e *cdr.Encoder) {
+		e.PutOctet(byte(Centralized))
+		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) { ie.PutLong(1) })
+		e.PutULong(2)
+		for _, a := range []struct {
+			mode ArgMode
+			data []float64
+		}{{InOut, first}, {In, second}} {
+			e.PutOctet(byte(a.mode))
+			e.PutULong(uint32(length))
+			e.PutULongSeq([]uint32{uint32(length)})
+			e.PutStringSeq(nil)
+			e.PutBoolean(true)
+			e.PutDoubleSeq(a.data)
+		}
+	}
+}
+
+// withPair adds to ops the operation pairInvocation calls, "pair"
+// (inout a, in b; a += b).
+func withPair(ops map[string]*Op) map[string]*Op {
+	ops["pair"] = &Op{
+		Spec: OpSpec{Args: []ArgSpec{{Mode: InOut}, {Mode: In}}},
+		Handler: func(call *Call) error {
+			a, b := call.Args[0].LocalData(), call.Args[1].LocalData()
+			for i := range a {
+				a[i] += b[i]
+			}
+			return nil
+		},
+	}
+	return ops
+}
+
+// TestShedRequestsReleasedOnce: a large request read whole — its
+// prefix does not parse, or an argument's elements come before the
+// next one's metadata — is a recycled body that the communicator hands
+// back to its reader exactly once, whether it answers it before the
+// collective is engaged — MARSHAL for an undecodable invocation,
+// BAD_PARAM for inline data of the wrong length, TIMEOUT for a queued
+// request whose deadline passed — or dispatches it. A large request that
+// lands draws no body at all, refused (its body skimmed off the
+// connection, which carries on) or dispatched.
 func TestShedRequestsReleasedOnce(t *testing.T) {
 	hang, hanging := make(chan struct{}), make(chan struct{}, 3)
 	ops := func(th rts.Thread) map[string]*Op {
-		ops := diffusionOps(th)
+		ops := withPair(diffusionOps(th))
 		ops["hang"] = &Op{Spec: ops["diffusion"].Spec, Handler: func(*Call) error {
 			hanging <- struct{}{}
 			<-hang
@@ -537,6 +584,12 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 			t.Fatalf("%s: status %v, exception %+v (%v), want %s", what, rh.Status, ex, derr, code)
 		}
 	}
+	wantOK := func(what string, rh giop.ReplyHeader, err error) {
+		t.Helper()
+		if err != nil || rh.Status != giop.ReplyOK {
+			t.Fatalf("%s: %v %v", what, rh.Status, err)
+		}
+	}
 
 	g0, p0 := ledger()
 	rh, order, raw, err := invoke(context.Background(), "diffusion", func(e *cdr.Encoder) {
@@ -545,7 +598,7 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 		e.PutULong(1 << 30) // more arguments than bytes left
 	})
 	wantException("undecodable invocation", "MARSHAL", rh, order, raw, err)
-	rh, order, raw, err = invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, 300, ramp(n)))
+	rh, order, raw, err = invoke(context.Background(), "pair", pairInvocation(300, ramp(n), ramp(300)))
 	wantException("inline data of the wrong length", "BAD_PARAM", rh, order, raw, err)
 
 	// Park the collective in a hung dispatch, queue a request behind it
@@ -558,7 +611,7 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 	}()
 	<-hanging
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, _, _, err = invoke(ctx, "diffusion", legacyInvocation(1, InOut, n, ramp(n)))
+	_, _, _, err = invoke(ctx, "pair", pairInvocation(n, ramp(n), ramp(n)))
 	cancel()
 	if !errors.Is(err, orb.ErrCanceled) {
 		t.Fatalf("queued invocation: %v, want it to give up", err)
@@ -570,13 +623,18 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 	if err := <-hung; err != nil {
 		t.Fatal(err)
 	}
-	if rh, _, _, err := invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, n, ramp(n))); err != nil || rh.Status != giop.ReplyOK {
-		t.Fatalf("dispatched invocation: %v %v", rh.Status, err)
-	}
+	rh, _, _, err = invoke(context.Background(), "pair", pairInvocation(n, ramp(n), ramp(n)))
+	wantOK("dispatched invocation", rh, err)
 
-	// Four large requests: MARSHAL, BAD_PARAM, TIMEOUT, served. The
-	// served one's reply is large too, but a reply is never recycled: it
-	// is a plain allocation that stays with Invoke's caller.
+	// The same refusal and dispatch for requests that land.
+	rh, order, raw, err = invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, 300, ramp(n)))
+	wantException("landing inline data of the wrong length", "BAD_PARAM", rh, order, raw, err)
+	rh, _, _, err = invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, n, ramp(n)))
+	wantOK("landed invocation", rh, err)
+
+	// Four requests read whole: MARSHAL, BAD_PARAM, TIMEOUT, served. The
+	// served ones' replies are large too, but a reply is never recycled:
+	// it is a plain allocation that stays with Invoke's caller.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g, p := ledger()

@@ -2,14 +2,17 @@ package spmd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/giop"
 	"pardis/internal/orb"
+	"pardis/internal/transport"
 )
 
 // landingFixture is a communicator's Pending for an operation with
@@ -208,4 +211,147 @@ func TestReplyLandingSeeds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// requestFixture is a real two-thread object exporting diffusion over
+// a connection whose dials are counted, with every rank's argument
+// block reseeded before each request as a window into a guarded
+// backing array.
+type requestFixture struct {
+	obj     *testObject
+	clients map[cdr.ByteOrder]*orb.Client
+	dials   *transport.Faulty
+	backing [][]float64
+}
+
+// fuzzReqN is the well-formed length of the forged requests: their
+// bodies are larger than the read buffer, so each is parked and, shape
+// permitting, lands.
+const (
+	fuzzReqN     = giop.DefaultReadBufSize/8 + 512
+	fuzzReqGuard = 64 // guard elements around each rank's block window
+)
+
+func newRequestFixture(tb testing.TB) *requestFixture {
+	inproc := transport.NewInproc()
+	dials := transport.NewFaulty(inproc, transport.FaultPlan{})
+	reg := transport.NewRegistry()
+	reg.Register(cutDialTransport{listen: inproc, dial: dials})
+	f := &requestFixture{obj: startObject(tb, reg, 2, false, diffusionOps), dials: dials,
+		clients: make(map[cdr.ByteOrder]*orb.Client)}
+	tb.Cleanup(f.obj.close)
+	// A client per byte order, each with its connection open.
+	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+		cli := orb.NewClient(reg, orb.WithByteOrder(order), orb.WithStripes(1))
+		tb.Cleanup(func() { cli.Close() })
+		rh, d, err := invokeRaw(context.Background(), cli, f.obj.ref, "diffusion", legacyInvocation(1, InOut, 8, ramp(8)))
+		if err := checkDiffusion(rh, d, err, 8, 1); err != nil {
+			tb.Fatal(err)
+		}
+		f.clients[order] = cli
+	}
+	for range f.obj.threadObjects() {
+		f.backing = append(f.backing, make([]float64, fuzzReqN+2*fuzzReqGuard))
+	}
+	return f
+}
+
+// seed hands every rank a block window of capacity fuzzReqN/2 + guard
+// elements, fuzzReqGuard guard elements on either side of it.
+func (f *requestFixture) seed() {
+	for r, o := range f.obj.threadObjects() {
+		b := f.backing[r]
+		for i := range b {
+			b[i] = landingGuard
+		}
+		w := b[fuzzReqGuard : len(b)-fuzzReqGuard]
+		o.argBlocks = [][]float64{w[: len(w)/2+fuzzReqGuard : len(w)/2+fuzzReqGuard]}
+	}
+}
+
+// guardsIntact reports whether the elements before each rank's window
+// and past its capacity still hold the guard value.
+func (f *requestFixture) guardsIntact() bool {
+	for _, b := range f.backing {
+		w := len(b) - 2*fuzzReqGuard
+		for i, v := range b {
+			if (i < fuzzReqGuard || i >= fuzzReqGuard+w/2+fuzzReqGuard) && v != landingGuard {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// forgedRequest marshals a centralized one-argument invocation in
+// order: the argument declares mode and length, its client layout is
+// one thread of clientLen, and its inline data announces count elements
+// of which have follow, then extra trailing bytes.
+func forgedRequest(mode byte, length, clientLen, count, have, extra int) func(*cdr.Encoder) {
+	return func(e *cdr.Encoder) {
+		e.PutOctet(byte(Centralized))
+		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) { ie.PutLong(1) })
+		e.PutULong(1)
+		e.PutOctet(mode)
+		e.PutULong(uint32(length))
+		e.PutULongSeq([]uint32{uint32(clientLen)})
+		e.PutStringSeq(nil)
+		e.PutBoolean(true)
+		e.PutULong(uint32(count))
+		e.PutDoubles(ramp(have))
+		e.PutOctets(make([]byte, extra))
+	}
+}
+
+// FuzzRequestLanding drives a real exported object with forged
+// centralized requests shaped to land — a length, client layout or
+// element count off by a little, the wrong mode, fewer elements than
+// announced (a length beyond the body), trailing bytes, either byte
+// order — each followed by a well-formed probe on the same connection.
+// The object must not panic; the forged request is answered, a refused
+// one with a system exception, without losing the connection; no write
+// lands outside the threads' blocks; and the probe returns the right
+// elements.
+func FuzzRequestLanding(f *testing.F) {
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), false)     // well formed
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(3), true)      // foreign order for one host or the other
+	f.Add(byte(InOut), int16(-8), int16(-8), int16(0), int16(0), uint8(0), false)   // length and layout short of the data
+	f.Add(byte(InOut), int16(9), int16(9), int16(9), int16(0), uint8(0), true)      // elements beyond the body
+	f.Add(byte(InOut), int16(0), int16(0), int16(-40), int16(-40), uint8(0), false) // inline data short of the length
+	f.Add(byte(In), int16(0), int16(0), int16(0), int16(0), uint8(0), false)        // mode mismatch
+	f.Add(byte(InOut), int16(0), int16(5), int16(0), int16(0), uint8(0), false)     // client layout disagrees
+	f.Add(byte(7), int16(0), int16(0), int16(0), int16(0), uint8(0), true)          // no such mode
+	fx := newRequestFixture(f)
+	f.Fuzz(func(t *testing.T, mode byte, dLength, dClient, dCount, dHave int16, extra uint8, little bool) {
+		order := cdr.BigEndian
+		if little {
+			order = cdr.LittleEndian
+		}
+		// Keep the body above the read buffer, so it is parked, and the
+		// client's connection to itself.
+		clamp := func(d int16) int { return fuzzReqN + int(d)%256 }
+		cli := fx.clients[order]
+		dials := fx.dials.Stats().Dials
+		fx.seed()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		rh, _, err := invokeRaw(ctx, cli, fx.obj.ref, "diffusion",
+			forgedRequest(mode, clamp(dLength), clamp(dClient), clamp(dCount), clamp(dHave), int(extra)))
+		if err != nil {
+			t.Fatalf("forged request: %v", err)
+		}
+		if rh.Status != giop.ReplyOK && rh.Status != giop.ReplySystemException {
+			t.Fatalf("forged request answered %v", rh.Status)
+		}
+		if !fx.guardsIntact() {
+			t.Fatal("a forged request landed outside the threads' blocks")
+		}
+		rh, d, err := invokeRaw(ctx, cli, fx.obj.ref, "diffusion", legacyInvocation(1, InOut, fuzzReqN, ramp(fuzzReqN)))
+		if err := checkDiffusion(rh, d, err, fuzzReqN, 1); err != nil {
+			t.Fatalf("probe after the forged request: %v", err)
+		}
+		if fx.dials.Stats().Dials != dials {
+			t.Fatal("a forged request cost the connection")
+		}
+	})
 }

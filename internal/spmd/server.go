@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -100,7 +101,7 @@ type Object struct {
 	srv    *orb.Server // this thread's port (communicator always has one)
 	out    *orb.Client // for sending out-blocks back to clients
 	ref    *ior.Ref
-	queue  chan *orb.Incoming // communicator only
+	queue  chan request // communicator only
 	closed chan struct{}
 	leases *leaseTable // nil = leases disabled
 
@@ -118,6 +119,29 @@ type Object struct {
 	// distributed argument i, kept from one dispatch to the next (see
 	// argBlock). Touched only by the rank's serve loop.
 	argBlocks [][]float64
+
+	// The communicator's landing rule (see admit): ahead counts the
+	// requests queued or being queued, inPhase1 marks a popped one still
+	// in phase 1 of its dispatch.
+	aheadMu  sync.Mutex
+	ahead    int
+	inPhase1 bool
+	// landing is the communicator's lander for the request it is
+	// dispatching (zero for one read whole), and scalars its copy of a
+	// landing request's scalar encapsulation, both reused by every
+	// dispatch.
+	landing requestLanding
+	scalars []byte
+}
+
+// request is one queued invocation: the request, and for one that lands
+// the invocation wire decoded from its prefix and where its elements
+// are (w nil for one read whole, which the communicator decodes when it
+// pops it).
+type request struct {
+	in   *orb.Incoming
+	w    *invocationWire
+	land requestLanding
 }
 
 // Interned once at package load — the per-dispatch phase histograms
@@ -302,8 +326,8 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	// window puts (handled inside the ORB), but they still
 	// answer describe/locate for robustness.
 	if o.rank == 0 {
-		o.queue = make(chan *orb.Incoming, 64)
-		o.srv.Handle(cfg.Key, func(in *orb.Incoming) {
+		o.queue = make(chan request, 64)
+		o.srv.HandleLanding(cfg.Key, func(in *orb.Incoming) {
 			// Any request is proof of client life: renew its lease
 			// before anything else, so a queued invocation cannot lose
 			// its own lease while waiting for the collective.
@@ -313,22 +337,17 @@ func Export(cfg ObjectConfig) (*Object, error) {
 			switch in.Header.Operation {
 			case DescribeOperation:
 				o.replyDescribe(in)
+				in.Release()
 				return
 			case RenewOperation:
 				// The explicit cheap renew for idle bindings: answered
 				// inline on the communicator port, never engaging the
 				// collective.
 				_ = in.Reply(giop.ReplyOK, nil)
+				in.Release()
 				return
 			}
-			select {
-			case o.queue <- in: // the communicator owns it now
-			case <-o.closed:
-				_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
-				in.Release()
-			case <-in.Ctx.Done():
-				in.Release()
-			}
+			o.admit(in)
 		})
 	} else if o.srv != nil {
 		o.srv.Handle(cfg.Key, func(in *orb.Incoming) {
@@ -351,6 +370,94 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		go o.leaseSweepLoop()
 	}
 	return o, nil
+}
+
+// admit queues a request for the communicator, which owns it from then
+// on. A parked request — one larger than the connection's read buffer,
+// its body left on the connection — lands, its elements read straight
+// into the threads' blocks during its dispatch, when its prefix can
+// (decodeLandingWire) and nothing ahead of it can need bytes that its
+// connection, stalled until then, queues behind it: no request is
+// queued, and none popped is still in phase 1 of its dispatch, where a
+// multi-port one waits for puts. Its stall is then bounded by the
+// running dispatch's handler, out-leg and reply. Any other parked
+// request is read whole first.
+func (o *Object) admit(in *orb.Incoming) {
+	req := request{in: in}
+	var w *invocationWire
+	var land requestLanding
+	if in.Parked() {
+		w, land = decodeLandingWire(in.Order, in.Prefix(), in.BodyBase)
+	}
+	o.aheadMu.Lock()
+	if w != nil && o.ahead == 0 && !o.inPhase1 {
+		req.w, req.land = w, land
+	} else if in.Parked() {
+		o.aheadMu.Unlock()
+		if in.ReadBody() != nil {
+			return // the connection is gone, and the request with it
+		}
+		o.aheadMu.Lock()
+	}
+	o.ahead++
+	o.aheadMu.Unlock()
+	select {
+	case o.queue <- req: // the communicator owns it now
+	case <-o.closed:
+		o.unqueued(false)
+		_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
+		in.Release()
+	case <-in.Ctx.Done():
+		o.unqueued(false)
+		in.Release()
+	}
+}
+
+// unqueued takes a request off the landing rule's count, as the
+// communicator pops it (popped set: it enters phase 1) or as it gives
+// up being queued.
+func (o *Object) unqueued(popped bool) {
+	o.aheadMu.Lock()
+	o.ahead--
+	o.inPhase1 = popped
+	o.aheadMu.Unlock()
+}
+
+// pastPhase1 marks the popped request past phase 1 of its dispatch (or
+// answered before it): it needs no more bytes from any connection.
+func (o *Object) pastPhase1() {
+	o.aheadMu.Lock()
+	o.inPhase1 = false
+	o.aheadMu.Unlock()
+}
+
+// requestLanding is the communicator's orb.RequestLander: it lands the
+// last argument's inline elements of a request, n of them at body
+// offset at, in the threads' lent blocks.
+type requestLanding struct {
+	blocks [][]float64
+	at, n  int
+}
+
+// LandRequest skips the body up to the elements, reads them block by
+// block with ReadWindowPayload — the native order straight in, a
+// foreign one through the swap scratch — and skims what follows them.
+// The communicator has checked, before it engaged the collective, that
+// the n elements fit the body and that the blocks hold exactly n. A
+// read failure wraps orb.ErrConnectionLost.
+func (l *requestLanding) LandRequest(fr *giop.FrameReader, h giop.FrameHeader) error {
+	if err := fr.DiscardPayload(l.at); err != nil {
+		return fmt.Errorf("%w: %v", orb.ErrConnectionLost, err)
+	}
+	for _, blk := range l.blocks {
+		if err := fr.ReadWindowPayload(h.Order, blk); err != nil {
+			return fmt.Errorf("%w: request landing: %v", orb.ErrConnectionLost, err)
+		}
+	}
+	if err := fr.DiscardPayload(int(h.BodyLen) - l.at - 8*l.n); err != nil {
+		return fmt.Errorf("%w: %v", orb.ErrConnectionLost, err)
+	}
+	return nil
 }
 
 // leaseSweepLoop expires client leases that stopped renewing; it runs
@@ -534,9 +641,9 @@ func (o *Object) serveOne(ctx context.Context) error {
 // communicatorServeOne pops one queued request, drives the collective
 // dispatch, and replies.
 func (o *Object) communicatorServeOne(ctx context.Context) error {
-	var in *orb.Incoming
+	var req request
 	select {
-	case in = <-o.queue:
+	case req = <-o.queue:
 	case <-o.closed:
 		o.bcastControl(&control{OK: false})
 		return ErrClosed
@@ -544,12 +651,17 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		o.bcastControl(&control{OK: false})
 		return ctx.Err()
 	}
+	o.unqueued(true)
+	defer o.pastPhase1()
+	in, w := req.in, req.w
+	o.landing = req.land
 	// The request body is this function's alone: the invocation wire's
 	// scalars and inline data alias it, and rank 0 decodes from both
 	// through phase 2 of the dispatch. The early replies below release it
-	// on the way out; a dispatched request releases it before its reply
-	// is written, so the client's next request, which may follow the
-	// reply at once, finds the body back with the connection's reader.
+	// on the way out — a parked body is skimmed; a dispatched request
+	// releases it before its reply is written, so the client's next
+	// request, which may follow the reply at once, finds the body back
+	// with the connection's reader.
 	defer in.Release()
 
 	// A queued invocation whose propagated deadline already passed is
@@ -562,12 +674,19 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		return nil
 	}
 
-	// Decode the invocation body.
-	w, err := decodeInvocationWire(in.Decoder())
-	if err != nil {
-		_ = in.ReplySystemException("MARSHAL", err.Error())
-		// The collective is not engaged yet; keep serving.
-		return nil
+	// Decode the invocation body, unless it lands: then its prefix was,
+	// and its scalars, which alias the connection's read buffer until
+	// the landing, are copied out for phase 2.
+	if w == nil {
+		var err error
+		if w, err = decodeInvocationWire(in.Decoder()); err != nil {
+			_ = in.ReplySystemException("MARSHAL", err.Error())
+			// The collective is not engaged yet; keep serving.
+			return nil
+		}
+	} else {
+		o.scalars = append(o.scalars[:0], w.Scalars...)
+		w.Scalars = o.scalars
 	}
 	op, ok := o.cfg.Ops[in.Header.Operation]
 	if !ok {
@@ -588,11 +707,22 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		}
 		// Only this thread sees the inline data, so only it can find it
 		// malformed: it must, here, before the collective is engaged.
-		if w.Method == Centralized && a.Mode != Out && len(a.Raw) != a.Length*8 {
+		inline := len(a.Raw) / 8
+		if in.Parked() && i == len(w.Args)-1 {
+			inline = o.landing.n // still on the connection
+		}
+		if w.Method == Centralized && a.Mode != Out && inline != a.Length {
 			_ = in.ReplySystemException("BAD_PARAM",
-				fmt.Sprintf("arg %d: inline data %d of %d elements", i, len(a.Raw)/8, a.Length))
+				fmt.Sprintf("arg %d: inline data %d of %d elements", i, inline, a.Length))
 			return nil
 		}
+	}
+	// Elements still on the connection must fit the body — what
+	// DoubleSeqRaw checks of a request read whole.
+	if in.Parked() && o.landing.at+8*o.landing.n > in.BodyLen() {
+		_ = in.ReplySystemException("MARSHAL",
+			fmt.Sprintf("%v: double sequence of %d", cdr.ErrTooLarge, o.landing.n))
+		return nil
 	}
 	if w.Method == MultiPort && !o.cfg.MultiPort {
 		_ = in.ReplySystemException("BAD_PARAM", "object does not export multi-port endpoints")
@@ -633,7 +763,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 	o.bcastControl(ctrl)
 
-	reply, derr := o.dispatch(ctx, ctrl, w, in.Header)
+	reply, derr := o.dispatch(ctx, ctrl, w, in)
 	in.Release() // nothing reads w any more
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
@@ -665,7 +795,7 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 	if !ctrl.OK {
 		return ErrClosed
 	}
-	_, derr := o.dispatch(ctx, ctrl, nil, giop.RequestHeader{})
+	_, derr := o.dispatch(ctx, ctrl, nil, nil)
 	// Worker-side dispatch errors were already folded into the
 	// collective agreement; the communicator reported them.
 	_ = derr
@@ -680,13 +810,14 @@ func (o *Object) bcastControl(c *control) {
 
 // dispatch is the collective body run by every thread: materialize
 // local argument blocks, invoke the handler, return out-data. Only
-// the communicator (which passes w != nil) returns the reply body; it
+// the communicator (which passes the request and its wire w) returns
+// the reply body; it
 // references the centralized out-arguments in the threads' own blocks,
 // which stay lent to it until the reply is written. ctx is the Serve
 // context: it (or Close) unblocks threads waiting on block transfers
 // whose sender died. (The per-request Incoming.Ctx is useless here —
 // it is cancelled as soon as the request is queued.)
-func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, hdr giop.RequestHeader) (_ *replyWire, err error) {
+func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, in *orb.Incoming) (_ *replyWire, err error) {
 	o.served.Add(1)
 	defer func() {
 		if err != nil {
@@ -747,12 +878,19 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 			switch ctrl.Method {
 			case Centralized:
 				// Scatter as part of unmarshaling (§3.2): the communicator
-				// decodes the request frame straight into every thread's
-				// block, lent to it until the agreement below.
+				// lands the request's elements off the connection, or
+				// decodes the request read whole, straight into every
+				// thread's block, lent to it until the agreement below.
 				blocks, err := o.th.LendDoubles(0, seq.LocalData(), serverLayout.Counts())
-				if err != nil {
+				switch {
+				case err != nil:
 					firstErr = err
-				} else if o.rank == 0 {
+				case o.rank != 0:
+				case in.Parked() && i == len(w.Args)-1:
+					o.landing.blocks = blocks
+					firstErr = in.Land(&o.landing)
+					o.landing.blocks = nil
+				default:
 					decodeDoubleBlocks(blocks, w.Args[i].Raw, w.order)
 				}
 			case MultiPort:
@@ -769,6 +907,9 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		if firstErr != nil {
 			break
 		}
+	}
+	if o.rank == 0 {
+		o.pastPhase1()
 	}
 
 	// Collective agreement on phase-1 status.

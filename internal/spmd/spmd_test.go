@@ -77,7 +77,7 @@ func (o *testObject) noLeak(check func(orb.BlockRouterStats) error) error {
 
 // startObject launches an m-thread SPMD object serving ops until the
 // returned close function runs. Each server thread loops Serve.
-func startObject(t *testing.T, reg *transport.Registry, m int, multiPort bool,
+func startObject(t testing.TB, reg *transport.Registry, m int, multiPort bool,
 	ops func(th rts.Thread) map[string]*Op) *testObject {
 	t.Helper()
 	return startObjectCfg(t, reg, m, multiPort, ops, nil)
@@ -85,7 +85,7 @@ func startObject(t *testing.T, reg *transport.Registry, m int, multiPort bool,
 
 // startObjectCfg is startObject with a per-thread config hook (e.g.
 // data-plane knobs).
-func startObjectCfg(t *testing.T, reg *transport.Registry, m int, multiPort bool,
+func startObjectCfg(t testing.TB, reg *transport.Registry, m int, multiPort bool,
 	ops func(th rts.Thread) map[string]*Op, mutate func(*ObjectConfig)) *testObject {
 	t.Helper()
 	w := mp.MustWorld(m)

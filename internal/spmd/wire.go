@@ -137,7 +137,9 @@ type argWire struct {
 	// Raw is the same data on the decoding side: the still-encoded
 	// elements in the request's byte order, aliasing the request frame
 	// (empty when the argument carried none) — valid until the
-	// communicator releases the request.
+	// communicator releases the request. It stays empty for elements
+	// still on the connection, which a landing reads straight into the
+	// threads' blocks (requestLanding).
 	Raw []byte
 }
 
@@ -185,42 +187,47 @@ func (a *argWire) encode(e *cdr.Encoder) {
 	}
 }
 
-func decodeArgWire(d *cdr.Decoder) (*argWire, error) {
+// decodeArgWire decodes one argument's wire. With parked set its
+// inline elements are left where they are, on the connection, and only
+// their count is read, which it returns.
+func decodeArgWire(d *cdr.Decoder, parked bool) (*argWire, int, error) {
 	var a argWire
 	m, err := d.Octet()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if m > byte(InOut) {
-		return nil, fmt.Errorf("%w: argument mode %d", ErrBadCall, m)
+		return nil, 0, fmt.Errorf("%w: argument mode %d", ErrBadCall, m)
 	}
 	a.Mode = ArgMode(m)
 	n, err := d.ULong()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	a.Length = int(n)
 	counts, err := d.ULongSeq()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	a.ClientCounts = make([]int, len(counts))
 	for i, c := range counts {
 		a.ClientCounts[i] = int(c)
 	}
 	if a.ClientEndpoints, err = d.StringSeq(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	hasData, err := d.Boolean()
-	if err != nil {
-		return nil, err
+	if err != nil || !hasData {
+		return &a, 0, err
 	}
-	if hasData {
-		if a.Raw, err = d.DoubleSeqRaw(); err != nil {
-			return nil, err
-		}
+	if parked {
+		n, err := d.ULong()
+		return &a, int(n), err
 	}
-	return &a, nil
+	if a.Raw, err = d.DoubleSeqRaw(); err != nil {
+		return nil, 0, err
+	}
+	return &a, 0, nil
 }
 
 // invocationWire is the invocation body the client communicator sends
@@ -244,32 +251,66 @@ func (w *invocationWire) encode(e *cdr.Encoder) {
 }
 
 func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
+	w, _, err := decodeInvocation(d, false)
+	return w, err
+}
+
+// decodeLandingWire decodes the invocation prefix of a parked request —
+// prefix is what the read buffer shows of it, from body offset base
+// on — when the request can land: it is centralized, the prefix holds
+// everything up to its last argument's inline elements, and no other
+// argument carries any — the wire puts an argument's metadata after the
+// previous one's elements, beyond the prefix. It returns the wire, whose
+// Scalars alias the read buffer and are valid only while the request is
+// parked, and where on the connection the elements are; a nil wire when
+// the request cannot land.
+func decodeLandingWire(order cdr.ByteOrder, prefix []byte, base int) (*invocationWire, requestLanding) {
+	d := cdr.NewDecoderAt(order, prefix, base)
+	w, n, err := decodeInvocation(d, true)
+	if err != nil || w.Method != Centralized {
+		return nil, requestLanding{}
+	}
+	at := base + d.Pos()
+	if n > 0 {
+		at = (at + 7) &^ 7 // a sequence<double>'s elements are 8-aligned
+	}
+	return w, requestLanding{at: at, n: n}
+}
+
+// decodeInvocation decodes an invocation body. With parked set every
+// argument's inline elements are left on the connection, which only
+// the last argument may have: it returns their count.
+func decodeInvocation(d *cdr.Decoder, parked bool) (*invocationWire, int, error) {
 	w := invocationWire{order: d.Order()}
 	m, err := d.Octet()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if m > byte(MultiPort) {
-		return nil, fmt.Errorf("%w: transfer method %d", ErrBadCall, m)
+		return nil, 0, fmt.Errorf("%w: transfer method %d", ErrBadCall, m)
 	}
 	w.Method = TransferMethod(m)
 	if w.Scalars, err = d.OctetSeq(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n, err := d.ULong()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if uint64(n) > uint64(d.Remaining())+1 {
-		return nil, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
+		return nil, 0, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
 	}
 	w.Args = make([]*argWire, n)
+	inline := 0
 	for i := range w.Args {
-		if w.Args[i], err = decodeArgWire(d); err != nil {
-			return nil, err
+		if inline > 0 {
+			return nil, 0, fmt.Errorf("%w: argument %d follows inline data left on the connection", ErrBadCall, i)
+		}
+		if w.Args[i], inline, err = decodeArgWire(d, parked); err != nil {
+			return nil, 0, err
 		}
 	}
-	return &w, nil
+	return &w, inline, nil
 }
 
 // replyWire is the reply body the communicator sends after the
