@@ -909,7 +909,10 @@ func (cc *clientConn) writeRequest(ctx context.Context, e *giop.PooledEncoder) e
 // watched write (writeRequest): for each, it receives the Done channel
 // of the write's context on watch and fails the write, through a write
 // deadline in the past, if that closes before the writer reports the
-// write over on wrote. It exits with the connection.
+// write over on wrote. It exits with the connection. Unlike a
+// context.AfterFunc per write, which allocates its own context (and,
+// on the fresh cancelable context of an SPMD invocation, the parent's
+// child map) on every large request, it allocates nothing once started.
 func (cc *clientConn) watchWrites() {
 	for {
 		var done <-chan struct{}
@@ -939,9 +942,15 @@ func bodyLen(e *cdr.Encoder) int {
 // sendCancel writes a CancelRequest for id through the connection's
 // preallocated single-ULong body (wire-identical to encoding a
 // CancelRequestHeader), so the cancel path — usually taken under
-// deadline pressure — allocates nothing.
+// deadline pressure — allocates nothing. It is best effort: while
+// another writer holds the connection — perhaps a large request the
+// server has parked behind a long dispatch (writeRequest) — no cancel
+// is sent, so the caller is not held past its own deadline; the server
+// sheds expired work anyway.
 func (cc *clientConn) sendCancel(id uint32) error {
-	cc.writeMu.Lock()
+	if !cc.writeMu.TryLock() {
+		return nil
+	}
 	defer cc.writeMu.Unlock()
 	if cc.owner.order == cdr.BigEndian {
 		binary.BigEndian.PutUint32(cc.cancelBuf[:], id)

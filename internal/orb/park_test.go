@@ -158,6 +158,40 @@ func TestParkedRequestPaths(t *testing.T) {
 	}
 }
 
+// TestParkedRequestPanicSkimmed: a servant that panics on a parked
+// request is answered UNKNOWN, its body is skimmed, and the connection
+// serves the next request.
+func TestParkedRequestPanicSkimmed(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg)
+	defer srv.Close()
+	srv.HandleLanding("landing", func(in *Incoming) {
+		if in.Parked() {
+			panic("servant fails on a parked request")
+		}
+		_ = in.Reply(giop.ReplyOK, nil)
+	})
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(reg, WithStripes(1))
+	defer cli.Close()
+	for i, c := range []struct {
+		n    int
+		want giop.ReplyStatus
+	}{{bigDoubles, giop.ReplySystemException}, {4, giop.ReplyOK}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		rh, _, _, err := cli.Invoke(ctx, ep, requestHeader(cli, "landing", "op"),
+			func(e *cdr.Encoder) { e.PutDoubleSeq(make([]float64, c.n)) })
+		cancel()
+		if err != nil || rh.Status != c.want {
+			t.Fatalf("request %d (%d doubles): %v %v, want %v", i, c.n, rh.Status, err, c.want)
+		}
+	}
+}
+
 // TestParkedRequestOutlivesConnection: a request parked in a consumer
 // that has not acted yet does not hold its read loop past Server.Close,
 // and landing it afterwards fails with ErrConnectionLost instead of

@@ -936,6 +936,9 @@ func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
 						"key", hdr.ObjectKey, "op", hdr.Operation, "panic", fmt.Sprint(p))
 				}
 				_ = in.ReplySystemException("UNKNOWN", fmt.Sprintf("servant panic: %v", p))
+				// The servant is done with the request: a body it left
+				// parked is skimmed, so the connection reads on.
+				in.Release()
 				failure = fmt.Sprintf("servant panic: %v", p)
 			}
 			span.End()

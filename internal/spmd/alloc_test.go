@@ -60,6 +60,50 @@ func TestCentralizedLargeRequestsLand(t *testing.T) {
 	}
 }
 
+// TestCentralizedReadWholeBodiesRecycled: a large centralized request
+// that cannot land — here two arguments, the first one's elements ahead
+// of the second one's metadata — is read whole into its reader's spare,
+// and once warm never misses it: the communicator hands the body back
+// before it writes the reply, so a client whose next request follows
+// the reply at once cannot beat the release and find the spare empty.
+func TestCentralizedReadWholeBodiesRecycled(t *testing.T) {
+	const ops = 16
+	gets := telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
+	misses := telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "large_body")
+	reg := newReg()
+	obj := startObject(t, reg, 4, false, func(th rts.Thread) map[string]*Op { return withPair(diffusionOps(th)) })
+	defer obj.close()
+	var g0, m0 uint64
+	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
+		var args []DistArg
+		for _, mode := range []ArgMode{InOut, In} {
+			seq, err := dseq.NewDoubles(1<<20, dist.Block(), th.Size(), th.Rank())
+			if err != nil {
+				return err
+			}
+			args = append(args, DistArg{Mode: mode, Seq: seq})
+		}
+		spec := &CallSpec{Operation: "pair", Args: args}
+		for i := -2; i < ops; i++ { // two warm-up operations
+			if i == 0 {
+				if err := th.Barrier(); err != nil {
+					return err
+				}
+				if th.Rank() == 0 {
+					g0, m0 = gets.Value(), misses.Value()
+				}
+			}
+			if err := b.Invoke(context.Background(), spec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if g, m := gets.Value()-g0, misses.Value()-m0; g != ops || m != 0 {
+		t.Fatalf("%d invocations drew %d large bodies with %d spare misses; want %d and 0", ops, g, m, ops)
+	}
+}
+
 // TestCentralizedAllocBudget pins the allocation ledger of both
 // transfer methods, client and server in one process. A centralized
 // inout invocation writes its request and reply straight from the lent

@@ -2,6 +2,7 @@ package spmd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -101,9 +102,10 @@ func awaitQueued(t *testing.T, o *Object, n int) {
 // request reaches the threads' blocks. With nothing ahead of it, it
 // lands and draws no body. Arriving while another request is queued,
 // or while one is in phase 1 of its dispatch (a multi-port in-transfer
-// waiting for puts that may ride the same connection), it is read
-// whole; so is a request whose first argument's elements come before
-// its second argument's metadata. Every one returns the right elements.
+// waiting for puts that may ride the same connection), also after a
+// third request gave up being admitted meanwhile, it is read whole; so
+// is a request whose first argument's elements come before its second
+// argument's metadata. Every one returns the right elements.
 func TestCentralizedRequestLandingPaths(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
 	reg := newReg()
@@ -185,6 +187,17 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 				t.Fatal("the multi-port request never entered phase 1")
 			}
 			time.Sleep(time.Millisecond)
+		}
+		// A request whose caller gives up while it is being admitted
+		// leaves the mark of the one in phase 1 alone.
+		gone, cancel := context.WithCancel(bg)
+		cancel()
+		comm.admit(&orb.Incoming{Ctx: gone})
+		comm.aheadMu.Lock()
+		ahead, in1 := comm.ahead, comm.inPhase1
+		comm.aheadMu.Unlock()
+		if ahead != 0 || !in1 {
+			t.Fatalf("after a request gave up at admission: %d ahead, in phase 1 %v; want 0 and true", ahead, in1)
 		}
 		g0 := largeBodies()
 		other := orb.NewClient(reg) // a connection of its own
@@ -276,6 +289,62 @@ func TestCentralizedLandingParkedBehindSlowHandler(t *testing.T) {
 	}
 	if g := largeBodies() - g0; g != 0 {
 		t.Fatalf("the parked request drew %d large bodies; want it landed", g)
+	}
+}
+
+// TestCentralizedCancelBehindParkedLanding: an invocation whose reply
+// is pending on a connection that a parked landing holds mid-write —
+// the landing waits for that very invocation's slow handler — still
+// returns when its deadline passes: its cancel frame is skipped rather
+// than queued behind the parked write. The landing completes once the
+// handler is released.
+func TestCentralizedCancelBehindParkedLanding(t *testing.T) {
+	const n = 1 << 20 // more than the connection buffers, so the write stalls
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	reg := newReg()
+	obj := startObject(t, reg, 2, false, slowOps(entered, release))
+	defer obj.close()
+	comm := obj.threadObjects()[0]
+	cli := orb.NewClient(reg, orb.WithStripes(1))
+	defer cli.Close()
+	bg := context.Background()
+
+	slow := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(bg, 200*time.Millisecond)
+		defer cancel()
+		_, _, err := invokeRaw(ctx, cli, obj.ref, "slow", legacyInvocation(1, InOut, 8, ramp(8)))
+		slow <- err
+	}()
+	<-entered
+	parked := make(chan error, 1)
+	go func() {
+		rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(1, InOut, n, ramp(n)))
+		parked <- checkDiffusion(rh, d, err, n, 1)
+	}()
+	awaitQueued(t, comm, 1)
+	select {
+	case err := <-slow:
+		if !errors.Is(err, orb.ErrCanceled) {
+			t.Fatalf("the slow invocation returned %v; want ErrCanceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("the slow invocation outlived its deadline behind the parked write")
+	}
+	select {
+	case err := <-parked:
+		t.Fatalf("the parked request completed (%v) before its handler was released", err)
+	default:
+	}
+	close(release)
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked request never completed")
 	}
 }
 

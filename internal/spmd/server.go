@@ -401,25 +401,38 @@ func (o *Object) admit(in *orb.Incoming) {
 	}
 	o.ahead++
 	o.aheadMu.Unlock()
+	if in.Ctx.Err() != nil { // the caller gave up already
+		o.gaveUp()
+		in.Release()
+		return
+	}
 	select {
 	case o.queue <- req: // the communicator owns it now
 	case <-o.closed:
-		o.unqueued(false)
+		o.gaveUp()
 		_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
 		in.Release()
 	case <-in.Ctx.Done():
-		o.unqueued(false)
+		o.gaveUp()
 		in.Release()
 	}
 }
 
-// unqueued takes a request off the landing rule's count, as the
-// communicator pops it (popped set: it enters phase 1) or as it gives
-// up being queued.
-func (o *Object) unqueued(popped bool) {
+// gaveUp takes a request that gave up being queued off the landing
+// rule's count. It leaves inPhase1 alone: a popped request may still
+// be in phase 1.
+func (o *Object) gaveUp() {
 	o.aheadMu.Lock()
 	o.ahead--
-	o.inPhase1 = popped
+	o.aheadMu.Unlock()
+}
+
+// popped takes the request the communicator pops off the landing rule's
+// count and marks it in phase 1 of its dispatch.
+func (o *Object) popped() {
+	o.aheadMu.Lock()
+	o.ahead--
+	o.inPhase1 = true
 	o.aheadMu.Unlock()
 }
 
@@ -651,7 +664,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		o.bcastControl(&control{OK: false})
 		return ctx.Err()
 	}
-	o.unqueued(true)
+	o.popped()
 	defer o.pastPhase1()
 	in, w := req.in, req.w
 	o.landing = req.land
