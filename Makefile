@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-untuned fuzz-smoke fmt
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-untuned lint-harness-only fuzz-smoke fmt
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,7 @@ verify:
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
 	$(MAKE) lint-untuned
+	$(MAKE) lint-harness-only
 	$(GO) test -race ./...
 	$(GO) test -tags pardis_poison ./internal/giop/ ./internal/orb/ ./internal/spmd/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -59,6 +60,19 @@ lint-untuned:
 		exit 1; \
 	fi
 	@echo 'lint-untuned: ok'
+
+# lint-harness-only keeps the routed-block surface and the versioned
+# request-header decoder, which only the benchmark harness still
+# replays until its rows are retired, from gaining a caller: no
+# non-test Go file outside internal/orb and internal/giop (and bench/)
+# may name them.
+HARNESS_ONLY = SendBlock|ExpectBlocksFunc|BlockTransferHeader|MsgBlockTransfer|DecodeRequestHeaderV
+lint-harness-only:
+	@if grep -rnwE --include='*.go' '$(HARNESS_ONLY)' . | grep -v '_test\.go:' | grep -vE '^\./(internal/orb|internal/giop|bench)/'; then \
+		echo 'lint-harness-only: the identifiers above are kept only for bench/'; \
+		exit 1; \
+	fi
+	@echo 'lint-harness-only: ok'
 
 # fuzz-smoke runs every Fuzz* target in every package that has one for
 # a short burst each (10s by default) — enough to catch a freshly

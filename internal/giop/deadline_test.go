@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"pardis/internal/cdr"
@@ -56,10 +57,11 @@ func TestDeadlineHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldHeaderWithoutDeadlineBytes: a header framed by a 1.0 peer
-// ends right after ThreadCount — no trace bytes, no deadline budget.
-// The decoder must treat the deadline as absent (0), exactly as it
-// treats the trace as untraced.
+// TestOldHeaderWithoutDeadlineBytes: DecodeRequestHeaderV knows only
+// the current layout. Asked to decode under minor 0 it refuses with
+// ErrBadVersion, whether the body holds a 1.0 header (no trace or
+// deadline bytes) or a current one, and under VersionMinor it decodes
+// the current header.
 func TestOldHeaderWithoutDeadlineBytes(t *testing.T) {
 	h := RequestHeader{
 		RequestID:        4,
@@ -69,31 +71,20 @@ func TestOldHeaderWithoutDeadlineBytes(t *testing.T) {
 		Operation:        "legacy",
 		ThreadRank:       -1,
 		ThreadCount:      1,
+		DeadlineMicros:   1500,
 	}
-	e := cdr.NewEncoder(cdr.BigEndian)
-	h.EncodeV10(e)
-	e.PutLong(55)
-
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, cdr.BigEndian, MsgRequest, e.Bytes()); err != nil {
-		t.Fatal(err)
+	old := cdr.NewEncoder(cdr.BigEndian)
+	encodeV10(old, h)
+	old.PutLong(55)
+	cur := cdr.NewEncoder(cdr.BigEndian)
+	h.Encode(cur)
+	for name, body := range map[string][]byte{"1.0 layout": old.Bytes(), "1.1 layout": cur.Bytes()} {
+		if _, err := DecodeRequestHeaderV(cdr.NewDecoder(cdr.BigEndian, body), 0); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%s under minor 0: %v, want ErrBadVersion", name, err)
+		}
 	}
-	frame := buf.Bytes()
-	frame[5] = 0 // downgrade the minor version on the wire
-
-	f, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("1.0 frame rejected: %v", err)
-	}
-	d := cdr.NewDecoder(f.Order, f.Body)
-	got, err := DecodeRequestHeaderV(d, f.Minor)
-	if err != nil {
-		t.Fatalf("1.0 header rejected: %v", err)
-	}
-	if got.DeadlineMicros != 0 {
-		t.Fatalf("1.0 header produced deadline %d, want 0 (absent)", got.DeadlineMicros)
-	}
-	if v, _ := d.Long(); v != 55 {
-		t.Fatalf("body after 1.0 header = %d", v)
+	got, err := DecodeRequestHeaderV(cdr.NewDecoder(cdr.BigEndian, cur.Bytes()), VersionMinor)
+	if err != nil || got != h {
+		t.Fatalf("current header: %+v, %v; want %+v", got, err, h)
 	}
 }

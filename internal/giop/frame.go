@@ -274,18 +274,13 @@ func readFrameHeader(r io.Reader, hdr *[HeaderLen]byte) (FrameHeader, error) {
 	if [MagicLen]byte(hdr[:MagicLen]) != magic {
 		return FrameHeader{}, fmt.Errorf("%w: % x", ErrBadMagic, hdr[:MagicLen])
 	}
-	if hdr[4] != VersionMajor || hdr[5] > VersionMinor {
+	if hdr[4] != VersionMajor || hdr[5] != VersionMinor {
 		return FrameHeader{}, fmt.Errorf("%w: %d.%d", ErrBadVersion, hdr[4], hdr[5])
 	}
 	order := cdr.ByteOrder(hdr[6] & 1)
 	t := MsgType(hdr[7])
 	if t >= msgTypeCount {
 		return FrameHeader{}, fmt.Errorf("%w: %d", ErrBadType, hdr[7])
-	}
-	if t == MsgWindowPut && hdr[5] == 0 {
-		// Window puts joined the protocol in 1.1; a 1.0 frame carrying
-		// one is stream corruption, not an old peer.
-		return FrameHeader{}, fmt.Errorf("%w: WindowPut in a 1.0 frame", ErrBadType)
 	}
 	var n uint32
 	if order == cdr.BigEndian {

@@ -32,10 +32,11 @@ const (
 	MagicLen = 4
 	// HeaderLen is the fixed message-header length.
 	HeaderLen = 12
-	// VersionMajor and VersionMinor identify this PIOP revision.
-	// 1.1 added the trace context and the remaining-deadline budget to
-	// the request header; 1.0 peers (headers without either) are still
-	// decoded — see DecodeRequestHeaderV.
+	// VersionMajor and VersionMinor identify this PIOP revision, the
+	// only one a reader accepts: a request-header change bumps the
+	// minor, both sides ship together, and frames of any other
+	// version are refused (1.1 added the trace context and the
+	// remaining-deadline budget to the request header).
 	VersionMajor = 1
 	VersionMinor = 1
 	// MaxBodyLen bounds a message body; longer lengths are treated
@@ -59,9 +60,8 @@ const (
 	MsgError
 	MsgBlockTransfer
 	// MsgWindowPut is a one-sided block delivery into a pre-registered
-	// destination window. Added in PIOP 1.1; 1.0 frames carrying it are
-	// rejected, and senders only emit it to peers that advertised the
-	// capability (see WindowPutHeader).
+	// destination window. Added in PIOP 1.1; senders only emit it to
+	// peers that advertised the capability (see WindowPutHeader).
 	MsgWindowPut
 	msgTypeCount
 )
@@ -172,8 +172,7 @@ func writeFrame(w io.Writer, order cdr.ByteOrder, t MsgType, body []byte, splice
 }
 
 // Frame is one framed PIOP message plus the protocol revision it was
-// sent under. Decoders of version-evolved bodies (the request header
-// gained trace bytes in 1.1) need Minor to pick the right layout.
+// sent under (always VersionMinor: readers refuse every other).
 type Frame struct {
 	Type  MsgType
 	Order cdr.ByteOrder
@@ -185,8 +184,7 @@ type Frame struct {
 	buf *Buffer
 }
 
-// ReadFrame reads and validates one PIOP message, keeping the sender's
-// minor protocol version alongside the body. The header scratch is
+// ReadFrame reads and validates one PIOP message. The header scratch is
 // pooled; the body is always freshly allocated (ownership transfers
 // to the caller). Read loops should prefer a FrameReader, which adds
 // read buffering and body recycling.
@@ -198,9 +196,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // ReadMessage reads and validates one PIOP message, returning its
-// type, body byte order and body. Callers that must decode
-// version-evolved bodies should use ReadFrame to keep the sender's
-// minor version.
+// type, body byte order and body.
 func ReadMessage(r io.Reader) (MsgType, cdr.ByteOrder, []byte, error) {
 	f, err := ReadFrame(r)
 	if err != nil {
@@ -264,7 +260,7 @@ type RequestHeader struct {
 	// Trace carries the request's distributed tracing identity (trace
 	// id, parent span id, sampled flag) across the process boundary.
 	// Added in PIOP 1.1; a zero value means "untraced" and costs the
-	// wire 17 zero bytes. Headers framed as 1.0 omit it entirely.
+	// wire 17 zero bytes.
 	Trace telemetry.TraceContext
 	// DeadlineMicros is the client's remaining end-to-end time budget
 	// for this request in microseconds, measured when the request was
@@ -272,12 +268,12 @@ type RequestHeader struct {
 	// absolute timestamp, so it survives clock skew between peers; the
 	// server rebases it against its own clock on arrival and sheds the
 	// request with a TIMEOUT system exception once the budget is gone.
-	// Added in PIOP 1.1 after the trace context; 1.0 headers omit it.
+	// Added in PIOP 1.1 after the trace context.
 	DeadlineMicros uint64
 }
 
 // Encode appends the header to an encoder (PIOP 1.1 layout, trace
-// context included).
+// context and deadline included).
 func (h *RequestHeader) Encode(e *cdr.Encoder) {
 	e.PutULong(h.RequestID)
 	e.PutULongLong(h.InvocationID)
@@ -292,19 +288,8 @@ func (h *RequestHeader) Encode(e *cdr.Encoder) {
 	e.PutULongLong(h.DeadlineMicros)
 }
 
-// DecodeRequestHeader reads a current-version RequestHeader. For
-// bodies framed under an older minor version use
-// DecodeRequestHeaderV.
+// DecodeRequestHeader reads a current-version RequestHeader.
 func DecodeRequestHeader(d *cdr.Decoder) (RequestHeader, error) {
-	return DecodeRequestHeaderV(d, VersionMinor)
-}
-
-// DecodeRequestHeaderV reads a RequestHeader laid out by the given
-// minor protocol version: 1.0 headers carry no trace or deadline
-// bytes (the decoder leaves Trace zero and DeadlineMicros 0, i.e. "no
-// deadline"), 1.1 headers carry trace id, span id, the sampled flag
-// and the remaining deadline budget.
-func DecodeRequestHeaderV(d *cdr.Decoder, minor byte) (RequestHeader, error) {
 	var h RequestHeader
 	var err error
 	if h.RequestID, err = d.ULong(); err != nil {
@@ -328,9 +313,6 @@ func DecodeRequestHeaderV(d *cdr.Decoder, minor byte) (RequestHeader, error) {
 	if h.ThreadCount, err = d.Long(); err != nil {
 		return h, err
 	}
-	if minor == 0 {
-		return h, nil // 1.0 header: no trace or deadline bytes on the wire
-	}
 	if h.Trace.TraceID, err = d.ULongLong(); err != nil {
 		return h, err
 	}
@@ -346,17 +328,14 @@ func DecodeRequestHeaderV(d *cdr.Decoder, minor byte) (RequestHeader, error) {
 	return h, nil
 }
 
-// EncodeV10 appends the header in the PIOP 1.0 layout (no trace or
-// deadline bytes) — used by tests that exercise old-peer
-// compatibility.
-func (h *RequestHeader) EncodeV10(e *cdr.Encoder) {
-	e.PutULong(h.RequestID)
-	e.PutULongLong(h.InvocationID)
-	e.PutBoolean(h.ResponseExpected)
-	e.PutString(h.ObjectKey)
-	e.PutString(h.Operation)
-	e.PutLong(h.ThreadRank)
-	e.PutLong(h.ThreadCount)
+// DecodeRequestHeaderV reads a RequestHeader framed under the given
+// minor protocol version (Frame.Minor). VersionMinor is the only
+// layout: any other minor is refused with ErrBadVersion.
+func DecodeRequestHeaderV(d *cdr.Decoder, minor byte) (RequestHeader, error) {
+	if minor != VersionMinor {
+		return RequestHeader{}, fmt.Errorf("%w: request header of %d.%d", ErrBadVersion, VersionMajor, minor)
+	}
+	return DecodeRequestHeader(d)
 }
 
 // ReplyHeader precedes the marshaled out-arguments in a Reply body.
@@ -533,8 +512,8 @@ func DecodeBlockTransferHeader(d *cdr.Decoder) (BlockTransferHeader, error) {
 // dst[DstOff:DstOff+Count] without allocating a body.
 type WindowPutHeader struct {
 	// WindowID names the pre-registered destination window. The SPMD
-	// data plane uses the block-sink key space (invocation<<8|argIndex)
-	// so a window and its routed fallback address the same transfer.
+	// data plane uses the block-sink key space (invocation<<8|argIndex),
+	// one window per argument of an invocation.
 	WindowID uint64
 	// FromThread is the sending SPMD rank, for diagnostics and
 	// partial-failure attribution.

@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"pardis/internal/cdr"
@@ -54,9 +55,21 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldHeaderWithoutTraceBytes: a header framed by a 1.0 peer ends
-// right after ThreadCount; the decoder must accept it, leave Trace
-// zero, and hand the body bytes through undisturbed.
+// encodeV10 appends h in the retired PIOP 1.0 layout: the header ends
+// right after ThreadCount, with no trace or deadline bytes.
+func encodeV10(e *cdr.Encoder, h RequestHeader) {
+	e.PutULong(h.RequestID)
+	e.PutULongLong(h.InvocationID)
+	e.PutBoolean(h.ResponseExpected)
+	e.PutString(h.ObjectKey)
+	e.PutString(h.Operation)
+	e.PutLong(h.ThreadRank)
+	e.PutLong(h.ThreadCount)
+}
+
+// TestOldHeaderWithoutTraceBytes: a request framed by a 1.0 peer (minor
+// version byte 0, header without trace bytes) is refused at the frame
+// header with ErrBadVersion by every reader, in both byte orders.
 func TestOldHeaderWithoutTraceBytes(t *testing.T) {
 	h := RequestHeader{
 		RequestID:        3,
@@ -69,38 +82,20 @@ func TestOldHeaderWithoutTraceBytes(t *testing.T) {
 	}
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		e := cdr.NewEncoder(order)
-		h.EncodeV10(e)
+		encodeV10(e, h)
 		e.PutLong(1234)
-
-		// Frame it exactly as a 1.0 peer would: minor version byte 0.
 		var buf bytes.Buffer
 		if err := WriteMessage(&buf, order, MsgRequest, e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		frame := buf.Bytes()
-		frame[5] = 0 // downgrade the minor version on the wire
-
-		f, err := ReadFrame(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("1.0 frame rejected: %v", err)
+		frame[5] = 0 // frame it exactly as a 1.0 peer would
+		if _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%v: ReadFrame of a 1.0 frame: %v, want ErrBadVersion", order, err)
 		}
-		if f.Minor != 0 {
-			t.Fatalf("frame minor = %d, want 0", f.Minor)
-		}
-		d := cdr.NewDecoder(f.Order, f.Body)
-		got, err := DecodeRequestHeaderV(d, f.Minor)
-		if err != nil {
-			t.Fatalf("1.0 header rejected: %v", err)
-		}
-		if got.Trace.Valid() || got.Trace.Sampled {
-			t.Fatalf("1.0 header produced trace %+v", got.Trace)
-		}
-		got.Trace = telemetry.TraceContext{}
-		if got != h {
-			t.Fatalf("1.0 round trip:\n got %+v\nwant %+v", got, h)
-		}
-		if v, _ := d.Long(); v != 1234 {
-			t.Fatalf("body after 1.0 header = %d", v)
+		fr := NewFrameReader(bytes.NewReader(frame))
+		if _, err := fr.ReadFrameHeader(); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%v: ReadFrameHeader of a 1.0 frame: %v, want ErrBadVersion", order, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,25 +265,19 @@ func TestCancelRequestCancelsQueuedRequest(t *testing.T) {
 	}
 }
 
-// TestOldPeerInteropLiveServer pins PIOP 1.0 <-> 1.1 interop against a
-// live admission-controlled server: a raw peer framing its request at
-// minor version 0 (no trace, no deadline bytes after ThreadCount) gets
-// a normal OK reply.
+// TestOldPeerInteropLiveServer: a live admission-controlled server
+// refuses a raw peer framing its request at minor version 0 (a 1.0
+// header, no trace or deadline bytes after ThreadCount) by closing
+// that connection without running the handler, and keeps answering
+// the next connection.
 func TestOldPeerInteropLiveServer(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
 	srv := NewServer(reg, WithAdmission(DefaultAdmissionConfig()))
+	var runs atomic.Int64
 	srv.Handle("echo", func(in *Incoming) {
-		s, err := in.Decoder().String()
-		if err != nil {
-			_ = in.ReplySystemException("MARSHAL", err.Error())
-			return
-		}
-		if !in.Expiry.IsZero() {
-			_ = in.ReplySystemException("BAD_PARAM", "1.0 request grew a deadline")
-			return
-		}
-		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutString("old:" + s) })
+		runs.Add(1)
+		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutString("pong") })
 	})
 	ep, err := srv.Listen("inproc:*")
 	if err != nil {
@@ -295,47 +290,39 @@ func TestOldPeerInteropLiveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-
-	h := giop.RequestHeader{
-		RequestID:        7,
-		InvocationID:     42,
-		ResponseExpected: true,
-		ObjectKey:        "echo",
-		Operation:        "op",
-		ThreadRank:       -1,
-		ThreadCount:      1,
-	}
 	e := cdr.NewEncoder(cdr.BigEndian)
-	h.EncodeV10(e)
+	e.PutULong(7)
+	e.PutULongLong(42)
+	e.PutBoolean(true)
+	e.PutString("echo")
+	e.PutString("op")
+	e.PutLong(-1)
+	e.PutLong(1)
 	e.PutString("ping")
 	var buf bytes.Buffer
 	if err := giop.WriteMessage(&buf, cdr.BigEndian, giop.MsgRequest, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	frame[5] = 0 // a true 1.0 peer stamps minor version 0
+	frame[5] = 0 // a 1.0 peer stamps minor version 0
 	if _, err := raw.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	mt, order, body, err := giop.ReadMessage(raw)
-	if err != nil {
-		t.Fatalf("no reply for the 1.0 request: %v", err)
+	if mt, _, _, err := giop.ReadMessage(raw); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("1.0 request: got %v, %v; want the connection closed", mt, err)
 	}
-	if mt != giop.MsgReply {
-		t.Fatalf("reply type = %v", mt)
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for a 1.0 request", n)
 	}
-	d := cdr.NewDecoder(order, body)
-	rh, err := giop.DecodeReplyHeader(d)
-	if err != nil {
-		t.Fatal(err)
+
+	cli := NewClient(reg)
+	defer cli.Close()
+	rh, order, body, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "echo", "op"), nil)
+	if err != nil || rh.Status != giop.ReplyOK {
+		t.Fatalf("next connection: %+v, %v", rh, err)
 	}
-	if rh.RequestID != 7 || rh.Status != giop.ReplyOK {
-		t.Fatalf("reply = %+v, want OK for id 7", rh)
-	}
-	s, err := d.String()
-	if err != nil || s != "old:ping" {
+	if s, err := cdr.NewDecoder(order, body).String(); err != nil || s != "pong" {
 		t.Fatalf("reply body = %q, %v", s, err)
 	}
 }

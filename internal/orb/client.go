@@ -46,7 +46,6 @@ type Client struct {
 
 	invPrefix  uint64
 	invCounter atomic.Uint64
-	blocks     *blockRouter
 
 	// Interned-instrument caches: the telemetry registry's lookup
 	// builds a label key per call, which is too hot for the invoke
@@ -161,7 +160,6 @@ func NewClient(reg *transport.Registry, opts ...ClientOption) *Client {
 		health:      newHealthTable(0, 0),
 		stripeWidth: DefaultStripeWidth(),
 		stripes:     make(map[string]*stripe),
-		blocks:      newBlockRouter(),
 	}
 	var seed [8]byte
 	if _, err := rand.Read(seed[:]); err == nil {
@@ -195,19 +193,9 @@ func (c *Client) NewInvocationID() uint64 {
 	return c.invPrefix | (c.invCounter.Add(1) & 0xFFFFFFFF)
 }
 
-// ExpectBlocksFunc registers a callback sink for block transfers
-// addressed to this client under the given invocation id: blocks for
-// inv are handed to fn directly on the delivering connection's read
-// goroutine. fn may run concurrently (one call per delivering
-// connection) and must not block; returning an error tears down that
-// connection. The returned cancel must be called when the transfer
-// completes.
-func (c *Client) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), error) {
-	return c.blocks.registerFunc(inv, fn)
-}
-
-// BlockStats reports the client block router's sink/pending counts.
-func (c *Client) BlockStats() BlockRouterStats { return c.blocks.stats() }
+// BlockStats reports the client's sink/pending counts. A client
+// receives no block transfers or window puts, so they are always zero.
+func (c *Client) BlockStats() BlockRouterStats { return BlockRouterStats{} }
 
 // stripe is one endpoint's small pool of connections. Concurrent
 // invocations spread across its members by outstanding-request depth,
@@ -1050,8 +1038,7 @@ func (cc *clientConn) readLoop() {
 	// raw Read in the common case. An OK reply with a ReplyLander waiting
 	// for it never becomes a body: the lander reads it off the buffer
 	// (readReply). Every other body is a plain allocation that leaves the
-	// loop with the reply or Block sliced from it, so it is never handed
-	// back.
+	// loop with the reply sliced from it, so it is never handed back.
 	fr := giop.NewFrameReader(cc.raw)
 	for {
 		h, err := fr.ReadFrameHeader()
@@ -1084,18 +1071,6 @@ func (cc *clientConn) readLoop() {
 			if w, found, _ := cc.takePending(id, false); found {
 				w.ch <- reply{Reply: Reply{Order: f.Order, Body: f.Body}}
 			}
-		case giop.MsgBlockTransfer:
-			d := cdr.NewDecoder(f.Order, f.Body)
-			bh, err := giop.DecodeBlockTransferHeader(d)
-			if err != nil {
-				cc.shutdown(fmt.Errorf("%w: bad block header: %v", ErrConnectionLost, err))
-				return
-			}
-			blk := Block{Header: bh, Order: f.Order, Payload: f.Body[d.Pos():]}
-			if err := cc.owner.blocks.deliver(blk); err != nil {
-				cc.shutdown(err)
-				return
-			}
 		case giop.MsgCloseConnection:
 			// Orderly shutdown: the server promises it processed
 			// nothing further, so waiters may re-issue elsewhere.
@@ -1105,8 +1080,8 @@ func (cc *clientConn) readLoop() {
 			cc.shutdown(ErrConnectionLost)
 			return
 		default:
-			// Requests arriving at a client connection are a
-			// protocol violation.
+			// Requests and block transfers arriving at a client
+			// connection are a protocol violation.
 			cc.shutdown(fmt.Errorf("%w: unexpected %v on client connection", ErrConnectionLost, f.Type))
 			return
 		}

@@ -241,72 +241,80 @@ func TestServerDiesMidInvocation(t *testing.T) {
 	}
 }
 
-// TestOversizedBlockSinkBackpressure: more unmatched blocks than the
-// router's buffer kills the connection instead of consuming unbounded
+// earlyPut parks one early window put of n elements under r's pending
+// budgets.
+func earlyPut(r *blockRouter, window uint64, n int) error {
+	buf := acquirePutBuf(n * 8)
+	return r.bufferWindowPut(giop.WindowPutHeader{WindowID: window, Count: uint32(n)}, cdr.NativeOrder, buf)
+}
+
+// TestUnmatchedBlockFloodBounded: more early window puts than the
+// router's count budget are refused instead of consuming unbounded
 // memory.
 func TestUnmatchedBlockFloodBounded(t *testing.T) {
 	r := newBlockRouter()
 	r.pol.MaxBlocks = 8
 	for i := 0; i < 8; i++ {
-		if err := r.deliver(Block{Header: giop.BlockTransferHeader{InvocationID: uint64(i)}}); err != nil {
-			t.Fatalf("deliver %d: %v", i, err)
+		if err := earlyPut(r, uint64(i), 0); err != nil {
+			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	err := r.deliver(Block{Header: giop.BlockTransferHeader{InvocationID: 99}})
-	if !errors.Is(err, ErrTooManyBlocks) {
+	if err := earlyPut(r, 99, 0); !errors.Is(err, ErrTooManyBlocks) {
 		t.Fatalf("flood not bounded: %v", err)
+	}
+	if st := r.stats(); st.Pending != 8 {
+		t.Fatalf("Pending = %d, want 8", st.Pending)
 	}
 }
 
 // TestUnmatchedBlockByteBudget: the pending buffer is bounded in bytes
-// as well as blocks — a peer cannot park a handful of maximal frames
-// behind an invocation that never registers a sink.
+// as well as puts — a peer cannot park a handful of maximal puts
+// behind a window that never registers — and a registering window
+// takes its puts' bytes back out of the budget.
 func TestUnmatchedBlockByteBudget(t *testing.T) {
 	r := newBlockRouter()
 	r.pol.MaxBytes = 1024
-	payload := make([]byte, 512)
 	for i := 0; i < 2; i++ {
-		blk := Block{Header: giop.BlockTransferHeader{InvocationID: uint64(i)}, Payload: payload}
-		if err := r.deliver(blk); err != nil {
-			t.Fatalf("deliver %d: %v", i, err)
+		if err := earlyPut(r, uint64(i), 64); err != nil {
+			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	err := r.deliver(Block{Header: giop.BlockTransferHeader{InvocationID: 99}, Payload: payload[:1]})
-	if !errors.Is(err, ErrPendingBlockBytes) {
+	if err := earlyPut(r, 99, 1); !errors.Is(err, ErrPendingBlockBytes) {
 		t.Fatalf("byte flood not bounded: %v", err)
 	}
 	if st := r.stats(); st.PendingBytes != 1024 {
 		t.Fatalf("PendingBytes = %d, want 1024", st.PendingBytes)
 	}
-	// Registering a sink flushes the buffered blocks and returns their
-	// bytes to the budget.
-	got := 0
-	cancel, err := r.registerFunc(0, func(Block) error { got++; return nil })
+	w, cancel, err := r.registerWindow(0, make([]float64, 64), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	if got != 1 {
-		t.Fatalf("flushed %d blocks, want 1", got)
+	select {
+	case <-w.Done():
+	default:
+		t.Fatal("flushed window did not complete")
 	}
 	if st := r.stats(); st.PendingBytes != 512 || st.Pending != 1 {
 		t.Fatalf("after flush: %+v", st)
 	}
+	if err := earlyPut(r, 99, 64); err != nil {
+		t.Fatalf("budget not returned by the flush: %v", err)
+	}
 }
 
-// TestPendingSweepReclaimsAbandonedBlocks: a TTL sweep drops pending
+// TestPendingSweepReclaimsAbandonedBlocks: a TTL sweep drops early-put
 // buffers with no recent arrivals while keeping fresh ones.
 func TestPendingSweepReclaimsAbandonedBlocks(t *testing.T) {
 	r := newBlockRouter()
 	r.pol.TTL = 50 * time.Millisecond
-	old := Block{Header: giop.BlockTransferHeader{InvocationID: 1}, Payload: make([]byte, 64)}
-	if err := r.deliver(old); err != nil {
+	if err := earlyPut(r, 1, 8); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.sweep(time.Now()); n != 0 {
+	if n := r.sweepWindows(time.Now()); n != 0 {
 		t.Fatalf("fresh buffer swept: %d", n)
 	}
-	if n := r.sweep(time.Now().Add(100 * time.Millisecond)); n != 1 {
+	if n := r.sweepWindows(time.Now().Add(100 * time.Millisecond)); n != 1 {
 		t.Fatalf("stale buffer not swept: %d", n)
 	}
 	if st := r.stats(); st.Pending != 0 || st.PendingBytes != 0 {

@@ -219,25 +219,29 @@ func requestBody(order cdr.ByteOrder, id uint32, key string) []byte {
 }
 
 // FuzzRequestFrame drives a server connection's read loop with one
-// forged Request frame, whose header announces bodyLen bytes of which
-// body follows, and then a well-formed probe request. The read loop must
-// not panic and must allocate no more than eighteen times the bytes it
-// was sent plus a constant, whatever length the forged header announced;
-// when the forged frame is complete and its request header decodes, the
-// stream must stay framed and the probe must be answered.
+// forged Request frame, whose header announces protocol minor version
+// minor and bodyLen bytes of which body follows, and then a well-formed
+// probe request. The read loop must not panic and must allocate no more
+// than eighteen times the bytes it was sent plus a constant, whatever
+// length the forged header announced. A frame of any minor but the
+// current one ends the connection before the probe is read; when the
+// forged frame is current, complete and its request header decodes,
+// the stream must stay framed and the probe must be answered.
 func FuzzRequestFrame(f *testing.F) {
 	native, foreign := cdr.NativeOrder, cdr.BigEndian
 	if native == cdr.BigEndian {
 		foreign = cdr.LittleEndian
 	}
 	req := requestBody(native, 1, "elsewhere")
-	f.Add(native == cdr.LittleEndian, uint32(len(req)), req)             // in range
-	f.Add(native == cdr.LittleEndian, uint32(giop.MaxBodyLen), []byte{}) // 1 GiB announced, absent
-	f.Add(native == cdr.LittleEndian, uint32(len(req)+100), req)         // shorter than announced
+	cur := byte(giop.VersionMinor)
+	f.Add(native == cdr.LittleEndian, cur, uint32(len(req)), req)             // in range
+	f.Add(native == cdr.LittleEndian, cur, uint32(giop.MaxBodyLen), []byte{}) // 1 GiB announced, absent
+	f.Add(native == cdr.LittleEndian, cur, uint32(len(req)+100), req)         // shorter than announced
 	freq := requestBody(foreign, 2, fuzzProbeKey)
-	f.Add(foreign == cdr.LittleEndian, uint32(len(freq)), freq) // foreign byte order
+	f.Add(foreign == cdr.LittleEndian, cur, uint32(len(freq)), freq)  // foreign byte order
+	f.Add(native == cdr.LittleEndian, byte(0), uint32(len(req)), req) // a 1.0 peer's frame
 
-	f.Fuzz(func(t *testing.T, little bool, bodyLen uint32, body []byte) {
+	f.Fuzz(func(t *testing.T, little bool, minor byte, bodyLen uint32, body []byte) {
 		order := cdr.BigEndian
 		if little {
 			order = cdr.LittleEndian
@@ -246,6 +250,7 @@ func FuzzRequestFrame(f *testing.F) {
 			body = body[:bodyLen]
 		}
 		stream := append(announce(order, giop.MsgRequest, bodyLen), body...)
+		stream[5] = minor
 		var probe bytes.Buffer
 		if err := giop.WriteMessage(&probe, cdr.NativeOrder, giop.MsgRequest,
 			requestBody(cdr.NativeOrder, fuzzProbeReq, fuzzProbeKey)); err != nil {
@@ -272,6 +277,12 @@ func FuzzRequestFrame(f *testing.F) {
 				len(stream), bodyLen, grew, bound)
 		}
 
+		if minor != giop.VersionMinor {
+			if conn.replied(fuzzProbeReq) {
+				t.Fatalf("the probe behind a minor-%d frame was answered", minor)
+			}
+			return
+		}
 		if uint64(len(body)) != uint64(bodyLen) {
 			return
 		}

@@ -29,11 +29,11 @@ var (
 	ErrClosed         = errors.New("orb: closed")
 	ErrCanceled       = errors.New("orb: request canceled")
 	ErrConnectionLost = errors.New("orb: connection lost")
-	ErrTooManyBlocks  = errors.New("orb: too many unmatched block transfers buffered")
-	// ErrPendingBlockBytes means the byte budget for unmatched block
-	// transfers is exhausted: a peer pushed more early-block payload
-	// than the router is willing to buffer before a sink registers.
-	ErrPendingBlockBytes = errors.New("orb: unmatched block-transfer byte budget exceeded")
+	ErrTooManyBlocks  = errors.New("orb: too many early window puts buffered")
+	// ErrPendingBlockBytes means the byte budget for early window puts
+	// is exhausted: a peer pushed more early-put payload than the
+	// router is willing to buffer before the window registers.
+	ErrPendingBlockBytes = errors.New("orb: early window-put byte budget exceeded")
 	// ErrDeadlineExpired wraps a TIMEOUT system exception: the server
 	// shed the request because its propagated deadline had already
 	// passed. Retrying cannot help — the caller's budget is gone — so
@@ -71,21 +71,22 @@ type Block struct {
 	Payload []byte
 }
 
-// Defaults for the pending-block buffer (blocks race the invocation
-// header across separate connections, so a router must buffer early
-// arrivals — but only so much, for so long).
+// Defaults for the early-put pending buffer (a window put can beat its
+// window's registration, arriving on another connection than the
+// request that announces the window, so a router must buffer early
+// puts — but only so much, for so long).
 const (
-	// defaultMaxPendingBlocks bounds how many block transfers may be
-	// buffered while waiting for their invocation to register a sink.
+	// defaultMaxPendingBlocks bounds how many window puts may be
+	// buffered while waiting for their window to register.
 	defaultMaxPendingBlocks = 4096
 	// defaultMaxPendingBytes bounds the payload bytes those buffered
-	// blocks may hold in total, so a peer cannot park 4096 maximal
-	// frames (a multi-GiB hostage) behind an invocation that never
+	// puts may hold in total, so a peer cannot park 4096 maximal
+	// puts (a multi-GiB hostage) behind a window that never
 	// registers.
 	defaultMaxPendingBytes = 64 << 20
-	// defaultPendingTTL is how long an invocation's early blocks may
-	// sit without any new arrival before a sweep reclaims them — the
-	// signature of a client that died between sending blocks and
+	// defaultPendingTTL is how long a window's early puts may sit
+	// without any new arrival before a sweep reclaims them — the
+	// signature of a client that died between sending puts and
 	// issuing (or completing) the invocation.
 	defaultPendingTTL = 30 * time.Second
 	// defaultPendingSweepInterval is how often a Server's background
@@ -93,11 +94,10 @@ const (
 	defaultPendingSweepInterval = 5 * time.Second
 )
 
-// PendingPolicy bounds the early-block pending buffer of a Server (or
-// any block router): how many blocks and payload bytes may wait for a
-// sink, and how long an invocation's buffer may go without traffic
-// before the periodic sweep reclaims it. Zero fields take the
-// defaults above.
+// PendingPolicy bounds the early-put pending buffer of a Server: how
+// many window puts and payload bytes may wait for their window, and
+// how long a window's buffer may go without traffic before the
+// periodic sweep reclaims it. Zero fields take the defaults above.
 type PendingPolicy struct {
 	MaxBlocks     int
 	MaxBytes      int
@@ -134,7 +134,7 @@ func (p PendingPolicy) withDefaults() PendingPolicy {
 
 // Pending-buffer instruments are process-wide (no labels), interned
 // once: routers account deltas so the gauge stays correct across any
-// number of clients and servers in the process.
+// number of servers in the process.
 var (
 	pendingBlockBytes     = telemetry.Default.Gauge("pardis_orb_pending_blocks_bytes")
 	pendingBlockReclaimed = telemetry.Default.Counter("pardis_orb_pending_reclaimed_total")
@@ -146,23 +146,15 @@ var (
 // it must be safe for concurrent use and must not block.
 type blockSink func(Block) error
 
-// pendingEntry is one invocation's buffered early blocks plus the
-// accounting the byte budget and TTL sweep need.
-type pendingEntry struct {
-	blocks []Block
-	bytes  int
-	last   time.Time // most recent arrival; staleness is measured from here
-}
-
-// blockRouter delivers incoming blocks to the invocation engines
-// expecting them, buffering early arrivals under a block-count and
-// byte budget and reclaiming buffers abandoned past a TTL.
+// blockRouter delivers incoming block transfers to the sinks expecting
+// them and window puts to their registered windows, buffering early
+// puts under a put-count and byte budget and reclaiming buffers
+// abandoned past a TTL.
 type blockRouter struct {
 	mu           sync.Mutex
 	sinks        map[uint64]blockSink
-	pending      map[uint64]*pendingEntry
 	windows      map[uint64]*Window
-	wpending     map[uint64]*windowPendingEntry
+	pending      map[uint64]*windowPendingEntry
 	pendingLen   int
 	pendingBytes int
 	pol          PendingPolicy
@@ -170,11 +162,10 @@ type blockRouter struct {
 
 func newBlockRouter() *blockRouter {
 	return &blockRouter{
-		sinks:    make(map[uint64]blockSink),
-		pending:  make(map[uint64]*pendingEntry),
-		windows:  make(map[uint64]*Window),
-		wpending: make(map[uint64]*windowPendingEntry),
-		pol:      DefaultPendingPolicy(),
+		sinks:   make(map[uint64]blockSink),
+		windows: make(map[uint64]*Window),
+		pending: make(map[uint64]*windowPendingEntry),
+		pol:     DefaultPendingPolicy(),
 	}
 }
 
@@ -186,10 +177,10 @@ type BlockRouterStats struct {
 	// Windows is the number of registered (not yet cancelled)
 	// one-sided destination windows.
 	Windows int
-	// Pending is the number of buffered early blocks and window puts
-	// awaiting a sink or window.
+	// Pending is the number of buffered early window puts awaiting
+	// their window.
 	Pending int
-	// PendingBytes is the payload bytes those blocks hold.
+	// PendingBytes is the payload bytes those puts hold.
 	PendingBytes int
 }
 
@@ -205,96 +196,33 @@ func (r *blockRouter) stats() BlockRouterStats {
 }
 
 // deliver hands a block to its registered sink, which runs inline on
-// the calling goroutine, or buffers it until the sink registers.
+// the calling goroutine. A block nobody expects is a protocol error:
+// the sink must register before its sender ships the block, and the
+// caller fails the delivering connection.
 func (r *blockRouter) deliver(b Block) error {
 	r.mu.Lock()
 	sink, ok := r.sinks[b.Header.InvocationID]
-	if !ok {
-		if r.pendingLen >= r.pol.MaxBlocks {
-			r.mu.Unlock()
-			return fmt.Errorf("%w: invocation %d", ErrTooManyBlocks, b.Header.InvocationID)
-		}
-		if r.pendingBytes+len(b.Payload) > r.pol.MaxBytes {
-			r.mu.Unlock()
-			return fmt.Errorf("%w: invocation %d (%d buffered + %d new > %d)",
-				ErrPendingBlockBytes, b.Header.InvocationID, r.pendingBytes, len(b.Payload), r.pol.MaxBytes)
-		}
-		pe := r.pending[b.Header.InvocationID]
-		if pe == nil {
-			pe = &pendingEntry{}
-			r.pending[b.Header.InvocationID] = pe
-		}
-		pe.blocks = append(pe.blocks, b)
-		pe.bytes += len(b.Payload)
-		pe.last = time.Now()
-		r.pendingLen++
-		r.pendingBytes += len(b.Payload)
-		pendingBlockBytes.Add(int64(len(b.Payload)))
-		r.mu.Unlock()
-		return nil
-	}
 	r.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("orb: block transfer for invocation %d has no sink", b.Header.InvocationID)
+	}
 	return sink(b)
 }
 
-// sweep reclaims every pending buffer whose last arrival is older than
-// the router's TTL (an invocation that will plainly never register a
-// sink — its client died or gave up). It returns the number of blocks
-// dropped.
-func (r *blockRouter) sweep(now time.Time) int {
-	r.mu.Lock()
-	var dropped, droppedBytes int
-	for inv, pe := range r.pending {
-		if now.Sub(pe.last) < r.pol.TTL {
-			continue
-		}
-		dropped += len(pe.blocks)
-		droppedBytes += pe.bytes
-		r.pendingLen -= len(pe.blocks)
-		r.pendingBytes -= pe.bytes
-		delete(r.pending, inv)
-	}
-	r.mu.Unlock()
-	if droppedBytes > 0 {
-		pendingBlockBytes.Add(-int64(droppedBytes))
-	}
-	if dropped > 0 {
-		pendingBlockReclaimed.Add(uint64(dropped))
-	}
-	return dropped
-}
-
-// registerFunc installs a callback sink for an invocation id, flushing
-// any blocks that arrived early: every block for inv is handed to sink
-// on the delivering connection's read goroutine. A non-nil error from
-// sink tears down the delivering connection. The returned cancel
-// function removes the sink; later strays buffer and age out.
+// registerFunc installs a callback sink for an invocation id: every
+// block for inv is handed to sink on the delivering connection's read
+// goroutine. A non-nil error from sink tears down the delivering
+// connection. The returned cancel function removes the sink.
 func (r *blockRouter) registerFunc(inv uint64, sink blockSink) (cancel func(), err error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if _, dup := r.sinks[inv]; dup {
-		r.mu.Unlock()
 		return nil, fmt.Errorf("orb: duplicate block sink for invocation %d", inv)
 	}
 	r.sinks[inv] = sink
-	var early []Block
-	if pe := r.pending[inv]; pe != nil {
-		early = pe.blocks
-		delete(r.pending, inv)
-		r.pendingLen -= len(pe.blocks)
-		r.pendingBytes -= pe.bytes
-		pendingBlockBytes.Add(-int64(pe.bytes))
-	}
-	r.mu.Unlock()
-	cancel = func() {
+	return func() {
 		r.mu.Lock()
 		delete(r.sinks, inv)
 		r.mu.Unlock()
-	}
-	for _, b := range early {
-		if err := sink(b); err != nil {
-			cancel()
-			return nil, err
-		}
-	}
-	return cancel, nil
+	}, nil
 }

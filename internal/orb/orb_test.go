@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -357,28 +358,109 @@ func payloadBase(b Block) int {
 	return e.Len()
 }
 
-func TestBlockArrivingBeforeSinkIsBuffered(t *testing.T) {
-	cli, srv, ep := newPair(t)
-	inv := cli.NewInvocationID()
-	hdr := giop.BlockTransferHeader{InvocationID: inv, Count: 1, Last: true}
-	if _, err := cli.SendBlock(ep, hdr, func(e *cdr.Encoder) { e.PutDoubleSeq([]float64{9}) }); err != nil {
+// TestBlockWithoutSinkClosesConnection: a block transfer that finds no
+// registered sink is a protocol violation: the server closes the
+// connection it arrived on and keeps serving other connections.
+func TestBlockWithoutSinkClosesConnection(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg)
+	srv.Handle("echo", func(in *Incoming) { _ = in.Reply(giop.ReplyOK, nil) })
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the block time to arrive before the sink exists.
-	time.Sleep(20 * time.Millisecond)
-	sink := make(chan Block, 1)
-	cancel, err := srv.ExpectBlocksFunc(inv, chanSink(sink))
+	defer srv.Close()
+
+	raw, err := reg.Dial(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	(&giop.BlockTransferHeader{InvocationID: 5, Count: 1, Last: true}).Encode(e)
+	e.PutDoubleSeq([]float64{9})
+	if err := giop.WriteMessage(raw, cdr.NativeOrder, giop.MsgBlockTransfer, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if mt, _, _, err := giop.ReadMessage(raw); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("unexpected block: got %v, %v; want the connection closed", mt, err)
+	}
+	if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
+		t.Fatalf("unexpected block buffered: %+v", st)
+	}
+
+	cli := NewClient(reg)
+	defer cli.Close()
+	if rh, _, _, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "echo", "op"), nil); err != nil || rh.Status != giop.ReplyOK {
+		t.Fatalf("next connection: %+v, %v", rh, err)
+	}
+}
+
+// TestUnmatchedBlocksDoNotStarveEarlyPuts: block transfers nobody
+// expects take nothing from the early-put pending budget, so one
+// client flooding them cannot make the server refuse another client's
+// window put that beats its window's registration.
+func TestUnmatchedBlocksDoNotStarveEarlyPuts(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg, WithPendingPolicy(PendingPolicy{MaxBytes: 64 << 10}))
+	srv.Handle("echo", func(in *Incoming) { _ = in.Reply(giop.ReplyOK, nil) })
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// barrier returns once the server has read everything cli sent
+	// before it (or has closed that connection): a connection's frames
+	// are read in order.
+	barrier := func(cli *Client) {
+		_, _, _, _ = cli.Invoke(context.Background(), ep, requestHeader(cli, "echo", "op"), nil)
+	}
+
+	flood := NewClient(reg)
+	defer flood.Close()
+	blk := make([]float64, 1000)
+	for i := 0; i < 8; i++ {
+		hdr := giop.BlockTransferHeader{InvocationID: uint64(100 + i), Count: uint32(len(blk)), Last: true}
+		if _, err := flood.SendBlock(ep, hdr, func(e *cdr.Encoder) { e.PutDoubleSeq(blk) }); err != nil {
+			break // the server already closed the flooding connection
+		}
+	}
+	barrier(flood)
+
+	cli := NewClient(reg)
+	defer cli.Close()
+	const n = 1024
+	key := windowKey(t, 31, 0)
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = float64(i) + 0.25
+	}
+	if _, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: key, Last: true}, want); err != nil {
+		t.Fatal(err)
+	}
+	barrier(cli)
+
+	dst := make([]float64, n)
+	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
 	select {
-	case blk := <-sink:
-		if blk.Header.InvocationID != inv {
-			t.Fatalf("wrong invocation: %+v", blk.Header)
+	case <-win.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatalf("early put never landed: %+v", srv.BlockStats())
+	}
+	if err := win.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
 		}
-	case <-time.After(time.Second):
-		t.Fatal("buffered block never flushed")
 	}
 }
 

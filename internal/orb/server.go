@@ -261,9 +261,9 @@ func WithServerByteOrder(o cdr.ByteOrder) ServerOption {
 	return func(s *Server) { s.order = o }
 }
 
-// WithPendingPolicy bounds the server's early-block pending buffer
-// (block count, byte budget, abandonment TTL and sweep cadence). Zero
-// fields take the package defaults.
+// WithPendingPolicy bounds the server's early-put pending buffer (put
+// count, byte budget, abandonment TTL and sweep cadence). Zero fields
+// take the package defaults.
 func WithPendingPolicy(p PendingPolicy) ServerOption {
 	return func(s *Server) { s.blocks.pol = p.withDefaults() }
 }
@@ -286,9 +286,9 @@ func NewServer(reg *transport.Registry, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	// The pending sweeper reclaims early-block buffers abandoned past
+	// The pending sweeper reclaims early-put buffers abandoned past
 	// the TTL — the residue of clients that died between shipping
-	// blocks and issuing the invocation that would have consumed them.
+	// puts and issuing the invocation that would have consumed them.
 	s.wg.Add(1)
 	go s.pendingSweepLoop()
 	return s
@@ -301,9 +301,7 @@ func (s *Server) pendingSweepLoop() {
 	for {
 		select {
 		case <-t.C:
-			now := time.Now()
-			s.blocks.sweep(now)
-			s.blocks.sweepWindows(now)
+			s.blocks.sweepWindows(time.Now())
 		case <-s.quit:
 			return
 		}
@@ -367,7 +365,9 @@ func (s *Server) handler(key string) (Handler, bool) {
 // directly on the delivering connection's read goroutine,
 // so blocks from different senders (different connections) are
 // assembled concurrently. fn must be safe for concurrent use and must
-// not block; returning an error tears down that connection.
+// not block; returning an error tears down that connection. The sink
+// must be registered before its blocks are sent: a block that finds
+// no sink fails the connection it arrived on.
 func (s *Server) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), error) {
 	return s.blocks.registerFunc(inv, fn)
 }
@@ -615,9 +615,7 @@ func (sc *serverConn) close() {
 func (sc *serverConn) readLoop() {
 	defer sc.close()
 	// The FrameReader buffers the socket (one raw Read per header+body
-	// in the common case) and surfaces the sender's protocol minor
-	// version, which the header decoder needs: 1.0 peers frame request
-	// headers without trace bytes. Request/BlockTransfer bodies escape
+	// in the common case). Request/BlockTransfer bodies escape
 	// to handlers and block sinks, so ownership transfers with them: a
 	// recycled (large) request body goes to the handler's Incoming,
 	// whose Release hands it back to fr (see Incoming.Release), unless
@@ -699,8 +697,7 @@ func (sc *serverConn) readLoop() {
 // violation poisons the window, not the connection, and the payload is
 // skimmed to keep the stream framed). Unregistered window: the payload
 // is buffered (in a recycled buffer) under the pending budgets until
-// registration, exactly like an early routed block. Only stream-level failures tear the
-// connection down.
+// registration. Only stream-level failures tear the connection down.
 func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader) error {
 	wh, err := fr.ReadWindowPut(fh)
 	if err != nil {
@@ -740,7 +737,7 @@ func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader)
 // reply; on an error return f still owns it.
 func (sc *serverConn) handleRequest(f *giop.Frame) error {
 	d := cdr.NewDecoder(f.Order, f.Body)
-	hdr, err := giop.DecodeRequestHeaderV(d, f.Minor)
+	hdr, err := giop.DecodeRequestHeader(d)
 	if err != nil {
 		// Unparseable request: poison the stream, give up.
 		return fmt.Errorf("orb: bad request header: %w", err)
@@ -773,7 +770,7 @@ func (sc *serverConn) parkRequest(fr *giop.FrameReader, fh giop.FrameHeader) (bo
 		return false, err
 	}
 	d := cdr.NewDecoder(fh.Order, win)
-	hdr, err := giop.DecodeRequestHeaderV(d, fh.Minor)
+	hdr, err := giop.DecodeRequestHeader(d)
 	if err != nil || !sc.srv.lands(hdr.ObjectKey) {
 		return false, nil
 	}

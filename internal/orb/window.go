@@ -4,9 +4,8 @@
 // frames addressed to it are landed by the connection read loop
 // straight off the read buffer into dst[DstOff:DstOff+Count] — no body
 // allocation, no pending-buffer hop, no CDR sequence framing. Puts
-// that race the registration (the same race routed block transfers
-// have) are buffered under the router's existing pending budgets and
-// flushed into the window when it registers.
+// that race the registration are buffered under the router's pending
+// budgets and flushed into the window when it registers.
 //
 // The safety argument: every put is bounds-checked against the
 // registered destination before any byte lands; the sender derives
@@ -158,11 +157,12 @@ func releasePutBuf(bp *[]byte) {
 	}
 }
 
-// windowPendingEntry mirrors pendingEntry for window puts.
+// windowPendingEntry is one window's buffered early puts plus the
+// accounting the byte budget and TTL sweep need.
 type windowPendingEntry struct {
 	puts  []windowPut
 	bytes int
-	last  time.Time
+	last  time.Time // most recent arrival; staleness is measured from here
 }
 
 // windowFor resolves a put's destination window, if registered.
@@ -206,10 +206,10 @@ func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrde
 		return fmt.Errorf("%w: window %#x (%d buffered + %d new > %d)",
 			ErrPendingBlockBytes, h.WindowID, r.pendingBytes, len(payload), r.pol.MaxBytes)
 	}
-	pe := r.wpending[h.WindowID]
+	pe := r.pending[h.WindowID]
 	if pe == nil {
 		pe = &windowPendingEntry{}
-		r.wpending[h.WindowID] = pe
+		r.pending[h.WindowID] = pe
 	}
 	pe.puts = append(pe.puts, windowPut{h: h, order: order, buf: buf})
 	pe.bytes += len(payload)
@@ -235,9 +235,9 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 	}
 	r.windows[id] = w
 	var early []windowPut
-	if pe := r.wpending[id]; pe != nil {
+	if pe := r.pending[id]; pe != nil {
 		early = pe.puts
-		delete(r.wpending, id)
+		delete(r.pending, id)
 		r.pendingLen -= len(pe.puts)
 		r.pendingBytes -= pe.bytes
 		pendingBlockBytes.Add(-int64(pe.bytes))
@@ -276,7 +276,7 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 func (r *blockRouter) sweepWindows(now time.Time) int {
 	r.mu.Lock()
 	var dropped, droppedBytes int
-	for id, pe := range r.wpending {
+	for id, pe := range r.pending {
 		if now.Sub(pe.last) < r.pol.TTL {
 			continue
 		}
@@ -284,7 +284,7 @@ func (r *blockRouter) sweepWindows(now time.Time) int {
 		droppedBytes += pe.bytes
 		r.pendingLen -= len(pe.puts)
 		r.pendingBytes -= pe.bytes
-		delete(r.wpending, id)
+		delete(r.pending, id)
 	}
 	r.mu.Unlock()
 	if droppedBytes > 0 {

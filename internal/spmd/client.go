@@ -242,7 +242,7 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 				b.recvEP = ep
 			}
 		}
-		if err := collectiveVerdict(b.th, listenErr, "open its receive port"); err != nil {
+		if err := setupVerdict(b.th, listenErr, "open its receive port"); err != nil {
 			b.Close()
 			return nil, err
 		}
@@ -715,23 +715,11 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	// Collective verdict on the send phase: either every thread
 	// proceeds to Wait or none does, so a per-thread transport
 	// failure cannot strand the others in a collective.
-	flag := uint64(0)
-	if sendErr != nil {
-		flag = 1
-	}
-	flags, err := b.th.AllgatherU64(flag)
-	if err != nil {
+	if err := collectiveVerdict(b.th, sendErr, func(r int) error {
+		return fmt.Errorf("%w: in-transfer failed on thread %d", ErrPartialFailure, r)
+	}); err != nil {
 		p.abandon()
 		return nil, err
-	}
-	for r, f := range flags {
-		if f != 0 {
-			p.abandon()
-			if sendErr != nil {
-				return nil, sendErr
-			}
-			return nil, fmt.Errorf("%w: in-transfer failed on thread %d", ErrPartialFailure, r)
-		}
 	}
 	return p, nil
 }
@@ -1021,21 +1009,10 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	}
 
 	// Collective verdict on the collection phase.
-	flag := uint64(0)
-	if localErr != nil {
-		flag = 1
-	}
-	flags, aerr := b.th.AllgatherU64(flag)
-	if aerr != nil {
-		return aerr
-	}
-	for r, f := range flags {
-		if f != 0 {
-			if localErr != nil {
-				return localErr
-			}
-			return fmt.Errorf("%w: out-transfer failed on thread %d", ErrPartialFailure, r)
-		}
+	if err := collectiveVerdict(b.th, localErr, func(r int) error {
+		return fmt.Errorf("%w: out-transfer failed on thread %d", ErrPartialFailure, r)
+	}); err != nil {
+		return err
 	}
 
 	if b.method == Centralized {

@@ -79,9 +79,8 @@ type ObjectConfig struct {
 	Ops map[string]*Op
 	// LeaseTTL is how long a client's server-side lease survives
 	// without traffic before its rank-side state (registered windows,
-	// in-dispatch waits) is reclaimed. 0 = DefaultLeaseTTL, negative =
-	// leases disabled (the pre-lease behavior: waits are bounded only
-	// by the Serve context and Close).
+	// in-dispatch waits) is reclaimed. A value <= 0 means
+	// DefaultLeaseTTL.
 	LeaseTTL time.Duration
 }
 
@@ -103,7 +102,7 @@ type Object struct {
 	ref    *ior.Ref
 	queue  chan request // communicator only
 	closed chan struct{}
-	leases *leaseTable // nil = leases disabled
+	leases *leaseTable
 
 	served atomic.Uint64
 	failed atomic.Uint64
@@ -201,19 +200,17 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		reg = transport.Default
 	}
 	th := cfg.Thread
+	ttl := cfg.LeaseTTL
+	if ttl <= 0 {
+		ttl = DefaultLeaseTTL
+	}
 	o := &Object{
 		cfg:    cfg,
 		th:     th,
 		rank:   th.Rank(),
 		size:   th.Size(),
 		closed: make(chan struct{}),
-	}
-	if cfg.LeaseTTL >= 0 {
-		ttl := cfg.LeaseTTL
-		if ttl == 0 {
-			ttl = DefaultLeaseTTL
-		}
-		o.leases = newLeaseTable(ttl)
+		leases: newLeaseTable(ttl),
 	}
 	o.rankLag = telemetry.Default.Histogram("pardis_spmd_rank_lag_seconds",
 		"side", "server", "rank", strconv.Itoa(o.rank))
@@ -241,7 +238,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	// partial-failure error, instead of the communicator deadlocking
 	// in the endpoint exchange waiting for a port that will never
 	// exist.
-	if err := collectiveVerdict(th, listenErr, "open its port"); err != nil {
+	if err := setupVerdict(th, listenErr, "open its port"); err != nil {
 		if o.srv != nil {
 			o.srv.Close()
 		}
@@ -331,9 +328,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 			// Any request is proof of client life: renew its lease
 			// before anything else, so a queued invocation cannot lose
 			// its own lease while waiting for the collective.
-			if o.leases != nil {
-				o.leases.acquire(leaseClient(in.Header.InvocationID))
-			}
+			o.leases.acquire(leaseClient(in.Header.InvocationID))
 			switch in.Header.Operation {
 			case DescribeOperation:
 				o.replyDescribe(in)
@@ -351,9 +346,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		})
 	} else if o.srv != nil {
 		o.srv.Handle(cfg.Key, func(in *orb.Incoming) {
-			if o.leases != nil {
-				o.leases.acquire(leaseClient(in.Header.InvocationID))
-			}
+			o.leases.acquire(leaseClient(in.Header.InvocationID))
 			switch in.Header.Operation {
 			case DescribeOperation:
 				o.replyDescribe(in)
@@ -366,9 +359,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 				"requests must target the communicator port")
 		})
 	}
-	if o.leases != nil {
-		go o.leaseSweepLoop()
-	}
+	go o.leaseSweepLoop()
 	return o, nil
 }
 
@@ -490,14 +481,8 @@ func (o *Object) leaseSweepLoop() {
 	}
 }
 
-// Leases reports the number of live client leases on this rank (0
-// when leases are disabled).
-func (o *Object) Leases() int {
-	if o.leases == nil {
-		return 0
-	}
-	return o.leases.size()
-}
+// Leases reports the number of live client leases on this rank.
+func (o *Object) Leases() int { return o.leases.size() }
 
 // Ref returns the object reference to register with the naming
 // service. Valid on every thread.
@@ -1050,19 +1035,14 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, p
 	// renews the lease, and if the client dies mid-transfer the lease
 	// expiry unwinds the wait (teardown via the deferred cancel) instead
 	// of stranding the collective until the Serve context ends.
-	var expired <-chan struct{}
-	var onPut func()
-	if o.leases != nil {
-		l := o.leases.acquire(leaseClient(inv))
-		expired = l.expired
-		onPut = func() { l.last.Store(time.Now().UnixNano()) }
-	}
-	win, cancel, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect), onPut)
+	l := o.leases.acquire(leaseClient(inv))
+	win, cancel, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect),
+		func() { l.last.Store(time.Now().UnixNano()) })
 	if err != nil {
 		return err
 	}
 	defer cancel()
-	err = waitWindow(ctx, win, o.closed, expired)
+	err = waitWindow(ctx, win, o.closed, l.expired)
 	o.xferIn.ObserveDuration(time.Since(t))
 	return err
 }
@@ -1090,25 +1070,10 @@ func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq
 	return err
 }
 
-// agree reaches a collective verdict: if any thread reports an error,
-// every thread returns one (the communicator's message wins for
-// reporting).
+// agree reaches a collective verdict on a dispatch phase: if any
+// thread reports an error, every thread returns one.
 func (o *Object) agree(local error) error {
-	flag := uint64(0)
-	if local != nil {
-		flag = 1
-	}
-	flags, err := o.th.AllgatherU64(flag)
-	if err != nil {
-		return err
-	}
-	for r, f := range flags {
-		if f != 0 {
-			if local != nil {
-				return local
-			}
-			return fmt.Errorf("%w: thread %d failed", ErrRemote, r)
-		}
-	}
-	return nil
+	return collectiveVerdict(o.th, local, func(r int) error {
+		return fmt.Errorf("%w: thread %d failed", ErrRemote, r)
+	})
 }

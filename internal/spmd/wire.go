@@ -83,35 +83,43 @@ var (
 	ErrPartialFailure = errors.New("spmd: partial failure")
 )
 
-// collectiveVerdict agrees collectively on whether a per-thread setup
-// phase succeeded everywhere. Each thread contributes its local error
-// (nil for success); on any failure every thread returns an
-// ErrPartialFailure naming the first failed rank (the failing thread
-// itself additionally carries its local error detail). what describes
-// the phase, e.g. "open its receive port".
-func collectiveVerdict(th rts.Thread, localErr error, what string) error {
+// collectiveVerdict agrees collectively, in one allgather, on whether
+// a per-thread phase succeeded everywhere. Each thread contributes its
+// local error (nil for success). On any failure every thread returns
+// an error: a failed thread its own, every other thread remote(r) for
+// the first failed rank r. If the allgather itself fails, a failed
+// thread still returns its own error and the others the allgather's.
+func collectiveVerdict(th rts.Thread, local error, remote func(rank int) error) error {
 	flag := uint64(0)
-	if localErr != nil {
+	if local != nil {
 		flag = 1
 	}
 	flags, err := th.AllgatherU64(flag)
+	if local != nil {
+		return local
+	}
 	if err != nil {
-		if localErr != nil {
-			return localErr
-		}
 		return err
 	}
 	for r, f := range flags {
-		if f == 0 {
-			continue
+		if f != 0 {
+			return remote(r)
 		}
-		if localErr != nil {
-			return fmt.Errorf("%w: thread %d failed to %s: %w",
-				ErrPartialFailure, th.Rank(), what, localErr)
-		}
-		return fmt.Errorf("%w: thread %d failed to %s", ErrPartialFailure, r, what)
 	}
 	return nil
+}
+
+// setupVerdict is collectiveVerdict for a setup phase, what describing
+// it (e.g. "open its receive port"): every thread's error is an
+// ErrPartialFailure naming the failed rank, the failed thread's also
+// carrying its local detail.
+func setupVerdict(th rts.Thread, local error, what string) error {
+	if local != nil {
+		local = fmt.Errorf("%w: thread %d failed to %s: %w", ErrPartialFailure, th.Rank(), what, local)
+	}
+	return collectiveVerdict(th, local, func(r int) error {
+		return fmt.Errorf("%w: thread %d failed to %s", ErrPartialFailure, r, what)
+	})
 }
 
 // argWire is the per-argument metadata the client sends in the
