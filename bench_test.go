@@ -200,9 +200,16 @@ func benchTransfer(b *testing.B, method core.TransferMethod, n, m, length int) {
 		}
 		// Warm-up connection establishment outside the measured loop
 		// happened before ResetTimer is not possible inside mp.Run;
-		// one warm call costs a single iteration's noise.
+		// one warm call costs a single iteration's noise. InvokeAsync
+		// keeps the binding's method at every size (Invoke would send a
+		// multi-port binding's small rows centralized), so each row
+		// measures the method it names.
 		for i := 0; i < b.N; i++ {
-			if err := bind.Invoke(context.Background(), spec); err != nil {
+			p, err := bind.InvokeAsync(context.Background(), spec)
+			if err != nil {
+				return err
+			}
+			if err := p.Wait(context.Background()); err != nil {
 				return err
 			}
 		}

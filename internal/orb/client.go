@@ -851,14 +851,15 @@ func (cc *clientConn) write(t giop.MsgType, e *giop.PooledEncoder) error {
 	return nil
 }
 
-// writeRequest writes a Request frame like write. One whose body is
-// larger than giop.DefaultReadBufSize may be parked by the server —
-// left on the connection until its object lands it
-// (Server.HandleLanding), possibly behind a long dispatch — and its
-// write then lasts until the landing, so ctx bounds it: a request whose
-// ctx has ended is not written, and one whose ctx ends mid-write fails
-// with ErrCanceled and takes the connection down with it, the frame
-// being torn.
+// writeRequest writes a Request frame like write. Any request may be
+// parked by the server — left on the connection until its object lands
+// it (Server.HandleLanding), possibly behind a long dispatch. The write
+// of one whose body is larger than giop.DefaultReadBufSize, more than
+// the server's read buffer takes, then lasts until the landing, so ctx
+// bounds it: a request whose ctx has ended is not written, and one whose
+// ctx ends mid-write fails with ErrCanceled and takes the connection
+// down with it, the frame being torn. A smaller body fits the socket
+// buffers of a stream connection.
 func (cc *clientConn) writeRequest(ctx context.Context, e *giop.PooledEncoder) error {
 	done := ctx.Done()
 	if done == nil || bodyLen(e.Encoder) <= giop.DefaultReadBufSize {

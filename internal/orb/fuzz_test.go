@@ -201,7 +201,10 @@ func (c *replyConn) replied(id uint32) bool {
 
 const (
 	fuzzProbeKey = "probe"
-	fuzzProbeReq = 0x7e57
+	// fuzzLandingKey is installed with HandleLanding: a request to it is
+	// parked, whatever its size, and its handler skims it.
+	fuzzLandingKey = "landing"
+	fuzzProbeReq   = 0x7e57
 	// fuzzAllocSlack is what a read loop may allocate beyond eighteen
 	// times the bytes it was sent (a stepped body read allocates less
 	// than 1 MiB plus 256/15 times what arrived): its reader's buffer, a
@@ -240,6 +243,8 @@ func FuzzRequestFrame(f *testing.F) {
 	freq := requestBody(foreign, 2, fuzzProbeKey)
 	f.Add(foreign == cdr.LittleEndian, cur, uint32(len(freq)), freq)  // foreign byte order
 	f.Add(native == cdr.LittleEndian, byte(0), uint32(len(req)), req) // a 1.0 peer's frame
+	lreq := append(requestBody(native, 3, fuzzLandingKey), make([]byte, 64)...)
+	f.Add(native == cdr.LittleEndian, cur, uint32(len(lreq)), lreq) // small, parked
 
 	f.Fuzz(func(t *testing.T, little bool, minor byte, bodyLen uint32, body []byte) {
 		order := cdr.BigEndian
@@ -265,6 +270,10 @@ func FuzzRequestFrame(f *testing.F) {
 			if in.Reply(giop.ReplyOK, nil) == nil {
 				answered <- struct{}{}
 			}
+		})
+		srv.HandleLanding(fuzzLandingKey, func(in *Incoming) {
+			in.Release()
+			_ = in.Reply(giop.ReplyOK, nil)
 		})
 		conn := &replyConn{streamConn: streamConn{bytes.NewReader(stream)}}
 		sc := newServerConn(srv, conn, "fuzz")

@@ -31,12 +31,13 @@ func (l *sumLander) LandRequest(fr *giop.FrameReader, h giop.FrameHeader) error 
 	return err
 }
 
-// TestParkedRequestPaths: a request larger than the read buffer to a
-// key installed with HandleLanding reaches its handler parked, with its
-// prefix visible, and the connection carries on after each of the three
-// ways its body can leave: landed by a RequestLander, read whole (then
-// a recycled body like any other), or released and skimmed. Small
-// requests to the key, and large ones to a plain key, are never parked.
+// TestParkedRequestPaths: a request of any size to a key installed with
+// HandleLanding reaches its handler parked, with its prefix visible —
+// the whole body when it fits the read buffer — and the connection
+// carries on after each of the three ways its body can leave: landed by
+// a RequestLander, read whole (then, when larger than the read buffer, a
+// recycled body like any other), or released and skimmed. Requests to a
+// plain key, large or small, are never parked.
 func TestParkedRequestPaths(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
@@ -50,25 +51,28 @@ func TestParkedRequestPaths(t *testing.T) {
 		}
 		return s, err
 	}
-	reply := func(in *Incoming, sum float64, parked bool) {
+	// The reply carries the sequence length the handler saw: from the
+	// prefix when parked, from the body otherwise.
+	reply := func(in *Incoming, sum float64, parked bool, n uint32) {
 		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) {
 			e.PutDouble(sum)
 			e.PutBoolean(parked)
+			e.PutULong(n)
 		})
 	}
 	srv.HandleLanding("landing", func(in *Incoming) {
 		parked := in.Parked()
 		if !parked {
-			s, err := sumBody(in)
-			if err != nil {
-				_ = in.ReplySystemException("MARSHAL", err.Error())
-				return
-			}
-			reply(in, s, false)
+			_ = in.ReplySystemException("BAD_OPERATION", "request to a landing key not parked")
 			return
 		}
-		if n, err := cdr.NewDecoderAt(in.Order, in.Prefix(), in.BodyBase).ULong(); err != nil || n != bigDoubles {
+		n, err := cdr.NewDecoderAt(in.Order, in.Prefix(), in.BodyBase).ULong()
+		if err != nil {
 			_ = in.ReplySystemException("MARSHAL", "prefix does not show the sequence length")
+			return
+		}
+		if fits := in.BodyLen() <= giop.DefaultReadBufSize; fits != (in.BodyBase+len(in.Prefix()) == in.BodyLen()) {
+			_ = in.ReplySystemException("MARSHAL", "prefix is not the body up to the read buffer's size")
 			return
 		}
 		switch in.Header.Operation {
@@ -78,7 +82,7 @@ func TestParkedRequestPaths(t *testing.T) {
 				_ = in.ReplySystemException("MARSHAL", err.Error())
 				return
 			}
-			reply(in, l.sum, true)
+			reply(in, l.sum, true, n)
 		case "whole":
 			if err := in.ReadBody(); err != nil {
 				return
@@ -89,20 +93,21 @@ func TestParkedRequestPaths(t *testing.T) {
 				_ = in.ReplySystemException("MARSHAL", err.Error())
 				return
 			}
-			reply(in, s, true)
+			reply(in, s, true, n)
 		default:
 			in.Release()
-			reply(in, -1, true)
+			reply(in, -1, true, n)
 		}
 	})
 	srv.Handle("plain", func(in *Incoming) {
+		n, _ := in.Decoder().ULong()
 		s, err := sumBody(in)
 		in.Release()
 		if err != nil {
 			_ = in.ReplySystemException("MARSHAL", err.Error())
 			return
 		}
-		reply(in, s, in.Parked())
+		reply(in, s, in.Parked(), n)
 	})
 	ep, err := srv.Listen("inproc:*")
 	if err != nil {
@@ -127,6 +132,9 @@ func TestParkedRequestPaths(t *testing.T) {
 		d := cdr.NewDecoderAt(order, body, 8)
 		s, _ := d.Double()
 		parked, _ := d.Boolean()
+		if n, err := d.ULong(); err != nil || int(n) != len(v) {
+			t.Fatalf("%s %s: handler saw %d elements (%v), sent %d", key, op, n, err, len(v))
+		}
 		return s, parked
 	}
 
@@ -141,8 +149,11 @@ func TestParkedRequestPaths(t *testing.T) {
 		{"landing", "land", big, want, true, 0, 0, "landed"},
 		{"landing", "whole", big, want, true, 1, 1, "read whole"},
 		{"landing", "skim", big, -1, true, 0, 0, "released unread"},
-		{"landing", "land", big[:4], 6, false, 0, 0, "small"},
+		{"landing", "land", big[:4], 6, true, 0, 0, "small landed"},
+		{"landing", "whole", big[:4], 6, true, 0, 0, "small read whole"},
+		{"landing", "skim", big[:4], -1, true, 0, 0, "small released unread"},
 		{"plain", "op", big, want, false, 1, 1, "plain key"},
+		{"plain", "op", big[:4], 6, false, 0, 0, "small to a plain key"},
 	} {
 		g0, p0 := largeBodyLedger()
 		sum, parked := invoke(c.key, c.op, c.v)
@@ -159,17 +170,22 @@ func TestParkedRequestPaths(t *testing.T) {
 }
 
 // TestParkedRequestPanicSkimmed: a servant that panics on a parked
-// request is answered UNKNOWN, its body is skimmed, and the connection
-// serves the next request.
+// request, larger than the read buffer or not, is answered UNKNOWN, its
+// body is skimmed, and the connection serves the next request.
 func TestParkedRequestPanicSkimmed(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
 	srv := NewServer(reg)
 	defer srv.Close()
 	srv.HandleLanding("landing", func(in *Incoming) {
-		if in.Parked() {
+		if !in.Parked() {
+			_ = in.ReplySystemException("BAD_OPERATION", "request to a landing key not parked")
+			return
+		}
+		if in.Header.Operation == "panic" {
 			panic("servant fails on a parked request")
 		}
+		in.Release()
 		_ = in.Reply(giop.ReplyOK, nil)
 	})
 	ep, err := srv.Listen("inproc:*")
@@ -180,10 +196,14 @@ func TestParkedRequestPanicSkimmed(t *testing.T) {
 	defer cli.Close()
 	for i, c := range []struct {
 		n    int
+		op   string
 		want giop.ReplyStatus
-	}{{bigDoubles, giop.ReplySystemException}, {4, giop.ReplyOK}} {
+	}{
+		{bigDoubles, "panic", giop.ReplySystemException}, {4, "op", giop.ReplyOK},
+		{4, "panic", giop.ReplySystemException}, {bigDoubles, "op", giop.ReplyOK},
+	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		rh, _, _, err := cli.Invoke(ctx, ep, requestHeader(cli, "landing", "op"),
+		rh, _, _, err := cli.Invoke(ctx, ep, requestHeader(cli, "landing", c.op),
 			func(e *cdr.Encoder) { e.PutDoubleSeq(make([]float64, c.n)) })
 		cancel()
 		if err != nil || rh.Status != c.want {

@@ -76,10 +76,9 @@ func (in *Incoming) Release() {
 }
 
 // Parked reports whether the request's body is still on the connection:
-// the request was larger than giop.DefaultReadBufSize and its key was
-// installed with HandleLanding. Body is then nil, and the connection
-// reads nothing more until the handler — or whoever it hands the
-// request to — calls exactly one of Land, ReadBody and Release.
+// its key was installed with HandleLanding. Body is then nil, and the
+// connection reads nothing more until the handler — or whoever it hands
+// the request to — calls exactly one of Land, ReadBody and Release.
 func (in *Incoming) Parked() bool { return in.parked }
 
 // BodyLen returns the length of a parked request's whole body,
@@ -93,10 +92,10 @@ func (in *Incoming) BodyLen() int {
 }
 
 // Prefix returns what the connection's read buffer already holds of a
-// parked request's in-arguments, from stream offset BodyBase on: at
-// most giop.DefaultReadBufSize bytes of the body, request header
-// included, are buffered. The bytes are valid until Land, ReadBody or
-// Release, and nil for a request that is not parked.
+// parked request's in-arguments, from stream offset BodyBase on: the
+// whole body, or its first giop.DefaultReadBufSize bytes, request header
+// included, when it is longer. The bytes are valid until Land, ReadBody
+// or Release, and nil for a request that is not parked.
 func (in *Incoming) Prefix() []byte {
 	if !in.parked {
 		return nil
@@ -326,10 +325,10 @@ func (s *Server) Handle(key string, h Handler) {
 }
 
 // HandleLanding installs a handler for an object key like Handle, whose
-// requests larger than giop.DefaultReadBufSize reach it parked (see
-// Incoming.Parked): their bodies are left on the connection for the
-// handler to land where they belong. A parked request must be landed,
-// read or released — until then its connection reads nothing more.
+// requests, of any size, reach it parked (see Incoming.Parked): their
+// bodies are left on the connection for the handler to land where they
+// belong. A parked request must be landed, read or released — until then
+// its connection reads nothing more.
 func (s *Server) HandleLanding(key string, h Handler) {
 	s.mu.Lock()
 	s.handlers[key] = h
@@ -619,7 +618,7 @@ func (sc *serverConn) readLoop() {
 	// to handlers and block sinks, so ownership transfers with them: a
 	// recycled (large) request body goes to the handler's Incoming,
 	// whose Release hands it back to fr (see Incoming.Release), unless
-	// its key takes it parked (parkRequest). Every other body is a plain
+	// its key takes it parked (serveRequest). Every other body is a plain
 	// allocation, dropped once decoded.
 	fr := giop.NewFrameReader(sc.raw)
 	for {
@@ -636,14 +635,11 @@ func (sc *serverConn) readLoop() {
 			}
 			continue
 		}
-		if fh.Type == giop.MsgRequest && fh.BodyLen > giop.DefaultReadBufSize {
-			parked, err := sc.parkRequest(fr, fh)
-			if err != nil {
+		if fh.Type == giop.MsgRequest {
+			if err := sc.serveRequest(fr, fh); err != nil {
 				return
 			}
-			if parked {
-				continue
-			}
+			continue
 		}
 		f, err := fr.ReadFrameBody(fh)
 		if err != nil {
@@ -651,11 +647,6 @@ func (sc *serverConn) readLoop() {
 		}
 		t, order, body := f.Type, f.Order, f.Body
 		switch t {
-		case giop.MsgRequest:
-			if err := sc.handleRequest(&f); err != nil {
-				f.Release()
-				return
-			}
 		case giop.MsgLocateRequest:
 			if err := sc.handleLocate(order, body); err != nil {
 				return
@@ -731,16 +722,38 @@ func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader)
 	return sc.srv.blocks.bufferWindowPut(wh, fh.Order, buf)
 }
 
-// handleRequest decodes the request header of f and dispatches the
-// request to its handler, which takes over the frame's body. Requests
-// answered before a handler sees them release the body right after the
-// reply; on an error return f still owns it.
-func (sc *serverConn) handleRequest(f *giop.Frame) error {
-	d := cdr.NewDecoder(f.Order, f.Body)
-	hdr, err := giop.DecodeRequestHeader(d)
+// serveRequest serves the Request whose frame header fh the read loop
+// just read. Its request header is decoded once, from the peek window —
+// the whole body, or its first giop.DefaultReadBufSize bytes. A request
+// to a key installed with HandleLanding is dispatched parked, its body
+// still on the connection, and the read loop waits until the body has
+// been landed, read whole or skimmed (awaitParked); a parked request
+// answered before its handler sees it is skimmed here. Any other request
+// is read whole and dispatched with its body, which the handler takes
+// over — as is one whose header does not decode from the window, which
+// is then decoded from the whole body. An error means the connection
+// must go.
+func (sc *serverConn) serveRequest(fr *giop.FrameReader, fh giop.FrameHeader) error {
+	win, err := fr.Peek(min(int(fh.BodyLen), giop.DefaultReadBufSize))
 	if err != nil {
-		// Unparseable request: poison the stream, give up.
-		return fmt.Errorf("orb: bad request header: %w", err)
+		return err
+	}
+	d := cdr.NewDecoder(fh.Order, win)
+	hdr, herr := giop.DecodeRequestHeader(d)
+	if herr == nil && sc.srv.lands(hdr.ObjectKey) {
+		return sc.parkRequest(fr, fh, hdr, win, d.Pos())
+	}
+	f, err := fr.ReadFrameBody(fh)
+	if err != nil {
+		return err
+	}
+	if herr != nil {
+		d = cdr.NewDecoder(f.Order, f.Body)
+		if hdr, herr = giop.DecodeRequestHeader(d); herr != nil {
+			// Unparseable request: poison the stream, give up.
+			f.Release()
+			return fmt.Errorf("orb: bad request header: %w", herr)
+		}
 	}
 	sc.dispatch(&Incoming{
 		Header:   hdr,
@@ -754,43 +767,27 @@ func (sc *serverConn) handleRequest(f *giop.Frame) error {
 	return nil
 }
 
-// parkRequest serves a Request larger than giop.DefaultReadBufSize,
-// whose frame header fh the read loop just read, parked when its key
-// was installed with HandleLanding: the request header is decoded from
-// the peek window and the request dispatched with its body still on the
-// connection, and the read loop waits until the body has been landed,
-// read whole or skimmed (awaitParked). A request answered before its
-// handler sees it is skimmed here. It reports false, having consumed
-// nothing, for a request that is not parked — its header does not
-// decode from the window, or its key takes no landing — which the
-// caller reads whole.
-func (sc *serverConn) parkRequest(fr *giop.FrameReader, fh giop.FrameHeader) (bool, error) {
-	win, err := fr.Peek(giop.DefaultReadBufSize)
-	if err != nil {
-		return false, err
-	}
-	d := cdr.NewDecoder(fh.Order, win)
-	hdr, err := giop.DecodeRequestHeader(d)
-	if err != nil || !sc.srv.lands(hdr.ObjectKey) {
-		return false, nil
-	}
+// parkRequest dispatches the request with header hdr parked: its body
+// stays on the connection, win[base:] is what the read buffer shows of
+// its in-arguments, and the read loop waits for the handler's verdict.
+func (sc *serverConn) parkRequest(fr *giop.FrameReader, fh giop.FrameHeader, hdr giop.RequestHeader, win []byte, base int) error {
 	p := sc.parking
 	if p == nil {
 		p = &parking{fr: fr, ask: make(chan parkAsk), done: make(chan error, 1)}
 		sc.parking = p
 	}
-	p.fh, p.prefix = fh, win[d.Pos():]
+	p.fh, p.prefix = fh, win[base:]
 	in := &Incoming{
 		Header:   hdr,
 		Order:    fh.Order,
-		BodyBase: d.Pos(),
+		BodyBase: base,
 		Endpoint: sc.endpoint,
 		conn:     sc,
 	}
 	if !sc.dispatch(in, true) {
-		return true, fr.DiscardPayload(int(fh.BodyLen))
+		return fr.DiscardPayload(int(fh.BodyLen))
 	}
-	return true, sc.awaitParked(p)
+	return sc.awaitParked(p)
 }
 
 // awaitParked waits for what the consumer of the request parked in p

@@ -153,7 +153,14 @@ func TestCentralizedAllocBudget(t *testing.T) {
 						runtime.ReadMemStats(&before)
 					}
 				}
-				if err := b.Invoke(context.Background(), spec); err != nil {
+				// InvokeAsync keeps each binding's method: the payload is
+				// below the crossover, where Invoke would send the
+				// multi-port twin centralized.
+				p, err := b.InvokeAsync(context.Background(), spec)
+				if err != nil {
+					return err
+				}
+				if err := p.Wait(context.Background()); err != nil {
 					return err
 				}
 			}

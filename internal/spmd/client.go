@@ -31,7 +31,11 @@ type BindConfig struct {
 	Thread rts.Thread
 	// Registry supplies transports (nil means transport.Default).
 	Registry *transport.Registry
-	// Method selects centralized or multi-port argument transfer.
+	// Method selects centralized or multi-port argument transfer. A
+	// MultiPort binding still sends a blocking invocation that moves
+	// less than the crossover (DESIGN.md §10, "Method by payload size")
+	// in each direction as Centralized, where multi-port's fixed
+	// per-invocation cost outweighs what it saves; see Binding.Invoke.
 	Method TransferMethod
 	// ListenEndpoint is the template each client thread listens on
 	// for multi-port out-argument blocks ("inproc:*",
@@ -374,7 +378,10 @@ func (b *Binding) Ref() *ior.Ref { return b.ref }
 // Describe returns the bound object's operation table.
 func (b *Binding) Describe() map[string]*OpSpec { return b.desc.Ops }
 
-// Method returns the binding's transfer method.
+// Method returns the binding's transfer method, as BindConfig.Method
+// chose it: the method of every invocation through InvokeAsync, and of
+// every one through Invoke that moves at least the crossover in some
+// direction (see Invoke).
 func (b *Binding) Method() TransferMethod { return b.method }
 
 // Close releases the binding's connections and receive port.
@@ -413,9 +420,15 @@ func (b *Binding) Renew(ctx context.Context) error {
 	return nil
 }
 
-// Invoke performs one blocking collective invocation.
+// Invoke performs one blocking collective invocation. On a MultiPort
+// binding, an invocation whose distributed arguments move fewer than
+// 2^19 elements in each direction travels Centralized: every thread
+// derives that choice from the same global lengths and modes, which the
+// signature agreement has checked, so it costs no message. PARDIS's
+// Figure 4: multi-port pays a fixed cost per invocation and wins only
+// once the payload amortises it.
 func (b *Binding) Invoke(ctx context.Context, spec *CallSpec) error {
-	p, err := b.start(ctx, spec)
+	p, err := b.start(ctx, spec, true)
 	if err != nil {
 		b.stats.invocations.Add(1)
 		b.stats.errors.Add(1)
@@ -428,11 +441,44 @@ func (b *Binding) Invoke(ctx context.Context, spec *CallSpec) error {
 // transfer happens before it returns, but the reply is awaited by
 // Pending.Wait (collective), letting the client overlap remote
 // computation with its own — the futures model of the paper's
-// diffusion_nb stub. Under Centralized the arguments' local blocks stay
-// lent to the communicator, which marshals from them, until Wait
+// diffusion_nb stub. It always uses the binding's Method: on a MultiPort
+// binding the in-arguments are the caller's again when it returns,
+// whatever their size (Invoke's switch to Centralized by payload size
+// does not apply here). Under Centralized the arguments' local blocks
+// stay lent to the communicator, which marshals from them, until Wait
 // returns: the caller must not touch them in between.
 func (b *Binding) InvokeAsync(ctx context.Context, spec *CallSpec) (*Pending, error) {
-	return b.start(ctx, spec)
+	return b.start(ctx, spec, false)
+}
+
+// crossoverElems is the distributed payload, in elements per direction,
+// from which a multi-port invocation travels multi-port: the smallest
+// power of two at which multi-port beat centralized transfer in the
+// sweep of DESIGN.md §10 ("Method by payload size", EXPERIMENTS.md E19)
+// for both 2 → 4 and 4 → 8 threads. A measured constant, not a knob.
+const crossoverElems = 1 << 19
+
+// methodFor returns the method an invocation of args travels by: the
+// binding's, except that a blocking invocation on a MultiPort binding
+// moving fewer than crossoverElems elements both in and out travels
+// Centralized.
+func (b *Binding) methodFor(args []DistArg, blocking bool) TransferMethod {
+	if b.method != MultiPort || !blocking {
+		return b.method
+	}
+	var in, out int
+	for _, a := range args {
+		if a.Mode != Out {
+			in += a.Seq.Len()
+		}
+		if a.Mode != In {
+			out += a.Seq.Len()
+		}
+	}
+	if in < crossoverElems && out < crossoverElems {
+		return Centralized
+	}
+	return MultiPort
 }
 
 // Pending is an in-flight invocation. Wait must be called
@@ -444,17 +490,25 @@ type Pending struct {
 	outSinks []*outCollector
 	span     *telemetry.Span // covers start through Wait; nil unsampled
 
+	// lent is non-nil on every thread exactly when the invocation
+	// travels Centralized (Binding.methodFor): it carries the
+	// invocation's method, which a field of its own would carry at the
+	// cost of the next allocation size class. On the communicator,
+	// lent[i] holds every thread's local block of centralized argument
+	// i: the invoke goroutine writes the request from them on each
+	// attempt (spliced, not copied, in the host's order) and the reply
+	// lands in them (LandReply) before the goroutine learns of it, so
+	// the goroutine must have exited before Wait's status broadcast
+	// hands the blocks back to their threads.
+	lent [][][]float64
 	// Communicator only. fut resolves when the invoke goroutine exits;
-	// stop cancels it. lent[i] holds every thread's local block of
-	// centralized argument i: the goroutine writes the request from
-	// them on each attempt (spliced, not copied, in the host's order)
-	// and the reply lands in them (LandReply) before the goroutine
-	// learns of it, so the goroutine must have exited before Wait's
-	// status broadcast hands the blocks back to their threads.
+	// stop cancels it.
 	fut  *future.Future[orb.Reply]
 	stop context.CancelFunc
-	lent [][][]float64
 }
+
+// centralized reports whether the invocation travels Centralized.
+func (p *Pending) centralized() bool { return p.lent != nil }
 
 // outCollector is one argument's multi-port out-transfer on this client
 // thread: the sequence's local block registered as a one-sided window,
@@ -472,7 +526,7 @@ type outCollector struct {
 // "spmd:<op>" span covers start through Wait, so the communicator's
 // wire invocation (and the server's handler span beyond it) nest
 // under this collective call.
-func (b *Binding) start(ctx context.Context, spec *CallSpec) (*Pending, error) {
+func (b *Binding) start(ctx context.Context, spec *CallSpec, blocking bool) (*Pending, error) {
 	op := ""
 	if spec != nil {
 		op = spec.Operation
@@ -483,7 +537,7 @@ func (b *Binding) start(ctx context.Context, spec *CallSpec) (*Pending, error) {
 		ctx, span = telemetry.StartSpan(ctx, "spmd:"+op,
 			telemetry.Attr{Key: "rank", Value: strconv.Itoa(b.rank)})
 	}
-	p, err := b.startPhase(ctx, spec)
+	p, err := b.startPhase(ctx, spec, blocking)
 	phaseStartHist.ObserveDuration(time.Since(phaseStart))
 	if err != nil {
 		span.Annotate("error", err.Error())
@@ -495,7 +549,7 @@ func (b *Binding) start(ctx context.Context, spec *CallSpec) (*Pending, error) {
 }
 
 // startPhase is the uninstrumented body of start.
-func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, error) {
+func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool) (*Pending, error) {
 	if spec == nil || spec.Operation == "" {
 		return nil, fmt.Errorf("%w: missing operation", ErrBadCall)
 	}
@@ -571,6 +625,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	}
 	inv = invs[0]
 
+	method := b.methodFor(spec.Args, blocking)
 	p := &Pending{b: b, spec: spec, inv: inv}
 
 	// Server-side layouts for planning.
@@ -584,7 +639,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	}
 
 	// Register out-argument windows before anything is sent.
-	if b.method == MultiPort {
+	if method == MultiPort {
 		for i, a := range spec.Args {
 			if a.Mode != Out && a.Mode != InOut {
 				continue
@@ -618,7 +673,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	// communicator its local block of each argument, to marshal the
 	// request from and unmarshal the reply into. The lend ends at Wait's
 	// status broadcast.
-	if b.method == Centralized {
+	if method == Centralized {
 		p.lent = make([][][]float64, len(spec.Args))
 		for i, a := range spec.Args {
 			blocks, err := b.th.LendDoubles(0, a.Seq.LocalData(), a.Seq.Layout().Counts())
@@ -634,7 +689,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 
 	// The communicator issues the request.
 	if b.rank == 0 {
-		w := &invocationWire{Method: b.method, Scalars: scalarBytes,
+		w := &invocationWire{Method: method, Scalars: scalarBytes,
 			Args: make([]*argWire, len(spec.Args))}
 		for i, a := range spec.Args {
 			aw := &argWire{
@@ -642,10 +697,10 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 				Length:       a.Seq.Len(),
 				ClientCounts: a.Seq.Layout().Counts(),
 			}
-			if b.method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
+			if method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
 				aw.ClientEndpoints = b.allEndpoints
 			}
-			if b.method == Centralized && a.Mode != Out {
+			if method == Centralized && a.Mode != Out {
 				aw.Blocks = p.lent[i]
 			}
 			w.Args[i] = aw
@@ -695,7 +750,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	// Multi-port data transfer: every client thread ships its blocks
 	// directly to the owning server threads (§3.3).
 	var sendErr error
-	if b.method == MultiPort {
+	if method == MultiPort {
 		for i, a := range spec.Args {
 			if a.Mode != In && a.Mode != InOut {
 				continue
@@ -806,7 +861,7 @@ func (p *Pending) land(r *replyReader) ([]byte, error) {
 	if !ok {
 		return nil, errors.New("reply out-argument count truncated")
 	}
-	if p.b.method != Centralized {
+	if !p.centralized() {
 		return env, nil
 	}
 	idx := uint32(0)
@@ -1015,7 +1070,7 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		return err
 	}
 
-	if b.method == Centralized {
+	if p.centralized() {
 		for _, a := range p.spec.Args {
 			if a.Mode == Out || a.Mode == InOut {
 				b.stats.bytesIn.Add(uint64(a.Seq.LocalLen()) * 8)

@@ -130,12 +130,17 @@ func benchInTransfer(b *testing.B, length, threads int) {
 		for i := range seq.LocalData() {
 			seq.LocalData()[i] = float64(i)
 		}
+		// InvokeAsync keeps the multi-port method below the crossover,
+		// where Invoke would send the invocation centralized.
 		for i := 0; i < b.N; i++ {
-			err := bind.Invoke(context.Background(), &CallSpec{
+			p, err := bind.InvokeAsync(context.Background(), &CallSpec{
 				Operation: "sink",
 				Args:      []DistArg{{Mode: In, Seq: seq}},
 			})
 			if err != nil {
+				return err
+			}
+			if err := p.Wait(context.Background()); err != nil {
 				return err
 			}
 		}

@@ -225,10 +225,12 @@ type requestFixture struct {
 }
 
 // fuzzReqN is the well-formed length of the forged requests: their
-// bodies are larger than the read buffer, so each is parked and, shape
-// permitting, lands.
+// bodies are larger than the read buffer, and are parked and, shape
+// permitting, land. fuzzSmallN is the length of the forged requests
+// whose bodies fit the read buffer, which are parked whole.
 const (
 	fuzzReqN     = giop.DefaultReadBufSize/8 + 512
+	fuzzSmallN   = 256
 	fuzzReqGuard = 64 // guard elements around each rank's block window
 )
 
@@ -283,60 +285,95 @@ func (f *requestFixture) guardsIntact() bool {
 	return true
 }
 
-// forgedRequest marshals a centralized one-argument invocation in
-// order: the argument declares mode and length, its client layout is
-// one thread of clientLen, and its inline data announces count elements
-// of which have follow, then extra trailing bytes.
-func forgedRequest(mode byte, length, clientLen, count, have, extra int) func(*cdr.Encoder) {
+// The shapes of a forged request (forgedRequest), each body but the
+// first inside the read buffer.
+const (
+	shapeLarge     = iota // centralized, about fuzzReqN elements
+	shapeSmall            // centralized, about fuzzSmallN elements
+	shapeNoArgs           // centralized, no argument
+	shapeNoData           // centralized, the argument without inline data, as Out-only
+	shapeMultiPort        // the small argument behind a multi-port method octet
+	shapeCount
+)
+
+// forgedRequest marshals a one-argument invocation of shape in order:
+// the argument declares mode and length, its client layout is one
+// thread of clientLen, and its inline data announces count elements of
+// which have follow, then extra trailing bytes.
+func forgedRequest(shape int, mode byte, length, clientLen, count, have, extra int) func(*cdr.Encoder) {
 	return func(e *cdr.Encoder) {
-		e.PutOctet(byte(Centralized))
+		method := Centralized
+		if shape == shapeMultiPort {
+			method = MultiPort
+		}
+		e.PutOctet(byte(method))
 		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) { ie.PutLong(1) })
+		if shape == shapeNoArgs {
+			e.PutULong(0)
+			e.PutOctets(make([]byte, extra))
+			return
+		}
 		e.PutULong(1)
 		e.PutOctet(mode)
 		e.PutULong(uint32(length))
 		e.PutULongSeq([]uint32{uint32(clientLen)})
 		e.PutStringSeq(nil)
-		e.PutBoolean(true)
-		e.PutULong(uint32(count))
-		e.PutDoubles(ramp(have))
+		e.PutBoolean(shape != shapeNoData)
+		if shape != shapeNoData {
+			e.PutULong(uint32(count))
+			e.PutDoubles(ramp(have))
+		}
 		e.PutOctets(make([]byte, extra))
 	}
 }
 
 // FuzzRequestLanding drives a real exported object with forged
-// centralized requests shaped to land — a length, client layout or
-// element count off by a little, the wrong mode, fewer elements than
-// announced (a length beyond the body), trailing bytes, either byte
-// order — each followed by a well-formed probe on the same connection.
+// requests shaped to land — a length, client layout or element count
+// off by a little, the wrong mode, fewer elements than announced (a
+// length beyond the body), trailing bytes, either byte order; a body
+// larger than the read buffer or inside it, with no argument, with no
+// inline data, or behind a multi-port method octet — each followed by a
+// well-formed probe on the same connection.
 // The object must not panic; the forged request is answered, a refused
 // one with a system exception, without losing the connection; no write
 // lands outside the threads' blocks; and the probe returns the right
 // elements.
 func FuzzRequestLanding(f *testing.F) {
-	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), false)     // well formed
-	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(3), true)      // foreign order for one host or the other
-	f.Add(byte(InOut), int16(-8), int16(-8), int16(0), int16(0), uint8(0), false)   // length and layout short of the data
-	f.Add(byte(InOut), int16(9), int16(9), int16(9), int16(0), uint8(0), true)      // elements beyond the body
-	f.Add(byte(InOut), int16(0), int16(0), int16(-40), int16(-40), uint8(0), false) // inline data short of the length
-	f.Add(byte(In), int16(0), int16(0), int16(0), int16(0), uint8(0), false)        // mode mismatch
-	f.Add(byte(InOut), int16(0), int16(5), int16(0), int16(0), uint8(0), false)     // client layout disagrees
-	f.Add(byte(7), int16(0), int16(0), int16(0), int16(0), uint8(0), true)          // no such mode
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapeLarge))     // well formed
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(3), true, uint8(shapeLarge))      // foreign order for one host or the other
+	f.Add(byte(InOut), int16(-8), int16(-8), int16(0), int16(0), uint8(0), false, uint8(shapeLarge))   // length and layout short of the data
+	f.Add(byte(InOut), int16(9), int16(9), int16(9), int16(0), uint8(0), true, uint8(shapeLarge))      // elements beyond the body
+	f.Add(byte(InOut), int16(0), int16(0), int16(-40), int16(-40), uint8(0), false, uint8(shapeLarge)) // inline data short of the length
+	f.Add(byte(In), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapeLarge))        // mode mismatch
+	f.Add(byte(InOut), int16(0), int16(5), int16(0), int16(0), uint8(0), false, uint8(shapeLarge))     // client layout disagrees
+	f.Add(byte(7), int16(0), int16(0), int16(0), int16(0), uint8(0), true, uint8(shapeLarge))          // no such mode
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapeSmall))     // well formed, inside the read buffer
+	f.Add(byte(InOut), int16(9), int16(9), int16(9), int16(0), uint8(0), true, uint8(shapeSmall))      // elements beyond a small body
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(5), false, uint8(shapeNoArgs))    // zero arguments
+	f.Add(byte(Out), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapeNoData))      // Out-only
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), true, uint8(shapeMultiPort))  // a multi-port prefix
 	fx := newRequestFixture(f)
-	f.Fuzz(func(t *testing.T, mode byte, dLength, dClient, dCount, dHave int16, extra uint8, little bool) {
+	f.Fuzz(func(t *testing.T, mode byte, dLength, dClient, dCount, dHave int16, extra uint8, little bool, shape uint8) {
 		order := cdr.BigEndian
 		if little {
 			order = cdr.LittleEndian
 		}
-		// Keep the body above the read buffer, so it is parked, and the
-		// client's connection to itself.
-		clamp := func(d int16) int { return fuzzReqN + int(d)%256 }
+		// Keep each count near its shape's length — every body but the
+		// large one inside the read buffer, the large one above it — and
+		// the client's connection to itself.
+		sh := int(shape) % shapeCount
+		base := fuzzSmallN
+		if sh == shapeLarge {
+			base = fuzzReqN
+		}
+		clamp := func(d int16) int { return base + int(d)%256 }
 		cli := fx.clients[order]
 		dials := fx.dials.Stats().Dials
 		fx.seed()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		rh, _, err := invokeRaw(ctx, cli, fx.obj.ref, "diffusion",
-			forgedRequest(mode, clamp(dLength), clamp(dClient), clamp(dCount), clamp(dHave), int(extra)))
+			forgedRequest(sh, mode, clamp(dLength), clamp(dClient), clamp(dCount), clamp(dHave), int(extra)))
 		if err != nil {
 			t.Fatalf("forged request: %v", err)
 		}

@@ -123,10 +123,15 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The object must still serve a well-behaved client end to end.
+	// The object must still serve a well-behaved multi-port client end
+	// to end.
+	shipped := putsShipped()
 	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-		return invokeDiffusion(b, th, 200, 2)
+		return invokeDiffusion(b, th, crossoverElems, 2)
 	})
+	if err := shipped(); err != nil {
+		t.Fatal(err)
+	}
 
 	// And every serve loop must unwind cleanly — no rank is stranded
 	// in a dispatch the dead client abandoned.

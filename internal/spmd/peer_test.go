@@ -18,15 +18,15 @@ import (
 	"pardis/internal/transport"
 )
 
-// TestPeerTransferEndToEnd pins the multi-port happy path: the transfer
-// moves as window puts, and neither side leaks a window.
+// TestPeerTransferEndToEnd pins the multi-port happy path: a transfer at
+// the crossover moves as window puts, and neither side leaks a window.
 func TestPeerTransferEndToEnd(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 3, true, diffusionOps)
 	defer obj.close()
 	before := peerBlocksTotal.Value()
 	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-		if err := invokeDiffusion(b, th, 600, 2); err != nil {
+		if err := invokeDiffusion(b, th, crossoverElems, 2); err != nil {
 			return err
 		}
 		return noLeak(b.BlockStats())
@@ -191,9 +191,10 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 			return err
 		}
 		defer b.Close()
-		// 30000 doubles: every rank streams 80 KB of window puts to its
-		// server thread; rank 1's connection dies after 8 KB.
-		seq, err := dseq.NewDoubles(30000, dist.Block(), th.Size(), th.Rank())
+		// The crossover's worth of doubles, so the invocation goes
+		// multi-port: every rank streams about 1.4 MB of window puts to
+		// its server thread; rank 1's connection dies after 8 KB.
+		seq, err := dseq.NewDoubles(crossoverElems, dist.Block(), th.Size(), th.Rank())
 		if err != nil {
 			return err
 		}

@@ -364,15 +364,18 @@ func Export(cfg ObjectConfig) (*Object, error) {
 }
 
 // admit queues a request for the communicator, which owns it from then
-// on. A parked request — one larger than the connection's read buffer,
-// its body left on the connection — lands, its elements read straight
-// into the threads' blocks during its dispatch, when its prefix can
-// (decodeLandingWire) and nothing ahead of it can need bytes that its
-// connection, stalled until then, queues behind it: no request is
-// queued, and none popped is still in phase 1 of its dispatch, where a
-// multi-port one waits for puts. Its stall is then bounded by the
-// running dispatch's handler, out-leg and reply. Any other parked
-// request is read whole first.
+// on. A parked request — every request to the object arrives with its
+// body left on the connection — lands, its elements read straight into
+// the threads' blocks during its dispatch, when its prefix can
+// (decodeLandingWire), it carries elements to land, and nothing ahead of
+// it can need bytes that its connection, stalled until then, queues
+// behind it: no request is queued, and none popped is still in phase 1
+// of its dispatch, where a multi-port one waits for puts. Its stall is
+// then bounded by the running dispatch's handler, out-leg and reply, and
+// it ends in phase 1 of its own dispatch, before its handler runs. Any
+// other parked request is read whole first: one with nothing to land
+// would otherwise stall its connection through its own handler, and a
+// cancel behind it would go unread.
 func (o *Object) admit(in *orb.Incoming) {
 	req := request{in: in}
 	var w *invocationWire
@@ -381,7 +384,7 @@ func (o *Object) admit(in *orb.Incoming) {
 		w, land = decodeLandingWire(in.Order, in.Prefix(), in.BodyBase)
 	}
 	o.aheadMu.Lock()
-	if w != nil && o.ahead == 0 && !o.inPhase1 {
+	if w != nil && land.n > 0 && o.ahead == 0 && !o.inPhase1 {
 		req.w, req.land = w, land
 	} else if in.Parked() {
 		o.aheadMu.Unlock()

@@ -188,6 +188,21 @@ func runClient(t *testing.T, reg *transport.Registry, n int, method TransferMeth
 	}
 }
 
+// putsShipped returns a check that fails unless window puts were shipped
+// since it was made. A MultiPort binding sends a blocking invocation
+// below the crossover Centralized (Binding.Invoke), so a test whose
+// subject is the multi-port path moves at least crossoverElems and
+// asserts that the path was taken rather than passing on the other.
+func putsShipped() func() error {
+	before := peerBlocksTotal.Value()
+	return func() error {
+		if peerBlocksTotal.Value() == before {
+			return errors.New("no window puts shipped: the invocation travelled centralized")
+		}
+		return nil
+	}
+}
+
 func newReg() *transport.Registry {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
@@ -268,22 +283,28 @@ func TestDiffusionMultiPort(t *testing.T) {
 			reg := newReg()
 			obj := startObject(t, reg, cfg.m, true, diffusionOps)
 			defer obj.close()
+			shipped := putsShipped()
 			runClient(t, reg, cfg.n, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-				return invokeDiffusion(b, th, 1000, 3)
+				return invokeDiffusion(b, th, crossoverElems, 3)
 			})
+			if err := shipped(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
 func TestBothMethodsAgreeBitForBit(t *testing.T) {
+	const L = crossoverElems + 1 // uneven blocks, multi-port by size
 	reg := newReg()
 	obj := startObject(t, reg, 4, true, diffusionOps)
 	defer obj.close()
 	results := make(map[TransferMethod][]float64)
 	var mu sync.Mutex
+	shipped := putsShipped()
 	for _, method := range []TransferMethod{Centralized, MultiPort} {
 		runClient(t, reg, 3, method, obj.ref, func(b *Binding, th rts.Thread) error {
-			seq, err := dseq.NewDoubles(257, dist.Block(), th.Size(), th.Rank())
+			seq, err := dseq.NewDoubles(L, dist.Block(), th.Size(), th.Rank())
 			if err != nil {
 				return err
 			}
@@ -309,8 +330,11 @@ func TestBothMethodsAgreeBitForBit(t *testing.T) {
 			return nil
 		})
 	}
+	if err := shipped(); err != nil {
+		t.Fatal(err)
+	}
 	c, m := results[Centralized], results[MultiPort]
-	if len(c) != 257 || len(m) != 257 {
+	if len(c) != L || len(m) != L {
 		t.Fatalf("lengths %d %d", len(c), len(m))
 	}
 	for i := range c {
@@ -350,7 +374,7 @@ func TestServerSideProportions(t *testing.T) {
 			obj := startObject(t, reg, 4, true, ops)
 			defer obj.close()
 			runClient(t, reg, 2, method, obj.ref, func(b *Binding, th rts.Thread) error {
-				seq, err := dseq.NewDoubles(120, dist.Block(), th.Size(), th.Rank())
+				seq, err := dseq.NewDoubles(crossoverElems+120, dist.Block(), th.Size(), th.Rank())
 				if err != nil {
 					return err
 				}
@@ -403,8 +427,8 @@ func TestInOnlyAndOutOnlyArgs(t *testing.T) {
 			obj := startObject(t, reg, 3, true, ops)
 			defer obj.close()
 			runClient(t, reg, 2, method, obj.ref, func(b *Binding, th rts.Thread) error {
-				in, _ := dseq.NewDoubles(77, dist.Block(), th.Size(), th.Rank())
-				out, _ := dseq.NewDoubles(77, dist.Block(), th.Size(), th.Rank())
+				in, _ := dseq.NewDoubles(crossoverElems+77, dist.Block(), th.Size(), th.Rank())
+				out, _ := dseq.NewDoubles(crossoverElems+77, dist.Block(), th.Size(), th.Rank())
 				for i := range in.LocalData() {
 					in.LocalData()[i] = float64(in.Lo() + i)
 				}
@@ -472,12 +496,24 @@ func TestArgumentBlocksReusedAcrossInvocations(t *testing.T) {
 			},
 		}
 	}
-	const L = 1200
 	for _, method := range []TransferMethod{Centralized, MultiPort} {
 		t.Run(method.String(), func(t *testing.T) {
+			// On the multi-port binding the L/2 round falls below the
+			// crossover and travels centralized: the object's storage is
+			// handed on across a change of method too.
+			L := 1200
+			if method == MultiPort {
+				L = crossoverElems
+			}
 			reg := newReg()
 			obj := startObject(t, reg, 3, true, ops)
 			defer obj.close()
+			shipped := putsShipped()
+			defer func() {
+				if err := shipped(); method == MultiPort && err != nil {
+					t.Error(err)
+				}
+			}()
 			runClient(t, reg, 2, method, obj.ref, func(b *Binding, th rts.Thread) error {
 				for round, c := range []struct {
 					length int
@@ -569,14 +605,18 @@ func TestSequentialInvocations(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 3, true, diffusionOps)
 	defer obj.close()
+	shipped := putsShipped()
 	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
 		for k := 0; k < 5; k++ {
-			if err := invokeDiffusion(b, th, 50+k, 1); err != nil {
+			if err := invokeDiffusion(b, th, crossoverElems+k, 1); err != nil {
 				return fmt.Errorf("invocation %d: %w", k, err)
 			}
 		}
 		return nil
 	})
+	if err := shipped(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestScalarConsistencyViolationDetected(t *testing.T) {
@@ -729,6 +769,7 @@ func TestConcurrentClients(t *testing.T) {
 	defer obj.close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
+	shipped := putsShipped()
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -743,7 +784,7 @@ func TestConcurrentClients(t *testing.T) {
 					return err
 				}
 				defer b.Close()
-				return invokeDiffusion(b, th, 100+c, 2)
+				return invokeDiffusion(b, th, crossoverElems+c, 2)
 			})
 			if err != nil {
 				errs <- fmt.Errorf("client %d: %w", c, err)
@@ -753,6 +794,9 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := shipped(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -775,27 +819,35 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestLargeSequenceTransfer(t *testing.T) {
-	// 2^17 doubles — the paper's experimental size — through both
-	// methods over inproc.
+	// The crossover's worth of doubles through both methods over
+	// inproc, n=4 → m=8. (The paper's experimental size, 2^17 doubles,
+	// is below the crossover: a multi-port binding sends it
+	// centralized.)
 	if testing.Short() {
 		t.Skip("large transfer")
 	}
-	const L = 1 << 17
+	const L = crossoverElems
 	for _, method := range []TransferMethod{Centralized, MultiPort} {
 		t.Run(method.String(), func(t *testing.T) {
 			reg := newReg()
 			obj := startObject(t, reg, 8, true, diffusionOps)
 			defer obj.close()
+			shipped := putsShipped()
 			runClient(t, reg, 4, method, obj.ref, func(b *Binding, th rts.Thread) error {
 				return invokeDiffusion(b, th, L, 1)
 			})
+			if err := shipped(); method == MultiPort && err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
 // Property: for random (n, m, length, server distribution), both
 // transfer methods produce bit-identical results — the methods are
-// interchangeable implementations of one semantics.
+// interchangeable implementations of one semantics. The lengths are
+// below the crossover, so the multi-port binding invokes through
+// InvokeAsync, which keeps its method whatever the size.
 func TestQuickMethodsEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many SPMD sections")
@@ -856,11 +908,15 @@ func TestQuickMethodsEquivalent(t *testing.T) {
 				for i := range seq.LocalData() {
 					seq.LocalData()[i] = local.NormFloat64()
 				}
-				if err := b.Invoke(context.Background(), &CallSpec{
+				p, err := b.InvokeAsync(context.Background(), &CallSpec{
 					Operation: "diffusion",
 					Scalars:   func(e *cdr.Encoder) { e.PutLong(steps) },
 					Args:      []DistArg{{Mode: InOut, Seq: seq}},
-				}); err != nil {
+				})
+				if err != nil {
+					return err
+				}
+				if err := p.Wait(context.Background()); err != nil {
 					return err
 				}
 				full, err := dseq.GatherDoubles(seq, th, 0)
@@ -891,7 +947,8 @@ func TestQuickMethodsEquivalent(t *testing.T) {
 }
 
 // TestEmptySequence: zero-length distributed arguments must work
-// through both methods.
+// through both methods — through InvokeAsync, which keeps a multi-port
+// binding's method below the crossover.
 func TestEmptySequence(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 3, true, diffusionOps)
@@ -902,11 +959,15 @@ func TestEmptySequence(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return b.Invoke(context.Background(), &CallSpec{
+			p, err := b.InvokeAsync(context.Background(), &CallSpec{
 				Operation: "diffusion",
 				Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
 				Args:      []DistArg{{Mode: InOut, Seq: seq}},
 			})
+			if err != nil {
+				return err
+			}
+			return p.Wait(context.Background())
 		})
 	}
 }
@@ -915,22 +976,23 @@ func TestStatsCounters(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 2, true, diffusionOps)
 	defer obj.close()
+	shipped := putsShipped()
 	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-		if err := invokeDiffusion(b, th, 128, 1); err != nil {
+		if err := invokeDiffusion(b, th, crossoverElems, 1); err != nil {
 			return err
 		}
-		if err := invokeDiffusion(b, th, 128, 1); err != nil {
+		if err := invokeDiffusion(b, th, crossoverElems, 1); err != nil {
 			return err
 		}
 		st := b.Stats()
 		if st.Invocations != 2 || st.Errors != 0 {
 			return fmt.Errorf("stats = %+v", st)
 		}
-		// Each thread ships its half (64 doubles) and receives it
-		// back, twice (inout under multi-port). Window puts carry raw
-		// element payloads, no CDR sequence framing, so the counters
-		// account exactly 64*8 bytes per block.
-		const blockBytes = 64 * 8
+		// Each thread ships its half and receives it back, twice (inout
+		// under multi-port). Window puts carry raw element payloads, no
+		// CDR sequence framing, so the counters account exactly the
+		// half's bytes per block.
+		const blockBytes = crossoverElems / 2 * 8
 		if st.BytesOut != 2*blockBytes || st.BytesIn != 2*blockBytes {
 			return fmt.Errorf("byte counters = %+v", st)
 		}
@@ -944,4 +1006,7 @@ func TestStatsCounters(t *testing.T) {
 		}
 		return nil
 	})
+	if err := shipped(); err != nil {
+		t.Fatal(err)
+	}
 }

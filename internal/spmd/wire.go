@@ -271,11 +271,15 @@ func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
 // previous one's elements, beyond the prefix. It returns the wire, whose
 // Scalars alias the read buffer and are valid only while the request is
 // parked, and where on the connection the elements are; a nil wire when
-// the request cannot land.
+// the request cannot land. A multi-port request is turned away on its
+// method octet, before anything is decoded.
 func decodeLandingWire(order cdr.ByteOrder, prefix []byte, base int) (*invocationWire, requestLanding) {
+	if len(prefix) == 0 || prefix[0] != byte(Centralized) {
+		return nil, requestLanding{}
+	}
 	d := cdr.NewDecoderAt(order, prefix, base)
 	w, n, err := decodeInvocation(d, true)
-	if err != nil || w.Method != Centralized {
+	if err != nil {
 		return nil, requestLanding{}
 	}
 	at := base + d.Pos()
