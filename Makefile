@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-untuned lint-harness-only fuzz-smoke fmt
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-untuned lint-harness-only fuzz-smoke fmt loc
 
 build:
 	$(GO) build ./...
@@ -10,9 +10,9 @@ test:
 
 # verify is the CI tier: compile everything, static checks, telemetry
 # lint, full test suite under the race detector, the framing packages'
-# tests again under the pardis_poison build tag (every released frame
-# body and pooled encoder is overwritten with a signalling-NaN pattern,
-# so a read after release fails the test that makes it), and the
+# tests again under the pardis_poison build tag (every released pooled
+# encoder is overwritten with a signalling-NaN pattern, so a read after
+# release fails the test that makes it), and the
 # benchmark harness's own vet and tests (bench/ is a module of its own,
 # so the root ./... patterns do not reach it — this line is what catches
 # an internal/ change that breaks the harness), then the fuzz smoke, the
@@ -144,3 +144,12 @@ bench-overhead:
 
 fmt:
 	gofmt -l -w .
+
+# loc prints the size of the non-test Go under cmd/, scripts/ and
+# internal/ (bench/ is a module of its own and not counted): raw lines,
+# and lines that are neither blank nor comment-only. Line deltas are
+# reported with it, before and after a change.
+loc:
+	@find cmd scripts internal -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | \
+		awk '{ raw++ } !/^[ \t]*$$/ && !/^[ \t]*\/\// { code++ } \
+		END { printf "non-test Go under cmd/ scripts/ internal/: %d lines, %d without blank or comment-only lines\n", raw, code }'

@@ -12,17 +12,15 @@
 //   - AcquireEncoder hands out pooled cdr.Encoders with an explicit
 //     Release discipline, so the request/reply encode path stops
 //     allocating a fresh buffer per message.
-//   - A Request body too big for the FrameReader's buffer is recycled:
-//     its consumer — the one owner the read loop hands it to — releases
-//     it back to the reader that read it, which reads its next large
-//     request into it. Every other body is allocated per frame, and
-//     read in growing steps, so an announced length costs only the
-//     bytes that actually arrive.
+//   - A frame body is allocated per frame and read in growing steps, so
+//     an announced length costs only the bytes that actually arrive. The
+//     bulk bodies skip it: a read loop lands their elements off the
+//     buffered reader straight into their destination (Peek,
+//     ReadWindowPayload).
 //
 // Pool traffic is accounted in pardis_giop_pool_gets_total and
-// pardis_giop_pool_misses_total (labeled by pool: encoder, large_body),
-// so the hit rate is 1 - misses/gets; large bodies handed back are
-// counted in pardis_giop_pool_puts_total.
+// pardis_giop_pool_misses_total (labeled by pool: encoder), so the hit
+// rate is 1 - misses/gets.
 package giop
 
 import (
@@ -45,11 +43,8 @@ type BuffersWriter interface {
 }
 
 var (
-	encPoolGets     = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "encoder")
-	encPoolMisses   = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "encoder")
-	largePoolGets   = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
-	largePoolMisses = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "large_body")
-	largePoolPuts   = telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body")
+	encPoolGets   = telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "encoder")
+	encPoolMisses = telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "encoder")
 )
 
 // writeScratch is the per-write header and gather vector, pooled so a
@@ -133,95 +128,23 @@ func (pe *PooledEncoder) Release() {
 	encPool.Put(pe)
 }
 
-// Buffer is a Request body larger than DefaultReadBufSize, read by a
-// FrameReader. It has exactly one owner at a time — the read loop, then
-// whoever the loop hands the frame to (Frame.Detach) — and when that
-// owner calls Release it goes back to the reader that read it, as the
-// reader's spare for its next large request. A body that is never
-// released is left to the garbage collector, which is always safe.
-//
-// One spare per reader, rather than a shared pool, is what keeps the
-// body in reach: a sync.Pool keeps a lone released buffer in the
-// releasing P's private slot, out of reach of a reader on another P, so
-// with one large request in flight per centralized invocation every
-// move of the server's read loop to the other P (a collection is
-// enough) made a fresh 8 MiB buffer.
-type Buffer struct {
-	b []byte
-	// home is the spare slot of the FrameReader that read this body.
-	home     *atomic.Pointer[Buffer]
-	released atomic.Bool
-}
-
-// Release hands the body back to its reader's spare, or leaves it to
-// the garbage collector when the spare is taken; afterwards nothing may
-// read it. A second Release through the same handle is a no-op, and so
-// is Release on a nil *Buffer (a body that was not recycled).
-func (bb *Buffer) Release() {
-	if bb == nil || bb.released.Swap(true) {
-		return
-	}
-	poison(bb.b[:cap(bb.b)])
-	largePoolPuts.Inc()
-	bb.home.CompareAndSwap(nil, bb)
-}
-
-// largeBuffer takes the spare from its slot for an n-byte Request body
-// if the spare's capacity holds the body. A spare too short is dropped
-// to the garbage collector; nil means the body is read fresh, into
-// exactly n bytes (readBody), and earns the spare slot when released.
-func largeBuffer(spare *atomic.Pointer[Buffer], n int) *Buffer {
-	largePoolGets.Inc()
-	bb := spare.Swap(nil)
-	if bb == nil || cap(bb.b) < n {
-		largePoolMisses.Inc()
-		return nil
-	}
-	bb.released.Store(false)
-	bb.b = bb.b[:n]
-	return bb
-}
-
-// Release returns the frame's recycled body, if any, to its reader.
-// Safe to call more than once on one Frame value. After Release, Body
-// must not be used. Frames whose bodies were not recycled — or whose
-// body was Detached by its consumer — make this a no-op.
-func (f *Frame) Release() {
-	if f.buf == nil {
-		return
-	}
-	bb := f.buf
-	f.buf = nil
-	f.Body = nil
-	bb.Release()
-}
-
-// Detach transfers ownership of the frame's recycled body to the
-// caller, who must Release it once nothing reads Body any more — or
-// never, and leave it to the garbage collector. Body stays valid until
-// then. Nil when the body was not recycled (Release on it is a no-op).
-func (f *Frame) Detach() *Buffer {
-	bb := f.buf
-	f.buf = nil
-	return bb
-}
+// Release clears Body. Frame bodies are plain allocations, so there is
+// nothing to hand back; it is kept for the benchmark harness, which
+// still calls it.
+func (f *Frame) Release() { f.Body = nil }
 
 // DefaultReadBufSize is the FrameReader's internal buffer size: large
 // enough that a typical header+body pair arrives in one raw Read. It is
-// also the boundary above which Request bodies are recycled, and the
-// smallest first step of a body read in steps (readBody).
+// also the smallest first step of a body read in steps (readBody).
 const DefaultReadBufSize = 64 << 10
 
 // FrameReader reads PIOP frames through an internal buffered reader,
 // with a reusable header scratch, so steady-state frame reads cost one
-// body allocation (none for a large Request body, which is recycled)
-// and usually one raw Read syscall. Not safe for concurrent use; each
-// connection read loop owns one.
+// body allocation and usually one raw Read syscall. Not safe for
+// concurrent use; each connection read loop owns one.
 type FrameReader struct {
 	br  *bufio.Reader
 	hdr [HeaderLen]byte
-	// spare is the large body this reader read last, once released.
-	spare atomic.Pointer[Buffer]
 	// wp is the window-put preamble scratch for ReadWindowPut.
 	wp [WindowPutPayloadBase]byte
 }
@@ -231,12 +154,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, DefaultReadBufSize)}
 }
 
-// ReadFrame reads and validates one PIOP message. A Request body larger
-// than DefaultReadBufSize is recycled: the caller that finishes with
-// such a frame calls Frame.Release, or Detaches the body and hands it
-// on with the rest of the frame. Every other body is the caller's.
+// ReadFrame reads and validates one PIOP message; the body is the
+// caller's.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
-	return readFrame(fr.br, &fr.hdr, &fr.spare)
+	return readFrame(fr.br, &fr.hdr)
 }
 
 // FrameHeader is the validated fixed header of one PIOP message. After
@@ -259,10 +180,10 @@ func (fr *FrameReader) ReadFrameHeader() (FrameHeader, error) {
 	return readFrameHeader(fr.br, &fr.hdr)
 }
 
-// ReadFrameBody completes a ReadFrameHeader into a Frame, with the
-// same body recycling rules as ReadFrame.
+// ReadFrameBody completes a ReadFrameHeader into a Frame; the body is
+// the caller's.
 func (fr *FrameReader) ReadFrameBody(h FrameHeader) (Frame, error) {
-	return readFrameBody(fr.br, h, &fr.spare)
+	return readFrameBody(fr.br, h)
 }
 
 // readFrameHeader reads and validates one message header using the
@@ -294,36 +215,17 @@ func readFrameHeader(r io.Reader, hdr *[HeaderLen]byte) (FrameHeader, error) {
 	return FrameHeader{Type: t, Order: order, Minor: hdr[5], BodyLen: n}, nil
 }
 
-// readFrameBody reads the body announced by h. spare, the reading
-// FrameReader's, enables recycling a large Request body; nil reads
-// every body fresh.
-func readFrameBody(r io.Reader, h FrameHeader, spare *atomic.Pointer[Buffer]) (Frame, error) {
+// readFrameBody reads the body announced by h.
+func readFrameBody(r io.Reader, h FrameHeader) (Frame, error) {
 	f := Frame{Type: h.Type, Order: h.Order, Minor: h.Minor}
-	n := int(h.BodyLen)
-	if n == 0 {
+	if h.BodyLen == 0 {
 		return f, nil
 	}
-	// A torn body is left to the GC, not recycled: the connection is
-	// dying, and recycling capacity a peer announced but never sent
-	// would let it park arbitrary amounts of memory in the spare.
-	recycled := spare != nil && h.Type == MsgRequest && n > DefaultReadBufSize
-	if recycled {
-		if bb := largeBuffer(spare, n); bb != nil {
-			if _, err := io.ReadFull(r, bb.b); err != nil {
-				return Frame{}, err
-			}
-			f.buf, f.Body = bb, bb.b
-			return f, nil
-		}
-	}
-	b, err := readBody(r, n)
+	b, err := readBody(r, int(h.BodyLen))
 	if err != nil {
 		return Frame{}, err
 	}
 	f.Body = b
-	if recycled {
-		f.buf = &Buffer{b: b, home: spare}
-	}
 	return f, nil
 }
 
@@ -341,8 +243,7 @@ const bodyStepShift = 4
 // arrived. Growing to n from below in ×16 steps, rather than doubling
 // up from the first step, keeps what a body that does arrive pays for
 // its steps to a fifteenth of its length: one extra 512 KiB step for an
-// 8 MiB body, whose first read on a connection is a set-up cost of
-// every centralized binding.
+// 8 MiB body.
 func readBody(r io.Reader, n int) ([]byte, error) {
 	shift := 0
 	for n>>(shift+bodyStepShift) >= DefaultReadBufSize {
@@ -368,14 +269,13 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// readFrame reads one frame using the caller's header scratch. spare
-// enables body recycling (see readFrameBody).
-func readFrame(r io.Reader, hdr *[HeaderLen]byte, spare *atomic.Pointer[Buffer]) (Frame, error) {
+// readFrame reads one frame using the caller's header scratch.
+func readFrame(r io.Reader, hdr *[HeaderLen]byte) (Frame, error) {
 	h, err := readFrameHeader(r, hdr)
 	if err != nil {
 		return Frame{}, err
 	}
-	return readFrameBody(r, h, spare)
+	return readFrameBody(r, h)
 }
 
 // ReadWindowPut reads the fixed window-put preamble (header plus its

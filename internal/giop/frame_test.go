@@ -194,175 +194,6 @@ func TestPooledEncoderConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFrameReaderRecyclesLargeBodies: only a Request body above
-// DefaultReadBufSize is recycled. A large Reply or block-transfer body,
-// a control body and a small Request are plain allocations (Release is
-// a no-op for them), so every other read path is what it was before
-// recycling. A detached body stays valid after the frame is released,
-// a double Release does not hand a body back twice, and two live
-// frames never share a body.
-func TestFrameReaderRecyclesLargeBodies(t *testing.T) {
-	const n = 8<<20 + 150
-	req, rep := bytes.Repeat([]byte{1}, n), bytes.Repeat([]byte{2}, n-40)
-	var buf bytes.Buffer
-	for _, m := range []struct {
-		t    MsgType
-		body []byte
-	}{
-		{MsgRequest, req}, {MsgReply, rep}, {MsgBlockTransfer, req},
-		{MsgCancelRequest, []byte{1, 2, 3, 4}}, {MsgError, make([]byte, 2<<10)},
-		{MsgRequest, []byte{1}}, {MsgRequest, make([]byte, DefaultReadBufSize)},
-	} {
-		if err := WriteMessage(&buf, cdr.NativeOrder, m.t, m.body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	fq, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fq.buf == nil {
-		t.Fatal("large request body not recycled")
-	}
-	if len(fq.Body) != n || cap(fq.Body) != n || !bytes.Equal(fq.Body, req) {
-		t.Fatalf("large request body: len %d cap %d, want %d and %d with the frame's bytes", len(fq.Body), cap(fq.Body), n, n)
-	}
-	for _, what := range []string{"large reply", "large block transfer", "control", "oversized control", "small request", "request at the boundary"} {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.buf != nil {
-			t.Fatalf("%s body recycled", what)
-		}
-		if what == "large reply" && !bytes.Equal(f.Body, rep) {
-			t.Fatal("large reply body does not hold the frame's bytes")
-		}
-	}
-
-	held := fq.Detach()
-	fq.Release() // the frame no longer owns the body: a no-op
-	if !bytes.Equal(fq.Body, req) {
-		t.Fatal("detached body changed when its frame was released")
-	}
-	held.Release()
-	held.Release() // no-op: the body goes back once
-	if fr.spare.Load() != held {
-		t.Fatal("the released body did not go to its reader's spare")
-	}
-
-	a, b := bytes.Repeat([]byte{3}, n), bytes.Repeat([]byte{4}, n-8)
-	buf.Reset()
-	_ = WriteMessage(&buf, cdr.NativeOrder, MsgRequest, a)
-	_ = WriteMessage(&buf, cdr.NativeOrder, MsgRequest, b)
-	f1, err1 := fr.ReadFrame()
-	f2, err2 := fr.ReadFrame()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if &f1.Body[0] == &f2.Body[0] {
-		t.Fatal("two live frames share one recycled body")
-	}
-	if !bytes.Equal(f1.Body, a) || !bytes.Equal(f2.Body, b) {
-		t.Fatal("live recycled bodies clobbered each other")
-	}
-	f1.Release()
-	f2.Release()
-}
-
-// TestFrameReaderTakesBackItsBody: a large request body released on
-// another goroutine comes back to the FrameReader that read it, for its
-// next large request; another reader never draws it.
-func TestFrameReaderTakesBackItsBody(t *testing.T) {
-	const n = 8<<20 + 150
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, bytes.Repeat([]byte{byte(i)}, n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	f, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := &f.Body[0]
-	done := make(chan struct{})
-	go func() { f.Release(); close(done) }()
-	<-done
-	if bb := fr.spare.Load(); bb == nil || &bb.b[:1][0] != first {
-		t.Fatal("the released body did not go to its reader's spare")
-	}
-	if f, err = fr.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-	if &f.Body[0] != first {
-		t.Fatal("the reader did not take back the body it read last")
-	}
-	if f.Body[0] != 1 || f.Body[n-1] != 1 {
-		t.Fatal("the body taken back does not hold the frame's bytes")
-	}
-	f.Release()
-
-	var other bytes.Buffer
-	_ = WriteMessage(&other, cdr.NativeOrder, MsgRequest, make([]byte, n))
-	g, err := NewFrameReader(&other).ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &g.Body[0] == first {
-		t.Fatal("another reader drew this reader's spare")
-	}
-	g.Release()
-
-	if f, err = fr.ReadFrame(); err != nil || &f.Body[0] != first {
-		t.Fatal("the spare was not kept for its reader", err)
-	}
-	f.Release()
-}
-
-// TestFrameReaderDropsShortSpare: a spare too short for the next large
-// request is dropped, and that body is read into exactly its own length
-// (a miss costs what an unrecycled body would), which then becomes the
-// spare; a shorter request reuses the longer spare.
-func TestFrameReaderDropsShortSpare(t *testing.T) {
-	const n = DefaultReadBufSize + 100
-	var buf bytes.Buffer
-	for i, size := range []int{n, 3 * n, n} {
-		if err := WriteMessage(&buf, cdr.NativeOrder, MsgRequest, bytes.Repeat([]byte{byte(i + 1)}, size)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	small, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := &small.Body[0]
-	small.Release()
-	large, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &large.Body[0] == short || fr.spare.Load() != nil {
-		t.Fatal("a spare too short for the body was not dropped")
-	}
-	if len(large.Body) != 3*n || cap(large.Body) != 3*n || large.Body[3*n-1] != 2 {
-		t.Fatalf("miss: len %d cap %d, want exactly %d bytes of the frame", len(large.Body), cap(large.Body), 3*n)
-	}
-	long := &large.Body[0]
-	large.Release()
-	again, err := fr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again.Body[0] != long || len(again.Body) != n || again.Body[n-1] != 3 {
-		t.Fatal("a shorter request did not reuse the longer spare")
-	}
-	again.Release()
-}
-
 // TestReadBodyInSteps: a body is read into a buffer that grows as its
 // bytes arrive. A body delivered whole survives the steps intact in
 // exactly its own length; one whose header announces 512 MiB and then

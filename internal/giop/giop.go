@@ -178,19 +178,15 @@ type Frame struct {
 	Order cdr.ByteOrder
 	Minor byte
 	Body  []byte
-
-	// buf is the recycled backing of Body for a large Request read with
-	// a FrameReader; see Frame.Release and Frame.Detach.
-	buf *Buffer
 }
 
 // ReadFrame reads and validates one PIOP message. The header scratch is
 // pooled; the body is always freshly allocated (ownership transfers
 // to the caller). Read loops should prefer a FrameReader, which adds
-// read buffering and body recycling.
+// read buffering.
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := writePool.Get().(*writeScratch)
-	f, err := readFrame(r, &hdr.hdr, nil)
+	f, err := readFrame(r, &hdr.hdr)
 	writePool.Put(hdr)
 	return f, err
 }

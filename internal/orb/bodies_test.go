@@ -6,50 +6,19 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/giop"
-	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
 
 // bigDoubles is an element count whose sequence makes a frame body
-// larger than the FrameReader's buffer, so the body is recycled.
+// larger than the FrameReader's buffer.
 const bigDoubles = giop.DefaultReadBufSize / 8 * 2
-
-// largeBodyLedger reads the recycler's process-wide counts: large
-// Request bodies drawn from their readers' spares and handed back.
-func largeBodyLedger() (gets, puts uint64) {
-	return telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body").Value(),
-		telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body").Value()
-}
-
-// awaitLedger waits until the recycler has seen wantGets draws and
-// wantPuts returns since (g0, p0) — the read loops release on their own
-// goroutines — and fails if it settles anywhere else. More returns than
-// draws would mean a body went back twice.
-func awaitLedger(t *testing.T, what string, g0, p0, wantGets, wantPuts uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g, p := largeBodyLedger()
-		if g-g0 == wantGets && p-p0 == wantPuts {
-			return
-		}
-		if p-p0 > g-g0 || time.Now().After(deadline) {
-			t.Fatalf("%s: %d large bodies drawn and %d handed back, want %d and %d",
-				what, g-g0, p-p0, wantGets, wantPuts)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestLargeReplyBodyKept: a reply body larger than the FrameReader's
 // buffer is a plain allocation that belongs to Invoke's caller. It
-// stays intact while the same connection carries later large replies
-// (under the pardis_poison tag a body handed back for reuse would read
-// as NaN here), and no reply ever draws from the recycler.
+// stays intact while the same connection carries later large replies.
 func TestLargeReplyBodyKept(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
@@ -91,59 +60,11 @@ func TestLargeReplyBodyKept(t *testing.T) {
 		}
 	}
 
-	g0, p0 := largeBodyLedger()
 	first := invoke(1e6)
 	for i := 0; i < 4; i++ {
 		check("later reply", invoke(float64(i)), float64(i))
 	}
 	check("first reply after later traffic", first, 1e6)
-	awaitLedger(t, "large replies", g0, p0, 0, 0)
-}
-
-// TestLargeRequestReleasedOnce: a recycled request body goes back once
-// its handler releases it (a second Release is a no-op), and the server
-// releases it itself when it answers the request without a handler ever
-// seeing it.
-func TestLargeRequestReleasedOnce(t *testing.T) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	srv := NewServer(reg)
-	defer srv.Close()
-	srv.Handle("sum", func(in *Incoming) {
-		v, err := in.Decoder().DoubleSeq()
-		in.Release()
-		in.Release()
-		if err != nil || in.Body != nil {
-			_ = in.ReplySystemException("MARSHAL", "body unreadable or kept after Release")
-			return
-		}
-		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutULong(uint32(len(v))) })
-	})
-	ep, err := srv.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(reg)
-	defer cli.Close()
-	big := make([]float64, bigDoubles)
-	body := func(e *cdr.Encoder) { e.PutDoubleSeq(big) }
-
-	g0, p0 := largeBodyLedger()
-	rh, order, reply, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "sum", "op"), body)
-	if err != nil || rh.Status != giop.ReplyOK {
-		t.Fatalf("invoke: %v %v", rh.Status, err)
-	}
-	if n, _ := cdr.NewDecoderAt(order, reply, 8).ULong(); n != bigDoubles {
-		t.Fatalf("server decoded %d doubles", n)
-	}
-	awaitLedger(t, "released by its handler", g0, p0, 1, 1)
-
-	g0, p0 = largeBodyLedger()
-	rh, _, _, err = cli.Invoke(context.Background(), ep, requestHeader(cli, "nobody", "op"), body)
-	if err != nil || rh.Status != giop.ReplySystemException {
-		t.Fatalf("unknown object: %v %v", rh.Status, err)
-	}
-	awaitLedger(t, "answered without a handler", g0, p0, 1, 1)
 }
 
 // announce writes a message header in order that announces an n-byte

@@ -49,9 +49,6 @@ type Incoming struct {
 	Endpoint string
 
 	conn *serverConn
-	// buf is Body's recycled backing when the request was larger than
-	// giop.DefaultReadBufSize (nil otherwise); see Release.
-	buf *giop.Buffer
 }
 
 // Decoder returns a CDR decoder positioned at the first in-argument.
@@ -59,20 +56,15 @@ func (in *Incoming) Decoder() *cdr.Decoder {
 	return cdr.NewDecoderAt(in.Order, in.Body, in.BodyBase)
 }
 
-// Release hands the request body back for reuse once nothing reads it
-// any more — in particular nothing decoded from it that still aliases
-// it. Body is cleared. A handler that never calls Release leaves the
-// body to the garbage collector; a second Release is a no-op. Replying
-// does not release: the reply may be marshaled from the request's
-// bytes. Releasing a parked request skims its body off the connection
-// unread.
+// Release is the handler's word that nothing reads the request body
+// any more. Releasing a parked request skims its body off the
+// connection unread, so the connection reads on; Body is cleared. A
+// second Release is a no-op. Replying does not release.
 func (in *Incoming) Release() {
 	if in.parked {
 		_ = in.unpark(parkAsk{})
 	}
 	in.Body = nil
-	in.buf.Release()
-	in.buf = nil
 }
 
 // Parked reports whether the request's body is still on the connection:
@@ -615,11 +607,9 @@ func (sc *serverConn) readLoop() {
 	defer sc.close()
 	// The FrameReader buffers the socket (one raw Read per header+body
 	// in the common case). Request/BlockTransfer bodies escape
-	// to handlers and block sinks, so ownership transfers with them: a
-	// recycled (large) request body goes to the handler's Incoming,
-	// whose Release hands it back to fr (see Incoming.Release), unless
-	// its key takes it parked (serveRequest). Every other body is a plain
-	// allocation, dropped once decoded.
+	// to handlers and block sinks, so ownership transfers with them,
+	// unless a request's key takes it parked (serveRequest). Every body
+	// is a plain allocation.
 	fr := giop.NewFrameReader(sc.raw)
 	for {
 		fh, err := fr.ReadFrameHeader()
@@ -751,7 +741,6 @@ func (sc *serverConn) serveRequest(fr *giop.FrameReader, fh giop.FrameHeader) er
 		d = cdr.NewDecoder(f.Order, f.Body)
 		if hdr, herr = giop.DecodeRequestHeader(d); herr != nil {
 			// Unparseable request: poison the stream, give up.
-			f.Release()
 			return fmt.Errorf("orb: bad request header: %w", herr)
 		}
 	}
@@ -762,7 +751,6 @@ func (sc *serverConn) serveRequest(fr *giop.FrameReader, fh giop.FrameHeader) er
 		BodyBase: d.Pos(),
 		Endpoint: sc.endpoint,
 		conn:     sc,
-		buf:      f.Detach(),
 	}, false)
 	return nil
 }
@@ -811,7 +799,7 @@ func (sc *serverConn) awaitParked(p *parking) error {
 	case a.into != nil:
 		f, err := p.fr.ReadFrameBody(p.fh)
 		if err == nil {
-			a.into.Body, a.into.buf = f.Body[a.into.BodyBase:], f.Detach()
+			a.into.Body = f.Body[a.into.BodyBase:]
 		}
 		p.done <- err
 		return err

@@ -11,7 +11,6 @@ import (
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/rts"
-	"pardis/internal/telemetry"
 )
 
 // Not built under -race: the detector's instrumentation defeats the
@@ -19,88 +18,64 @@ import (
 // budgets below would measure the detector, not this package.
 
 // TestCentralizedLargeRequestsLand: once warm, a run of centralized
-// invocations with 8 MiB inout payloads draws no large frame body at
-// all: the communicator lands each request's elements off the
-// connection straight into the threads' blocks, and the client lands
-// the reply the same way.
+// invocations with 8 MiB payloads — one inout argument, or an inout and
+// an in one — reads no request whole: the communicator lands each
+// request's elements off the connection straight into the threads'
+// blocks, every argument's in turn, and the client lands the reply the
+// same way, so an operation allocates far less than one payload.
 func TestCentralizedLargeRequestsLand(t *testing.T) {
-	const ops = 16
-	gets := telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
-	reg := newReg()
-	obj := startObject(t, reg, 4, false, diffusionOps)
-	defer obj.close()
-	var g0 uint64
-	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
-		seq, err := dseq.NewDoubles(1<<20, dist.Block(), th.Size(), th.Rank())
-		if err != nil {
-			return err
-		}
-		spec := &CallSpec{
-			Operation: "diffusion",
-			Scalars:   func(e *cdr.Encoder) { e.PutLong(0) },
-			Args:      []DistArg{{Mode: InOut, Seq: seq}},
-		}
-		for i := -2; i < ops; i++ { // two warm-up operations
-			if i == 0 {
-				if err := th.Barrier(); err != nil {
-					return err
+	const (
+		ops     = 16
+		doubles = 1 << 20
+	)
+	for name, modes := range map[string][]ArgMode{"one argument": {InOut}, "two arguments": {InOut, In}} {
+		t.Run(name, func(t *testing.T) {
+			reg := newReg()
+			obj := startObject(t, reg, 4, false, func(th rts.Thread) map[string]*Op { return withPair(diffusionOps(th)) })
+			defer obj.close()
+			comm := obj.threadObjects()[0]
+			var g0 uint64
+			var before, after runtime.MemStats
+			runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
+				spec := &CallSpec{Operation: "pair"}
+				if len(modes) == 1 {
+					spec = &CallSpec{Operation: "diffusion", Scalars: func(e *cdr.Encoder) { e.PutLong(0) }}
+				}
+				for _, mode := range modes {
+					seq, err := dseq.NewDoubles(doubles, dist.Block(), th.Size(), th.Rank())
+					if err != nil {
+						return err
+					}
+					spec.Args = append(spec.Args, DistArg{Mode: mode, Seq: seq})
+				}
+				for i := -2; i < ops; i++ { // two warm-up operations
+					if i == 0 {
+						if err := th.Barrier(); err != nil {
+							return err
+						}
+						if th.Rank() == 0 {
+							g0 = comm.readWhole.Load()
+							runtime.ReadMemStats(&before)
+						}
+					}
+					if err := b.Invoke(context.Background(), spec); err != nil {
+						return err
+					}
 				}
 				if th.Rank() == 0 {
-					g0 = gets.Value()
+					runtime.ReadMemStats(&after)
 				}
+				return nil
+			})
+			if g := comm.readWhole.Load() - g0; g != 0 {
+				t.Fatalf("%d invocations read %d requests whole; want every request landed", ops, g)
 			}
-			if err := b.Invoke(context.Background(), spec); err != nil {
-				return err
+			perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+			t.Logf("%d B/op allocated, payload %d B", perOp, doubles*8)
+			if perOp > doubles*8/64 {
+				t.Fatalf("%d B/op allocated, ceiling %d", perOp, doubles*8/64)
 			}
-		}
-		return nil
-	})
-	if g := gets.Value() - g0; g != 0 {
-		t.Fatalf("%d invocations drew %d large bodies; want every request landed", ops, g)
-	}
-}
-
-// TestCentralizedReadWholeBodiesRecycled: a large centralized request
-// that cannot land — here two arguments, the first one's elements ahead
-// of the second one's metadata — is read whole into its reader's spare,
-// and once warm never misses it: the communicator hands the body back
-// before it writes the reply, so a client whose next request follows
-// the reply at once cannot beat the release and find the spare empty.
-func TestCentralizedReadWholeBodiesRecycled(t *testing.T) {
-	const ops = 16
-	gets := telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body")
-	misses := telemetry.Default.Counter("pardis_giop_pool_misses_total", "pool", "large_body")
-	reg := newReg()
-	obj := startObject(t, reg, 4, false, func(th rts.Thread) map[string]*Op { return withPair(diffusionOps(th)) })
-	defer obj.close()
-	var g0, m0 uint64
-	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
-		var args []DistArg
-		for _, mode := range []ArgMode{InOut, In} {
-			seq, err := dseq.NewDoubles(1<<20, dist.Block(), th.Size(), th.Rank())
-			if err != nil {
-				return err
-			}
-			args = append(args, DistArg{Mode: mode, Seq: seq})
-		}
-		spec := &CallSpec{Operation: "pair", Args: args}
-		for i := -2; i < ops; i++ { // two warm-up operations
-			if i == 0 {
-				if err := th.Barrier(); err != nil {
-					return err
-				}
-				if th.Rank() == 0 {
-					g0, m0 = gets.Value(), misses.Value()
-				}
-			}
-			if err := b.Invoke(context.Background(), spec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if g, m := gets.Value()-g0, misses.Value()-m0; g != ops || m != 0 {
-		t.Fatalf("%d invocations drew %d large bodies with %d spare misses; want %d and 0", ops, g, m, ops)
+		})
 	}
 }
 

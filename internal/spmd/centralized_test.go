@@ -19,7 +19,6 @@ import (
 	"pardis/internal/mp"
 	"pardis/internal/orb"
 	"pardis/internal/rts"
-	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
 
@@ -298,7 +297,8 @@ func TestCentralizedCrossEndian(t *testing.T) {
 				Blocks: [][]float64{in[:100], nil, in[100:]},
 			}}}
 			inPlace.Scalars = []byte{byte(cdr.BigEndian), 0, 0, 0, 0, 0, 0, 2}
-			g0 := largeBodies()
+			comm := obj.threadObjects()[0]
+			g0 := comm.readWhole.Load()
 			for _, body := range []func(*cdr.Encoder){legacyInvocation(2, InOut, n, in), inPlace.encode} {
 				rh, d := rawInvoke(t, cli, obj.ref, body)
 				if rh.Status != giop.ReplyOK {
@@ -324,7 +324,7 @@ func TestCentralizedCrossEndian(t *testing.T) {
 					}
 				}
 			}
-			if g := largeBodies() - g0; g != 0 {
+			if g := comm.readWhole.Load() - g0; g != 0 {
 				t.Fatalf("%d requests read whole; want both landed", g)
 			}
 		})
@@ -336,15 +336,14 @@ func TestCentralizedCrossEndian(t *testing.T) {
 			var mu sync.Mutex
 			calls := 0 // odd calls answer gathered, even ones in place
 			ref := fakeObject(t, reg, "scale", spec, func(in *orb.Incoming) {
-				w, err := decodeInvocationWire(in.Decoder())
+				w, err := decodeInvocation(in.Order, in.Body, in.BodyBase)
 				if err != nil || len(w.Args) != 4 {
 					_ = in.ReplySystemException("MARSHAL", fmt.Sprint(err))
 					return
 				}
 				a := make([]float64, w.Args[0].Length)
-				cdr.DecodeDoubles(a, w.Args[0].Raw, in.Order)
 				d := make([]float64, w.Args[1].Length)
-				cdr.DecodeDoubles(d, w.Args[1].Raw, in.Order)
+				(&requestLanding{w: w, blocks: [][][]float64{{a}, {d}, nil, nil}}).decode(in)
 				for i := range a {
 					a[i] *= 4
 				}
@@ -500,26 +499,15 @@ func TestCentralizedRequestWireUnchanged(t *testing.T) {
 }
 
 // pairInvocation marshals a centralized invocation of an operation with
-// two in-arguments, each with its inline data — so the first argument's
-// elements come before the second's metadata on the wire, and a large
-// request of this shape is read whole rather than landed.
+// two arguments of the given length, inout first and in second, each
+// with its inline data.
 func pairInvocation(length int, first, second []float64) func(*cdr.Encoder) {
-	return func(e *cdr.Encoder) {
-		e.PutOctet(byte(Centralized))
-		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) { ie.PutLong(1) })
-		e.PutULong(2)
-		for _, a := range []struct {
-			mode ArgMode
-			data []float64
-		}{{InOut, first}, {In, second}} {
-			e.PutOctet(byte(a.mode))
-			e.PutULong(uint32(length))
-			e.PutULongSeq([]uint32{uint32(length)})
-			e.PutStringSeq(nil)
-			e.PutBoolean(true)
-			e.PutDoubleSeq(a.data)
-		}
-	}
+	w := &invocationWire{Method: Centralized, Scalars: []byte{byte(cdr.BigEndian), 0, 0, 0, 0, 0, 0, 1},
+		Args: []*argWire{
+			{Mode: InOut, Length: length, ClientCounts: []int{length}, Blocks: [][]float64{first}},
+			{Mode: In, Length: length, ClientCounts: []int{length}, Blocks: [][]float64{second}},
+		}}
+	return w.encode
 }
 
 // withPair adds to ops the operation pairInvocation calls, "pair"
@@ -538,15 +526,14 @@ func withPair(ops map[string]*Op) map[string]*Op {
 	return ops
 }
 
-// TestShedRequestsReleasedOnce: a large request read whole — its
-// prefix does not parse, or an argument's elements come before the
-// next one's metadata — is a recycled body that the communicator hands
-// back to its reader exactly once, whether it answers it before the
-// collective is engaged — MARSHAL for an undecodable invocation,
-// BAD_PARAM for inline data of the wrong length, TIMEOUT for a queued
-// request whose deadline passed — or dispatches it. A large request that
-// lands draws no body at all, refused (its body skimmed off the
-// connection, which carries on) or dispatched.
+// TestShedRequestsReleasedOnce: the communicator answers a large
+// request before the collective is engaged — MARSHAL for an undecodable
+// invocation, BAD_PARAM for inline data of the wrong length, TIMEOUT for
+// a queued request whose deadline passed — or dispatches it, and the
+// connection carries on, whether the request was read whole (its prefix
+// does not parse, or it queued behind another) or parked to land (a
+// refused one's body skimmed off the connection). Requests with one
+// inline argument or two take the same path.
 func TestShedRequestsReleasedOnce(t *testing.T) {
 	hang, hanging := make(chan struct{}), make(chan struct{}, 3)
 	ops := func(th rts.Thread) map[string]*Op {
@@ -564,10 +551,7 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 	cli := orb.NewClient(reg)
 	defer cli.Close()
 	const n = giop.DefaultReadBufSize / 8 * 2
-	ledger := func() (gets, puts uint64) {
-		return telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body").Value(),
-			telemetry.Default.Counter("pardis_giop_pool_puts_total", "pool", "large_body").Value()
-	}
+	comm := obj.threadObjects()[0]
 	invoke := func(ctx context.Context, op string, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
 		return cli.Invoke(ctx, obj.ref.Endpoints[0], giop.RequestHeader{
 			InvocationID: cli.NewInvocationID(), ResponseExpected: true,
@@ -591,15 +575,17 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 		}
 	}
 
-	g0, p0 := ledger()
+	g0 := comm.readWhole.Load()
 	rh, order, raw, err := invoke(context.Background(), "diffusion", func(e *cdr.Encoder) {
 		e.PutOctet(byte(Centralized))
 		e.PutOctetSeq(make([]byte, 2*giop.DefaultReadBufSize))
 		e.PutULong(1 << 30) // more arguments than bytes left
 	})
 	wantException("undecodable invocation", "MARSHAL", rh, order, raw, err)
+	awaitPastPhase1(t, comm)
 	rh, order, raw, err = invoke(context.Background(), "pair", pairInvocation(300, ramp(n), ramp(300)))
 	wantException("inline data of the wrong length", "BAD_PARAM", rh, order, raw, err)
+	awaitPastPhase1(t, comm)
 
 	// Park the collective in a hung dispatch, queue a request behind it
 	// that gives up first, then let the dispatch finish: the communicator
@@ -610,6 +596,7 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 		hung <- err
 	}()
 	<-hanging
+	shed0 := shedExpiredSPMD.Value()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	_, _, _, err = invoke(ctx, "pair", pairInvocation(n, ramp(n), ramp(n)))
 	cancel()
@@ -623,28 +610,23 @@ func TestShedRequestsReleasedOnce(t *testing.T) {
 	if err := <-hung; err != nil {
 		t.Fatal(err)
 	}
+	for shedExpiredSPMD.Value() == shed0 { // popped and shed
+		time.Sleep(time.Millisecond)
+	}
+	awaitPastPhase1(t, comm)
 	rh, _, _, err = invoke(context.Background(), "pair", pairInvocation(n, ramp(n), ramp(n)))
 	wantOK("dispatched invocation", rh, err)
 
-	// The same refusal and dispatch for requests that land.
+	// The same refusal and dispatch for one-argument requests.
 	rh, order, raw, err = invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, 300, ramp(n)))
 	wantException("landing inline data of the wrong length", "BAD_PARAM", rh, order, raw, err)
+	awaitPastPhase1(t, comm)
 	rh, _, _, err = invoke(context.Background(), "diffusion", legacyInvocation(1, InOut, n, ramp(n)))
 	wantOK("landed invocation", rh, err)
 
-	// Four requests read whole: MARSHAL, BAD_PARAM, TIMEOUT, served. The
-	// served ones' replies are large too, but a reply is never recycled:
-	// it is a plain allocation that stays with Invoke's caller.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g, p := ledger()
-		if g-g0 == 4 && p-p0 == 4 {
-			break
-		}
-		if p-p0 > g-g0 || time.Now().After(deadline) {
-			t.Fatalf("%d large bodies drawn, %d handed back; want 4 and 4", g-g0, p-p0)
-		}
-		time.Sleep(time.Millisecond)
+	// One request read whole, the undecodable one; every other landed.
+	if g := comm.readWhole.Load() - g0; g != 1 {
+		t.Fatalf("%d requests read whole; want 1", g)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/giop"
 	"pardis/internal/orb"
+	"pardis/internal/rts"
 	"pardis/internal/transport"
 )
 
@@ -213,15 +215,15 @@ func TestReplyLandingSeeds(t *testing.T) {
 	}
 }
 
-// requestFixture is a real two-thread object exporting diffusion over
-// a connection whose dials are counted, with every rank's argument
-// block reseeded before each request as a window into a guarded
-// backing array.
+// requestFixture is a real two-thread object exporting diffusion and
+// pair over a connection whose dials are counted, with every rank's
+// argument blocks reseeded before each request as windows into a
+// guarded backing array.
 type requestFixture struct {
 	obj     *testObject
 	clients map[cdr.ByteOrder]*orb.Client
 	dials   *transport.Faulty
-	backing [][]float64
+	backing [][]float64 // rank r's block window for argument k is backing[2r+k]'s
 }
 
 // fuzzReqN is the well-formed length of the forged requests: their
@@ -239,7 +241,8 @@ func newRequestFixture(tb testing.TB) *requestFixture {
 	dials := transport.NewFaulty(inproc, transport.FaultPlan{})
 	reg := transport.NewRegistry()
 	reg.Register(cutDialTransport{listen: inproc, dial: dials})
-	f := &requestFixture{obj: startObject(tb, reg, 2, false, diffusionOps), dials: dials,
+	ops := func(th rts.Thread) map[string]*Op { return withPair(diffusionOps(th)) }
+	f := &requestFixture{obj: startObject(tb, reg, 2, false, ops), dials: dials,
 		clients: make(map[cdr.ByteOrder]*orb.Client)}
 	tb.Cleanup(f.obj.close)
 	// A client per byte order, each with its connection open.
@@ -252,26 +255,32 @@ func newRequestFixture(tb testing.TB) *requestFixture {
 		}
 		f.clients[order] = cli
 	}
-	for range f.obj.threadObjects() {
+	for range 2 * len(f.obj.threadObjects()) {
 		f.backing = append(f.backing, make([]float64, fuzzReqN+2*fuzzReqGuard))
 	}
 	return f
 }
 
-// seed hands every rank a block window of capacity fuzzReqN/2 + guard
-// elements, fuzzReqGuard guard elements on either side of it.
+// window is the block window of a backing array: capacity fuzzReqN/2 +
+// guard elements, with fuzzReqGuard guard elements on either side.
+func window(b []float64) []float64 {
+	w := b[fuzzReqGuard : len(b)-fuzzReqGuard]
+	return w[: len(w)/2+fuzzReqGuard : len(w)/2+fuzzReqGuard]
+}
+
+// seed hands every rank a fresh block window per argument.
 func (f *requestFixture) seed() {
-	for r, o := range f.obj.threadObjects() {
-		b := f.backing[r]
+	for _, b := range f.backing {
 		for i := range b {
 			b[i] = landingGuard
 		}
-		w := b[fuzzReqGuard : len(b)-fuzzReqGuard]
-		o.argBlocks = [][]float64{w[: len(w)/2+fuzzReqGuard : len(w)/2+fuzzReqGuard]}
+	}
+	for r, o := range f.obj.threadObjects() {
+		o.argBlocks = [][]float64{window(f.backing[2*r]), window(f.backing[2*r+1])}
 	}
 }
 
-// guardsIntact reports whether the elements before each rank's window
+// guardsIntact reports whether the elements before each block window
 // and past its capacity still hold the guard value.
 func (f *requestFixture) guardsIntact() bool {
 	for _, b := range f.backing {
@@ -286,20 +295,22 @@ func (f *requestFixture) guardsIntact() bool {
 }
 
 // The shapes of a forged request (forgedRequest), each body but the
-// first inside the read buffer.
+// first and the last inside the read buffer.
 const (
 	shapeLarge     = iota // centralized, about fuzzReqN elements
 	shapeSmall            // centralized, about fuzzSmallN elements
 	shapeNoArgs           // centralized, no argument
 	shapeNoData           // centralized, the argument without inline data, as Out-only
 	shapeMultiPort        // the small argument behind a multi-port method octet
+	shapePair             // centralized, two arguments (the second an in one) of about fuzzReqN/2 elements
 	shapeCount
 )
 
-// forgedRequest marshals a one-argument invocation of shape in order:
-// the argument declares mode and length, its client layout is one
-// thread of clientLen, and its inline data announces count elements of
-// which have follow, then extra trailing bytes.
+// forgedRequest marshals an invocation of shape in order: each argument
+// declares mode (the second one: In) and length, its client layout is
+// one thread of clientLen, and its inline data announces count elements
+// of which have follow, after every argument's metadata; then extra
+// trailing bytes.
 func forgedRequest(shape int, mode byte, length, clientLen, count, have, extra int) func(*cdr.Encoder) {
 	return func(e *cdr.Encoder) {
 		method := Centralized
@@ -308,22 +319,90 @@ func forgedRequest(shape int, mode byte, length, clientLen, count, have, extra i
 		}
 		e.PutOctet(byte(method))
 		e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) { ie.PutLong(1) })
-		if shape == shapeNoArgs {
-			e.PutULong(0)
-			e.PutOctets(make([]byte, extra))
-			return
+		modes := []byte{mode}
+		switch shape {
+		case shapeNoArgs:
+			modes = nil
+		case shapePair:
+			modes = append(modes, byte(In))
 		}
-		e.PutULong(1)
-		e.PutOctet(mode)
-		e.PutULong(uint32(length))
-		e.PutULongSeq([]uint32{uint32(clientLen)})
-		e.PutStringSeq(nil)
-		e.PutBoolean(shape != shapeNoData)
+		e.PutULong(uint32(len(modes)))
+		for _, m := range modes {
+			e.PutOctet(m)
+			e.PutULong(uint32(length))
+			e.PutULongSeq([]uint32{uint32(clientLen)})
+			e.PutStringSeq(nil)
+			e.PutBoolean(shape != shapeNoData)
+			if shape != shapeNoData {
+				e.PutULong(uint32(count))
+			}
+		}
 		if shape != shapeNoData {
-			e.PutULong(uint32(count))
-			e.PutDoubles(ramp(have))
+			for range modes {
+				e.PutDoubles(ramp(have))
+			}
 		}
 		e.PutOctets(make([]byte, extra))
+	}
+}
+
+// landBoth takes the body of a request to op, marshaled by body after a
+// request header in order, both ways the communicator can: parked, its
+// metadata decoded from the read buffer's prefix and its elements landed
+// off a reader, and read whole, decoded after a whole read. When the
+// prefix lets it land, both must reach the same verdict and, when that
+// lets the request through, fill the blocks of every argument alike,
+// the landing consuming exactly the body.
+func landBoth(t *testing.T, o *Object, order cdr.ByteOrder, op string, body func(*cdr.Encoder)) {
+	t.Helper()
+	e := cdr.NewEncoder(order)
+	(&giop.RequestHeader{RequestID: 1, ResponseExpected: true, ObjectKey: "fuzz", Operation: op}).Encode(e)
+	base := len(e.Bytes())
+	body(e)
+	b := e.Bytes()
+	landed, err := decodeInvocation(order, b[base:min(len(b), giop.DefaultReadBufSize)], base)
+	if err != nil || landed.Method != Centralized {
+		return // read whole, the one way left
+	}
+	whole, err := decodeInvocation(order, b[base:], base)
+	if err != nil {
+		t.Fatalf("a prefix that decodes for landing does not decode whole: %v", err)
+	}
+	spec := o.cfg.Ops[op].Spec
+	code, detail := o.refuse(landed, op, spec, len(b))
+	if wcode, wdetail := o.refuse(whole, op, spec, len(b)); wcode != code || wdetail != detail {
+		t.Fatalf("verdicts differ: landing %q %q, whole %q %q", code, detail, wcode, wdetail)
+	}
+	if code != "" {
+		return
+	}
+	fill := func(w *invocationWire) [][][]float64 {
+		blocks := make([][][]float64, len(w.Args))
+		for i, a := range w.Args {
+			if a.Mode != Out && w.Method == Centralized {
+				blocks[i] = [][]float64{make([]float64, a.Length/2), make([]float64, a.Length-a.Length/2)}
+			}
+		}
+		return blocks
+	}
+	want := fill(whole)
+	(&requestLanding{w: whole, blocks: want}).decode(&orb.Incoming{Order: order, Body: b[base:], BodyBase: base})
+	got := fill(landed)
+	fr := giop.NewFrameReader(bytes.NewReader(append(b, 0xEE)))
+	if err := (&requestLanding{w: landed, blocks: got}).LandRequest(fr, giop.FrameHeader{Order: order, BodyLen: uint32(len(b))}); err != nil {
+		t.Fatalf("landing a body that fits: %v", err)
+	}
+	if next, err := fr.Peek(1); err != nil || next[0] != 0xEE {
+		t.Fatalf("the landing did not consume exactly the body: next %x (%v)", next, err)
+	}
+	for i := range want {
+		for k := range want[i] {
+			for j, v := range want[i][k] {
+				if math.Float64bits(got[i][k][j]) != math.Float64bits(v) {
+					t.Fatalf("argument %d block %d [%d]: landed %v, decoded whole %v", i, k, j, got[i][k][j], v)
+				}
+			}
+		}
 	}
 }
 
@@ -332,12 +411,14 @@ func forgedRequest(shape int, mode byte, length, clientLen, count, have, extra i
 // off by a little, the wrong mode, fewer elements than announced (a
 // length beyond the body), trailing bytes, either byte order; a body
 // larger than the read buffer or inside it, with no argument, with no
-// inline data, or behind a multi-port method octet — each followed by a
-// well-formed probe on the same connection.
-// The object must not panic; the forged request is answered, a refused
-// one with a system exception, without losing the connection; no write
-// lands outside the threads' blocks; and the probe returns the right
-// elements.
+// inline data, behind a multi-port method octet, or with two inline
+// arguments — each followed by a well-formed probe on the same
+// connection. The object must not panic; the forged request is
+// answered, a refused one with a system exception, without losing the
+// connection; no write lands outside the threads' blocks; and the probe
+// returns the right elements. The same body, taken apart both ways the
+// communicator can, landed and read whole, must get the same verdict
+// and the same blocks (landBoth).
 func FuzzRequestLanding(f *testing.F) {
 	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapeLarge))     // well formed
 	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(3), true, uint8(shapeLarge))      // foreign order for one host or the other
@@ -352,6 +433,11 @@ func FuzzRequestLanding(f *testing.F) {
 	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(5), false, uint8(shapeNoArgs))    // zero arguments
 	f.Add(byte(Out), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapeNoData))      // Out-only
 	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), true, uint8(shapeMultiPort))  // a multi-port prefix
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapePair))      // two inline arguments
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(0), uint8(7), true, uint8(shapePair))       // two, foreign order for one host or the other
+	f.Add(byte(InOut), int16(0), int16(0), int16(0), int16(-3), uint8(0), false, uint8(shapePair))     // the first argument's elements short: the second's shift
+	f.Add(byte(InOut), int16(3), int16(3), int16(3), int16(0), uint8(0), true, uint8(shapePair))       // the second argument's elements beyond the body
+	f.Add(byte(Out), int16(0), int16(0), int16(0), int16(0), uint8(0), false, uint8(shapePair))        // an Out argument with inline data ahead of an in one
 	fx := newRequestFixture(f)
 	f.Fuzz(func(t *testing.T, mode byte, dLength, dClient, dCount, dHave int16, extra uint8, little bool, shape uint8) {
 		order := cdr.BigEndian
@@ -359,21 +445,25 @@ func FuzzRequestLanding(f *testing.F) {
 			order = cdr.LittleEndian
 		}
 		// Keep each count near its shape's length — every body but the
-		// large one inside the read buffer, the large one above it — and
-		// the client's connection to itself.
+		// large and the two-argument ones inside the read buffer, those
+		// above it — and the client's connection to itself.
 		sh := int(shape) % shapeCount
-		base := fuzzSmallN
-		if sh == shapeLarge {
+		base, op := fuzzSmallN, "diffusion"
+		switch sh {
+		case shapeLarge:
 			base = fuzzReqN
+		case shapePair:
+			base, op = fuzzReqN/2, "pair"
 		}
 		clamp := func(d int16) int { return base + int(d)%256 }
+		body := forgedRequest(sh, mode, clamp(dLength), clamp(dClient), clamp(dCount), clamp(dHave), int(extra))
+		landBoth(t, fx.obj.threadObjects()[0], order, op, body)
 		cli := fx.clients[order]
 		dials := fx.dials.Stats().Dials
 		fx.seed()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		rh, _, err := invokeRaw(ctx, cli, fx.obj.ref, "diffusion",
-			forgedRequest(sh, mode, clamp(dLength), clamp(dClient), clamp(dCount), clamp(dHave), int(extra)))
+		rh, _, err := invokeRaw(ctx, cli, fx.obj.ref, op, body)
 		if err != nil {
 			t.Fatalf("forged request: %v", err)
 		}

@@ -14,15 +14,8 @@ import (
 	"pardis/internal/mp"
 	"pardis/internal/orb"
 	"pardis/internal/rts"
-	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
-
-// largeBodies reads how many large request bodies the frame readers
-// have drawn: a request read whole draws one, a landed one none.
-func largeBodies() uint64 {
-	return telemetry.Default.Counter("pardis_giop_pool_gets_total", "pool", "large_body").Value()
-}
 
 // landingN is an element count whose centralized request is larger
 // than the connection's read buffer, so it is parked and may land.
@@ -98,14 +91,32 @@ func awaitQueued(t *testing.T, o *Object, n int) {
 	}
 }
 
+// awaitPastPhase1 waits until the communicator has marked the request
+// it popped last past phase 1. A request answered before the collective
+// is engaged gets that mark only after its reply, so a request its
+// client sends next may still find it in phase 1, and be read whole.
+func awaitPastPhase1(t *testing.T, o *Object) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		o.aheadMu.Lock()
+		in1 := o.inPhase1
+		o.aheadMu.Unlock()
+		if !in1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the popped request never left phase 1")
+		}
+	}
+}
+
 // TestCentralizedRequestLandingPaths: which way a large centralized
 // request reaches the threads' blocks. With nothing ahead of it, it
-// lands and draws no body. Arriving while another request is queued,
-// or while one is in phase 1 of its dispatch (a multi-port in-transfer
-// waiting for puts that may ride the same connection), also after a
-// third request gave up being admitted meanwhile, it is read whole; so
-// is a request whose first argument's elements come before its second
-// argument's metadata. Every one returns the right elements.
+// lands, and so does a request with two inline arguments. Arriving while
+// another request is queued, or while one is in phase 1 of its dispatch
+// (a multi-port in-transfer waiting for puts that may ride the same
+// connection), also after a third request gave up being admitted
+// meanwhile, it is read whole. Every one returns the right elements.
 func TestCentralizedRequestLandingPaths(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
 	reg := newReg()
@@ -117,13 +128,13 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 	bg := context.Background()
 
 	t.Run("nothing ahead", func(t *testing.T) {
-		g0 := largeBodies()
+		g0 := comm.readWhole.Load()
 		rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(1, InOut, landingN, ramp(landingN)))
 		if err := checkDiffusion(rh, d, err, landingN, 1); err != nil {
 			t.Fatal(err)
 		}
-		if g := largeBodies() - g0; g != 0 {
-			t.Fatalf("a request with nothing ahead drew %d large bodies; want it landed", g)
+		if g := comm.readWhole.Load() - g0; g != 0 {
+			t.Fatalf("a request with nothing ahead was read whole %d times; want it landed", g)
 		}
 	})
 
@@ -143,15 +154,15 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 			queued <- checkDiffusion(rh, d, err, 8, 2)
 		}()
 		awaitQueued(t, comm, 1)
-		g0 := largeBodies()
+		g0 := comm.readWhole.Load()
 		late := make(chan error, 1)
 		go func() {
 			rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(1, InOut, landingN, ramp(landingN)))
 			late <- checkDiffusion(rh, d, err, landingN, 1)
 		}()
 		awaitQueued(t, comm, 2)
-		if g := largeBodies() - g0; g != 1 {
-			t.Fatalf("a request queued behind another drew %d large bodies; want it read whole", g)
+		if g := comm.readWhole.Load() - g0; g != 1 {
+			t.Fatalf("a request queued behind another was read whole %d times; want once", g)
 		}
 		close(release)
 		for _, ch := range []chan error{slow, queued, late} {
@@ -199,21 +210,22 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 		if ahead != 0 || !in1 {
 			t.Fatalf("after a request gave up at admission: %d ahead, in phase 1 %v; want 0 and true", ahead, in1)
 		}
-		g0 := largeBodies()
+		g0 := comm.readWhole.Load()
 		other := orb.NewClient(reg) // a connection of its own
 		defer other.Close()
 		rh, d, err := invokeRaw(bg, other, obj.ref, "diffusion", legacyInvocation(3, InOut, landingN, ramp(landingN)))
 		if err := checkDiffusion(rh, d, err, landingN, 3); err != nil {
 			t.Fatal(err)
 		}
-		if g := largeBodies() - g0; g != 1 {
-			t.Fatalf("a request arriving during phase 1 drew %d large bodies; want it read whole", g)
+		if g := comm.readWhole.Load() - g0; g != 1 {
+			t.Fatalf("a request arriving during phase 1 was read whole %d times; want once", g)
 		}
 		<-stuck // timed out in phase 1, which is what held the rule
+		awaitPastPhase1(t, comm)
 	})
 
-	t.Run("data before metadata", func(t *testing.T) {
-		g0 := largeBodies()
+	t.Run("two arguments", func(t *testing.T) {
+		g0 := comm.readWhole.Load()
 		rh, d, err := invokeRaw(bg, cli, obj.ref, "pair", pairInvocation(landingN, ramp(landingN), ramp(landingN)))
 		if err != nil || rh.Status != giop.ReplyOK {
 			t.Fatalf("pair: %v %v", rh.Status, err)
@@ -233,8 +245,8 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 				t.Fatalf("out[%d] = %v, want %v", i, v, 2*i)
 			}
 		}
-		if g := largeBodies() - g0; g != 1 {
-			t.Fatalf("a two-argument request drew %d large bodies; want it read whole", g)
+		if g := comm.readWhole.Load() - g0; g != 0 {
+			t.Fatalf("a two-argument request was read whole %d times; want it landed", g)
 		}
 	})
 }
@@ -259,13 +271,16 @@ func TestCentralizedLandingParkedBehindSlowHandler(t *testing.T) {
 		slow <- err
 	}()
 	<-entered
-	g0 := largeBodies()
+	g0 := comm.readWhole.Load()
 	parked := make(chan error, 1)
 	go func() {
 		rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(1, InOut, landingN, ramp(landingN)))
 		parked <- checkDiffusion(rh, d, err, landingN, 1)
 	}()
 	awaitQueued(t, comm, 1)
+	if g := comm.readWhole.Load() - g0; g != 0 {
+		t.Fatalf("the parked request was read whole %d times; want it queued to land", g)
+	}
 	second := make(chan error, 1)
 	go func() {
 		rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(2, InOut, 16, ramp(16)))
@@ -286,9 +301,6 @@ func TestCentralizedLandingParkedBehindSlowHandler(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("an invocation on the parked connection never completed")
 		}
-	}
-	if g := largeBodies() - g0; g != 0 {
-		t.Fatalf("the parked request drew %d large bodies; want it landed", g)
 	}
 }
 

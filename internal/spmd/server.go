@@ -125,22 +125,21 @@ type Object struct {
 	aheadMu  sync.Mutex
 	ahead    int
 	inPhase1 bool
+	// readWhole counts the parked requests admit read whole.
+	readWhole atomic.Uint64
 	// landing is the communicator's lander for the request it is
-	// dispatching (zero for one read whole), and scalars its copy of a
-	// landing request's scalar encapsulation, both reused by every
-	// dispatch.
+	// dispatching, and scalars its copy of a landing request's scalar
+	// encapsulation, both reused by every dispatch.
 	landing requestLanding
 	scalars []byte
 }
 
 // request is one queued invocation: the request, and for one that lands
-// the invocation wire decoded from its prefix and where its elements
-// are (w nil for one read whole, which the communicator decodes when it
-// pops it).
+// the invocation wire decoded from its prefix (nil for one read whole,
+// which the communicator decodes when it pops it).
 type request struct {
-	in   *orb.Incoming
-	w    *invocationWire
-	land requestLanding
+	in *orb.Incoming
+	w  *invocationWire
 }
 
 // Interned once at package load — the per-dispatch phase histograms
@@ -366,28 +365,31 @@ func Export(cfg ObjectConfig) (*Object, error) {
 // admit queues a request for the communicator, which owns it from then
 // on. A parked request — every request to the object arrives with its
 // body left on the connection — lands, its elements read straight into
-// the threads' blocks during its dispatch, when its prefix can
-// (decodeLandingWire), it carries elements to land, and nothing ahead of
-// it can need bytes that its connection, stalled until then, queues
-// behind it: no request is queued, and none popped is still in phase 1
-// of its dispatch, where a multi-port one waits for puts. Its stall is
-// then bounded by the running dispatch's handler, out-leg and reply, and
-// it ends in phase 1 of its own dispatch, before its handler runs. Any
-// other parked request is read whole first: one with nothing to land
-// would otherwise stall its connection through its own handler, and a
-// cancel behind it would go unread.
+// the threads' blocks during its dispatch, when its prefix can (it is
+// centralized, and the prefix holds every argument's metadata), it
+// carries elements to land, and nothing ahead of it can need bytes that
+// its connection, stalled until then, queues behind it: no request is
+// queued, and none popped is still in phase 1 of its dispatch, where a
+// multi-port one waits for puts. Its stall is then bounded by the
+// running dispatch's handler, out-leg and reply, and it ends in phase 1
+// of its own dispatch, before its handler runs. Any other parked request
+// is read whole first: one with nothing to land would otherwise stall
+// its connection through its own handler, and a cancel behind it would
+// go unread.
 func (o *Object) admit(in *orb.Incoming) {
 	req := request{in: in}
 	var w *invocationWire
-	var land requestLanding
-	if in.Parked() {
-		w, land = decodeLandingWire(in.Order, in.Prefix(), in.BodyBase)
+	if p := in.Prefix(); len(p) > 0 && p[0] == byte(Centralized) {
+		// The wire's scalars alias the read buffer while the request is
+		// parked; a multi-port request is turned away on its method octet.
+		w, _ = decodeInvocation(in.Order, p, in.BodyBase)
 	}
 	o.aheadMu.Lock()
-	if w != nil && land.n > 0 && o.ahead == 0 && !o.inPhase1 {
-		req.w, req.land = w, land
+	if w != nil && w.hasInline() && o.ahead == 0 && !o.inPhase1 {
+		req.w = w
 	} else if in.Parked() {
 		o.aheadMu.Unlock()
+		o.readWhole.Add(1)
 		if in.ReadBody() != nil {
 			return // the connection is gone, and the request with it
 		}
@@ -438,33 +440,47 @@ func (o *Object) pastPhase1() {
 	o.aheadMu.Unlock()
 }
 
-// requestLanding is the communicator's orb.RequestLander: it lands the
-// last argument's inline elements of a request, n of them at body
-// offset at, in the threads' lent blocks.
+// requestLanding is the communicator's orb.RequestLander for a
+// centralized request: it fills the threads' lent blocks with the
+// request's inline elements, off the connection (LandRequest) or out of
+// the body read whole (decode), walking both the same way.
 type requestLanding struct {
-	blocks [][]float64
-	at, n  int
+	w *invocationWire
+	// blocks[i] is argument i's lent blocks; nil for an argument that
+	// takes no elements, whose inline ones, if any, are skipped.
+	blocks [][][]float64
 }
 
-// LandRequest skips the body up to the elements, reads them block by
-// block with ReadWindowPayload — the native order straight in, a
-// foreign one through the swap scratch — and skims what follows them.
+// LandRequest reads the elements block by block with
+// ReadWindowPayload — the native order straight in, a foreign one
+// through the swap scratch — skimming what lies between and after them.
 // The communicator has checked, before it engaged the collective, that
-// the n elements fit the body and that the blocks hold exactly n. A
-// read failure wraps orb.ErrConnectionLost.
+// the elements fit the body and that each argument's blocks hold exactly
+// its elements. A read failure wraps orb.ErrConnectionLost.
 func (l *requestLanding) LandRequest(fr *giop.FrameReader, h giop.FrameHeader) error {
-	if err := fr.DiscardPayload(l.at); err != nil {
-		return fmt.Errorf("%w: %v", orb.ErrConnectionLost, err)
-	}
-	for _, blk := range l.blocks {
-		if err := fr.ReadWindowPayload(h.Order, blk); err != nil {
-			return fmt.Errorf("%w: request landing: %v", orb.ErrConnectionLost, err)
+	at := 0 // body bytes consumed
+	_, err := l.w.walk(l.blocks, func(off int, blk []float64) error {
+		if err := fr.DiscardPayload(off - at); err != nil {
+			return err
 		}
+		at = off + 8*len(blk)
+		return fr.ReadWindowPayload(h.Order, blk)
+	})
+	if err == nil {
+		err = fr.DiscardPayload(int(h.BodyLen) - at)
 	}
-	if err := fr.DiscardPayload(int(h.BodyLen) - l.at - 8*l.n); err != nil {
-		return fmt.Errorf("%w: %v", orb.ErrConnectionLost, err)
+	if err != nil {
+		return fmt.Errorf("%w: request landing: %v", orb.ErrConnectionLost, err)
 	}
 	return nil
+}
+
+// decode is LandRequest for a request read whole.
+func (l *requestLanding) decode(in *orb.Incoming) {
+	_, _ = l.w.walk(l.blocks, func(off int, blk []float64) error {
+		cdr.DecodeDoubles(blk, in.Body[off-in.BodyBase:], in.Order)
+		return nil
+	})
 }
 
 // leaseSweepLoop expires client leases that stopped renewing; it runs
@@ -655,14 +671,10 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	o.popped()
 	defer o.pastPhase1()
 	in, w := req.in, req.w
-	o.landing = req.land
-	// The request body is this function's alone: the invocation wire's
-	// scalars and inline data alias it, and rank 0 decodes from both
-	// through phase 2 of the dispatch. The early replies below release it
-	// on the way out — a parked body is skimmed; a dispatched request
-	// releases it before its reply is written, so the client's next
-	// request, which may follow the reply at once, finds the body back
-	// with the connection's reader.
+	// The request is this function's alone: the invocation wire's
+	// scalars alias its body, and rank 0 decodes from it through phase 2
+	// of the dispatch. A body still parked on the way out, after an early
+	// reply or a failed phase 1, is skimmed.
 	defer in.Release()
 
 	// A queued invocation whose propagated deadline already passed is
@@ -675,12 +687,12 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		return nil
 	}
 
-	// Decode the invocation body, unless it lands: then its prefix was,
-	// and its scalars, which alias the connection's read buffer until
-	// the landing, are copied out for phase 2.
+	// Decode the invocation metadata, unless it lands: then its prefix
+	// was, and its scalars, which alias the connection's read buffer
+	// until the landing, are copied out for phase 2.
 	if w == nil {
 		var err error
-		if w, err = decodeInvocationWire(in.Decoder()); err != nil {
+		if w, err = decodeInvocation(in.Order, in.Body, in.BodyBase); err != nil {
 			_ = in.ReplySystemException("MARSHAL", err.Error())
 			// The collective is not engaged yet; keep serving.
 			return nil
@@ -694,39 +706,8 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		_ = in.ReplySystemException("BAD_OPERATION", in.Header.Operation)
 		return nil
 	}
-	if len(w.Args) != len(op.Spec.Args) {
-		_ = in.ReplySystemException("BAD_PARAM",
-			fmt.Sprintf("operation %s takes %d distributed args, got %d",
-				in.Header.Operation, len(op.Spec.Args), len(w.Args)))
-		return nil
-	}
-	for i, a := range w.Args {
-		if a.Mode != op.Spec.Args[i].Mode {
-			_ = in.ReplySystemException("BAD_PARAM",
-				fmt.Sprintf("arg %d mode %v, declared %v", i, a.Mode, op.Spec.Args[i].Mode))
-			return nil
-		}
-		// Only this thread sees the inline data, so only it can find it
-		// malformed: it must, here, before the collective is engaged.
-		inline := len(a.Raw) / 8
-		if in.Parked() && i == len(w.Args)-1 {
-			inline = o.landing.n // still on the connection
-		}
-		if w.Method == Centralized && a.Mode != Out && inline != a.Length {
-			_ = in.ReplySystemException("BAD_PARAM",
-				fmt.Sprintf("arg %d: inline data %d of %d elements", i, inline, a.Length))
-			return nil
-		}
-	}
-	// Elements still on the connection must fit the body — what
-	// DoubleSeqRaw checks of a request read whole.
-	if in.Parked() && o.landing.at+8*o.landing.n > in.BodyLen() {
-		_ = in.ReplySystemException("MARSHAL",
-			fmt.Sprintf("%v: double sequence of %d", cdr.ErrTooLarge, o.landing.n))
-		return nil
-	}
-	if w.Method == MultiPort && !o.cfg.MultiPort {
-		_ = in.ReplySystemException("BAD_PARAM", "object does not export multi-port endpoints")
+	if code, detail := o.refuse(w, in.Header.Operation, op.Spec, in.BodyLen()); code != "" {
+		_ = in.ReplySystemException(code, detail)
 		return nil
 	}
 
@@ -765,7 +746,6 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	o.bcastControl(ctrl)
 
 	reply, derr := o.dispatch(ctx, ctrl, w, in)
-	in.Release() // nothing reads w any more
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
 		// stopped waiting (or stopped existing), so the verdict must not
@@ -781,6 +761,33 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	// Reply returns only once the write has, before the next control
 	// broadcast lets any thread touch its blocks again.
 	return in.Reply(giop.ReplyOK, reply.encode)
+}
+
+// refuse returns the system exception — code and detail — with which
+// the communicator answers the invocation w of operation op, declared
+// spec, in a body of bodyLen bytes, before it engages the collective;
+// an empty code when the invocation may go ahead. Only the communicator
+// sees the inline data, so only it can find it malformed: it must, here.
+func (o *Object) refuse(w *invocationWire, op string, spec OpSpec, bodyLen int) (code, detail string) {
+	if len(w.Args) != len(spec.Args) {
+		return "BAD_PARAM", fmt.Sprintf("operation %s takes %d distributed args, got %d",
+			op, len(spec.Args), len(w.Args))
+	}
+	for i, a := range w.Args {
+		if a.Mode != spec.Args[i].Mode {
+			return "BAD_PARAM", fmt.Sprintf("arg %d mode %v, declared %v", i, a.Mode, spec.Args[i].Mode)
+		}
+		if w.Method == Centralized && a.Mode != Out && a.Inline != a.Length {
+			return "BAD_PARAM", fmt.Sprintf("arg %d: inline data %d of %d elements", i, a.Inline, a.Length)
+		}
+	}
+	if end, _ := w.walk(nil, nil); end > bodyLen {
+		return "MARSHAL", fmt.Sprintf("%v: inline elements end at byte %d of %d", cdr.ErrTooLarge, end, bodyLen)
+	}
+	if w.Method == MultiPort && !o.cfg.MultiPort {
+		return "BAD_PARAM", "object does not export multi-port endpoints"
+	}
+	return "", ""
 }
 
 // workerServeOne participates in one collective dispatch.
@@ -847,6 +854,9 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 
 	// Phase 1: materialize argument sequences.
 	phaseT := time.Now()
+	if o.rank == 0 {
+		o.landing = requestLanding{w: w, blocks: append(o.landing.blocks[:0], make([][][]float64, len(ctrl.Args))...)}
+	}
 	args := make([]*dseq.Doubles, len(ctrl.Args))
 	clientLayouts := make([]dist.Layout, len(ctrl.Args))
 	var firstErr error
@@ -878,21 +888,14 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		if ca.Mode == In || ca.Mode == InOut {
 			switch ctrl.Method {
 			case Centralized:
-				// Scatter as part of unmarshaling (§3.2): the communicator
-				// lands the request's elements off the connection, or
-				// decodes the request read whole, straight into every
-				// thread's block, lent to it until the agreement below.
+				// Every thread lends the communicator its block, which it
+				// does not touch again until the agreement below; the
+				// communicator fills them all after the loop.
 				blocks, err := o.th.LendDoubles(0, seq.LocalData(), serverLayout.Counts())
-				switch {
-				case err != nil:
+				if err != nil {
 					firstErr = err
-				case o.rank != 0:
-				case in.Parked() && i == len(w.Args)-1:
-					o.landing.blocks = blocks
-					firstErr = in.Land(&o.landing)
-					o.landing.blocks = nil
-				default:
-					decodeDoubleBlocks(blocks, w.Args[i].Raw, w.order)
+				} else if o.rank == 0 {
+					o.landing.blocks[i] = blocks
 				}
 			case MultiPort:
 				plan, err := dist.Plan(clientLayout, seq.Layout())
@@ -910,6 +913,18 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		}
 	}
 	if o.rank == 0 {
+		// Scatter as part of unmarshaling (§3.2): the communicator lands
+		// the request's elements off the connection, or decodes the
+		// request read whole, straight into every thread's lent block.
+		if firstErr == nil && ctrl.Method == Centralized {
+			if in.Parked() {
+				firstErr = in.Land(&o.landing)
+			} else {
+				o.landing.decode(in)
+			}
+		}
+		clear(o.landing.blocks)
+		o.landing.w = nil
 		o.pastPhase1()
 	}
 

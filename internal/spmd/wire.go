@@ -3,6 +3,7 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pardis/internal/cdr"
@@ -137,19 +138,20 @@ type argWire struct {
 	// Blocks is the inline element data of a centralized in/inout
 	// argument on the encoding side: the client threads' local blocks in
 	// rank order, lent to the communicator (nil otherwise). They marshal
-	// as one sequence<double>; the gathered sequence never exists, and
-	// on a pooled encoder in the host's order the blocks are spliced,
-	// not copied, so they must stay unmodified until the request has
-	// been written.
+	// as the elements of one sequence<double>; the gathered sequence
+	// never exists, and on a pooled encoder in the host's order the
+	// blocks are spliced, not copied, so they must stay unmodified until
+	// the request has been written.
 	Blocks [][]float64
-	// Raw is the same data on the decoding side: the still-encoded
-	// elements in the request's byte order, aliasing the request frame
-	// (empty when the argument carried none) — valid until the
-	// communicator releases the request. It stays empty for elements
-	// still on the connection, which a landing reads straight into the
-	// threads' blocks (requestLanding).
-	Raw []byte
+	// Inline is the number of inline elements on the decoding side. They
+	// are not decoded with the metadata: the communicator lands them
+	// (requestLanding).
+	Inline int
 }
+
+// minArgWire is the fewest bytes an encoded argument's metadata takes:
+// mode, length, two empty sequence counts and the has-data flag.
+const minArgWire = 1 + 4 + 4 + 4 + 1
 
 // putCounts marshals a layout's counts as a sequence<unsigned long>.
 func putCounts(e *cdr.Encoder, counts []int) {
@@ -174,16 +176,9 @@ func putDoubleBlocks(e *cdr.Encoder, blocks [][]float64) {
 	}
 }
 
-// decodeDoubleBlocks is putDoubleBlocks' inverse: it unmarshals raw
-// (the element data of one sequence<double>, at least as long as the
-// blocks together) straight into the blocks that partition it.
-func decodeDoubleBlocks(blocks [][]float64, raw []byte, order cdr.ByteOrder) {
-	for _, blk := range blocks {
-		cdr.DecodeDoubles(blk, raw[:len(blk)*8], order)
-		raw = raw[len(blk)*8:]
-	}
-}
-
+// encode marshals the argument's metadata, which ends, for inline data,
+// in the element count; the elements follow every argument's metadata
+// (invocationWire.encode).
 func (a *argWire) encode(e *cdr.Encoder) {
 	e.PutOctet(byte(a.Mode))
 	e.PutULong(uint32(a.Length))
@@ -191,62 +186,62 @@ func (a *argWire) encode(e *cdr.Encoder) {
 	e.PutStringSeq(a.ClientEndpoints)
 	e.PutBoolean(a.Blocks != nil)
 	if a.Blocks != nil {
-		putDoubleBlocks(e, a.Blocks)
+		n := 0
+		for _, blk := range a.Blocks {
+			n += len(blk)
+		}
+		e.PutULong(uint32(n))
 	}
 }
 
-// decodeArgWire decodes one argument's wire. With parked set its
-// inline elements are left where they are, on the connection, and only
-// their count is read, which it returns.
-func decodeArgWire(d *cdr.Decoder, parked bool) (*argWire, int, error) {
+// decodeArgWire decodes one argument's metadata.
+func decodeArgWire(d *cdr.Decoder) (*argWire, error) {
 	var a argWire
 	m, err := d.Octet()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if m > byte(InOut) {
-		return nil, 0, fmt.Errorf("%w: argument mode %d", ErrBadCall, m)
+		return nil, fmt.Errorf("%w: argument mode %d", ErrBadCall, m)
 	}
 	a.Mode = ArgMode(m)
 	n, err := d.ULong()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	a.Length = int(n)
 	counts, err := d.ULongSeq()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	a.ClientCounts = make([]int, len(counts))
 	for i, c := range counts {
 		a.ClientCounts[i] = int(c)
 	}
 	if a.ClientEndpoints, err = d.StringSeq(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	hasData, err := d.Boolean()
 	if err != nil || !hasData {
-		return &a, 0, err
+		return &a, err
 	}
-	if parked {
-		n, err := d.ULong()
-		return &a, int(n), err
-	}
-	if a.Raw, err = d.DoubleSeqRaw(); err != nil {
-		return nil, 0, err
-	}
-	return &a, 0, nil
+	n, err = d.ULong()
+	a.Inline = int(n)
+	return &a, err
 }
 
 // invocationWire is the invocation body the client communicator sends
-// after the request header.
+// after the request header: the method, the scalars, every argument's
+// metadata, then every argument's inline elements, in argument order,
+// each argument's 8-aligned. A body with one argument is laid out as
+// the argument's sequence<double> would be.
 type invocationWire struct {
 	Method  TransferMethod
 	Scalars []byte // client-order CDR encapsulation of scalar in-args; decoded, it aliases the request frame
 	Args    []*argWire
-	// order is the byte order of the request a decoded wire came from,
-	// in which its arguments' Raw element data still is.
-	order cdr.ByteOrder
+	// elems is, on the decoding side, the stream offset at which the
+	// metadata ends and the inline elements start.
+	elems int
 }
 
 func (w *invocationWire) encode(e *cdr.Encoder) {
@@ -256,73 +251,79 @@ func (w *invocationWire) encode(e *cdr.Encoder) {
 	for _, a := range w.Args {
 		a.encode(e)
 	}
+	for _, a := range w.Args {
+		for _, blk := range a.Blocks {
+			e.PutDoublesRef(blk) // as in putDoubleBlocks
+		}
+	}
 }
 
-func decodeInvocationWire(d *cdr.Decoder) (*invocationWire, error) {
-	w, _, err := decodeInvocation(d, false)
-	return w, err
+// walk lays out the inline elements as the wire does and hands read
+// every block of blocks[i], argument i's lent blocks (which hold exactly
+// its inline elements), with the stream offset of the block's first
+// element, in argument order. It returns the stream offset past the last
+// inline element. An argument whose blocks are nil — all of them, with
+// blocks nil — is only measured.
+func (w *invocationWire) walk(blocks [][][]float64, read func(off int, blk []float64) error) (int, error) {
+	off := w.elems
+	for i, a := range w.Args {
+		if a.Inline == 0 {
+			continue
+		}
+		off = (off + 7) &^ 7 // a sequence<double>'s elements are 8-aligned
+		if blocks != nil {
+			at := off
+			for _, blk := range blocks[i] {
+				if err := read(at, blk); err != nil {
+					return 0, err
+				}
+				at += 8 * len(blk)
+			}
+		}
+		off += 8 * a.Inline
+	}
+	return off, nil
 }
 
-// decodeLandingWire decodes the invocation prefix of a parked request —
-// prefix is what the read buffer shows of it, from body offset base
-// on — when the request can land: it is centralized, the prefix holds
-// everything up to its last argument's inline elements, and no other
-// argument carries any — the wire puts an argument's metadata after the
-// previous one's elements, beyond the prefix. It returns the wire, whose
-// Scalars alias the read buffer and are valid only while the request is
-// parked, and where on the connection the elements are; a nil wire when
-// the request cannot land. A multi-port request is turned away on its
-// method octet, before anything is decoded.
-func decodeLandingWire(order cdr.ByteOrder, prefix []byte, base int) (*invocationWire, requestLanding) {
-	if len(prefix) == 0 || prefix[0] != byte(Centralized) {
-		return nil, requestLanding{}
-	}
-	d := cdr.NewDecoderAt(order, prefix, base)
-	w, n, err := decodeInvocation(d, true)
-	if err != nil {
-		return nil, requestLanding{}
-	}
-	at := base + d.Pos()
-	if n > 0 {
-		at = (at + 7) &^ 7 // a sequence<double>'s elements are 8-aligned
-	}
-	return w, requestLanding{at: at, n: n}
+// hasInline reports whether any argument carries inline elements.
+func (w *invocationWire) hasInline() bool {
+	return slices.ContainsFunc(w.Args, func(a *argWire) bool { return a.Inline > 0 })
 }
 
-// decodeInvocation decodes an invocation body. With parked set every
-// argument's inline elements are left on the connection, which only
-// the last argument may have: it returns their count.
-func decodeInvocation(d *cdr.Decoder, parked bool) (*invocationWire, int, error) {
-	w := invocationWire{order: d.Order()}
+// decodeInvocation decodes the metadata of the invocation body b, which
+// starts at stream offset base: all of it up to the inline elements,
+// which it leaves where they are.
+func decodeInvocation(order cdr.ByteOrder, b []byte, base int) (*invocationWire, error) {
+	d := cdr.NewDecoderAt(order, b, base)
+	var w invocationWire
 	m, err := d.Octet()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if m > byte(MultiPort) {
-		return nil, 0, fmt.Errorf("%w: transfer method %d", ErrBadCall, m)
+		return nil, fmt.Errorf("%w: transfer method %d", ErrBadCall, m)
 	}
 	w.Method = TransferMethod(m)
 	if w.Scalars, err = d.OctetSeq(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	n, err := d.ULong()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if uint64(n) > uint64(d.Remaining())+1 {
-		return nil, 0, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
+	// Refuse a count the rest of the body cannot hold before allocating
+	// anything for it.
+	if uint64(n)*minArgWire > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
 	}
 	w.Args = make([]*argWire, n)
-	inline := 0
 	for i := range w.Args {
-		if inline > 0 {
-			return nil, 0, fmt.Errorf("%w: argument %d follows inline data left on the connection", ErrBadCall, i)
-		}
-		if w.Args[i], inline, err = decodeArgWire(d, parked); err != nil {
-			return nil, 0, err
+		if w.Args[i], err = decodeArgWire(d); err != nil {
+			return nil, err
 		}
 	}
-	return &w, inline, nil
+	w.elems = base + d.Pos()
+	return &w, nil
 }
 
 // replyWire is the reply body the communicator sends after the

@@ -2,7 +2,11 @@ package spmd
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"testing"
 
 	"pardis/internal/cdr"
@@ -67,9 +71,27 @@ func roundTrip(t *testing.T, name string, encode func(*cdr.Encoder),
 	}
 }
 
+// TestInvocationWireRoundTrip also pins the layout of a body with two
+// inline arguments: every argument's metadata, each ending in its
+// element count, then each argument's elements, 8-aligned.
 func TestInvocationWireRoundTrip(t *testing.T) {
+	twoInline := &invocationWire{Method: Centralized, Scalars: []byte{1}, Args: []*argWire{
+		{Mode: In, Length: 3, ClientCounts: []int{3}, Blocks: [][]float64{{1.5, -2}, {3}}},
+		{Mode: InOut, Length: 2, ClientCounts: []int{1, 1}, Blocks: [][]float64{{4}, {5}}},
+	}}
+	want, _ := hex.DecodeString("" +
+		"00000000" + "00000001" + "01000000" + "00000002" + // method, scalars, 2 arguments
+		"00000000" + "00000003" + "00000001" + "00000003" + "00000000" + "01000000" + "00000003" + // in, 3, [3], no endpoints, 3 inline
+		"02000000" + "00000002" + "00000002" + "00000001" + "00000001" + "00000000" + "01000000" + "00000002" + // inout, 2, [1 1], no endpoints, 2 inline
+		"00000000" + // pad to 8
+		"3ff8000000000000" + "c000000000000000" + "4008000000000000" + // 1.5, -2, 3
+		"4010000000000000" + "4014000000000000") // 4, 5
+	if got, _ := gathered(t, cdr.BigEndian, twoInline.encode); !bytes.Equal(got, want) {
+		t.Fatalf("two inline arguments:\n got %x\nwant %x", got, want)
+	}
 	cases := map[string]*invocationWire{
-		"empty": {Method: Centralized},
+		"two inline arguments": twoInline,
+		"empty":                {Method: Centralized},
 		"multi-port": {Method: MultiPort, Scalars: []byte{0, 1, 2, 3}, Args: []*argWire{
 			{Mode: In, Length: 10, ClientCounts: []int{5, 5}},
 			{Mode: InOut, Length: 7, ClientCounts: []int{3, 4},
@@ -84,18 +106,26 @@ func TestInvocationWireRoundTrip(t *testing.T) {
 	}
 	for name, w := range cases {
 		roundTrip(t, name, w.encode, func(d *cdr.Decoder) (func(*cdr.Encoder), error) {
-			got, err := decodeInvocationWire(d)
+			body, _ := d.Octets(d.Remaining())
+			got, err := decodeInvocation(d.Order(), body, 0)
 			if err != nil {
 				return nil, err
 			}
-			// Inline data decodes to Raw (aliasing the frame) and encodes
-			// from Blocks: carry it across as one block.
-			for _, a := range got.Args {
-				if len(a.Raw) > 0 {
-					blk := make([]float64, len(a.Raw)/8)
-					decodeDoubleBlocks([][]float64{blk}, a.Raw, got.order)
-					a.Blocks = [][]float64{blk}
+			// The metadata decodes to inline counts, and the elements after
+			// it encode from Blocks: walk them into one block per argument.
+			blocks := make([][][]float64, len(got.Args))
+			for i, a := range got.Args {
+				if a.Inline > 0 {
+					blocks[i] = [][]float64{make([]float64, a.Inline)}
+					a.Blocks = blocks[i]
 				}
+			}
+			end, _ := got.walk(blocks, func(off int, blk []float64) error {
+				cdr.DecodeDoubles(blk, body[off:], d.Order())
+				return nil
+			})
+			if end != len(body) {
+				return nil, fmt.Errorf("the elements end at %d of a %d-byte body", end, len(body))
 			}
 			return got.encode, nil
 		})
@@ -152,5 +182,26 @@ func TestControlRoundTrip(t *testing.T) {
 			}
 			return got.encode, nil
 		})
+	}
+}
+
+// TestInvocationArgumentCountBounded: a 1 MiB body that claims 2^20
+// arguments is refused before anything is allocated for them, so the
+// forged count costs the server less than the body it sent.
+func TestInvocationArgumentCountBounded(t *testing.T) {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.PutOctet(byte(Centralized))
+	e.PutOctetSeq(nil)
+	e.PutULong(1 << 20)
+	body := append(e.Bytes(), make([]byte, 1<<20)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeInvocation(cdr.BigEndian, body, 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadCall) {
+		t.Fatalf("decode: %v, want ErrBadCall", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(len(body)) {
+		t.Fatalf("refusing %d claimed arguments allocated %d B, body %d B", 1<<20, grew, len(body))
 	}
 }
