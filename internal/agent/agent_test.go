@@ -3,12 +3,16 @@ package agent
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"pardis/internal/cdr"
+	"pardis/internal/giop"
 	"pardis/internal/ior"
 	"pardis/internal/naming"
 	"pardis/internal/orb"
+	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
 
@@ -365,11 +369,37 @@ func TestResolverLadder(t *testing.T) {
 	})
 	ctx := context.Background()
 
+	// Every answer is counted once, under the rung that gave it, in
+	// pardis_agent_resolver_total{source}.
+	sources := func() map[string]uint64 {
+		m := map[string]uint64{}
+		for _, src := range []string{"agent", "fresh_cache", "stale_cache", "naming"} {
+			m[src] = telemetry.Default.Counter("pardis_agent_resolver_total", "source", src).Value()
+		}
+		return m
+	}
+	counted := sources()
+	answeredBy := func(rung string) {
+		t.Helper()
+		now := sources()
+		for src, n := range now {
+			want := counted[src]
+			if src == rung {
+				want++
+			}
+			if n != want {
+				t.Errorf("after the %s rung, resolver_total{source=%q} = %d, want %d", rung, src, n, want)
+			}
+		}
+		counted = now
+	}
+
 	// Rung 2: the agent answers with its 2-endpoint merge.
 	ref, err := res.RefFor(ctx, "svc/e")
 	if err != nil || len(ref.Endpoints) != 2 {
 		t.Fatalf("agent rung: %v, %v", ref, err)
 	}
+	answeredBy("agent")
 
 	// Rung 1: within FreshFor the cache answers even with the agent
 	// gone.
@@ -378,6 +408,7 @@ func TestResolverLadder(t *testing.T) {
 	if err != nil || len(ref.Endpoints) != 2 {
 		t.Fatalf("fresh-cache rung: %v, %v", ref, err)
 	}
+	answeredBy("fresh_cache")
 
 	// Rung 3: past FreshFor the agent is consulted, fails, and the
 	// stale cache keeps the client going... but this resolver also has
@@ -389,6 +420,7 @@ func TestResolverLadder(t *testing.T) {
 	if err != nil || len(ref.Endpoints) != 2 {
 		t.Fatalf("stale-cache rung: %v, %v", ref, err)
 	}
+	answeredBy("stale_cache")
 
 	// Rung 4: with no cache at all, the static naming registry is the
 	// last rung.
@@ -397,6 +429,7 @@ func TestResolverLadder(t *testing.T) {
 	if err != nil || len(ref.Endpoints) != 1 || ref.Endpoints[0] != "inproc:static" {
 		t.Fatalf("naming rung: %v, %v", ref, err)
 	}
+	answeredBy("naming")
 
 	// Unknown names miss every rung.
 	if _, err := res.RefFor(ctx, "svc/none"); err == nil {
@@ -414,5 +447,60 @@ func TestLoadReportScoreOrdersSensibly(t *testing.T) {
 	}
 	if draining.Score() < queued.Score() {
 		t.Fatalf("draining (%v) must outrank any load (%v)", draining.Score(), queued.Score())
+	}
+}
+
+// TestWireLabelsAddNoSeries: the registry never forgets a series, so
+// no label value may come off the wire. A peer that sends requests
+// for 10 000 distinct unknown object keys, and for distinct unknown
+// operations on the agent and naming services, must not grow the
+// process registry by more than a small constant.
+func TestWireLabelsAddNoSeries(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := orb.NewServer(reg)
+	Serve(srv, NewTable())
+	naming.Serve(srv, naming.NewRegistry())
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := reg.Dial(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var id uint32
+	send := func(key, op string) {
+		t.Helper()
+		id++
+		hdr := giop.RequestHeader{RequestID: id, ResponseExpected: true,
+			ObjectKey: key, Operation: op, ThreadRank: -1, ThreadCount: 1}
+		e := cdr.NewEncoder(cdr.BigEndian)
+		hdr.Encode(e)
+		if err := giop.WriteMessage(conn, cdr.BigEndian, giop.MsgRequest, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, _, err := giop.ReadMessage(conn); err != nil || mt != giop.MsgReply {
+			t.Fatalf("request %d (%s.%s): reply %v, %v", id, key, op, mt, err)
+		}
+	}
+	// One of each first, so every series these paths legitimately own
+	// (per served key, per process) exists before the count.
+	send("no-such-key", "op")
+	send(ServiceKey, "no-such-op")
+	send(naming.ServiceKey, "no-such-op")
+	before := len(telemetry.Default.Snapshot())
+	for i := range 10000 {
+		send(fmt.Sprintf("unknown-key-%d", i), "op")
+	}
+	for i := range 1000 {
+		send(ServiceKey, fmt.Sprintf("unknown-op-%d", i))
+		send(naming.ServiceKey, fmt.Sprintf("unknown-op-%d", i))
+	}
+	if grew := len(telemetry.Default.Snapshot()) - before; grew > 4 {
+		t.Fatalf("12 000 requests with wire-chosen keys and operations added %d registry series", grew)
 	}
 }

@@ -201,14 +201,15 @@ func TestFleetREDFromDigestDeltas(t *testing.T) {
 }
 
 func TestFleetMetricsExposition(t *testing.T) {
-	tbl, _ := newFakeTable()
+	tbl, clk := newFakeTable()
 	n := len(telemetry.DefaultLatencyBuckets)
 	buckets := make([]uint64, n+1)
 	buckets[15] = 3 // 2.5s bucket
+	load := LoadReport{AdmissionQueued: 4, SPMDLeases: 6, BreakersOpen: 1, Draining: true}
 	err := tbl.Register(Registration{
 		Instance: `inst"one`, TTL: time.Minute,
 		Names: []NameRef{{Name: "svc/e", Ref: convRef("e", "inproc:a")}},
-		Load:  LoadReport{AdmissionQueued: 4, BreakersOpen: 1, Draining: true},
+		Load:  load,
 		Digest: MetricsDigest{
 			Requests: 33, Errors: 2, LatencySum: 6.0, Buckets: buckets,
 			Exemplars: []TailExemplar{{Bucket: 15, Value: 2.2, TraceID: 0xabc, When: time.Unix(1000, 0)}},
@@ -217,6 +218,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk.advance(1500 * time.Millisecond) // the digest's age at the scrape
 	var sb strings.Builder
 	if err := tbl.WriteFleetMetrics(&sb); err != nil {
 		t.Fatal(err)
@@ -230,6 +232,9 @@ func TestFleetMetricsExposition(t *testing.T) {
 		`pardis_agent_fleet_queue_depth{instance="inst\"one",name="svc/e"} 4`,
 		`pardis_agent_fleet_breakers_open{instance="inst\"one",name="svc/e"} 1`,
 		`pardis_agent_fleet_draining{instance="inst\"one",name="svc/e"} 1`,
+		`pardis_agent_fleet_leases{instance="inst\"one",name="svc/e"} 6`,
+		fmt.Sprintf(`pardis_agent_fleet_score{instance="inst\"one",name="svc/e"} %g`, load.Score()),
+		`pardis_agent_fleet_digest_age_seconds{instance="inst\"one",name="svc/e"} 1.500`,
 		`le="2.5"`,
 		`# {trace_id="0000000000000abc"} 2.2`,
 		`pardis_agent_fleet_request_seconds_count{instance="inst\"one",name="svc/e"} 3`,

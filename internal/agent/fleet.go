@@ -79,8 +79,8 @@ type FleetSummary struct {
 	WorstScore    float64       `json:"worst_score"`
 	WorstInstance string        `json:"worst_instance,omitempty"`
 	MaxDigestAge  time.Duration `json:"max_digest_age_ns"`
-	// Expired is the cumulative count of replicas that aged out
-	// (pardis_agent_replicas_expired_total).
+	// Expired is the cumulative count of replicas that aged out of
+	// this table.
 	Expired uint64 `json:"replicas_expired_total"`
 }
 
@@ -170,7 +170,7 @@ func (t *Table) Summary() FleetSummary {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := FleetSummary{Names: len(t.names), Expired: tableExpired.Value()}
+	s := FleetSummary{Names: len(t.names), Expired: t.expired}
 	for _, reps := range t.names {
 		for _, rep := range reps {
 			if !now.Before(rep.deadline) {

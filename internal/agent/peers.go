@@ -9,15 +9,6 @@ import (
 	"pardis/internal/telemetry"
 )
 
-var (
-	peerSyncsOK    = telemetry.Default.Counter("pardis_agent_peer_syncs_total", "result", "ok")
-	peerSyncErrors = telemetry.Default.Counter("pardis_agent_peer_syncs_total", "result", "error")
-	peerAdopted    = telemetry.Default.Counter("pardis_agent_peer_rows_adopted_total")
-	peerRemoved    = telemetry.Default.Counter("pardis_agent_peer_rows_tombstoned_total")
-	peerGauge      = telemetry.Default.Gauge("pardis_agent_peers")
-	peerDivergence = telemetry.Default.Gauge("pardis_agent_peer_divergence")
-)
-
 // PeersConfig configures an agent's peer-sync loop.
 type PeersConfig struct {
 	// Table is the local replica table snapshots are taken from and
@@ -116,7 +107,6 @@ func (p *Peers) Start() {
 	}
 	p.started = true
 	p.mu.Unlock()
-	peerGauge.Add(int64(len(p.cfg.Clients)))
 	p.wg.Add(1)
 	go p.loop()
 }
@@ -143,7 +133,6 @@ func (p *Peers) Stop() {
 	if started {
 		close(p.done)
 		p.wg.Wait()
-		peerGauge.Add(-int64(len(p.cfg.Clients)))
 	}
 }
 
@@ -178,7 +167,6 @@ func (p *Peers) round() {
 			cancel()
 			now := time.Now()
 			if err != nil {
-				peerSyncErrors.Inc()
 				if telemetry.LogEnabled(slog.LevelWarn) {
 					telemetry.Logger().Warn("agent peer sync failed",
 						"peer", c.Endpoint(), "err", err)
@@ -189,14 +177,7 @@ func (p *Peers) round() {
 				p.mu.Unlock()
 				return
 			}
-			adopted, removed := p.cfg.Table.Merge(remote)
-			peerSyncsOK.Inc()
-			if adopted > 0 {
-				peerAdopted.Add(uint64(adopted))
-			}
-			if removed > 0 {
-				peerRemoved.Add(uint64(removed))
-			}
+			p.cfg.Table.Merge(remote)
 			_, localRows := p.cfg.Table.Size()
 			div := localRows - len(remote.Entries)
 			if div < 0 {
@@ -215,18 +196,6 @@ func (p *Peers) round() {
 		}(i, c)
 	}
 	wg.Wait()
-	// The divergence gauge holds the worst known row-count delta
-	// across peers; a dead peer keeps its last measured value (its
-	// liveness is reported separately on /healthz).
-	worst := 0
-	p.mu.Lock()
-	for _, st := range p.status {
-		if st.Divergence > worst {
-			worst = st.Divergence
-		}
-	}
-	p.mu.Unlock()
-	peerDivergence.Set(int64(worst))
 }
 
 // Status reports each peer's liveness, last error and divergence, in

@@ -13,11 +13,6 @@ import (
 	"pardis/internal/telemetry"
 )
 
-var (
-	heartbeatErrors = telemetry.Default.Counter("pardis_agent_heartbeat_errors_total")
-	heartbeatsSent  = telemetry.Default.Counter("pardis_agent_heartbeats_sent_total")
-)
-
 // RegistrarConfig configures a server-side heartbeat loop.
 type RegistrarConfig struct {
 	// Client talks to the agent service.
@@ -211,15 +206,10 @@ func (r *Registrar) beat() {
 			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RPCTimeout)
 			err := c.Register(ctx, reg)
 			cancel()
-			if err != nil {
-				heartbeatErrors.Inc()
-				if telemetry.LogEnabled(slog.LevelWarn) {
-					telemetry.Logger().Warn("agent heartbeat failed",
-						"instance", r.cfg.Instance, "agent", c.Endpoint(), "err", err)
-				}
-				return
+			if err != nil && telemetry.LogEnabled(slog.LevelWarn) {
+				telemetry.Logger().Warn("agent heartbeat failed",
+					"instance", r.cfg.Instance, "agent", c.Endpoint(), "err", err)
 			}
-			heartbeatsSent.Inc()
 		}(c)
 	}
 	wg.Wait()
@@ -265,7 +255,6 @@ func (r *Registrar) Stop(ctx context.Context) error {
 			err := c.Deregister(dctx, r.cfg.Instance)
 			cancel()
 			if err != nil {
-				heartbeatErrors.Inc()
 				if telemetry.LogEnabled(slog.LevelWarn) {
 					telemetry.Logger().Warn("agent deregister failed",
 						"instance", r.cfg.Instance, "agent", c.Endpoint(), "err", err)

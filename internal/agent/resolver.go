@@ -19,7 +19,6 @@ var (
 	resolveFromStale  = telemetry.Default.Counter("pardis_agent_resolver_total", "source", "stale_cache")
 	resolveFromNaming = telemetry.Default.Counter("pardis_agent_resolver_total", "source", "naming")
 	resolverDegraded  = telemetry.Default.Counter("pardis_agent_resolver_degraded_total")
-	resolverRotations = telemetry.Default.Counter("pardis_agent_resolver_rotations_total")
 )
 
 // DefaultFreshFor is how long a Resolver reuses an agent-ranked
@@ -206,10 +205,7 @@ func (r *Resolver) RefFor(ctx context.Context, name string) (*ior.Ref, error) {
 	// no new evidence: stale cache keeps the client going without
 	// re-dialing a breaker-open agent.
 	allOpen := len(order) == 0 && len(r.agents) > 0
-	for rank, i := range order {
-		if rank > 0 {
-			resolverRotations.Inc()
-		}
+	for _, i := range order {
 		actx, cancel := context.WithTimeout(ctx, r.cfg.RPCTimeout)
 		ref, _, err := r.agents[i].Resolve(actx, name)
 		cancel()

@@ -289,8 +289,6 @@ func decodeRegistration(d *cdr.Decoder) (Registration, error) {
 // backed by t.
 func Serve(srv *orb.Server, t *Table) {
 	srv.Handle(ServiceKey, func(in *orb.Incoming) {
-		telemetry.Default.Counter("pardis_agent_requests_total",
-			"op", in.Header.Operation).Inc()
 		d := in.Decoder()
 		switch in.Header.Operation {
 		case "register":
@@ -340,13 +338,7 @@ func Serve(srv *orb.Server, t *Table) {
 				_ = in.ReplySystemException("MARSHAL", "bad sync body: "+err.Error())
 				return
 			}
-			adopted, removed := t.Merge(remote)
-			if adopted > 0 {
-				peerAdopted.Add(uint64(adopted))
-			}
-			if removed > 0 {
-				peerRemoved.Add(uint64(removed))
-			}
+			t.Merge(remote)
 			local := t.Snapshot()
 			_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) {
 				encodeSnapshot(e, local)

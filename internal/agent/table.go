@@ -12,18 +12,6 @@ import (
 	"pardis/internal/telemetry"
 )
 
-// Interned once; the table is usually a process singleton and the
-// gauges are accounted in deltas so several tables stay correct.
-var (
-	tableNames      = telemetry.Default.Gauge("pardis_agent_names")
-	tableReplicas   = telemetry.Default.Gauge("pardis_agent_replicas")
-	tableHeartbeats = telemetry.Default.Counter("pardis_agent_heartbeats_total")
-	tableExpired    = telemetry.Default.Counter("pardis_agent_replicas_expired_total")
-	tableDeregs     = telemetry.Default.Counter("pardis_agent_deregistrations_total")
-	resolveHit      = telemetry.Default.Counter("pardis_agent_resolves_total", "result", "hit")
-	resolveMiss     = telemetry.Default.Counter("pardis_agent_resolves_total", "result", "miss")
-)
-
 // NameRef is one name→reference pair carried by a registration.
 type NameRef struct {
 	Name string
@@ -115,6 +103,8 @@ type Table struct {
 	seen  map[string]time.Time           // instance → newest renewal known
 	tombs map[string]tombstone           // instance → deregistration marker
 	now   func() time.Time               // test seam
+	// expired counts the replicas Sweep aged out, for /healthz.
+	expired uint64
 }
 
 // NewTable returns an empty replica table.
@@ -167,12 +157,8 @@ func (t *Table) Register(r Registration) error {
 		if reps == nil {
 			reps = make(map[string]*replica)
 			t.names[nr.Name] = reps
-			tableNames.Inc()
 		}
 		old := reps[r.Instance]
-		if old == nil {
-			tableReplicas.Inc()
-		}
 		rep := &replica{
 			instance: r.Instance,
 			ref:      nr.Ref,
@@ -199,7 +185,6 @@ func (t *Table) Register(r Registration) error {
 			t.removeLocked(name, r.Instance)
 		}
 	}
-	tableHeartbeats.Inc()
 	return nil
 }
 
@@ -227,12 +212,9 @@ func (t *Table) Deregister(instance string) {
 	// stale copy has expired on its own.
 	t.tombs[instance] = tombstone{at: t.now(), ttl: tombTTL}
 	t.mu.Unlock()
-	if n > 0 {
-		tableDeregs.Inc()
-		if telemetry.LogEnabled(slog.LevelInfo) {
-			telemetry.Logger().Info("agent: instance deregistered",
-				"instance", instance, "names", n)
-		}
+	if n > 0 && telemetry.LogEnabled(slog.LevelInfo) {
+		telemetry.Logger().Info("agent: instance deregistered",
+			"instance", instance, "names", n)
 	}
 }
 
@@ -241,10 +223,8 @@ func (t *Table) Deregister(instance string) {
 func (t *Table) removeLocked(name, instance string) {
 	reps := t.names[name]
 	delete(reps, instance)
-	tableReplicas.Dec()
 	if len(reps) == 0 {
 		delete(t.names, name)
-		tableNames.Dec()
 	}
 }
 
@@ -283,12 +263,10 @@ func (t *Table) Sweep(now time.Time) int {
 			delete(t.seen, instance)
 		}
 	}
+	t.expired += uint64(n)
 	t.mu.Unlock()
-	if n > 0 {
-		tableExpired.Add(uint64(n))
-		if telemetry.LogEnabled(slog.LevelInfo) {
-			telemetry.Logger().Info("agent: replicas expired", "count", n)
-		}
+	if n > 0 && telemetry.LogEnabled(slog.LevelInfo) {
+		telemetry.Logger().Info("agent: replicas expired", "count", n)
 	}
 	return n
 }
@@ -355,7 +333,6 @@ func (t *Table) Resolve(name string) (*ior.Ref, int, error) {
 	reps := t.ranked(name, now)
 	if len(reps) == 0 {
 		t.mu.Unlock()
-		resolveMiss.Inc()
 		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	best := reps[0]
@@ -378,7 +355,6 @@ func (t *Table) Resolve(name string) (*ior.Ref, int, error) {
 	}
 	n := len(reps)
 	t.mu.Unlock()
-	resolveHit.Inc()
 	return &merged, n, nil
 }
 
@@ -553,7 +529,6 @@ func (t *Table) Merge(s SyncSnapshot) (adopted, removed int) {
 		if reps == nil {
 			reps = make(map[string]*replica)
 			t.names[e.Name] = reps
-			tableNames.Inc()
 		}
 		rep := &replica{
 			instance: e.Instance,
@@ -567,8 +542,6 @@ func (t *Table) Merge(s SyncSnapshot) (adopted, removed int) {
 			// rows carry no digests.
 			rep.digest, rep.digestAt = old.digest, old.digestAt
 			rep.prev, rep.prevAt = old.prev, old.prevAt
-		} else {
-			tableReplicas.Inc()
 		}
 		reps[e.Instance] = rep
 		if ls.After(t.seen[e.Instance]) {

@@ -126,6 +126,28 @@ func TestPooledEncoderDoubleRelease(t *testing.T) {
 	b.Release()
 }
 
+// TestEncoderPoolCounters pins pardis_giop_pool_gets_total and
+// pardis_giop_pool_misses_total{pool="encoder"}: every acquisition is
+// a get, and one that finds the pool empty is also a miss. Two
+// collections empty a sync.Pool, so two encoders held at once after
+// them are two misses.
+func TestEncoderPoolCounters(t *testing.T) {
+	runtime.GC()
+	runtime.GC()
+	gets0, misses0 := encPoolGets.Value(), encPoolMisses.Value()
+	a := AcquireEncoder(cdr.BigEndian)
+	b := AcquireEncoder(cdr.BigEndian)
+	if gets, misses := encPoolGets.Value()-gets0, encPoolMisses.Value()-misses0; gets != 2 || misses != 2 {
+		t.Fatalf("two acquisitions from an empty pool: %d gets, %d misses; want 2, 2", gets, misses)
+	}
+	a.Release()
+	b.Release()
+	AcquireEncoder(cdr.BigEndian).Release()
+	if gets, misses := encPoolGets.Value()-gets0, encPoolMisses.Value()-misses0; gets != 3 || misses > 3 {
+		t.Fatalf("after a third acquisition: %d gets, %d misses; want 3 gets and misses <= gets", gets, misses)
+	}
+}
+
 // TestReplyBodyValidAfterRelease: a reply body below the recycling
 // boundary escapes its read loop as a plain allocation (it is handed to
 // a waiting invoker), so Release on its frame must be a no-op and the

@@ -178,8 +178,6 @@ func (r *Registry) List(prefix string) []string {
 // ServiceKey, backed by reg.
 func Serve(srv *orb.Server, reg *Registry) {
 	srv.Handle(ServiceKey, func(in *orb.Incoming) {
-		telemetry.Default.Counter("pardis_naming_requests_total",
-			"op", in.Header.Operation).Inc()
 		d := in.Decoder()
 		switch in.Header.Operation {
 		case "bind":
@@ -238,11 +236,9 @@ func Serve(srv *orb.Server, reg *Registry) {
 			}
 			ref, err := reg.Resolve(name)
 			if err != nil {
-				telemetry.Default.Counter("pardis_naming_resolves_total", "result", "miss").Inc()
 				replyUserError(in, err)
 				return
 			}
-			telemetry.Default.Counter("pardis_naming_resolves_total", "result", "hit").Inc()
 			_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) {
 				e.PutString(ref.Stringify())
 			})
@@ -418,7 +414,6 @@ func (c *Client) ResolveLive(ctx context.Context, name string) (*ior.Ref, error)
 		return ref, nil
 	}
 	dropped := len(ref.Endpoints) - len(live)
-	telemetry.Default.Counter("pardis_naming_stale_filtered_total").Add(uint64(dropped))
 	if telemetry.LogEnabled(slog.LevelInfo) {
 		telemetry.Logger().Info("filtered stale replica endpoints",
 			"name", name, "dropped", dropped, "live", len(live))

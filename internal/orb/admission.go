@@ -59,15 +59,12 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 	}
 }
 
-// Shed instruments are process-wide and interned once; the queue-depth
-// gauge is shared by every admission-controlled server in the process
-// (accounted in deltas).
+// Shed instruments are process-wide and interned once.
 var (
-	admissionQueueDepth = telemetry.Default.Gauge("pardis_server_admission_queue_depth")
-	shedExpired         = telemetry.Default.Counter("pardis_server_shed_total", "reason", "expired")
-	shedQueueFull       = telemetry.Default.Counter("pardis_server_shed_total", "reason", "queue_full")
-	shedQueueWait       = telemetry.Default.Counter("pardis_server_shed_total", "reason", "queue_wait")
-	shedCanceled        = telemetry.Default.Counter("pardis_server_shed_total", "reason", "canceled")
+	shedExpired   = telemetry.Default.Counter("pardis_server_shed_total", "reason", "expired")
+	shedQueueFull = telemetry.Default.Counter("pardis_server_shed_total", "reason", "queue_full")
+	shedQueueWait = telemetry.Default.Counter("pardis_server_shed_total", "reason", "queue_wait")
+	shedCanceled  = telemetry.Default.Counter("pardis_server_shed_total", "reason", "canceled")
 )
 
 // admission is the runtime state behind an AdmissionConfig: a global
@@ -160,10 +157,8 @@ func (s *Server) admit(in *Incoming) (release func(), ok bool) {
 			_ = in.ReplySystemException("TRANSIENT", "admission queue full")
 			return nil, false
 		}
-		admissionQueueDepth.Inc()
 		got := a.waitGate(in, gate)
 		a.queued.Add(-1)
-		admissionQueueDepth.Dec()
 		if !got {
 			releaseAll()
 			return nil, false

@@ -47,18 +47,15 @@ type Client struct {
 	invPrefix  uint64
 	invCounter atomic.Uint64
 
-	// Interned-instrument caches: the telemetry registry's lookup
+	// Interned-instrument cache: the telemetry registry's lookup
 	// builds a label key per call, which is too hot for the invoke
-	// path, so instruments are resolved once per op / endpoint.
+	// path, so instruments are resolved once per op.
 	opMetrics sync.Map // operation → *clientOpMetrics
-	epHists   sync.Map // endpoint → *telemetry.Histogram (attempt latency)
 }
 
 // clientOpMetrics holds the per-operation instruments the invoke path
 // touches on every call.
 type clientOpMetrics struct {
-	invokes   *telemetry.Counter
-	errors    *telemetry.Counter
 	deadlines *telemetry.Counter
 	retries   *telemetry.Counter
 	latency   *telemetry.Histogram
@@ -69,23 +66,12 @@ func (c *Client) opMetricsFor(op string) *clientOpMetrics {
 		return m.(*clientOpMetrics)
 	}
 	m := &clientOpMetrics{
-		invokes:   telemetry.Default.Counter("pardis_client_invokes_total", "op", op),
-		errors:    telemetry.Default.Counter("pardis_client_invoke_errors_total", "op", op),
 		deadlines: telemetry.Default.Counter("pardis_client_deadline_misses_total", "op", op),
 		retries:   telemetry.Default.Counter("pardis_client_retries_total", "op", op),
 		latency:   telemetry.Default.Histogram("pardis_client_invoke_seconds", "op", op),
 	}
 	actual, _ := c.opMetrics.LoadOrStore(op, m)
 	return actual.(*clientOpMetrics)
-}
-
-func (c *Client) attemptHist(ep string) *telemetry.Histogram {
-	if h, ok := c.epHists.Load(ep); ok {
-		return h.(*telemetry.Histogram)
-	}
-	h := telemetry.Default.Histogram("pardis_client_attempt_seconds", "endpoint", ep)
-	actual, _ := c.epHists.LoadOrStore(ep, h)
-	return actual.(*telemetry.Histogram)
 }
 
 // ClientOption configures a Client.
@@ -201,27 +187,7 @@ func (c *Client) BlockStats() BlockRouterStats { return BlockRouterStats{} }
 // invocations spread across its members by outstanding-request depth,
 // so they stop contending on a single write lock and read loop.
 type stripe struct {
-	endpoint string
-	conns    []*clientConn
-	gauge    *telemetry.Gauge // pardis_client_stripe_conns{endpoint}
-}
-
-// freeSlot returns the smallest stripe index not held by a live
-// connection, so the per-stripe depth gauges stay bounded by the
-// stripe width however often connections churn.
-func (st *stripe) freeSlot() int {
-	for s := 0; ; s++ {
-		used := false
-		for _, cc := range st.conns {
-			if cc.slot == s {
-				used = true
-				break
-			}
-		}
-		if !used {
-			return s
-		}
-	}
+	conns []*clientConn
 }
 
 // conn returns a connection for endpoint from its stripe: the
@@ -239,10 +205,7 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 	}
 	st := c.stripes[endpoint]
 	if st == nil {
-		st = &stripe{
-			endpoint: endpoint,
-			gauge:    telemetry.Default.Gauge("pardis_client_stripe_conns", "endpoint", endpoint),
-		}
+		st = &stripe{}
 		c.stripes[endpoint] = st
 	}
 	var best *clientConn
@@ -264,19 +227,15 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 		}
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, endpoint, err)
 	}
-	slot := st.freeSlot()
 	cc := &clientConn{
 		owner:    c,
 		endpoint: endpoint,
-		slot:     slot,
+		slot:     len(st.conns),
 		raw:      raw,
 		pending:  make(map[uint32]waiter),
 		closed:   make(chan struct{}),
-		depth: telemetry.Default.Gauge("pardis_client_stripe_depth",
-			"endpoint", endpoint, "stripe", strconv.Itoa(slot)),
 	}
 	st.conns = append(st.conns, cc)
-	st.gauge.Set(int64(len(st.conns)))
 	go cc.readLoop()
 	return cc, nil
 }
@@ -291,7 +250,6 @@ func (c *Client) dropConn(cc *clientConn) {
 				break
 			}
 		}
-		st.gauge.Set(int64(len(st.conns)))
 		if len(st.conns) == 0 {
 			delete(c.stripes, cc.endpoint)
 		}
@@ -420,12 +378,10 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 	start := time.Now()
 	r, err := c.invokeForward(ctx, endpoints, hdr, body, land, st)
 	dur := time.Since(start)
-	m.invokes.Inc()
 	m.latency.ObserveDurationExemplar(dur, st.traceID)
 	errStr := ""
 	if err != nil {
 		errStr = err.Error()
-		m.errors.Inc()
 		if errors.Is(err, ErrDeadlineExpired) ||
 			(errors.Is(err, ErrCanceled) && errors.Is(ctx.Err(), context.DeadlineExceeded)) {
 			m.deadlines.Inc()
@@ -515,9 +471,7 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 				st.traceID = span.TraceID
 			}
 		}
-		attemptStart := time.Now()
 		r, err := c.invokeOnce(attemptCtx, ep, hdr, body, land)
-		c.attemptHist(ep).ObserveDuration(time.Since(attemptStart))
 		if err == nil && r.Header.Status == giop.ReplySystemException {
 			if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr == nil {
 				switch ex.Code {
@@ -663,7 +617,6 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 		// reusing a flow a one-way partition may have silently killed.
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) &&
 			cc.strikes.Add(1) >= connDeadlineStrikes {
-			connEvictions.Inc()
 			cc.shutdown(fmt.Errorf("%w: evicted after %d consecutive deadline misses",
 				ErrConnectionLost, connDeadlineStrikes))
 		}
@@ -799,17 +752,15 @@ type reply struct {
 // how long a blackholed flow can haunt an endpoint.
 const connDeadlineStrikes = 3
 
-var connEvictions = telemetry.Default.Counter("pardis_client_conn_evictions_total")
-
 type clientConn struct {
 	owner    *Client
 	endpoint string
-	slot     int // stripe index, stable for this connection's lifetime
+	slot     int // stripe index when dialed
 	raw      transport.Conn
 	nextID   atomic.Uint32
-	depth    *telemetry.Gauge // pardis_client_stripe_depth{endpoint,stripe}
-	sending  atomic.Int64     // one-way writes (block/put) in flight
-	strikes  atomic.Int32     // consecutive deadline misses, reset by any reply
+	depth    telemetry.Gauge // outstanding requests (unregistered)
+	sending  atomic.Int64    // one-way writes (block/put) in flight
+	strikes  atomic.Int32    // consecutive deadline misses, reset by any reply
 
 	writeMu   sync.Mutex
 	cancelBuf [4]byte // preallocated CancelRequest body, guarded by writeMu

@@ -13,7 +13,6 @@ import (
 	"pardis/internal/cdr"
 	"pardis/internal/giop"
 	"pardis/internal/ior"
-	"pardis/internal/telemetry"
 )
 
 // RefSource yields the reference currently bound to an object name.
@@ -29,8 +28,6 @@ type RefSource interface {
 // policy across the resolved replica set, so three rounds is a lot of
 // dying infrastructure.
 const maxResolveRounds = 3
-
-var reResolves = telemetry.Default.Counter("pardis_client_reresolves_total")
 
 // InvokeNamed resolves name through src and invokes across the
 // resolved reference's failover endpoints. When every endpoint of a
@@ -61,7 +58,6 @@ func (c *Client) InvokeNamed(ctx context.Context, src RefSource, name string, hd
 		// The whole resolved replica set failed: the ranking is stale
 		// (dead replicas, moved object). Drop it and ask again.
 		src.Invalidate(name)
-		reResolves.Inc()
 		lastErr = err
 	}
 	return giop.ReplyHeader{}, 0, nil,

@@ -21,7 +21,6 @@ import (
 
 	"pardis/internal/cdr"
 	"pardis/internal/giop"
-	"pardis/internal/telemetry"
 )
 
 // Errors returned by ORB operations.
@@ -131,14 +130,6 @@ func (p PendingPolicy) withDefaults() PendingPolicy {
 	}
 	return p
 }
-
-// Pending-buffer instruments are process-wide (no labels), interned
-// once: routers account deltas so the gauge stays correct across any
-// number of servers in the process.
-var (
-	pendingBlockBytes     = telemetry.Default.Gauge("pardis_orb_pending_blocks_bytes")
-	pendingBlockReclaimed = telemetry.Default.Counter("pardis_orb_pending_reclaimed_total")
-)
 
 // blockSink is one registered consumer of block transfers: a callback
 // invoked directly on the connection's read goroutine. Multiple

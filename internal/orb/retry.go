@@ -232,8 +232,8 @@ func (h *healthTable) get(ep string) *endpointHealth {
 }
 
 // transition moves one endpoint's breaker to a new state, stamping
-// when and why, and mirrors the change into the telemetry registry.
-// Caller holds h.mu. A no-op when the state is unchanged.
+// when and why. Caller holds h.mu. A no-op when the state is
+// unchanged.
 func (h *healthTable) transition(ep string, e *endpointHealth, to breakerState, reason string) {
 	if e.state == to {
 		return
@@ -242,9 +242,6 @@ func (h *healthTable) transition(ep string, e *endpointHealth, to breakerState, 
 	e.state = to
 	e.lastChange = h.now()
 	e.lastReason = reason
-	telemetry.Default.Counter("pardis_client_breaker_transitions_total",
-		"endpoint", ep, "to", to.String()).Inc()
-	telemetry.Default.Gauge("pardis_client_breaker_state", "endpoint", ep).Set(int64(to))
 	if telemetry.LogEnabled(slog.LevelInfo) {
 		telemetry.Logger().Info("breaker transition",
 			"endpoint", ep, "from", from.String(), "to", to.String(), "reason", reason)

@@ -219,9 +219,14 @@ type Server struct {
 	keyMetrics sync.Map // object key → *serverKeyMetrics
 }
 
-// serverInflight is the process-wide in-dispatch gauge (no labels, so
-// it is interned once at package load).
-var serverInflight = telemetry.Default.Gauge("pardis_server_inflight")
+// Process-wide server instruments with no labels, interned once at
+// package load. The object key of a request for an unknown object
+// comes off the wire, so it labels nothing.
+var (
+	serverInflight      = telemetry.Default.Gauge("pardis_server_inflight")
+	serverNoObject      = telemetry.Default.Counter("pardis_server_no_object_total")
+	serverTransientRejs = telemetry.Default.Counter("pardis_server_transient_rejections_total")
+)
 
 // serverKeyMetrics holds the per-key instruments touched on every
 // dispatched request.
@@ -502,7 +507,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		drainErr = ctx.Err()
 	}
-	telemetry.Default.Histogram("pardis_server_drain_seconds").ObserveDuration(time.Since(drainStart))
 	if telemetry.LogEnabled(slog.LevelInfo) {
 		telemetry.Logger().Info("server drained",
 			"duration", time.Since(drainStart), "clean", drainErr == nil)
@@ -827,7 +831,7 @@ func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
 	hdr := in.Header
 	h, ok := sc.srv.handler(hdr.ObjectKey)
 	if !ok {
-		telemetry.Default.Counter("pardis_server_no_object_total", "key", hdr.ObjectKey).Inc()
+		serverNoObject.Inc()
 		_ = in.ReplySystemException("OBJECT_NOT_EXIST",
 			fmt.Sprintf("no object with key %q", hdr.ObjectKey))
 		in.Release()
@@ -841,7 +845,7 @@ func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
 	sc.srv.mu.Lock()
 	if sc.srv.draining {
 		sc.srv.mu.Unlock()
-		telemetry.Default.Counter("pardis_server_transient_rejections_total").Inc()
+		serverTransientRejs.Inc()
 		_ = in.ReplySystemException("TRANSIENT", "server draining")
 		in.Release()
 		return false

@@ -25,13 +25,7 @@ import (
 
 	"pardis/internal/cdr"
 	"pardis/internal/giop"
-	"pardis/internal/telemetry"
 )
-
-// windowsActive counts currently registered (not yet cancelled)
-// destination windows across the process — the leak canary for the
-// peer data plane.
-var windowsActive = telemetry.Default.Gauge("pardis_orb_windows_active")
 
 // Window is one registered one-sided destination. It completes when
 // the expected element count has landed, or fails on the first
@@ -216,7 +210,6 @@ func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrde
 	pe.last = time.Now()
 	r.pendingLen++
 	r.pendingBytes += len(payload)
-	pendingBlockBytes.Add(int64(len(payload)))
 	r.mu.Unlock()
 	return nil
 }
@@ -240,10 +233,8 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 		delete(r.pending, id)
 		r.pendingLen -= len(pe.puts)
 		r.pendingBytes -= pe.bytes
-		pendingBlockBytes.Add(-int64(pe.bytes))
 	}
 	r.mu.Unlock()
-	windowsActive.Add(1)
 	var cancelled atomic.Bool
 	cancel := func() {
 		if cancelled.Swap(true) {
@@ -252,7 +243,6 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 		r.mu.Lock()
 		delete(r.windows, id)
 		r.mu.Unlock()
-		windowsActive.Add(-1)
 	}
 	if expect <= 0 {
 		w.complete()
@@ -275,23 +265,16 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 // than the TTL, returning the number of puts dropped.
 func (r *blockRouter) sweepWindows(now time.Time) int {
 	r.mu.Lock()
-	var dropped, droppedBytes int
+	var dropped int
 	for id, pe := range r.pending {
 		if now.Sub(pe.last) < r.pol.TTL {
 			continue
 		}
 		dropped += len(pe.puts)
-		droppedBytes += pe.bytes
 		r.pendingLen -= len(pe.puts)
 		r.pendingBytes -= pe.bytes
 		delete(r.pending, id)
 	}
 	r.mu.Unlock()
-	if droppedBytes > 0 {
-		pendingBlockBytes.Add(-int64(droppedBytes))
-	}
-	if dropped > 0 {
-		pendingBlockReclaimed.Add(uint64(dropped))
-	}
 	return dropped
 }

@@ -69,23 +69,7 @@ type Binding struct {
 	allEndpoints []string
 
 	stats bindingStats
-
-	// rankLag is this rank's interned exit-barrier histogram (rank is
-	// fixed for the binding's lifetime, so resolve the labels once).
-	rankLag *telemetry.Histogram
-	// xferIn/xferOut time this rank's transfer phases (in-argument
-	// fan-out / out-argument collection).
-	xferIn, xferOut *telemetry.Histogram
 }
-
-// Interned once at package load: the registry's per-call label-key
-// building is too hot for the collective invocation path.
-var (
-	bindSeconds    = telemetry.Default.Histogram("pardis_spmd_bind_seconds")
-	bindErrors     = telemetry.Default.Counter("pardis_spmd_bind_errors_total")
-	phaseStartHist = telemetry.Default.Histogram("pardis_spmd_phase_seconds", "phase", "start")
-	phaseWaitHist  = telemetry.Default.Histogram("pardis_spmd_phase_seconds", "phase", "wait")
-)
 
 // bindingStats accumulates per-thread operational counters.
 type bindingStats struct {
@@ -161,11 +145,9 @@ type CallSpec struct {
 // fetches the object's interface description so transfer plans can be
 // computed client-side.
 //
-// The collective bind is timed into pardis_spmd_bind_seconds and runs
-// under an "spmd:bind" span, so the describe invocation the
-// communicator issues appears nested in the trace.
+// The collective bind runs under an "spmd:bind" span, so the describe
+// invocation the communicator issues appears nested in the trace.
 func Bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
-	start := time.Now()
 	var span *telemetry.Span
 	if telemetry.TraceActive(ctx) {
 		key := ""
@@ -176,9 +158,7 @@ func Bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			telemetry.Attr{Key: "key", Value: key})
 	}
 	b, err := bind(ctx, cfg, ref)
-	bindSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
-		bindErrors.Inc()
 		span.Annotate("error", err.Error())
 	}
 	span.End()
@@ -217,12 +197,6 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		oc:     orb.NewClient(reg, clientOpts...),
 		method: cfg.Method,
 	}
-	b.rankLag = telemetry.Default.Histogram("pardis_spmd_rank_lag_seconds",
-		"side", "client", "rank", strconv.Itoa(b.rank))
-	b.xferIn = telemetry.Default.Histogram("pardis_spmd_transfer_seconds",
-		"side", "client", "dir", "in", "rank", strconv.Itoa(b.rank))
-	b.xferOut = telemetry.Default.Histogram("pardis_spmd_transfer_seconds",
-		"side", "client", "dir", "out", "rank", strconv.Itoa(b.rank))
 	if cfg.Method == MultiPort && !ref.MultiPort() {
 		b.oc.Close()
 		return nil, fmt.Errorf("%w: object %s does not export multi-port endpoints",
@@ -520,9 +494,7 @@ type outCollector struct {
 }
 
 // start validates the call collectively, ships in-arguments, issues
-// the request, and returns a Pending for the reply. The start phase
-// (validation, argument fan-out, request issue) is timed into
-// pardis_spmd_phase_seconds{phase="start"}; a per-invocation
+// the request, and returns a Pending for the reply. A per-invocation
 // "spmd:<op>" span covers start through Wait, so the communicator's
 // wire invocation (and the server's handler span beyond it) nest
 // under this collective call.
@@ -531,14 +503,12 @@ func (b *Binding) start(ctx context.Context, spec *CallSpec, blocking bool) (*Pe
 	if spec != nil {
 		op = spec.Operation
 	}
-	phaseStart := time.Now()
 	var span *telemetry.Span
 	if telemetry.TraceActive(ctx) {
 		ctx, span = telemetry.StartSpan(ctx, "spmd:"+op,
 			telemetry.Attr{Key: "rank", Value: strconv.Itoa(b.rank)})
 	}
 	p, err := b.startPhase(ctx, spec, blocking)
-	phaseStartHist.ObserveDuration(time.Since(phaseStart))
 	if err != nil {
 		span.Annotate("error", err.Error())
 		span.End()
@@ -783,11 +753,9 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 // chunked and windowed, as one-sided puts into the windows the server's
 // ranks registered (see sendPlanPuts).
 func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
-	t := time.Now()
 	n, err := sendPlanPuts(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
 		b.ref.ThreadEndpoint, ResolvedXferWindow(), xferChunkElems)
 	b.stats.bytesOut.Add(n)
-	b.xferIn.ObserveDuration(time.Since(t))
 	return err
 }
 
@@ -980,7 +948,6 @@ func (p *Pending) cancelSinks() {
 // cannot strand threads waiting for out-blocks the server never sent.
 func (p *Pending) Wait(ctx context.Context) (err error) {
 	b := p.b
-	waitStart := time.Now()
 	defer func() {
 		b.stats.invocations.Add(1)
 		if err != nil {
@@ -988,7 +955,6 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 			p.span.Annotate("error", err.Error())
 		}
 		p.span.End()
-		phaseWaitHist.ObserveDuration(time.Since(waitStart))
 	}()
 
 	// A oneway invocation has nothing to collect or decode; the
@@ -998,7 +964,7 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		if b.rank == 0 {
 			_, _ = p.awaitReply(ctx)
 		}
-		return b.exitBarrier()
+		return b.th.Barrier()
 	}
 	defer p.cancelSinks()
 
@@ -1050,17 +1016,13 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	// sequences' local data through the per-argument windows — this
 	// loop only awaits completion.
 	var localErr error
-	if len(p.outSinks) > 0 {
-		t := time.Now()
-		for _, col := range p.outSinks {
-			if localErr == nil {
-				localErr = waitWindow(ctx, col.win, nil, nil)
-			}
-			b.stats.bytesIn.Add(uint64(col.win.Bytes()))
-			col.cancel()
-			col.cancel = nil
+	for _, col := range p.outSinks {
+		if localErr == nil {
+			localErr = waitWindow(ctx, col.win, nil, nil)
 		}
-		b.xferOut.ObserveDuration(time.Since(t))
+		b.stats.bytesIn.Add(uint64(col.win.Bytes()))
+		col.cancel()
+		col.cancel = nil
 	}
 
 	// Collective verdict on the collection phase.
@@ -1086,17 +1048,5 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	}
 
 	// Exit barrier (§3.3's texit_barrier).
-	return b.exitBarrier()
-}
-
-// exitBarrier runs the collective exit barrier, recording how long
-// this rank waited in it. A rank's wait time is its lag ahead of the
-// slowest rank: near-zero means this rank was the straggler, a large
-// value means it sat idle — the skew operators look at when a
-// collective invocation underperforms.
-func (b *Binding) exitBarrier() error {
-	t := time.Now()
-	err := b.th.Barrier()
-	b.rankLag.ObserveDuration(time.Since(t))
-	return err
+	return b.th.Barrier()
 }

@@ -15,14 +15,27 @@ import (
 
 // TestLeaseTableSweep pins the table semantics: acquire creates and
 // renews, touch renews but never creates, sweep expires exactly the
-// silent leases and closes their channels.
+// silent leases and closes their channels. The process-wide rows
+// follow: pardis_spmd_leases_active counts live leases, and
+// pardis_spmd_leases_expired_total the swept ones only.
 func TestLeaseTableSweep(t *testing.T) {
+	active0, expired0 := ActiveLeases(), ExpiredLeases()
+	rows := func(when string, active int, expired uint64) {
+		t.Helper()
+		if got := ActiveLeases() - active0; got != active {
+			t.Errorf("%s: leases_active moved by %d, want %d", when, got, active)
+		}
+		if got := ExpiredLeases() - expired0; got != expired {
+			t.Errorf("%s: leases_expired_total moved by %d, want %d", when, got, expired)
+		}
+	}
 	lt := newLeaseTable(100 * time.Millisecond)
 	a := lt.acquire(1)
 	lt.acquire(2)
 	if lt.size() != 2 {
 		t.Fatalf("size = %d, want 2", lt.size())
 	}
+	rows("two acquired", 2, 0)
 	// touch must not fabricate a lease for an unknown client.
 	lt.touch(3)
 	if lt.size() != 2 {
@@ -40,6 +53,7 @@ func TestLeaseTableSweep(t *testing.T) {
 	if lt.size() != 1 {
 		t.Fatalf("size after sweep = %d, want 1", lt.size())
 	}
+	rows("one swept", 1, 1)
 	select {
 	case <-a.expired:
 		t.Fatal("renewed lease's expired channel closed")
@@ -49,6 +63,7 @@ func TestLeaseTableSweep(t *testing.T) {
 	if lt.size() != 0 {
 		t.Fatalf("size after drop = %d, want 0", lt.size())
 	}
+	rows("dropped", 0, 1)
 }
 
 // TestFaultLeaseReclaimsAbandonedTransfer is the headline reclamation

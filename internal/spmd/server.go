@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,13 +106,6 @@ type Object struct {
 	served atomic.Uint64
 	failed atomic.Uint64
 
-	// rankLag is this rank's interned post-invocation barrier
-	// histogram (rank is fixed for the object's lifetime).
-	rankLag *telemetry.Histogram
-	// xferIn/xferOut time this rank's transfer phases (in-argument
-	// landing / out-argument fan-out).
-	xferIn, xferOut *telemetry.Histogram
-
 	// argBlocks[i] is the storage behind this rank's local block of
 	// distributed argument i, kept from one dispatch to the next (see
 	// argBlock). Touched only by the rank's serve loop.
@@ -142,18 +134,11 @@ type request struct {
 	w  *invocationWire
 }
 
-// Interned once at package load — the per-dispatch phase histograms
-// have fixed labels, so the registry lookup is hoisted out of the
-// dispatch path.
-var (
-	phaseServerArgs    = telemetry.Default.Histogram("pardis_spmd_phase_seconds", "phase", "server_args")
-	phaseServerHandler = telemetry.Default.Histogram("pardis_spmd_phase_seconds", "phase", "server_handler")
-	phaseServerOut     = telemetry.Default.Histogram("pardis_spmd_phase_seconds", "phase", "server_out")
-	// shedExpiredSPMD counts queued invocations whose propagated
-	// deadline had already passed when the communicator popped them:
-	// they are answered with TIMEOUT without engaging the collective.
-	shedExpiredSPMD = telemetry.Default.Counter("pardis_spmd_shed_total", "reason", "expired")
-)
+// shedExpiredSPMD counts queued invocations whose propagated deadline
+// had already passed when the communicator popped them: they are
+// answered with TIMEOUT without engaging the collective. Interned once
+// at package load.
+var shedExpiredSPMD = telemetry.Default.Counter("pardis_spmd_shed_total", "reason", "expired")
 
 // ObjectStats is a snapshot of a thread's request counters.
 type ObjectStats struct {
@@ -211,12 +196,6 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		closed: make(chan struct{}),
 		leases: newLeaseTable(ttl),
 	}
-	o.rankLag = telemetry.Default.Histogram("pardis_spmd_rank_lag_seconds",
-		"side", "server", "rank", strconv.Itoa(o.rank))
-	o.xferIn = telemetry.Default.Histogram("pardis_spmd_transfer_seconds",
-		"side", "server", "dir", "in", "rank", strconv.Itoa(o.rank))
-	o.xferOut = telemetry.Default.Histogram("pardis_spmd_transfer_seconds",
-		"side", "server", "dir", "out", "rank", strconv.Itoa(o.rank))
 
 	needPort := o.rank == 0 || cfg.MultiPort
 	var myEndpoint string
@@ -853,7 +832,6 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	}
 
 	// Phase 1: materialize argument sequences.
-	phaseT := time.Now()
 	if o.rank == 0 {
 		o.landing = requestLanding{w: w, blocks: append(o.landing.blocks[:0], make([][][]float64, len(ctrl.Args))...)}
 	}
@@ -932,10 +910,8 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if err := o.agree(firstErr); err != nil {
 		return nil, err
 	}
-	phaseServerArgs.ObserveDuration(time.Since(phaseT))
 
 	// Phase 2: invoke the handler on every thread.
-	phaseT = time.Now()
 	call := &Call{
 		Op:      ctrl.Op,
 		Thread:  o.th,
@@ -954,10 +930,8 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if err := o.agree(herr); err != nil {
 		return nil, err
 	}
-	phaseServerHandler.ObserveDuration(time.Since(phaseT))
 
 	// Phase 3: return out/inout data.
-	phaseT = time.Now()
 	var replyArgs [][][]float64
 	for i, ca := range ctrl.Args {
 		if ca.Mode != Out && ca.Mode != InOut {
@@ -990,17 +964,13 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if err := o.agree(firstErr); err != nil {
 		return nil, err
 	}
-	phaseServerOut.ObserveDuration(time.Since(phaseT))
 
 	// Post-invocation synchronization: "after the invocation the
 	// server's computing threads synchronize and the communicator
-	// informs the client of the completion status" (§3.2). The time a
-	// rank spends here is its lag ahead of the slowest rank.
-	phaseT = time.Now()
+	// informs the client of the completion status" (§3.2).
 	if err := o.th.Barrier(); err != nil {
 		return nil, err
 	}
-	o.rankLag.ObserveDuration(time.Since(phaseT))
 
 	if o.rank != 0 {
 		return nil, nil
@@ -1048,7 +1018,6 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, p
 	if err != nil {
 		return err
 	}
-	t := time.Now()
 	// The wait rides the invoking client's lease: every put it lands
 	// renews the lease, and if the client dies mid-transfer the lease
 	// expiry unwinds the wait (teardown via the deferred cancel) instead
@@ -1060,9 +1029,7 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, p
 		return err
 	}
 	defer cancel()
-	err = waitWindow(ctx, win, o.closed, l.expired)
-	o.xferIn.ObserveDuration(time.Since(t))
-	return err
+	return waitWindow(ctx, win, o.closed, l.expired)
 }
 
 // sendBlocks ships this thread's share of a multi-port out transfer
@@ -1081,10 +1048,8 @@ func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq
 		}
 		return endpoints[0]
 	}
-	t := time.Now()
 	_, err := sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
 		endpointFor, ResolvedXferWindow(), xferChunkElems)
-	o.xferOut.ObserveDuration(time.Since(t))
 	return err
 }
 

@@ -58,16 +58,10 @@ func ResolvedXferWindow() int { return min(4, runtime.GOMAXPROCS(0)) }
 // ResolvedXferChunkBytes reports the chunk size in bytes.
 func ResolvedXferChunkBytes() int { return DefaultXferChunkBytes }
 
-// Interned once: the data-plane counters are touched per chunk.
-var (
-	blocksInflight = telemetry.Default.Gauge("pardis_spmd_blocks_inflight")
-	chunkBytesHist = telemetry.Default.HistogramWithBuckets("pardis_spmd_chunk_bytes",
-		[]float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20})
-	// peerBlocksTotal counts the window-put chunks shipped. A failed
-	// PutWindow still reports the chunk's size, so only puts whose
-	// write succeeded are counted here or in chunkBytesHist.
-	peerBlocksTotal = telemetry.Default.Counter("pardis_spmd_peer_blocks_total")
-)
+// peerBlocksTotal counts the window-put chunks shipped, interned once:
+// it is touched per chunk. A failed PutWindow still reports the chunk's
+// size, so only puts whose write succeeded are counted.
+var peerBlocksTotal = telemetry.Default.Counter("pardis_spmd_peer_blocks_total")
 
 // peerPutter abstracts orb.Client.PutWindow for the send path.
 type peerPutter interface {
@@ -117,14 +111,11 @@ func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
 		var total uint64
 		for idx, tr := range mine {
 			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-			blocksInflight.Inc()
 			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
-			blocksInflight.Dec()
 			if err != nil {
 				return total, err
 			}
 			peerBlocksTotal.Inc()
-			chunkBytesHist.Observe(float64(n))
 			total += uint64(n)
 		}
 		return total, nil
@@ -144,10 +135,8 @@ func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		blocksInflight.Inc()
 		go func(idx int, tr dist.Transfer) {
 			defer func() {
-				blocksInflight.Dec()
 				<-sem
 				wg.Done()
 			}()
@@ -162,7 +151,6 @@ func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
 				return
 			}
 			peerBlocksTotal.Inc()
-			chunkBytesHist.Observe(float64(n))
 			total.Add(uint64(n))
 		}(idx, tr)
 	}

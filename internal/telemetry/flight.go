@@ -149,7 +149,6 @@ func (f *FlightRecorder) Record(r FlightRecord) {
 			sh.errs[sh.errNext] = r
 			sh.errNext = (sh.errNext + 1) % f.errCap
 		}
-		Default.Counter("pardis_flight_records_total", "kind", "error").Inc()
 	}
 	if int64(r.Duration) > sh.floor.Load() || len(sh.slow) < f.k {
 		i := sort.Search(len(sh.slow), func(i int) bool {
@@ -163,9 +162,6 @@ func (f *FlightRecorder) Record(r FlightRecord) {
 		}
 		if len(sh.slow) == f.k {
 			sh.floor.Store(int64(sh.slow[len(sh.slow)-1].Duration))
-		}
-		if !isErr {
-			Default.Counter("pardis_flight_records_total", "kind", "slow").Inc()
 		}
 	}
 	sh.mu.Unlock()

@@ -2,30 +2,26 @@
 // Registry (dialed or accepted) is wrapped in a metered conn that
 // feeds the process-wide registry:
 //
-//	pardis_transport_dials_total{scheme}        dial attempts
-//	pardis_transport_dial_errors_total{scheme}  failed dials
-//	pardis_transport_accepts_total{scheme}      accepted connections
-//	pardis_transport_bytes_read_total{scheme}   bytes off the wire
+//	pardis_transport_accepts_total{scheme}       accepted connections
 //	pardis_transport_bytes_written_total{scheme} bytes onto the wire
-//	pardis_transport_conns_open{scheme}         currently open conns
+//	pardis_transport_conns_open{scheme}          currently open conns
 //
 // The wrapper is a straight pass-through net.Conn: byte accounting is
-// two atomic adds per Read/Write, so the hot path stays allocation
-// free.
+// one atomic add per Write, so the hot path stays allocation free.
 package transport
 
 import (
-	"log/slog"
 	"net"
 	"sync"
 
 	"pardis/internal/telemetry"
 )
 
-// meteredConn counts bytes and open-conn state for one connection.
+// meteredConn counts written bytes and open-conn state for one
+// connection.
 type meteredConn struct {
 	Conn
-	in, out   *telemetry.Counter
+	out       *telemetry.Counter
 	open      *telemetry.Gauge
 	closeOnce sync.Once
 }
@@ -35,20 +31,11 @@ type meteredConn struct {
 func meterConn(c Conn, scheme string) Conn {
 	mc := &meteredConn{
 		Conn: c,
-		in:   telemetry.Default.Counter("pardis_transport_bytes_read_total", "scheme", scheme),
 		out:  telemetry.Default.Counter("pardis_transport_bytes_written_total", "scheme", scheme),
 		open: telemetry.Default.Gauge("pardis_transport_conns_open", "scheme", scheme),
 	}
 	mc.open.Inc()
 	return mc
-}
-
-func (m *meteredConn) Read(b []byte) (int, error) {
-	n, err := m.Conn.Read(b)
-	if n > 0 {
-		m.in.Add(uint64(n))
-	}
-	return n, err
 }
 
 func (m *meteredConn) Write(b []byte) (int, error) {
@@ -100,15 +87,4 @@ func (ml meteredListener) Accept() (Conn, error) {
 	}
 	ml.accepts.Inc()
 	return meterConn(c, ml.scheme), nil
-}
-
-// recordDial updates the dial counters and logs failures at debug.
-func recordDial(scheme string, err error) {
-	telemetry.Default.Counter("pardis_transport_dials_total", "scheme", scheme).Inc()
-	if err != nil {
-		telemetry.Default.Counter("pardis_transport_dial_errors_total", "scheme", scheme).Inc()
-		if telemetry.LogEnabled(slog.LevelDebug) {
-			telemetry.Logger().Debug("transport dial failed", "scheme", scheme, "err", err)
-		}
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -135,8 +136,10 @@ func (r *Registry) Dial(endpoint string) (Conn, error) {
 		return nil, err
 	}
 	c, err := t.Dial(addr)
-	recordDial(scheme, err)
 	if err != nil {
+		if telemetry.LogEnabled(slog.LevelDebug) {
+			telemetry.Logger().Debug("transport dial failed", "scheme", scheme, "err", err)
+		}
 		return nil, err
 	}
 	return meterConn(c, scheme), nil

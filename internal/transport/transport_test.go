@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pardis/internal/telemetry"
 )
 
 func TestSplitJoinEndpoint(t *testing.T) {
@@ -33,9 +35,17 @@ func TestRegistryUnknownScheme(t *testing.T) {
 	}
 }
 
-// exerciseTransport runs a connect/echo/close conversation.
+// exerciseTransport runs a connect/echo/close conversation and pins
+// the scheme's pardis_transport_* rows: one accept, both sides' bytes
+// written, and the open-connection gauge back where it started once
+// both ends are closed.
 func exerciseTransport(t *testing.T, r *Registry, listenEndpoint string) {
 	t.Helper()
+	scheme, _, _ := SplitEndpoint(listenEndpoint)
+	accepts := telemetry.Default.Counter("pardis_transport_accepts_total", "scheme", scheme)
+	written := telemetry.Default.Counter("pardis_transport_bytes_written_total", "scheme", scheme)
+	open := telemetry.Default.Gauge("pardis_transport_conns_open", "scheme", scheme)
+	accepts0, written0, open0 := accepts.Value(), written.Value(), open.Value()
 	l, err := r.Listen(listenEndpoint)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +88,19 @@ func exerciseTransport(t *testing.T, r *Registry, listenEndpoint string) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if got := accepts.Value() - accepts0; got != 1 {
+		t.Errorf("%s accepts moved by %d, want 1", scheme, got)
+	}
+	if got := written.Value() - written0; got != 10 {
+		t.Errorf("%s bytes written moved by %d, want 10", scheme, got)
+	}
+	if got := open.Value() - open0; got != 1 {
+		t.Errorf("%s open conns moved by %d with the client end open, want 1", scheme, got)
+	}
+	c.Close()
+	if got := open.Value() - open0; got != 0 {
+		t.Errorf("%s open conns moved by %d after both ends closed, want 0", scheme, got)
 	}
 }
 

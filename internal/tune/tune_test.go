@@ -24,7 +24,7 @@ func testTuner(t *testing.T, cfg Config) (*Tuner, *time.Time, *telemetry.Registr
 // must converge the bandwidth estimate to the true rate, and the
 // recommendation must hit the BDP-derived fixed point.
 func TestEWMAConvergence(t *testing.T) {
-	tu, now, _ := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, reg := testTuner(t, Config{ParallelFloor: 4})
 	ep := "tcp:10.0.0.1:9100"
 	const bw = 125e6 // 1 Gb/s
 	const rtt = 40 * time.Millisecond
@@ -66,6 +66,25 @@ func TestEWMAConvergence(t *testing.T) {
 	}
 	if rec.Stripes < 4 || rec.Stripes > DefaultMaxStripes {
 		t.Errorf("stripes = %d out of [4,%d]", rec.Stripes, DefaultMaxStripes)
+	}
+
+	// The path's pardis_tune_* gauges mirror the estimate and the
+	// recommendation; the one probe is the one RTT observation.
+	for _, g := range []struct {
+		name string
+		want int64
+	}{
+		{"pardis_tune_chunk_bytes", int64(rec.XferChunkBytes)},
+		{"pardis_tune_window", int64(rec.XferWindow)},
+		{"pardis_tune_stripes", int64(rec.Stripes)},
+		{"pardis_tune_bandwidth_bytes_per_sec", int64(st[0].BandwidthBps)},
+	} {
+		if got := reg.Gauge(g.name, "endpoint", ep).Value(); got != g.want {
+			t.Errorf("%s = %d, want %d", g.name, got, g.want)
+		}
+	}
+	if n := reg.Histogram("pardis_tune_rtt_seconds", "endpoint", ep).Snapshot().Count; n != 1 {
+		t.Errorf("pardis_tune_rtt_seconds observed %d probes, want 1", n)
 	}
 }
 

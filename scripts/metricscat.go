@@ -6,7 +6,10 @@
 // (`| `pardis_...` | ...`), and every catalogued row must still have
 // a literal in code. Either direction drifting — a metric shipped
 // without documentation, or a row outliving its metric — fails the
-// build:
+// build. Each row's last cell names the test that pins the metric's
+// value (`| ... | `TestX` |`); a row whose test is missing, or names
+// no `func TestX(` in any _test.go under the catalogue's directory,
+// fails too:
 //
 //	go run ./scripts/metricscat.go DESIGN.md internal cmd
 //
@@ -29,7 +32,9 @@ import (
 
 var (
 	codeMetric = regexp.MustCompile(`"(pardis_[a-z0-9_]+)"`)
-	docMetric  = regexp.MustCompile("(?m)^\\| `(pardis_[a-z0-9_]+)`")
+	docMetric  = regexp.MustCompile("(?m)^\\| `(pardis_[a-z0-9_]+)`.*\\|[ \t]*$")
+	pinnedBy   = regexp.MustCompile("\\| `(Test[A-Za-z0-9_]+)` \\|[ \t]*$")
+	testFunc   = regexp.MustCompile(`(?m)^func (Test[A-Za-z0-9_]+)\(`)
 )
 
 func main() {
@@ -70,8 +75,17 @@ func main() {
 		os.Exit(2)
 	}
 	inDoc := map[string]bool{}
+	pins := map[string]string{} // metric -> pinning test named by its row
 	for _, m := range docMetric.FindAllStringSubmatch(string(docSrc), -1) {
 		inDoc[m[1]] = true
+		if p := pinnedBy.FindStringSubmatch(m[0]); p != nil {
+			pins[m[1]] = p[1]
+		}
+	}
+	tests, err := testFuncs(filepath.Dir(doc))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "metricscat:", err)
+		os.Exit(2)
 	}
 
 	var missing []string // in code, not catalogued
@@ -89,14 +103,51 @@ func main() {
 				name, doc))
 		}
 	}
+	var unpinned []string // catalogued without an existing pinning test
+	for name := range inDoc {
+		switch test, ok := pins[name]; {
+		case !ok:
+			unpinned = append(unpinned, fmt.Sprintf("%s names no pinning test in %s", name, doc))
+		case !tests[test]:
+			unpinned = append(unpinned, fmt.Sprintf("%s is pinned by %s, which no _test.go defines", name, test))
+		}
+	}
 	sort.Strings(missing)
 	sort.Strings(stale)
-	for _, s := range append(missing, stale...) {
+	sort.Strings(unpinned)
+	problems := append(append(missing, stale...), unpinned...)
+	for _, s := range problems {
 		fmt.Println("metricscat:", s)
 	}
-	if n := len(missing) + len(stale); n > 0 {
+	if n := len(problems); n > 0 {
 		fmt.Fprintf(os.Stderr, "metricscat: %d metric(s) out of sync with the catalogue\n", n)
 		os.Exit(1)
 	}
-	fmt.Printf("metricscat: ok (%d metrics catalogued)\n", len(inCode))
+	fmt.Printf("metricscat: ok (%d metrics catalogued, each pinned by a test)\n", len(inCode))
+}
+
+// testFuncs returns the names of every func TestX( declared in a
+// _test.go file under root.
+func testFuncs(root string) (map[string]bool, error) {
+	tests := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			tests[m[1]] = true
+		}
+		return nil
+	})
+	return tests, err
 }
