@@ -147,9 +147,14 @@ fmt:
 
 # loc prints the size of the non-test Go under cmd/, scripts/ and
 # internal/ (bench/ is a module of its own and not counted): raw lines,
-# and lines that are neither blank nor comment-only. Line deltas are
-# reported with it, before and after a change.
+# and lines that are neither blank nor comment-only; then the API
+# surface, the count of exported top-level funcs and methods in the
+# non-test Go under internal/. Both are reported before and after a
+# change.
 loc:
 	@find cmd scripts internal -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | \
 		awk '{ raw++ } !/^[ \t]*$$/ && !/^[ \t]*\/\// { code++ } \
 		END { printf "non-test Go under cmd/ scripts/ internal/: %d lines, %d without blank or comment-only lines\n", raw, code }'
+	@find internal -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | \
+		awk '/^func (\([^)]*\) )?[A-Z]/ { n++ } \
+		END { printf "exported funcs and methods under internal/: %d\n", n }'

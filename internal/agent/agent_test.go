@@ -454,7 +454,9 @@ func TestLoadReportScoreOrdersSensibly(t *testing.T) {
 // no label value may come off the wire. A peer that sends requests
 // for 10 000 distinct unknown object keys, and for distinct unknown
 // operations on the agent and naming services, must not grow the
-// process registry by more than a small constant.
+// process registry by more than a small constant, nor the flight
+// recorder by more than its per-side op cap (256) plus the overflow
+// shard.
 func TestWireLabelsAddNoSeries(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
@@ -493,6 +495,7 @@ func TestWireLabelsAddNoSeries(t *testing.T) {
 	send(ServiceKey, "no-such-op")
 	send(naming.ServiceKey, "no-such-op")
 	before := len(telemetry.Default.Snapshot())
+	flightBefore := len(telemetry.DefaultFlight.Snapshot())
 	for i := range 10000 {
 		send(fmt.Sprintf("unknown-key-%d", i), "op")
 	}
@@ -502,5 +505,8 @@ func TestWireLabelsAddNoSeries(t *testing.T) {
 	}
 	if grew := len(telemetry.Default.Snapshot()) - before; grew > 4 {
 		t.Fatalf("12 000 requests with wire-chosen keys and operations added %d registry series", grew)
+	}
+	if grew := len(telemetry.DefaultFlight.Snapshot()) - flightBefore; grew > 256+1 {
+		t.Fatalf("1 000 distinct wire-chosen operations added %d flight recorder shards", grew)
 	}
 }

@@ -58,7 +58,6 @@ type PeerStatus struct {
 // partitions faster.
 type Peers struct {
 	cfg  PeersConfig
-	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 
@@ -86,7 +85,6 @@ func NewPeers(cfg PeersConfig) *Peers {
 	}
 	p := &Peers{
 		cfg:    cfg,
-		kick:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		status: make([]PeerStatus, len(cfg.Clients)),
 		lastOK: make([]time.Time, len(cfg.Clients)),
@@ -109,15 +107,6 @@ func (p *Peers) Start() {
 	p.mu.Unlock()
 	p.wg.Add(1)
 	go p.loop()
-}
-
-// Kick nudges the loop to run a round promptly (used by tests and by
-// agents that just learned something worth spreading).
-func (p *Peers) Kick() {
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Stop ends the sync loop. Idempotent.
@@ -144,8 +133,6 @@ func (p *Peers) loop() {
 	for {
 		select {
 		case <-tick.C:
-			p.round()
-		case <-p.kick:
 			p.round()
 		case <-p.done:
 			return

@@ -200,7 +200,7 @@ func readFrameHeader(r io.Reader, hdr *[HeaderLen]byte) (FrameHeader, error) {
 	}
 	order := cdr.ByteOrder(hdr[6] & 1)
 	t := MsgType(hdr[7])
-	if t >= msgTypeCount {
+	if !t.known() {
 		return FrameHeader{}, fmt.Errorf("%w: %d", ErrBadType, hdr[7])
 	}
 	var n uint32

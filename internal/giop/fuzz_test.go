@@ -110,6 +110,8 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("PIOP"))
 	f.Add([]byte{'P', 'I', 'O', 'P', 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'P', 'I', 'O', 'P', 1, 1, 0, 3, 0, 0, 0, 4, 0, 0, 0, 9}) // retired LocateRequest
+	f.Add([]byte{'P', 'I', 'O', 'P', 1, 1, 1, 4, 4, 0, 0, 0, 9, 0, 0, 0}) // retired LocateReply
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		typ, order, body, err := ReadMessage(bytes.NewReader(frame))
 		if err != nil {
@@ -133,6 +135,9 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("PIOP"))
 	f.Add([]byte{'P', 'I', 'O', 'P', 1, 1, 0, 2, 0, 0, 0, 4, 9, 9, 9, 9})
+	// The retired Locate pair, a LocateRequest then a LocateReply.
+	f.Add([]byte{'P', 'I', 'O', 'P', 1, 1, 0, 3, 0, 0, 0, 4, 0, 0, 0, 9,
+		'P', 'I', 'O', 'P', 1, 1, 1, 4, 4, 0, 0, 0, 9, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := NewFrameReader(bytes.NewReader(stream))
 		typ, order, body, refErr := ReadMessage(bytes.NewReader(stream))

@@ -1,8 +1,8 @@
 // Package giop implements PIOP, the PARDIS Inter-ORB Protocol: a
-// GIOP-style message layer carrying requests, replies, locate
-// queries, cancellations and — beyond stock GIOP — the block-transfer
-// messages of multi-port distributed-argument transfer (§3.3 of the
-// paper, "transfer headers").
+// GIOP-style message layer carrying requests, replies, cancellations
+// and — beyond stock GIOP — the block-transfer messages of multi-port
+// distributed-argument transfer (§3.3 of the paper, "transfer
+// headers").
 //
 // Every message starts with a fixed 12-octet header:
 //
@@ -54,8 +54,10 @@ const (
 	MsgRequest MsgType = iota
 	MsgReply
 	MsgCancelRequest
-	MsgLocateRequest
-	MsgLocateReply
+	// 3 and 4 were LocateRequest and LocateReply; they stay reserved
+	// and are refused on both read and write (MsgType.known).
+	_
+	_
 	MsgCloseConnection
 	MsgError
 	MsgBlockTransfer
@@ -66,6 +68,12 @@ const (
 	msgTypeCount
 )
 
+// known reports whether t is a message type PIOP carries: below
+// msgTypeCount and not one of the reserved Locate slots.
+func (t MsgType) known() bool {
+	return t <= MsgCancelRequest || (t >= MsgCloseConnection && t < msgTypeCount)
+}
+
 func (t MsgType) String() string {
 	switch t {
 	case MsgRequest:
@@ -74,10 +82,6 @@ func (t MsgType) String() string {
 		return "Reply"
 	case MsgCancelRequest:
 		return "CancelRequest"
-	case MsgLocateRequest:
-		return "LocateRequest"
-	case MsgLocateReply:
-		return "LocateReply"
 	case MsgCloseConnection:
 		return "CloseConnection"
 	case MsgError:
@@ -124,7 +128,7 @@ func WriteEncoded(w io.Writer, t MsgType, e *cdr.Encoder) error {
 // offset. The length checked against MaxBodyLen and announced in the
 // header is the whole body, splices included.
 func writeFrame(w io.Writer, order cdr.ByteOrder, t MsgType, body []byte, splices []cdr.Splice) error {
-	if t >= msgTypeCount {
+	if !t.known() {
 		return fmt.Errorf("%w: %d", ErrBadType, t)
 	}
 	n := len(body)
@@ -212,8 +216,6 @@ const (
 	ReplyUserException
 	// ReplySystemException carries a SystemException body.
 	ReplySystemException
-	// ReplyLocationForward carries a stringified IOR to retry at.
-	ReplyLocationForward
 )
 
 func (s ReplyStatus) String() string {
@@ -224,8 +226,6 @@ func (s ReplyStatus) String() string {
 		return "USER_EXCEPTION"
 	case ReplySystemException:
 		return "SYSTEM_EXCEPTION"
-	case ReplyLocationForward:
-		return "LOCATION_FORWARD"
 	default:
 		return fmt.Sprintf("ReplyStatus(%d)", uint32(s))
 	}
@@ -373,67 +373,6 @@ func (h *CancelRequestHeader) Encode(e *cdr.Encoder) { e.PutULong(h.RequestID) }
 func DecodeCancelRequestHeader(d *cdr.Decoder) (CancelRequestHeader, error) {
 	id, err := d.ULong()
 	return CancelRequestHeader{RequestID: id}, err
-}
-
-// LocateStatus enumerates LocateReply outcomes.
-type LocateStatus uint32
-
-// Locate statuses.
-const (
-	// LocateUnknown means the object key is not served here.
-	LocateUnknown LocateStatus = iota
-	// LocateHere means the object is served on this connection.
-	LocateHere
-	// LocateForward carries a stringified IOR to retry at.
-	LocateForward
-)
-
-// LocateRequestHeader asks whether an object key is served here.
-type LocateRequestHeader struct {
-	RequestID uint32
-	ObjectKey string
-}
-
-// Encode appends the header to an encoder.
-func (h *LocateRequestHeader) Encode(e *cdr.Encoder) {
-	e.PutULong(h.RequestID)
-	e.PutString(h.ObjectKey)
-}
-
-// DecodeLocateRequestHeader reads a LocateRequestHeader.
-func DecodeLocateRequestHeader(d *cdr.Decoder) (LocateRequestHeader, error) {
-	var h LocateRequestHeader
-	var err error
-	if h.RequestID, err = d.ULong(); err != nil {
-		return h, err
-	}
-	h.ObjectKey, err = d.String()
-	return h, err
-}
-
-// LocateReplyHeader answers a LocateRequest. For LocateForward the
-// body continues with a stringified IOR.
-type LocateReplyHeader struct {
-	RequestID uint32
-	Status    LocateStatus
-}
-
-// Encode appends the header to an encoder.
-func (h *LocateReplyHeader) Encode(e *cdr.Encoder) {
-	e.PutULong(h.RequestID)
-	e.PutULong(uint32(h.Status))
-}
-
-// DecodeLocateReplyHeader reads a LocateReplyHeader.
-func DecodeLocateReplyHeader(d *cdr.Decoder) (LocateReplyHeader, error) {
-	var h LocateReplyHeader
-	var err error
-	if h.RequestID, err = d.ULong(); err != nil {
-		return h, err
-	}
-	s, err := d.ULong()
-	h.Status = LocateStatus(s)
-	return h, err
 }
 
 // BlockTransferHeader precedes one block of a distributed argument in

@@ -76,17 +76,52 @@ func TestBadVersion(t *testing.T) {
 	}
 }
 
+// TestBadType: a type past the table and the two reserved Locate
+// slots (3, 4) are refused by every reader and by the writer.
 func TestBadType(t *testing.T) {
-	var buf bytes.Buffer
-	_ = WriteMessage(&buf, cdr.BigEndian, MsgRequest, nil)
-	frame := buf.Bytes()
-	frame[7] = 200
-	_, _, _, err := ReadMessage(bytes.NewReader(frame))
-	if !errors.Is(err, ErrBadType) {
-		t.Fatalf("err = %v", err)
+	for _, typ := range []byte{3, 4, byte(msgTypeCount), 200} {
+		var buf bytes.Buffer
+		_ = WriteMessage(&buf, cdr.BigEndian, MsgRequest, nil)
+		frame := buf.Bytes()
+		frame[7] = typ
+		if _, _, _, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, ErrBadType) {
+			t.Fatalf("type %d: ReadMessage err = %v", typ, err)
+		}
+		if _, err := NewFrameReader(bytes.NewReader(frame)).ReadFrame(); !errors.Is(err, ErrBadType) {
+			t.Fatalf("type %d: ReadFrame err = %v", typ, err)
+		}
+		if _, err := NewFrameReader(bytes.NewReader(frame)).ReadFrameHeader(); !errors.Is(err, ErrBadType) {
+			t.Fatalf("type %d: ReadFrameHeader err = %v", typ, err)
+		}
+		if err := WriteMessage(io.Discard, cdr.BigEndian, MsgType(typ), nil); !errors.Is(err, ErrBadType) {
+			t.Fatalf("type %d: WriteMessage err = %v", typ, err)
+		}
 	}
-	if err := WriteMessage(io.Discard, cdr.BigEndian, MsgType(99), nil); !errors.Is(err, ErrBadType) {
-		t.Fatalf("write bad type: %v", err)
+}
+
+// TestWireValues pins the number every surviving message type and
+// reply status carries on the wire: retiring a message or status must
+// leave the others where they were.
+func TestWireValues(t *testing.T) {
+	for _, c := range []struct {
+		got  uint32
+		want uint32
+		name string
+	}{
+		{uint32(MsgRequest), 0, "MsgRequest"},
+		{uint32(MsgReply), 1, "MsgReply"},
+		{uint32(MsgCancelRequest), 2, "MsgCancelRequest"},
+		{uint32(MsgCloseConnection), 5, "MsgCloseConnection"},
+		{uint32(MsgError), 6, "MsgError"},
+		{uint32(MsgBlockTransfer), 7, "MsgBlockTransfer"},
+		{uint32(MsgWindowPut), 8, "MsgWindowPut"},
+		{uint32(ReplyOK), 0, "ReplyOK"},
+		{uint32(ReplyUserException), 1, "ReplyUserException"},
+		{uint32(ReplySystemException), 2, "ReplySystemException"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d on the wire, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -142,7 +177,7 @@ func TestRequestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestReplyHeaderRoundTrip(t *testing.T) {
-	for _, st := range []ReplyStatus{ReplyOK, ReplyUserException, ReplySystemException, ReplyLocationForward} {
+	for _, st := range []ReplyStatus{ReplyOK, ReplyUserException, ReplySystemException} {
 		h := ReplyHeader{RequestID: 5, Status: st}
 		e := cdr.NewEncoder(cdr.BigEndian)
 		h.Encode(e)
@@ -150,23 +185,6 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 		if err != nil || got != h {
 			t.Fatalf("%v: %+v %v", st, got, err)
 		}
-	}
-}
-
-func TestLocateHeadersRoundTrip(t *testing.T) {
-	lr := LocateRequestHeader{RequestID: 9, ObjectKey: "k"}
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	lr.Encode(e)
-	gotLR, err := DecodeLocateRequestHeader(cdr.NewDecoder(cdr.LittleEndian, e.Bytes()))
-	if err != nil || gotLR != lr {
-		t.Fatalf("locate request: %+v %v", gotLR, err)
-	}
-	lp := LocateReplyHeader{RequestID: 9, Status: LocateForward}
-	e2 := cdr.NewEncoder(cdr.BigEndian)
-	lp.Encode(e2)
-	gotLP, err := DecodeLocateReplyHeader(cdr.NewDecoder(cdr.BigEndian, e2.Bytes()))
-	if err != nil || gotLP != lp {
-		t.Fatalf("locate reply: %+v %v", gotLP, err)
 	}
 }
 

@@ -83,10 +83,6 @@ func (r *Ref) IsSPMD() bool { return r.Threads > 1 }
 // endpoint doubles as the data port.
 func (r *Ref) MultiPort() bool { return r.Threads == 1 || len(r.Endpoints) == r.Threads }
 
-// CommunicatorEndpoint returns the endpoint of the communicator
-// thread (thread 0).
-func (r *Ref) CommunicatorEndpoint() string { return r.Endpoints[0] }
-
 // Replicas returns the number of interchangeable endpoints a client
 // may fail over between. SPMD references pin each thread to its own
 // port, so only conventional objects carry replicas.

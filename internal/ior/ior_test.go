@@ -65,9 +65,6 @@ func TestThreadEndpoint(t *testing.T) {
 	if r.ThreadEndpoint(2) != "tcp:10.0.0.1:9002" {
 		t.Fatalf("thread endpoint = %q", r.ThreadEndpoint(2))
 	}
-	if r.CommunicatorEndpoint() != "tcp:10.0.0.1:9000" {
-		t.Fatalf("communicator endpoint = %q", r.CommunicatorEndpoint())
-	}
 	central := &Ref{TypeID: "t", Key: "k", Threads: 4, Endpoints: []string{"tcp:a:1"}}
 	if central.ThreadEndpoint(3) != "tcp:a:1" {
 		t.Fatal("fallback to communicator endpoint broken")

@@ -257,9 +257,6 @@ func (c *Client) dropConn(cc *clientConn) {
 	c.mu.Unlock()
 }
 
-// maxForwards bounds LOCATION_FORWARD chains.
-const maxForwards = 4
-
 // Invoke sends a request to endpoint and, unless the header marks it
 // oneway, waits for the matching reply. The client assigns
 // hdr.RequestID. body is the CDR-marshaled in-arguments, encoded in
@@ -269,12 +266,6 @@ const maxForwards = 4
 // Failures inside the safe-to-retry window are retried per the
 // client's RetryPolicy, and the client's default deadline applies
 // when ctx carries none.
-//
-// LOCATION_FORWARD replies are followed transparently (up to
-// maxForwards hops, with cycle detection): the reply body carries a
-// stringified IOR and the request is re-issued at the forwarded
-// endpoints — the CORBA mechanism that lets objects migrate without
-// breaking clients.
 //
 // The returned body is the caller's to keep.
 func (c *Client) Invoke(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder)) (giop.ReplyHeader, cdr.ByteOrder, []byte, error) {
@@ -355,7 +346,7 @@ type invStats struct {
 // invokeEndpoints applies the default deadline, records the
 // invocation's outcome and end-to-end latency (with a trace exemplar
 // when sampled), offers the invocation to the flight recorder, and
-// delegates to the forward-following engine. reresolves counts the
+// delegates to the retry/failover engine. reresolves counts the
 // InvokeNamed re-resolution rounds that preceded this call (0 for
 // direct invokes).
 func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, reresolves int) (Reply, error) {
@@ -376,7 +367,7 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 	m := c.opMetricsFor(hdr.Operation)
 	st := &invStats{}
 	start := time.Now()
-	r, err := c.invokeForward(ctx, endpoints, hdr, body, land, st)
+	r, err := c.invokeRetry(ctx, endpoints, hdr, body, land, st)
 	dur := time.Since(start)
 	m.latency.ObserveDurationExemplar(dur, st.traceID)
 	errStr := ""
@@ -404,33 +395,8 @@ func (c *Client) invokeEndpoints(ctx context.Context, endpoints []string, hdr gi
 	return r, err
 }
 
-// invokeForward follows location forwards (bounded, cycle-checked),
-// delegating each hop to the retry/failover engine.
-func (c *Client) invokeForward(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, st *invStats) (Reply, error) {
-	seen := map[string]bool{endpoints[0]: true}
-	for hop := 0; ; hop++ {
-		r, err := c.invokeRetry(ctx, endpoints, hdr, body, land, st)
-		if err != nil || r.Header.Status != giop.ReplyLocationForward {
-			return r, err
-		}
-		if hop >= maxForwards {
-			return r, fmt.Errorf("orb: too many location forwards (%d)", hop+1)
-		}
-		fwd, err := decodeForward(r.Order, r.Body)
-		if err != nil {
-			return r, err
-		}
-		if seen[fwd[0]] {
-			return r, fmt.Errorf("%w: %s seen twice after %d forwards",
-				ErrForwardCycle, fwd[0], hop+1)
-		}
-		seen[fwd[0]] = true
-		endpoints = fwd
-	}
-}
-
 // invokeRetry runs the retry/backoff/failover loop for one logical
-// request at one location (forward hops restart it).
+// request.
 func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander, st *invStats) (Reply, error) {
 	pol := c.retry
 	attempts := pol.attempts()
@@ -439,9 +405,6 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 	prevEp := ""
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
-			if !pol.Budget.spend() {
-				return Reply{}, fmt.Errorf("orb: retry budget exhausted after %d attempts: %w", attempt-1, lastErr)
-			}
 			if err := sleepCtx(ctx, pol.backoff(attempt-1)); err != nil {
 				return Reply{}, fmt.Errorf("%w: %v (last error: %v)", ErrCanceled, err, lastErr)
 			}
@@ -495,7 +458,6 @@ func (c *Client) invokeRetry(ctx context.Context, endpoints []string, hdr giop.R
 		span.End()
 		if err == nil {
 			c.health.onSuccess(ep)
-			pol.Budget.onSuccess()
 			return r, nil
 		}
 		if retryable(err) {
@@ -526,21 +488,6 @@ func (c *Client) pickEndpoint(endpoints []string, start int) string {
 		}
 	}
 	return endpoints[start%n]
-}
-
-// decodeForward extracts the forwarded failover endpoints from a
-// LOCATION_FORWARD reply body (a stringified IOR).
-func decodeForward(order cdr.ByteOrder, body []byte) ([]string, error) {
-	d := cdr.NewDecoderAt(order, body, 8)
-	s, err := d.String()
-	if err != nil {
-		return nil, fmt.Errorf("orb: undecodable forward body: %w", err)
-	}
-	ref, err := ior.Parse(s)
-	if err != nil {
-		return nil, fmt.Errorf("orb: forward carries bad IOR: %w", err)
-	}
-	return ref.FailoverEndpoints(), nil
 }
 
 func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander) (Reply, error) {
@@ -669,47 +616,6 @@ func (c *Client) PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []floa
 	err = cc.write(giop.MsgWindowPut, e)
 	e.Release()
 	return len(blk) * 8, err
-}
-
-// Locate asks whether endpoint serves the object key, returning the
-// locate status and, for LocateForward, the stringified IOR to retry.
-func (c *Client) Locate(ctx context.Context, endpoint, key string) (giop.LocateStatus, string, error) {
-	cc, err := c.conn(endpoint)
-	if err != nil {
-		return 0, "", err
-	}
-	id := cc.nextID.Add(1)
-	e := giop.AcquireEncoder(c.order)
-	(&giop.LocateRequestHeader{RequestID: id, ObjectKey: key}).Encode(e.Encoder)
-
-	ch := make(chan reply, 1)
-	cc.addPending(id, waiter{ch: ch})
-	defer cc.removePending(id)
-	werr := cc.write(giop.MsgLocateRequest, e)
-	e.Release()
-	if werr != nil {
-		return 0, "", werr
-	}
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return 0, "", r.err
-		}
-		d := cdr.NewDecoder(r.Order, r.Body)
-		lh, err := giop.DecodeLocateReplyHeader(d)
-		if err != nil {
-			return 0, "", err
-		}
-		fwd := ""
-		if lh.Status == giop.LocateForward {
-			if fwd, err = d.String(); err != nil {
-				return 0, "", err
-			}
-		}
-		return lh.Status, fwd, nil
-	case <-ctx.Done():
-		return 0, "", fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
-	}
 }
 
 // Close shuts down every cached connection. In-flight invocations
@@ -1011,18 +917,6 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		switch f.Type {
-		case giop.MsgLocateReply:
-			// LocateReply shares the pending table; the request id
-			// is the header's first field in both layouts.
-			d := cdr.NewDecoder(f.Order, f.Body)
-			id, err := d.ULong()
-			if err != nil {
-				cc.shutdown(fmt.Errorf("%w: bad locate reply: %v", ErrConnectionLost, err))
-				return
-			}
-			if w, found, _ := cc.takePending(id, false); found {
-				w.ch <- reply{Reply: Reply{Order: f.Order, Body: f.Body}}
-			}
 		case giop.MsgCloseConnection:
 			// Orderly shutdown: the server promises it processed
 			// nothing further, so waiters may re-issue elsewhere.

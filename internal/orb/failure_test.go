@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
-	"strings"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,170 +15,118 @@ import (
 	"pardis/internal/transport"
 )
 
-// TestLocationForwardFollowed: a "moved" object redirects clients to
-// its new home transparently.
-func TestLocationForwardFollowed(t *testing.T) {
+// TestForwardStatusNotFollowed: status 3, once LOCATION_FORWARD, is
+// no longer a status the client knows. A reply carrying it, with a
+// stringified IOR as its body, reaches the caller as a non-OK reply,
+// and the endpoint that IOR names is never dialed.
+func TestForwardStatusNotFollowed(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
-
-	// New home.
-	home := NewServer(reg)
-	home.Handle("obj", func(in *Incoming) {
-		_ = in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutString("from new home") })
-	})
-	homeEp, err := home.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer home.Close()
-	fwdRef := &ior.Ref{TypeID: "IDL:obj:1.0", Key: "obj", Threads: 1, Endpoints: []string{homeEp}}
-
-	// Old home forwards.
-	old := NewServer(reg)
-	old.Handle("obj", func(in *Incoming) {
-		_ = in.ReplyForward(fwdRef.Stringify())
-	})
-	oldEp, err := old.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-
-	cli := NewClient(reg)
-	defer cli.Close()
-	rh, order, body, err := cli.Invoke(context.Background(), oldEp,
-		requestHeader(cli, "obj", "op"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rh.Status != giop.ReplyOK {
-		t.Fatalf("status = %v", rh.Status)
-	}
-	s, err := cdr.NewDecoderAt(order, body, 8).String()
-	if err != nil || s != "from new home" {
-		t.Fatalf("reply = %q %v", s, err)
-	}
-}
-
-// TestForwardLoopBounded: a forward cycle is detected as soon as an
-// endpoint is seen twice, instead of burning all maxForwards hops.
-func TestForwardLoopBounded(t *testing.T) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
+	target := &countingDialer{}
+	reg.Register(target)
+	fwd := &ior.Ref{TypeID: "t", Key: "obj", Threads: 1, Endpoints: []string{"counted:elsewhere"}}
 	srv := NewServer(reg)
+	srv.Handle("obj", func(in *Incoming) {
+		_ = in.Reply(giop.ReplyStatus(3), func(e *cdr.Encoder) { e.PutString(fwd.Stringify()) })
+	})
 	ep, err := srv.Listen("inproc:*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	self := &ior.Ref{TypeID: "t", Key: "obj", Threads: 1, Endpoints: []string{ep}}
-	var hops atomic.Int32
-	srv.Handle("obj", func(in *Incoming) {
-		hops.Add(1)
-		_ = in.ReplyForward(self.Stringify()) // forward to itself forever
-	})
-	cli := NewClient(reg)
+	cli := NewClient(reg, WithRetryPolicy(DefaultRetryPolicy()))
 	defer cli.Close()
-	_, _, _, err = cli.Invoke(context.Background(), ep, requestHeader(cli, "obj", "op"), nil)
-	if !errors.Is(err, ErrForwardCycle) {
-		t.Fatalf("err = %v", err)
-	}
-	// The self-cycle is caught after the first forward, not after
-	// maxForwards round-trips.
-	if n := hops.Load(); n != 1 {
-		t.Fatalf("server dispatched %d times; cycle not detected early", n)
-	}
-}
-
-// TestForwardCycleTwoServers: an A→B→A forward cycle is detected when
-// A's endpoint shows up the second time.
-func TestForwardCycleTwoServers(t *testing.T) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	a, b := NewServer(reg), NewServer(reg)
-	epA, err := a.Listen("inproc:*")
+	ref := &ior.Ref{TypeID: "t", Key: "obj", Threads: 1, Endpoints: []string{ep}}
+	r, err := cli.InvokeRef(context.Background(), ref, requestHeader(cli, "obj", "op"), nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("InvokeRef: %v", err)
 	}
-	defer a.Close()
-	epB, err := b.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
+	if r.Header.Status != giop.ReplyStatus(3) {
+		t.Fatalf("status = %v, want the peer's status 3", r.Header.Status)
 	}
-	defer b.Close()
-	refA := &ior.Ref{TypeID: "t", Key: "obj", Threads: 1, Endpoints: []string{epA}}
-	refB := &ior.Ref{TypeID: "t", Key: "obj", Threads: 1, Endpoints: []string{epB}}
-	a.Handle("obj", func(in *Incoming) { _ = in.ReplyForward(refB.Stringify()) })
-	b.Handle("obj", func(in *Incoming) { _ = in.ReplyForward(refA.Stringify()) })
-	cli := NewClient(reg)
-	defer cli.Close()
-	_, _, _, err = cli.Invoke(context.Background(), epA, requestHeader(cli, "obj", "op"), nil)
-	if !errors.Is(err, ErrForwardCycle) {
-		t.Fatalf("err = %v", err)
+	if n := target.dials.Load(); n != 0 {
+		t.Fatalf("the endpoint named in the reply was dialed %d times", n)
 	}
 }
 
-// TestForwardWithBadIORFails: a malformed forward body surfaces as an
-// error rather than a retry storm.
-func TestForwardWithBadIORFails(t *testing.T) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	srv := NewServer(reg)
-	srv.Handle("obj", func(in *Incoming) {
-		_ = in.Reply(giop.ReplyLocationForward, func(e *cdr.Encoder) {
-			e.PutString("IOR:not-hex!")
-		})
-	})
-	ep, _ := srv.Listen("inproc:*")
-	defer srv.Close()
-	cli := NewClient(reg)
-	defer cli.Close()
-	_, _, _, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "obj", "op"), nil)
-	if err == nil || !strings.Contains(err.Error(), "bad IOR") {
-		t.Fatalf("err = %v", err)
-	}
+// countingDialer is a transport for the "counted" scheme that counts
+// its dials and refuses every one.
+type countingDialer struct{ dials atomic.Int32 }
+
+func (d *countingDialer) Scheme() string { return "counted" }
+
+func (d *countingDialer) Listen(string) (transport.Listener, error) {
+	return nil, errors.New("counted: no listener")
 }
 
-// TestGarbageBytesOnServer: a connection spewing garbage must not
-// take the server down; other connections keep working.
+func (d *countingDialer) Dial(string) (transport.Conn, error) {
+	d.dials.Add(1)
+	return nil, errors.New("counted: refused")
+}
+
+// TestGarbageBytesOnServer: a connection that sends garbage, or a
+// frame of a retired message type, is closed without an answer; the
+// server survives and the next connection is served.
 func TestGarbageBytesOnServer(t *testing.T) {
-	reg := transport.NewRegistry()
-	inproc := transport.NewInproc()
-	reg.Register(inproc)
-	srv := NewServer(reg)
-	srv.Handle("echo", func(in *Incoming) {
-		_ = in.Reply(giop.ReplyOK, nil)
-	})
-	ep, err := srv.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	// A LocateRequest (type 3) for the served key, as a pre-retirement
+	// peer would send it: request id 9, object key "echo".
+	locate := cdr.NewEncoder(cdr.BigEndian)
+	locate.PutULong(9)
+	locate.PutString("echo")
+	for _, c := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"http", []byte("GET / HTTP/1.1\r\n\r\n lots of garbage")},
+		{"locate-request", append(announce(cdr.BigEndian, 3, uint32(len(locate.Bytes()))), locate.Bytes()...)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := transport.NewRegistry()
+			reg.Register(transport.NewInproc())
+			srv := NewServer(reg)
+			srv.Handle("echo", func(in *Incoming) {
+				_ = in.Reply(giop.ReplyOK, nil)
+			})
+			ep, err := srv.Listen("inproc:*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	// Raw garbage connection.
-	raw, err := reg.Dial(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The write may fail midway if the server already detected the
-	// bad magic and closed the synchronous pipe — both outcomes are
-	// fine; the assertion is that the server survives.
-	_, _ = raw.Write([]byte("GET / HTTP/1.1\r\n\r\n lots of garbage"))
-	// The server should drop it; reads eventually fail.
-	raw.SetReadDeadline(time.Now().Add(time.Second))
-	buf := make([]byte, 16)
-	for {
-		if _, err := raw.Read(buf); err != nil {
-			break
-		}
-	}
-	raw.Close()
+			raw, err := reg.Dial(ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The write may fail midway if the server already refused
+			// the header and closed the synchronous pipe.
+			_, _ = raw.Write(c.bytes)
+			// The server must close the connection, answering nothing.
+			raw.SetReadDeadline(time.Now().Add(time.Second))
+			buf := make([]byte, 16)
+			got := 0
+			for {
+				n, err := raw.Read(buf)
+				got += n
+				if err != nil {
+					var ne net.Error
+					if errors.As(err, &ne) && ne.Timeout() {
+						t.Fatal("the server kept the connection open")
+					}
+					break
+				}
+			}
+			raw.Close()
+			if got != 0 {
+				t.Fatalf("the server answered with %d bytes", got)
+			}
 
-	// A proper client still works.
-	cli := NewClient(reg)
-	defer cli.Close()
-	if _, _, _, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "echo", "op"), nil); err != nil {
-		t.Fatalf("server damaged by garbage connection: %v", err)
+			// A proper client still works.
+			cli := NewClient(reg)
+			defer cli.Close()
+			if _, _, _, err := cli.Invoke(context.Background(), ep, requestHeader(cli, "echo", "op"), nil); err != nil {
+				t.Fatalf("server damaged by the %s connection: %v", c.name, err)
+			}
+		})
 	}
 }
 

@@ -223,23 +223,6 @@ func TestFaultBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// TestFaultRetryBudgetExhausted: a hard outage stops retrying once
-// the budget runs dry instead of hammering the dead endpoint.
-func TestFaultRetryBudgetExhausted(t *testing.T) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	cli := NewClient(reg, WithRetryPolicy(RetryPolicy{
-		MaxAttempts: 10, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		Budget: NewRetryBudget(2, 0),
-	}))
-	defer cli.Close()
-	_, _, _, err := cli.Invoke(context.Background(), "inproc:nowhere",
-		requestHeader(cli, "echo", "op"), nil)
-	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestFaultGracefulShutdownDrains: Shutdown completes in-flight work,
 // bounces new requests with TRANSIENT (failover fodder), and says
 // goodbye with MsgCloseConnection rather than a raw reset.

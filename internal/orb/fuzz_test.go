@@ -229,7 +229,10 @@ func requestBody(order cdr.ByteOrder, id uint32, key string) []byte {
 // length the forged header announced. A frame of any minor but the
 // current one ends the connection before the probe is read; when the
 // forged frame is current, complete and its request header decodes,
-// the stream must stay framed and the probe must be answered.
+// the stream must stay framed and the probe must be answered. A typ of
+// 3 or 4 forges the frame as a retired Locate message instead of a
+// Request (any other typ leaves it a Request); like a foreign minor, it
+// ends the connection before the probe is read.
 func FuzzRequestFrame(f *testing.F) {
 	native, foreign := cdr.NativeOrder, cdr.BigEndian
 	if native == cdr.BigEndian {
@@ -237,16 +240,18 @@ func FuzzRequestFrame(f *testing.F) {
 	}
 	req := requestBody(native, 1, "elsewhere")
 	cur := byte(giop.VersionMinor)
-	f.Add(native == cdr.LittleEndian, cur, uint32(len(req)), req)             // in range
-	f.Add(native == cdr.LittleEndian, cur, uint32(giop.MaxBodyLen), []byte{}) // 1 GiB announced, absent
-	f.Add(native == cdr.LittleEndian, cur, uint32(len(req)+100), req)         // shorter than announced
+	f.Add(native == cdr.LittleEndian, cur, byte(0), uint32(len(req)), req)             // in range
+	f.Add(native == cdr.LittleEndian, cur, byte(0), uint32(giop.MaxBodyLen), []byte{}) // 1 GiB announced, absent
+	f.Add(native == cdr.LittleEndian, cur, byte(0), uint32(len(req)+100), req)         // shorter than announced
 	freq := requestBody(foreign, 2, fuzzProbeKey)
-	f.Add(foreign == cdr.LittleEndian, cur, uint32(len(freq)), freq)  // foreign byte order
-	f.Add(native == cdr.LittleEndian, byte(0), uint32(len(req)), req) // a 1.0 peer's frame
+	f.Add(foreign == cdr.LittleEndian, cur, byte(0), uint32(len(freq)), freq)  // foreign byte order
+	f.Add(native == cdr.LittleEndian, byte(0), byte(0), uint32(len(req)), req) // a 1.0 peer's frame
 	lreq := append(requestBody(native, 3, fuzzLandingKey), make([]byte, 64)...)
-	f.Add(native == cdr.LittleEndian, cur, uint32(len(lreq)), lreq) // small, parked
+	f.Add(native == cdr.LittleEndian, cur, byte(0), uint32(len(lreq)), lreq) // small, parked
+	f.Add(native == cdr.LittleEndian, cur, byte(3), uint32(len(req)), req)   // a LocateRequest
+	f.Add(native == cdr.LittleEndian, cur, byte(4), uint32(len(req)), req)   // a LocateReply
 
-	f.Fuzz(func(t *testing.T, little bool, minor byte, bodyLen uint32, body []byte) {
+	f.Fuzz(func(t *testing.T, little bool, minor, typ byte, bodyLen uint32, body []byte) {
 		order := cdr.BigEndian
 		if little {
 			order = cdr.LittleEndian
@@ -254,8 +259,12 @@ func FuzzRequestFrame(f *testing.F) {
 		if uint64(len(body)) > uint64(bodyLen) {
 			body = body[:bodyLen]
 		}
+		retired := typ == 3 || typ == 4
 		stream := append(announce(order, giop.MsgRequest, bodyLen), body...)
 		stream[5] = minor
+		if retired {
+			stream[7] = typ
+		}
 		var probe bytes.Buffer
 		if err := giop.WriteMessage(&probe, cdr.NativeOrder, giop.MsgRequest,
 			requestBody(cdr.NativeOrder, fuzzProbeReq, fuzzProbeKey)); err != nil {
@@ -286,6 +295,12 @@ func FuzzRequestFrame(f *testing.F) {
 				len(stream), bodyLen, grew, bound)
 		}
 
+		if retired {
+			if conn.replied(fuzzProbeReq) {
+				t.Fatalf("the probe behind a type-%d frame was answered", typ)
+			}
+			return
+		}
 		if minor != giop.VersionMinor {
 			if conn.replied(fuzzProbeReq) {
 				t.Fatalf("the probe behind a minor-%d frame was answered", minor)

@@ -1,7 +1,7 @@
 // Package orb implements the PARDIS Object Request Broker core: the
 // client-side invocation engine (connection caching, request/reply
-// matching, cancellation, locate queries) and the server-side object
-// adapter (endpoint listeners, request dispatch, reply writing), plus
+// matching, cancellation) and the server-side object adapter
+// (endpoint listeners, request dispatch, reply writing), plus
 // the one-sided window puts that carry multi-port arguments straight
 // into registered destination slices, which distinguish PARDIS from a
 // conventional ORB.
@@ -49,9 +49,6 @@ var (
 	// ErrTransient wraps a TRANSIENT system exception: the server
 	// explicitly asked the client to retry (e.g. it is draining).
 	ErrTransient = errors.New("orb: transient server condition")
-	// ErrForwardCycle reports a LOCATION_FORWARD loop (an endpoint
-	// forwarded back to a location already visited).
-	ErrForwardCycle = errors.New("orb: location forward cycle")
 	// ErrLandingTorn means the connection failed while a ReplyLander
 	// was writing its destination: that now holds part of the reply,
 	// which a retry would send back as in-data, so it is not retried.

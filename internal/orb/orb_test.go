@@ -230,18 +230,6 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	cli, _, ep := newPair(t)
-	st, _, err := cli.Locate(context.Background(), ep, "echo")
-	if err != nil || st != giop.LocateHere {
-		t.Fatalf("locate echo = %v %v", st, err)
-	}
-	st, _, err = cli.Locate(context.Background(), ep, "ghost")
-	if err != nil || st != giop.LocateUnknown {
-		t.Fatalf("locate ghost = %v %v", st, err)
-	}
-}
-
 func TestServerCloseFailsInflight(t *testing.T) {
 	cli, srv, ep := newPair(t)
 	block := make(chan struct{})

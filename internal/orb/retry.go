@@ -1,5 +1,5 @@
 // Fault-tolerant invocation support: retry policy with exponential
-// backoff and a shared retry budget, plus the per-endpoint health
+// backoff, plus the per-endpoint health
 // table (a consecutive-failure circuit breaker with half-open probes)
 // that drives failover across a reference's replica endpoints.
 package orb
@@ -35,11 +35,6 @@ type RetryPolicy struct {
 	// retry synchronization across clients hammering a recovering
 	// server.
 	Jitter float64
-	// Budget, when set, rate-limits retries client-wide so that a
-	// hard outage cannot multiply load (retry storms). Attempts
-	// beyond the first each spend one token; exhausted budget stops
-	// retrying and surfaces the last error.
-	Budget *RetryBudget
 }
 
 // DefaultRetryPolicy is a sensible production policy: three attempts,
@@ -102,54 +97,6 @@ var jitterRand = func() func() float64 {
 		return rng.Float64()
 	}
 }()
-
-// RetryBudget is a token bucket shared by all invocations of one or
-// more clients: each retry spends a token, each success earns back a
-// fraction. When the bucket is empty retries are suppressed, bounding
-// the load amplification a dead backend can cause to (1 + earn rate).
-type RetryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	earn   float64
-}
-
-// NewRetryBudget returns a budget holding up to max tokens (starting
-// full) and earning earnPerSuccess tokens back per successful
-// invocation. Typical values: max 10, earnPerSuccess 0.1.
-func NewRetryBudget(max, earnPerSuccess float64) *RetryBudget {
-	if max <= 0 {
-		max = 10
-	}
-	return &RetryBudget{tokens: max, max: max, earn: earnPerSuccess}
-}
-
-// spend takes one token, reporting whether a retry is allowed.
-func (b *RetryBudget) spend() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// onSuccess earns back a fraction of a token.
-func (b *RetryBudget) onSuccess() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.tokens += b.earn
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.mu.Unlock()
-}
 
 // Circuit-breaker defaults.
 const (

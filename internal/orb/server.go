@@ -183,17 +183,9 @@ func (in *Incoming) ReplySystemException(code, detail string) error {
 	return in.Reply(giop.ReplySystemException, ex.Encode)
 }
 
-// ReplyForward redirects the client to another object location; the
-// client's ORB transparently retries there.
-func (in *Incoming) ReplyForward(stringifiedIOR string) error {
-	return in.Reply(giop.ReplyLocationForward, func(e *cdr.Encoder) {
-		e.PutString(stringifiedIOR)
-	})
-}
-
 // Server is the object-adapter side of the ORB: it owns listeners,
-// dispatches requests to handlers by object key, answers locate
-// queries, and routes inbound block transfers.
+// dispatches requests to handlers by object key and routes inbound
+// block transfers.
 type Server struct {
 	reg   *transport.Registry
 	order cdr.ByteOrder
@@ -330,14 +322,6 @@ func (s *Server) HandleLanding(key string, h Handler) {
 	s.mu.Lock()
 	s.handlers[key] = h
 	s.landing[key] = true
-	s.mu.Unlock()
-}
-
-// Unhandle removes a handler.
-func (s *Server) Unhandle(key string) {
-	s.mu.Lock()
-	delete(s.handlers, key)
-	delete(s.landing, key)
 	s.mu.Unlock()
 }
 
@@ -641,10 +625,6 @@ func (sc *serverConn) readLoop() {
 		}
 		t, order, body := f.Type, f.Order, f.Body
 		switch t {
-		case giop.MsgLocateRequest:
-			if err := sc.handleLocate(order, body); err != nil {
-				return
-			}
 		case giop.MsgCancelRequest:
 			d := cdr.NewDecoder(order, body)
 			ch, err := giop.DecodeCancelRequestHeader(d)
@@ -971,21 +951,4 @@ func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
 		h(in)
 	}()
 	return parked
-}
-
-func (sc *serverConn) handleLocate(order cdr.ByteOrder, body []byte) error {
-	d := cdr.NewDecoder(order, body)
-	lh, err := giop.DecodeLocateRequestHeader(d)
-	if err != nil {
-		return fmt.Errorf("orb: bad locate header: %w", err)
-	}
-	status := giop.LocateUnknown
-	if _, ok := sc.srv.handler(lh.ObjectKey); ok {
-		status = giop.LocateHere
-	}
-	e := giop.AcquireEncoder(sc.srv.order)
-	(&giop.LocateReplyHeader{RequestID: lh.RequestID, Status: status}).Encode(e.Encoder)
-	err = sc.write(giop.MsgLocateReply, e)
-	e.Release()
-	return err
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
@@ -41,13 +40,6 @@ type BindConfig struct {
 	// for multi-port out-argument blocks ("inproc:*",
 	// "tcp:127.0.0.1:0"). Unused under Centralized.
 	ListenEndpoint string
-	// Retry is the invocation retry policy for this binding's ORB
-	// client. The zero value enables failover-grade defaults: at
-	// least one attempt per replica endpoint of the bound reference.
-	Retry orb.RetryPolicy
-	// Deadline is the default per-invocation deadline applied when a
-	// call's context has none (0 = no default deadline).
-	Deadline time.Duration
 }
 
 // Binding is one client thread's stub-side connection to an SPMD
@@ -173,20 +165,13 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	if reg == nil {
 		reg = transport.Default
 	}
-	// The binding's ORB client defaults to a failover-grade retry
-	// policy: enough attempts to try every replica endpoint of the
-	// reference at least once (the "retry the next endpoint when one
-	// thread's dial fails" behavior of a fault-tolerant bind).
-	pol := cfg.Retry
-	if pol.MaxAttempts == 0 {
-		pol = orb.DefaultRetryPolicy()
-		if n := len(ref.FailoverEndpoints()); n > pol.MaxAttempts {
-			pol.MaxAttempts = n
-		}
-	}
-	clientOpts := []orb.ClientOption{orb.WithRetryPolicy(pol)}
-	if cfg.Deadline > 0 {
-		clientOpts = append(clientOpts, orb.WithDefaultDeadline(cfg.Deadline))
+	// The binding's ORB client uses a failover-grade retry policy:
+	// enough attempts to try every replica endpoint of the reference
+	// at least once (the "retry the next endpoint when one thread's
+	// dial fails" behavior of a fault-tolerant bind).
+	pol := orb.DefaultRetryPolicy()
+	if n := len(ref.FailoverEndpoints()); n > pol.MaxAttempts {
+		pol.MaxAttempts = n
 	}
 	b := &Binding{
 		cfg:    cfg,
@@ -194,7 +179,7 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		rank:   cfg.Thread.Rank(),
 		size:   cfg.Thread.Size(),
 		ref:    ref,
-		oc:     orb.NewClient(reg, clientOpts...),
+		oc:     orb.NewClient(reg, orb.WithRetryPolicy(pol)),
 		method: cfg.Method,
 	}
 	if cfg.Method == MultiPort && !ref.MultiPort() {
@@ -364,34 +349,6 @@ func (b *Binding) Close() {
 	if b.recv != nil {
 		b.recv.Close()
 	}
-}
-
-// Renew pings the object's communicator to keep this binding's
-// server-side lease alive while the binding is idle (invocations renew
-// it implicitly). Only the communicator thread sends; other threads
-// return nil immediately, so Renew need not be collective. Worker-rank
-// leases are re-established by the put traffic of the next
-// invocation, so the communicator ping is all an idle binding needs.
-func (b *Binding) Renew(ctx context.Context) error {
-	if b.rank != 0 {
-		return nil
-	}
-	hdr := giop.RequestHeader{
-		InvocationID:     b.oc.NewInvocationID(),
-		ResponseExpected: true,
-		ObjectKey:        b.ref.Key,
-		Operation:        RenewOperation,
-		ThreadRank:       0,
-		ThreadCount:      int32(b.size),
-	}
-	r, err := b.oc.InvokeRef(ctx, b.ref, hdr, nil)
-	if err != nil {
-		return err
-	}
-	if r.Header.Status != giop.ReplyOK {
-		return fmt.Errorf("%w: renew returned %v", ErrRemote, r.Header.Status)
-	}
-	return nil
 }
 
 // Invoke performs one blocking collective invocation. On a MultiPort

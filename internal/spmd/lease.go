@@ -3,14 +3,15 @@
 // Every client of an SPMD object holds an implicit lease on each
 // server rank, identified by the 24-bit random prefix of its
 // invocation ids (one prefix per client ORB process). Traffic renews
-// the lease: requests and describe/renew calls at the communicator,
+// the lease: requests and describe calls at the communicator,
 // put arrivals at every rank. When a client dies — between
 // `_spmd_bind` and invoke, or mid-transfer — its traffic stops, the
 // lease expires TTL later, and every rank-side wait tied to it
 // unwinds with ErrLeaseExpired: windows are cancelled by their
 // owning dispatch, the collective agrees on the failure, and the
-// object keeps serving other clients. Idle-but-alive clients keep
-// their lease with the cheap RenewOperation ping (Binding.Renew).
+// object keeps serving other clients. An idle client's lease lapses
+// the same way, holding no rank-side state; its next invocation
+// opens a fresh one.
 package spmd
 
 import (
@@ -27,8 +28,8 @@ import (
 const DefaultLeaseTTL = 30 * time.Second
 
 // ErrLeaseExpired means a dispatch was abandoned because its client's
-// lease ran out: the client stopped sending traffic (and renew pings)
-// for a full TTL, so the ranks stopped waiting for it.
+// lease ran out: the client stopped sending traffic for a full TTL,
+// so the ranks stopped waiting for it.
 var ErrLeaseExpired = errors.New("spmd: client lease expired")
 
 // Interned once; both are process-wide and accounted in deltas, so

@@ -3,7 +3,6 @@ package spmd
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -162,7 +161,7 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 
 // TestFaultLeaseExpiresAbandonedBind covers the client killed between
 // _spmd_bind and its first invocation: the bind's describe traffic
-// created leases, and with no invocation (and no renew pings) they
+// created leases, and with no invocation they
 // must expire and leave zero rank-side state behind.
 func TestFaultLeaseExpiresAbandonedBind(t *testing.T) {
 	reg := newReg()
@@ -187,7 +186,7 @@ func TestFaultLeaseExpiresAbandonedBind(t *testing.T) {
 	if total() == 0 {
 		t.Fatal("bind left no lease — describe traffic did not acquire one")
 	}
-	// The client dies here: no invoke, no renew, no close handshake.
+	// The client dies here: no invoke, no close handshake.
 	deadline := time.Now().Add(10 * time.Second)
 	for total() != 0 {
 		if time.Now().After(deadline) {
@@ -197,34 +196,4 @@ func TestFaultLeaseExpiresAbandonedBind(t *testing.T) {
 	}
 	b.Close()
 	w.Close()
-}
-
-// TestLeaseRenewKeepsIdleBindingAlive: an idle-but-alive binding keeps
-// its lease with explicit Renew pings across several TTLs, and can
-// still invoke afterwards.
-func TestLeaseRenewKeepsIdleBindingAlive(t *testing.T) {
-	reg := newReg()
-	obj := startObjectCfg(t, reg, 2, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.LeaseTTL = 100 * time.Millisecond
-	})
-	defer obj.close()
-	runClient(t, reg, 1, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
-		stop := time.Now().Add(400 * time.Millisecond)
-		for time.Now().Before(stop) {
-			if err := b.Renew(context.Background()); err != nil {
-				return err
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		n := 0
-		for _, o := range obj.threadObjects() {
-			if o != nil {
-				n += o.Leases()
-			}
-		}
-		if n == 0 {
-			return fmt.Errorf("lease expired despite renew pings")
-		}
-		return invokeDiffusion(b, th, 100, 1)
-	})
 }

@@ -332,9 +332,9 @@ func TestParkedOutOnlyRequestCancellable(t *testing.T) {
 	// The handler still runs; the connection must read on regardless.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	rh, _, err := invokeRaw(ctx, cli, obj.ref, RenewOperation, nil)
+	rh, _, err := invokeRaw(ctx, cli, obj.ref, DescribeOperation, nil)
 	if err != nil || rh.Status != giop.ReplyOK {
-		t.Fatalf("a renew behind the padded request: %v %v; want it answered while the handler runs", rh.Status, err)
+		t.Fatalf("a describe behind the padded request: %v %v; want it answered while the handler runs", rh.Status, err)
 	}
 	unblock()
 	rh, d, err := invokeRaw(ctx, cli, obj.ref, "fill", padded(false))

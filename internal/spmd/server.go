@@ -299,7 +299,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	// The communicator accepts requests and queues them for the
 	// collective serve loop; non-communicator ports only receive
 	// window puts (handled inside the ORB), but they still
-	// answer describe/locate for robustness.
+	// answer describe for robustness.
 	if o.rank == 0 {
 		o.queue = make(chan request, 64)
 		o.srv.HandleLanding(cfg.Key, func(in *orb.Incoming) {
@@ -307,16 +307,8 @@ func Export(cfg ObjectConfig) (*Object, error) {
 			// before anything else, so a queued invocation cannot lose
 			// its own lease while waiting for the collective.
 			o.leases.acquire(leaseClient(in.Header.InvocationID))
-			switch in.Header.Operation {
-			case DescribeOperation:
+			if in.Header.Operation == DescribeOperation {
 				o.replyDescribe(in)
-				in.Release()
-				return
-			case RenewOperation:
-				// The explicit cheap renew for idle bindings: answered
-				// inline on the communicator port, never engaging the
-				// collective.
-				_ = in.Reply(giop.ReplyOK, nil)
 				in.Release()
 				return
 			}
@@ -325,12 +317,8 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	} else if o.srv != nil {
 		o.srv.Handle(cfg.Key, func(in *orb.Incoming) {
 			o.leases.acquire(leaseClient(in.Header.InvocationID))
-			switch in.Header.Operation {
-			case DescribeOperation:
+			if in.Header.Operation == DescribeOperation {
 				o.replyDescribe(in)
-				return
-			case RenewOperation:
-				_ = in.Reply(giop.ReplyOK, nil)
 				return
 			}
 			_ = in.ReplySystemException("BAD_OPERATION",
@@ -615,23 +603,15 @@ func decodeControl(d *cdr.Decoder) (*control, error) {
 // computing thread of the object concurrently. It returns ErrClosed
 // after a clean shutdown.
 func (o *Object) Serve(ctx context.Context) error {
+	serveOne := o.workerServeOne
+	if o.rank == 0 {
+		serveOne = o.communicatorServeOne
+	}
 	for {
-		err := o.serveOne(ctx)
-		if err != nil {
+		if err := serveOne(ctx); err != nil {
 			return err
 		}
 	}
-}
-
-// ServeOne processes exactly one request collectively (useful for
-// tests and lock-step servers); Serve is the loop over it.
-func (o *Object) ServeOne(ctx context.Context) error { return o.serveOne(ctx) }
-
-func (o *Object) serveOne(ctx context.Context) error {
-	if o.rank == 0 {
-		return o.communicatorServeOne(ctx)
-	}
-	return o.workerServeOne(ctx)
 }
 
 // communicatorServeOne pops one queued request, drives the collective

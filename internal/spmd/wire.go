@@ -65,12 +65,6 @@ func (m ArgMode) String() string {
 // registering, §2.2).
 const DescribeOperation = "_pardis_describe"
 
-// RenewOperation is the implicit lease-renewal ping: a bound client
-// whose binding has gone idle sends it (Binding.Renew) to keep its
-// server-side lease — and with it any rank-side state — alive. The
-// communicator answers inline without engaging the collective.
-const RenewOperation = "_pardis_renew"
-
 // Errors returned by the SPMD layer.
 var (
 	ErrInconsistent = errors.New("spmd: computing threads disagree on invocation")

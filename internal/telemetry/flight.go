@@ -58,10 +58,22 @@ type FlightRecorder struct {
 	enabled atomic.Bool
 	k       int
 	errCap  int
-	// Two-level map — side -> *sync.Map of op -> *flightShard — so the
-	// per-record lookup is two lock-free reads with no key-string
-	// concatenation (Record sits on every invocation's exit path).
+	// Two-level map — side -> *flightSide, which maps op ->
+	// *flightShard — so the per-record lookup is two lock-free reads
+	// with no key-string concatenation (Record sits on every
+	// invocation's exit path).
 	shards sync.Map
+}
+
+// flightSide holds one side's op shards. A server takes op from the
+// request header, so the ops a peer can name are unbounded: past
+// maxFlightOps distinct ops, every new op records into overflow,
+// which Snapshot reports as flightOverflowOp.
+type flightSide struct {
+	ops      sync.Map // op -> *flightShard
+	mu       sync.Mutex
+	n        int // entries in ops, under mu
+	overflow flightShard
 }
 
 const (
@@ -70,6 +82,11 @@ const (
 	DefaultFlightSlowK = 8
 	// DefaultFlightErrCap bounds the per-shard errored-invocation ring.
 	DefaultFlightErrCap = 32
+	// maxFlightOps bounds the distinct ops one side keeps a shard for.
+	maxFlightOps = 256
+	// flightOverflowOp names the shard every op past maxFlightOps
+	// shares; its records keep their own Op.
+	flightOverflowOp = "(other)"
 )
 
 // NewFlightRecorder returns an enabled recorder keeping the k slowest
@@ -115,18 +132,28 @@ func (f *FlightRecorder) Reset() {
 }
 
 func (f *FlightRecorder) shard(side, op string) *flightShard {
-	var ops *sync.Map
+	var fs *flightSide
 	if v, ok := f.shards.Load(side); ok {
-		ops = v.(*sync.Map)
+		fs = v.(*flightSide)
 	} else {
-		v, _ := f.shards.LoadOrStore(side, &sync.Map{})
-		ops = v.(*sync.Map)
+		v, _ := f.shards.LoadOrStore(side, &flightSide{})
+		fs = v.(*flightSide)
 	}
-	if s, ok := ops.Load(op); ok {
+	if s, ok := fs.ops.Load(op); ok {
 		return s.(*flightShard)
 	}
-	s, _ := ops.LoadOrStore(op, &flightShard{})
-	return s.(*flightShard)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if s, ok := fs.ops.Load(op); ok {
+		return s.(*flightShard)
+	}
+	if fs.n >= maxFlightOps {
+		return &fs.overflow
+	}
+	s := &flightShard{}
+	fs.ops.Store(op, s)
+	fs.n++
+	return s
 }
 
 // Record offers one completed invocation to the recorder. Fast path:
@@ -176,16 +203,21 @@ type FlightOp struct {
 }
 
 // Snapshot returns every shard's records, sorted by (side, op), with
-// hex trace ids filled in.
+// hex trace ids filled in. A side's overflow shard is listed, as
+// flightOverflowOp, once it holds a record.
 func (f *FlightRecorder) Snapshot() []FlightOp {
 	var out []FlightOp
-	f.shards.Range(func(sideKey, opsV any) bool {
-		opsV.(*sync.Map).Range(func(opKey, v any) bool {
-			sh := v.(*flightShard)
+	f.shards.Range(func(sideKey, v any) bool {
+		fs := v.(*flightSide)
+		snap := func(opName string, sh *flightShard) {
 			sh.mu.Lock()
+			if len(sh.slow) == 0 && len(sh.errs) == 0 {
+				sh.mu.Unlock()
+				return
+			}
 			op := FlightOp{
 				Side:    sideKey.(string),
-				Op:      opKey.(string),
+				Op:      opName,
 				Slowest: append([]FlightRecord(nil), sh.slow...),
 			}
 			// Unroll the ring newest-first: the slot before errNext is
@@ -209,8 +241,12 @@ func (f *FlightRecorder) Snapshot() []FlightOp {
 				}
 			}
 			out = append(out, op)
+		}
+		fs.ops.Range(func(opKey, v any) bool {
+			snap(opKey.(string), v.(*flightShard))
 			return true
 		})
+		snap(flightOverflowOp, &fs.overflow)
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool {

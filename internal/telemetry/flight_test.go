@@ -37,6 +37,42 @@ func TestFlightRecorderKeepsKSlowest(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCapsOps: past maxFlightOps distinct ops on one
+// side, every further op shares the overflow shard, whose records keep
+// their own op; the other side keeps its own budget. Four goroutines
+// race to create the shards, so the cap must hold exactly.
+func TestFlightRecorderCapsOps(t *testing.T) {
+	f := NewFlightRecorder(3, 8)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < maxFlightOps+50; i += 4 {
+				f.Record(FlightRecord{Side: "server", Op: fmt.Sprintf("op-%d", i), Duration: time.Millisecond})
+			}
+		}()
+	}
+	wg.Wait()
+	f.Record(FlightRecord{Side: "client", Op: "echo", Duration: time.Millisecond})
+	snap := f.Snapshot()
+	if len(snap) != maxFlightOps+2 {
+		t.Fatalf("shards = %d, want %d server ops + overflow + 1 client op", len(snap), maxFlightOps)
+	}
+	var overflow *FlightOp
+	for i := range snap {
+		if snap[i].Side == "server" && snap[i].Op == flightOverflowOp {
+			overflow = &snap[i]
+		}
+	}
+	if overflow == nil || len(overflow.Slowest) != 3 {
+		t.Fatalf("overflow shard = %+v, want 3 slowest records", overflow)
+	}
+	if op := overflow.Slowest[0].Op; !strings.HasPrefix(op, "op-") {
+		t.Fatalf("an overflow record lost its op: %q", op)
+	}
+}
+
 func TestFlightRecorderErrorRing(t *testing.T) {
 	f := NewFlightRecorder(2, 3)
 	for i := 1; i <= 5; i++ {
