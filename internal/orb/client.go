@@ -24,8 +24,12 @@ import (
 // across a small pool of cached connections (grown on demand up to the
 // configured width), multiplexes concurrent requests over each, and
 // ships one-sided window puts, the multi-port data plane (out-arguments
-// come back the same way, as puts to the binding's receive Server). A
-// Client is safe for concurrent use.
+// come back the same way, as puts to the binding's receive Server), on a
+// second stripe of its own: no connection carries both a Request and a
+// put, because a put that beats its window's registration stalls its
+// connection until the window registers, and a Request queued behind it
+// may be what the registration waits for. A Client is safe for
+// concurrent use.
 //
 // Invocations are fault-tolerant to the extent the configured
 // RetryPolicy allows: failures inside the safe-to-retry window are
@@ -41,7 +45,7 @@ type Client struct {
 	stripeWidth int // max connections per endpoint
 
 	mu      sync.Mutex
-	stripes map[string]*stripe
+	stripes map[stripeKey]*stripe
 	closed  bool
 
 	invPrefix  uint64
@@ -145,7 +149,7 @@ func NewClient(reg *transport.Registry, opts ...ClientOption) *Client {
 		order:       cdr.NativeOrder,
 		health:      newHealthTable(0, 0),
 		stripeWidth: DefaultStripeWidth(),
-		stripes:     make(map[string]*stripe),
+		stripes:     make(map[stripeKey]*stripe),
 	}
 	var seed [8]byte
 	if _, err := rand.Read(seed[:]); err == nil {
@@ -190,23 +194,32 @@ type stripe struct {
 	conns []*clientConn
 }
 
-// conn returns a connection for endpoint from its stripe: the
-// least-loaded live one, or — when every live connection is busy and
-// the stripe has room — a freshly dialed one. Dial failures for the
+// stripeKey names a stripe: an endpoint has one for requests (and
+// routed blocks) and one for window puts alone.
+type stripeKey struct {
+	endpoint string
+	puts     bool
+}
+
+// conn returns a connection to endpoint from its request stripe, or its
+// put stripe when puts is set: the least-loaded live one, or — when
+// every live connection is busy and the stripe has room — a freshly
+// dialed one. Dial failures for the
 // first connection are tagged ErrUnreachable (the request never left
 // the process, so the retry layer may re-issue it freely); a failed
 // growth dial falls back to the busiest-but-alive pick instead of
 // failing the request.
-func (c *Client) conn(endpoint string) (*clientConn, error) {
+func (c *Client) conn(endpoint string, puts bool) (*clientConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
-	st := c.stripes[endpoint]
+	key := stripeKey{endpoint, puts}
+	st := c.stripes[key]
 	if st == nil {
 		st = &stripe{}
-		c.stripes[endpoint] = st
+		c.stripes[key] = st
 	}
 	var best *clientConn
 	var bestDepth int64
@@ -228,12 +241,12 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, endpoint, err)
 	}
 	cc := &clientConn{
-		owner:    c,
-		endpoint: endpoint,
-		slot:     len(st.conns),
-		raw:      raw,
-		pending:  make(map[uint32]waiter),
-		closed:   make(chan struct{}),
+		owner:   c,
+		key:     key,
+		slot:    len(st.conns),
+		raw:     raw,
+		pending: make(map[uint32]waiter),
+		closed:  make(chan struct{}),
 	}
 	st.conns = append(st.conns, cc)
 	go cc.readLoop()
@@ -243,7 +256,7 @@ func (c *Client) conn(endpoint string) (*clientConn, error) {
 // dropConn removes a dead connection from its stripe.
 func (c *Client) dropConn(cc *clientConn) {
 	c.mu.Lock()
-	if st := c.stripes[cc.endpoint]; st != nil {
+	if st := c.stripes[cc.key]; st != nil {
 		for i, other := range st.conns {
 			if other == cc {
 				st.conns = append(st.conns[:i], st.conns[i+1:]...)
@@ -251,7 +264,7 @@ func (c *Client) dropConn(cc *clientConn) {
 			}
 		}
 		if len(st.conns) == 0 {
-			delete(c.stripes, cc.endpoint)
+			delete(c.stripes, cc.key)
 		}
 	}
 	c.mu.Unlock()
@@ -491,7 +504,7 @@ func (c *Client) pickEndpoint(endpoints []string, start int) string {
 }
 
 func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.RequestHeader, body func(*cdr.Encoder), land ReplyLander) (Reply, error) {
-	cc, err := c.conn(endpoint)
+	cc, err := c.conn(endpoint, false)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -577,7 +590,7 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 // header), so callers can account actual wire traffic for any element
 // type.
 func (c *Client) SendBlock(endpoint string, hdr giop.BlockTransferHeader, payload func(*cdr.Encoder)) (int, error) {
-	cc, err := c.conn(endpoint)
+	cc, err := c.conn(endpoint, false)
 	if err != nil {
 		return 0, err
 	}
@@ -595,7 +608,8 @@ func (c *Client) SendBlock(endpoint string, hdr giop.BlockTransferHeader, payloa
 	return n, err
 }
 
-// PutWindow ships one one-sided window put to endpoint. The header
+// PutWindow ships one one-sided window put to endpoint, on the
+// endpoint's put stripe, which carries no requests. The header
 // comes from a pooled encoder; on the native-byte-order path the
 // element payload is spliced, gather-writing straight from blk (one
 // writev, zero copies into frame buffers), so blk must stay unmodified
@@ -603,7 +617,7 @@ func (c *Client) SendBlock(endpoint string, hdr giop.BlockTransferHeader, payloa
 // and payload consistent by construction. Returns the payload byte
 // count.
 func (c *Client) PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []float64) (int, error) {
-	cc, err := c.conn(endpoint)
+	cc, err := c.conn(endpoint, true)
 	if err != nil {
 		return 0, err
 	}
@@ -631,7 +645,7 @@ func (c *Client) Close() error {
 	for _, st := range c.stripes {
 		conns = append(conns, st.conns...)
 	}
-	c.stripes = make(map[string]*stripe)
+	c.stripes = make(map[stripeKey]*stripe)
 	c.mu.Unlock()
 	for _, cc := range conns {
 		cc.shutdown(ErrClosed)
@@ -659,14 +673,14 @@ type reply struct {
 const connDeadlineStrikes = 3
 
 type clientConn struct {
-	owner    *Client
-	endpoint string
-	slot     int // stripe index when dialed
-	raw      transport.Conn
-	nextID   atomic.Uint32
-	depth    telemetry.Gauge // outstanding requests (unregistered)
-	sending  atomic.Int64    // one-way writes (block/put) in flight
-	strikes  atomic.Int32    // consecutive deadline misses, reset by any reply
+	owner   *Client
+	key     stripeKey // the stripe it belongs to
+	slot    int       // stripe index when dialed
+	raw     transport.Conn
+	nextID  atomic.Uint32
+	depth   telemetry.Gauge // outstanding requests (unregistered)
+	sending atomic.Int64    // one-way writes (block/put) in flight
+	strikes atomic.Int32    // consecutive deadline misses, reset by any reply
 
 	writeMu   sync.Mutex
 	cancelBuf [4]byte // preallocated CancelRequest body, guarded by writeMu

@@ -189,84 +189,36 @@ func TestServerDiesMidInvocation(t *testing.T) {
 	}
 }
 
-// earlyPut parks one early window put of n elements under r's pending
-// budgets.
-func earlyPut(r *blockRouter, window uint64, n int) error {
-	buf := acquirePutBuf(n * 8)
-	return r.bufferWindowPut(giop.WindowPutHeader{WindowID: window, Count: uint32(n)}, cdr.NativeOrder, buf)
-}
-
-// TestUnmatchedBlockFloodBounded: more early window puts than the
-// router's count budget are refused instead of consuming unbounded
-// memory.
-func TestUnmatchedBlockFloodBounded(t *testing.T) {
-	r := newBlockRouter()
-	r.pol.MaxBlocks = 8
-	for i := 0; i < 8; i++ {
-		if err := earlyPut(r, uint64(i), 0); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	if err := earlyPut(r, 99, 0); !errors.Is(err, ErrTooManyBlocks) {
-		t.Fatalf("flood not bounded: %v", err)
-	}
-	if st := r.stats(); st.Pending != 8 {
-		t.Fatalf("Pending = %d, want 8", st.Pending)
-	}
-}
-
-// TestUnmatchedBlockByteBudget: the pending buffer is bounded in bytes
-// as well as puts — a peer cannot park a handful of maximal puts
-// behind a window that never registers — and a registering window
-// takes its puts' bytes back out of the budget.
-func TestUnmatchedBlockByteBudget(t *testing.T) {
-	r := newBlockRouter()
-	r.pol.MaxBytes = 1024
-	for i := 0; i < 2; i++ {
-		if err := earlyPut(r, uint64(i), 64); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	if err := earlyPut(r, 99, 1); !errors.Is(err, ErrPendingBlockBytes) {
-		t.Fatalf("byte flood not bounded: %v", err)
-	}
-	if st := r.stats(); st.PendingBytes != 1024 {
-		t.Fatalf("PendingBytes = %d, want 1024", st.PendingBytes)
-	}
-	w, cancel, err := r.registerWindow(0, make([]float64, 64), 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	select {
-	case <-w.Done():
-	default:
-		t.Fatal("flushed window did not complete")
-	}
-	if st := r.stats(); st.PendingBytes != 512 || st.Pending != 1 {
-		t.Fatalf("after flush: %+v", st)
-	}
-	if err := earlyPut(r, 99, 64); err != nil {
-		t.Fatalf("budget not returned by the flush: %v", err)
-	}
-}
-
-// TestPendingSweepReclaimsAbandonedBlocks: a TTL sweep drops early-put
-// buffers with no recent arrivals while keeping fresh ones.
+// TestPendingSweepReclaimsAbandonedBlocks: a put for a window that
+// neither registers nor retires waits only until the router's bound
+// passes; the sweep that finds it past the bound fails its connection,
+// which the client's put stripe then drops. The sweep also drops lapsed
+// retirements, keeping fresh ones.
 func TestPendingSweepReclaimsAbandonedBlocks(t *testing.T) {
-	r := newBlockRouter()
-	r.pol.TTL = 50 * time.Millisecond
-	if err := earlyPut(r, 1, 8); err != nil {
-		t.Fatal(err)
+	cli, srv, ep := newPair(t)
+	srv.blocks.ttl = 50 * time.Millisecond
+	srv.RetireWindows(1)
+	// Over inproc a put's write returns only once the server has read it:
+	// this one never does.
+	go cli.PutWindow(ep, giop.WindowPutHeader{WindowID: windowKey(t, 2, 0)}, make([]float64, 8))
+	awaitPending(t, srv, 1)
+	srv.blocks.sweep(time.Now())
+	if st := srv.BlockStats(); st.Pending != 1 {
+		t.Fatalf("a fresh wait ended by the sweep: %+v", st)
 	}
-	if n := r.sweepWindows(time.Now()); n != 0 {
-		t.Fatalf("fresh buffer swept: %d", n)
+	time.Sleep(60 * time.Millisecond)
+	srv.blocks.sweep(time.Now())
+	awaitPending(t, srv, 0)
+	for deadline := time.Now().Add(5 * time.Second); putConns(cli, ep) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection of a put that waited past the bound stays up")
+		}
 	}
-	if n := r.sweepWindows(time.Now().Add(100 * time.Millisecond)); n != 1 {
-		t.Fatalf("stale buffer not swept: %d", n)
-	}
-	if st := r.stats(); st.Pending != 0 || st.PendingBytes != 0 {
-		t.Fatalf("after sweep: %+v", st)
+	srv.blocks.mu.Lock()
+	retired := len(srv.blocks.retired)
+	srv.blocks.mu.Unlock()
+	if retired != 0 {
+		t.Fatalf("%d lapsed retirements survive the sweep", retired)
 	}
 }
 

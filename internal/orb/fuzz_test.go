@@ -43,9 +43,8 @@ func (streamConn) SetReadDeadline(time.Time) error  { return nil }
 func (streamConn) SetWriteDeadline(time.Time) error { return nil }
 
 const (
-	fuzzBudget   = 4 << 10 // the server's pending byte budget
-	fuzzWindowN  = 64      // elements in the registered window
-	fuzzGuardN   = 8       // guard elements past its end
+	fuzzWindowN  = 64 // elements in each fuzzed window
+	fuzzGuardN   = 8  // guard elements past its end
 	fuzzGuard    = -7.25
 	fuzzRegID    = 0x1100
 	fuzzUnregID  = 0x2200
@@ -53,40 +52,66 @@ const (
 	fuzzProbeLen = 4
 )
 
+// How the harness ends the wait of a put for the unregistered ID.
+const (
+	fuzzEndRegister = iota // the window registers, and the put lands
+	fuzzEndRetire          // the invocation retires, and the put is skimmed
+	fuzzEndClose           // the connection ends
+	fuzzEnds
+)
+
+// guarded returns a window destination of fuzzWindowN elements followed
+// by fuzzGuardN guard elements in the same backing array.
+func guarded() (dst, backing []float64) {
+	backing = make([]float64, fuzzWindowN+fuzzGuardN)
+	for i := range backing {
+		backing[i] = fuzzGuard
+	}
+	return backing[:fuzzWindowN:fuzzWindowN], backing
+}
+
 // FuzzWindowPut drives a server connection's read loop with one forged
 // window put followed by a well-formed probe put. The server has one
-// registered window whose destination is followed by guard elements,
-// a probe window, and no registration for the unregistered ID. The read
-// loop must not panic, must never write a guard element, and must keep
-// the parked bytes within the pending budget; when the forged put is
-// well formed — its body length, count and payload agree, and it either
-// targets the registered window (in range or not) or fits the budget —
-// the stream must stay framed and the probe must land.
+// registered window whose destination is followed by guard elements and
+// a probe window; the unregistered ID's window registers only when the
+// harness says so. The read loop must not panic and must never write a
+// guard element. A put for the unregistered ID waits: while it does, it
+// has allocated nothing for its payload and the probe behind it has not
+// landed; the harness then ends the wait by registering the window,
+// retiring the ID or closing the connection, and the read loop must
+// return. When the forged put is well formed — its body length, count
+// and payload agree — and the connection was not closed, the stream must
+// stay framed and the probe must land, and an in-range put must land
+// exactly in its window.
 func FuzzWindowPut(f *testing.F) {
 	native, foreign := cdr.NativeOrder, cdr.BigEndian
 	if native == cdr.BigEndian {
 		foreign = cdr.LittleEndian
 	}
-	put := func(order cdr.ByteOrder, registered bool, dstOff, count uint32, bodyLen uint32) {
+	put := func(order cdr.ByteOrder, registered bool, end uint8, dstOff, count uint32, bodyLen uint32) {
 		e := cdr.NewEncoder(order)
-		for i := uint32(0); i < count; i++ {
+		for i := uint32(0); i < count && i < fuzzWindowN; i++ {
 			e.PutDouble(float64(i) + 0.5)
 		}
-		f.Add(order == cdr.LittleEndian, registered, dstOff, count, bodyLen, e.Bytes())
+		f.Add(order == cdr.LittleEndian, registered, end, dstOff, count, bodyLen, e.Bytes())
 	}
 	base := uint32(giop.WindowPutPayloadBase)
-	put(native, true, 0, 4, base+32)                         // in range
-	put(native, true, fuzzWindowN-2, 4, base+32)             // DstOff past the end
-	put(native, true, 0, 4, base+24)                         // Count disagrees with BodyLen
-	put(foreign, true, 8, 16, base+128)                      // foreign byte order
-	put(native, false, 0, 16, base+128)                      // parked early put
-	put(native, false, 0, fuzzBudget/8+1, base+fuzzBudget+8) // over budget
+	put(native, true, 0, 0, 4, base+32)                           // in range
+	put(native, true, 0, fuzzWindowN-2, 4, base+32)               // DstOff past the end
+	put(native, true, 0, 0, 4, base+24)                           // Count disagrees with BodyLen
+	put(foreign, true, 0, 8, 16, base+128)                        // foreign byte order
+	put(native, false, fuzzEndRegister, 0, 16, base+128)          // waits, then lands
+	put(foreign, false, fuzzEndRegister, 8, 16, base+128)         // waits, then lands, foreign order
+	put(native, false, fuzzEndRetire, 0, 16, base+128)            // retired
+	put(native, false, fuzzEndClose, 0, 16, base+128)             // the connection ends
+	put(native, false, fuzzEndRegister, 0, 1<<17, base+8*(1<<17)) // a 1 MiB put waits, its payload unsent
 
-	f.Fuzz(func(t *testing.T, little, registered bool, dstOff, count, bodyLen uint32, payload []byte) {
+	f.Fuzz(func(t *testing.T, little, registered bool, end uint8, dstOff, count, bodyLen uint32, payload []byte) {
 		order := cdr.BigEndian
 		if little {
 			order = cdr.LittleEndian
 		}
+		end %= fuzzEnds
 		id := uint64(fuzzUnregID)
 		if registered {
 			id = fuzzRegID
@@ -104,14 +129,10 @@ func FuzzWindowPut(f *testing.F) {
 			giop.WindowPutHeader{WindowID: fuzzProbeID, Count: fuzzProbeLen, Last: true},
 			uint32(giop.WindowPutPayloadBase+8*fuzzProbeLen), pe.Bytes())...)
 
-		srv := NewServer(nil, WithPendingPolicy(PendingPolicy{MaxBytes: fuzzBudget}))
+		srv := NewServer(nil)
 		defer srv.Close()
-		backing := make([]float64, fuzzWindowN+fuzzGuardN)
-		for i := range backing {
-			backing[i] = fuzzGuard
-		}
-		dst := backing[:fuzzWindowN:fuzzWindowN]
-		_, cancelReg, err := srv.RegisterWindow(fuzzRegID, dst, fuzzWindowN, nil)
+		regDst, regBacking := guarded()
+		_, cancelReg, err := srv.RegisterWindow(fuzzRegID, regDst, fuzzWindowN, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,22 +143,76 @@ func FuzzWindowPut(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer cancelProbe()
+		lateDst, lateBacking := guarded()
 
+		var before, waiting runtime.MemStats
+		runtime.ReadMemStats(&before)
 		sc := newServerConn(srv, streamConn{bytes.NewReader(stream)}, "fuzz")
-		sc.readLoop()
-
-		for i, v := range backing[fuzzWindowN:] {
-			if v != fuzzGuard {
-				t.Fatalf("guard element %d overwritten with %v", i, v)
+		loopDone := make(chan struct{})
+		go func() {
+			defer close(loopDone)
+			sc.readLoop()
+		}()
+		waited := false
+	await:
+		for {
+			select {
+			case <-loopDone:
+				break await
+			default:
+			}
+			if srv.BlockStats().Pending == 1 {
+				waited = true
+				break
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		if waited {
+			if registered {
+				t.Fatal("a put for a registered window waits")
+			}
+			n := 8 * uint64(count)
+			if n >= 1<<20 {
+				runtime.ReadMemStats(&waiting)
+				if grew := waiting.TotalAlloc - before.TotalAlloc; grew >= n/2 {
+					t.Fatalf("a waiting put of %d bytes allocated %d", n, grew)
+				}
+			}
+			select {
+			case <-probeWin.Done():
+				t.Fatal("the probe behind a waiting put landed")
+			default:
+			}
+			switch end {
+			case fuzzEndRegister:
+				_, cancelLate, err := srv.RegisterWindow(fuzzUnregID, lateDst, fuzzWindowN, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cancelLate()
+			case fuzzEndRetire:
+				srv.RetireWindows(windowInv(fuzzUnregID))
+			case fuzzEndClose:
+				sc.close()
 			}
 		}
-		if st := srv.BlockStats(); st.PendingBytes > fuzzBudget {
-			t.Fatalf("%d bytes parked, budget %d", st.PendingBytes, fuzzBudget)
+		select {
+		case <-loopDone:
+		case <-time.After(10 * time.Second):
+			sc.close()
+			t.Fatalf("the read loop did not return after its wait ended (%d)", end)
+		}
+
+		for _, backing := range [][]float64{regBacking, lateBacking} {
+			for i, v := range backing[fuzzWindowN:] {
+				if v != fuzzGuard {
+					t.Fatalf("guard element %d overwritten with %v", i, v)
+				}
+			}
 		}
 		n := 8 * uint64(count)
-		wellFormed := uint64(bodyLen) == uint64(giop.WindowPutPayloadBase)+n &&
-			uint64(len(payload)) == n && (registered || n <= fuzzBudget)
-		if !wellFormed {
+		wellFormed := uint64(bodyLen) == uint64(giop.WindowPutPayloadBase)+n && uint64(len(payload)) == n
+		if !wellFormed || (waited && end == fuzzEndClose) {
 			return
 		}
 		select {
@@ -153,7 +228,14 @@ func FuzzWindowPut(f *testing.F) {
 				t.Fatalf("probe element %d = %v, want %v", i, v, probe[i])
 			}
 		}
-		if registered && uint64(dstOff)+uint64(count) <= fuzzWindowN {
+		dst := regDst
+		if !registered {
+			if end != fuzzEndRegister {
+				return
+			}
+			dst = lateDst
+		}
+		if uint64(dstOff)+uint64(count) <= fuzzWindowN {
 			want := make([]float64, count)
 			cdr.DecodeDoubles(want, payload, order)
 			for i, v := range dst[dstOff : dstOff+count] {

@@ -28,11 +28,6 @@ var (
 	ErrClosed         = errors.New("orb: closed")
 	ErrCanceled       = errors.New("orb: request canceled")
 	ErrConnectionLost = errors.New("orb: connection lost")
-	ErrTooManyBlocks  = errors.New("orb: too many early window puts buffered")
-	// ErrPendingBlockBytes means the byte budget for early window puts
-	// is exhausted: a peer pushed more early-put payload than the
-	// router is willing to buffer before the window registers.
-	ErrPendingBlockBytes = errors.New("orb: early window-put byte budget exceeded")
 	// ErrDeadlineExpired wraps a TIMEOUT system exception: the server
 	// shed the request because its propagated deadline had already
 	// passed. Retrying cannot help — the caller's budget is gone — so
@@ -67,66 +62,15 @@ type Block struct {
 	Payload []byte
 }
 
-// Defaults for the early-put pending buffer (a window put can beat its
-// window's registration, arriving on another connection than the
-// request that announces the window, so a router must buffer early
-// puts — but only so much, for so long).
+// The bound on a put's wait for its window (see awaitWindow), and how
+// often a Server's sweeper wakes the waiting puts to check it and drops
+// lapsed retirements.
 const (
-	// defaultMaxPendingBlocks bounds how many window puts may be
-	// buffered while waiting for their window to register.
-	defaultMaxPendingBlocks = 4096
-	// defaultMaxPendingBytes bounds the payload bytes those buffered
-	// puts may hold in total, so a peer cannot park 4096 maximal
-	// puts (a multi-GiB hostage) behind a window that never
-	// registers.
-	defaultMaxPendingBytes = 64 << 20
-	// defaultPendingTTL is how long a window's early puts may sit
-	// without any new arrival before a sweep reclaims them — the
-	// signature of a client that died between sending puts and
-	// issuing (or completing) the invocation.
-	defaultPendingTTL = 30 * time.Second
-	// defaultPendingSweepInterval is how often a Server's background
-	// sweeper scans for abandoned pending buffers.
-	defaultPendingSweepInterval = 5 * time.Second
+	putWaitTTL       = 30 * time.Second
+	putSweepInterval = 5 * time.Second
+	// maxRetired bounds the live retirements of a router (see retire).
+	maxRetired = 4096
 )
-
-// PendingPolicy bounds the early-put pending buffer of a Server: how
-// many window puts and payload bytes may wait for their window, and
-// how long a window's buffer may go without traffic before the
-// periodic sweep reclaims it. Zero fields take the defaults above.
-type PendingPolicy struct {
-	MaxBlocks     int
-	MaxBytes      int
-	TTL           time.Duration
-	SweepInterval time.Duration
-}
-
-// DefaultPendingPolicy returns the default pending-buffer bounds.
-func DefaultPendingPolicy() PendingPolicy {
-	return PendingPolicy{
-		MaxBlocks:     defaultMaxPendingBlocks,
-		MaxBytes:      defaultMaxPendingBytes,
-		TTL:           defaultPendingTTL,
-		SweepInterval: defaultPendingSweepInterval,
-	}
-}
-
-func (p PendingPolicy) withDefaults() PendingPolicy {
-	d := DefaultPendingPolicy()
-	if p.MaxBlocks <= 0 {
-		p.MaxBlocks = d.MaxBlocks
-	}
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = d.MaxBytes
-	}
-	if p.TTL <= 0 {
-		p.TTL = d.TTL
-	}
-	if p.SweepInterval <= 0 {
-		p.SweepInterval = d.SweepInterval
-	}
-	return p
-}
 
 // blockSink is one registered consumer of block transfers: a callback
 // invoked directly on the connection's read goroutine. Multiple
@@ -135,26 +79,31 @@ func (p PendingPolicy) withDefaults() PendingPolicy {
 type blockSink func(Block) error
 
 // blockRouter delivers incoming block transfers to the sinks expecting
-// them and window puts to their registered windows, buffering early
-// puts under a put-count and byte budget and reclaiming buffers
-// abandoned past a TTL.
+// them and window puts to their registered windows; a put whose window
+// has not registered waits for it on its connection's read loop.
 type blockRouter struct {
-	mu           sync.Mutex
-	sinks        map[uint64]blockSink
-	windows      map[uint64]*Window
-	pending      map[uint64]*windowPendingEntry
-	pendingLen   int
-	pendingBytes int
-	pol          PendingPolicy
+	mu      sync.Mutex
+	sinks   map[uint64]blockSink
+	windows map[uint64]*Window
+	// retired maps each invocation none of whose windows registers any
+	// more to the moment its retirement lapses (see retire).
+	retired map[uint64]time.Time
+	// arrived is broadcast on r.mu by everything that may end a put's
+	// wait: a registration, a retirement, a connection's end, a sweep.
+	arrived sync.Cond
+	waiting int           // puts waiting for their window
+	ttl     time.Duration // the bound on one wait, and on a retirement
 }
 
 func newBlockRouter() *blockRouter {
-	return &blockRouter{
+	r := &blockRouter{
 		sinks:   make(map[uint64]blockSink),
 		windows: make(map[uint64]*Window),
-		pending: make(map[uint64]*windowPendingEntry),
-		pol:     DefaultPendingPolicy(),
+		retired: make(map[uint64]time.Time),
+		ttl:     putWaitTTL,
 	}
+	r.arrived.L = &r.mu
+	return r
 }
 
 // BlockRouterStats is a point-in-time snapshot of a block router, used
@@ -165,21 +114,18 @@ type BlockRouterStats struct {
 	// Windows is the number of registered (not yet cancelled)
 	// one-sided destination windows.
 	Windows int
-	// Pending is the number of buffered early window puts awaiting
-	// their window.
+	// Pending is the number of window puts waiting for their window
+	// to register, each on its connection's read loop.
 	Pending int
-	// PendingBytes is the payload bytes those puts hold.
-	PendingBytes int
 }
 
 func (r *blockRouter) stats() BlockRouterStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return BlockRouterStats{
-		Sinks:        len(r.sinks),
-		Windows:      len(r.windows),
-		Pending:      r.pendingLen,
-		PendingBytes: r.pendingBytes,
+		Sinks:   len(r.sinks),
+		Windows: len(r.windows),
+		Pending: r.waiting,
 	}
 }
 

@@ -375,7 +375,7 @@ func TestBlockWithoutSinkClosesConnection(t *testing.T) {
 	if mt, _, _, err := giop.ReadMessage(raw); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("unexpected block: got %v, %v; want the connection closed", mt, err)
 	}
-	if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
+	if st := srv.BlockStats(); st.Pending != 0 {
 		t.Fatalf("unexpected block buffered: %+v", st)
 	}
 
@@ -387,25 +387,19 @@ func TestBlockWithoutSinkClosesConnection(t *testing.T) {
 }
 
 // TestUnmatchedBlocksDoNotStarveEarlyPuts: block transfers nobody
-// expects take nothing from the early-put pending budget, so one
-// client flooding them cannot make the server refuse another client's
-// window put that beats its window's registration.
+// expects fail only the connection that carries them: another client's
+// window put that beats its window's registration still waits for it
+// and lands.
 func TestUnmatchedBlocksDoNotStarveEarlyPuts(t *testing.T) {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
-	srv := NewServer(reg, WithPendingPolicy(PendingPolicy{MaxBytes: 64 << 10}))
+	srv := NewServer(reg)
 	srv.Handle("echo", func(in *Incoming) { _ = in.Reply(giop.ReplyOK, nil) })
 	ep, err := srv.Listen("inproc:*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// barrier returns once the server has read everything cli sent
-	// before it (or has closed that connection): a connection's frames
-	// are read in order.
-	barrier := func(cli *Client) {
-		_, _, _, _ = cli.Invoke(context.Background(), ep, requestHeader(cli, "echo", "op"), nil)
-	}
 
 	flood := NewClient(reg)
 	defer flood.Close()
@@ -416,7 +410,10 @@ func TestUnmatchedBlocksDoNotStarveEarlyPuts(t *testing.T) {
 			break // the server already closed the flooding connection
 		}
 	}
-	barrier(flood)
+	// A connection's frames are read in order: once this returns, the
+	// server has read everything the flood sent before it, or has closed
+	// that connection.
+	_, _, _, _ = flood.Invoke(context.Background(), ep, requestHeader(flood, "echo", "op"), nil)
 
 	cli := NewClient(reg)
 	defer cli.Close()
@@ -426,10 +423,13 @@ func TestUnmatchedBlocksDoNotStarveEarlyPuts(t *testing.T) {
 	for i := range want {
 		want[i] = float64(i) + 0.25
 	}
-	if _, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: key, Last: true}, want); err != nil {
-		t.Fatal(err)
-	}
-	barrier(cli)
+	// Over inproc a put's write returns only once the server has read it.
+	sent := make(chan error, 1)
+	go func() {
+		_, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: key, Last: true}, want)
+		sent <- err
+	}()
+	awaitPending(t, srv, 1)
 
 	dst := make([]float64, n)
 	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
@@ -443,6 +443,9 @@ func TestUnmatchedBlocksDoNotStarveEarlyPuts(t *testing.T) {
 		t.Fatalf("early put never landed: %+v", srv.BlockStats())
 	}
 	if err := win.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {

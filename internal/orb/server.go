@@ -249,13 +249,6 @@ func WithServerByteOrder(o cdr.ByteOrder) ServerOption {
 	return func(s *Server) { s.order = o }
 }
 
-// WithPendingPolicy bounds the server's early-put pending buffer (put
-// count, byte budget, abandonment TTL and sweep cadence). Zero fields
-// take the package defaults.
-func WithPendingPolicy(p PendingPolicy) ServerOption {
-	return func(s *Server) { s.blocks.pol = p.withDefaults() }
-}
-
 // NewServer creates a server using the given transport registry (nil
 // means transport.Default).
 func NewServer(reg *transport.Registry, opts ...ServerOption) *Server {
@@ -274,22 +267,22 @@ func NewServer(reg *transport.Registry, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	// The pending sweeper reclaims early-put buffers abandoned past
-	// the TTL — the residue of clients that died between shipping
-	// puts and issuing the invocation that would have consumed them.
+	// The sweeper bounds the waits of puts whose window neither
+	// registers nor retires — say, a forged window ID — and drops
+	// lapsed retirements.
 	s.wg.Add(1)
-	go s.pendingSweepLoop()
+	go s.sweepLoop()
 	return s
 }
 
-func (s *Server) pendingSweepLoop() {
+func (s *Server) sweepLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.blocks.pol.SweepInterval)
+	t := time.NewTicker(putSweepInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			s.blocks.sweepWindows(time.Now())
+			s.blocks.sweep(time.Now())
 		case <-s.quit:
 			return
 		}
@@ -317,7 +310,9 @@ func (s *Server) Handle(key string, h Handler) {
 // requests, of any size, reach it parked (see Incoming.Parked): their
 // bodies are left on the connection for the handler to land where they
 // belong. A parked request must be landed, read or released — until then
-// its connection reads nothing more.
+// its connection reads nothing more. The handler also sees the requests
+// whose propagated deadline passed before they reached it, which Handle's
+// handlers never do: shedding them is its own call.
 func (s *Server) HandleLanding(key string, h Handler) {
 	s.mu.Lock()
 	s.handlers[key] = h
@@ -353,20 +348,29 @@ func (s *Server) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), err
 }
 
 // RegisterWindow exposes dst as a one-sided destination window:
-// MsgWindowPut frames addressed to id land straight off the delivering
-// connection's read buffer into dst[DstOff:DstOff+Count], bounds
-// checked, until expect elements have arrived (puts that raced the
-// registration are flushed from the pending buffer first). The
-// returned cancel must be called on every exit path — it removes the
-// registration so later strays buffer (and age out) instead of
-// writing into a reclaimed slice.
+// MsgWindowPut frames addressed to id, giop.BlockSinkKey(inv, arg), land
+// straight off the delivering connection's read buffer into
+// dst[DstOff:DstOff+Count], bounds checked, until expect elements have
+// arrived; puts that arrived first and wait for the registration land
+// the same way. The returned cancel must be called on every exit path:
+// it removes the registration, and unless the window completed it
+// retires inv (RetireWindows), so the puts still due are skimmed instead
+// of writing into a reclaimed slice.
 // onPut, when non-nil, runs after every landed put on the delivering
 // connection's read goroutine (a liveness hook; it must not block).
 func (s *Server) RegisterWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, func(), error) {
 	return s.blocks.registerWindow(id, dst, expect, onPut)
 }
 
-// BlockStats reports the server block router's sink/pending counts.
+// RetireWindows declares that no window of invocation inv registers on
+// this server any more: a put for one — waiting already, or arriving
+// within the wait bound — is skimmed, and its connection reads on. Every
+// path that gives up an invocation before registering all of its windows
+// must retire it, or its puts stall their connections until the bound.
+func (s *Server) RetireWindows(inv uint64) { s.blocks.retire(inv) }
+
+// BlockStats reports the server block router's sink, window and
+// waiting-put counts.
 func (s *Server) BlockStats() BlockRouterStats { return s.blocks.stats() }
 
 // Listen binds an endpoint ("tcp:host:port", port 0 for ephemeral, or
@@ -579,6 +583,7 @@ func (sc *serverConn) close() {
 	}
 	sc.dead = true
 	close(sc.done)
+	sc.srv.blocks.wake() // a put waiting on this connection gives up
 	cancels := make([]context.CancelFunc, 0, len(sc.inflight))
 	for _, c := range sc.inflight {
 		cancels = append(cancels, c)
@@ -657,43 +662,37 @@ func (sc *serverConn) readLoop() {
 	}
 }
 
-// handleWindowPut lands one MsgWindowPut. Registered window: payload
-// streams wire → destination slice (bounds checked first; a range
-// violation poisons the window, not the connection, and the payload is
-// skimmed to keep the stream framed). Unregistered window: the payload
-// is buffered (in a recycled buffer) under the pending budgets until
-// registration. Only stream-level failures tear the connection down.
+// handleWindowPut lands one MsgWindowPut: its payload streams wire →
+// destination slice, bounds checked first; a range violation poisons the
+// window, not the connection, and the payload is skimmed to keep the
+// stream framed. A put whose window has not registered waits for it
+// here, the connection unread behind it (blockRouter.awaitWindow), and
+// is skimmed if its invocation is retired instead. Only stream-level
+// failures and a wait that ends without either tear the connection down.
 func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader) error {
 	wh, err := fr.ReadWindowPut(fh)
 	if err != nil {
 		return err
 	}
-	if w, ok := sc.srv.blocks.windowFor(wh.WindowID); ok {
-		if err := w.checkRange(wh); err != nil {
-			w.fail(err)
-			return fr.DiscardPayload(int(wh.Count) * 8)
-		}
-		dst := w.dst[wh.DstOff : int64(wh.DstOff)+int64(wh.Count)]
-		if err := fr.ReadWindowPayload(fh.Order, dst); err != nil {
+	w, ok := sc.srv.blocks.windowFor(wh.WindowID)
+	if !ok {
+		if w, err = sc.srv.blocks.awaitWindow(wh.WindowID, sc.done); err != nil {
 			return err
 		}
-		w.landed(wh.Count)
-		return nil
 	}
-	// A put larger than the whole pending budget can never be parked:
-	// refuse it before allocating its buffer, not after reading a
-	// payload the header alone may have announced at up to a GiB.
-	n := int(wh.Count) * 8
-	if budget := sc.srv.blocks.pol.MaxBytes; n > budget {
-		return fmt.Errorf("%w: window %#x put of %d bytes > %d",
-			ErrPendingBlockBytes, wh.WindowID, n, budget)
+	if w == nil {
+		return fr.DiscardPayload(int(wh.Count) * 8)
 	}
-	buf := acquirePutBuf(n)
-	if err := fr.ReadPayloadBytes(*buf); err != nil {
-		releasePutBuf(buf)
+	if err := w.checkRange(wh); err != nil {
+		w.fail(err)
+		return fr.DiscardPayload(int(wh.Count) * 8)
+	}
+	dst := w.dst[wh.DstOff : int64(wh.DstOff)+int64(wh.Count)]
+	if err := fr.ReadWindowPayload(fh.Order, dst); err != nil {
 		return err
 	}
-	return sc.srv.blocks.bufferWindowPut(wh, fh.Order, buf)
+	w.landed(wh.Count)
+	return nil
 }
 
 // serveRequest serves the Request whose frame header fh the read loop
@@ -926,8 +925,11 @@ func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
 		}()
 		// Shed work whose budget is already gone before dispatching the
 		// handler: the caller has stopped waiting, so the TIMEOUT reply
-		// only tells its ORB to stop too.
-		if !in.Expiry.IsZero() && !time.Now().Before(in.Expiry) {
+		// only tells its ORB to stop too. A parked request is its
+		// handler's to shed: an SPMD communicator must see every
+		// multi-port request, expired or not, to retire its windows on
+		// every rank.
+		if !parked && !in.Expiry.IsZero() && !time.Now().Before(in.Expiry) {
 			shedExpired.Inc()
 			failure = "deadline expired before dispatch"
 			_ = in.ReplySystemException("TIMEOUT", "request deadline expired before dispatch")

@@ -11,12 +11,12 @@ import (
 	"pardis/internal/transport"
 )
 
-// stripeConns returns how many connections the client currently holds
-// for endpoint.
+// stripeConns returns how many request connections the client currently
+// holds for endpoint.
 func stripeConns(c *Client, endpoint string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.stripes[endpoint]
+	st := c.stripes[stripeKey{endpoint: endpoint}]
 	if st == nil {
 		return 0
 	}
@@ -104,7 +104,7 @@ func TestStripeSurvivesMemberDeath(t *testing.T) {
 	}
 
 	cli.mu.Lock()
-	st := cli.stripes[ep]
+	st := cli.stripes[stripeKey{endpoint: ep}]
 	victim := st.conns[0]
 	cli.mu.Unlock()
 	victim.shutdown(ErrConnectionLost)

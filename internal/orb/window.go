@@ -1,11 +1,17 @@
 // One-sided destination windows: the receiving half of the multi-port
 // data plane. A Window is a caller-owned []float64 registered under a
-// 64-bit ID before the sender is told the ID exists; MsgWindowPut
-// frames addressed to it are landed by the connection read loop
-// straight off the read buffer into dst[DstOff:DstOff+Count] — no body
-// allocation, no pending-buffer hop, no CDR sequence framing. Puts
-// that race the registration are buffered under the router's pending
-// budgets and flushed into the window when it registers.
+// 64-bit ID, giop.BlockSinkKey(inv, arg); MsgWindowPut frames addressed
+// to it are landed by the connection read loop straight off the read
+// buffer into dst[DstOff:DstOff+Count] — no body allocation, no copy,
+// no CDR sequence framing. A put that beats its window's registration
+// is not buffered: its read loop stops reading the connection and waits
+// until the window registers (the payload then lands as for any put),
+// the invocation is retired (the payload is skimmed), the connection
+// ends, or the wait outlasts the router's TTL (the connection is
+// failed). Waiting is safe because no connection carries both a
+// Request and a put (Client.PutWindow writes on put-only connections):
+// nothing a waiting connection queues behind the put can be what the
+// window's registration needs.
 //
 // The safety argument: every put is bounds-checked against the
 // registered destination before any byte lands; the sender derives
@@ -18,12 +24,10 @@ package orb
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pardis/internal/cdr"
 	"pardis/internal/giop"
 )
 
@@ -98,66 +102,20 @@ func (w *Window) landed(count uint32) {
 	}
 }
 
-// windowPut is one buffered early put: raw element bytes held until
-// the window registers.
-type windowPut struct {
-	h     giop.WindowPutHeader
-	order cdr.ByteOrder
-	buf   *[]byte // from acquirePutBuf; released once landed
-}
-
-// Early-put buffers are recycled, one pool per power-of-two capacity
-// from 4 KiB to 1 MiB (the chunk sizes the data plane ships; anything
-// else is allocated and left to the GC). How many of an invocation's
-// puts beat their window's registration is a race the sender usually
-// wins, so without recycling the bytes an invocation allocates swing
-// with timing by most of the argument's size.
-const (
-	minPutBufShift = 12
-	maxPutBufShift = 20
-)
-
-var putBufPools [maxPutBufShift - minPutBufShift + 1]sync.Pool
-
-// putBufClass is the pool holding buffers of the smallest pooled
-// capacity >= n, or -1 when n is outside the pooled range.
-func putBufClass(n int) int {
-	if n <= 0 || n > 1<<maxPutBufShift {
-		return -1
-	}
-	return max(bits.Len(uint(n-1)), minPutBufShift) - minPutBufShift
-}
-
-// acquirePutBuf returns an n-byte buffer for one early put's payload.
-func acquirePutBuf(n int) *[]byte {
-	c := putBufClass(n)
-	if c < 0 {
-		b := make([]byte, n)
-		return &b
-	}
-	if bp, ok := putBufPools[c].Get().(*[]byte); ok {
-		*bp = (*bp)[:n]
-		return bp
-	}
-	b := make([]byte, n, 1<<(c+minPutBufShift))
-	return &b
-}
-
-// releasePutBuf recycles a buffer whose payload has landed (or was
-// dropped). The caller must not touch it afterwards.
-func releasePutBuf(bp *[]byte) {
-	if c := putBufClass(cap(*bp)); c >= 0 && cap(*bp) == 1<<(c+minPutBufShift) {
-		putBufPools[c].Put(bp)
+// succeeded reports whether the window completed without failing: no
+// further put is due for it.
+func (w *Window) succeeded() bool {
+	select {
+	case <-w.done:
+		return w.Err() == nil
+	default:
+		return false
 	}
 }
 
-// windowPendingEntry is one window's buffered early puts plus the
-// accounting the byte budget and TTL sweep need.
-type windowPendingEntry struct {
-	puts  []windowPut
-	bytes int
-	last  time.Time // most recent arrival; staleness is measured from here
-}
+// windowInv is the invocation a window ID belongs to: window IDs are
+// giop.BlockSinkKey(inv, arg).
+func windowInv(id uint64) uint64 { return id >> 8 }
 
 // windowFor resolves a put's destination window, if registered.
 func (r *blockRouter) windowFor(id uint64) (*Window, bool) {
@@ -167,72 +125,88 @@ func (r *blockRouter) windowFor(id uint64) (*Window, bool) {
 	return w, ok
 }
 
-// bufferWindowPut parks an early put under the router's pending
-// budgets until its window registers (or the sweep reclaims it). The
-// window table is re-checked under the router lock first: the read
-// loop's lookup miss and this call are not one critical section, so
-// the window may have registered — and flushed an empty pending set —
-// in between. Landing the put here instead of parking it closes that
-// gap; buffering would strand the put forever. It takes ownership of
-// buf (see acquirePutBuf), which holds the put's payload.
-func (r *blockRouter) bufferWindowPut(h giop.WindowPutHeader, order cdr.ByteOrder, buf *[]byte) error {
-	payload := *buf
+// awaitWindow holds a put for window id, which is not registered, on
+// the read loop of the connection it arrived on, and returns once the
+// put can go: the window once it registers, nil once its invocation is
+// retired (the put is then skimmed). It fails when the connection ends
+// (done closes) or the wait outlasts the router's TTL. It allocates
+// nothing: the wait is the router's condition variable, broadcast by
+// whatever may end it.
+func (r *blockRouter) awaitWindow(id uint64, done <-chan struct{}) (*Window, error) {
 	r.mu.Lock()
-	if w, ok := r.windows[h.WindowID]; ok {
-		r.mu.Unlock()
-		defer releasePutBuf(buf)
-		if err := w.checkRange(h); err != nil {
-			w.fail(err)
-			return nil
+	defer r.mu.Unlock()
+	since := time.Now()
+	r.waiting++
+	defer func() { r.waiting-- }()
+	for {
+		if w, ok := r.windows[id]; ok {
+			return w, nil
 		}
-		cdr.DecodeDoubles(w.dst[h.DstOff:int64(h.DstOff)+int64(h.Count)], payload, order)
-		w.landed(h.Count)
-		return nil
+		if _, ok := r.retired[windowInv(id)]; ok {
+			return nil, nil
+		}
+		select {
+		case <-done:
+			return nil, ErrConnectionLost
+		default:
+		}
+		if time.Since(since) >= r.ttl {
+			return nil, fmt.Errorf("orb: a put waited %v for window %#x, which neither registered nor retired", r.ttl, id)
+		}
+		r.arrived.Wait()
 	}
-	if r.pendingLen >= r.pol.MaxBlocks {
-		r.mu.Unlock()
-		releasePutBuf(buf)
-		return fmt.Errorf("%w: window %#x", ErrTooManyBlocks, h.WindowID)
-	}
-	if r.pendingBytes+len(payload) > r.pol.MaxBytes {
-		r.mu.Unlock()
-		releasePutBuf(buf)
-		return fmt.Errorf("%w: window %#x (%d buffered + %d new > %d)",
-			ErrPendingBlockBytes, h.WindowID, r.pendingBytes, len(payload), r.pol.MaxBytes)
-	}
-	pe := r.pending[h.WindowID]
-	if pe == nil {
-		pe = &windowPendingEntry{}
-		r.pending[h.WindowID] = pe
-	}
-	pe.puts = append(pe.puts, windowPut{h: h, order: order, buf: buf})
-	pe.bytes += len(payload)
-	pe.last = time.Now()
-	r.pendingLen++
-	r.pendingBytes += len(payload)
-	r.mu.Unlock()
-	return nil
 }
 
-// registerWindow installs a destination window, flushing any puts that
-// arrived early. expect is the total element count after which the
+// wake ends every wait whose reason to end has come (see awaitWindow).
+func (r *blockRouter) wake() {
+	r.mu.Lock()
+	if r.waiting > 0 {
+		r.arrived.Broadcast()
+	}
+	r.mu.Unlock()
+}
+
+// retire declares that no window of invocation inv registers from now
+// on, so a put for one is skimmed instead of waiting. The retirement
+// lapses after the router's TTL, the longest any put may wait. At most
+// maxRetired retirements are live: a peer that has many invocations
+// refused cannot grow the table without bound.
+func (r *blockRouter) retire(inv uint64) {
+	r.mu.Lock()
+	r.retireLocked(inv)
+	r.mu.Unlock()
+}
+
+func (r *blockRouter) retireLocked(inv uint64) {
+	if len(r.retired) >= maxRetired {
+		return // the puts of inv wait out the bound instead
+	}
+	r.retired[inv] = time.Now().Add(r.ttl)
+	if r.waiting > 0 {
+		r.arrived.Broadcast()
+	}
+}
+
+// registerWindow installs a destination window and wakes the puts
+// waiting for it. expect is the total element count after which the
 // window completes (a non-positive expectation completes immediately).
 // The returned cancel removes the registration; it must be called on
-// every exit path, success or failure, so windows never leak.
+// every exit path, success or failure, so windows never leak. Cancelling
+// a window that has not completed retires its invocation: the puts still
+// due for it are skimmed.
 func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, func(), error) {
 	w := &Window{id: id, dst: dst, expect: expect, onPut: onPut, done: make(chan struct{})}
+	if expect <= 0 {
+		w.complete()
+	}
 	r.mu.Lock()
 	if _, dup := r.windows[id]; dup {
 		r.mu.Unlock()
 		return nil, nil, fmt.Errorf("orb: duplicate window %#x", id)
 	}
 	r.windows[id] = w
-	var early []windowPut
-	if pe := r.pending[id]; pe != nil {
-		early = pe.puts
-		delete(r.pending, id)
-		r.pendingLen -= len(pe.puts)
-		r.pendingBytes -= pe.bytes
+	if r.waiting > 0 {
+		r.arrived.Broadcast()
 	}
 	r.mu.Unlock()
 	var cancelled atomic.Bool
@@ -242,39 +216,25 @@ func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onP
 		}
 		r.mu.Lock()
 		delete(r.windows, id)
-		r.mu.Unlock()
-	}
-	if expect <= 0 {
-		w.complete()
-	}
-	for _, p := range early {
-		if err := w.checkRange(p.h); err != nil {
-			w.fail(err)
-			break
+		if !w.succeeded() {
+			r.retireLocked(windowInv(id))
 		}
-		cdr.DecodeDoubles(dst[p.h.DstOff:int64(p.h.DstOff)+int64(p.h.Count)], *p.buf, p.order)
-		w.landed(p.h.Count)
-	}
-	for _, p := range early {
-		releasePutBuf(p.buf)
+		r.mu.Unlock()
 	}
 	return w, cancel, nil
 }
 
-// sweepWindows reclaims early-put buffers whose last arrival is older
-// than the TTL, returning the number of puts dropped.
-func (r *blockRouter) sweepWindows(now time.Time) int {
+// sweep drops the retirements that have lapsed by now and wakes the
+// waiting puts, so one waiting past the TTL fails its connection.
+func (r *blockRouter) sweep(now time.Time) {
 	r.mu.Lock()
-	var dropped int
-	for id, pe := range r.pending {
-		if now.Sub(pe.last) < r.pol.TTL {
-			continue
+	for inv, until := range r.retired {
+		if !now.Before(until) {
+			delete(r.retired, inv)
 		}
-		dropped += len(pe.puts)
-		r.pendingLen -= len(pe.puts)
-		r.pendingBytes -= pe.bytes
-		delete(r.pending, id)
+	}
+	if r.waiting > 0 {
+		r.arrived.Broadcast()
 	}
 	r.mu.Unlock()
-	return dropped
 }

@@ -1,11 +1,11 @@
 package orb
 
 import (
+	"bytes"
 	"context"
-	"errors"
-	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,36 +79,42 @@ func TestWindowPutEndToEnd(t *testing.T) {
 	})
 }
 
+// TestWindowPutBeforeRegistrationBuffered: a put that beats its
+// window's registration waits for it on its connection and then lands
+// straight off the wire, as a put for a registered window does: nothing
+// is allocated for its payload, and nothing lands before the window
+// registers.
 func TestWindowPutBeforeRegistrationBuffered(t *testing.T) {
 	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
 		cli, srv, ep := newPair(t, WithByteOrder(order))
-		const n = 64
+		const n = 128 << 10 // a 1 MiB payload
 		key := windowKey(t, 22, 1)
 		want := make([]float64, n)
 		for i := range want {
 			want[i] = float64(i + 1)
 		}
-		h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Last: true}
-		if _, err := cli.PutWindow(ep, h, want); err != nil {
-			t.Fatal(err)
-		}
-		// The put raced ahead of registration; wait until the router has
-		// parked it under the pending budgets.
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.BlockStats().Pending == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("early put never buffered")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		// Over inproc the put's write returns only once the server has
+		// read it, which is after the window registers.
+		sent := make(chan error, 1)
+		go func() {
+			_, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: key, Last: true}, want)
+			sent <- err
+		}()
+		awaitPending(t, srv, 1)
 		dst := make([]float64, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cancel()
 		waitDone(t, win)
+		runtime.ReadMemStats(&after)
 		if err := win.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-sent; err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -116,43 +122,19 @@ func TestWindowPutBeforeRegistrationBuffered(t *testing.T) {
 				t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
 			}
 		}
-		if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
-			t.Fatalf("flushed put still accounted as pending: %+v", st)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= n*8/2 {
+			t.Fatalf("landing an early put allocated %d bytes for a %d-byte payload", grew, n*8)
+		}
+		if st := srv.BlockStats(); st.Pending != 0 {
+			t.Fatalf("landed put still counted as waiting: %+v", st)
 		}
 	})
 }
 
-// TestEarlyPutBufferClasses pins the recycling rule of the parking
-// buffers: a buffer is drawn at its class's full capacity, so a release
-// finds the class again from the capacity alone, and sizes outside the
-// pooled range are allocated exactly.
-func TestEarlyPutBufferClasses(t *testing.T) {
-	for _, c := range []struct{ n, class int }{
-		{0, -1}, {1, 0}, {4096, 0}, {4097, 1}, {256 << 10, 6},
-		{256<<10 + 8, 7}, {1 << 20, 8}, {1<<20 + 1, -1},
-	} {
-		if got := putBufClass(c.n); got != c.class {
-			t.Errorf("putBufClass(%d) = %d, want %d", c.n, got, c.class)
-		}
-		if c.n == 0 {
-			continue
-		}
-		bp := acquirePutBuf(c.n)
-		wantCap := c.n
-		if c.class >= 0 {
-			wantCap = 1 << (c.class + minPutBufShift)
-		}
-		if len(*bp) != c.n || cap(*bp) != wantCap {
-			t.Errorf("acquirePutBuf(%d): len %d cap %d, want cap %d", c.n, len(*bp), cap(*bp), wantCap)
-		}
-		releasePutBuf(bp)
-	}
-}
-
-// TestEarlyPutBufferReuseKeepsData parks and flushes puts one after
-// another, so later ones ride recycled buffers: each window must hold
-// its own put's values, and an earlier destination must not change when
-// its former buffer is overwritten.
+// TestEarlyPutBufferReuseKeepsData: early puts one after another on one
+// connection each wait for their own window and land in it, so each
+// window holds its own put's values and an earlier destination does not
+// change when a later put lands.
 func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
 	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
 		cli, srv, ep := newPair(t, WithByteOrder(order))
@@ -164,17 +146,14 @@ func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
 			for i := range src {
 				src[i] = float64(round*n + i)
 			}
-			h := giop.WindowPutHeader{WindowID: key, DstOff: 0, Last: true}
-			if _, err := cli.PutWindow(ep, h, src); err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for srv.BlockStats().Pending == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("early put never buffered")
-				}
-				time.Sleep(time.Millisecond)
-			}
+			// Over inproc a put's write returns only once the server has
+			// read it, which is after its window registers.
+			sent := make(chan error, 1)
+			go func() {
+				_, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: key, Last: true}, src)
+				sent <- err
+			}()
+			awaitPending(t, srv, 1)
 			dsts[round] = make([]float64, n)
 			win, cancel, err := srv.RegisterWindow(key, dsts[round], n, nil)
 			if err != nil {
@@ -185,6 +164,9 @@ func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
 			if err := win.Err(); err != nil {
 				t.Fatal(err)
 			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
 		}
 		for round, dst := range dsts {
 			for i, v := range dst {
@@ -193,14 +175,17 @@ func TestEarlyPutBufferReuseKeepsData(t *testing.T) {
 				}
 			}
 		}
+		if c := putConns(cli, ep); c != 1 {
+			t.Fatalf("the puts rode %d connections, want 1", c)
+		}
 	})
 }
 
 // TestWindowRegistrationRaceLandsPut pins the race the read loop cannot
-// avoid: its window lookup misses, the window registers (flushing an
-// empty pending set), and only then does the read loop try to buffer
-// the put. bufferWindowPut must land the put into the now-registered
-// window instead of parking it forever.
+// avoid: its window lookup misses, and the window registers before the
+// read loop starts to wait. The wait must find the window at once
+// instead of sleeping through the broadcast that already happened, and
+// the put then lands, in either byte order.
 func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 	bothOrders(t, func(t *testing.T, order cdr.ByteOrder) {
 		_, srv, _ := newPair(t)
@@ -212,6 +197,21 @@ func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cancel()
+		done := make(chan struct{})
+		defer close(done)
+		got := make(chan *Window, 1)
+		go func() {
+			w, _ := srv.blocks.awaitWindow(key, done)
+			got <- w
+		}()
+		select {
+		case w := <-got:
+			if w != win {
+				t.Fatalf("the wait returned %v, want the registered window", w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a put waits for a window that registered before its wait began")
+		}
 
 		want := make([]float64, n)
 		for i := range want {
@@ -219,22 +219,14 @@ func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 		}
 		e := cdr.NewEncoder(order)
 		e.PutDoubles(want)
-		h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Count: n, Last: true}
-		payload := e.Bytes()
-		if err := srv.blocks.bufferWindowPut(h, order, &payload); err != nil {
-			t.Fatal(err)
-		}
+		frame := putFrame(order, giop.WindowPutHeader{WindowID: key, Count: n, Last: true},
+			uint32(giop.WindowPutPayloadBase+8*n), e.Bytes())
+		newServerConn(srv, streamConn{bytes.NewReader(frame)}, "race").readLoop()
 		waitDone(t, win)
-		if err := win.Err(); err != nil {
-			t.Fatal(err)
-		}
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
 			}
-		}
-		if st := srv.BlockStats(); st.Pending != 0 {
-			t.Fatalf("raced put parked as pending instead of landing: %+v", st)
 		}
 	})
 }
@@ -264,44 +256,6 @@ func TestWindowRangeViolationPoisonsWindowNotConnection(t *testing.T) {
 		requestHeader(cli, "echo", "op"),
 		func(e *cdr.Encoder) { e.PutString("still-alive") }); err != nil {
 		t.Fatalf("connection unusable after poisoned window: %v", err)
-	}
-}
-
-// TestEarlyPutOverBudgetRefusedBeforeAlloc: a put header addressed to
-// an unregistered window and announcing more than the whole pending
-// byte budget drops the connection at once. The server must neither
-// allocate the announced payload nor wait to read it.
-func TestEarlyPutOverBudgetRefusedBeforeAlloc(t *testing.T) {
-	reg := transport.NewRegistry()
-	reg.Register(transport.NewInproc())
-	srv := NewServer(reg)
-	ep, err := srv.Listen("inproc:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	raw, err := reg.Dial(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-
-	const count = 256 << 20 / 8 // 256 MiB, four times the default budget
-	h := giop.WindowPutHeader{WindowID: windowKey(t, 28, 0), Count: count, Last: true}
-	frame := putFrame(cdr.NativeOrder, h, giop.WindowPutPayloadBase+8*count, nil)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := raw.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err = raw.Read(make([]byte, 1))
-	runtime.ReadMemStats(&after)
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatal("server kept the connection open, waiting for the over-budget payload")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
-		t.Fatalf("server allocated %d MiB for a put it must refuse", grew>>20)
 	}
 }
 
@@ -389,5 +343,223 @@ func TestWindowOnPutRunsPerLandedPut(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("onPut did not run for each landed put")
 		}
+	}
+}
+
+// awaitPending waits until n puts wait for their windows on srv.
+func awaitPending(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); srv.BlockStats().Pending != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%+v, want %d waiting puts", srv.BlockStats(), n)
+		}
+	}
+}
+
+// putConns returns how many put connections cli holds for endpoint.
+func putConns(cli *Client, endpoint string) int {
+	cli.mu.Lock()
+	defer cli.mu.Unlock()
+	if st := cli.stripes[stripeKey{endpoint, true}]; st != nil {
+		return len(st.conns)
+	}
+	return 0
+}
+
+// TestFaultCancelledWindowPutSkimmed: cancelling a window that has not
+// completed retires its invocation, so the put still due for it —
+// waiting already, or arriving later — is skimmed, and the next put on
+// the same connection lands.
+func TestFaultCancelledWindowPutSkimmed(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const n = 64
+	gone := windowKey(t, 32, 0)
+	_, cancelGone, err := srv.RegisterWindow(gone, make([]float64, 2*n), 2*n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := make([]float64, n)
+	// The first half lands; the window is then given up incomplete.
+	if _, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: gone}, blk); err != nil {
+		t.Fatal(err)
+	}
+	cancelGone()
+	if _, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: gone, DstOff: n, Last: true}, blk); err != nil {
+		t.Fatal(err)
+	}
+	next := windowKey(t, 33, 0)
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = float64(i) - 0.5
+	}
+	// Over inproc a put's write returns only once the server has read it.
+	sent := make(chan error, 1)
+	go func() {
+		_, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: next, Last: true}, want)
+		sent <- err
+	}()
+	awaitPending(t, srv, 1)
+	dst := make([]float64, n)
+	win, cancel, err := srv.RegisterWindow(next, dst, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	waitDone(t, win)
+	if err := win.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("element %d = %v, want %v", i, dst[i], want[i])
+		}
+	}
+	if c := putConns(cli, ep); c != 1 {
+		t.Fatalf("the puts rode %d connections, want 1", c)
+	}
+}
+
+// teeTransport serves inproc endpoints and keeps what the dialer wrote
+// on each connection it dialed.
+type teeTransport struct {
+	transport.Transport
+	mu    sync.Mutex
+	wrote []*bytes.Buffer
+}
+
+func (t *teeTransport) Dial(address string) (transport.Conn, error) {
+	c, err := t.Transport.Dial(address)
+	if err != nil {
+		return nil, err
+	}
+	b := new(bytes.Buffer)
+	t.mu.Lock()
+	t.wrote = append(t.wrote, b)
+	t.mu.Unlock()
+	return &teeConn{Conn: c, t: t, b: b}, nil
+}
+
+type teeConn struct {
+	transport.Conn
+	t *teeTransport
+	b *bytes.Buffer
+}
+
+func (c *teeConn) Write(p []byte) (int, error) {
+	c.t.mu.Lock()
+	c.b.Write(p)
+	c.t.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestFaultRequestAndPutNeverShareConnection: a client's Requests and
+// window puts to one endpoint ride different connections, however they
+// interleave — a put that waits for its window stalls its connection,
+// and the Request that registers the window must not queue behind it.
+func TestFaultRequestAndPutNeverShareConnection(t *testing.T) {
+	tee := &teeTransport{Transport: transport.NewInproc()}
+	reg := transport.NewRegistry()
+	reg.Register(tee)
+	srv := NewServer(reg)
+	defer srv.Close()
+	key := windowKey(t, 34, 0)
+	const n = 16
+	// The request registers the window its client's put waits for.
+	srv.Handle("arm", func(in *Incoming) {
+		win, cancel, err := srv.RegisterWindow(key, make([]float64, n), n, nil)
+		if err != nil {
+			_ = in.ReplySystemException("BAD_PARAM", err.Error())
+			return
+		}
+		defer cancel()
+		select {
+		case <-win.Done():
+			_ = in.Reply(giop.ReplyOK, nil)
+		case <-in.Ctx.Done():
+		}
+	})
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(reg, WithStripes(1))
+	defer cli.Close()
+	sent := make(chan error, 1)
+	go func() {
+		_, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: key, Last: true}, make([]float64, n))
+		sent <- err
+	}()
+	awaitPending(t, srv, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rh, _, _, err := cli.Invoke(ctx, ep, requestHeader(cli, "arm", "op"), nil)
+	if err != nil || rh.Status != giop.ReplyOK {
+		t.Fatalf("the request that arms the put's window: %+v, %v", rh, err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	tee.mu.Lock()
+	defer tee.mu.Unlock()
+	for i, b := range tee.wrote {
+		fr := giop.NewFrameReader(bytes.NewReader(b.Bytes()))
+		var kinds [2]int // requests, puts
+		for {
+			f, err := fr.ReadFrame()
+			if err != nil {
+				break
+			}
+			switch f.Type {
+			case giop.MsgRequest:
+				kinds[0]++
+			case giop.MsgWindowPut:
+				kinds[1]++
+			}
+		}
+		if kinds[0] > 0 && kinds[1] > 0 {
+			t.Fatalf("connection %d carried %d requests and %d puts", i, kinds[0], kinds[1])
+		}
+	}
+}
+
+// TestFaultPutWaitEndsWithConnection: a put waiting for a window that
+// never registers ends its wait when its connection ends, so the
+// server's Close, which waits for every read loop, returns.
+func TestFaultPutWaitEndsWithConnection(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	go cli.PutWindow(ep, giop.WindowPutHeader{WindowID: windowKey(t, 36, 0), Last: true}, make([]float64, 8))
+	awaitPending(t, srv, 1)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hangs on a read loop whose put waits for its window")
+	}
+	if st := srv.BlockStats(); st.Pending != 0 {
+		t.Fatalf("a put still waits after Close: %+v", st)
+	}
+}
+
+// TestRetirementsBounded: a router keeps at most maxRetired live
+// retirements, however many invocations are refused within the bound;
+// a sweep past the bound drops them.
+func TestRetirementsBounded(t *testing.T) {
+	r := newBlockRouter()
+	for inv := uint64(1); inv <= maxRetired+10; inv++ {
+		r.retire(inv)
+	}
+	if n := len(r.retired); n != maxRetired {
+		t.Fatalf("%d live retirements, want the bound %d", n, maxRetired)
+	}
+	r.sweep(time.Now().Add(r.ttl))
+	if n := len(r.retired); n != 0 {
+		t.Fatalf("%d retirements outlive the bound", n)
 	}
 }

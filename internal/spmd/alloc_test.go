@@ -92,11 +92,9 @@ func TestCentralizedLargeRequestsLand(t *testing.T) {
 func TestCentralizedAllocBudget(t *testing.T) {
 	const (
 		doubles = 1 << 17
-		// ops is large enough that the one thing timing decides — how
-		// many early puts are parked at once, each in a recycled 256 KiB
-		// buffer that is allocated the first time that many are — stays
-		// under the multi-port ceiling even if all four server ranks'
-		// worth are first needed inside the measured window.
+		// ops is large enough to amortize what a first operation may
+		// still allocate inside the measured window (pool refills, a
+		// stripe's growth dial) under the multi-port ceiling.
 		ops = 32
 		// multiPortMallocs is the multi-port variant's process-wide
 		// allocation count per operation (n=2, m=4, inproc) as measured

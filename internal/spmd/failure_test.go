@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,59 +22,24 @@ import (
 // not corrupt memory, crash or hang, and must leave nothing behind.
 //
 // Invocation ids are client-chosen and sequential per ORB client, so
-// client thread 0 forges puts at server thread 1 under the ids its
-// binding's next invocations will use. A separate client first parks
-// the serve loops in a blocked handler: the real invocations' requests
-// queue behind it and every put — forged and legitimate — is parked in
-// the pending buffer before any window registers. On release each
-// server thread-1 window flushes its forged put first and is poisoned
-// by it, so every invocation fails deterministically and no legitimate
-// put can straggle in after a window is gone.
+// client thread 1 forges a put at server thread 1 under the id its
+// binding's next invocation will use, ahead of its own legitimate put on
+// the same put connection. The forged put waits for its window; when the
+// invocation registers it, the forged put is read first and poisons it,
+// so every invocation fails deterministically, and the legitimate put
+// behind it is landed or skimmed, never left waiting.
 func TestMaliciousBlockRejected(t *testing.T) {
-	held := make(chan struct{})
-	release := make(chan struct{})
-	var releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release) }) }
-	defer unblock() // a failed run must not strand the handlers
-	ops := func(th rts.Thread) map[string]*Op {
-		m := diffusionOps(th)
-		m["hold"] = &Op{Handler: func(call *Call) error {
-			if call.Thread.Rank() == 0 {
-				close(held)
-			}
-			<-release
-			return nil
-		}}
-		return m
-	}
+	// Over TCP a small put's write returns once the kernel has it, so the
+	// legitimate put finds the forged one's connection idle and follows
+	// it there.
 	reg := newReg()
-	obj := startObject(t, reg, 2, true, ops)
+	obj := startObjectCfg(t, reg, 2, true, diffusionOps, func(cfg *ObjectConfig) {
+		cfg.ListenEndpoint = "tcp:127.0.0.1:0"
+	})
 	defer obj.close()
 
-	holder, hw, err := BindPlain(context.Background(), reg, Centralized, "", obj.ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hw.Close()
-	defer holder.Close()
-	holdDone := make(chan error, 1)
-	go func() { holdDone <- holder.Invoke(context.Background(), &CallSpec{Operation: "hold"}) }()
-	<-held
-
-	const forged = 3
-	// parked waits until server thread 1's pending buffer holds n puts.
-	parked := func(n int) error {
-		deadline := time.Now().Add(10 * time.Second)
-		for obj.threadObjects()[1].BlockStats().Pending != n {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("server thread 1 parked %+v, want %d puts",
-					obj.threadObjects()[1].BlockStats(), n)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	}
-	err = mp.Run(2, func(proc *mp.Proc) error {
+	const rounds = 3
+	err := mp.Run(2, func(proc *mp.Proc) error {
 		th := rts.NewMessagePassing(proc)
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
@@ -85,36 +49,45 @@ func TestMaliciousBlockRejected(t *testing.T) {
 		}
 		defer b.Close()
 
-		if th.Rank() == 0 {
-			base := b.oc.NewInvocationID()
-			for k := uint64(1); k <= forged; k++ {
-				key, err := giop.BlockSinkKey(base+k, 0)
+		for k := 0; k < rounds; k++ {
+			// The communicator allocates invocation ids; the next one
+			// is the one after this.
+			var peek uint64
+			if th.Rank() == 0 {
+				peek = b.oc.NewInvocationID()
+			}
+			ids, err := th.AllgatherU64(peek)
+			if err != nil {
+				return err
+			}
+			if th.Rank() == 1 {
+				key, err := giop.BlockSinkKey(ids[0]+1, 0)
 				if err != nil {
 					return err
 				}
 				h := giop.WindowPutHeader{
 					WindowID:   key,
-					FromThread: 0,
+					FromThread: 1,
 					DstOff:     1 << 30, // way outside
 					Count:      4,
 				}
 				if _, err := b.oc.PutWindow(obj.ref.ThreadEndpoint(1), h, []float64{1, 2, 3, 4}); err != nil {
 					return err
 				}
+				// Waiting ahead of the legitimate put on its connection.
+				deadline := time.Now().Add(10 * time.Second)
+				for obj.threadObjects()[1].BlockStats().Pending != 1 {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("the forged put never waited: %+v", obj.threadObjects()[1].BlockStats())
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
-			// Parked ahead of the legitimate puts: a window flushes its
-			// early puts in arrival order.
-			if err := parked(forged); err != nil {
+			if err := th.Barrier(); err != nil {
 				return err
 			}
-		}
-		if err := th.Barrier(); err != nil {
-			return err
-		}
-		// Each invocation ships this thread's 50 elements to the server
-		// thread of the same rank as one put.
-		var pending []*Pending
-		for k := 0; k < forged; k++ {
+			// The invocation ships this thread's 50 elements to the
+			// server thread of the same rank as one put.
 			seq, err := dseq.NewDoubles(100, dist.Block(), th.Size(), th.Rank())
 			if err != nil {
 				return err
@@ -124,40 +97,27 @@ func TestMaliciousBlockRejected(t *testing.T) {
 				Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
 				Args:      []DistArg{{Mode: InOut, Seq: seq}},
 			})
-			if err != nil {
-				return err
+			if err == nil {
+				err = p.Wait(context.Background())
 			}
-			pending = append(pending, p)
-		}
-		if err := th.Barrier(); err != nil {
-			return err
-		}
-		if th.Rank() == 0 {
-			// Both client threads' puts have been written; server thread
-			// 1 must have parked its share before any window registers.
-			if err := parked(2 * forged); err != nil {
-				return err
-			}
-			unblock()
-		}
-		for k, p := range pending {
-			if err := p.Wait(context.Background()); !errors.Is(err, ErrRemote) {
+			if !errors.Is(err, ErrRemote) {
 				return fmt.Errorf("invocation %d hit by a forged put: want ErrRemote, got %v", k, err)
 			}
-		}
-		if err := noLeak(b.BlockStats()); err != nil {
-			return fmt.Errorf("client thread %d: %w", th.Rank(), err)
+			if err := noLeak(b.BlockStats()); err != nil {
+				return fmt.Errorf("client thread %d: %w", th.Rank(), err)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-holdDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := obj.noLeak(noLeak); err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(10 * time.Second)
+	for err := obj.noLeak(noLeak); err != nil; err = obj.noLeak(noLeak) {
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

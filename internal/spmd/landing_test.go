@@ -92,9 +92,10 @@ func awaitQueued(t *testing.T, o *Object, n int) {
 }
 
 // awaitPastPhase1 waits until the communicator has marked the request
-// it popped last past phase 1. A request answered before the collective
-// is engaged gets that mark only after its reply, so a request its
-// client sends next may still find it in phase 1, and be read whole.
+// it popped last past phase 1. A dispatch that fails in phase 1 gets
+// that mark only after its rank has given up, which a client that
+// stopped waiting sees no sign of; a request its client sends next may
+// still find it in phase 1, and be read whole.
 func awaitPastPhase1(t *testing.T, o *Object) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {

@@ -98,7 +98,7 @@ func (t *leaseTable) acquire(client uint64) *lease {
 
 // touch renews the client's lease if it exists (block arrivals renew
 // without creating: a stray block from an unknown client must not
-// fabricate liveness state — the orb pending sweep handles strays).
+// fabricate liveness state — the orb's wait bound handles strays).
 func (t *leaseTable) touch(client uint64) {
 	now := time.Now().UnixNano()
 	t.mu.Lock()

@@ -137,6 +137,31 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	// The lease expiry cancelled every rank's window incomplete, which
+	// retired the invocation: a put the dead client still had in flight
+	// is skimmed on arrival instead of waiting for a window that will not
+	// register.
+	late := orb.NewClient(reg)
+	defer late.Close()
+	key, err := giop.BlockSinkKey(hdr.InvocationID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skimmed := make(chan error, 1)
+	go func() {
+		// Over inproc a put's write returns only once the server reads it.
+		_, err := late.PutWindow(obj.ref.ThreadEndpoint(1), giop.WindowPutHeader{WindowID: key, Last: true}, make([]float64, 100))
+		skimmed <- err
+	}()
+	select {
+	case err := <-skimmed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("a put for the reclaimed invocation waits: %+v", obj.threadObjects()[1].BlockStats())
+	}
+
 	// The object must still serve a well-behaved multi-port client end
 	// to end.
 	shipped := putsShipped()

@@ -43,12 +43,12 @@ func TestPeerTransferEndToEnd(t *testing.T) {
 // twin: a raw ORB client pinned to each byte order in turn — one of them
 // foreign to this host — puts an in-argument into an exported object's
 // windows and invokes on it. Half the puts go out before the request and
-// are parked until the windows register and flush them; the rest follow
-// once every rank waits on its window and land straight off the read
-// buffer. The handler sees every element exact either way.
+// wait on their connections until the windows register; the rest follow
+// once every rank waits on its window. All land straight off the read
+// buffer, and the handler sees every element exact either way.
 func TestPeerTransferCrossEndian(t *testing.T) {
 	const m = 3
-	const n = m * xferChunkElems * 3 / 2 // two chunks a rank: one parked, one not
+	const n = m * xferChunkElems * 3 / 2 // two chunks a rank: one early, one not
 	ops := func(th rts.Thread) map[string]*Op {
 		return map[string]*Op{
 			"check": {
@@ -93,7 +93,7 @@ func TestPeerTransferCrossEndian(t *testing.T) {
 			chunks := dist.Chunk(plan, xferChunkElems)
 			inv := cli.NewInvocationID()
 			put := func(chunks []dist.Transfer) {
-				if _, err := sendPlanPuts(cli, inv, 0, 0, chunks, data, obj.ref.ThreadEndpoint, 1, 0); err != nil {
+				if _, err := sendPlanPuts(cli, inv, 0, 0, chunks, data, obj.ref.ThreadEndpoint, len(chunks), 0); err != nil {
 					t.Error(err)
 				}
 			}
@@ -119,8 +119,14 @@ func TestPeerTransferCrossEndian(t *testing.T) {
 					}
 				}
 			}
-			put(early)
-			awaitRanks("parked put", func(st orb.BlockRouterStats) bool { return st.Pending == 1 })
+			// The early puts' writes return only once their windows
+			// register and the waiting read loops take the payloads.
+			earlyDone := make(chan struct{})
+			go func() {
+				defer close(earlyDone)
+				put(early)
+			}()
+			awaitRanks("waiting put", func(st orb.BlockRouterStats) bool { return st.Pending == 1 })
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -139,6 +145,7 @@ func TestPeerTransferCrossEndian(t *testing.T) {
 				ThreadCount:      1,
 			}, w.encode)
 			<-done
+			<-earlyDone
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +230,7 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 				return fmt.Errorf("rank %d: error does not name the cut rank: %v", th.Rank(), ierr)
 			}
 		}
-		if err := noWindows(b.BlockStats()); err != nil {
+		if err := noLeak(b.BlockStats()); err != nil {
 			return fmt.Errorf("rank %d after failure: %w", th.Rank(), err)
 		}
 		return nil
@@ -234,7 +241,8 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 
 	// The server thread whose sender died is parked on a window that
 	// will never fill; Close must unwind it on every rank, and the
-	// deferred cancels must leave no window registered.
+	// deferred cancels must leave no window registered and no put
+	// waiting for one.
 	obj.close()
 	for i := 0; i < 3; i++ {
 		select {
@@ -243,7 +251,7 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 			t.Fatal("a server thread did not unwind after Close")
 		}
 	}
-	if err := obj.noLeak(noWindows); err != nil {
+	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatalf("after cut: %v", err)
 	}
 	if st := cut.Stats(); st.CutConns == 0 {

@@ -128,10 +128,21 @@ type Object struct {
 
 // request is one queued invocation: the request, and for one that lands
 // the invocation wire decoded from its prefix (nil for one read whole,
-// which the communicator decodes when it pops it).
+// which the communicator decodes when it pops it). gaveUp marks a
+// multi-port request whose caller gave up before the communicator took
+// it: the communicator refuses it.
 type request struct {
-	in *orb.Incoming
-	w  *invocationWire
+	in     *orb.Incoming
+	w      *invocationWire
+	gaveUp bool
+}
+
+// multiPort reports whether request in, unless it lands, travels
+// MultiPort: the method octet leads its invocation wire, so it reads
+// even when the rest does not decode. A request that lands is
+// centralized, and its Body is nil.
+func multiPort(in *orb.Incoming) bool {
+	return len(in.Body) > 0 && in.Body[0] == byte(MultiPort)
 }
 
 // shedExpiredSPMD counts queued invocations whose propagated deadline
@@ -155,7 +166,7 @@ func (o *Object) Stats() ObjectStats {
 }
 
 // BlockStats reports this thread's block-router state (registered
-// windows and buffered early puts). After the serve loops exit it
+// windows and puts waiting for theirs). After the serve loops exit it
 // must be empty — a nonzero window count is a leak.
 func (o *Object) BlockStats() orb.BlockRouterStats {
 	if o.srv == nil {
@@ -364,20 +375,31 @@ func (o *Object) admit(in *orb.Incoming) {
 	}
 	o.ahead++
 	o.aheadMu.Unlock()
-	if in.Ctx.Err() != nil { // the caller gave up already
-		o.gaveUp()
-		in.Release()
-		return
-	}
-	select {
-	case o.queue <- req: // the communicator owns it now
-	case <-o.closed:
-		o.gaveUp()
-		_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
-		in.Release()
-	case <-in.Ctx.Done():
-		o.gaveUp()
-		in.Release()
+	// A request whose caller gives up before the communicator takes it
+	// is dropped, unless it travels multi-port: its client's puts wait on
+	// every rank for its windows, and only the communicator reaches every
+	// rank to retire them (refused), so it is queued all the same.
+	mp := multiPort(in)
+	giveUp := in.Ctx.Done()
+	for {
+		if giveUp != nil && in.Ctx.Err() != nil { // the caller gave up
+			if !mp {
+				o.gaveUp()
+				in.Release()
+				return
+			}
+			req.gaveUp, giveUp = true, nil
+		}
+		select {
+		case o.queue <- req: // the communicator owns it now
+			return
+		case <-o.closed:
+			o.gaveUp()
+			_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
+			in.Release()
+			return
+		case <-giveUp:
+		}
 	}
 }
 
@@ -504,10 +526,14 @@ func (o *Object) Close() {
 // control is the per-invocation metadata the communicator broadcasts
 // to the other computing threads before the collective dispatch.
 type control struct {
-	OK     bool // false: serve loop should exit
-	Op     string
-	Inv    uint64
-	Method TransferMethod
+	OK bool // false: serve loop should exit
+	// Refused means the communicator answered invocation Inv before the
+	// collective: no rank dispatches it, and every rank retires its
+	// windows, so the puts its client shipped are skimmed, not waited on.
+	Refused bool
+	Op      string
+	Inv     uint64
+	Method  TransferMethod
 	// DeadlineMicros is the client deadline budget still remaining when
 	// the communicator broadcast the control record (0 = none). Every
 	// rank rebases it onto its own clock and bounds its dispatch — in
@@ -515,7 +541,6 @@ type control struct {
 	DeadlineMicros uint64
 	Scalars        []byte
 	Args           []controlArg
-	ErrMsg         string
 }
 
 type controlArg struct {
@@ -527,6 +552,7 @@ type controlArg struct {
 
 func (c *control) encode(e *cdr.Encoder) {
 	e.PutBoolean(c.OK)
+	e.PutBoolean(c.Refused)
 	e.PutString(c.Op)
 	e.PutULongLong(c.Inv)
 	e.PutOctet(byte(c.Method))
@@ -539,13 +565,15 @@ func (c *control) encode(e *cdr.Encoder) {
 		putCounts(e, a.ClientCounts)
 		e.PutStringSeq(a.ClientEndpoints)
 	}
-	e.PutString(c.ErrMsg)
 }
 
 func decodeControl(d *cdr.Decoder) (*control, error) {
 	var c control
 	var err error
 	if c.OK, err = d.Boolean(); err != nil {
+		return nil, err
+	}
+	if c.Refused, err = d.Boolean(); err != nil {
 		return nil, err
 	}
 	if c.Op, err = d.String(); err != nil {
@@ -593,9 +621,6 @@ func decodeControl(d *cdr.Decoder) (*control, error) {
 			return nil, err
 		}
 	}
-	if c.ErrMsg, err = d.String(); err != nil {
-		return nil, err
-	}
 	return &c, nil
 }
 
@@ -640,9 +665,14 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	// shed here, before the collective is engaged: the client has given
 	// up, so burning every rank on its dispatch would only add load.
 	if !in.Expiry.IsZero() && !time.Now().Before(in.Expiry) {
+		o.refused(in)
 		shedExpiredSPMD.Inc()
 		_ = in.ReplySystemException("TIMEOUT",
 			"request deadline expired before collective dispatch")
+		return nil
+	}
+	if req.gaveUp { // its caller is gone: nothing to answer
+		o.refused(in)
 		return nil
 	}
 
@@ -652,6 +682,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	if w == nil {
 		var err error
 		if w, err = decodeInvocation(in.Order, in.Body, in.BodyBase); err != nil {
+			o.refused(in)
 			_ = in.ReplySystemException("MARSHAL", err.Error())
 			// The collective is not engaged yet; keep serving.
 			return nil
@@ -662,10 +693,12 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 	op, ok := o.cfg.Ops[in.Header.Operation]
 	if !ok {
+		o.refused(in)
 		_ = in.ReplySystemException("BAD_OPERATION", in.Header.Operation)
 		return nil
 	}
 	if code, detail := o.refuse(w, in.Header.Operation, op.Spec, in.BodyLen()); code != "" {
+		o.refused(in)
 		_ = in.ReplySystemException(code, detail)
 		return nil
 	}
@@ -722,6 +755,30 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	return in.Reply(giop.ReplyOK, reply.encode)
 }
 
+// refused ends the communicator's part in request in, which it answers
+// before the collective, ahead of its reply: the request needs no more
+// bytes from any connection, so it leaves phase 1. A multi-port
+// invocation's client has shipped puts that sit on the ranks' read
+// loops, waiting for windows that will not register: every rank, the
+// others through the control broadcast, retires the invocation, so they
+// are skimmed. A centralized one ships none, and costs no broadcast.
+func (o *Object) refused(in *orb.Incoming) {
+	o.pastPhase1()
+	if multiPort(in) {
+		inv := in.Header.InvocationID
+		o.retire(inv)
+		o.bcastControl(&control{OK: true, Refused: true, Inv: inv})
+	}
+}
+
+// retire declares that none of invocation inv's windows registers on
+// this rank any more (orb.Server.RetireWindows).
+func (o *Object) retire(inv uint64) {
+	if o.srv != nil {
+		o.srv.RetireWindows(inv)
+	}
+}
+
 // refuse returns the system exception — code and detail — with which
 // the communicator answers the invocation w of operation op, declared
 // spec, in a body of bodyLen bytes, before it engages the collective;
@@ -762,6 +819,10 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 	if !ctrl.OK {
 		return ErrClosed
 	}
+	if ctrl.Refused {
+		o.retire(ctrl.Inv)
+		return nil
+	}
 	_, derr := o.dispatch(ctx, ctrl, nil, nil)
 	// Worker-side dispatch errors were already folded into the
 	// collective agreement; the communicator reported them.
@@ -798,6 +859,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if op == nil {
 		// Workers learn about unknown ops only here; communicator
 		// filtered already.
+		o.retire(ctrl.Inv)
 		return nil, fmt.Errorf("%w: unknown operation %q", ErrBadCall, ctrl.Op)
 	}
 
@@ -884,6 +946,13 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		clear(o.landing.blocks)
 		o.landing.w = nil
 		o.pastPhase1()
+	}
+	// A rank that failed phase 1 registers none of the invocation's
+	// windows from here on: the puts still due to it are skimmed, before
+	// the agreement below can wait on a client whose puts queue behind
+	// them.
+	if firstErr != nil {
+		o.retire(ctrl.Inv)
 	}
 
 	// Collective agreement on phase-1 status.

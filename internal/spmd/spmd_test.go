@@ -40,29 +40,17 @@ func (o *testObject) threadObjects() []*Object {
 }
 
 // noLeak is the "no leak" assertion for one block router once its
-// invocations have completed: no registered window or sink and no
-// parked early put. (A multi-port invocation registers windows, so a
-// check of Sinks alone cannot fail.)
+// invocations have completed or unwound: no registered window or sink
+// and no put waiting for a window. (A multi-port invocation registers
+// windows, so a check of Sinks alone cannot fail.)
 func noLeak(st orb.BlockRouterStats) error {
-	if st.Pending != 0 {
+	if st.Windows != 0 || st.Sinks != 0 || st.Pending != 0 {
 		return fmt.Errorf("block router not empty: %+v", st)
-	}
-	return noWindows(st)
-}
-
-// noWindows is the assertion that still holds after an invocation was
-// cut short: every registration is gone. Puts that were in flight when
-// it unwound may stay parked until the ORB's pending-TTL sweep reclaims
-// them, so Pending is not an invariant there.
-func noWindows(st orb.BlockRouterStats) error {
-	if st.Windows != 0 || st.Sinks != 0 {
-		return fmt.Errorf("block router holds registrations: %+v", st)
 	}
 	return nil
 }
 
-// noLeak applies check (noLeak or noWindows) to every exported server
-// thread.
+// noLeak applies check to every exported server thread.
 func (o *testObject) noLeak(check func(orb.BlockRouterStats) error) error {
 	for rank, obj := range o.threadObjects() {
 		if obj == nil {
@@ -91,6 +79,10 @@ func startObjectCfg(t testing.TB, reg *transport.Registry, m int, multiPort bool
 	w := mp.MustWorld(m)
 	refs := make(chan *ior.Ref, 1)
 	to := &testObject{donech: make(chan error, m), objs: make([]*Object, m)}
+	// Every thread's object is recorded before the caller gets the
+	// reference, so threadObjects never shows a hole for a live rank.
+	var exported sync.WaitGroup
+	exported.Add(m)
 	for r := 0; r < m; r++ {
 		go func(rank int) {
 			th := rts.NewMessagePassing(w.Rank(rank))
@@ -108,12 +100,14 @@ func startObjectCfg(t testing.TB, reg *transport.Registry, m int, multiPort bool
 			}
 			obj, err := Export(cfg)
 			if err != nil {
+				exported.Done()
 				to.donech <- err
 				return
 			}
 			to.mu.Lock()
 			to.objs[rank] = obj
 			to.mu.Unlock()
+			exported.Done()
 			if rank == 0 {
 				refs <- obj.Ref()
 			}
@@ -121,6 +115,7 @@ func startObjectCfg(t testing.TB, reg *transport.Registry, m int, multiPort bool
 		}(r)
 	}
 	to.ref = <-refs
+	exported.Wait()
 	to.close = func() {
 		to.mu.Lock()
 		for _, o := range to.objs {

@@ -165,7 +165,7 @@ func TestDescribeWireRoundTrip(t *testing.T) {
 func TestControlRoundTrip(t *testing.T) {
 	cases := map[string]*control{
 		"shutdown": {OK: false},
-		"error":    {OK: true, Op: "op", ErrMsg: "boom"},
+		"refused":  {OK: true, Refused: true, Inv: 0xABCDE12345},
 		"invocation": {OK: true, Op: "diffusion", Inv: 0xABCDE12345, Method: MultiPort,
 			DeadlineMicros: 1500, Scalars: []byte{0, 9, 8},
 			Args: []controlArg{

@@ -10,7 +10,8 @@
 // connections simultaneously.
 //
 // Receiving: the destination rank registers its local block as an
-// orb.Window and waitWindow awaits it. Puts land straight off the
+// orb.Window and waitWindow awaits it; a put that arrives first waits on
+// its connection for the registration. Puts land straight off the
 // delivering connection's read buffer, counting elements rather than
 // messages, so chunks may arrive out of order, interleaved across
 // senders, and concurrently. Safety argument: the transfer plan
@@ -37,11 +38,10 @@ import (
 // most DefaultXferChunkBytes.
 const (
 	// DefaultXferChunkBytes is the largest window put the data plane
-	// ships. It sits at the ORB's largest recycled early-put buffer
-	// (maxPutBufShift in orb/window.go, 1 MiB): a chunk that beats its
-	// window's registration is parked in a pooled buffer, not a fresh
-	// one, and an 8 MiB argument between 2 and 4 ranks moves in 8 puts
-	// per leg rather than 32 (EXPERIMENTS.md E15).
+	// ships: an 8 MiB argument between 2 and 4 ranks moves in 8 puts per
+	// leg rather than 32 (EXPERIMENTS.md E15). A chunk that beats its
+	// window's registration waits for it on its put connection and then
+	// lands in place, whatever its size.
 	DefaultXferChunkBytes = 1 << 20
 	// xferChunkElems is DefaultXferChunkBytes in float64 elements.
 	xferChunkElems = DefaultXferChunkBytes / 8

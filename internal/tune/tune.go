@@ -8,8 +8,8 @@
 // and the recommendation follows classic transport sizing:
 //
 //   - chunk size amortizes the per-chunk fixed cost (framing, encode,
-//     syscall) against the path's byte rate, growing toward the largest
-//     early-put buffer the ORB recycles on fast paths;
+//     syscall) against the path's byte rate, growing toward the data
+//     plane's fixed chunk on fast paths;
 //   - the transfer window must cover BDP/chunk so the wire never idles
 //     waiting for a chunk acknowledgment on long-RTT paths;
 //   - stripes follow window depth, so a deep window is not serialized
@@ -55,9 +55,8 @@ const (
 	// DefaultMinChunkBytes is the static data-plane default: tuning
 	// never shrinks chunks below it.
 	DefaultMinChunkBytes = 256 << 10
-	// DefaultMaxChunkBytes is the largest early-put buffer the ORB
-	// recycles (orb/window.go): a chunk above it that beats its window's
-	// registration would be parked in a fresh allocation every time.
+	// DefaultMaxChunkBytes is the data plane's fixed chunk,
+	// spmd.DefaultXferChunkBytes (EXPERIMENTS.md E15).
 	DefaultMaxChunkBytes = 1 << 20
 	DefaultMaxWindow     = 32
 	DefaultMaxStripes    = 8
