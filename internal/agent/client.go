@@ -104,19 +104,19 @@ func (c *Client) Resolve(ctx context.Context, name string) (*ior.Ref, int, error
 
 // Sync exchanges replica-table snapshots with a peer agent: the
 // request carries local, the reply the peer's table as of after it
-// merged local in. The caller merges the returned snapshot to finish
-// the round.
+// merged local in. The caller merges the returned snapshot into the
+// table local was taken from to finish the round.
 //
-// The reply's ages are padded by the whole RPC's elapsed time before
-// they reach the caller. Ages are relative to the sender's clock at
-// snapshot time, so transit delay would otherwise make every row look
-// *newer* on arrival — and two agents bouncing a dead instance's row
-// back and forth would grant it a sliver of life per round. Padding
-// anchors this side's reconstruction at the true renewal time or
-// older, which cuts that feedback loop (the receiving agent's own
-// inflation then stays bounded by one one-way delay).
+// The reply's ages are anchored at the instant local was taken. Ages
+// are relative to the sender's clock at snapshot time, so transit delay
+// would otherwise make every row look *newer* on arrival — and two
+// agents bouncing a dead instance's row back and forth would grant it a
+// sliver of life per round. The peer took its snapshot after local was
+// taken, so the anchor errs old by at most the round trip, and an echo
+// of one of the caller's own rows comes back no newer than it left. (A
+// local snapshot built by hand carries no instant: its reply's ages are
+// counted back from the merge.)
 func (c *Client) Sync(ctx context.Context, local SyncSnapshot) (SyncSnapshot, error) {
-	start := time.Now()
 	d, err := c.invoke(ctx, "sync", func(e *cdr.Encoder) {
 		encodeSnapshot(e, local)
 	})
@@ -127,13 +127,7 @@ func (c *Client) Sync(ctx context.Context, local SyncSnapshot) (SyncSnapshot, er
 	if err != nil {
 		return SyncSnapshot{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	elapsed := time.Since(start)
-	for i := range remote.Entries {
-		remote.Entries[i].Age += elapsed
-	}
-	for i := range remote.Tombs {
-		remote.Tombs[i].Age += elapsed
-	}
+	remote.anchor = local.at
 	return remote, nil
 }
 

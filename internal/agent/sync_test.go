@@ -242,12 +242,21 @@ func TestSyncWireRoundTrip(t *testing.T) {
 // clients.
 func newTwinAgents(t *testing.T) (tblA *Table, acA *Client, tblB *Table, acB *Client) {
 	t.Helper()
+	tblA, tblB = NewTable(), NewTable()
+	cs := serveTables(t, tblA, tblB)
+	return tblA, cs[0], tblB, cs[1]
+}
+
+// serveTables serves each table as an agent over one inproc registry
+// and returns their clients, in order.
+func serveTables(t *testing.T, tbls ...*Table) []*Client {
+	t.Helper()
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
 	oc := orb.NewClient(reg, orb.WithDefaultDeadline(2*time.Second))
 	t.Cleanup(func() { oc.Close() })
-	mk := func() (*Table, *Client) {
-		tbl := NewTable()
+	var cs []*Client
+	for _, tbl := range tbls {
 		srv := orb.NewServer(reg)
 		Serve(srv, tbl)
 		ep, err := srv.Listen("inproc:*")
@@ -255,11 +264,9 @@ func newTwinAgents(t *testing.T) (tblA *Table, acA *Client, tblB *Table, acB *Cl
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		return tbl, NewClient(oc, ep)
+		cs = append(cs, NewClient(oc, ep))
 	}
-	tblA, acA = mk()
-	tblB, acB = mk()
-	return
+	return cs
 }
 
 func TestSyncOpConvergesBothSides(t *testing.T) {
@@ -290,6 +297,38 @@ func TestSyncOpConvergesBothSides(t *testing.T) {
 		}
 	}
 	_ = acA
+}
+
+// TestSyncEchoAdoptsNothing: B's reply to A's sync echoes A's own row,
+// which B adopted from A's request. Merging it must not renew the row on
+// A, however long A takes from its snapshot to the request and from the
+// reply to its merge: the hand-cranked clocks stretch both gaps to a
+// second, where a real host's scheduling stretches them to microseconds.
+func TestSyncEchoAdoptsNothing(t *testing.T) {
+	tblA, clkA := newFakeTable()
+	tblB, _ := newFakeTable()
+	acB := serveTables(t, tblB)[0]
+	regAt(t, tblA, "inst-a", "svc/e", "inproc:ra", time.Minute)
+	regAt(t, tblB, "inst-b", "svc/e", "inproc:rb", time.Minute)
+	clkA.advance(time.Second)
+
+	local := tblA.Snapshot()
+	clkA.advance(time.Second)
+	remote, err := acB.Sync(context.Background(), local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clkA.advance(time.Second)
+	if adopted, _ := tblA.Merge(remote); adopted != 1 {
+		t.Fatalf("A adopted %d rows from B's reply, want 1 (B's own)", adopted)
+	}
+	seen := map[string]time.Duration{}
+	for _, rep := range tblA.List("svc/")["svc/e"] {
+		seen[rep.Instance] = rep.SinceSeen
+	}
+	if got, ok := seen["inst-a"]; !ok || got != 3*time.Second {
+		t.Fatalf("A's own row last seen %v ago (present %v), want 3s: its echo renewed it", got, ok)
+	}
 }
 
 func TestRegistrarFansOutToAllAgents(t *testing.T) {

@@ -401,8 +401,8 @@ func (t *Table) Size() (names, replicas int) {
 // time travels as an age relative to the sender's clock at snapshot
 // time, so merging is immune to wall-clock skew between agents. (Raw
 // transit delay would make an arriving row look *newer* — the age is
-// frozen at encode time — so Client.Sync pads reply ages by the RPC's
-// elapsed time, erring old, never new.)
+// frozen at encode time — so Client.Sync anchors a reply's ages at the
+// instant the caller took its own snapshot, erring old, never new.)
 type SyncEntry struct {
 	Name     string
 	Instance string
@@ -428,6 +428,13 @@ type SyncTombstone struct {
 type SyncSnapshot struct {
 	Entries []SyncEntry
 	Tombs   []SyncTombstone
+
+	// at is the instant, on the clock of the table that took the
+	// snapshot, that its ages count back from; zero once decoded.
+	at time.Time
+	// anchor, when set, is the instant on the merging table's clock that
+	// Merge counts the ages back from, in place of its own now.
+	anchor time.Time
 }
 
 // Snapshot captures the table's live rows and tombstones for a peer
@@ -437,7 +444,7 @@ func (t *Table) Snapshot() SyncSnapshot {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var s SyncSnapshot
+	s := SyncSnapshot{at: now}
 	for name, reps := range t.names {
 		for _, rep := range reps {
 			if !now.Before(rep.deadline) {
@@ -479,12 +486,19 @@ func (t *Table) Snapshot() SyncSnapshot {
 // paid for, so a partitioned pair cannot keep each other's dead rows
 // alive by bouncing snapshots back and forth. Returns the number of
 // rows adopted (inserted or renewed) and removed by tombstones.
+//
+// Renewal times are reconstructed as the snapshot's anchor (Client.Sync
+// sets it; otherwise the table's now) minus each age.
 func (t *Table) Merge(s SyncSnapshot) (adopted, removed int) {
 	now := t.now()
+	anchor := s.anchor
+	if anchor.IsZero() {
+		anchor = now
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, ts := range s.Tombs {
-		at := now.Add(-ts.Age)
+		at := anchor.Add(-ts.Age)
 		if t.seen[ts.Instance].After(at) {
 			continue
 		}
@@ -506,7 +520,7 @@ func (t *Table) Merge(s SyncSnapshot) (adopted, removed int) {
 		if e.Name == "" || e.Instance == "" || e.Ref == nil || e.Ref.Validate() != nil {
 			continue // a malformed peer row is dropped, never adopted
 		}
-		ls := now.Add(-e.Age)
+		ls := anchor.Add(-e.Age)
 		if tb, ok := t.tombs[e.Instance]; ok && !ls.After(tb.at) {
 			continue
 		}

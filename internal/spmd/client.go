@@ -205,7 +205,7 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 				b.recvEP = ep
 			}
 		}
-		if err := setupVerdict(b.th, listenErr, "open its receive port"); err != nil {
+		if _, err := setupVerdict(b.th, listenErr, "open its receive port", 0); err != nil {
 			b.Close()
 			return nil, err
 		}
@@ -417,7 +417,6 @@ func (b *Binding) methodFor(args []DistArg, blocking bool) TransferMethod {
 type Pending struct {
 	b        *Binding
 	spec     *CallSpec
-	inv      uint64
 	outSinks []*outCollector
 	span     *telemetry.Span // covers start through Wait; nil unsampled
 
@@ -541,19 +540,22 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		}
 	}
 
-	// The communicator allocates the invocation id and shares it.
+	// The communicator allocates the invocation id. Only its request
+	// header reads a centralized one; a multi-port one also keys the
+	// windows on every thread, so the threads share it.
+	method := b.methodFor(spec.Args, blocking)
 	var inv uint64
 	if b.rank == 0 {
 		inv = b.oc.NewInvocationID()
 	}
-	invs, err := b.th.AllgatherU64(inv)
-	if err != nil {
-		return nil, err
+	if method == MultiPort {
+		invs, err := b.th.AllgatherU64(inv)
+		if err != nil {
+			return nil, err
+		}
+		inv = invs[0]
 	}
-	inv = invs[0]
-
-	method := b.methodFor(spec.Args, blocking)
-	p := &Pending{b: b, spec: spec, inv: inv}
+	p := &Pending{b: b, spec: spec}
 
 	// Server-side layouts for planning.
 	serverLayouts := make([]dist.Layout, len(spec.Args))
@@ -674,23 +676,28 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		}()
 	}
 
+	// A centralized invocation has no send phase: the communicator's
+	// invoke goroutine sends the request, and its failure travels in
+	// Wait's status broadcast.
+	if method == Centralized {
+		return p, nil
+	}
+
 	// Multi-port data transfer: every client thread ships its blocks
 	// directly to the owning server threads (§3.3).
 	var sendErr error
-	if method == MultiPort {
-		for i, a := range spec.Args {
-			if a.Mode != In && a.Mode != InOut {
-				continue
-			}
-			plan, err := dist.Plan(a.Seq.Layout(), serverLayouts[i])
-			if err != nil {
-				sendErr = err
-				break
-			}
-			if err := b.sendBlocks(inv, uint32(i), plan, a.Seq); err != nil {
-				sendErr = err
-				break
-			}
+	for i, a := range spec.Args {
+		if a.Mode != In && a.Mode != InOut {
+			continue
+		}
+		plan, err := dist.Plan(a.Seq.Layout(), serverLayouts[i])
+		if err != nil {
+			sendErr = err
+			break
+		}
+		if err := b.sendBlocks(inv, uint32(i), plan, a.Seq); err != nil {
+			sendErr = err
+			break
 		}
 	}
 
@@ -895,11 +902,14 @@ func (p *Pending) cancelSinks() {
 }
 
 // Wait completes the invocation collectively: the communicator
-// receives the reply and broadcasts the completion status (§3.2);
-// on success every thread collects its multi-port out-blocks (puts
-// land in the registered windows whether they arrive before or after
-// the reply), the scalar results and centralized out-data are
-// distributed, and the threads synchronize on the exit barrier (§3.3).
+// receives the reply and broadcasts the completion status (§3.2),
+// which carries the scalar results. A centralized invocation's
+// out-data has landed in the threads' lent blocks before that
+// broadcast, which ends the lend: it is the invocation's last
+// collective. A multi-port one's threads then collect their out-blocks
+// (puts land in the registered windows whether they arrive before or
+// after the reply), agree on the collection, and synchronize on the
+// exit barrier (§3.3).
 //
 // Status travels before block collection so that a failed invocation
 // cannot strand threads waiting for out-blocks the server never sent.
@@ -967,6 +977,15 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		return err
 	}
 
+	if p.centralized() {
+		for _, a := range p.spec.Args {
+			if a.Mode == Out || a.Mode == InOut {
+				b.stats.bytesIn.Add(uint64(a.Seq.LocalLen()) * 8)
+			}
+		}
+		return p.decodeReply(scalarEnc)
+	}
+
 	// Collect multi-port out-blocks destined for this thread. The
 	// server completed successfully, so every planned block was (or
 	// is being) sent; puts landed (and still land) straight in the
@@ -988,22 +1007,18 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	}); err != nil {
 		return err
 	}
-
-	if p.centralized() {
-		for _, a := range p.spec.Args {
-			if a.Mode == Out || a.Mode == InOut {
-				b.stats.bytesIn.Add(uint64(a.Seq.LocalLen()) * 8)
-			}
-		}
-	}
-
-	// Deliver scalar results on every thread.
-	if p.spec.DecodeReply != nil {
-		if err := p.spec.DecodeReply(scalarEnc); err != nil {
-			return err
-		}
+	if err := p.decodeReply(scalarEnc); err != nil {
+		return err
 	}
 
 	// Exit barrier (§3.3's texit_barrier).
 	return b.th.Barrier()
+}
+
+// decodeReply delivers the scalar results on this thread.
+func (p *Pending) decodeReply(d *cdr.Decoder) error {
+	if p.spec.DecodeReply == nil {
+		return nil
+	}
+	return p.spec.DecodeReply(d)
 }

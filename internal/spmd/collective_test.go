@@ -1,0 +1,361 @@
+package spmd
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"pardis/internal/cdr"
+	"pardis/internal/dist"
+	"pardis/internal/dseq"
+	"pardis/internal/mp"
+	"pardis/internal/rts"
+)
+
+// countingThread counts the RTS calls a thread has completed, by kind.
+type countingThread struct {
+	rts.Thread
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func newCountingThread(th rts.Thread) *countingThread {
+	return &countingThread{Thread: th, n: map[string]int{}}
+}
+
+func (c *countingThread) done(kind string) {
+	c.mu.Lock()
+	c.n[kind]++
+	c.mu.Unlock()
+}
+
+// counts returns the counts so far; take also resets them.
+func (c *countingThread) counts() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.n)
+}
+
+func (c *countingThread) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.n
+	c.n = map[string]int{}
+	return n
+}
+
+func (c *countingThread) Barrier() error {
+	defer c.done("barrier")
+	return c.Thread.Barrier()
+}
+
+func (c *countingThread) Bcast(root int, data []byte) ([]byte, error) {
+	defer c.done("bcast")
+	return c.Thread.Bcast(root, data)
+}
+
+func (c *countingThread) GatherDoubles(root int, local []float64, counts []int) ([]float64, error) {
+	defer c.done("gather")
+	return c.Thread.GatherDoubles(root, local, counts)
+}
+
+func (c *countingThread) ScatterDoubles(root int, data []float64, counts []int) ([]float64, error) {
+	defer c.done("scatter")
+	return c.Thread.ScatterDoubles(root, data, counts)
+}
+
+func (c *countingThread) LendDoubles(root int, local []float64, counts []int) ([][]float64, error) {
+	defer c.done("lend")
+	return c.Thread.LendDoubles(root, local, counts)
+}
+
+func (c *countingThread) AllgatherU64(v uint64) ([]uint64, error) {
+	defer c.done("allgather")
+	return c.Thread.AllgatherU64(v)
+}
+
+func (c *countingThread) SendBytes(dst, tag int, data []byte) error {
+	defer c.done("send")
+	return c.Thread.SendBytes(dst, tag, data)
+}
+
+func (c *countingThread) RecvBytes(src, tag int) ([]byte, error) {
+	defer c.done("recv")
+	return c.Thread.RecvBytes(src, tag)
+}
+
+// sum totals a count map.
+func sum(n map[string]int) int {
+	t := 0
+	for _, v := range n {
+		t += v
+	}
+	return t
+}
+
+// collectiveOps is diffusionOps plus "sink", which takes one In
+// argument, for oneway invocations.
+func collectiveOps(th rts.Thread) map[string]*Op {
+	ops := diffusionOps(th)
+	ops["sink"] = &Op{
+		Spec:    OpSpec{Args: []ArgSpec{{Mode: In, Dist: dist.Block()}}},
+		Handler: func(*Call) error { return nil },
+	}
+	return ops
+}
+
+// TestCollectivesPerInvocation pins DESIGN.md §10's collective table:
+// the RTS calls every thread of each side completes for one invocation
+// with one distributed argument (inout, or in for oneway), per method.
+// The client's are counted around the invocation; the server's from
+// after Export until its serve loops have returned, less the closing
+// control broadcast. A collective added back to either side fails it.
+func TestCollectivesPerInvocation(t *testing.T) {
+	const clients, servers = 2, 3
+	for _, c := range []struct {
+		name    string
+		binding TransferMethod
+		async   bool // through InvokeAsync, which keeps the binding's method
+		oneway  bool
+		client  map[string]int
+		server  map[string]int
+	}{
+		{name: "centralized", binding: Centralized,
+			client: map[string]int{"allgather": 1, "lend": 1, "bcast": 1},
+			server: map[string]int{"bcast": 1, "lend": 2, "allgather": 2}},
+		{name: "multi-port binding below the crossover", binding: MultiPort,
+			client: map[string]int{"allgather": 1, "lend": 1, "bcast": 1},
+			server: map[string]int{"bcast": 1, "lend": 2, "allgather": 2}},
+		{name: "multi-port", binding: MultiPort, async: true,
+			client: map[string]int{"allgather": 4, "bcast": 1, "barrier": 1},
+			server: map[string]int{"bcast": 1, "allgather": 3}},
+		{name: "centralized oneway", binding: Centralized, oneway: true,
+			client: map[string]int{"allgather": 1, "lend": 1, "barrier": 1},
+			server: map[string]int{"bcast": 1, "lend": 1, "allgather": 2}},
+		{name: "multi-port oneway", binding: MultiPort, async: true, oneway: true,
+			client: map[string]int{"allgather": 3, "barrier": 1},
+			server: map[string]int{"bcast": 1, "allgather": 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := newReg()
+			var mu sync.Mutex
+			srvTh := make([]*countingThread, servers)
+			obj := startObjectCfg(t, reg, servers, true, collectiveOps, func(cfg *ObjectConfig) {
+				ct := newCountingThread(cfg.Thread)
+				cfg.Thread = ct
+				mu.Lock()
+				srvTh[ct.Rank()] = ct
+				mu.Unlock()
+			})
+			closed := false
+			defer func() {
+				if !closed {
+					obj.close()
+				}
+			}()
+			for _, ct := range srvTh {
+				ct.take() // Export's
+			}
+
+			err := mp.Run(clients, func(proc *mp.Proc) error {
+				ct := newCountingThread(rts.NewMessagePassing(proc))
+				b, err := Bind(context.Background(), BindConfig{
+					Thread: ct, Registry: reg, Method: c.binding, ListenEndpoint: "inproc:*",
+				}, obj.ref)
+				if err != nil {
+					return err
+				}
+				defer b.Close()
+				seq, err := dseq.NewDoubles(1000, dist.Block(), ct.Size(), ct.Rank())
+				if err != nil {
+					return err
+				}
+				spec := &CallSpec{
+					Operation: "diffusion",
+					Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
+					Args:      []DistArg{{Mode: InOut, Seq: seq}},
+				}
+				if c.oneway {
+					spec = &CallSpec{Operation: "sink", Oneway: true, Args: []DistArg{{Mode: In, Seq: seq}}}
+				}
+				ct.take() // Bind's
+				if c.async {
+					p, err := b.InvokeAsync(context.Background(), spec)
+					if err == nil {
+						err = p.Wait(context.Background())
+					}
+					if err != nil {
+						return err
+					}
+				} else if err := b.Invoke(context.Background(), spec); err != nil {
+					return err
+				}
+				if got := ct.take(); !maps.Equal(got, c.client) {
+					return fmt.Errorf("client thread %d completed %v, want %v", ct.Rank(), got, c.client)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The client may return before the server's threads have left
+			// the dispatch (a oneway invocation always does): wait for them,
+			// then close, so the closing broadcast cannot overtake it.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				behind := 0
+				for _, ct := range srvTh {
+					if sum(ct.counts()) < sum(c.server) {
+						behind++
+					}
+				}
+				if behind == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d server threads never completed the invocation's collectives", behind)
+				}
+			}
+			obj.close()
+			closed = true
+			for range servers {
+				<-obj.donech
+			}
+			want := maps.Clone(c.server)
+			want["bcast"]++ // the closing control broadcast
+			for r, ct := range srvTh {
+				if got := ct.take(); !maps.Equal(got, want) {
+					t.Errorf("server thread %d completed %v, want %v (with the closing broadcast)", r, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestKeptAgreementHandler: the agreement after the handler is what
+// carries one server rank's handler error to the reply. A handler that
+// fails on server rank 3 alone fails the invocation on every client
+// thread, under either method.
+func TestKeptAgreementHandler(t *testing.T) {
+	ops := func(th rts.Thread) map[string]*Op {
+		return map[string]*Op{
+			"diffusion": {
+				Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}},
+				Handler: func(call *Call) error {
+					if call.Thread.Rank() == 3 {
+						return errors.New("rank 3 diverged")
+					}
+					return nil
+				},
+			},
+		}
+	}
+	reg := newReg()
+	obj := startObject(t, reg, 4, true, ops)
+	defer obj.close()
+	for _, method := range []TransferMethod{Centralized, MultiPort} {
+		runClient(t, reg, 2, method, obj.ref, func(b *Binding, th rts.Thread) error {
+			seq, err := dseq.NewDoubles(1000, dist.Block(), th.Size(), th.Rank())
+			if err != nil {
+				return err
+			}
+			p, err := b.InvokeAsync(context.Background(), &CallSpec{
+				Operation: "diffusion",
+				Args:      []DistArg{{Mode: InOut, Seq: seq}},
+			})
+			if err == nil {
+				err = p.Wait(context.Background())
+			}
+			if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "thread 3") {
+				return fmt.Errorf("%v thread %d: want ErrRemote naming server thread 3, got %v", method, th.Rank(), err)
+			}
+			return nil
+		})
+	}
+}
+
+// TestKeptAgreementStatusEndsLend: a centralized invocation's reply
+// lands in the client threads' lent blocks, and the status broadcast
+// that follows is the invocation's last collective. A thread that reads
+// its block the moment Invoke returns, with no barrier and no scalar
+// results to wait for, sees this invocation's reply.
+func TestKeptAgreementStatusEndsLend(t *testing.T) {
+	reg := newReg()
+	obj := startObject(t, reg, 3, false, diffusionOps)
+	defer obj.close()
+	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
+		seq, err := dseq.NewDoubles(1000, dist.Block(), th.Size(), th.Rank())
+		if err != nil {
+			return err
+		}
+		local := seq.LocalData()
+		spec := &CallSpec{
+			Operation: "diffusion",
+			Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
+			Args:      []DistArg{{Mode: InOut, Seq: seq}},
+		}
+		for k := range 50 {
+			for i := range local {
+				local[i] = float64(k*10000 + seq.Lo() + i)
+			}
+			if err := b.Invoke(context.Background(), spec); err != nil {
+				return err
+			}
+			for i, v := range local {
+				if want := 2 * float64(k*10000+seq.Lo()+i); v != want {
+					return fmt.Errorf("thread %d invocation %d: [%d] = %v on return, want %v", th.Rank(), k, i, v, want)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// TestOnewayQueuedBeforeNextCall: a oneway invocation with nothing to
+// land is read whole at admission, and the client's next call, on the
+// same connection, reaches admission as soon as it has been. The
+// communicator still dispatches them in the order they arrived: the
+// call sees the oneway's effect, every time. With a centralized oneway
+// down to three client collectives, admission order alone decided it.
+func TestOnewayQueuedBeforeNextCall(t *testing.T) {
+	ops := func(th rts.Thread) map[string]*Op {
+		var notes int32 // this thread's
+		return map[string]*Op{
+			"note": {Handler: func(*Call) error { notes++; return nil }},
+			"count": {Handler: func(call *Call) error {
+				call.Reply().PutLong(notes)
+				return nil
+			}},
+		}
+	}
+	reg := newReg()
+	obj := startObject(t, reg, 2, false, ops)
+	defer obj.close()
+	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
+		for k := int32(1); k <= 100; k++ {
+			if err := b.Invoke(context.Background(), &CallSpec{Operation: "note", Oneway: true}); err != nil {
+				return err
+			}
+			var n int32
+			err := b.Invoke(context.Background(), &CallSpec{
+				Operation: "count",
+				DecodeReply: func(d *cdr.Decoder) (err error) {
+					n, err = d.Long()
+					return err
+				},
+			})
+			if err != nil {
+				return err
+			}
+			if n != k {
+				return fmt.Errorf("thread %d: the call after oneway %d saw %d of them", th.Rank(), k, n)
+			}
+		}
+		return nil
+	})
+}

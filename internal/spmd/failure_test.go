@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -399,6 +400,79 @@ func TestFaultExportPartialFailure(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExportOpsMismatch: threads exported with different operation
+// tables fail Export on every thread with ErrInconsistent. A worker that
+// lacked an operation the communicator broadcast would return from the
+// dispatch before its collectives and leave the other threads waiting in
+// them: where Export lets the mismatch through, the test invokes that
+// operation, and fails.
+func TestExportOpsMismatch(t *testing.T) {
+	reg := newReg()
+	w := mp.MustWorld(2)
+	defer w.Close()
+	objs := make([]*Object, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range objs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := rts.NewMessagePassing(w.Rank(r))
+			ops := diffusionOps(th)
+			if r == 1 {
+				delete(ops, "diffusion")
+			}
+			objs[r], errs[r] = Export(ObjectConfig{
+				Thread: th, Registry: reg, ListenEndpoint: "inproc:*",
+				Key: "objects/mismatch", TypeID: "IDL:mismatch:1.0", Ops: ops,
+			})
+		}()
+	}
+	wg.Wait()
+	if errors.Is(errs[0], ErrInconsistent) && errors.Is(errs[1], ErrInconsistent) {
+		if !strings.Contains(errs[0].Error(), "thread 1") {
+			t.Fatalf("the error does not name the mismatched thread: %v", errs[0])
+		}
+		return
+	}
+	for _, o := range objs {
+		if o != nil {
+			defer o.Close()
+			go o.Serve(context.Background())
+		}
+	}
+	if objs[0] == nil {
+		t.Fatalf("Export: %v", errs)
+	}
+	invoked := make(chan error, 1)
+	go func() {
+		invoked <- mp.Run(1, func(proc *mp.Proc) error {
+			b, err := Bind(context.Background(), BindConfig{
+				Thread: rts.NewMessagePassing(proc), Registry: reg, Method: Centralized,
+			}, objs[0].Ref())
+			if err != nil {
+				return err
+			}
+			defer b.Close()
+			seq, err := dseq.NewDoubles(10, dist.Block(), 1, 0)
+			if err != nil {
+				return err
+			}
+			return b.Invoke(context.Background(), &CallSpec{
+				Operation: "diffusion",
+				Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
+				Args:      []DistArg{{Mode: InOut, Seq: seq}},
+			})
+		})
+	}()
+	select {
+	case err := <-invoked:
+		t.Fatalf("Export let mismatched operation tables through (%v); invoking the operation thread 1 lacks: %v", errs, err)
+	case <-time.After(time.Second):
+		t.Fatalf("Export let mismatched operation tables through (%v); invoking the operation thread 1 lacks has not returned after 1 s", errs)
 	}
 }
 

@@ -96,18 +96,6 @@ func (t *leaseTable) acquire(client uint64) *lease {
 	return l
 }
 
-// touch renews the client's lease if it exists (block arrivals renew
-// without creating: a stray block from an unknown client must not
-// fabricate liveness state — the orb's wait bound handles strays).
-func (t *leaseTable) touch(client uint64) {
-	now := time.Now().UnixNano()
-	t.mu.Lock()
-	if l := t.m[client]; l != nil {
-		l.last.Store(now)
-	}
-	t.mu.Unlock()
-}
-
 // sweep expires every lease without traffic for the TTL: the lease
 // leaves the table (the client's next contact starts a fresh one) and
 // its expired channel closes, unblocking any dispatch waiting on that

@@ -13,10 +13,10 @@ import (
 )
 
 // TestLeaseTableSweep pins the table semantics: acquire creates and
-// renews, touch renews but never creates, sweep expires exactly the
-// silent leases and closes their channels. The process-wide rows
-// follow: pardis_spmd_leases_active counts live leases, and
-// pardis_spmd_leases_expired_total the swept ones only.
+// renews, sweep expires exactly the silent leases and closes their
+// channels. The process-wide rows follow: pardis_spmd_leases_active
+// counts live leases, and pardis_spmd_leases_expired_total the swept
+// ones only.
 func TestLeaseTableSweep(t *testing.T) {
 	active0, expired0 := ActiveLeases(), ExpiredLeases()
 	rows := func(when string, active int, expired uint64) {
@@ -35,11 +35,6 @@ func TestLeaseTableSweep(t *testing.T) {
 		t.Fatalf("size = %d, want 2", lt.size())
 	}
 	rows("two acquired", 2, 0)
-	// touch must not fabricate a lease for an unknown client.
-	lt.touch(3)
-	if lt.size() != 2 {
-		t.Fatalf("stray touch created a lease: size = %d", lt.size())
-	}
 	// A fresh sweep expires nothing.
 	if n := lt.sweep(time.Now()); n != 0 {
 		t.Fatalf("fresh sweep expired %d leases", n)

@@ -117,24 +117,17 @@ func TestFaultMultiPortShedBeforeCollective(t *testing.T) {
 
 // TestFaultPhase1FailureOnOneRank: one rank fails phase 1 of a
 // multi-port dispatch before it registers the second argument's window
-// (its declaration of that argument is pinned to three threads). It
-// retires the invocation, so the client's puts for that argument are
-// skimmed rather than stalling the client thread that writes them: the
-// invocation fails promptly, collectively, and the binding's next
-// invocation succeeds on the same connections.
+// (a window already registered under the first argument's key makes its
+// registration fail there alone). It retires the invocation, so the
+// client's puts for the second argument are skimmed rather than stalling
+// the client thread that writes them: the invocation fails promptly,
+// collectively, and the binding's next invocation succeeds on the same
+// connections.
 func TestFaultPhase1FailureOnOneRank(t *testing.T) {
-	three, err := dist.Proportions(1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ops := func(th rts.Thread) map[string]*Op {
 		m := diffusionOps(th)
-		second := dist.Block()
-		if th.Rank() == 1 {
-			second = three
-		}
 		m["two"] = &Op{
-			Spec:    OpSpec{Args: []ArgSpec{{Mode: In, Dist: dist.Block()}, {Mode: In, Dist: second}}},
+			Spec:    OpSpec{Args: []ArgSpec{{Mode: In, Dist: dist.Block()}, {Mode: In, Dist: dist.Block()}}},
 			Handler: func(*Call) error { return nil },
 		}
 		return m
@@ -151,10 +144,26 @@ func TestFaultPhase1FailureOnOneRank(t *testing.T) {
 			}
 			args[i] = DistArg{Mode: In, Seq: seq}
 		}
+		// Server rank 1 already holds a window under the first argument's
+		// key of the next invocation, whose id the binding's client
+		// allocates next in sequence; client thread 1's puts fill it.
+		var decoy func()
+		if th.Rank() == 0 {
+			key, err := giop.BlockSinkKey(b.oc.NewInvocationID()+1, 0)
+			if err != nil {
+				return err
+			}
+			if _, decoy, err = obj.threadObjects()[1].srv.RegisterWindow(key, make([]float64, 500), 500, nil); err != nil {
+				return err
+			}
+		}
 		start := time.Now()
 		p, err := b.InvokeAsync(context.Background(), &CallSpec{Operation: "two", Args: args})
 		if err == nil {
 			err = p.Wait(context.Background())
+		}
+		if decoy != nil {
+			decoy()
 		}
 		if !errors.Is(err, ErrRemote) {
 			return fmt.Errorf("thread %d: want ErrRemote from the failed phase 1, got %v", th.Rank(), err)

@@ -117,6 +117,12 @@ type Object struct {
 	aheadMu  sync.Mutex
 	ahead    int
 	inPhase1 bool
+	// arrived numbers the requests admit takes, in the order it takes
+	// them, and settled counts those queued or dropped; turn, on aheadMu,
+	// signals settled's moves. A request is settled only in its turn, so
+	// the queue holds requests in the order they arrived.
+	arrived, settled uint64
+	turn             sync.Cond
 	// readWhole counts the parked requests admit read whole.
 	readWhole atomic.Uint64
 	// landing is the communicator's lander for the request it is
@@ -207,6 +213,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		closed: make(chan struct{}),
 		leases: newLeaseTable(ttl),
 	}
+	o.turn.L = &o.aheadMu
 
 	needPort := o.rank == 0 || cfg.MultiPort
 	var myEndpoint string
@@ -226,8 +233,22 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	// open its port, every thread learns which one and returns a
 	// partial-failure error, instead of the communicator deadlocking
 	// in the endpoint exchange waiting for a port that will never
-	// exist.
-	if err := setupVerdict(th, listenErr, "open its port"); err != nil {
+	// exist. The verdict carries each thread's digest of what describe
+	// answers (operations, their arguments' modes and distributions,
+	// MultiPort): a worker that lacked an operation the communicator
+	// broadcast would leave the others waiting in the dispatch's
+	// collectives, so threads that disagree fail here, every one of them.
+	digests, err := setupVerdict(th, listenErr, "open its port", o.describe().digest())
+	if err == nil {
+		for r, d := range digests {
+			if d != digests[0] {
+				err = fmt.Errorf("%w: thread %d exported a different interface than thread 0",
+					ErrInconsistent, r)
+				break
+			}
+		}
+	}
+	if err != nil {
 		if o.srv != nil {
 			o.srv.Close()
 		}
@@ -354,6 +375,11 @@ func Export(cfg ObjectConfig) (*Object, error) {
 // is read whole first: one with nothing to land would otherwise stall
 // its connection through its own handler, and a cancel behind it would
 // go unread.
+//
+// Requests are queued in the order admit takes them. The next request
+// on a connection reaches admit once the one before it has been read
+// whole, before that one is queued: it waits for its turn, or a oneway
+// invocation and the call after it would swap places.
 func (o *Object) admit(in *orb.Incoming) {
 	req := request{in: in}
 	var w *invocationWire
@@ -363,17 +389,24 @@ func (o *Object) admit(in *orb.Incoming) {
 		w, _ = decodeInvocation(in.Order, p, in.BodyBase)
 	}
 	o.aheadMu.Lock()
+	seq := o.arrived
+	o.arrived++
+	defer o.settle()
 	if w != nil && w.hasInline() && o.ahead == 0 && !o.inPhase1 {
 		req.w = w
 	} else if in.Parked() {
 		o.aheadMu.Unlock()
 		o.readWhole.Add(1)
-		if in.ReadBody() != nil {
+		err := in.ReadBody()
+		o.aheadMu.Lock()
+		if err != nil {
+			o.waitTurn(seq)
+			o.aheadMu.Unlock()
 			return // the connection is gone, and the request with it
 		}
-		o.aheadMu.Lock()
 	}
 	o.ahead++
+	o.waitTurn(seq)
 	o.aheadMu.Unlock()
 	// A request whose caller gives up before the communicator takes it
 	// is dropped, unless it travels multi-port: its client's puts wait on
@@ -401,6 +434,22 @@ func (o *Object) admit(in *orb.Incoming) {
 		case <-giveUp:
 		}
 	}
+}
+
+// waitTurn waits, with aheadMu held, until every request admit took
+// before the seq'th is settled.
+func (o *Object) waitTurn(seq uint64) {
+	for o.settled != seq {
+		o.turn.Wait()
+	}
+}
+
+// settle marks the request whose turn it is queued or dropped.
+func (o *Object) settle() {
+	o.aheadMu.Lock()
+	o.settled++
+	o.turn.Broadcast()
+	o.aheadMu.Unlock()
 }
 
 // gaveUp takes a request that gave up being queued off the landing
@@ -497,13 +546,18 @@ func (o *Object) Leases() int { return o.leases.size() }
 func (o *Object) Ref() *ior.Ref { return o.ref }
 
 func (o *Object) replyDescribe(in *orb.Incoming) {
-	w := describeWire{Threads: o.size, MultiPort: o.cfg.MultiPort,
+	_ = in.Reply(giop.ReplyOK, o.describe().encode)
+}
+
+// describe returns what the object answers describe with.
+func (o *Object) describe() *describeWire {
+	w := &describeWire{Threads: o.size, MultiPort: o.cfg.MultiPort,
 		Ops: make(map[string]*OpSpec, len(o.cfg.Ops))}
 	for name, op := range o.cfg.Ops {
 		spec := op.Spec
 		w.Ops[name] = &spec
 	}
-	_ = in.Reply(giop.ReplyOK, w.encode)
+	return w
 }
 
 // Close shuts the object down. Serve loops return ErrClosed on all
@@ -855,13 +909,9 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 			o.argBlocks = nil
 		}
 	}()
+	// The communicator only broadcasts an operation it knows, and Export
+	// checked that every rank knows the same ones.
 	op := o.cfg.Ops[ctrl.Op]
-	if op == nil {
-		// Workers learn about unknown ops only here; communicator
-		// filtered already.
-		o.retire(ctrl.Inv)
-		return nil, fmt.Errorf("%w: unknown operation %q", ErrBadCall, ctrl.Op)
-	}
 
 	// Bound the dispatch by the propagated deadline, rebased onto this
 	// rank's clock: a client that stopped waiting must not strand the
@@ -1010,15 +1060,16 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 			break
 		}
 	}
-	if err := o.agree(firstErr); err != nil {
-		return nil, err
+	// Each centralized out-lend has answered every rank with one verdict
+	// already; the multi-port puts' outcome is agreed on here. The
+	// dispatch's last agreement is §3.2's "after the invocation the
+	// server's computing threads synchronize": every rank has entered it,
+	// so no barrier follows.
+	if ctrl.Method == MultiPort {
+		firstErr = o.agree(firstErr)
 	}
-
-	// Post-invocation synchronization: "after the invocation the
-	// server's computing threads synchronize and the communicator
-	// informs the client of the completion status" (§3.2).
-	if err := o.th.Barrier(); err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	if o.rank != 0 {

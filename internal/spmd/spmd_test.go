@@ -614,36 +614,47 @@ func TestSequentialInvocations(t *testing.T) {
 	}
 }
 
+// TestScalarConsistencyViolationDetected: the signature allgather is a
+// centralized client's only agreement before its request leaves.
+// Threads that pass different scalars all fail with ErrInconsistent,
+// below the crossover through Invoke (centralized) and through
+// InvokeAsync (multi-port), and none is left in a collective: the
+// binding's next invocation succeeds.
 func TestScalarConsistencyViolationDetected(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 2, true, diffusionOps)
 	defer obj.close()
-	err := mp.Run(2, func(proc *mp.Proc) error {
-		th := rts.NewMessagePassing(proc)
-		b, err := Bind(context.Background(), BindConfig{
-			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
-		}, obj.ref)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		seq, _ := dseq.NewDoubles(10, dist.Block(), th.Size(), th.Rank())
-		// Each thread passes a DIFFERENT timestep value — the §2.1
-		// contract violation the paper leaves undefined; PARDIS-Go
-		// must detect it.
-		err = b.Invoke(context.Background(), &CallSpec{
-			Operation: "diffusion",
-			Scalars:   func(e *cdr.Encoder) { e.PutLong(int32(th.Rank())) },
-			Args:      []DistArg{{Mode: InOut, Seq: seq}},
-		})
-		if !errors.Is(err, ErrInconsistent) {
-			return fmt.Errorf("want ErrInconsistent, got %v", err)
+	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
+		for _, async := range []bool{false, true} {
+			seq, err := dseq.NewDoubles(10, dist.Block(), th.Size(), th.Rank())
+			if err != nil {
+				return err
+			}
+			// Each thread passes a DIFFERENT timestep value — the §2.1
+			// contract violation the paper leaves undefined; PARDIS-Go
+			// must detect it.
+			spec := &CallSpec{
+				Operation: "diffusion",
+				Scalars:   func(e *cdr.Encoder) { e.PutLong(int32(th.Rank())) },
+				Args:      []DistArg{{Mode: InOut, Seq: seq}},
+			}
+			if async {
+				var p *Pending
+				if p, err = b.InvokeAsync(context.Background(), spec); err == nil {
+					err = p.Wait(context.Background())
+				}
+			} else {
+				err = b.Invoke(context.Background(), spec)
+			}
+			if !errors.Is(err, ErrInconsistent) {
+				return fmt.Errorf("thread %d (async %v): want ErrInconsistent, got %v", th.Rank(), async, err)
+			}
+			if err := invokeDiffusion(b, th, 10, 1); err != nil {
+				return fmt.Errorf("thread %d: the next invocation: %w", th.Rank(), err)
+			}
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestUnknownOperation(t *testing.T) {

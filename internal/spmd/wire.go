@@ -8,6 +8,7 @@ import (
 
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
+	"pardis/internal/mp"
 	"pardis/internal/rts"
 )
 
@@ -85,34 +86,45 @@ var (
 // the first failed rank r. If the allgather itself fails, a failed
 // thread still returns its own error and the others the allgather's.
 func collectiveVerdict(th rts.Thread, local error, remote func(rank int) error) error {
-	flag := uint64(0)
-	if local != nil {
-		flag = 1
-	}
-	flags, err := th.AllgatherU64(flag)
-	if local != nil {
-		return local
-	}
-	if err != nil {
-		return err
-	}
-	for r, f := range flags {
-		if f != 0 {
-			return remote(r)
-		}
-	}
-	return nil
+	_, err := verdictWords(th, local, 0, remote)
+	return err
 }
 
-// setupVerdict is collectiveVerdict for a setup phase, what describing
-// it (e.g. "open its receive port"): every thread's error is an
+// verdictWords is collectiveVerdict carrying, in the same allgather, a
+// word from every thread beside its verdict: on success it returns the
+// words in rank order. A word keeps its low 63 bits.
+func verdictWords(th rts.Thread, local error, word uint64, remote func(rank int) error) ([]uint64, error) {
+	word <<= 1
+	if local != nil {
+		word |= 1
+	}
+	words, err := th.AllgatherU64(word)
+	if local != nil {
+		return nil, local
+	}
+	if err != nil {
+		return nil, err
+	}
+	for r, w := range words {
+		if w&1 != 0 {
+			return nil, remote(r)
+		}
+	}
+	for r := range words {
+		words[r] >>= 1
+	}
+	return words, nil
+}
+
+// setupVerdict is verdictWords for a setup phase, what describing it
+// (e.g. "open its receive port"): every thread's error is an
 // ErrPartialFailure naming the failed rank, the failed thread's also
 // carrying its local detail.
-func setupVerdict(th rts.Thread, local error, what string) error {
+func setupVerdict(th rts.Thread, local error, what string, word uint64) ([]uint64, error) {
 	if local != nil {
 		local = fmt.Errorf("%w: thread %d failed to %s: %w", ErrPartialFailure, th.Rank(), what, local)
 	}
-	return collectiveVerdict(th, local, func(r int) error {
+	return verdictWords(th, local, word, func(r int) error {
 		return fmt.Errorf("%w: thread %d failed to %s", ErrPartialFailure, r, what)
 	})
 }
@@ -387,6 +399,13 @@ func (w *describeWire) encode(e *cdr.Encoder) {
 			putCounts(e, a.Dist.Weights())
 		}
 	}
+}
+
+// digest hashes the encoded description.
+func (w *describeWire) digest() uint64 {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	w.encode(e)
+	return mp.HashBytes(e.Bytes())
 }
 
 func decodeDescribeWire(d *cdr.Decoder) (*describeWire, error) {
