@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-untuned lint-harness-only fuzz-smoke fmt loc
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-reach fuzz-smoke fmt loc
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,7 @@ verify:
 	$(GO) vet ./...
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
-	$(MAKE) lint-untuned
-	$(MAKE) lint-harness-only
+	$(MAKE) lint-reach
 	$(GO) test -race ./...
 	$(GO) test -tags pardis_poison ./internal/giop/ ./internal/orb/ ./internal/spmd/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -51,28 +50,15 @@ lint-telemetry:
 lint-fault:
 	@$(GO) run ./scripts/faultlint.go internal cmd
 
-# lint-untuned keeps the self-tuner out of the data plane: the binaries
-# and the core library must not depend on internal/tune, which only the
-# benchmark harness still imports until its rows are retired.
-lint-untuned:
-	@if $(GO) list -deps ./cmd/... ./internal/core/... | grep -qx 'pardis/internal/tune'; then \
-		echo 'lint-untuned: internal/tune is wired into a binary or internal/core'; \
-		exit 1; \
-	fi
-	@echo 'lint-untuned: ok'
-
-# lint-harness-only keeps the routed-block surface and the versioned
-# request-header decoder, which only the benchmark harness still
-# replays until its rows are retired, from gaining a caller: no
-# non-test Go file outside internal/orb and internal/giop (and bench/)
-# may name them.
-HARNESS_ONLY = SendBlock|ExpectBlocksFunc|BlockTransferHeader|MsgBlockTransfer|DecodeRequestHeaderV
-lint-harness-only:
-	@if grep -rnwE --include='*.go' '$(HARNESS_ONLY)' . | grep -v '_test\.go:' | grep -vE '^\./(internal/orb|internal/giop|bench)/'; then \
-		echo 'lint-harness-only: the identifiers above are kept only for bench/'; \
-		exit 1; \
-	fi
-	@echo 'lint-harness-only: ok'
+# lint-reach keeps the internal API to what the program uses: an
+# exported identifier under internal/ stays only if non-test code
+# outside bench/ names it, and a package only if such code imports it,
+# unless the allow-list in the script names it with a class and a
+# reason. Its harness class keeps what only bench/ still uses from
+# gaining a caller (the routed blocks, the versioned header decoder,
+# internal/tune).
+lint-reach:
+	@$(GO) run ./scripts/reach.go
 
 # fuzz-smoke runs every Fuzz* target in every package that has one for
 # a short burst each (10s by default) — enough to catch a freshly

@@ -25,7 +25,6 @@ import (
 	"pardis/internal/mp"
 	"pardis/internal/perfmodel"
 	"pardis/internal/rts"
-	"pardis/internal/rts/onesided"
 	"pardis/internal/simnet"
 	"pardis/internal/transport"
 )
@@ -267,37 +266,7 @@ func BenchmarkAblationHeaderDelivery(b *testing.B) {
 	})
 }
 
-// Ablation 2 — eager vs rendezvous point-to-point sends in the
-// message-passing runtime.
-func BenchmarkAblationEagerRendezvous(b *testing.B) {
-	const payload = 1 << 16
-	for _, mode := range []mp.SendMode{mp.Eager, mp.Rendezvous} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			b.SetBytes(payload)
-			err := mp.Run(2, func(proc *mp.Proc) error {
-				data := make([]byte, payload)
-				for i := 0; i < b.N; i++ {
-					if proc.Rank() == 0 {
-						if err := proc.Send(1, 0, data); err != nil {
-							return err
-						}
-					} else {
-						if _, _, err := proc.Recv(0, 0); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}, mp.WithSendMode(mode))
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// Ablation 3 — marshaling: bulk double-sequence encoding vs
+// Ablation 2 — marshaling: bulk double-sequence encoding vs
 // element-at-a-time encoding.
 func BenchmarkAblationZeroCopy(b *testing.B) {
 	data := make([]float64, 1<<15)
@@ -325,58 +294,7 @@ func BenchmarkAblationZeroCopy(b *testing.B) {
 	})
 }
 
-// Ablation 4 — RTS flavor: message-passing vs one-sided gather of a
-// distributed sequence (the paper's future-work interface).
-func BenchmarkAblationRTSFlavor(b *testing.B) {
-	const threads = 4
-	const length = 1 << 15
-	counts := dist.Block().MustApply(length, threads).Counts()
-
-	b.Run("message-passing", func(b *testing.B) {
-		b.SetBytes(int64(length * 8))
-		err := mp.Run(threads, func(proc *mp.Proc) error {
-			th := rts.NewMessagePassing(proc)
-			local := make([]float64, counts[th.Rank()])
-			for i := 0; i < b.N; i++ {
-				if _, err := th.GatherDoubles(0, local, counts); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("one-sided", func(b *testing.B) {
-		b.SetBytes(int64(length * 8))
-		d := onesided.MustDomain(threads)
-		defer d.Close()
-		var wg sync.WaitGroup
-		errs := make(chan error, threads)
-		for r := 0; r < threads; r++ {
-			wg.Add(1)
-			go func(th rts.Thread) {
-				defer wg.Done()
-				local := make([]float64, counts[th.Rank()])
-				for i := 0; i < b.N; i++ {
-					if _, err := th.GatherDoubles(0, local, counts); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(d.Thread(r))
-		}
-		wg.Wait()
-		select {
-		case err := <-errs:
-			b.Fatal(err)
-		default:
-		}
-	})
-}
-
-// Ablation 5 — protocol chunk size in the testbed model (the
+// Ablation 3 — protocol chunk size in the testbed model (the
 // granularity that trades rendezvous count against pipelining).
 func BenchmarkAblationChunkSize(b *testing.B) {
 	for _, chunk := range []int{4096, 16384, 65536} {

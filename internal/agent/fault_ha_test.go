@@ -595,7 +595,7 @@ func TestFaultAgentFlapBreakerCooldown(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got, err = res.RefFor(ctx, chaosName)
-		if err == nil && res.AgentHealth()[fa.ep] {
+		if err == nil && agentHealth(res)[fa.ep] {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -168,19 +168,6 @@ func (r *Resolver) recordAgent(i int, ok bool, now time.Time) {
 	r.breakers[i].openUntil = now.Add(r.cfg.BreakerCooldown)
 }
 
-// AgentHealth reports each configured agent's endpoint and whether
-// its breaker currently holds it out of the rotation.
-func (r *Resolver) AgentHealth() map[string]bool {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]bool, len(r.agents))
-	for i, c := range r.agents {
-		out[c.Endpoint()] = !now.Before(r.breakers[i].openUntil)
-	}
-	return out
-}
-
 // RefFor resolves name down the ladder. It implements orb.RefSource.
 func (r *Resolver) RefFor(ctx context.Context, name string) (*ior.Ref, error) {
 	now := time.Now()

@@ -394,7 +394,7 @@ func TestResolverRotatesAcrossAgents(t *testing.T) {
 	if err != nil || len(ref.Endpoints) != 1 || ref.Endpoints[0] != "inproc:rb" {
 		t.Fatalf("rotated resolve: %v, %v", ref, err)
 	}
-	health := res.AgentHealth()
+	health := agentHealth(res)
 	if health[acDead.Endpoint()] {
 		t.Fatalf("dead agent's breaker not open: %v", health)
 	}
@@ -451,4 +451,17 @@ func TestPeersLoopConvergesAndReportsStatus(t *testing.T) {
 		t.Fatalf("peer status rows/divergence = %d/%d, want 1/0", sts[0].RemoteRows, sts[0].Divergence)
 	}
 	p.Stop() // idempotent with the deferred one
+}
+
+// agentHealth reports each configured agent's endpoint and whether its
+// breaker currently lets it into the rotation.
+func agentHealth(r *Resolver) map[string]bool {
+	now := time.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]bool, len(r.agents))
+	for i, c := range r.agents {
+		out[c.Endpoint()] = !now.Before(r.breakers[i].openUntil)
+	}
+	return out
 }

@@ -53,8 +53,6 @@ type (
 	Pending = spmd.Pending
 	// TransferMethod selects centralized or multi-port transfer.
 	TransferMethod = spmd.TransferMethod
-	// ArgMode is an IDL parameter mode.
-	ArgMode = spmd.ArgMode
 )
 
 // Re-exported constants.
@@ -288,17 +286,6 @@ func (d *Domain) SPMDBind(ctx context.Context, th rts.Thread, name string, metho
 	if err != nil {
 		return nil, err
 	}
-	return spmd.Bind(ctx, spmd.BindConfig{
-		Thread:         th,
-		Registry:       d.reg,
-		Method:         method,
-		ListenEndpoint: d.listenEP,
-	}, ref)
-}
-
-// BindRef is SPMDBind for a reference already in hand (no naming
-// lookup). Collective.
-func (d *Domain) BindRef(ctx context.Context, th rts.Thread, ref *ior.Ref, method TransferMethod) (*Binding, error) {
 	return spmd.Bind(ctx, spmd.BindConfig{
 		Thread:         th,
 		Registry:       d.reg,

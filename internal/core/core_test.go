@@ -158,33 +158,6 @@ func TestExportRequiresNameOrKey(t *testing.T) {
 	}
 }
 
-func TestBindRef(t *testing.T) {
-	d := newDomain(t)
-	stop := exportDiffusion(t, d, 2)
-	defer stop()
-	ref, err := d.Resolve(context.Background(), "example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = mp.Run(1, func(proc *mp.Proc) error {
-		th := rts.NewMessagePassing(proc)
-		b, err := d.BindRef(context.Background(), th, ref, Centralized)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		seq, _ := dseq.NewDoubles(10, dist.Block(), 1, 0)
-		return b.Invoke(context.Background(), &CallSpec{
-			Operation: "diffusion",
-			Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
-			Args:      []DistArg{{Mode: InOut, Seq: seq}},
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJoinDomainWithExternalNaming(t *testing.T) {
 	// One domain hosts the naming service; a second process-view
 	// joins it by endpoint.

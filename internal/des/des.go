@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Sim is one simulation run. Create with New, add processes with
@@ -161,16 +160,10 @@ func (p *Proc) Wait(d float64) {
 	p.pause()
 }
 
-// Suspend blocks the process until another process Activates it.
+// Suspend blocks the process until a Resource, Gate or Barrier wakes
+// it.
 func (p *Proc) Suspend() {
 	p.pause()
-}
-
-// Activate schedules a suspended process to resume now. Calling it
-// for a process that is not suspended corrupts the simulation; use
-// higher-level primitives (Resource, Gate) where possible.
-func (p *Proc) Activate(target *Proc) {
-	p.sim.schedule(p.sim.now, target)
 }
 
 // Resource is a FCFS server pool: up to Capacity processes hold it
@@ -180,10 +173,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	queue    []*Proc
-	// busy accumulates capacity-weighted busy time for utilization
-	// reporting.
-	busy     float64
-	lastTick float64
 }
 
 // NewResource creates a resource with the given capacity.
@@ -194,15 +183,9 @@ func (s *Sim) NewResource(capacity int) *Resource {
 	return &Resource{sim: s, capacity: capacity}
 }
 
-func (r *Resource) tick() {
-	r.busy += float64(r.inUse) * (r.sim.now - r.lastTick)
-	r.lastTick = r.sim.now
-}
-
 // Acquire blocks until a slot is free and takes it.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity {
-		r.tick()
 		r.inUse++
 		return
 	}
@@ -213,7 +196,6 @@ func (r *Resource) Acquire(p *Proc) {
 
 // Release frees a slot, waking the head of the queue if any.
 func (r *Resource) Release(p *Proc) {
-	r.tick()
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
@@ -231,18 +213,6 @@ func (r *Resource) Use(p *Proc, d float64) {
 	p.Wait(d)
 	r.Release(p)
 }
-
-// BusyTime returns capacity-weighted busy time accumulated so far.
-func (r *Resource) BusyTime() float64 {
-	r.tick()
-	return r.busy
-}
-
-// QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// InUse returns the number of held slots.
-func (r *Resource) InUse() int { return r.inUse }
 
 // Gate is a broadcast barrier: processes Wait on it; Open releases
 // all current and future waiters.
@@ -277,9 +247,6 @@ func (g *Gate) Open() {
 	g.waiters = nil
 }
 
-// IsOpen reports whether the gate has opened.
-func (g *Gate) IsOpen() bool { return g.open }
-
 // Barrier synchronizes a fixed party count: the k-th arrival releases
 // everyone; the barrier then resets for reuse.
 type Barrier struct {
@@ -304,31 +271,4 @@ func (b *Barrier) Arrive(p *Proc) {
 	}
 	b.waiting = append(b.waiting, p)
 	p.Suspend()
-}
-
-// Series collects (x, y) samples during a run, for reporting.
-type Series struct {
-	Xs, Ys []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(x, y float64) {
-	s.Xs = append(s.Xs, x)
-	s.Ys = append(s.Ys, y)
-}
-
-// Sorted returns the samples ordered by x.
-func (s *Series) Sorted() ([]float64, []float64) {
-	idx := make([]int, len(s.Xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.Xs[idx[a]] < s.Xs[idx[b]] })
-	xs := make([]float64, len(idx))
-	ys := make([]float64, len(idx))
-	for i, j := range idx {
-		xs[i] = s.Xs[j]
-		ys[i] = s.Ys[j]
-	}
-	return xs, ys
 }

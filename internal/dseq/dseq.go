@@ -12,8 +12,7 @@
 // The IDL-mapped type dsequence_double of the paper corresponds to
 // Seq[float64] here; the conversion constructor (FromLocal) and the
 // local access operations (LocalData/LocalLen) mirror the generated
-// C++ mapping, letting applications keep their own memory-management
-// scheme, with ownership recorded explicitly.
+// C++ mapping.
 package dseq
 
 import (
@@ -26,23 +25,10 @@ import (
 	"pardis/internal/rts"
 )
 
-// Ownership records whether the sequence owns its local storage (and
-// may grow or free it) or borrows the application's buffer, matching
-// the PARDIS::ownership constructor argument.
-type Ownership bool
-
-const (
-	// Owner means the sequence owns its storage.
-	Owner Ownership = true
-	// NotOwner means the storage belongs to the application.
-	NotOwner Ownership = false
-)
-
 // Errors returned by sequence operations.
 var (
-	ErrBounds     = errors.New("dseq: index out of bounds")
-	ErrMismatch   = errors.New("dseq: local data inconsistent with layout")
-	ErrCollective = errors.New("dseq: collective call inconsistency")
+	ErrBounds   = errors.New("dseq: index out of bounds")
+	ErrMismatch = errors.New("dseq: local data inconsistent with layout")
 )
 
 // Codec marshals a block of elements for transport between computing
@@ -92,42 +78,11 @@ func (DoubleCodec) DecodeInto(d *cdr.Decoder, dst []float64) error {
 	return nil
 }
 
-// LongCodec marshals int32 blocks.
-type LongCodec struct{}
-
-// Encode implements Codec.
-func (LongCodec) Encode(e *cdr.Encoder, v []int32) { e.PutLongSeq(v) }
-
-// Decode implements Codec.
-func (LongCodec) Decode(d *cdr.Decoder, n int) ([]int32, error) {
-	v, err := d.LongSeqInto(make([]int32, 0, n))
-	if err != nil {
-		return nil, err
-	}
-	if len(v) != n {
-		return nil, fmt.Errorf("dseq: decoded %d longs, want %d", len(v), n)
-	}
-	return v, nil
-}
-
-// DecodeInto implements Codec.
-func (LongCodec) DecodeInto(d *cdr.Decoder, dst []int32) error {
-	v, err := d.LongSeqInto(dst[:0:len(dst)])
-	if err != nil {
-		return err
-	}
-	if len(v) != len(dst) {
-		return fmt.Errorf("dseq: decoded %d longs, want %d", len(v), len(dst))
-	}
-	return nil
-}
-
 // Seq is one computing thread's view of a distributed sequence of T.
 type Seq[T any] struct {
 	layout dist.Layout
 	rank   int
 	local  []T
-	owned  Ownership
 	codec  Codec[T]
 
 	// Redistribute scratch state, recycled across calls so a steady
@@ -193,15 +148,15 @@ func New[T any](codec Codec[T], length int, spec dist.Spec, p, rank int) (*Seq[T
 		layout: layout,
 		rank:   rank,
 		local:  make([]T, layout.Count(rank)),
-		owned:  Owner,
 		codec:  codec,
 	}, nil
 }
 
 // FromLocal is the conversion constructor: it wraps an existing local
-// block, recording whether the sequence takes ownership. The block
-// length must equal the thread's share under layout.
-func FromLocal[T any](codec Codec[T], layout dist.Layout, rank int, data []T, owned Ownership) (*Seq[T], error) {
+// block, and the sequence owns it from then on (a later Redistribute
+// may reuse it as scratch). The block length must equal the thread's
+// share under layout.
+func FromLocal[T any](codec Codec[T], layout dist.Layout, rank int, data []T) (*Seq[T], error) {
 	if rank < 0 || rank >= layout.P() {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrBounds, rank, layout.P())
 	}
@@ -209,7 +164,7 @@ func FromLocal[T any](codec Codec[T], layout dist.Layout, rank int, data []T, ow
 		return nil, fmt.Errorf("%w: local block has %d elements, layout assigns %d to rank %d",
 			ErrMismatch, len(data), layout.Count(rank), rank)
 	}
-	return &Seq[T]{layout: layout, rank: rank, local: data, owned: owned, codec: codec}, nil
+	return &Seq[T]{layout: layout, rank: rank, local: data, codec: codec}, nil
 }
 
 // Len returns the global length.
@@ -220,12 +175,6 @@ func (s *Seq[T]) Layout() dist.Layout { return s.layout }
 
 // Rank returns the calling thread's rank.
 func (s *Seq[T]) Rank() int { return s.rank }
-
-// Owned reports whether the sequence owns its local storage.
-func (s *Seq[T]) Owned() Ownership { return s.owned }
-
-// Codec returns the element codec.
-func (s *Seq[T]) Codec() Codec[T] { return s.codec }
 
 // LocalData returns the thread's local block (aliased, not copied) —
 // the local_data() accessor of the PARDIS mapping.
@@ -251,11 +200,7 @@ func (s *Seq[T]) LocalIndex(global int) (int, bool) {
 // growing appends zero elements owned by the thread that owned the
 // last element. Every thread must call it with the same argument. It
 // is a local operation (no communication): the layout change is
-// deterministic.
-//
-// Growing a borrowed (NotOwner) block reallocates and the sequence
-// becomes the owner of the new storage, as the C++ mapping does when
-// it must resize a user buffer.
+// deterministic. Growing a block reallocates it.
 func (s *Seq[T]) SetLength(newLen int) error {
 	nl, err := s.layout.Relength(newLen)
 	if err != nil {
@@ -272,7 +217,6 @@ func (s *Seq[T]) SetLength(newLen int) error {
 		grown := make([]T, newCount)
 		copy(grown, s.local)
 		s.local = grown
-		s.owned = Owner
 	}
 	s.layout = nl
 	return nil
@@ -443,18 +387,11 @@ func (s *Seq[T]) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 }
 
 // commit installs the redistributed block: the displaced local slice
-// becomes the next call's scratch — but only when this sequence owned
-// it; a borrowed block still belongs to the caller and must not be
-// written through later.
+// becomes the next call's scratch.
 func (s *Seq[T]) commit(newLayout dist.Layout, fresh []T) {
 	s.layout = newLayout
-	if s.owned == Owner {
-		s.scratch = s.local
-	} else {
-		s.scratch = nil
-	}
+	s.scratch = s.local
 	s.local = fresh
-	s.owned = Owner
 }
 
 // redistributeWindow executes a transfer plan over the RTS one-sided
@@ -487,9 +424,10 @@ func NewDoubles(length int, spec dist.Spec, p, rank int) (*Doubles, error) {
 	return New[float64](DoubleCodec{}, length, spec, p, rank)
 }
 
-// DoublesFromLocal wraps an application-owned block of doubles.
-func DoublesFromLocal(layout dist.Layout, rank int, data []float64, owned Ownership) (*Doubles, error) {
-	return FromLocal[float64](DoubleCodec{}, layout, rank, data, owned)
+// DoublesFromLocal wraps a local block of doubles; the sequence owns
+// it from then on.
+func DoublesFromLocal(layout dist.Layout, rank int, data []float64) (*Doubles, error) {
+	return FromLocal[float64](DoubleCodec{}, layout, rank, data)
 }
 
 // GatherDoubles collects the full sequence at root using the RTS

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"pardis/internal/dist"
 	"pardis/internal/mp"
 	"pardis/internal/rts"
-	"pardis/internal/rts/onesided"
 )
 
 func TestNewAllocatesBlocks(t *testing.T) {
@@ -23,9 +21,6 @@ func TestNewAllocatesBlocks(t *testing.T) {
 		want := []int{4, 3, 3}[rank]
 		if s.LocalLen() != want || s.Len() != 10 || s.Rank() != rank {
 			t.Fatalf("rank %d: local=%d len=%d", rank, s.LocalLen(), s.Len())
-		}
-		if s.Owned() != Owner {
-			t.Fatal("New must produce an owning sequence")
 		}
 	}
 }
@@ -42,29 +37,26 @@ func TestNewErrors(t *testing.T) {
 func TestFromLocal(t *testing.T) {
 	layout := dist.Block().MustApply(10, 2)
 	buf := []float64{1, 2, 3, 4, 5}
-	s, err := DoublesFromLocal(layout, 0, buf, NotOwner)
+	s, err := DoublesFromLocal(layout, 0, buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Owned() != NotOwner {
-		t.Fatal("ownership not recorded")
 	}
 	// The block is aliased, not copied (conversion constructor).
 	s.LocalData()[0] = 42
 	if buf[0] != 42 {
 		t.Fatal("FromLocal must alias the caller's buffer")
 	}
-	if _, err := DoublesFromLocal(layout, 0, buf[:3], Owner); !errors.Is(err, ErrMismatch) {
+	if _, err := DoublesFromLocal(layout, 0, buf[:3]); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("short block: %v", err)
 	}
-	if _, err := DoublesFromLocal(layout, 7, buf, Owner); !errors.Is(err, ErrBounds) {
+	if _, err := DoublesFromLocal(layout, 7, buf); !errors.Is(err, ErrBounds) {
 		t.Fatalf("bad rank: %v", err)
 	}
 }
 
 func TestLocalIndex(t *testing.T) {
 	layout := dist.Block().MustApply(10, 2)
-	s, _ := DoublesFromLocal(layout, 1, make([]float64, 5), Owner)
+	s, _ := DoublesFromLocal(layout, 1, make([]float64, 5))
 	if _, ok := s.LocalIndex(2); ok {
 		t.Fatal("index 2 is not local to rank 1")
 	}
@@ -106,12 +98,9 @@ func TestSetLengthShrinkGrow(t *testing.T) {
 func TestSetLengthGrowTakesOwnership(t *testing.T) {
 	layout := dist.Block().MustApply(4, 2)
 	buf := []float64{8, 9}
-	s, _ := DoublesFromLocal(layout, 1, buf, NotOwner)
+	s, _ := DoublesFromLocal(layout, 1, buf)
 	if err := s.SetLength(8); err != nil {
 		t.Fatal(err)
-	}
-	if s.Owned() != Owner {
-		t.Fatal("growing a borrowed block must take ownership")
 	}
 	s.LocalData()[0] = 99
 	if buf[0] == 99 {
@@ -119,9 +108,7 @@ func TestSetLengthGrowTakesOwnership(t *testing.T) {
 	}
 }
 
-// runSPMD drives fn on p threads over BOTH RTS flavors, so every
-// collective sequence operation is conformance-tested against the
-// message-passing and the one-sided runtime.
+// runSPMD drives fn on p threads over the message-passing runtime.
 func runSPMD(t *testing.T, p int, fn func(th rts.Thread) error) {
 	t.Helper()
 	t.Run("mp", func(t *testing.T) {
@@ -130,28 +117,6 @@ func runSPMD(t *testing.T, p int, fn func(th rts.Thread) error) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-	})
-	t.Run("onesided", func(t *testing.T) {
-		d := onesided.MustDomain(p)
-		defer d.Close()
-		var wg sync.WaitGroup
-		errs := make(chan error, p)
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(th rts.Thread) {
-				defer wg.Done()
-				if err := fn(th); err != nil {
-					errs <- err
-					d.Close()
-				}
-			}(d.Thread(r))
-		}
-		wg.Wait()
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		default:
 		}
 	})
 }
@@ -294,29 +259,6 @@ func TestScatterSizeError(t *testing.T) {
 	})
 }
 
-func TestLongCodecSequence(t *testing.T) {
-	runSPMD(t, 2, func(th rts.Thread) error {
-		s, err := New[int32](LongCodec{}, 7, dist.Block(), 2, th.Rank())
-		if err != nil {
-			return err
-		}
-		for i := range s.LocalData() {
-			s.LocalData()[i] = int32(s.Lo() + i)
-		}
-		// Redistribute to the reversed explicit layout.
-		ex, _ := dist.Explicit(3, 4)
-		if err := s.Redistribute(th, ex.MustApply(7, 2)); err != nil {
-			return err
-		}
-		for i, v := range s.LocalData() {
-			if v != int32(s.Lo()+i) {
-				return fmt.Errorf("rank %d: [%d] = %d", th.Rank(), i, v)
-			}
-		}
-		return nil
-	})
-}
-
 // Property: redistribution between random layouts is contents-
 // preserving for random data.
 func TestQuickRedistributePreservesContents(t *testing.T) {
@@ -335,7 +277,7 @@ func TestQuickRedistributePreservesContents(t *testing.T) {
 			th := rts.NewMessagePassing(proc)
 			local := make([]float64, src.Count(th.Rank()))
 			copy(local, data[src.Lo(th.Rank()):src.Hi(th.Rank())])
-			s, err := DoublesFromLocal(src, th.Rank(), local, Owner)
+			s, err := DoublesFromLocal(src, th.Rank(), local)
 			if err != nil {
 				return err
 			}

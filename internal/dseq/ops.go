@@ -1,19 +1,5 @@
 package dseq
 
-import (
-	"math"
-
-	"pardis/internal/rts"
-)
-
-// Fill sets every local element to v (thread-local; call from every
-// thread to fill the whole sequence).
-func (s *Seq[T]) Fill(v T) {
-	for i := range s.local {
-		s.local[i] = v
-	}
-}
-
 // FillIndexed sets each local element from its global index
 // (thread-local).
 func (s *Seq[T]) FillIndexed(f func(global int) T) {
@@ -21,77 +7,4 @@ func (s *Seq[T]) FillIndexed(f func(global int) T) {
 	for i := range s.local {
 		s.local[i] = f(lo + i)
 	}
-}
-
-// MapLocal applies f to every local element in place (thread-local).
-func (s *Seq[T]) MapLocal(f func(global int, v T) T) {
-	lo := s.Lo()
-	for i, v := range s.local {
-		s.local[i] = f(lo+i, v)
-	}
-}
-
-// Clone returns an owning copy of the thread's view.
-func (s *Seq[T]) Clone() *Seq[T] {
-	cp := make([]T, len(s.local))
-	copy(cp, s.local)
-	return &Seq[T]{layout: s.layout, rank: s.rank, local: cp, owned: Owner, codec: s.codec}
-}
-
-// ReduceSum computes the global sum of a double sequence on every
-// thread. Collective.
-func ReduceSum(s *Doubles, th rts.Thread) (float64, error) {
-	local := 0.0
-	for _, v := range s.LocalData() {
-		local += v
-	}
-	bits, err := th.AllgatherU64(math.Float64bits(local))
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, b := range bits {
-		total += math.Float64frombits(b)
-	}
-	return total, nil
-}
-
-// ReduceMax computes the global maximum of a double sequence on every
-// thread; it returns -Inf for an empty sequence. Collective.
-func ReduceMax(s *Doubles, th rts.Thread) (float64, error) {
-	local := math.Inf(-1)
-	for _, v := range s.LocalData() {
-		if v > local {
-			local = v
-		}
-	}
-	bits, err := th.AllgatherU64(math.Float64bits(local))
-	if err != nil {
-		return 0, err
-	}
-	out := math.Inf(-1)
-	for _, b := range bits {
-		if v := math.Float64frombits(b); v > out {
-			out = v
-		}
-	}
-	return out, nil
-}
-
-// Norm2 computes the global Euclidean norm on every thread.
-// Collective.
-func Norm2(s *Doubles, th rts.Thread) (float64, error) {
-	local := 0.0
-	for _, v := range s.LocalData() {
-		local += v * v
-	}
-	bits, err := th.AllgatherU64(math.Float64bits(local))
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, b := range bits {
-		total += math.Float64frombits(b)
-	}
-	return math.Sqrt(total), nil
 }

@@ -1,8 +1,6 @@
 package dseq
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
 	"pardis/internal/dist"
@@ -10,77 +8,11 @@ import (
 	"pardis/internal/rts"
 )
 
-func TestFillAndMapLocal(t *testing.T) {
+func TestFillIndexed(t *testing.T) {
 	s, _ := NewDoubles(10, dist.Block(), 2, 1) // owns [5,10)
-	s.Fill(3)
-	for _, v := range s.LocalData() {
-		if v != 3 {
-			t.Fatalf("fill: %v", s.LocalData())
-		}
-	}
 	s.FillIndexed(func(g int) float64 { return float64(g) })
 	if s.LocalData()[0] != 5 || s.LocalData()[4] != 9 {
 		t.Fatalf("fill indexed: %v", s.LocalData())
-	}
-	s.MapLocal(func(g int, v float64) float64 { return v * 10 })
-	if s.LocalData()[0] != 50 {
-		t.Fatalf("map: %v", s.LocalData())
-	}
-}
-
-func TestClone(t *testing.T) {
-	s, _ := NewDoubles(6, dist.Block(), 2, 0)
-	s.Fill(1)
-	c := s.Clone()
-	c.LocalData()[0] = 99
-	if s.LocalData()[0] != 1 {
-		t.Fatal("clone aliases original")
-	}
-	if c.Rank() != s.Rank() || c.Len() != s.Len() || c.Owned() != Owner {
-		t.Fatal("clone metadata wrong")
-	}
-}
-
-func TestReductions(t *testing.T) {
-	runSPMD(t, 3, func(th rts.Thread) error {
-		s, err := NewDoubles(9, dist.Block(), 3, th.Rank())
-		if err != nil {
-			return err
-		}
-		s.FillIndexed(func(g int) float64 { return float64(g + 1) }) // 1..9
-		sum, err := ReduceSum(s, th)
-		if err != nil {
-			return err
-		}
-		if sum != 45 {
-			return fmt.Errorf("sum = %v", sum)
-		}
-		maxV, err := ReduceMax(s, th)
-		if err != nil {
-			return err
-		}
-		if maxV != 9 {
-			return fmt.Errorf("max = %v", maxV)
-		}
-		norm, err := Norm2(s, th)
-		if err != nil {
-			return err
-		}
-		if math.Abs(norm-math.Sqrt(285)) > 1e-12 {
-			return fmt.Errorf("norm = %v", norm)
-		}
-		return nil
-	})
-}
-
-func TestReduceMaxEmpty(t *testing.T) {
-	w := mp.MustWorld(1)
-	defer w.Close()
-	th := rts.NewMessagePassing(w.Rank(0))
-	s, _ := NewDoubles(0, dist.Block(), 1, 0)
-	v, err := ReduceMax(s, th)
-	if err != nil || !math.IsInf(v, -1) {
-		t.Fatalf("empty max = %v, %v", v, err)
 	}
 }
 

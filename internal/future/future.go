@@ -83,41 +83,6 @@ func (f *Future[T]) GetContext(ctx context.Context) (T, error) {
 	}
 }
 
-// Ready reports whether the future has completed (either way) without
-// blocking — the "touch" operation of classic future libraries.
-func (f *Future[T]) Ready() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Done returns a channel closed when the future completes, for use in
 // select statements alongside other events.
 func (f *Future[T]) Done() <-chan struct{} { return f.done }
-
-// Then registers fn to run in a new goroutine once the future
-// completes; it returns immediately. Errors are delivered as the
-// second argument.
-func (f *Future[T]) Then(fn func(T, error)) {
-	go func() {
-		v, err := f.Get()
-		fn(v, err)
-	}()
-}
-
-// Resolved returns an already-completed future holding v.
-func Resolved[T any](v T) *Future[T] {
-	f, r := New[T]()
-	r.Resolve(v)
-	return f
-}
-
-// Rejected returns an already-failed future.
-func Rejected[T any](err error) *Future[T] {
-	f, r := New[T]()
-	r.Reject(err)
-	return f
-}

@@ -8,9 +8,19 @@ import (
 	"time"
 )
 
+// ready reports whether f has completed, without blocking.
+func ready[T any](f *Future[T]) bool {
+	select {
+	case <-f.Done():
+		return true
+	default:
+		return false
+	}
+}
+
 func TestResolve(t *testing.T) {
 	f, r := New[int]()
-	if f.Ready() {
+	if ready(f) {
 		t.Fatal("fresh future is ready")
 	}
 	go r.Resolve(42)
@@ -18,7 +28,7 @@ func TestResolve(t *testing.T) {
 	if err != nil || v != 42 {
 		t.Fatalf("Get = %d, %v", v, err)
 	}
-	if !f.Ready() {
+	if !ready(f) {
 		t.Fatal("resolved future not ready")
 	}
 }
@@ -116,21 +126,6 @@ func TestManyWaiters(t *testing.T) {
 	}
 }
 
-func TestThen(t *testing.T) {
-	f, r := New[int]()
-	got := make(chan int, 1)
-	f.Then(func(v int, err error) { got <- v })
-	r.Resolve(11)
-	select {
-	case v := <-got:
-		if v != 11 {
-			t.Fatalf("Then got %d", v)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Then callback never ran")
-	}
-}
-
 func TestDoneSelect(t *testing.T) {
 	f, r := New[int]()
 	select {
@@ -143,17 +138,5 @@ func TestDoneSelect(t *testing.T) {
 	case <-f.Done():
 	default:
 		t.Fatal("Done not closed after resolve")
-	}
-}
-
-func TestResolvedRejectedHelpers(t *testing.T) {
-	v, err := Resolved("x").Get()
-	if err != nil || v != "x" {
-		t.Fatalf("Resolved: %q %v", v, err)
-	}
-	sentinel := errors.New("nope")
-	_, err = Rejected[int](sentinel).Get()
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Rejected: %v", err)
 	}
 }

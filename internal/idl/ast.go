@@ -45,9 +45,6 @@ func (i *Interface) DefName() string { return i.Name }
 // DefPos implements Def.
 func (i *Interface) DefPos() Pos { return i.Pos }
 
-// RepoID returns the CORBA repository id for the interface.
-func (i *Interface) RepoID() string { return "IDL:" + i.Name + ":1.0" }
-
 // ParamMode is an operation parameter's passing mode.
 type ParamMode int
 

@@ -115,9 +115,6 @@ func TestParsePaperExample(t *testing.T) {
 	if op.Params[0].Mode != ModeIn || op.Params[1].Mode != ModeInOut {
 		t.Fatalf("modes = %v %v", op.Params[0].Mode, op.Params[1].Mode)
 	}
-	if iface.RepoID() != "IDL:diffusion_object:1.0" {
-		t.Fatalf("repo id = %s", iface.RepoID())
-	}
 }
 
 func TestParseModulesAndScopes(t *testing.T) {

@@ -199,9 +199,3 @@ func quoteIDL(s string) string {
 	b.WriteByte('"')
 	return b.String()
 }
-
-// Equal reports whether two parsed specs are structurally equivalent;
-// it backs the Parse∘Print fixpoint property.
-func Equal(a, b *Spec) bool {
-	return Print(a) == Print(b)
-}

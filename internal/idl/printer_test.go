@@ -65,9 +65,6 @@ func TestPrintParseFixpoint(t *testing.T) {
 			t.Fatalf("fixture %d: print not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s",
 				i, printed1, printed2)
 		}
-		if !Equal(spec1, spec2) {
-			t.Fatalf("fixture %d: specs not equal after round trip", i)
-		}
 		// The printed form must also pass semantic analysis.
 		if _, err := ParseAndCheck(printed1); err != nil {
 			t.Fatalf("fixture %d: printed form fails check: %v\n%s", i, err, printed1)

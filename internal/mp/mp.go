@@ -10,12 +10,8 @@
 // generic run-time-system interface in package rts, exactly as the
 // paper's ORB goes through its RTS interface (figure 1).
 //
-// Send semantics are configurable per world: Eager sends copy the
-// payload and return immediately (MPI buffered mode), Rendezvous sends
-// block until a matching receive arrives (MPI synchronous mode — what
-// MPICH does for large messages, and the behavior the paper observes:
-// "the sends and receives for large data sizes are in practice
-// synchronous operations").
+// Sends are eager: they copy the payload into the receiver's mailbox
+// and return immediately (MPI buffered mode).
 package mp
 
 import (
@@ -40,30 +36,10 @@ const (
 	tagBcast
 	tagGather
 	tagScatter
-	tagReduce
 	tagAllgather
 	tagPut
 	tagLend
 )
-
-// SendMode selects the point-to-point send protocol.
-type SendMode int
-
-const (
-	// Eager copies the payload into the receiver's mailbox and
-	// returns immediately.
-	Eager SendMode = iota
-	// Rendezvous blocks the sender until a matching receive consumes
-	// the message (synchronous send).
-	Rendezvous
-)
-
-func (m SendMode) String() string {
-	if m == Eager {
-		return "eager"
-	}
-	return "rendezvous"
-}
 
 // Errors returned by world operations.
 var (
@@ -81,12 +57,7 @@ type message struct {
 	f        []float64
 	// off is the destination element offset of a window put (tagPut
 	// messages only).
-	off  int
-	done chan struct{} // non-nil for rendezvous sends
-	// consumedFlag records that a rendezvous message was matched
-	// rather than aborted; written under the mailbox lock before done
-	// is closed, read by the sender only after done is closed.
-	consumedFlag bool
+	off int
 }
 
 // mailbox holds unmatched messages destined for one rank.
@@ -102,30 +73,18 @@ type mailbox struct {
 // be entered by every rank.
 type World struct {
 	size  int
-	mode  SendMode
 	boxes []*mailbox
 	procs []*Proc
-}
-
-// Option configures a World.
-type Option func(*World)
-
-// WithSendMode selects eager or rendezvous point-to-point sends.
-func WithSendMode(m SendMode) Option {
-	return func(w *World) { w.mode = m }
 }
 
 // NewWorld creates a world of size ranks. Rank handles are retrieved
 // with Rank and are not safe for concurrent use by multiple
 // goroutines (like an MPI rank, each belongs to one thread).
-func NewWorld(size int, opts ...Option) (*World, error) {
+func NewWorld(size int) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: world size %d", ErrBadRank, size)
 	}
-	w := &World{size: size, mode: Eager}
-	for _, o := range opts {
-		o(w)
-	}
+	w := &World{size: size}
 	w.boxes = make([]*mailbox, size)
 	w.procs = make([]*Proc, size)
 	for i := range w.boxes {
@@ -138,8 +97,8 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 }
 
 // MustWorld is NewWorld for statically valid sizes; panics on error.
-func MustWorld(size int, opts ...Option) *World {
-	w, err := NewWorld(size, opts...)
+func MustWorld(size int) *World {
+	w, err := NewWorld(size)
 	if err != nil {
 		panic(err)
 	}
@@ -148,9 +107,6 @@ func MustWorld(size int, opts ...Option) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// Mode returns the configured send mode.
-func (w *World) Mode() SendMode { return w.mode }
 
 // Rank returns the handle for rank r.
 func (w *World) Rank(r int) *Proc { return w.procs[r] }
@@ -162,12 +118,6 @@ func (w *World) Close() {
 		b.mu.Lock()
 		if !b.closed {
 			b.closed = true
-			// Release any rendezvous senders parked on this box.
-			for _, m := range b.msgs {
-				if m.done != nil {
-					close(m.done)
-				}
-			}
 			b.msgs = nil
 		}
 		b.cond.Broadcast()
@@ -178,8 +128,8 @@ func (w *World) Close() {
 // Run drives fn concurrently on every rank of a fresh world and waits
 // for all of them; any error aborts the world and is returned (the
 // first one wins). It is the standard harness for SPMD sections.
-func Run(size int, fn func(p *Proc) error, opts ...Option) error {
-	w, err := NewWorld(size, opts...)
+func Run(size int, fn func(p *Proc) error) error {
+	w, err := NewWorld(size)
 	if err != nil {
 		return err
 	}
@@ -223,9 +173,6 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the world size.
 func (p *Proc) Size() int { return p.w.size }
 
-// World returns the world this rank belongs to.
-func (p *Proc) World() *World { return p.w }
-
 func (p *Proc) checkDst(dst, tag int, user bool) error {
 	if dst < 0 || dst >= p.w.size {
 		return fmt.Errorf("%w: dst %d of %d", ErrBadRank, dst, p.w.size)
@@ -238,9 +185,6 @@ func (p *Proc) checkDst(dst, tag int, user bool) error {
 
 func (p *Proc) send(dst int, m *message) error {
 	box := p.w.boxes[dst]
-	if p.w.mode == Rendezvous {
-		m.done = make(chan struct{})
-	}
 	box.mu.Lock()
 	if box.closed {
 		box.mu.Unlock()
@@ -249,23 +193,8 @@ func (p *Proc) send(dst int, m *message) error {
 	box.msgs = append(box.msgs, m)
 	box.cond.Broadcast()
 	box.mu.Unlock()
-	if m.done != nil {
-		<-m.done
-		// Distinguish "consumed by receiver" from "world closed".
-		box.mu.Lock()
-		closed := box.closed
-		box.mu.Unlock()
-		if closed && !m.consumedFlag {
-			return ErrClosed
-		}
-	}
 	return nil
 }
-
-// consumedFlag records that a rendezvous message was matched rather
-// than aborted; it is written under the mailbox lock before done is
-// closed, and read by the sender only after done is closed.
-func (m *message) markConsumed() { m.consumedFlag = true }
 
 // Send delivers a byte payload to rank dst with the given tag. The
 // payload is copied; the caller keeps ownership of data.
@@ -282,48 +211,18 @@ func (p *Proc) sendTagged(dst, tag int, data []byte, user bool) error {
 	return p.send(dst, &message{src: p.rank, tag: tag, b: cp})
 }
 
-// SendF64 delivers a float64 payload to rank dst; the slice is copied.
-func (p *Proc) SendF64(dst, tag int, data []float64) error {
-	return p.sendF64Tagged(dst, tag, data, true)
-}
-
-func (p *Proc) sendF64Tagged(dst, tag int, data []float64, user bool) error {
-	if err := p.checkDst(dst, tag, user); err != nil {
-		return err
-	}
+// sendF64 delivers a copy of a float64 payload on an internal tag.
+func (p *Proc) sendF64(dst, tag int, data []float64) error {
 	cp := make([]float64, len(data))
 	copy(cp, data)
 	return p.send(dst, &message{src: p.rank, tag: tag, f: cp})
-}
-
-// SendOwned delivers a byte payload without the defensive copy Send
-// pays: ownership of data transfers to the runtime and then to the
-// receiver, so the caller must not read or write the slice after the
-// call returns. It is the ownership-transferring mode for senders that
-// build a fresh buffer per message anyway — the copy Send would add is
-// pure waste there.
-func (p *Proc) SendOwned(dst, tag int, data []byte) error {
-	if err := p.checkDst(dst, tag, true); err != nil {
-		return err
-	}
-	return p.send(dst, &message{src: p.rank, tag: tag, b: data})
-}
-
-// SendF64Owned is SendOwned for float64 payloads.
-func (p *Proc) SendF64Owned(dst, tag int, data []float64) error {
-	if err := p.checkDst(dst, tag, true); err != nil {
-		return err
-	}
-	return p.send(dst, &message{src: p.rank, tag: tag, f: data})
 }
 
 // PutF64 deposits data into rank dst's put queue together with a
 // destination element offset — the tagged-send fallback of the
 // one-sided window primitive. data is aliased, never copied: the
 // window discipline (no writer touches the source block between the
-// put and the closing FenceF64) is what makes that safe. Puts are
-// always buffered regardless of the world's send mode, because a
-// one-sided put does not synchronize with its target.
+// put and the closing FenceF64) is what makes that safe.
 func (p *Proc) PutF64(dst, off int, data []float64) error {
 	if err := p.checkDst(dst, 0, false); err != nil {
 		return err
@@ -331,16 +230,7 @@ func (p *Proc) PutF64(dst, off int, data []float64) error {
 	if off < 0 {
 		return fmt.Errorf("mp: negative put offset %d", off)
 	}
-	box := p.w.boxes[dst]
-	box.mu.Lock()
-	if box.closed {
-		box.mu.Unlock()
-		return ErrClosed
-	}
-	box.msgs = append(box.msgs, &message{src: p.rank, tag: tagPut, f: data, off: off})
-	box.cond.Broadcast()
-	box.mu.Unlock()
-	return nil
+	return p.send(dst, &message{src: p.rank, tag: tagPut, f: data, off: off})
 }
 
 // FenceF64 completes a put epoch: it drains the expected puts from
@@ -393,60 +283,11 @@ func (p *Proc) recvMatch(src, tag int) (*message, error) {
 		for i, m := range box.msgs {
 			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
 				box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
-				if m.done != nil {
-					m.markConsumed()
-					close(m.done)
-				}
 				return m, nil
 			}
 		}
 		box.cond.Wait()
 	}
-}
-
-// Probe blocks until a message matching (src, tag) is available
-// without consuming it, returning its envelope — MPI_Probe.
-func (p *Proc) Probe(src, tag int) (Status, error) {
-	box := p.w.boxes[p.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		if box.closed {
-			return Status{}, ErrClosed
-		}
-		for _, m := range box.msgs {
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-				return Status{Source: m.src, Tag: m.tag}, nil
-			}
-		}
-		box.cond.Wait()
-	}
-}
-
-// TryRecv is a non-blocking receive: if a matching byte message is
-// queued it is consumed and returned with ok=true; otherwise ok=false
-// without blocking — the MPI_Iprobe+recv idiom.
-func (p *Proc) TryRecv(src, tag int) (data []byte, st Status, ok bool, err error) {
-	box := p.w.boxes[p.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	if box.closed {
-		return nil, Status{}, false, ErrClosed
-	}
-	for i, m := range box.msgs {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			if m.f != nil {
-				return nil, Status{}, false, fmt.Errorf("%w: float64 payload via TryRecv", ErrTypeMism)
-			}
-			box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
-			if m.done != nil {
-				m.markConsumed()
-				close(m.done)
-			}
-			return m.b, Status{Source: m.src, Tag: m.tag}, true, nil
-		}
-	}
-	return nil, Status{}, false, nil
 }
 
 // Recv blocks until a byte message matching (src, tag) arrives.
@@ -537,7 +378,7 @@ func (p *Proc) GatherV(root int, local []float64, counts []int) ([]float64, erro
 			p.rank, len(local), counts[p.rank])
 	}
 	if p.rank != root {
-		return nil, p.sendF64Tagged(root, tagGather, local, false)
+		return nil, p.sendF64(root, tagGather, local)
 	}
 	total := 0
 	offs := make([]int, p.w.size+1)
@@ -668,7 +509,7 @@ func (p *Proc) ScatterV(root int, data []float64, counts []int) ([]float64, erro
 				copy(mine, blk)
 				continue
 			}
-			if err := p.sendF64Tagged(i, tagScatter, blk, false); err != nil {
+			if err := p.sendF64(i, tagScatter, blk); err != nil {
 				return nil, err
 			}
 		}
@@ -715,36 +556,6 @@ func (p *Proc) AllgatherU64(v uint64) ([]uint64, error) {
 	out := make([]uint64, p.w.size)
 	for i := range out {
 		out[i] = getU64(flat[i*8:])
-	}
-	return out, nil
-}
-
-// ReduceSum reduces float64 values by summation to root; non-root
-// ranks return 0.
-func (p *Proc) ReduceSum(root int, v float64) (float64, error) {
-	vals, err := p.AllgatherF64(v)
-	if err != nil {
-		return 0, err
-	}
-	if p.rank != root {
-		return 0, nil
-	}
-	sum := 0.0
-	for _, x := range vals {
-		sum += x
-	}
-	return sum, nil
-}
-
-// AllgatherF64 gathers one float64 from every rank to every rank.
-func (p *Proc) AllgatherF64(v float64) ([]float64, error) {
-	bits, err := p.AllgatherU64(f64bits(v))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(bits))
-	for i, b := range bits {
-		out[i] = f64frombits(b)
 	}
 	return out, nil
 }

@@ -11,26 +11,22 @@ import (
 	"time"
 )
 
-var modes = []SendMode{Eager, Rendezvous}
-
 func TestPointToPoint(t *testing.T) {
-	for _, mode := range modes {
-		err := Run(2, func(p *Proc) error {
-			if p.Rank() == 0 {
-				return p.Send(1, 7, []byte("hello"))
-			}
-			b, st, err := p.Recv(0, 7)
-			if err != nil {
-				return err
-			}
-			if string(b) != "hello" || st.Source != 0 || st.Tag != 7 {
-				return fmt.Errorf("got %q %+v", b, st)
-			}
-			return nil
-		}, WithSendMode(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+	err := Run(2, func(p *Proc) error {
+		if p.Rank() == 0 {
+			return p.Send(1, 7, []byte("hello"))
 		}
+		b, st, err := p.Recv(0, 7)
+		if err != nil {
+			return err
+		}
+		if string(b) != "hello" || st.Source != 0 || st.Tag != 7 {
+			return fmt.Errorf("got %q %+v", b, st)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -139,33 +135,10 @@ func TestWildcards(t *testing.T) {
 	}
 }
 
-func TestRendezvousBlocksUntilRecv(t *testing.T) {
-	w := MustWorld(2, WithSendMode(Rendezvous))
-	defer w.Close()
-	sent := make(chan struct{})
-	go func() {
-		_ = w.Rank(0).Send(1, 0, []byte("x"))
-		close(sent)
-	}()
-	select {
-	case <-sent:
-		t.Fatal("rendezvous send completed before receive")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if _, _, err := w.Rank(1).Recv(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sent:
-	case <-time.After(time.Second):
-		t.Fatal("rendezvous send never completed")
-	}
-}
-
 func TestF64RoundTrip(t *testing.T) {
 	err := Run(2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			return p.SendF64(1, 3, []float64{1.5, 2.5, -3.25})
+			return p.sendF64(1, 3, []float64{1.5, 2.5, -3.25})
 		}
 		f, _, err := p.RecvF64(0, 3)
 		if err != nil {
@@ -184,7 +157,7 @@ func TestF64RoundTrip(t *testing.T) {
 func TestTypeMismatch(t *testing.T) {
 	err := Run(2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			return p.SendF64(1, 0, []float64{1})
+			return p.sendF64(1, 0, []float64{1})
 		}
 		_, _, err := p.Recv(0, 0)
 		if !errors.Is(err, ErrTypeMism) {
@@ -373,22 +346,6 @@ func TestAllgatherU64(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	err := Run(4, func(p *Proc) error {
-		s, err := p.ReduceSum(0, float64(p.Rank()+1))
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 0 && s != 10 {
-			return fmt.Errorf("sum = %v", s)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloseUnblocksReceivers(t *testing.T) {
 	w := MustWorld(2)
 	done := make(chan error, 1)
@@ -405,24 +362,6 @@ func TestCloseUnblocksReceivers(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("receiver never unblocked")
-	}
-}
-
-func TestCloseUnblocksRendezvousSender(t *testing.T) {
-	w := MustWorld(2, WithSendMode(Rendezvous))
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Rank(0).Send(1, 0, []byte("x"))
-	}()
-	time.Sleep(10 * time.Millisecond)
-	w.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("sender never unblocked")
 	}
 }
 
@@ -532,142 +471,6 @@ func TestQuickAllgatherConsistent(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotConsume(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			return p.Send(1, 4, []byte("probe-me"))
-		}
-		st, err := p.Probe(0, 4)
-		if err != nil || st.Source != 0 || st.Tag != 4 {
-			return fmt.Errorf("probe: %+v %v", st, err)
-		}
-		// The message is still there.
-		b, _, err := p.Recv(0, 4)
-		if err != nil || string(b) != "probe-me" {
-			return fmt.Errorf("recv after probe: %q %v", b, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTryRecv(t *testing.T) {
-	w := MustWorld(2)
-	defer w.Close()
-	p1 := w.Rank(1)
-	// Nothing queued: ok=false immediately.
-	if _, _, ok, err := p1.TryRecv(0, 3); ok || err != nil {
-		t.Fatalf("empty TryRecv: %v %v", ok, err)
-	}
-	if err := w.Rank(0).Send(1, 3, []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	b, st, ok, err := p1.TryRecv(0, 3)
-	if err != nil || !ok || b[0] != 7 || st.Source != 0 {
-		t.Fatalf("TryRecv: %v %v %v %v", b, st, ok, err)
-	}
-	// Consumed.
-	if _, _, ok, _ := p1.TryRecv(0, 3); ok {
-		t.Fatal("message not consumed")
-	}
-}
-
-func TestTryRecvUnblocksRendezvousSender(t *testing.T) {
-	w := MustWorld(2, WithSendMode(Rendezvous))
-	defer w.Close()
-	done := make(chan error, 1)
-	go func() { done <- w.Rank(0).Send(1, 0, []byte("x")) }()
-	deadline := time.After(2 * time.Second)
-	for {
-		if _, _, ok, err := w.Rank(1).TryRecv(0, 0); err != nil {
-			t.Fatal(err)
-		} else if ok {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("message never arrived")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("rendezvous sender not released by TryRecv")
-	}
-}
-
-// TestSendOwnedTransfersOwnership pins the ownership contract that
-// separates SendOwned from Send: the receiver gets the sender's backing
-// array, not a copy. The receiver writes through the received slice,
-// and after a barrier (which orders the write before the read) the
-// sender observes the write through its original slice. The same
-// experiment through Send must leave the original untouched. Run under
-// -race, this also proves the handoff itself is properly synchronized.
-func TestSendOwnedTransfersOwnership(t *testing.T) {
-	for _, owned := range []bool{true, false} {
-		payload := make([]byte, 3)
-		err := Run(2, func(p *Proc) error {
-			if p.Rank() == 0 {
-				copy(payload, []byte{1, 2, 3})
-				var err error
-				if owned {
-					err = p.SendOwned(1, 0, payload)
-				} else {
-					err = p.Send(1, 0, payload)
-				}
-				if err != nil {
-					return err
-				}
-				if err := p.Barrier(); err != nil {
-					return err
-				}
-				if owned && payload[0] != 99 {
-					return fmt.Errorf("SendOwned copied: receiver write not visible, got %v", payload)
-				}
-				if !owned && payload[0] != 1 {
-					return fmt.Errorf("Send aliased: receiver write visible, got %v", payload)
-				}
-				return nil
-			}
-			b, _, err := p.Recv(0, 0)
-			if err != nil {
-				return err
-			}
-			b[0] = 99
-			return p.Barrier()
-		})
-		if err != nil {
-			t.Fatalf("owned=%v: %v", owned, err)
-		}
-	}
-}
-
-func TestSendF64OwnedDelivers(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			return p.SendF64Owned(1, 5, []float64{2.5, -1, 8})
-		}
-		f, st, err := p.RecvF64(0, 5)
-		if err != nil {
-			return err
-		}
-		if st.Source != 0 || st.Tag != 5 || len(f) != 3 || f[0] != 2.5 || f[2] != 8 {
-			return fmt.Errorf("got %v %+v", f, st)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPutFenceLandsAtOffsets drives the one-sided fallback primitive
 // directly: every rank puts its block into every other rank's window
 // at a rank-derived offset, and after FenceF64 each window holds the
@@ -743,48 +546,46 @@ func TestPutFenceArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestLendVBothSendModes: root receives aliases of the lenders' own
-// slices — not copies — under eager and rendezvous sends alike, and a
-// lender's bad block fails every rank instead of blocking root.
-func TestLendVBothSendModes(t *testing.T) {
+// TestLendVAliasesBlocks: root receives aliases of the lenders' own
+// slices — not copies — and a lender's bad block fails every rank
+// instead of blocking root.
+func TestLendVAliasesBlocks(t *testing.T) {
 	counts := []int{2, 0, 3}
-	for _, mode := range []SendMode{Eager, Rendezvous} {
-		err := Run(3, func(p *Proc) error {
-			local := make([]float64, counts[p.Rank()])
-			blocks, err := p.LendV(1, local, counts)
-			if err != nil {
-				return err
-			}
-			if p.Rank() == 1 {
-				for r, blk := range blocks {
-					if len(blk) != counts[r] {
-						return fmt.Errorf("%v: block %d has %d elements", mode, r, len(blk))
-					}
-					for i := range blk {
-						blk[i] = float64(10*r + i)
-					}
-				}
-			} else if blocks != nil {
-				return fmt.Errorf("%v: non-root got blocks", mode)
-			}
-			if err := p.Barrier(); err != nil {
-				return err
-			}
-			for i, v := range local {
-				if v != float64(10*p.Rank()+i) {
-					return fmt.Errorf("%v: rank %d local[%d] = %v: root wrote to a copy", mode, p.Rank(), i, v)
-				}
-			}
-			if p.Rank() == 2 {
-				local = local[:1]
-			}
-			if _, err := p.LendV(1, local, counts); err == nil {
-				return fmt.Errorf("%v: rank %d accepted a short block on rank 2", mode, p.Rank())
-			}
-			return p.Barrier()
-		}, WithSendMode(mode))
+	err := Run(3, func(p *Proc) error {
+		local := make([]float64, counts[p.Rank()])
+		blocks, err := p.LendV(1, local, counts)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
+		if p.Rank() == 1 {
+			for r, blk := range blocks {
+				if len(blk) != counts[r] {
+					return fmt.Errorf("block %d has %d elements", r, len(blk))
+				}
+				for i := range blk {
+					blk[i] = float64(10*r + i)
+				}
+			}
+		} else if blocks != nil {
+			return fmt.Errorf("non-root got blocks")
+		}
+		if err := p.Barrier(); err != nil {
+			return err
+		}
+		for i, v := range local {
+			if v != float64(10*p.Rank()+i) {
+				return fmt.Errorf("rank %d local[%d] = %v: root wrote to a copy", p.Rank(), i, v)
+			}
+		}
+		if p.Rank() == 2 {
+			local = local[:1]
+		}
+		if _, err := p.LendV(1, local, counts); err == nil {
+			return fmt.Errorf("rank %d accepted a short block on rank 2", p.Rank())
+		}
+		return p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,5 @@
 package mp
 
-import "math"
-
 func putU64(b []byte, v uint64) {
 	b[0] = byte(v >> 56)
 	b[1] = byte(v >> 48)
@@ -17,6 +15,3 @@ func getU64(b []byte) uint64 {
 	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
 		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
-
-func f64bits(v float64) uint64     { return math.Float64bits(v) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }

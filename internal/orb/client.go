@@ -570,7 +570,11 @@ func (c *Client) invokeOnce(ctx context.Context, endpoint string, hdr giop.Reque
 			cc.shutdown(fmt.Errorf("%w: reply abandoned while landing", ErrConnectionLost))
 			<-ch
 		}
-		_ = cc.sendCancel(hdr.RequestID)
+		// The cancel is written from its own goroutine: a server read
+		// loop waiting on a parked request reads nothing, and over an
+		// unbuffered connection the write then lasts until the request
+		// leaves the connection or the connection ends.
+		go cc.sendCancel(hdr.RequestID)
 		// A deadline expiring with nothing framed back is a strike
 		// against the connection — connDeadlineStrikes of them in a row
 		// and it is evicted so the next attempt redials instead of
@@ -802,11 +806,10 @@ func bodyLen(e *cdr.Encoder) int {
 // sendCancel writes a CancelRequest for id through the connection's
 // preallocated single-ULong body (wire-identical to encoding a
 // CancelRequestHeader), so the cancel path — usually taken under
-// deadline pressure — allocates nothing. It is best effort: while
+// deadline pressure — allocates no frame. It is best effort: while
 // another writer holds the connection — perhaps a large request the
 // server has parked behind a long dispatch (writeRequest) — no cancel
-// is sent, so the caller is not held past its own deadline; the server
-// sheds expired work anyway.
+// is sent; the server sheds expired work anyway.
 func (cc *clientConn) sendCancel(id uint32) error {
 	if !cc.writeMu.TryLock() {
 		return nil

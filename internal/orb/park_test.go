@@ -247,6 +247,49 @@ func TestParkedRequestOutlivesConnection(t *testing.T) {
 	in.Release() // a no-op now
 }
 
+// TestCancelBehindParkedRequest: a caller whose deadline passes while
+// its request sits parked returns at the deadline, although the server's
+// read loop, waiting on the parked request, reads nothing — over inproc
+// the best-effort CancelRequest cannot be written until the request
+// leaves the connection, and the caller must not wait for that.
+func TestCancelBehindParkedRequest(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg)
+	defer srv.Close()
+	parked := make(chan *Incoming, 1)
+	srv.HandleLanding("landing", func(in *Incoming) { parked <- in })
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(reg)
+	defer cli.Close()
+	const budget = 300 * time.Millisecond
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		_, _, _, err := cli.Invoke(ctx, ep, requestHeader(cli, "landing", "op"),
+			func(e *cdr.Encoder) { e.PutDoubleSeq(make([]float64, 4)) })
+		done <- err
+	}()
+	in := <-parked
+	defer in.Release()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("Invoke: %v, want ErrCanceled", err)
+		}
+		if took := time.Since(start); took > budget+time.Second {
+			t.Fatalf("Invoke returned %v after a %v deadline", took, budget)
+		}
+	case <-time.After(budget + 3*time.Second):
+		t.Fatal("Invoke is held past its deadline by the cancel write")
+	}
+}
+
 // TestFarFutureDeadlineServed: a propagated deadline budget too long
 // for a time.Duration is clamped, not wrapped: 1<<62 µs times 1000 is 0
 // mod 2^64, and 1<<63 µs would turn negative, either of which used to

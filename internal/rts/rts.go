@@ -3,18 +3,14 @@
 // with the parallel runtime underlying an SPMD application (figure 1
 // of the paper). PARDIS specified one such interface, covering the
 // functionality of message-passing runtimes (tested against MPI and
-// Tulip), and planned a second capturing one-sided runtimes; this
-// package provides both:
-//
-//   - MessagePassing adapts an mp.Proc (the MPI stand-in), and
-//   - the onesided subpackage implements the interface with direct
-//     remote-memory access over exposed windows.
+// Tulip), and planned a second capturing one-sided runtimes as future
+// work. MessagePassing adapts an mp.Proc (the MPI stand-in) to it.
 //
 // The ORB only ever sees the Thread interface, so an application built
-// on either runtime flavor can be made into an SPMD object without
-// rewriting its internals — the property the paper contrasts against
-// Nexus-style metacomputing, where the application must be coded
-// against the metacomputing runtime itself.
+// on the runtime can be made into an SPMD object without rewriting its
+// internals — the property the paper contrasts against Nexus-style
+// metacomputing, where the application must be coded against the
+// metacomputing runtime itself.
 package rts
 
 import (
@@ -78,8 +74,9 @@ type Window interface {
 }
 
 // WindowThread is the optional one-sided capability of a Thread
-// implementation — the "put into remote window" primitive PARDIS
-// named as the second RTS flavor. ExposeWindow is collective: every
+// implementation — the "put into remote window" primitive of the RTS
+// flavor PARDIS left as future work, which MessagePassing emulates
+// with tagged puts. ExposeWindow is collective: every
 // thread exposes its destination slice for one epoch of puts.
 // expectFrom[src] is the number of puts thread src will direct here
 // (derived from the transfer plan); expectFrom[Rank()] is ignored.
@@ -98,7 +95,7 @@ func AsWindowThread(th Thread) (WindowThread, bool) {
 }
 
 // MessagePassing adapts an mp rank to the RTS interface. It is the
-// flavor PARDIS shipped first, corresponding to MPI/Tulip.
+// flavor PARDIS shipped, corresponding to MPI/Tulip.
 type MessagePassing struct {
 	proc *mp.Proc
 }

@@ -9,11 +9,10 @@ import (
 	"pardis/internal/dist"
 	"pardis/internal/mp"
 	"pardis/internal/rts"
-	"pardis/internal/rts/onesided"
 )
 
-// harness runs fn on every thread of a size-P section for each RTS
-// flavor, so the same conformance suite exercises both adapters.
+// harness runs fn on every thread of a size-P section over the
+// message-passing adapter.
 func harness(t *testing.T, size int, fn func(th rts.Thread) error) {
 	t.Helper()
 	t.Run("message-passing", func(t *testing.T) {
@@ -24,48 +23,21 @@ func harness(t *testing.T, size int, fn func(th rts.Thread) error) {
 			t.Fatal(err)
 		}
 	})
-	t.Run("one-sided", func(t *testing.T) {
-		d := onesided.MustDomain(size)
-		defer d.Close()
-		var wg sync.WaitGroup
-		errc := make(chan error, size)
-		for r := 0; r < size; r++ {
-			wg.Add(1)
-			go func(th rts.Thread) {
-				defer wg.Done()
-				if err := fn(th); err != nil {
-					errc <- err
-					d.Close()
-				}
-			}(d.Thread(r))
-		}
-		wg.Wait()
-		select {
-		case err := <-errc:
-			t.Fatal(err)
-		default:
-		}
-	})
 }
 
 func TestRankSize(t *testing.T) {
-	seen := make(map[string]map[int]bool)
+	seen := map[int]bool{}
 	var mu sync.Mutex
 	harness(t, 4, func(th rts.Thread) error {
 		if th.Size() != 4 {
 			return fmt.Errorf("size = %d", th.Size())
 		}
 		mu.Lock()
-		key := fmt.Sprintf("%T", th)
-		if seen[key] == nil {
-			seen[key] = map[int]bool{}
-		}
-		if seen[key][th.Rank()] {
-			mu.Unlock()
+		defer mu.Unlock()
+		if seen[th.Rank()] {
 			return fmt.Errorf("duplicate rank %d", th.Rank())
 		}
-		seen[key][th.Rank()] = true
-		mu.Unlock()
+		seen[th.Rank()] = true
 		return nil
 	})
 }
@@ -244,9 +216,8 @@ func TestMessagePassingExposesProc(t *testing.T) {
 // exposes a window expecting one put from each peer, scatters its
 // block into every thread's window (including a self-put) at
 // rank-derived offsets, and after the fence each window must hold the
-// fully assembled vector. Both RTS flavors must satisfy it — the
-// message-passing adapter through the buffered put queue, the
-// one-sided domain through direct epoch copies.
+// fully assembled vector; the message-passing adapter lands the puts
+// through its buffered put queue.
 func TestWindowPutFence(t *testing.T) {
 	const blk = 8
 	harness(t, 3, func(th rts.Thread) error {
@@ -425,14 +396,6 @@ func TestLendDoublesBadArguments(t *testing.T) {
 				ths[r] = rts.NewMessagePassing(w.Rank(r))
 			}
 			return ths, w.Close
-		},
-		"one-sided": func() ([]rts.Thread, func()) {
-			d := onesided.MustDomain(size)
-			ths := make([]rts.Thread, size)
-			for r := range ths {
-				ths[r] = d.Thread(r)
-			}
-			return ths, d.Close
 		},
 	}
 	for name, args := range cases {

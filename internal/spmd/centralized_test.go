@@ -235,7 +235,7 @@ func TestFaultCentralizedShortReply(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				seq.Fill(-1)
+				seq.FillIndexed(func(int) float64 { return -1 })
 				spec := &CallSpec{
 					Operation: "diffusion",
 					Scalars:   func(e *cdr.Encoder) { e.PutLong(1) },
@@ -377,7 +377,7 @@ func TestCentralizedCrossEndian(t *testing.T) {
 					for i := range seqs[1].LocalData() {
 						seqs[1].LocalData()[i] = float64(seqs[1].Lo() + i)
 					}
-					seqs[3].Fill(-1)
+					seqs[3].FillIndexed(func(int) float64 { return -1 })
 					var steps int32
 					err := b.Invoke(context.Background(), &CallSpec{
 						Operation: "scale",
@@ -799,7 +799,7 @@ func TestCentralizedCancelMidInvoke(t *testing.T) {
 			if err == nil {
 				return fmt.Errorf("rank %d: invocation abandoned mid-landing succeeded", th.Rank())
 			}
-			seq.Fill(-1)
+			seq.FillIndexed(func(int) float64 { return -1 })
 			return nil
 		})
 	})
@@ -829,7 +829,7 @@ func TestCentralizedCancelMidInvoke(t *testing.T) {
 			if err == nil {
 				return fmt.Errorf("rank %d: hung invocation succeeded", th.Rank())
 			}
-			seq.Fill(float64(patience))
+			seq.FillIndexed(func(int) float64 { return float64(patience) })
 		}
 		// The serve loop is parked in the hung handlers for good; the
 		// binding itself must be intact, which the next start phase's
@@ -843,7 +843,7 @@ func TestCentralizedCancelMidInvoke(t *testing.T) {
 		if err := p.Wait(ctx); err == nil {
 			return fmt.Errorf("rank %d: cancelled wait succeeded", th.Rank())
 		}
-		seq.Fill(-1)
+		seq.FillIndexed(func(int) float64 { return -1 })
 		return nil
 	})
 }

@@ -312,30 +312,8 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	return b, nil
 }
 
-// BindPlain establishes a non-collective binding for a conventional
-// (single-threaded) client — the stub-level _bind. It is implemented
-// as a one-thread SPMD section, which is exactly what the paper's
-// semantics reduce to for n = 1.
-func BindPlain(ctx context.Context, reg *transport.Registry, method TransferMethod, listenEndpoint string, ref *ior.Ref) (*Binding, *mp.World, error) {
-	w := mp.MustWorld(1)
-	b, err := Bind(ctx, BindConfig{
-		Thread:         rts.NewMessagePassing(w.Rank(0)),
-		Registry:       reg,
-		Method:         method,
-		ListenEndpoint: listenEndpoint,
-	}, ref)
-	if err != nil {
-		w.Close()
-		return nil, nil, err
-	}
-	return b, w, nil
-}
-
 // Ref returns the bound object's reference.
 func (b *Binding) Ref() *ior.Ref { return b.ref }
-
-// Describe returns the bound object's operation table.
-func (b *Binding) Describe() map[string]*OpSpec { return b.desc.Ops }
 
 // Method returns the binding's transfer method, as BindConfig.Method
 // chose it: the method of every invocation through InvokeAsync, and of

@@ -190,7 +190,7 @@ func TestFaultLeaseExpiresAbandonedBind(t *testing.T) {
 	})
 	defer obj.close()
 
-	b, w, err := BindPlain(context.Background(), reg, MultiPort, "inproc:*", obj.ref)
+	b, w, err := bindPlain(context.Background(), reg, MultiPort, "inproc:*", obj.ref)
 	if err != nil {
 		t.Fatal(err)
 	}

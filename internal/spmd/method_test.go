@@ -168,7 +168,7 @@ func TestMultiPortMethodBySize(t *testing.T) {
 				bindings[th.Rank()] = b
 				mu.Unlock()
 				seq, err := dseq.DoublesFromLocal(c.layout, th.Rank(),
-					make([]float64, c.layout.Count(th.Rank())), dseq.Owner)
+					make([]float64, c.layout.Count(th.Rank())))
 				if err != nil {
 					return err
 				}

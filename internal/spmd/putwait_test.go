@@ -69,7 +69,7 @@ func TestFaultMultiPortShedBeforeCollective(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 2, true, ops)
 	defer obj.close()
-	holder, hw, err := BindPlain(context.Background(), reg, Centralized, "", obj.ref)
+	holder, hw, err := bindPlain(context.Background(), reg, Centralized, "", obj.ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -948,7 +948,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		}
 		clientLayouts[i] = clientLayout
 		seq, err := dseq.DoublesFromLocal(serverLayout, o.rank,
-			o.argBlock(i, serverLayout.Count(o.rank), ca.Mode), dseq.Owner)
+			o.argBlock(i, serverLayout.Count(o.rank), ca.Mode))
 		if err != nil {
 			firstErr = err
 			break

@@ -198,6 +198,24 @@ func putsShipped() func() error {
 	}
 }
 
+// bindPlain binds a conventional (single-threaded) client as a
+// one-thread SPMD section, which is what the paper's semantics reduce
+// to for n = 1.
+func bindPlain(ctx context.Context, reg *transport.Registry, method TransferMethod, listenEndpoint string, ref *ior.Ref) (*Binding, *mp.World, error) {
+	w := mp.MustWorld(1)
+	b, err := Bind(ctx, BindConfig{
+		Thread:         rts.NewMessagePassing(w.Rank(0)),
+		Registry:       reg,
+		Method:         method,
+		ListenEndpoint: listenEndpoint,
+	}, ref)
+	if err != nil {
+		w.Close()
+		return nil, nil, err
+	}
+	return b, w, nil
+}
+
 func newReg() *transport.Registry {
 	reg := transport.NewRegistry()
 	reg.Register(transport.NewInproc())
@@ -741,7 +759,7 @@ func TestBindPlain(t *testing.T) {
 	reg := newReg()
 	obj := startObject(t, reg, 4, true, diffusionOps)
 	defer obj.close()
-	b, w, err := BindPlain(context.Background(), reg, MultiPort, "inproc:*", obj.ref)
+	b, w, err := bindPlain(context.Background(), reg, MultiPort, "inproc:*", obj.ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,7 +830,7 @@ func TestDescribe(t *testing.T) {
 	obj := startObject(t, reg, 2, true, diffusionOps)
 	defer obj.close()
 	runClient(t, reg, 1, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
-		ops := b.Describe()
+		ops := b.desc.Ops
 		op, ok := ops["diffusion"]
 		if !ok {
 			return fmt.Errorf("describe missing diffusion: %v", ops)

@@ -140,9 +140,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // ObserveExemplar records one sample and, when the observation comes
 // from a sampled trace (traceID != 0) and exemplars are enabled,
 // remembers it as the exemplar for the bucket it lands in. The
@@ -273,14 +270,6 @@ func (s HistogramSnapshot) clamp(v float64) float64 {
 		return s.Max
 	}
 	return v
-}
-
-// Mean returns the arithmetic mean of the snapshot, 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // metricKind discriminates the registry's value types.

@@ -25,8 +25,8 @@
 // Nothing in the data plane uses this package any more: the SPMD
 // transfers run fixed knobs (spmd.DefaultXferChunkBytes and
 // spmd.ResolvedXferWindow), and only the benchmark harness's replay
-// rows still import it. `make lint-untuned` keeps it out of the
-// binaries and internal/core.
+// rows still import it. `make lint-reach` fails if any other non-test
+// code imports it.
 //
 // Hysteresis: a recommendation is re-derived only when the model has
 // drifted beyond Config.Hysteresis from the values that produced it,
