@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-reach fuzz-smoke fmt loc
+.PHONY: build test verify chaos chaos-agent soak bench bench-paper bench-quick bench-overhead lint-telemetry lint-fault lint-reach fuzz-smoke fmt loc traffic-cover
 
 build:
 	$(GO) build ./...
@@ -127,6 +127,38 @@ bench-quick:
 # keep the median robust against scheduler noise on a loaded CI host.
 bench-overhead:
 	$(GO) run ./cmd/pardis-bench -overhead -ops 6000 -overhead-rounds 9 -overhead-gate
+
+# traffic-cover maps the code the benchmark workloads and the examples
+# run: bench/ and the five self-checking examples are built with
+# coverage counters for every package under internal/, run once each
+# (bench 3 s per workload, the examples with integration_test.go's
+# arguments), and the counters merged; it prints coverage per package
+# under internal/ and the functions there that never ran. The packages
+# are named by directory: the module path has no dot, so an import-path
+# pattern (pardis/...) matches nothing, and -coverpkg=all instruments
+# the runtime too, whose counters each binary then fails to write. A
+# binary whose main package is not instrumented writes none, hence
+# bench's ".". Everything it writes lives in a temporary directory that
+# it removes. Not part of verify.
+traffic-cover:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	exs="quickstart proportions visualization coupled diffusion"; \
+	$(GO) build -C bench -cover -coverpkg=.,../internal/... -o "$$d/bin/bench" .; \
+	for ex in $$exs; do $(GO) build -cover -coverpkg=./examples/$$ex,./internal/... -o "$$d/bin/$$ex" ./examples/$$ex; done; \
+	mkdir -p "$$d/cov/bench"; \
+	(cd bench && GOCOVERDIR="$$d/cov/bench" "$$d/bin/bench" -seconds 3 -out "$$d/out" > "$$d/bench.log"); \
+	for ex in $$exs; do \
+		args=; if [ $$ex = diffusion ]; then args="-len 4096 -reps 2"; fi; \
+		mkdir -p "$$d/cov/$$ex"; GOCOVERDIR="$$d/cov/$$ex" "$$d/bin/$$ex" $$args > /dev/null; \
+	done; \
+	mkdir -p "$$d/merged"; \
+	$(GO) tool covdata merge -i=$$(ls -d "$$d"/cov/* | paste -sd, -) -o="$$d/merged"; \
+	echo "traffic-cover: statements run, per package under internal/"; \
+	$(GO) tool covdata percent -i="$$d/merged" -pkg=pardis/internal/... | sort; \
+	$(GO) tool covdata textfmt -i="$$d/merged" -o="$$d/all.txt"; \
+	awk 'NR == 1 || /^pardis\/internal\//' "$$d/all.txt" > "$$d/internal.txt"; \
+	echo "traffic-cover: functions under internal/ that never ran"; \
+	$(GO) tool cover -func="$$d/internal.txt" | awk '$$NF == "0.0%" { print $$1, $$2 }'
 
 fmt:
 	gofmt -l -w .

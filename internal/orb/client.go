@@ -245,6 +245,7 @@ func (c *Client) conn(endpoint string, puts bool) (*clientConn, error) {
 		key:     key,
 		slot:    len(st.conns),
 		raw:     raw,
+		freed:   make(chan struct{}, 1),
 		pending: make(map[uint32]waiter),
 		closed:  make(chan struct{}),
 	}
@@ -688,8 +689,14 @@ type clientConn struct {
 
 	writeMu   sync.Mutex
 	cancelBuf [4]byte // preallocated CancelRequest body, guarded by writeMu
-	// watch and wrote talk to the write watcher (watchWrites), made
-	// with it under writeMu.
+	// freed holds a token left by an unlock of writeMu, which wakes a
+	// request waiting for the lock bounded by its context (lockWrite).
+	freed chan struct{}
+	// slow, made stopped by the first request write with a context that
+	// can end (writeRequest), runs watchWrite once such a write has lasted
+	// slowWrite; watch (one slot) hands it the write's Done channel, and
+	// wrote tells it the write is over.
+	slow  *time.Timer
 	watch chan (<-chan struct{})
 	wrote chan struct{}
 
@@ -718,7 +725,7 @@ type waiter struct {
 // giop.WriteEncoded.
 func (cc *clientConn) write(t giop.MsgType, e *giop.PooledEncoder) error {
 	cc.writeMu.Lock()
-	defer cc.writeMu.Unlock()
+	defer cc.unlockWrite()
 	if err := giop.WriteEncoded(cc.raw, t, e.Encoder); err != nil {
 		cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 		return fmt.Errorf("%w: %v", ErrConnectionLost, err)
@@ -726,39 +733,72 @@ func (cc *clientConn) write(t giop.MsgType, e *giop.PooledEncoder) error {
 	return nil
 }
 
-// writeRequest writes a Request frame like write. Any request may be
-// parked by the server — left on the connection until its object lands
-// it (Server.HandleLanding), possibly behind a long dispatch. The write
-// of one whose body is larger than giop.DefaultReadBufSize, more than
-// the server's read buffer takes, then lasts until the landing, so ctx
-// bounds it: a request whose ctx has ended is not written, and one whose
-// ctx ends mid-write fails with ErrCanceled and takes the connection
-// down with it, the frame being torn. A smaller body fits the socket
-// buffers of a stream connection.
+// unlockWrite frees the write lock and leaves a token in freed, unless
+// one is there already.
+func (cc *clientConn) unlockWrite() {
+	cc.writeMu.Unlock()
+	select {
+	case cc.freed <- struct{}{}:
+	default:
+	}
+}
+
+// lockWrite takes the write lock for a request whose context ends when
+// done closes, giving up then or when the connection dies. Every unlock
+// after a failed try leaves a token, so a waiter misses none; a stale
+// token costs it one more try.
+func (cc *clientConn) lockWrite(ctx context.Context, done <-chan struct{}) error {
+	for !cc.writeMu.TryLock() {
+		select {
+		case <-cc.freed:
+		case <-done:
+			return fmt.Errorf("%w: %v waiting to write", ErrCanceled, ctx.Err())
+		case <-cc.closed:
+			return fmt.Errorf("%w: connection closed", ErrConnectionLost)
+		}
+	}
+	return nil
+}
+
+// writeRequest writes a Request frame like write, bounded by ctx. Any
+// request may be parked by the server — left on the connection until
+// its object lands it (Server.HandleLanding), possibly behind a queue of
+// other requests — and the server's read loop reads nothing more on the
+// connection meanwhile. A write the connection cannot buffer (over an
+// unbuffered one such as inproc, any write) then lasts until the parked
+// request leaves, and so does the wait for the write lock behind such a
+// write. A request whose ctx has ended, or ends while it waits for the
+// lock, is not written; one whose ctx ends mid-write fails with
+// ErrCanceled, no sooner than slowWrite into the write, and takes the
+// connection down with it, the frame being torn.
 func (cc *clientConn) writeRequest(ctx context.Context, e *giop.PooledEncoder) error {
 	done := ctx.Done()
-	if done == nil || bodyLen(e.Encoder) <= giop.DefaultReadBufSize {
+	if done == nil {
 		return cc.write(giop.MsgRequest, e)
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrCanceled, err)
 	}
-	cc.writeMu.Lock()
-	defer cc.writeMu.Unlock()
-	if cc.watch == nil {
-		cc.watch, cc.wrote = make(chan (<-chan struct{})), make(chan struct{})
-		go cc.watchWrites()
+	if err := cc.lockWrite(ctx, done); err != nil {
+		return err
 	}
-	select {
-	case cc.watch <- done:
-	case <-cc.closed:
-		return fmt.Errorf("%w: connection closed", ErrConnectionLost)
+	defer cc.unlockWrite()
+	if cc.slow == nil {
+		cc.watch, cc.wrote = make(chan (<-chan struct{}), 1), make(chan struct{})
+		cc.slow = time.AfterFunc(time.Hour, cc.watchWrite)
+		cc.slow.Stop()
 	}
+	cc.watch <- done
+	cc.slow.Reset(slowWrite)
 	err := giop.WriteEncoded(cc.raw, giop.MsgRequest, e.Encoder)
-	cc.wrote <- struct{}{}
-	// The watcher is done with this write: undo a deadline it may have
-	// set just as the write completed.
-	_ = cc.raw.SetWriteDeadline(time.Time{})
+	if cc.slow.Stop() {
+		<-cc.watch // the write was quick, and nothing watched it
+	} else {
+		cc.wrote <- struct{}{}
+		// The watcher is done with this write: undo a deadline it may
+		// have set just as the write completed.
+		_ = cc.raw.SetWriteDeadline(time.Time{})
+	}
 	if err != nil {
 		cc.shutdown(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 		if cerr := ctx.Err(); cerr != nil {
@@ -769,52 +809,40 @@ func (cc *clientConn) writeRequest(ctx context.Context, e *giop.PooledEncoder) e
 	return nil
 }
 
-// watchWrites is the connection's write watcher, started with its first
-// watched write (writeRequest): for each, it receives the Done channel
-// of the write's context on watch and fails the write, through a write
-// deadline in the past, if that closes before the writer reports the
-// write over on wrote. It exits with the connection. Unlike a
-// context.AfterFunc per write, which allocates its own context (and,
-// on the fresh cancelable context of an SPMD invocation, the parent's
-// child map) on every large request, it allocates nothing once started.
-func (cc *clientConn) watchWrites() {
-	for {
-		var done <-chan struct{}
-		select {
-		case done = <-cc.watch:
-		case <-cc.closed:
-			return
-		}
-		select {
-		case <-done:
-			_ = cc.raw.SetWriteDeadline(time.Unix(1, 0))
-			<-cc.wrote
-		case <-cc.wrote:
-		}
-	}
-}
+// slowWrite is how long a request write runs unwatched: one that is
+// still blocked then is failed as soon as its context ends.
+const slowWrite = 10 * time.Millisecond
 
-// bodyLen is the length of the body e encoded, spliced blocks included.
-func bodyLen(e *cdr.Encoder) int {
-	n := e.Len()
-	for _, sp := range e.Splices() {
-		n += len(sp.Data)
+// watchWrite watches the request write that has lasted slowWrite, on
+// the goroutine of the connection's timer: it fails the write, through a
+// write deadline in the past, if its context ends before the writer
+// reports the write over on wrote. A quick write costs a timer reset and
+// stop and wakes no goroutine. Unlike a context.AfterFunc per write,
+// which allocates its own context (and, on the fresh cancelable context
+// of an SPMD invocation, the parent's child map) on every request, it
+// allocates nothing per write.
+func (cc *clientConn) watchWrite() {
+	done := <-cc.watch
+	select {
+	case <-done:
+		_ = cc.raw.SetWriteDeadline(time.Unix(1, 0))
+		<-cc.wrote
+	case <-cc.wrote:
 	}
-	return n
 }
 
 // sendCancel writes a CancelRequest for id through the connection's
 // preallocated single-ULong body (wire-identical to encoding a
 // CancelRequestHeader), so the cancel path — usually taken under
 // deadline pressure — allocates no frame. It is best effort: while
-// another writer holds the connection — perhaps a large request the
-// server has parked behind a long dispatch (writeRequest) — no cancel
-// is sent; the server sheds expired work anyway.
+// another writer holds the connection — perhaps a request the server's
+// read loop does not read, waiting on a parked one (writeRequest) — no
+// cancel is sent; the server sheds expired work anyway.
 func (cc *clientConn) sendCancel(id uint32) error {
 	if !cc.writeMu.TryLock() {
 		return nil
 	}
-	defer cc.writeMu.Unlock()
+	defer cc.unlockWrite()
 	if cc.owner.order == cdr.BigEndian {
 		binary.BigEndian.PutUint32(cc.cancelBuf[:], id)
 	} else {

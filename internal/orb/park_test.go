@@ -290,6 +290,71 @@ func TestCancelBehindParkedRequest(t *testing.T) {
 	}
 }
 
+// TestSmallRequestBehindParkedRequest: over an unbuffered connection
+// whose server read loop waits on a parked request, a further request on
+// the same connection, however small, cannot be written. Its write, and
+// its wait for the write lock behind a writer with no deadline, are
+// bounded by its caller's context, so Invoke returns at its deadline
+// rather than when the parked request leaves.
+func TestSmallRequestBehindParkedRequest(t *testing.T) {
+	for _, behindWriter := range []bool{false, true} {
+		name := "mid-write"
+		if behindWriter {
+			name = "waiting for the write lock"
+		}
+		t.Run(name, func(t *testing.T) {
+			reg := transport.NewRegistry()
+			reg.Register(transport.NewInproc())
+			srv := NewServer(reg)
+			defer srv.Close()
+			parked := make(chan *Incoming, 2)
+			srv.HandleLanding("landing", func(in *Incoming) { parked <- in })
+			ep, err := srv.Listen("inproc:*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := NewClient(reg, WithStripes(1))
+			defer cli.Close()
+			body := func(e *cdr.Encoder) { e.PutDoubleSeq(make([]float64, 4)) }
+			invoke := func(ctx context.Context, done chan<- error) {
+				_, _, _, err := cli.Invoke(ctx, ep, requestHeader(cli, "landing", "op"), body)
+				done <- err
+			}
+			first := make(chan error, 1)
+			go invoke(context.Background(), first)
+			in := <-parked
+			defer in.Release()
+			if behindWriter {
+				// A request with no deadline holds the write lock, its
+				// write stuck behind the parked request.
+				go invoke(context.Background(), make(chan error, 1))
+				cc, err := cli.conn(ep, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cc.writeMu.TryLock() {
+					cc.writeMu.Unlock()
+					time.Sleep(time.Millisecond)
+				}
+			}
+			const budget = 300 * time.Millisecond
+			ctx, cancel := context.WithTimeout(context.Background(), budget)
+			defer cancel()
+			last := make(chan error, 1)
+			start := time.Now()
+			go invoke(ctx, last)
+			select {
+			case err := <-last:
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("Invoke: %v, want ErrCanceled", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("Invoke with a %v deadline still blocked after %v", budget, time.Since(start))
+			}
+		})
+	}
+}
+
 // TestFarFutureDeadlineServed: a propagated deadline budget too long
 // for a time.Duration is clamped, not wrapped: 1<<62 µs times 1000 is 0
 // mod 2^64, and 1<<63 µs would turn negative, either of which used to

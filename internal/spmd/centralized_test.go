@@ -531,9 +531,9 @@ func withPair(ops map[string]*Op) map[string]*Op {
 // invocation, BAD_PARAM for inline data of the wrong length, TIMEOUT for
 // a queued request whose deadline passed — or dispatches it, and the
 // connection carries on, whether the request was read whole (its prefix
-// does not parse, or it queued behind another) or parked to land (a
-// refused one's body skimmed off the connection). Requests with one
-// inline argument or two take the same path.
+// does not parse) or parked to land (a refused one's body skimmed off
+// the connection). Requests with one inline argument or two take the
+// same path.
 func TestShedRequestsReleasedOnce(t *testing.T) {
 	hang, hanging := make(chan struct{}), make(chan struct{}, 3)
 	ops := func(th rts.Thread) map[string]*Op {

@@ -91,33 +91,23 @@ func awaitQueued(t *testing.T, o *Object, n int) {
 	}
 }
 
-// awaitPastPhase1 waits until the communicator has marked the request
-// it popped last past phase 1. A dispatch that fails in phase 1 gets
-// that mark only after its rank has given up, which a client that
-// stopped waiting sees no sign of; a request its client sends next may
-// still find it in phase 1, and be read whole.
-func awaitPastPhase1(t *testing.T, o *Object) {
+// awaitWindows waits until o has n windows registered.
+func awaitWindows(t *testing.T, o *Object, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		o.aheadMu.Lock()
-		in1 := o.inPhase1
-		o.aheadMu.Unlock()
-		if !in1 {
-			return
-		}
+	deadline := time.Now().Add(5 * time.Second)
+	for o.BlockStats().Windows != n {
 		if time.Now().After(deadline) {
-			t.Fatal("the popped request never left phase 1")
+			t.Fatalf("%d windows registered, want %d", o.BlockStats().Windows, n)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestCentralizedRequestLandingPaths: which way a large centralized
-// request reaches the threads' blocks. With nothing ahead of it, it
-// lands, and so does a request with two inline arguments. Arriving while
-// another request is queued, or while one is in phase 1 of its dispatch
-// (a multi-port in-transfer waiting for puts that may ride the same
-// connection), also after a third request gave up being admitted
-// meanwhile, it is read whole. Every one returns the right elements.
+// TestCentralizedRequestLandingPaths: a large centralized request lands
+// straight into the threads' blocks whatever is ahead of it — nothing,
+// a queued request, or a multi-port dispatch stuck in phase 1 waiting
+// for puts, which ride connections of their own — and so does a request
+// with two inline arguments. Every one returns the right elements.
 func TestCentralizedRequestLandingPaths(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
 	reg := newReg()
@@ -149,33 +139,33 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 			slow <- err
 		}()
 		<-entered
+		g0 := comm.readWhole.Load()
 		queued := make(chan error, 1)
 		go func() {
 			rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(2, InOut, 8, ramp(8)))
 			queued <- checkDiffusion(rh, d, err, 8, 2)
 		}()
 		awaitQueued(t, comm, 1)
-		g0 := comm.readWhole.Load()
 		late := make(chan error, 1)
 		go func() {
 			rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(1, InOut, landingN, ramp(landingN)))
 			late <- checkDiffusion(rh, d, err, landingN, 1)
 		}()
 		awaitQueued(t, comm, 2)
-		if g := comm.readWhole.Load() - g0; g != 1 {
-			t.Fatalf("a request queued behind another was read whole %d times; want once", g)
-		}
 		close(release)
 		for _, ch := range []chan error{slow, queued, late} {
 			if err := <-ch; err != nil {
 				t.Fatal(err)
 			}
 		}
+		if g := comm.readWhole.Load() - g0; g != 0 {
+			t.Fatalf("requests queued behind another were read whole %d times; want them landed", g)
+		}
 	})
 
-	t.Run("behind phase 1", func(t *testing.T) {
-		// A multi-port in-argument whose puts never come holds rank 0 in
-		// phase 1 until the request's deadline ends the wait.
+	t.Run("behind a multi-port dispatch stuck in phase 1", func(t *testing.T) {
+		// A multi-port in-argument whose puts never come holds every rank
+		// in phase 1 until the request's deadline ends the wait.
 		stuck := make(chan error, 1)
 		go func() {
 			ctx, cancel := context.WithTimeout(bg, 500*time.Millisecond)
@@ -187,30 +177,7 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 			})
 			stuck <- err
 		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			comm.aheadMu.Lock()
-			in1 := comm.inPhase1
-			comm.aheadMu.Unlock()
-			if in1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("the multi-port request never entered phase 1")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// A request whose caller gives up while it is being admitted
-		// leaves the mark of the one in phase 1 alone.
-		gone, cancel := context.WithCancel(bg)
-		cancel()
-		comm.admit(&orb.Incoming{Ctx: gone})
-		comm.aheadMu.Lock()
-		ahead, in1 := comm.ahead, comm.inPhase1
-		comm.aheadMu.Unlock()
-		if ahead != 0 || !in1 {
-			t.Fatalf("after a request gave up at admission: %d ahead, in phase 1 %v; want 0 and true", ahead, in1)
-		}
+		awaitWindows(t, comm, 1)
 		g0 := comm.readWhole.Load()
 		other := orb.NewClient(reg) // a connection of its own
 		defer other.Close()
@@ -218,11 +185,12 @@ func TestCentralizedRequestLandingPaths(t *testing.T) {
 		if err := checkDiffusion(rh, d, err, landingN, 3); err != nil {
 			t.Fatal(err)
 		}
-		if g := comm.readWhole.Load() - g0; g != 1 {
-			t.Fatalf("a request arriving during phase 1 was read whole %d times; want once", g)
+		if g := comm.readWhole.Load() - g0; g != 0 {
+			t.Fatalf("a request arriving during phase 1 was read whole %d times; want it landed", g)
 		}
-		<-stuck // timed out in phase 1, which is what held the rule
-		awaitPastPhase1(t, comm)
+		if err := <-stuck; err == nil {
+			t.Fatal("the multi-port request whose puts never came succeeded")
+		}
 	})
 
 	t.Run("two arguments", func(t *testing.T) {
@@ -302,6 +270,143 @@ func TestCentralizedLandingParkedBehindSlowHandler(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("an invocation on the parked connection never completed")
 		}
+	}
+}
+
+// TestCallerBehindTwoParkedRequests: two large requests, on two
+// connections, wait parked in the queue behind a slow handler, and a
+// third caller shares the first one's connection, the client's only
+// stripe member. Its request waits behind the parked one on that
+// connection, and completes once the queue ahead of it has drained;
+// every request lands.
+func TestCallerBehindTwoParkedRequests(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	reg := newReg()
+	obj := startObject(t, reg, 2, false, slowOps(entered, release))
+	defer obj.close()
+	comm := obj.threadObjects()[0]
+	holder, one, two := orb.NewClient(reg), orb.NewClient(reg, orb.WithStripes(1)), orb.NewClient(reg)
+	for _, c := range []*orb.Client{holder, one, two} {
+		defer c.Close()
+	}
+	bg := context.Background()
+
+	slow := make(chan error, 1)
+	go func() {
+		_, _, err := invokeRaw(bg, holder, obj.ref, "slow", legacyInvocation(1, InOut, 8, ramp(8)))
+		slow <- err
+	}()
+	<-entered
+	g0 := comm.readWhole.Load()
+	parked := make(chan error, 2)
+	for i, cli := range []*orb.Client{one, two} {
+		go func() {
+			rh, d, err := invokeRaw(bg, cli, obj.ref, "diffusion", legacyInvocation(1, InOut, landingN, ramp(landingN)))
+			parked <- checkDiffusion(rh, d, err, landingN, 1)
+		}()
+		awaitQueued(t, comm, i+1)
+	}
+	third := make(chan error, 1)
+	go func() {
+		rh, d, err := invokeRaw(bg, one, obj.ref, "diffusion", legacyInvocation(2, InOut, 16, ramp(16)))
+		third <- checkDiffusion(rh, d, err, 16, 2)
+	}()
+	select {
+	case err := <-third:
+		t.Fatalf("the third request completed (%v) while its connection was parked", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for _, ch := range []chan error{slow, parked, parked, third} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("an invocation behind the parked requests never completed")
+		}
+	}
+	if g := comm.readWhole.Load() - g0; g != 0 {
+		t.Fatalf("%d requests read whole; want every one landed", g)
+	}
+}
+
+// TestFaultMultiPortCutWhileQueued: a multi-port request whose
+// connection is torn while it waits parked in the queue cannot be read
+// when the communicator pops it. The communicator refuses it, so every
+// rank retires the invocation: a put for it waiting on a worker rank is
+// skimmed within a second, and the object serves on.
+func TestFaultMultiPortCutWhileQueued(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	reg := newReg()
+	obj := startObject(t, reg, 2, true, slowOps(entered, release))
+	defer obj.close()
+	comm, worker := obj.threadObjects()[0], obj.threadObjects()[1]
+	holder, cut, puts := orb.NewClient(reg), orb.NewClient(reg), orb.NewClient(reg)
+	for _, c := range []*orb.Client{holder, cut, puts} {
+		defer c.Close()
+	}
+	bg := context.Background()
+
+	slow := make(chan error, 1)
+	go func() {
+		_, _, err := invokeRaw(bg, holder, obj.ref, "slow", legacyInvocation(1, InOut, 8, ramp(8)))
+		slow <- err
+	}()
+	<-entered
+	// A request larger than the read buffer: the client is still writing
+	// its tail while it waits parked, and a cancel then tears the frame.
+	inv := cut.NewInvocationID()
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	torn := make(chan error, 1)
+	go func() {
+		_, _, _, err := cut.Invoke(ctx, obj.ref.Endpoints[0], giop.RequestHeader{
+			InvocationID: inv, ResponseExpected: true, ObjectKey: obj.ref.Key,
+			Operation: "diffusion", ThreadCount: 1,
+		}, func(e *cdr.Encoder) {
+			(&invocationWire{Method: MultiPort, Scalars: []byte{byte(cdr.BigEndian)}, Args: []*argWire{{
+				Mode: InOut, Length: 64, ClientCounts: []int{64},
+			}}}).encode(e)
+			e.PutOctets(make([]byte, giop.DefaultReadBufSize+1000))
+		})
+		torn <- err
+	}()
+	awaitQueued(t, comm, 1)
+	cancel()
+	if err := waitErr(t, torn, 5*time.Second); !errors.Is(err, orb.ErrCanceled) {
+		t.Fatalf("the torn request: %v, want ErrCanceled", err)
+	}
+
+	key, err := giop.BlockSinkKey(inv, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := make(chan error, 1)
+	go func() {
+		_, err := puts.PutWindow(obj.ref.ThreadEndpoint(1), giop.WindowPutHeader{WindowID: key, Last: true}, ramp(32))
+		put <- err
+	}()
+	for worker.BlockStats().Pending != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := waitErr(t, slow, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitErr(t, put, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := worker.BlockStats(); st.Pending != 0 || st.Windows != 0 {
+		t.Fatalf("worker rank after the refusal: %+v", st)
+	}
+	rh, d, err := invokeRaw(bg, holder, obj.ref, "diffusion", legacyInvocation(1, InOut, 8, ramp(8)))
+	if err := checkDiffusion(rh, d, err, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.noLeak(noLeak); err != nil {
+		t.Fatal(err)
 	}
 }
 

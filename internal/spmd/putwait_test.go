@@ -14,7 +14,6 @@ import (
 	"pardis/internal/giop"
 	"pardis/internal/orb"
 	"pardis/internal/rts"
-	"pardis/internal/transport"
 )
 
 // invokeAsyncDiffusion is invokeDiffusion through InvokeAsync, which a
@@ -175,91 +174,6 @@ func TestFaultPhase1FailureOnOneRank(t *testing.T) {
 	})
 	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// phase1Probe serves inproc endpoints and checks, on every connection it
-// accepts, that the communicator has left phase 1 whenever it writes a
-// reply: a request answered before the collective must be marked past
-// phase 1 before its reply lets the client send its next request.
-type phase1Probe struct {
-	transport.Transport
-	comm    atomic.Pointer[Object]
-	replies atomic.Int32 // replies written
-	inside  atomic.Int32 // of them, with the mark still set
-}
-
-func (p *phase1Probe) Listen(a string) (transport.Listener, error) {
-	l, err := p.Transport.Listen(a)
-	if err != nil {
-		return nil, err
-	}
-	return probeListener{l, p}, nil
-}
-
-type probeListener struct {
-	transport.Listener
-	p *phase1Probe
-}
-
-func (l probeListener) Accept() (transport.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return probeConn{c, l.p}, nil
-}
-
-type probeConn struct {
-	transport.Conn
-	p *phase1Probe
-}
-
-// Write sees a frame's 12-octet header as a write of its own.
-func (c probeConn) Write(b []byte) (int, error) {
-	if o := c.p.comm.Load(); o != nil && len(b) == giop.HeaderLen && giop.MsgType(b[7]) == giop.MsgReply {
-		c.p.replies.Add(1)
-		o.aheadMu.Lock()
-		if o.inPhase1 {
-			c.p.inside.Add(1)
-		}
-		o.aheadMu.Unlock()
-	}
-	return c.Conn.Write(b)
-}
-
-// TestRefusalLeavesPhase1BeforeReply: every request the communicator
-// answers before the collective — undecodable (MARSHAL), for an unknown
-// operation (BAD_OPERATION), with the wrong arguments (BAD_PARAM) — is
-// marked past phase 1 before its reply is written, so the same client's
-// next request may land.
-func TestRefusalLeavesPhase1BeforeReply(t *testing.T) {
-	probe := &phase1Probe{Transport: transport.NewInproc()}
-	reg := transport.NewRegistry()
-	reg.Register(probe)
-	obj := startObject(t, reg, 2, false, func(th rts.Thread) map[string]*Op { return withPair(diffusionOps(th)) })
-	defer obj.close()
-	probe.comm.Store(obj.threadObjects()[0])
-	cli := orb.NewClient(reg)
-	defer cli.Close()
-	invoke := func(op string, body func(*cdr.Encoder)) {
-		t.Helper()
-		rh, _, _, err := cli.Invoke(context.Background(), obj.ref.Endpoints[0], giop.RequestHeader{
-			InvocationID: cli.NewInvocationID(), ResponseExpected: true,
-			ObjectKey: obj.ref.Key, Operation: op, ThreadCount: 1,
-		}, body)
-		if err != nil || rh.Status != giop.ReplySystemException {
-			t.Fatalf("%s: %v %v, want a refusal", op, rh.Status, err)
-		}
-	}
-	invoke("diffusion", func(e *cdr.Encoder) {
-		e.PutOctet(byte(Centralized))
-		e.PutULong(1 << 30) // an undecodable invocation
-	})
-	invoke("nosuch", legacyInvocation(1, InOut, 8, ramp(8)))
-	invoke("pair", legacyInvocation(1, InOut, 8, ramp(8)))
-	if n := probe.inside.Load(); n != 0 || probe.replies.Load() != 3 {
-		t.Fatalf("%d of %d refusals were written with the request still in phase 1", n, probe.replies.Load())
 	}
 }
 

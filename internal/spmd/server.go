@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,19 +110,8 @@ type Object struct {
 	// argBlock). Touched only by the rank's serve loop.
 	argBlocks [][]float64
 
-	// The communicator's landing rule (see admit): ahead counts the
-	// requests queued or being queued, inPhase1 marks a popped one still
-	// in phase 1 of its dispatch.
-	aheadMu  sync.Mutex
-	ahead    int
-	inPhase1 bool
-	// arrived numbers the requests admit takes, in the order it takes
-	// them, and settled counts those queued or dropped; turn, on aheadMu,
-	// signals settled's moves. A request is settled only in its turn, so
-	// the queue holds requests in the order they arrived.
-	arrived, settled uint64
-	turn             sync.Cond
-	// readWhole counts the parked requests admit read whole.
+	// readWhole counts the requests the communicator read whole at pop
+	// rather than landing them.
 	readWhole atomic.Uint64
 	// landing is the communicator's lander for the request it is
 	// dispatching, and scalars its copy of a landing request's scalar
@@ -132,23 +120,21 @@ type Object struct {
 	scalars []byte
 }
 
-// request is one queued invocation: the request, and for one that lands
-// the invocation wire decoded from its prefix (nil for one read whole,
-// which the communicator decodes when it pops it). gaveUp marks a
-// multi-port request whose caller gave up before the communicator took
-// it: the communicator refuses it.
+// request is one queued invocation, its body still parked on its
+// connection. mp marks one that travels multi-port, and gaveUp one of
+// those whose caller gave up before the communicator took it: the
+// communicator refuses it.
 type request struct {
-	in     *orb.Incoming
-	w      *invocationWire
-	gaveUp bool
+	in         *orb.Incoming
+	mp, gaveUp bool
 }
 
-// multiPort reports whether request in, unless it lands, travels
-// MultiPort: the method octet leads its invocation wire, so it reads
-// even when the rest does not decode. A request that lands is
-// centralized, and its Body is nil.
+// multiPort reports whether the parked request in travels MultiPort: the
+// method octet leads its invocation wire, so it reads even when the rest
+// does not decode.
 func multiPort(in *orb.Incoming) bool {
-	return len(in.Body) > 0 && in.Body[0] == byte(MultiPort)
+	p := in.Prefix()
+	return len(p) > 0 && p[0] == byte(MultiPort)
 }
 
 // shedExpiredSPMD counts queued invocations whose propagated deadline
@@ -213,7 +199,6 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		closed: make(chan struct{}),
 		leases: newLeaseTable(ttl),
 	}
-	o.turn.L = &o.aheadMu
 
 	needPort := o.rank == 0 || cfg.MultiPort
 	var myEndpoint string
@@ -362,62 +347,21 @@ func Export(cfg ObjectConfig) (*Object, error) {
 }
 
 // admit queues a request for the communicator, which owns it from then
-// on. A parked request — every request to the object arrives with its
-// body left on the connection — lands, its elements read straight into
-// the threads' blocks during its dispatch, when its prefix can (it is
-// centralized, and the prefix holds every argument's metadata), it
-// carries elements to land, and nothing ahead of it can need bytes that
-// its connection, stalled until then, queues behind it: no request is
-// queued, and none popped is still in phase 1 of its dispatch, where a
-// multi-port one waits for puts. Its stall is then bounded by the
-// running dispatch's handler, out-leg and reply, and it ends in phase 1
-// of its own dispatch, before its handler runs. Any other parked request
-// is read whole first: one with nothing to land would otherwise stall
-// its connection through its own handler, and a cancel behind it would
-// go unread.
-//
-// Requests are queued in the order admit takes them. The next request
-// on a connection reaches admit once the one before it has been read
-// whole, before that one is queued: it waits for its turn, or a oneway
-// invocation and the call after it would swap places.
+// on. The request stays parked — its connection reads nothing more — until
+// the communicator pops it and lands it or reads it whole
+// (communicatorServeOne), so a connection has at most one request in
+// admission or in the queue, and the queue holds each connection's
+// requests in the order they arrived.
 func (o *Object) admit(in *orb.Incoming) {
-	req := request{in: in}
-	var w *invocationWire
-	if p := in.Prefix(); len(p) > 0 && p[0] == byte(Centralized) {
-		// The wire's scalars alias the read buffer while the request is
-		// parked; a multi-port request is turned away on its method octet.
-		w, _ = decodeInvocation(in.Order, p, in.BodyBase)
-	}
-	o.aheadMu.Lock()
-	seq := o.arrived
-	o.arrived++
-	defer o.settle()
-	if w != nil && w.hasInline() && o.ahead == 0 && !o.inPhase1 {
-		req.w = w
-	} else if in.Parked() {
-		o.aheadMu.Unlock()
-		o.readWhole.Add(1)
-		err := in.ReadBody()
-		o.aheadMu.Lock()
-		if err != nil {
-			o.waitTurn(seq)
-			o.aheadMu.Unlock()
-			return // the connection is gone, and the request with it
-		}
-	}
-	o.ahead++
-	o.waitTurn(seq)
-	o.aheadMu.Unlock()
+	req := request{in: in, mp: multiPort(in)}
 	// A request whose caller gives up before the communicator takes it
 	// is dropped, unless it travels multi-port: its client's puts wait on
 	// every rank for its windows, and only the communicator reaches every
 	// rank to retire them (refused), so it is queued all the same.
-	mp := multiPort(in)
 	giveUp := in.Ctx.Done()
 	for {
 		if giveUp != nil && in.Ctx.Err() != nil { // the caller gave up
-			if !mp {
-				o.gaveUp()
+			if !req.mp {
 				in.Release()
 				return
 			}
@@ -427,55 +371,12 @@ func (o *Object) admit(in *orb.Incoming) {
 		case o.queue <- req: // the communicator owns it now
 			return
 		case <-o.closed:
-			o.gaveUp()
 			_ = in.ReplySystemException("OBJ_ADAPTER", "object closed")
 			in.Release()
 			return
 		case <-giveUp:
 		}
 	}
-}
-
-// waitTurn waits, with aheadMu held, until every request admit took
-// before the seq'th is settled.
-func (o *Object) waitTurn(seq uint64) {
-	for o.settled != seq {
-		o.turn.Wait()
-	}
-}
-
-// settle marks the request whose turn it is queued or dropped.
-func (o *Object) settle() {
-	o.aheadMu.Lock()
-	o.settled++
-	o.turn.Broadcast()
-	o.aheadMu.Unlock()
-}
-
-// gaveUp takes a request that gave up being queued off the landing
-// rule's count. It leaves inPhase1 alone: a popped request may still
-// be in phase 1.
-func (o *Object) gaveUp() {
-	o.aheadMu.Lock()
-	o.ahead--
-	o.aheadMu.Unlock()
-}
-
-// popped takes the request the communicator pops off the landing rule's
-// count and marks it in phase 1 of its dispatch.
-func (o *Object) popped() {
-	o.aheadMu.Lock()
-	o.ahead--
-	o.inPhase1 = true
-	o.aheadMu.Unlock()
-}
-
-// pastPhase1 marks the popped request past phase 1 of its dispatch (or
-// answered before it): it needs no more bytes from any connection.
-func (o *Object) pastPhase1() {
-	o.aheadMu.Lock()
-	o.inPhase1 = false
-	o.aheadMu.Unlock()
 }
 
 // requestLanding is the communicator's orb.RequestLander for a
@@ -706,9 +607,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		o.bcastControl(&control{OK: false})
 		return ctx.Err()
 	}
-	o.popped()
-	defer o.pastPhase1()
-	in, w := req.in, req.w
+	in := req.in
 	// The request is this function's alone: the invocation wire's
 	// scalars alias its body, and rank 0 decodes from it through phase 2
 	// of the dispatch. A body still parked on the way out, after an early
@@ -719,40 +618,54 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	// shed here, before the collective is engaged: the client has given
 	// up, so burning every rank on its dispatch would only add load.
 	if !in.Expiry.IsZero() && !time.Now().Before(in.Expiry) {
-		o.refused(in)
+		o.refused(req)
 		shedExpiredSPMD.Inc()
 		_ = in.ReplySystemException("TIMEOUT",
 			"request deadline expired before collective dispatch")
 		return nil
 	}
 	if req.gaveUp { // its caller is gone: nothing to answer
-		o.refused(in)
+		o.refused(req)
 		return nil
 	}
 
-	// Decode the invocation metadata, unless it lands: then its prefix
-	// was, and its scalars, which alias the connection's read buffer
-	// until the landing, are copied out for phase 2.
-	if w == nil {
-		var err error
-		if w, err = decodeInvocation(in.Order, in.Body, in.BodyBase); err != nil {
-			o.refused(in)
-			_ = in.ReplySystemException("MARSHAL", err.Error())
-			// The collective is not engaged yet; keep serving.
-			return nil
-		}
-	} else {
+	// Decode the invocation metadata. A centralized request whose prefix
+	// holds it, and that carries elements, lands in phase 1 of its
+	// dispatch: its scalars, which alias the connection's read buffer
+	// until the landing, are copied out for phase 2. Any other is read
+	// whole now; one with nothing to land would otherwise hold its
+	// connection through its own handler, and a cancel behind it would go
+	// unread.
+	var w *invocationWire
+	if p := in.Prefix(); len(p) > 0 && p[0] == byte(Centralized) {
+		w, _ = decodeInvocation(in.Order, p, in.BodyBase)
+	}
+	if w != nil && w.hasInline() {
 		o.scalars = append(o.scalars[:0], w.Scalars...)
 		w.Scalars = o.scalars
+	} else {
+		o.readWhole.Add(1)
+		err := in.ReadBody()
+		if err == nil {
+			w, err = decodeInvocation(in.Order, in.Body, in.BodyBase)
+		}
+		if err != nil {
+			// A body that does not decode is MARSHAL; one that cannot be
+			// read, its connection gone while it was queued, is answered
+			// by no reply. The collective is not engaged; keep serving.
+			o.refused(req)
+			_ = in.ReplySystemException("MARSHAL", err.Error())
+			return nil
+		}
 	}
 	op, ok := o.cfg.Ops[in.Header.Operation]
 	if !ok {
-		o.refused(in)
+		o.refused(req)
 		_ = in.ReplySystemException("BAD_OPERATION", in.Header.Operation)
 		return nil
 	}
 	if code, detail := o.refuse(w, in.Header.Operation, op.Spec, in.BodyLen()); code != "" {
-		o.refused(in)
+		o.refused(req)
 		_ = in.ReplySystemException(code, detail)
 		return nil
 	}
@@ -809,17 +722,15 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	return in.Reply(giop.ReplyOK, reply.encode)
 }
 
-// refused ends the communicator's part in request in, which it answers
-// before the collective, ahead of its reply: the request needs no more
-// bytes from any connection, so it leaves phase 1. A multi-port
-// invocation's client has shipped puts that sit on the ranks' read
-// loops, waiting for windows that will not register: every rank, the
-// others through the control broadcast, retires the invocation, so they
-// are skimmed. A centralized one ships none, and costs no broadcast.
-func (o *Object) refused(in *orb.Incoming) {
-	o.pastPhase1()
-	if multiPort(in) {
-		inv := in.Header.InvocationID
+// refused ends the communicator's part in request req, which it answers
+// before the collective. A multi-port invocation's client has shipped
+// puts that sit on the ranks' read loops, waiting for windows that will
+// not register: every rank, the others through the control broadcast,
+// retires the invocation, so they are skimmed. A centralized one ships
+// none, and costs no broadcast.
+func (o *Object) refused(req request) {
+	if req.mp {
+		inv := req.in.Header.InvocationID
 		o.retire(inv)
 		o.bcastControl(&control{OK: true, Refused: true, Inv: inv})
 	}
@@ -995,7 +906,6 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		}
 		clear(o.landing.blocks)
 		o.landing.w = nil
-		o.pastPhase1()
 	}
 	// A rank that failed phase 1 registers none of the invocation's
 	// windows from here on: the puts still due to it are skimmed, before
