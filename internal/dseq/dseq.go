@@ -1,27 +1,27 @@
 // Package dseq implements the PARDIS distributed sequence: a
 // generalization of the CORBA sequence whose elements are distributed
 // over the address spaces of the computing threads of an SPMD object
-// (§2.2 of the paper). A sequence has an element type, a run-time
-// length, and a distribution; each computing thread holds one
-// contiguous block.
+// (§2.2 of the paper). A sequence has a run-time length and a
+// distribution; each computing thread holds one contiguous block.
 //
 // As in PARDIS, all methods that move data are SPMD-style: they must
 // be called collectively from every computing thread. Purely local
 // accessors (LocalData, LocalLen, Len, Layout) are thread-private.
 //
-// The IDL-mapped type dsequence_double of the paper corresponds to
-// Seq[float64] here; the conversion constructor (FromLocal) and the
-// local access operations (LocalData/LocalLen) mirror the generated
-// C++ mapping.
+// The element type is double, the only one the paper evaluates and the
+// only one the IDL compiler accepts: Doubles is the IDL-mapped type
+// dsequence_double, and the conversion constructor (DoublesFromLocal)
+// and the local access operations (LocalData/LocalLen) mirror the
+// generated C++ mapping.
 package dseq
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
-	"pardis/internal/cdr"
 	"pardis/internal/dist"
-	"pardis/internal/giop"
 	"pardis/internal/rts"
 )
 
@@ -31,75 +31,32 @@ var (
 	ErrMismatch = errors.New("dseq: local data inconsistent with layout")
 )
 
-// Codec marshals a block of elements for transport between computing
-// threads or onto the wire. Implementations must be stateless.
-type Codec[T any] interface {
-	// Encode appends the elements to the encoder.
-	Encode(e *cdr.Encoder, v []T)
-	// Decode reads exactly n elements.
-	Decode(d *cdr.Decoder, n int) ([]T, error)
-	// DecodeInto reads exactly len(dst) elements straight into dst
-	// (no intermediate slice).
-	DecodeInto(d *cdr.Decoder, dst []T) error
-}
-
-// DoubleCodec marshals float64 blocks (the dsequence<double> of the
-// paper's experiments).
-type DoubleCodec struct{}
-
-// Encode implements Codec.
-func (DoubleCodec) Encode(e *cdr.Encoder, v []float64) { e.PutDoubleSeq(v) }
-
-// Decode implements Codec. The destination is sized up front from the
-// declared count, so the bulk decoder fills it in one pass (a single
-// memcpy when the wire order matches the host).
-func (DoubleCodec) Decode(d *cdr.Decoder, n int) ([]float64, error) {
-	v, err := d.DoubleSeqInto(make([]float64, 0, n))
-	if err != nil {
-		return nil, err
-	}
-	if len(v) != n {
-		return nil, fmt.Errorf("dseq: decoded %d doubles, want %d", len(v), n)
-	}
-	return v, nil
-}
-
-// DecodeInto implements Codec. The three-index slice caps the bulk
-// decoder's capacity at len(dst), so on success the elements are
-// guaranteed to have been written in place.
-func (DoubleCodec) DecodeInto(d *cdr.Decoder, dst []float64) error {
-	v, err := d.DoubleSeqInto(dst[:0:len(dst)])
-	if err != nil {
-		return err
-	}
-	if len(v) != len(dst) {
-		return fmt.Errorf("dseq: decoded %d doubles, want %d", len(v), len(dst))
-	}
-	return nil
-}
-
-// Seq is one computing thread's view of a distributed sequence of T.
-type Seq[T any] struct {
+// Doubles is one computing thread's view of a distributed sequence of
+// doubles — the dsequence<double> of the paper.
+type Doubles struct {
 	layout dist.Layout
 	rank   int
-	local  []T
-	codec  Codec[T]
+	local  []float64
+	// redist is Redistribute's state, allocated on its first call: most
+	// sequences (one per SPMD argument per invocation) never
+	// redistribute and carry only this pointer.
+	redist *redistState
+}
 
-	// Redistribute scratch state, recycled across calls so a steady
-	// redistribution pattern (e.g. alternating between two layouts in
-	// a solver loop) stops allocating: the displaced local block
-	// becomes the next call's destination buffer, transfer plans are
-	// memoized per (src, dst) layout pair, and the send-completion
-	// channel is reused.
-	scratch  []T
-	plans    [2]redistPlan
-	nextPlan int
-	sendDone chan error
+// redistState is recycled across Redistribute calls so a steady
+// redistribution pattern (e.g. alternating between two layouts in a
+// solver loop) stops allocating: the displaced local block becomes the
+// next call's destination buffer, and transfer plans are memoized per
+// (src, dst) layout pair.
+type redistState struct {
+	scratch []float64
+	plans   [2]redistPlan
+	next    int
 }
 
 // redistPlan memoizes one dist.Plan result keyed by its layout pair,
-// along with the put-count vector the one-sided window path needs
-// (expect[src] = transfers src directs at this rank, self excluded).
+// along with the window's put-count vector (expect[src] = transfers
+// src directs at this rank, self excluded).
 type redistPlan struct {
 	src, dst dist.Layout
 	plan     []dist.Transfer
@@ -107,36 +64,36 @@ type redistPlan struct {
 	ok       bool
 }
 
-// planFor returns the (read-only) transfer plan from s.layout to dst
-// and the rank's expected-put vector, serving repeat layout pairs from
-// a two-entry memo — enough to make an alternating redistribution loop
+// planFor returns the (read-only) transfer plan from src to dst and
+// rank's expected-put vector, serving repeat layout pairs from a
+// two-entry memo — enough to make an alternating redistribution loop
 // plan-allocation-free.
-func (s *Seq[T]) planFor(dst dist.Layout) ([]dist.Transfer, []int, error) {
-	for _, p := range s.plans {
-		if p.ok && p.src.Equal(s.layout) && p.dst.Equal(dst) {
+func (r *redistState) planFor(src, dst dist.Layout, rank int) ([]dist.Transfer, []int, error) {
+	for _, p := range r.plans {
+		if p.ok && p.src.Equal(src) && p.dst.Equal(dst) {
 			return p.plan, p.expect, nil
 		}
 	}
-	plan, err := dist.Plan(s.layout, dst)
+	plan, err := dist.Plan(src, dst)
 	if err != nil {
 		return nil, nil, err
 	}
-	expect := make([]int, s.layout.P())
+	expect := make([]int, src.P())
 	for _, tr := range plan {
-		if tr.To == s.rank && tr.From != s.rank {
+		if tr.To == rank && tr.From != rank {
 			expect[tr.From]++
 		}
 	}
-	s.plans[s.nextPlan] = redistPlan{src: s.layout, dst: dst, plan: plan, expect: expect, ok: true}
-	s.nextPlan = (s.nextPlan + 1) % len(s.plans)
+	r.plans[r.next] = redistPlan{src: src, dst: dst, plan: plan, expect: expect, ok: true}
+	r.next = (r.next + 1) % len(r.plans)
 	return plan, expect, nil
 }
 
-// New allocates a distributed sequence of the given global length,
-// distributed by spec over p threads; rank identifies the calling
-// thread. Every thread of the SPMD section must construct with equal
-// arguments.
-func New[T any](codec Codec[T], length int, spec dist.Spec, p, rank int) (*Seq[T], error) {
+// NewDoubles allocates a distributed double sequence of the given
+// global length, distributed by spec over p threads; rank identifies
+// the calling thread. Every thread of the SPMD section must construct
+// with equal arguments.
+func NewDoubles(length int, spec dist.Spec, p, rank int) (*Doubles, error) {
 	layout, err := spec.Apply(length, p)
 	if err != nil {
 		return nil, err
@@ -144,19 +101,14 @@ func New[T any](codec Codec[T], length int, spec dist.Spec, p, rank int) (*Seq[T
 	if rank < 0 || rank >= p {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrBounds, rank, p)
 	}
-	return &Seq[T]{
-		layout: layout,
-		rank:   rank,
-		local:  make([]T, layout.Count(rank)),
-		codec:  codec,
-	}, nil
+	return &Doubles{layout: layout, rank: rank, local: make([]float64, layout.Count(rank))}, nil
 }
 
-// FromLocal is the conversion constructor: it wraps an existing local
-// block, and the sequence owns it from then on (a later Redistribute
-// may reuse it as scratch). The block length must equal the thread's
-// share under layout.
-func FromLocal[T any](codec Codec[T], layout dist.Layout, rank int, data []T) (*Seq[T], error) {
+// DoublesFromLocal is the conversion constructor: it wraps an existing
+// local block, and the sequence owns it from then on (a later
+// Redistribute may reuse it as scratch). The block length must equal
+// the thread's share under layout.
+func DoublesFromLocal(layout dist.Layout, rank int, data []float64) (*Doubles, error) {
 	if rank < 0 || rank >= layout.P() {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrBounds, rank, layout.P())
 	}
@@ -164,31 +116,31 @@ func FromLocal[T any](codec Codec[T], layout dist.Layout, rank int, data []T) (*
 		return nil, fmt.Errorf("%w: local block has %d elements, layout assigns %d to rank %d",
 			ErrMismatch, len(data), layout.Count(rank), rank)
 	}
-	return &Seq[T]{layout: layout, rank: rank, local: data, codec: codec}, nil
+	return &Doubles{layout: layout, rank: rank, local: data}, nil
 }
 
 // Len returns the global length.
-func (s *Seq[T]) Len() int { return s.layout.Len() }
+func (s *Doubles) Len() int { return s.layout.Len() }
 
 // Layout returns the sequence's block layout.
-func (s *Seq[T]) Layout() dist.Layout { return s.layout }
+func (s *Doubles) Layout() dist.Layout { return s.layout }
 
 // Rank returns the calling thread's rank.
-func (s *Seq[T]) Rank() int { return s.rank }
+func (s *Doubles) Rank() int { return s.rank }
 
 // LocalData returns the thread's local block (aliased, not copied) —
 // the local_data() accessor of the PARDIS mapping.
-func (s *Seq[T]) LocalData() []T { return s.local }
+func (s *Doubles) LocalData() []float64 { return s.local }
 
 // LocalLen returns the number of locally owned elements.
-func (s *Seq[T]) LocalLen() int { return len(s.local) }
+func (s *Doubles) LocalLen() int { return len(s.local) }
 
 // Lo returns the global index of the first local element.
-func (s *Seq[T]) Lo() int { return s.layout.Lo(s.rank) }
+func (s *Doubles) Lo() int { return s.layout.Lo(s.rank) }
 
 // LocalIndex translates a global index into a local offset, reporting
 // whether this thread owns it.
-func (s *Seq[T]) LocalIndex(global int) (int, bool) {
+func (s *Doubles) LocalIndex(global int) (int, bool) {
 	if global < s.layout.Lo(s.rank) || global >= s.layout.Hi(s.rank) {
 		return 0, false
 	}
@@ -201,7 +153,7 @@ func (s *Seq[T]) LocalIndex(global int) (int, bool) {
 // last element. Every thread must call it with the same argument. It
 // is a local operation (no communication): the layout change is
 // deterministic. Growing a block reallocates it.
-func (s *Seq[T]) SetLength(newLen int) error {
+func (s *Doubles) SetLength(newLen int) error {
 	nl, err := s.layout.Relength(newLen)
 	if err != nil {
 		return err
@@ -214,7 +166,7 @@ func (s *Seq[T]) SetLength(newLen int) error {
 	case newCount < oldCount:
 		s.local = s.local[:newCount]
 	default:
-		grown := make([]T, newCount)
+		grown := make([]float64, newCount)
 		copy(grown, s.local)
 		s.local = grown
 	}
@@ -223,38 +175,34 @@ func (s *Seq[T]) SetLength(newLen int) error {
 }
 
 // At performs a location-transparent element read: the owning thread
-// broadcasts the value to all threads. It is collective — every
-// thread of the section must call it with the same index — matching
-// the paper's SPMD-style operator[] contract.
-func (s *Seq[T]) At(th rts.Thread, global int) (T, error) {
-	var zero T
+// broadcasts the element's 8 bytes (IEEE 754 bits, big-endian) to all
+// threads. It is collective — every thread of the section must call it
+// with the same index — matching the paper's SPMD-style operator[]
+// contract.
+func (s *Doubles) At(th rts.Thread, global int) (float64, error) {
 	owner, err := s.layout.Owner(global)
 	if err != nil {
-		return zero, err
+		return 0, err
 	}
 	var payload []byte
 	if th.Rank() == owner {
 		local, _ := s.LocalIndex(global)
-		e := cdr.NewEncoder(cdr.BigEndian)
-		s.codec.Encode(e, s.local[local:local+1])
-		payload = e.Bytes()
+		payload = binary.BigEndian.AppendUint64(nil, math.Float64bits(s.local[local]))
 	}
 	out, err := th.Bcast(owner, payload)
 	if err != nil {
-		return zero, err
+		return 0, err
 	}
-	d := cdr.NewDecoder(cdr.BigEndian, out)
-	vs, err := s.codec.Decode(d, 1)
-	if err != nil {
-		return zero, err
+	if len(out) != 8 {
+		return 0, fmt.Errorf("%w: element broadcast of %d bytes", ErrMismatch, len(out))
 	}
-	return vs[0], nil
+	return math.Float64frombits(binary.BigEndian.Uint64(out)), nil
 }
 
 // Set performs a location-transparent element write, collectively:
 // every thread must call it with the same index and value; the owner
 // stores it.
-func (s *Seq[T]) Set(th rts.Thread, global int, v T) error {
+func (s *Doubles) Set(th rts.Thread, global int, v float64) error {
 	owner, err := s.layout.Owner(global)
 	if err != nil {
 		return err
@@ -269,11 +217,15 @@ func (s *Seq[T]) Set(th rts.Thread, global int, v T) error {
 }
 
 // Redistribute moves the sequence contents to a new layout with the
-// same global length, exchanging blocks point-to-point according to
-// the dist.Plan — the same block-intersection computation that drives
-// multi-port argument transfer. After it returns on every thread, the
-// sequence has the new layout and the same global contents.
-func (s *Seq[T]) Redistribute(th rts.Thread, newLayout dist.Layout) error {
+// same global length, according to the dist.Plan — the same
+// block-intersection computation that drives multi-port argument
+// transfer. Each thread exposes its destination block as a put window
+// of the RTS and puts every block it owns straight at its destination
+// offset: no encode, no payload copy on the sending side, and the
+// fence doubles as the closing barrier. After it returns on every
+// thread, the sequence has the new layout and the same global
+// contents.
+func (s *Doubles) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 	if newLayout.Len() != s.Len() {
 		return fmt.Errorf("%w: redistribute to length %d, have %d",
 			ErrMismatch, newLayout.Len(), s.Len())
@@ -282,7 +234,11 @@ func (s *Seq[T]) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 		return fmt.Errorf("%w: redistribute to %d threads, have %d",
 			ErrMismatch, newLayout.P(), s.layout.P())
 	}
-	plan, expect, err := s.planFor(newLayout)
+	if s.redist == nil {
+		s.redist = new(redistState)
+	}
+	r := s.redist
+	plan, expect, err := r.planFor(s.layout, newLayout, s.rank)
 	if err != nil {
 		return err
 	}
@@ -291,143 +247,32 @@ func (s *Seq[T]) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 	// Every destination element is covered by exactly one transfer, so
 	// stale contents need no clearing.
 	need := newLayout.Count(s.rank)
-	var fresh []T
-	if cap(s.scratch) >= need {
-		fresh = s.scratch[:need]
+	fresh := r.scratch
+	if cap(fresh) >= need {
+		fresh = fresh[:need]
 	} else {
-		fresh = make([]T, need)
+		fresh = make([]float64, need)
 	}
-	rank := th.Rank()
-
-	// One-sided fast path for double sequences: expose the destination
-	// block as a put window and land every transfer directly — no
-	// encode, no payload copy, no send goroutine; the fence subsumes
-	// the closing barrier.
-	if src, isF64 := any(s.local).([]float64); isF64 {
-		if wt, ok := rts.AsWindowThread(th); ok {
-			dst := any(fresh).([]float64)
-			if err := redistributeWindow(wt, plan, expect, rank, src, dst); err != nil {
-				return err
-			}
-			s.commit(newLayout, fresh)
-			return nil
-		}
-	}
-
-	// Local intersection first: a straight copy, no encoding.
-	for _, tr := range plan {
-		if tr.From == rank && tr.To == rank {
-			copy(fresh[tr.DstOff:tr.DstOff+tr.Count], s.local[tr.SrcOff:tr.SrcOff+tr.Count])
-		}
-	}
-
-	// Post all sends from their own goroutine, then drain receives on
-	// this one: the RTS tags every message (by its index in the global
-	// plan, so concurrent blocks between the same pair stay distinct),
-	// which makes the posting order deadlock-free even under a
-	// rendezvous-style RTS where SendBytes blocks until the receiver
-	// arrives. Payloads are encoded native-order (flag octet + block)
-	// on pooled encoders — within a process both directions are then a
-	// single memcpy, and the buffers recycle instead of allocating per
-	// transfer.
-	if s.sendDone == nil {
-		s.sendDone = make(chan error, 1)
-	}
-	sendDone := s.sendDone
-	go func() {
-		for i, tr := range plan {
-			if tr.From != rank || tr.To == rank {
-				continue
-			}
-			e := giop.AcquireEncoder(cdr.NativeOrder)
-			e.PutOctet(byte(cdr.NativeOrder) & 1)
-			s.codec.Encode(e.Encoder, s.local[tr.SrcOff:tr.SrcOff+tr.Count])
-			err := th.SendBytes(tr.To, i, e.Bytes())
-			e.Release() // SendBytes copies (or fully consumes) the payload
-			if err != nil {
-				sendDone <- err
-				return
-			}
-		}
-		sendDone <- nil
-	}()
-
-	var recvErr error
-	for i, tr := range plan {
-		if tr.To != rank || tr.From == rank {
-			continue
-		}
-		raw, err := th.RecvBytes(tr.From, i)
-		if err != nil {
-			recvErr = err
-			break
-		}
-		if len(raw) < 1 {
-			recvErr = fmt.Errorf("%w: empty redistribute payload", ErrMismatch)
-			break
-		}
-		d := cdr.NewDecoderAt(cdr.ByteOrder(raw[0]&1), raw[1:], 1)
-		if err := s.codec.DecodeInto(d, fresh[tr.DstOff:tr.DstOff+tr.Count]); err != nil {
-			recvErr = err
-			break
-		}
-	}
-	sendErr := <-sendDone
-	if recvErr != nil {
-		return recvErr
-	}
-	if sendErr != nil {
-		return sendErr
-	}
-	if err := th.Barrier(); err != nil {
-		return err
-	}
-	s.commit(newLayout, fresh)
-	return nil
-}
-
-// commit installs the redistributed block: the displaced local slice
-// becomes the next call's scratch.
-func (s *Seq[T]) commit(newLayout dist.Layout, fresh []T) {
-	s.layout = newLayout
-	s.scratch = s.local
-	s.local = fresh
-}
-
-// redistributeWindow executes a transfer plan over the RTS one-sided
-// window primitive: dst is exposed for one put epoch, every source
-// block this rank owns is put straight at its destination offset
-// (self-puts copy locally), and the fence completes the epoch — each
-// block moves with at most one copy end to end and zero encodes.
-func redistributeWindow(wt rts.WindowThread, plan []dist.Transfer, expect []int, rank int, src, dst []float64) error {
-	w, err := wt.ExposeWindow(dst, expect)
+	w, err := th.ExposeWindow(fresh, expect)
 	if err != nil {
 		return err
 	}
+	rank := th.Rank()
 	for _, tr := range plan {
 		if tr.From != rank {
 			continue
 		}
-		if err := w.Put(tr.To, tr.DstOff, src[tr.SrcOff:tr.SrcOff+tr.Count]); err != nil {
+		if err := w.Put(tr.To, tr.DstOff, s.local[tr.SrcOff:tr.SrcOff+tr.Count]); err != nil {
 			return err
 		}
 	}
-	return w.Fence()
-}
-
-// Doubles is the dsequence<double> of the paper: a Seq[float64] with
-// the double codec and direct RTS gather/scatter fast paths.
-type Doubles = Seq[float64]
-
-// NewDoubles allocates a distributed double sequence.
-func NewDoubles(length int, spec dist.Spec, p, rank int) (*Doubles, error) {
-	return New[float64](DoubleCodec{}, length, spec, p, rank)
-}
-
-// DoublesFromLocal wraps a local block of doubles; the sequence owns
-// it from then on.
-func DoublesFromLocal(layout dist.Layout, rank int, data []float64) (*Doubles, error) {
-	return FromLocal[float64](DoubleCodec{}, layout, rank, data)
+	if err := w.Fence(); err != nil {
+		return err
+	}
+	s.layout = newLayout
+	r.scratch = s.local
+	s.local = fresh
+	return nil
 }
 
 // GatherDoubles collects the full sequence at root using the RTS

@@ -3,6 +3,7 @@ package dseq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,7 +122,20 @@ func runSPMD(t *testing.T, p int, fn func(th rts.Thread) error) {
 	})
 }
 
+// TestAtCollective reads every element through At on every rank. The
+// second sequence pins At's broadcast encoding: every rank must read
+// back the owner's exact bits for values an encoding could normalize —
+// negative zero, NaNs with payloads, both infinities and the smallest
+// subnormal.
 func TestAtCollective(t *testing.T) {
+	special := []uint64{
+		math.Float64bits(math.Copysign(0, -1)),
+		0x7ff8_0000_dead_beef, // quiet NaN, payload 0xdeadbeef
+		0xfff0_0000_0000_0001, // signalling NaN, sign bit set
+		math.Float64bits(math.Inf(1)),
+		math.Float64bits(math.Inf(-1)),
+		1, // smallest subnormal
+	}
 	runSPMD(t, 3, func(th rts.Thread) error {
 		s, err := NewDoubles(9, dist.Block(), 3, th.Rank())
 		if err != nil {
@@ -142,6 +156,24 @@ func TestAtCollective(t *testing.T) {
 		_, err = s.At(th, 9)
 		if !errors.Is(err, dist.ErrOutOfRange) {
 			return fmt.Errorf("At(9): %v", err)
+		}
+
+		sp, err := NewDoubles(len(special), dist.Block(), 3, th.Rank())
+		if err != nil {
+			return err
+		}
+		for i := range sp.LocalData() {
+			sp.LocalData()[i] = math.Float64frombits(special[sp.Lo()+i])
+		}
+		for g, want := range special {
+			v, err := sp.At(th, g)
+			if err != nil {
+				return err
+			}
+			if got := math.Float64bits(v); got != want {
+				return fmt.Errorf("rank %d: At(%d) bits = %#016x, want %#016x",
+					th.Rank(), g, got, want)
+			}
 		}
 		return nil
 	})
@@ -318,61 +350,4 @@ func randomLayout(r *rand.Rand, length, p int) dist.Layout {
 		panic(err)
 	}
 	return s.MustApply(length, p)
-}
-
-// noWindow hides a thread's WindowThread capability, pinning
-// Redistribute onto the tagged-send fallback path.
-type noWindow struct{ rts.Thread }
-
-// TestRedistributeWindowMatchesFallback redistributes the same
-// sequence twice on the same threads — once with the one-sided window
-// fast path, once with the capability hidden so the tagged-send
-// fallback runs — and requires element-identical results. This is the
-// equivalence bound that lets the window path replace the fallback
-// without a semantic flag day.
-func TestRedistributeWindowMatchesFallback(t *testing.T) {
-	ex, err := dist.Explicit(9, 2, 7, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runSPMD(t, 4, func(th rts.Thread) error {
-		if _, ok := rts.AsWindowThread(th); !ok {
-			return fmt.Errorf("%T lost its window capability", th)
-		}
-		mk := func() (*Doubles, error) {
-			s, err := NewDoubles(24, dist.Block(), 4, th.Rank())
-			if err != nil {
-				return nil, err
-			}
-			for i := range s.LocalData() {
-				s.LocalData()[i] = float64(s.Lo()+i) * 1.5
-			}
-			return s, nil
-		}
-		win, err := mk()
-		if err != nil {
-			return err
-		}
-		fb, err := mk()
-		if err != nil {
-			return err
-		}
-		if err := win.Redistribute(th, ex.MustApply(24, 4)); err != nil {
-			return err
-		}
-		if err := fb.Redistribute(noWindow{th}, ex.MustApply(24, 4)); err != nil {
-			return err
-		}
-		if win.LocalLen() != fb.LocalLen() {
-			return fmt.Errorf("rank %d: window path %d elements, fallback %d",
-				th.Rank(), win.LocalLen(), fb.LocalLen())
-		}
-		for i := range win.LocalData() {
-			if win.LocalData()[i] != fb.LocalData()[i] {
-				return fmt.Errorf("rank %d: element %d differs: window %v, fallback %v",
-					th.Rank(), i, win.LocalData()[i], fb.LocalData()[i])
-			}
-		}
-		return nil
-	})
 }

@@ -16,41 +16,34 @@ func TestFillIndexed(t *testing.T) {
 	}
 }
 
-// The plane dimension A/Bs the one-sided window fast path (the
-// default for float64 sequences on a window-capable thread) against
-// the tagged-send fallback (capability hidden behind noWindow).
+// BenchmarkRedistributeBlockToProportions alternates a sequence
+// between BLOCK and Proportions layouts, so after the first two calls
+// the plan memo and the recycled scratch block serve every call.
 func BenchmarkRedistributeBlockToProportions(b *testing.B) {
-	for _, plane := range []string{"window", "fallback"} {
-		b.Run("plane="+plane, func(b *testing.B) {
-			prop, _ := dist.Proportions(1, 2, 3, 2)
-			const L = 1 << 15
-			b.SetBytes(L * 8)
-			err := mp.Run(4, func(proc *mp.Proc) error {
-				var th rts.Thread = rts.NewMessagePassing(proc)
-				if plane == "fallback" {
-					th = noWindow{th}
-				}
-				blockL := dist.Block().MustApply(L, 4)
-				propL := prop.MustApply(L, 4)
-				s, err := NewDoubles(L, dist.Block(), 4, proc.Rank())
-				if err != nil {
-					return err
-				}
-				for i := 0; i < b.N; i++ {
-					target := propL
-					if i%2 == 1 {
-						target = blockL
-					}
-					if err := s.Redistribute(th, target); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
+	prop, _ := dist.Proportions(1, 2, 3, 2)
+	const L = 1 << 15
+	b.SetBytes(L * 8)
+	err := mp.Run(4, func(proc *mp.Proc) error {
+		th := rts.NewMessagePassing(proc)
+		blockL := dist.Block().MustApply(L, 4)
+		propL := prop.MustApply(L, 4)
+		s, err := NewDoubles(L, dist.Block(), 4, proc.Rank())
+		if err != nil {
+			return err
+		}
+		for i := 0; i < b.N; i++ {
+			target := propL
+			if i%2 == 1 {
+				target = blockL
 			}
-		})
+			if err := s.Redistribute(th, target); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

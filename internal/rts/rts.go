@@ -4,7 +4,9 @@
 // of the paper). PARDIS specified one such interface, covering the
 // functionality of message-passing runtimes (tested against MPI and
 // Tulip), and planned a second capturing one-sided runtimes as future
-// work. MessagePassing adapts an mp.Proc (the MPI stand-in) to it.
+// work. Thread carries one primitive of that second flavor, the put
+// window. MessagePassing adapts an mp.Proc (the MPI stand-in) to it,
+// emulating the window with tagged puts.
 //
 // The ORB only ever sees the Thread interface, so an application built
 // on the runtime can be made into an SPMD object without rewriting its
@@ -53,6 +55,13 @@ type Thread interface {
 	SendBytes(dst, tag int, data []byte) error
 	// RecvBytes blocks until a payload matching (src, tag) arrives.
 	RecvBytes(src, tag int) ([]byte, error)
+	// ExposeWindow is the one-sided "put into remote window" primitive
+	// of the RTS flavor PARDIS left as future work. It is collective:
+	// every thread exposes its destination slice local for one epoch of
+	// puts. expectFrom[src] is the number of puts thread src will direct
+	// here (derived from the transfer plan); expectFrom[Rank()] is
+	// ignored. The slice is aliased until Fence.
+	ExposeWindow(local []float64, expectFrom []int) (Window, error)
 }
 
 // Window is one collectively exposed put epoch: between ExposeWindow
@@ -71,27 +80,6 @@ type Window interface {
 	// Fence completes the epoch. Collective: it returns only when
 	// every put of the epoch, from every thread, has landed.
 	Fence() error
-}
-
-// WindowThread is the optional one-sided capability of a Thread
-// implementation — the "put into remote window" primitive of the RTS
-// flavor PARDIS left as future work, which MessagePassing emulates
-// with tagged puts. ExposeWindow is collective: every
-// thread exposes its destination slice for one epoch of puts.
-// expectFrom[src] is the number of puts thread src will direct here
-// (derived from the transfer plan); expectFrom[Rank()] is ignored.
-// The slice is aliased until Fence. Use AsWindowThread to discover
-// the capability.
-type WindowThread interface {
-	ExposeWindow(local []float64, expectFrom []int) (Window, error)
-}
-
-// AsWindowThread reports whether th supports one-sided window
-// delivery, returning the capability when it does. Callers must keep
-// a tagged-send fallback for Thread implementations that do not.
-func AsWindowThread(th Thread) (WindowThread, bool) {
-	w, ok := th.(WindowThread)
-	return w, ok
 }
 
 // MessagePassing adapts an mp rank to the RTS interface. It is the
@@ -154,7 +142,7 @@ func (m *MessagePassing) RecvBytes(src, tag int) ([]byte, error) {
 	return b, err
 }
 
-// mpWindow is the tagged-send window fallback: puts ride mp's
+// mpWindow emulates a window with tagged puts: they ride mp's
 // always-buffered put queue (aliasing the source block — the epoch
 // discipline makes that race-free) and the fence drains the expected
 // counts into the exposed slice.
@@ -164,10 +152,9 @@ type mpWindow struct {
 	expect []int
 }
 
-// ExposeWindow implements WindowThread, falling back to tagged sends:
-// there is no true remote-memory access between mp ranks, but the put
-// queue still moves each block with exactly one copy (receiver side)
-// and zero encodes.
+// ExposeWindow implements Thread. There is no true remote-memory
+// access between mp ranks, but the put queue still moves each block
+// with exactly one copy (receiver side) and zero encodes.
 func (m *MessagePassing) ExposeWindow(local []float64, expectFrom []int) (Window, error) {
 	if len(expectFrom) != m.proc.Size() {
 		return nil, fmt.Errorf("rts: ExposeWindow expectFrom has %d entries for %d threads",
@@ -192,7 +179,4 @@ func (w *mpWindow) Put(dst, off int, data []float64) error {
 // Fence implements Window.
 func (w *mpWindow) Fence() error { return w.m.proc.FenceF64(w.local, w.expect) }
 
-var (
-	_ Thread       = (*MessagePassing)(nil)
-	_ WindowThread = (*MessagePassing)(nil)
-)
+var _ Thread = (*MessagePassing)(nil)

@@ -221,10 +221,6 @@ func TestMessagePassingExposesProc(t *testing.T) {
 func TestWindowPutFence(t *testing.T) {
 	const blk = 8
 	harness(t, 3, func(th rts.Thread) error {
-		wt, ok := rts.AsWindowThread(th)
-		if !ok {
-			return fmt.Errorf("%T does not expose windows", th)
-		}
 		size, rank := th.Size(), th.Rank()
 		window := make([]float64, size*blk)
 		local := make([]float64, blk)
@@ -237,7 +233,7 @@ func TestWindowPutFence(t *testing.T) {
 				expect[i] = 1
 			}
 		}
-		w, err := wt.ExposeWindow(window, expect)
+		w, err := th.ExposeWindow(window, expect)
 		if err != nil {
 			return err
 		}
@@ -260,16 +256,12 @@ func TestWindowPutFence(t *testing.T) {
 
 func TestWindowArgumentErrors(t *testing.T) {
 	harness(t, 2, func(th rts.Thread) error {
-		wt, ok := rts.AsWindowThread(th)
-		if !ok {
-			return fmt.Errorf("%T does not expose windows", th)
-		}
-		if _, err := wt.ExposeWindow(make([]float64, 4), []int{1}); err == nil {
+		if _, err := th.ExposeWindow(make([]float64, 4), []int{1}); err == nil {
 			return fmt.Errorf("expectFrom of wrong length accepted")
 		}
 		// A clean epoch with no remote puts: a self-put beyond the
 		// window must fail without poisoning the fence.
-		w, err := wt.ExposeWindow(make([]float64, 4), make([]int, th.Size()))
+		w, err := th.ExposeWindow(make([]float64, 4), make([]int, th.Size()))
 		if err != nil {
 			return err
 		}

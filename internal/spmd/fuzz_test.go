@@ -482,3 +482,51 @@ func FuzzRequestLanding(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDescribeWire feeds arbitrary describe replies — the byte-order
+// octet the binding thread broadcasts, then the body — to the decoder a
+// client runs at bind on what it reads off the network. It must not
+// panic, and a description it accepts must re-encode to bytes that
+// decode to a description with the same digest.
+func FuzzDescribeWire(f *testing.F) {
+	prop, err := dist.Proportions(1, 2, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	expl, err := dist.Explicit(4, 0, 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	obj := &Object{size: 3, cfg: ObjectConfig{MultiPort: true, Ops: map[string]*Op{
+		"scalar only": {},
+		"diffusion":   {Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}}},
+		"mixed": {Spec: OpSpec{Args: []ArgSpec{
+			{Mode: In, Dist: prop}, {Mode: Out, Dist: expl}, {Mode: InOut, Dist: dist.Block()},
+		}}},
+	}}}
+	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+		e := cdr.NewEncoder(order)
+		obj.describe().encode(e)
+		f.Add(append([]byte{byte(order)}, e.Bytes()...))
+	}
+	f.Add([]byte{0, 0, 0, 0, 3, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // 2^32-1 operations announced
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 1 {
+			return
+		}
+		w, err := decodeDescribeWire(cdr.NewDecoder(cdr.ByteOrder(raw[0]&1), raw[1:]))
+		if err != nil {
+			return
+		}
+		e := cdr.NewEncoder(cdr.BigEndian)
+		w.encode(e)
+		again, err := decodeDescribeWire(cdr.NewDecoder(cdr.BigEndian, e.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted description re-encodes to bytes the decoder refuses: %v", err)
+		}
+		if again.digest() != w.digest() {
+			t.Fatal("an accepted description changes its digest across a re-encode")
+		}
+	})
+}

@@ -78,7 +78,7 @@ var allow = map[string]entry{
 	"spmd.Binding.BlockStats":            {harness, "bench/ reports spmd.pending_blocks", []string{"orb", "spmd"}, ""},
 	"spmd.Object.BlockStats":             {harness, "bench/ reports spmd.pending_blocks", []string{"orb", "spmd"}, ""},
 	"core.Domain.Resolver":               {harness, "the invoke_named workload resolves through the domain's agent resolver", []string{"core"}, ""},
-	"dseq.Seq.Redistribute":              {harness, "bench/layers.go measures dseq.redistribute_MBps", []string{"dseq"}, ""},
+	"dseq.Doubles.Redistribute":          {harness, "bench/layers.go measures dseq.redistribute_MBps", []string{"dseq"}, ""},
 	"dseq.GatherDoubles":                 {harness, "bench/layers.go measures dseq.gather_MBps (ROADMAP item 2(e))", []string{"dseq"}, ""},
 	"dseq.ScatterDoubles":                {harness, "bench/layers.go measures dseq.scatter_MBps (ROADMAP item 2(e))", []string{"dseq"}, ""},
 	"rts.MessagePassing.Proc":            {harness, "bench/layers.go times mp under the rts adapter", []string{"rts"}, ""},
@@ -88,7 +88,7 @@ var allow = map[string]entry{
 	"simnet.LANPath":                     {harness, "the tuner's test oracle until ROADMAP item 2(b)", []string{"simnet"}, ""},
 	"simnet.WANPath":                     {harness, "the tuner's test oracle until ROADMAP item 2(b)", []string{"simnet"}, ""},
 	"simnet.Path.TransferSeconds":        {harness, "the tuner's test oracle until ROADMAP item 2(b)", []string{"simnet"}, ""},
-	"dseq.Seq.SetLength":                 {paper, "run-time relength of a distributed sequence (PAPER.md item 4)", nil, ""},
+	"dseq.Doubles.SetLength":             {paper, "run-time relength of a distributed sequence (PAPER.md item 4)", nil, ""},
 	"des.eventHeap.Less":                 {iface, "container/heap.Interface", nil, ""},
 	"telemetry.discardHandler.WithAttrs": {iface, "slog.Handler", nil, ""},
 	"telemetry.discardHandler.WithGroup": {iface, "slog.Handler", nil, ""},
