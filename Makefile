@@ -118,7 +118,7 @@ bench-paper:
 bench-quick:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem \
 		./internal/giop/ ./internal/cdr/ ./internal/orb/ \
-		./internal/dseq/ ./internal/spmd/
+		./internal/dseq/ ./internal/spmd/ ./internal/mp/
 
 # bench-overhead gates the observability plane's hot-path cost: an
 # interleaved A/B of the echo workload with exemplars, the flight

@@ -1,7 +1,7 @@
 // Package mp is a message-passing runtime in the style of MPI: a fixed
 // set of ranks exchanging tagged point-to-point messages, plus the
-// collective operations (barrier, broadcast, gather, scatter, reduce)
-// that PARDIS's centralized argument transfer relies on.
+// collective operations (barrier, broadcast, gather, scatter, lend,
+// allgather) that PARDIS's argument transfer relies on.
 //
 // The original PARDIS evaluation used MPICH 1.0.12 compiled for shared
 // memory as the run-time system underlying both client and server; mp
@@ -11,10 +11,16 @@
 // paper's ORB goes through its RTS interface (figure 1).
 //
 // Sends are eager: they copy the payload into the receiver's mailbox
-// and return immediately (MPI buffered mode).
+// and return immediately (MPI buffered mode). A collective builds no
+// message: it is one shared-memory round, in which every rank writes
+// its contribution into its slot of the world's round buffer and the
+// last rank to arrive checks the round, makes the copies that read
+// another rank's memory and wakes the others, which read their results
+// from the slots. Nothing is relayed through a root.
 package mp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -25,32 +31,22 @@ import (
 const (
 	// AnySource matches a message from any rank.
 	AnySource = -1
-	// AnyTag matches a message with any tag.
+	// AnyTag matches a message with any user tag.
 	AnyTag = -1
 )
 
-// Internal tag space used by collectives; user tags must be >= 0.
-const (
-	tagBarrierUp = -2 - iota
-	tagBarrierDown
-	tagBcast
-	tagGather
-	tagScatter
-	tagAllgather
-	tagPut
-	tagLend
-)
+// tagPut is the internal tag of window puts; user tags must be >= 0.
+const tagPut = -2
 
 // Errors returned by world operations.
 var (
-	ErrClosed   = errors.New("mp: world closed")
-	ErrBadRank  = errors.New("mp: rank out of range")
-	ErrBadTag   = errors.New("mp: user tags must be >= 0")
-	ErrTypeMism = errors.New("mp: payload type mismatch between send and receive")
+	ErrClosed  = errors.New("mp: world closed")
+	ErrBadRank = errors.New("mp: rank out of range")
+	ErrBadTag  = errors.New("mp: user tags must be >= 0")
 )
 
-// message is one in-flight point-to-point message. Exactly one of b/f
-// is set, according to which typed send produced it.
+// message is one in-flight point-to-point message: a Send's byte
+// payload, or a window put's float64 block.
 type message struct {
 	src, tag int
 	b        []byte
@@ -68,6 +64,49 @@ type mailbox struct {
 	closed bool
 }
 
+// kind names a collective. A round whose ranks entered different
+// collectives, or named different roots, fails on every rank instead
+// of pairing them.
+type kind string
+
+const (
+	kindBarrier   kind = "Barrier"
+	kindBcast     kind = "Bcast"
+	kindGatherV   kind = "GatherV"
+	kindLendV     kind = "LendV"
+	kindScatterV  kind = "ScatterV"
+	kindAllgather kind = "AllgatherU64"
+)
+
+// slot is one rank's contribution to a round and, once the round
+// completes, its result.
+type slot struct {
+	kind kind
+	root int
+	// word is AllgatherU64's value.
+	word uint64
+	// b is root's Bcast payload, and a receiver's copy of it.
+	b []byte
+	// f is the rank's block (GatherV, LendV) or root's data (ScatterV);
+	// after a GatherV root's f is the gathered vector, after a ScatterV
+	// every rank's f is its block.
+	f      []float64
+	counts []int
+	// err is the rank's own argument error (LendV).
+	err error
+}
+
+// round is one collective's rendezvous. The world holds two, used by
+// alternate rounds: a rank writes its slot of round k only after round
+// k-1 has completed, so every rank has finished reading round k-2, the
+// buffer's previous user.
+type round struct {
+	slots   []slot
+	arrived int
+	// err is the round's verdict, set by the last rank to arrive.
+	err error
+}
+
 // World is a communicator: Size ranks with a private tag space. All
 // ranks must be driven by distinct goroutines; collective calls must
 // be entered by every rank.
@@ -75,6 +114,14 @@ type World struct {
 	size  int
 	boxes []*mailbox
 	procs []*Proc
+
+	// mu guards closed and the slot writes of both rounds.
+	mu     sync.Mutex
+	closed bool
+	rounds [2]round
+	// wake[r] carries one token to rank r waiting in a round: true once
+	// the round has completed, false when the world closes.
+	wake []chan bool
 }
 
 // NewWorld creates a world of size ranks. Rank handles are retrieved
@@ -87,11 +134,16 @@ func NewWorld(size int) (*World, error) {
 	w := &World{size: size}
 	w.boxes = make([]*mailbox, size)
 	w.procs = make([]*Proc, size)
+	w.wake = make([]chan bool, size)
 	for i := range w.boxes {
 		b := &mailbox{}
 		b.cond = sync.NewCond(&b.mu)
 		w.boxes[i] = b
 		w.procs[i] = &Proc{rank: i, w: w}
+		w.wake[i] = make(chan bool, 1)
+	}
+	for i := range w.rounds {
+		w.rounds[i].slots = make([]slot, size)
 	}
 	return w, nil
 }
@@ -114,6 +166,17 @@ func (w *World) Rank(r int) *Proc { return w.procs[r] }
 // Close aborts the world: all pending and future operations return
 // ErrClosed. It is safe to call more than once.
 func (w *World) Close() {
+	w.mu.Lock()
+	if !w.closed {
+		w.closed = true
+		for _, c := range w.wake {
+			select {
+			case c <- false:
+			default: // the rank's round completed; it has its token
+			}
+		}
+	}
+	w.mu.Unlock()
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		if !b.closed {
@@ -165,6 +228,9 @@ type Status struct {
 type Proc struct {
 	rank int
 	w    *World
+	// seq counts the rounds this rank has entered; its low bit picks
+	// the round buffer.
+	seq uint
 }
 
 // Rank returns this handle's rank.
@@ -173,12 +239,9 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the world size.
 func (p *Proc) Size() int { return p.w.size }
 
-func (p *Proc) checkDst(dst, tag int, user bool) error {
+func (p *Proc) checkDst(dst int) error {
 	if dst < 0 || dst >= p.w.size {
 		return fmt.Errorf("%w: dst %d of %d", ErrBadRank, dst, p.w.size)
-	}
-	if user && tag < 0 {
-		return fmt.Errorf("%w: tag %d", ErrBadTag, tag)
 	}
 	return nil
 }
@@ -199,32 +262,24 @@ func (p *Proc) send(dst int, m *message) error {
 // Send delivers a byte payload to rank dst with the given tag. The
 // payload is copied; the caller keeps ownership of data.
 func (p *Proc) Send(dst, tag int, data []byte) error {
-	return p.sendTagged(dst, tag, data, true)
-}
-
-func (p *Proc) sendTagged(dst, tag int, data []byte, user bool) error {
-	if err := p.checkDst(dst, tag, user); err != nil {
+	if err := p.checkDst(dst); err != nil {
 		return err
+	}
+	if tag < 0 {
+		return fmt.Errorf("%w: tag %d", ErrBadTag, tag)
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	return p.send(dst, &message{src: p.rank, tag: tag, b: cp})
 }
 
-// sendF64 delivers a copy of a float64 payload on an internal tag.
-func (p *Proc) sendF64(dst, tag int, data []float64) error {
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	return p.send(dst, &message{src: p.rank, tag: tag, f: cp})
-}
-
 // PutF64 deposits data into rank dst's put queue together with a
-// destination element offset — the tagged-send fallback of the
+// destination element offset — the tagged-send emulation of the
 // one-sided window primitive. data is aliased, never copied: the
 // window discipline (no writer touches the source block between the
 // put and the closing FenceF64) is what makes that safe.
 func (p *Proc) PutF64(dst, off int, data []float64) error {
-	if err := p.checkDst(dst, 0, false); err != nil {
+	if err := p.checkDst(dst); err != nil {
 		return err
 	}
 	if off < 0 {
@@ -270,8 +325,9 @@ func (p *Proc) FenceF64(window []float64, expectFrom []int) error {
 
 // recvMatch blocks until a message matching (src, tag) is available in
 // this rank's mailbox and removes it. Wildcards AnySource/AnyTag match
-// anything. Matching is FIFO among eligible messages, which preserves
-// MPI's non-overtaking guarantee per (source, tag) pair.
+// anything but a window put. Matching is FIFO among eligible messages,
+// which preserves MPI's non-overtaking guarantee per (source, tag)
+// pair.
 func (p *Proc) recvMatch(src, tag int) (*message, error) {
 	box := p.w.boxes[p.rank]
 	box.mu.Lock()
@@ -281,7 +337,7 @@ func (p *Proc) recvMatch(src, tag int) (*message, error) {
 			return nil, ErrClosed
 		}
 		for i, m := range box.msgs {
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+			if (src == AnySource || m.src == src) && (m.tag == tag || tag == AnyTag && m.tag >= 0) {
 				box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
 				return m, nil
 			}
@@ -296,70 +352,118 @@ func (p *Proc) Recv(src, tag int) ([]byte, Status, error) {
 	if err != nil {
 		return nil, Status{}, err
 	}
-	if m.f != nil {
-		return nil, Status{}, fmt.Errorf("%w: received float64 payload via Recv", ErrTypeMism)
-	}
 	return m.b, Status{Source: m.src, Tag: m.tag}, nil
 }
 
-// RecvF64 blocks until a float64 message matching (src, tag) arrives.
-func (p *Proc) RecvF64(src, tag int) ([]float64, Status, error) {
-	m, err := p.recvMatch(src, tag)
-	if err != nil {
-		return nil, Status{}, err
+// enter writes s as this rank's contribution to its next round and
+// waits for the round to complete. The slot is written under the world
+// mutex after the closed check: a rank woken by Close must not write
+// into a buffer that a slower rank may still be reading. The last rank
+// to arrive completes the round (finish) and wakes the others; the
+// returned round's slots are this rank's to read until it enters its
+// next round.
+func (p *Proc) enter(s slot) (*round, error) {
+	w := p.w
+	rd := &w.rounds[p.seq&1]
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return nil, ErrClosed
 	}
-	if m.b != nil && m.f == nil {
-		return nil, Status{}, fmt.Errorf("%w: received byte payload via RecvF64", ErrTypeMism)
+	p.seq++
+	rd.slots[p.rank] = s
+	if rd.arrived++; rd.arrived < w.size {
+		w.mu.Unlock()
+		if !<-w.wake[p.rank] {
+			return nil, ErrClosed
+		}
+		return rd, rd.err
 	}
-	return m.f, Status{Source: m.src, Tag: m.tag}, nil
+	rd.arrived = 0
+	// Every rank has left the previous round: drop its references.
+	clear(w.rounds[p.seq&1].slots)
+	rd.err = rd.finish()
+	// No send blocks: a rank takes its token before it enters its next
+	// round, and no round completes once Close has queued its tokens.
+	for r, c := range w.wake {
+		if r != p.rank {
+			c <- true
+		}
+	}
+	w.mu.Unlock()
+	return rd, rd.err
 }
 
-// Barrier blocks until every rank has entered it. Implemented as a
-// gather-to-0 followed by a broadcast, which is what small-way MPICH
-// does on shared memory.
+// finish checks a round whose every slot is written and returns its
+// verdict. It also makes the copies that read another rank's memory,
+// so that no rank leaves the round while another still reads its
+// data.
+func (rd *round) finish() error {
+	s0 := &rd.slots[0]
+	for r := range rd.slots {
+		if s := &rd.slots[r]; s.kind != s0.kind || s.root != s0.root {
+			return fmt.Errorf("mp: collective mismatch: rank 0 entered %s with root %d, rank %d %s with root %d",
+				s0.kind, s0.root, r, s.kind, s.root)
+		}
+	}
+	root := &rd.slots[s0.root]
+	switch s0.kind {
+	case kindBcast:
+		for r := range rd.slots {
+			if r != s0.root {
+				rd.slots[r].b = bytes.Clone(root.b)
+			}
+		}
+	case kindGatherV, kindLendV:
+		// Root's counts rule; the first failure in rank order wins.
+		total := 0
+		for r := range rd.slots {
+			s := &rd.slots[r]
+			if s.err != nil {
+				return s.err
+			}
+			if len(root.counts) == len(rd.slots) && len(s.f) != root.counts[r] {
+				return fmt.Errorf("mp: %s rank %d contributes %d elements, root's counts say %d",
+					s0.kind, r, len(s.f), root.counts[r])
+			}
+			total += len(s.f)
+		}
+		if s0.kind == kindGatherV {
+			out := make([]float64, 0, total)
+			for r := range rd.slots {
+				out = append(out, rd.slots[r].f...)
+			}
+			root.f = out
+		}
+	case kindScatterV:
+		data := root.f
+		for r, c := range root.counts {
+			rd.slots[r].f = append(make([]float64, 0, c), data[:c]...)
+			data = data[c:]
+		}
+	}
+	return nil
+}
+
+// Barrier blocks until every rank has entered it: one round that
+// carries nothing, and one wake per waiting rank.
 func (p *Proc) Barrier() error {
-	if p.w.size == 1 {
-		return nil
-	}
-	if p.rank == 0 {
-		for i := 1; i < p.w.size; i++ {
-			if _, _, err := p.Recv(AnySource, tagBarrierUp); err != nil {
-				return err
-			}
-		}
-		for i := 1; i < p.w.size; i++ {
-			if err := p.sendTagged(i, tagBarrierDown, nil, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := p.sendTagged(0, tagBarrierUp, nil, false); err != nil {
-		return err
-	}
-	_, _, err := p.Recv(0, tagBarrierDown)
+	_, err := p.enter(slot{kind: kindBarrier})
 	return err
 }
 
 // Bcast distributes root's byte payload to every rank; every rank
-// returns the payload.
+// returns the payload, root its own data and every other rank a copy.
+// Root returns only once every rank has entered the broadcast.
 func (p *Proc) Bcast(root int, data []byte) ([]byte, error) {
 	if root < 0 || root >= p.w.size {
 		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
 	}
-	if p.rank == root {
-		for i := 0; i < p.w.size; i++ {
-			if i == root {
-				continue
-			}
-			if err := p.sendTagged(i, tagBcast, data, false); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
+	rd, err := p.enter(slot{kind: kindBcast, root: root, b: data})
+	if err != nil {
+		return nil, err
 	}
-	b, _, err := p.Recv(root, tagBcast)
-	return b, err
+	return rd.slots[p.rank].b, nil
 }
 
 // GatherV gathers variable-size float64 blocks to root. counts[r] is
@@ -377,43 +481,20 @@ func (p *Proc) GatherV(root int, local []float64, counts []int) ([]float64, erro
 		return nil, fmt.Errorf("mp: GatherV rank %d contributes %d elements, counts says %d",
 			p.rank, len(local), counts[p.rank])
 	}
-	if p.rank != root {
-		return nil, p.sendF64(root, tagGather, local)
+	rd, err := p.enter(slot{kind: kindGatherV, root: root, f: local, counts: counts})
+	if err != nil || p.rank != root {
+		return nil, err
 	}
-	total := 0
-	offs := make([]int, p.w.size+1)
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-		total += c
-	}
-	out := make([]float64, total)
-	copy(out[offs[root]:], local)
-	for i := 0; i < p.w.size; i++ {
-		if i == root {
-			continue
-		}
-		blk, _, err := p.RecvF64(i, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		if len(blk) != counts[i] {
-			return nil, fmt.Errorf("mp: GatherV rank %d sent %d elements, counts says %d",
-				i, len(blk), counts[i])
-		}
-		copy(out[offs[i]:], blk)
-	}
-	return out, nil
+	return rd.slots[root].f, nil
 }
 
 // LendV is GatherV by reference: root receives every rank's block as a
 // slice aliasing that rank's local, in rank order, and no element is
 // copied; other ranks return nil. Root may read and write the blocks;
 // a lender must leave its block alone from the call until it has passed
-// a later collective that root also enters. Root answers every lender
-// with the collective's verdict, so a rank whose arguments fail
-// validation (it sends its error text in place of its block) or whose
-// block is not counts[r] long fails the call on every rank alike,
-// instead of leaving the others blocked.
+// a later collective that root also enters. A rank whose arguments fail
+// validation, or whose block is not root's counts[r] long, fails the
+// call on every rank alike, instead of leaving the others blocked.
 func (p *Proc) LendV(root int, local []float64, counts []int) ([][]float64, error) {
 	if root < 0 || root >= p.w.size {
 		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
@@ -426,57 +507,13 @@ func (p *Proc) LendV(root int, local []float64, counts []int) ([][]float64, erro
 		bad = fmt.Errorf("mp: LendV rank %d lends %d elements, counts says %d",
 			p.rank, len(local), counts[p.rank])
 	}
-	if p.rank != root {
-		m := &message{src: p.rank, tag: tagLend, f: local}
-		if bad != nil {
-			m = &message{src: p.rank, tag: tagLend, b: []byte(bad.Error())}
-		}
-		if err := p.send(root, m); err != nil {
-			return nil, err
-		}
-		verdict, _, err := p.Recv(root, tagLend)
-		if err != nil {
-			return nil, err
-		}
-		if len(verdict) > 0 {
-			return nil, errors.New(string(verdict))
-		}
-		return nil, nil
+	rd, err := p.enter(slot{kind: kindLendV, root: root, f: local, counts: counts, err: bad})
+	if err != nil || p.rank != root {
+		return nil, err
 	}
 	blocks := make([][]float64, p.w.size)
-	blocks[root] = local
-	for i := range blocks {
-		if i == root {
-			continue
-		}
-		m, err := p.recvMatch(i, tagLend)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case bad != nil:
-		case m.b != nil:
-			bad = errors.New(string(m.b))
-		case len(m.f) != counts[i]:
-			bad = fmt.Errorf("mp: LendV rank %d lent %d elements, counts says %d",
-				i, len(m.f), counts[i])
-		}
-		blocks[i] = m.f
-	}
-	var verdict []byte
-	if bad != nil {
-		verdict = []byte(bad.Error())
-	}
-	for i := range blocks {
-		if i == root {
-			continue
-		}
-		if err := p.sendTagged(i, tagLend, verdict, false); err != nil {
-			return nil, err
-		}
-	}
-	if bad != nil {
-		return nil, bad
+	for r := range blocks {
+		blocks[r] = rd.slots[r].f
 	}
 	return blocks, nil
 }
@@ -499,63 +536,25 @@ func (p *Proc) ScatterV(root int, data []float64, counts []int) ([]float64, erro
 		if len(data) != total {
 			return nil, fmt.Errorf("mp: ScatterV data has %d elements, counts sum to %d", len(data), total)
 		}
-		off := 0
-		var mine []float64
-		for i, c := range counts {
-			blk := data[off : off+c]
-			off += c
-			if i == root {
-				mine = make([]float64, c)
-				copy(mine, blk)
-				continue
-			}
-			if err := p.sendF64(i, tagScatter, blk); err != nil {
-				return nil, err
-			}
-		}
-		return mine, nil
 	}
-	blk, _, err := p.RecvF64(root, tagScatter)
-	return blk, err
+	rd, err := p.enter(slot{kind: kindScatterV, root: root, f: data, counts: counts})
+	if err != nil {
+		return nil, err
+	}
+	return rd.slots[p.rank].f, nil
 }
 
 // AllgatherU64 gathers one uint64 from every rank to every rank, in
 // rank order. It is the primitive behind the identical-scalar-argument
 // consistency check in SPMD invocations.
 func (p *Proc) AllgatherU64(v uint64) ([]uint64, error) {
-	enc := make([]byte, 8)
-	putU64(enc, v)
-	if p.rank == 0 {
-		out := make([]uint64, p.w.size)
-		out[0] = v
-		for i := 1; i < p.w.size; i++ {
-			b, st, err := p.Recv(AnySource, tagAllgather)
-			if err != nil {
-				return nil, err
-			}
-			out[st.Source] = getU64(b)
-		}
-		flat := make([]byte, 8*p.w.size)
-		for i, x := range out {
-			putU64(flat[i*8:], x)
-		}
-		for i := 1; i < p.w.size; i++ {
-			if err := p.sendTagged(i, tagAllgather, flat, false); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if err := p.sendTagged(0, tagAllgather, enc, false); err != nil {
-		return nil, err
-	}
-	flat, _, err := p.Recv(0, tagAllgather)
+	rd, err := p.enter(slot{kind: kindAllgather, word: v})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]uint64, p.w.size)
-	for i := range out {
-		out[i] = getU64(flat[i*8:])
+	for r := range out {
+		out[r] = rd.slots[r].word
 	}
 	return out, nil
 }

@@ -135,33 +135,32 @@ func TestWildcards(t *testing.T) {
 	}
 }
 
-func TestF64RoundTrip(t *testing.T) {
+// TestRecvSkipsWindowPuts: a window put shares the mailbox with Send's
+// messages, but no Recv takes it, not even one with both wildcards.
+func TestRecvSkipsWindowPuts(t *testing.T) {
 	err := Run(2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			return p.sendF64(1, 3, []float64{1.5, 2.5, -3.25})
+			if err := p.PutF64(1, 0, []float64{1}); err != nil {
+				return err
+			}
+			if err := p.Send(1, 0, []byte("bytes")); err != nil {
+				return err
+			}
+			return p.FenceF64(nil, []int{0, 0})
 		}
-		f, _, err := p.RecvF64(0, 3)
+		b, st, err := p.Recv(AnySource, AnyTag)
 		if err != nil {
 			return err
 		}
-		if len(f) != 3 || f[0] != 1.5 || f[2] != -3.25 {
-			return fmt.Errorf("f64 payload %v", f)
+		if string(b) != "bytes" || st.Tag != 0 {
+			return fmt.Errorf("Recv took %q with tag %d", b, st.Tag)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTypeMismatch(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			return p.sendF64(1, 0, []float64{1})
+		window := make([]float64, 1)
+		if err := p.FenceF64(window, []int{1, 0}); err != nil {
+			return err
 		}
-		_, _, err := p.Recv(0, 0)
-		if !errors.Is(err, ErrTypeMism) {
-			return fmt.Errorf("want ErrTypeMism, got %v", err)
+		if window[0] != 1 {
+			return fmt.Errorf("put lost: window %v", window)
 		}
 		return nil
 	})
@@ -587,5 +586,216 @@ func TestLendVAliasesBlocks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectiveMismatchFails: ranks that enter different collectives,
+// or name different roots, share one round; it must fail on every rank
+// rather than pair them.
+func TestCollectiveMismatchFails(t *testing.T) {
+	cases := map[string][2]func(p *Proc) error{
+		"Bcast against Barrier": {
+			func(p *Proc) error { _, err := p.Bcast(0, []byte("x")); return err },
+			func(p *Proc) error { return p.Barrier() },
+		},
+		"Bcast roots differ": {
+			func(p *Proc) error { _, err := p.Bcast(0, []byte("x")); return err },
+			func(p *Proc) error { _, err := p.Bcast(1, []byte("y")); return err },
+		},
+	}
+	for name, calls := range cases {
+		t.Run(name, func(t *testing.T) {
+			w := MustWorld(2)
+			defer w.Close()
+			errc := make(chan error, 2)
+			for r, call := range calls {
+				go func(p *Proc) { errc <- call(p) }(w.Rank(r))
+			}
+			deadline := time.After(time.Second)
+			for range calls {
+				select {
+				case err := <-errc:
+					if err == nil {
+						t.Error("a rank returned no error from a mismatched round")
+					}
+				case <-deadline:
+					t.Fatal("a rank is still blocked in the mismatched round")
+				}
+			}
+		})
+	}
+}
+
+// TestCloseDuringCollectives: ranks looping over every collective all
+// return ErrClosed when the world closes under them, whichever round
+// each is in, and again from the collective they call next. Under
+// -race it pins the order in enter: a rank woken by Close that goes on
+// to its next collective must not write its slot into the buffer that
+// a slower rank is still reading (AllgatherU64 and LendV's root read
+// every slot).
+func TestCloseDuringCollectives(t *testing.T) {
+	const size = 4
+	counts := []int{3, 0, 2, 1}
+	step := func(p *Proc, i int, local, data []float64) error {
+		switch i % 6 {
+		case 0:
+			return p.Barrier()
+		case 1:
+			_, err := p.Bcast(i%size, []byte("payload"))
+			return err
+		case 2:
+			_, err := p.GatherV(0, local, counts)
+			return err
+		case 3:
+			_, err := p.LendV(1, local, counts)
+			return err
+		case 4:
+			_, err := p.ScatterV(2, data, counts)
+			return err
+		default:
+			_, err := p.AllgatherU64(uint64(i))
+			return err
+		}
+	}
+	rng := rand.New(rand.NewSource(40))
+	for iter := 0; iter < 8; iter++ {
+		w := MustWorld(size)
+		errc := make(chan error, size)
+		for r := 0; r < size; r++ {
+			go func(p *Proc) {
+				local := make([]float64, counts[p.Rank()])
+				data := make([]float64, 6)
+				for i := 0; ; i++ {
+					if err := step(p, i, local, data); err != nil {
+						if again := step(p, i+1, local, data); !errors.Is(again, ErrClosed) {
+							err = fmt.Errorf("%v, then %v", err, again)
+						}
+						errc <- err
+						return
+					}
+				}
+			}(w.Rank(r))
+		}
+		time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
+		w.Close()
+		deadline := time.After(5 * time.Second)
+		for r := 0; r < size; r++ {
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("iteration %d: err = %v, want ErrClosed", iter, err)
+				}
+			case <-deadline:
+				t.Fatalf("iteration %d: a rank is still blocked after Close", iter)
+			}
+		}
+	}
+}
+
+// costedCollective is one call of a collective on one rank, with root
+// 0, and the bound on the allocations that call may make on that rank.
+type costedCollective struct {
+	name   string
+	call   func(p *Proc) error
+	allocs func(rank int) int
+}
+
+func costedCollectives(size int) []costedCollective {
+	counts := make([]int, size)
+	locals := make([][]float64, size)
+	for r := range counts {
+		counts[r] = 4
+		locals[r] = make([]float64, 4)
+	}
+	payload := make([]byte, 64)
+	onRoot := func(n int) func(int) int {
+		return func(rank int) int {
+			if rank == 0 {
+				return n
+			}
+			return 1 - n
+		}
+	}
+	return []costedCollective{
+		{"Barrier", func(p *Proc) error { return p.Barrier() }, func(int) int { return 0 }},
+		// The root keeps its payload; every receiver gets a copy.
+		{"Bcast", func(p *Proc) error { _, err := p.Bcast(0, payload); return err }, onRoot(0)},
+		// The result slice on every rank.
+		{"AllgatherU64", func(p *Proc) error { _, err := p.AllgatherU64(uint64(p.Rank())); return err },
+			func(int) int { return 1 }},
+		// The block table at root; a lender allocates nothing.
+		{"LendV", func(p *Proc) error { _, err := p.LendV(0, locals[p.Rank()], counts); return err }, onRoot(1)},
+	}
+}
+
+// TestCollectiveAllocs pins what one collective allocates. The
+// allocation counter is process-wide, so one measured run drives the
+// collective on every rank and the bound is the sum of the per-rank
+// bounds.
+func TestCollectiveAllocs(t *testing.T) {
+	for _, size := range []int{2, 4} {
+		for _, c := range costedCollectives(size) {
+			w := MustWorld(size)
+			start := make([]chan struct{}, size)
+			done := make(chan error, size)
+			for r := 1; r < size; r++ {
+				start[r] = make(chan struct{})
+				go func(p *Proc, start <-chan struct{}) {
+					for range start {
+						done <- c.call(p)
+					}
+				}(w.Rank(r), start[r])
+			}
+			var failed error
+			got := testing.AllocsPerRun(100, func() {
+				for r := 1; r < size; r++ {
+					start[r] <- struct{}{}
+				}
+				if err := c.call(w.Rank(0)); err != nil {
+					failed = err
+				}
+				for r := 1; r < size; r++ {
+					if err := <-done; err != nil {
+						failed = err
+					}
+				}
+			})
+			for r := 1; r < size; r++ {
+				close(start[r])
+			}
+			w.Close()
+			if failed != nil {
+				t.Fatalf("%s at %d ranks: %v", c.name, size, failed)
+			}
+			want := 0
+			for r := 0; r < size; r++ {
+				want += c.allocs(r)
+			}
+			if got > float64(want) {
+				t.Errorf("%s at %d ranks: %.1f allocations per round, want at most %d", c.name, size, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkCollectives runs each costed collective back to back on
+// every rank of a 4-rank world; one op is one round.
+func BenchmarkCollectives(b *testing.B) {
+	const size = 4
+	for _, c := range costedCollectives(size) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			err := Run(size, func(p *Proc) error {
+				for i := 0; i < b.N; i++ {
+					if err := c.call(p); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -23,7 +23,9 @@ import (
 
 // Thread is the per-computing-thread portal into the application's
 // runtime. All collective methods must be entered by every thread of
-// the SPMD section, with equal root and counts arguments.
+// the SPMD section, with equal root and counts arguments; threads that
+// enter different collectives, or name different roots, fail it on
+// every thread.
 type Thread interface {
 	// Rank identifies this computing thread within the SPMD section.
 	Rank() int
@@ -31,7 +33,8 @@ type Thread interface {
 	Size() int
 	// Barrier blocks until all threads have entered it.
 	Barrier() error
-	// Bcast distributes root's byte payload to every thread.
+	// Bcast distributes root's byte payload to every thread. Root
+	// returns once every thread has entered it.
 	Bcast(root int, data []byte) ([]byte, error)
 	// GatherDoubles gathers counts[r] float64s from each thread r to
 	// root, concatenated in rank order; non-roots return nil.

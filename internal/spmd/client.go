@@ -502,8 +502,9 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 	for _, a := range spec.Args {
 		sigSrc.PutOctet(byte(a.Mode))
 		sigSrc.PutULong(uint32(a.Seq.Len()))
-		for _, c := range a.Seq.Layout().Counts() {
-			sigSrc.PutULong(uint32(c))
+		l := a.Seq.Layout()
+		for r := 0; r < l.P(); r++ {
+			sigSrc.PutULong(uint32(l.Count(r)))
 		}
 	}
 	sig := mp.HashBytes(sigSrc.Bytes())
@@ -574,29 +575,11 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		}
 	}
 
-	// Centralized — "the distributed arguments are gathered and scattered
-	// by the communicators of the client and server as part of the
-	// marshaling or unmarshaling process" (§3.2): every thread lends the
-	// communicator its local block of each argument, to marshal the
-	// request from and unmarshal the reply into. The lend ends at Wait's
-	// status broadcast.
-	if method == Centralized {
-		p.lent = make([][][]float64, len(spec.Args))
-		for i, a := range spec.Args {
-			blocks, err := b.th.LendDoubles(0, a.Seq.LocalData(), a.Seq.Layout().Counts())
-			if err != nil {
-				return nil, err
-			}
-			p.lent[i] = blocks
-			if a.Mode != Out {
-				b.stats.bytesOut.Add(uint64(a.Seq.LocalLen()) * 8)
-			}
-		}
-	}
-
-	// The communicator issues the request.
+	// The communicator's request describes every argument; rank 0 also
+	// lends with the client counts it carries.
+	var w *invocationWire
 	if b.rank == 0 {
-		w := &invocationWire{Method: method, Scalars: scalarBytes,
+		w = &invocationWire{Method: method, Scalars: scalarBytes,
 			Args: make([]*argWire, len(spec.Args))}
 		for i, a := range spec.Args {
 			aw := &argWire{
@@ -607,11 +590,41 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 			if method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
 				aw.ClientEndpoints = b.allEndpoints
 			}
-			if method == Centralized && a.Mode != Out {
-				aw.Blocks = p.lent[i]
-			}
 			w.Args[i] = aw
 		}
+	}
+
+	// Centralized — "the distributed arguments are gathered and scattered
+	// by the communicators of the client and server as part of the
+	// marshaling or unmarshaling process" (§3.2): every thread lends the
+	// communicator its local block of each argument, to marshal the
+	// request from and unmarshal the reply into. The lend ends at Wait's
+	// status broadcast.
+	if method == Centralized {
+		p.lent = make([][][]float64, len(spec.Args))
+		for i, a := range spec.Args {
+			var counts []int
+			if w != nil {
+				counts = w.Args[i].ClientCounts
+			} else {
+				counts = a.Seq.Layout().Counts()
+			}
+			blocks, err := b.th.LendDoubles(0, a.Seq.LocalData(), counts)
+			if err != nil {
+				return nil, err
+			}
+			p.lent[i] = blocks
+			if a.Mode != Out {
+				b.stats.bytesOut.Add(uint64(a.Seq.LocalLen()) * 8)
+				if w != nil {
+					w.Args[i].Blocks = blocks
+				}
+			}
+		}
+	}
+
+	// The communicator issues the request.
+	if b.rank == 0 {
 		hdr := giop.RequestHeader{
 			InvocationID:     inv,
 			ResponseExpected: !spec.Oneway,
