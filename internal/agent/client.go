@@ -148,6 +148,9 @@ func (c *Client) List(ctx context.Context, prefix string) ([]ListEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
+	if uint64(n) > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d list rows in a %d-byte remainder", ErrProtocol, n, d.Remaining())
+	}
 	out := make([]ListEntry, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var ent ListEntry

@@ -263,6 +263,11 @@ func decodeRegistration(d *cdr.Decoder) (Registration, error) {
 	if err != nil {
 		return r, err
 	}
+	// Each name takes at least a byte of the body: a count beyond what
+	// is left is corrupt, and must not size an allocation.
+	if uint64(n) > uint64(d.Remaining()) {
+		return r, fmt.Errorf("%w: %d names in a %d-byte remainder", ErrProtocol, n, d.Remaining())
+	}
 	r.Names = make([]NameRef, 0, n)
 	for i := uint32(0); i < n; i++ {
 		name, err := d.String()

@@ -45,48 +45,38 @@ type Doubles struct {
 
 // redistState is recycled across Redistribute calls so a steady
 // redistribution pattern (e.g. alternating between two layouts in a
-// solver loop) stops allocating: the displaced local block becomes the
-// next call's destination buffer, and transfer plans are memoized per
-// (src, dst) layout pair.
+// solver loop) allocates no block and plans nothing: the displaced
+// local block becomes the next call's destination buffer, and transfer
+// plans are memoized per (src, dst) layout pair.
 type redistState struct {
 	scratch []float64
 	plans   [2]redistPlan
 	next    int
 }
 
-// redistPlan memoizes one dist.Plan result keyed by its layout pair,
-// along with the window's put-count vector (expect[src] = transfers
-// src directs at this rank, self excluded).
+// redistPlan memoizes one dist.Plan result keyed by its layout pair.
 type redistPlan struct {
 	src, dst dist.Layout
 	plan     []dist.Transfer
-	expect   []int
 	ok       bool
 }
 
-// planFor returns the (read-only) transfer plan from src to dst and
-// rank's expected-put vector, serving repeat layout pairs from a
-// two-entry memo — enough to make an alternating redistribution loop
-// plan-allocation-free.
-func (r *redistState) planFor(src, dst dist.Layout, rank int) ([]dist.Transfer, []int, error) {
+// planFor returns the (read-only) transfer plan from src to dst,
+// serving repeat layout pairs from a two-entry memo — enough to make
+// an alternating redistribution loop plan-allocation-free.
+func (r *redistState) planFor(src, dst dist.Layout) ([]dist.Transfer, error) {
 	for _, p := range r.plans {
 		if p.ok && p.src.Equal(src) && p.dst.Equal(dst) {
-			return p.plan, p.expect, nil
+			return p.plan, nil
 		}
 	}
 	plan, err := dist.Plan(src, dst)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	expect := make([]int, src.P())
-	for _, tr := range plan {
-		if tr.To == rank && tr.From != rank {
-			expect[tr.From]++
-		}
-	}
-	r.plans[r.next] = redistPlan{src: src, dst: dst, plan: plan, expect: expect, ok: true}
+	r.plans[r.next] = redistPlan{src: src, dst: dst, plan: plan, ok: true}
 	r.next = (r.next + 1) % len(r.plans)
-	return plan, expect, nil
+	return plan, nil
 }
 
 // NewDoubles allocates a distributed double sequence of the given
@@ -219,12 +209,15 @@ func (s *Doubles) Set(th rts.Thread, global int, v float64) error {
 // Redistribute moves the sequence contents to a new layout with the
 // same global length, according to the dist.Plan — the same
 // block-intersection computation that drives multi-port argument
-// transfer. Each thread exposes its destination block as a put window
-// of the RTS and puts every block it owns straight at its destination
-// offset: no encode, no payload copy on the sending side, and the
-// fence doubles as the closing barrier. After it returns on every
-// thread, the sequence has the new layout and the same global
-// contents.
+// transfer. It is one ShareDoubles round of the old blocks, after which
+// each thread copies its new block's pieces straight out of them.
+//
+// There is no closing barrier: a peer may still read a thread's old
+// block after that thread returns. So the old block belongs to the
+// sequence from the call on (the slice LocalData returned before must
+// not be written), and the sequence writes it only as the next call's
+// destination, after that call's share round, which no thread enters
+// before it has finished reading this call's blocks.
 func (s *Doubles) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 	if newLayout.Len() != s.Len() {
 		return fmt.Errorf("%w: redistribute to length %d, have %d",
@@ -238,14 +231,26 @@ func (s *Doubles) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 		s.redist = new(redistState)
 	}
 	r := s.redist
-	plan, expect, err := r.planFor(s.layout, newLayout, s.rank)
+	plan, err := r.planFor(s.layout, newLayout)
 	if err != nil {
 		return err
 	}
-	// Destination storage: recycle the scratch block (the local slice
-	// displaced by the previous redistribution) when it is big enough.
-	// Every destination element is covered by exactly one transfer, so
-	// stale contents need no clearing.
+	old, err := th.ShareDoubles(s.local)
+	if err != nil {
+		return err
+	}
+	// Every thread checks the same blocks against its layout, so a
+	// block the layout disagrees with fails the call on every thread
+	// instead of being read out of range.
+	for t := range s.layout.P() {
+		if t >= len(old) || len(old[t]) != s.layout.Count(t) {
+			return fmt.Errorf("%w: thread %d's block disagrees with the layout", ErrMismatch, t)
+		}
+	}
+	// Destination storage: the scratch block (the local slice displaced
+	// by the previous call) when it is big enough. Every destination
+	// element is covered by exactly one transfer, so stale contents need
+	// no clearing.
 	need := newLayout.Count(s.rank)
 	fresh := r.scratch
 	if cap(fresh) >= need {
@@ -253,21 +258,10 @@ func (s *Doubles) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 	} else {
 		fresh = make([]float64, need)
 	}
-	w, err := th.ExposeWindow(fresh, expect)
-	if err != nil {
-		return err
-	}
-	rank := th.Rank()
 	for _, tr := range plan {
-		if tr.From != rank {
-			continue
+		if tr.To == s.rank {
+			copy(fresh[tr.DstOff:tr.DstOff+tr.Count], old[tr.From][tr.SrcOff:])
 		}
-		if err := w.Put(tr.To, tr.DstOff, s.local[tr.SrcOff:tr.SrcOff+tr.Count]); err != nil {
-			return err
-		}
-	}
-	if err := w.Fence(); err != nil {
-		return err
 	}
 	s.layout = newLayout
 	r.scratch = s.local
@@ -275,24 +269,38 @@ func (s *Doubles) Redistribute(th rts.Thread, newLayout dist.Layout) error {
 	return nil
 }
 
-// GatherDoubles collects the full sequence at root using the RTS
-// gather (the centralized method's building block); non-roots return
-// nil.
+// GatherDoubles collects the full sequence at root, concatenated in
+// rank order, out of the threads' lent blocks; non-roots return nil.
 func GatherDoubles(s *Doubles, th rts.Thread, root int) ([]float64, error) {
-	return th.GatherDoubles(root, s.LocalData(), s.Layout().Counts())
+	blocks, err := th.LendDoubles(root, s.LocalData(), s.Layout().Counts())
+	if err != nil {
+		return nil, err
+	}
+	var whole []float64
+	if th.Rank() == root {
+		whole = make([]float64, 0, s.Len())
+		for _, blk := range blocks {
+			whole = append(whole, blk...)
+		}
+	}
+	// The lend ends here: no lender touches its block before root has
+	// copied it.
+	return whole, th.Barrier()
 }
 
 // ScatterDoubles overwrites the sequence contents from a full array
-// present at root, splitting by the sequence's layout.
+// present at root, splitting by the sequence's layout: root shares the
+// array and every thread copies its block out of it.
 func ScatterDoubles(s *Doubles, th rts.Thread, root int, data []float64) error {
 	if th.Rank() == root && len(data) != s.Len() {
 		return fmt.Errorf("%w: scatter %d elements into sequence of %d",
 			ErrMismatch, len(data), s.Len())
 	}
-	blk, err := th.ScatterDoubles(root, data, s.Layout().Counts())
+	shared, err := th.ShareDoubles(data)
 	if err != nil {
 		return err
 	}
-	copy(s.LocalData(), blk)
-	return nil
+	copy(s.LocalData(), shared[root][s.Lo():])
+	// Root's array stays untouched until every thread has its block.
+	return th.Barrier()
 }

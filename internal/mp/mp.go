@@ -1,7 +1,11 @@
 // Package mp is a message-passing runtime in the style of MPI: a fixed
-// set of ranks exchanging tagged point-to-point messages, plus the
-// collective operations (barrier, broadcast, gather, scatter, lend,
-// allgather) that PARDIS's argument transfer relies on.
+// set of ranks exchanging tagged point-to-point byte messages, plus the
+// collective operations (barrier, broadcast, lend, share, allgather)
+// that PARDIS's argument transfer relies on. Doubles move only by
+// lending: LendV hands root every rank's block by reference, ShareV
+// hands every rank every rank's block, and no element is copied inside
+// the runtime; the gather or scatter "as part of marshaling" (paper
+// §3.2) is the caller's copy out of, or into, the lent blocks.
 //
 // The original PARDIS evaluation used MPICH 1.0.12 compiled for shared
 // memory as the run-time system underlying both client and server; mp
@@ -11,12 +15,13 @@
 // paper's ORB goes through its RTS interface (figure 1).
 //
 // Sends are eager: they copy the payload into the receiver's mailbox
-// and return immediately (MPI buffered mode). A collective builds no
-// message: it is one shared-memory round, in which every rank writes
-// its contribution into its slot of the world's round buffer and the
-// last rank to arrive checks the round, makes the copies that read
-// another rank's memory and wakes the others, which read their results
-// from the slots. Nothing is relayed through a root.
+// and return immediately (MPI buffered mode), and a Recv matches its
+// source and tag exactly. A collective builds no message: it is one
+// shared-memory round, in which every rank writes its contribution into
+// its slot of the world's round buffer and the last rank to arrive
+// checks the round, copies root's broadcast payload and wakes the
+// others, which read their results from the slots. Nothing is relayed
+// through a root.
 package mp
 
 import (
@@ -27,17 +32,6 @@ import (
 	"sync"
 )
 
-// Wildcards for Recv matching.
-const (
-	// AnySource matches a message from any rank.
-	AnySource = -1
-	// AnyTag matches a message with any user tag.
-	AnyTag = -1
-)
-
-// tagPut is the internal tag of window puts; user tags must be >= 0.
-const tagPut = -2
-
 // Errors returned by world operations.
 var (
 	ErrClosed  = errors.New("mp: world closed")
@@ -45,15 +39,10 @@ var (
 	ErrBadTag  = errors.New("mp: user tags must be >= 0")
 )
 
-// message is one in-flight point-to-point message: a Send's byte
-// payload, or a window put's float64 block.
+// message is one in-flight point-to-point message.
 type message struct {
 	src, tag int
 	b        []byte
-	f        []float64
-	// off is the destination element offset of a window put (tagPut
-	// messages only).
-	off int
 }
 
 // mailbox holds unmatched messages destined for one rank.
@@ -72,9 +61,8 @@ type kind string
 const (
 	kindBarrier   kind = "Barrier"
 	kindBcast     kind = "Bcast"
-	kindGatherV   kind = "GatherV"
 	kindLendV     kind = "LendV"
-	kindScatterV  kind = "ScatterV"
+	kindShareV    kind = "ShareV"
 	kindAllgather kind = "AllgatherU64"
 )
 
@@ -87,9 +75,7 @@ type slot struct {
 	word uint64
 	// b is root's Bcast payload, and a receiver's copy of it.
 	b []byte
-	// f is the rank's block (GatherV, LendV) or root's data (ScatterV);
-	// after a GatherV root's f is the gathered vector, after a ScatterV
-	// every rank's f is its block.
+	// f is the rank's lent or shared block.
 	f      []float64
 	counts []int
 	// err is the rank's own argument error (LendV).
@@ -239,120 +225,47 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the world size.
 func (p *Proc) Size() int { return p.w.size }
 
-func (p *Proc) checkDst(dst int) error {
-	if dst < 0 || dst >= p.w.size {
-		return fmt.Errorf("%w: dst %d of %d", ErrBadRank, dst, p.w.size)
-	}
-	return nil
-}
-
-func (p *Proc) send(dst int, m *message) error {
-	box := p.w.boxes[dst]
-	box.mu.Lock()
-	if box.closed {
-		box.mu.Unlock()
-		return ErrClosed
-	}
-	box.msgs = append(box.msgs, m)
-	box.cond.Broadcast()
-	box.mu.Unlock()
-	return nil
-}
-
 // Send delivers a byte payload to rank dst with the given tag. The
 // payload is copied; the caller keeps ownership of data.
 func (p *Proc) Send(dst, tag int, data []byte) error {
-	if err := p.checkDst(dst); err != nil {
-		return err
+	if dst < 0 || dst >= p.w.size {
+		return fmt.Errorf("%w: dst %d of %d", ErrBadRank, dst, p.w.size)
 	}
 	if tag < 0 {
 		return fmt.Errorf("%w: tag %d", ErrBadTag, tag)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return p.send(dst, &message{src: p.rank, tag: tag, b: cp})
+	m := &message{src: p.rank, tag: tag, b: append([]byte{}, data...)}
+	box := p.w.boxes[dst]
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	if box.closed {
+		return ErrClosed
+	}
+	box.msgs = append(box.msgs, m)
+	box.cond.Broadcast()
+	return nil
 }
 
-// PutF64 deposits data into rank dst's put queue together with a
-// destination element offset — the tagged-send emulation of the
-// one-sided window primitive. data is aliased, never copied: the
-// window discipline (no writer touches the source block between the
-// put and the closing FenceF64) is what makes that safe.
-func (p *Proc) PutF64(dst, off int, data []float64) error {
-	if err := p.checkDst(dst); err != nil {
-		return err
-	}
-	if off < 0 {
-		return fmt.Errorf("mp: negative put offset %d", off)
-	}
-	return p.send(dst, &message{src: p.rank, tag: tagPut, f: data, off: off})
-}
-
-// FenceF64 completes a put epoch: it drains the expected puts from
-// every other rank, landing each into window[off:off+len] with bounds
-// checking, then barriers — so when FenceF64 returns on every rank,
-// every put of the epoch has landed and a new epoch may begin.
-// expectFrom[src] is the number of puts rank src directed here;
-// expectFrom[p.Rank()] is ignored (self-puts are local copies above
-// this layer). The closing barrier is what keeps epochs from mixing:
-// no rank can start the next epoch's puts until every rank has drained
-// this one.
-func (p *Proc) FenceF64(window []float64, expectFrom []int) error {
-	if len(expectFrom) != p.w.size {
-		return fmt.Errorf("mp: FenceF64 expectFrom has %d entries for %d ranks",
-			len(expectFrom), p.w.size)
-	}
-	remaining := 0
-	for src, n := range expectFrom {
-		if src != p.rank {
-			remaining += n
-		}
-	}
-	for ; remaining > 0; remaining-- {
-		m, err := p.recvMatch(AnySource, tagPut)
-		if err != nil {
-			return err
-		}
-		end := m.off + len(m.f)
-		if end > len(window) {
-			return fmt.Errorf("mp: put [%d,%d) from rank %d exceeds window of %d elements",
-				m.off, end, m.src, len(window))
-		}
-		copy(window[m.off:end], m.f)
-	}
-	return p.Barrier()
-}
-
-// recvMatch blocks until a message matching (src, tag) is available in
-// this rank's mailbox and removes it. Wildcards AnySource/AnyTag match
-// anything but a window put. Matching is FIFO among eligible messages,
+// Recv blocks until a byte message from src with tag is in this rank's
+// mailbox, and removes it. Matching is FIFO among eligible messages,
 // which preserves MPI's non-overtaking guarantee per (source, tag)
 // pair.
-func (p *Proc) recvMatch(src, tag int) (*message, error) {
+func (p *Proc) Recv(src, tag int) ([]byte, Status, error) {
 	box := p.w.boxes[p.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	for {
 		if box.closed {
-			return nil, ErrClosed
+			return nil, Status{}, ErrClosed
 		}
 		for i, m := range box.msgs {
-			if (src == AnySource || m.src == src) && (m.tag == tag || tag == AnyTag && m.tag >= 0) {
+			if m.src == src && m.tag == tag {
 				box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
-				return m, nil
+				return m.b, Status{Source: src, Tag: tag}, nil
 			}
 		}
 		box.cond.Wait()
 	}
-}
-
-// Recv blocks until a byte message matching (src, tag) arrives.
-func (p *Proc) Recv(src, tag int) ([]byte, Status, error) {
-	m, err := p.recvMatch(src, tag)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	return m.b, Status{Source: m.src, Tag: m.tag}, nil
 }
 
 // enter writes s as this rank's contribution to its next round and
@@ -395,9 +308,8 @@ func (p *Proc) enter(s slot) (*round, error) {
 }
 
 // finish checks a round whose every slot is written and returns its
-// verdict. It also makes the copies that read another rank's memory,
-// so that no rank leaves the round while another still reads its
-// data.
+// verdict. It also copies root's broadcast payload, so that no rank
+// leaves the round while another still reads its data.
 func (rd *round) finish() error {
 	s0 := &rd.slots[0]
 	for r := range rd.slots {
@@ -414,35 +326,29 @@ func (rd *round) finish() error {
 				rd.slots[r].b = bytes.Clone(root.b)
 			}
 		}
-	case kindGatherV, kindLendV:
+	case kindLendV:
 		// Root's counts rule; the first failure in rank order wins.
-		total := 0
 		for r := range rd.slots {
 			s := &rd.slots[r]
 			if s.err != nil {
 				return s.err
 			}
 			if len(root.counts) == len(rd.slots) && len(s.f) != root.counts[r] {
-				return fmt.Errorf("mp: %s rank %d contributes %d elements, root's counts say %d",
-					s0.kind, r, len(s.f), root.counts[r])
+				return fmt.Errorf("mp: LendV rank %d lends %d elements, root's counts say %d",
+					r, len(s.f), root.counts[r])
 			}
-			total += len(s.f)
-		}
-		if s0.kind == kindGatherV {
-			out := make([]float64, 0, total)
-			for r := range rd.slots {
-				out = append(out, rd.slots[r].f...)
-			}
-			root.f = out
-		}
-	case kindScatterV:
-		data := root.f
-		for r, c := range root.counts {
-			rd.slots[r].f = append(make([]float64, 0, c), data[:c]...)
-			data = data[c:]
 		}
 	}
 	return nil
+}
+
+// blocks returns the round's lent or shared blocks, in rank order.
+func (rd *round) blocks() [][]float64 {
+	out := make([][]float64, len(rd.slots))
+	for r := range out {
+		out[r] = rd.slots[r].f
+	}
+	return out
 }
 
 // Barrier blocks until every rank has entered it: one round that
@@ -466,35 +372,15 @@ func (p *Proc) Bcast(root int, data []byte) ([]byte, error) {
 	return rd.slots[p.rank].b, nil
 }
 
-// GatherV gathers variable-size float64 blocks to root. counts[r] is
-// the number of elements rank r contributes; every rank must pass the
-// same counts. At root the return value is the concatenation in rank
-// order; at other ranks it is nil.
-func (p *Proc) GatherV(root int, local []float64, counts []int) ([]float64, error) {
-	if root < 0 || root >= p.w.size {
-		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
-	}
-	if len(counts) != p.w.size {
-		return nil, fmt.Errorf("mp: GatherV counts has %d entries for %d ranks", len(counts), p.w.size)
-	}
-	if len(local) != counts[p.rank] {
-		return nil, fmt.Errorf("mp: GatherV rank %d contributes %d elements, counts says %d",
-			p.rank, len(local), counts[p.rank])
-	}
-	rd, err := p.enter(slot{kind: kindGatherV, root: root, f: local, counts: counts})
-	if err != nil || p.rank != root {
-		return nil, err
-	}
-	return rd.slots[root].f, nil
-}
-
-// LendV is GatherV by reference: root receives every rank's block as a
+// LendV gathers by reference: root receives every rank's block as a
 // slice aliasing that rank's local, in rank order, and no element is
-// copied; other ranks return nil. Root may read and write the blocks;
-// a lender must leave its block alone from the call until it has passed
-// a later collective that root also enters. A rank whose arguments fail
-// validation, or whose block is not root's counts[r] long, fails the
-// call on every rank alike, instead of leaving the others blocked.
+// copied; other ranks return nil. counts[r] is the length of rank r's
+// block, and every rank must pass the same counts. Root may read and
+// write the blocks; a lender must leave its block alone from the call
+// until it has passed a later collective that root also enters. A rank
+// whose arguments fail validation, or whose block is not root's
+// counts[r] long, fails the call on every rank alike, instead of
+// leaving the others blocked.
 func (p *Proc) LendV(root int, local []float64, counts []int) ([][]float64, error) {
 	if root < 0 || root >= p.w.size {
 		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
@@ -511,37 +397,21 @@ func (p *Proc) LendV(root int, local []float64, counts []int) ([][]float64, erro
 	if err != nil || p.rank != root {
 		return nil, err
 	}
-	blocks := make([][]float64, p.w.size)
-	for r := range blocks {
-		blocks[r] = rd.slots[r].f
-	}
-	return blocks, nil
+	return rd.blocks(), nil
 }
 
-// ScatterV splits data at root into blocks of counts[r] elements and
-// delivers block r to rank r; every rank returns its block. data is
-// only read at root.
-func (p *Proc) ScatterV(root int, data []float64, counts []int) ([]float64, error) {
-	if root < 0 || root >= p.w.size {
-		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
-	}
-	if len(counts) != p.w.size {
-		return nil, fmt.Errorf("mp: ScatterV counts has %d entries for %d ranks", len(counts), p.w.size)
-	}
-	if p.rank == root {
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if len(data) != total {
-			return nil, fmt.Errorf("mp: ScatterV data has %d elements, counts sum to %d", len(data), total)
-		}
-	}
-	rd, err := p.enter(slot{kind: kindScatterV, root: root, f: data, counts: counts})
+// ShareV is LendV with every rank as root: every rank returns every
+// rank's block as a slice aliasing that rank's local, in rank order,
+// and no element is copied. The runtime checks nothing about the
+// blocks; what each rank may read or write of them, and until which
+// later collective, is the callers' agreement. A rank in ShareV and a
+// rank in LendV fail the round on every rank.
+func (p *Proc) ShareV(local []float64) ([][]float64, error) {
+	rd, err := p.enter(slot{kind: kindShareV, f: local})
 	if err != nil {
 		return nil, err
 	}
-	return rd.slots[p.rank].f, nil
+	return rd.blocks(), nil
 }
 
 // AllgatherU64 gathers one uint64 from every rank to every rank, in

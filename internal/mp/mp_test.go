@@ -109,66 +109,6 @@ func TestNonOvertaking(t *testing.T) {
 	}
 }
 
-func TestWildcards(t *testing.T) {
-	err := Run(3, func(p *Proc) error {
-		if p.Rank() != 0 {
-			return p.Send(0, p.Rank(), []byte{byte(p.Rank())})
-		}
-		seen := map[int]bool{}
-		for i := 0; i < 2; i++ {
-			b, st, err := p.Recv(AnySource, AnyTag)
-			if err != nil {
-				return err
-			}
-			if int(b[0]) != st.Source || st.Tag != st.Source {
-				return fmt.Errorf("bad status %+v for %v", st, b)
-			}
-			seen[st.Source] = true
-		}
-		if !seen[1] || !seen[2] {
-			return fmt.Errorf("missing sources: %v", seen)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecvSkipsWindowPuts: a window put shares the mailbox with Send's
-// messages, but no Recv takes it, not even one with both wildcards.
-func TestRecvSkipsWindowPuts(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			if err := p.PutF64(1, 0, []float64{1}); err != nil {
-				return err
-			}
-			if err := p.Send(1, 0, []byte("bytes")); err != nil {
-				return err
-			}
-			return p.FenceF64(nil, []int{0, 0})
-		}
-		b, st, err := p.Recv(AnySource, AnyTag)
-		if err != nil {
-			return err
-		}
-		if string(b) != "bytes" || st.Tag != 0 {
-			return fmt.Errorf("Recv took %q with tag %d", b, st.Tag)
-		}
-		window := make([]float64, 1)
-		if err := p.FenceF64(window, []int{1, 0}); err != nil {
-			return err
-		}
-		if window[0] != 1 {
-			return fmt.Errorf("put lost: window %v", window)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBadArguments(t *testing.T) {
 	w := MustWorld(2)
 	defer w.Close()
@@ -259,74 +199,6 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestGatherVScatterV(t *testing.T) {
-	counts := []int{3, 0, 2, 5}
-	total := 10
-	err := Run(4, func(p *Proc) error {
-		local := make([]float64, counts[p.Rank()])
-		base := 0
-		for r := 0; r < p.Rank(); r++ {
-			base += counts[r]
-		}
-		for i := range local {
-			local[i] = float64(base + i)
-		}
-		g, err := p.GatherV(0, local, counts)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			if len(g) != total {
-				return fmt.Errorf("gathered %d", len(g))
-			}
-			for i, v := range g {
-				if v != float64(i) {
-					return fmt.Errorf("gathered[%d] = %v", i, v)
-				}
-			}
-		} else if g != nil {
-			return fmt.Errorf("non-root got gather result")
-		}
-		// Scatter back and verify each rank recovers its block.
-		var data []float64
-		if p.Rank() == 0 {
-			data = g
-		}
-		s, err := p.ScatterV(0, data, counts)
-		if err != nil {
-			return err
-		}
-		if len(s) != counts[p.Rank()] {
-			return fmt.Errorf("scatter size %d", len(s))
-		}
-		for i, v := range s {
-			if v != float64(base+i) {
-				return fmt.Errorf("scatter[%d] = %v", i, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherVErrors(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			_, err := p.GatherV(0, []float64{1}, []int{2, 0})
-			if err == nil {
-				return fmt.Errorf("size mismatch accepted")
-			}
-			return nil
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllgatherU64(t *testing.T) {
 	err := Run(5, func(p *Proc) error {
 		got, err := p.AllgatherU64(uint64(p.Rank() * 100))
@@ -371,7 +243,7 @@ func TestRunPropagatesError(t *testing.T) {
 			return sentinel
 		}
 		// Other ranks block; Close must release them.
-		_, _, err := p.Recv(AnySource, AnyTag)
+		_, _, err := p.Recv(1, 0)
 		if errors.Is(err, ErrClosed) {
 			return nil
 		}
@@ -379,55 +251,6 @@ func TestRunPropagatesError(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-// Property: GatherV(ScatterV(x)) == x for random data and counts.
-func TestQuickScatterGatherInverse(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		size := 1 + r.Intn(6)
-		counts := make([]int, size)
-		total := 0
-		for i := range counts {
-			counts[i] = r.Intn(50)
-			total += counts[i]
-		}
-		data := make([]float64, total)
-		for i := range data {
-			data[i] = r.NormFloat64()
-		}
-		var back []float64
-		err := Run(size, func(p *Proc) error {
-			var in []float64
-			if p.Rank() == 0 {
-				in = data
-			}
-			blk, err := p.ScatterV(0, in, counts)
-			if err != nil {
-				return err
-			}
-			out, err := p.GatherV(0, blk, counts)
-			if err != nil {
-				return err
-			}
-			if p.Rank() == 0 {
-				back = out
-			}
-			return nil
-		})
-		if err != nil || len(back) != total {
-			return false
-		}
-		for i := range data {
-			if back[i] != data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -466,81 +289,6 @@ func TestQuickAllgatherConsistent(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPutFenceLandsAtOffsets drives the one-sided fallback primitive
-// directly: every rank puts its block into every other rank's window
-// at a rank-derived offset, and after FenceF64 each window holds the
-// full assembled vector.
-func TestPutFenceLandsAtOffsets(t *testing.T) {
-	const ranks, blk = 4, 8
-	err := Run(ranks, func(p *Proc) error {
-		window := make([]float64, ranks*blk)
-		local := make([]float64, blk)
-		for i := range local {
-			local[i] = float64(p.Rank()*blk + i)
-		}
-		for dst := 0; dst < ranks; dst++ {
-			if dst == p.Rank() {
-				copy(window[p.Rank()*blk:], local)
-				continue
-			}
-			if err := p.PutF64(dst, p.Rank()*blk, local); err != nil {
-				return err
-			}
-		}
-		expect := make([]int, ranks)
-		for i := range expect {
-			expect[i] = 1
-		}
-		if err := p.FenceF64(window, expect); err != nil {
-			return err
-		}
-		for i := range window {
-			if window[i] != float64(i) {
-				return fmt.Errorf("rank %d: window[%d] = %v", p.Rank(), i, window[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFencePutBoundsChecked(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			// Lands beyond rank 1's 4-element window.
-			return p.PutF64(1, 2, []float64{1, 2, 3})
-		}
-		err := p.FenceF64(make([]float64, 4), []int{1, 0})
-		if err == nil {
-			return fmt.Errorf("out-of-range put accepted")
-		}
-		return nil
-	})
-	// Rank 0 only puts (puts are buffered and never synchronize), and
-	// rank 1 fails out of the fence before its closing barrier — so
-	// neither rank blocks and Run surfaces only unexpected errors.
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPutFenceArgumentErrors(t *testing.T) {
-	err := Run(2, func(p *Proc) error {
-		if err := p.PutF64(0, -1, nil); err == nil && p.Rank() == 1 {
-			return fmt.Errorf("negative offset accepted")
-		}
-		if err := p.FenceF64(nil, []int{1}); err == nil {
-			return fmt.Errorf("short expectFrom accepted")
-		}
-		return nil
-	})
-	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -589,11 +337,56 @@ func TestLendVAliasesBlocks(t *testing.T) {
 	}
 }
 
+// TestShareVAliasesBlocks: every rank receives every rank's own slice,
+// in rank order, not a copy: a write through one rank's view is what
+// the owner reads after the next collective.
+func TestShareVAliasesBlocks(t *testing.T) {
+	counts := []int{2, 0, 3}
+	err := Run(3, func(p *Proc) error {
+		local := make([]float64, counts[p.Rank()])
+		blocks, err := p.ShareV(local)
+		if err != nil {
+			return err
+		}
+		if len(blocks) != len(counts) {
+			return fmt.Errorf("rank %d got %d blocks", p.Rank(), len(blocks))
+		}
+		for r, blk := range blocks {
+			if len(blk) != counts[r] {
+				return fmt.Errorf("rank %d: block %d has %d elements", p.Rank(), r, len(blk))
+			}
+		}
+		// Each rank writes element i of every block with i%3 == its rank.
+		for r, blk := range blocks {
+			for i := p.Rank(); i < len(blk); i += 3 {
+				blk[i] = float64(10*r + i)
+			}
+		}
+		if err := p.Barrier(); err != nil {
+			return err
+		}
+		for i, v := range local {
+			if v != float64(10*p.Rank()+i) {
+				return fmt.Errorf("rank %d local[%d] = %v: a peer wrote to a copy", p.Rank(), i, v)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCollectiveMismatchFails: ranks that enter different collectives,
 // or name different roots, share one round; it must fail on every rank
 // rather than pair them.
 func TestCollectiveMismatchFails(t *testing.T) {
+	counts := []int{1, 1}
 	cases := map[string][2]func(p *Proc) error{
+		"LendV against ShareV": {
+			func(p *Proc) error { _, err := p.LendV(0, []float64{1}, counts); return err },
+			func(p *Proc) error { _, err := p.ShareV([]float64{2}); return err },
+		},
 		"Bcast against Barrier": {
 			func(p *Proc) error { _, err := p.Bcast(0, []byte("x")); return err },
 			func(p *Proc) error { return p.Barrier() },
@@ -631,26 +424,23 @@ func TestCollectiveMismatchFails(t *testing.T) {
 // each is in, and again from the collective they call next. Under
 // -race it pins the order in enter: a rank woken by Close that goes on
 // to its next collective must not write its slot into the buffer that
-// a slower rank is still reading (AllgatherU64 and LendV's root read
-// every slot).
+// a slower rank is still reading (AllgatherU64, ShareV and LendV's
+// root read every slot).
 func TestCloseDuringCollectives(t *testing.T) {
 	const size = 4
 	counts := []int{3, 0, 2, 1}
-	step := func(p *Proc, i int, local, data []float64) error {
-		switch i % 6 {
+	step := func(p *Proc, i int, local []float64) error {
+		switch i % 5 {
 		case 0:
 			return p.Barrier()
 		case 1:
 			_, err := p.Bcast(i%size, []byte("payload"))
 			return err
 		case 2:
-			_, err := p.GatherV(0, local, counts)
+			_, err := p.ShareV(local)
 			return err
 		case 3:
 			_, err := p.LendV(1, local, counts)
-			return err
-		case 4:
-			_, err := p.ScatterV(2, data, counts)
 			return err
 		default:
 			_, err := p.AllgatherU64(uint64(i))
@@ -664,10 +454,9 @@ func TestCloseDuringCollectives(t *testing.T) {
 		for r := 0; r < size; r++ {
 			go func(p *Proc) {
 				local := make([]float64, counts[p.Rank()])
-				data := make([]float64, 6)
 				for i := 0; ; i++ {
-					if err := step(p, i, local, data); err != nil {
-						if again := step(p, i+1, local, data); !errors.Is(again, ErrClosed) {
+					if err := step(p, i, local); err != nil {
+						if again := step(p, i+1, local); !errors.Is(again, ErrClosed) {
 							err = fmt.Errorf("%v, then %v", err, again)
 						}
 						errc <- err

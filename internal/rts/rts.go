@@ -4,9 +4,10 @@
 // of the paper). PARDIS specified one such interface, covering the
 // functionality of message-passing runtimes (tested against MPI and
 // Tulip), and planned a second capturing one-sided runtimes as future
-// work. Thread carries one primitive of that second flavor, the put
-// window. MessagePassing adapts an mp.Proc (the MPI stand-in) to it,
-// emulating the window with tagged puts.
+// work. MessagePassing adapts an mp.Proc (the MPI stand-in) to Thread.
+// Thread moves doubles only by lending them: a collective hands root,
+// or every thread, references to the threads' own blocks, and whatever
+// copy a transfer needs is the caller's, out of or into those blocks.
 //
 // The ORB only ever sees the Thread interface, so an application built
 // on the runtime can be made into an SPMD object without rewriting its
@@ -36,20 +37,21 @@ type Thread interface {
 	// Bcast distributes root's byte payload to every thread. Root
 	// returns once every thread has entered it.
 	Bcast(root int, data []byte) ([]byte, error)
-	// GatherDoubles gathers counts[r] float64s from each thread r to
-	// root, concatenated in rank order; non-roots return nil.
-	GatherDoubles(root int, local []float64, counts []int) ([]float64, error)
-	// ScatterDoubles splits data at root into counts[r]-sized blocks
-	// and returns each thread its block.
-	ScatterDoubles(root int, data []float64, counts []int) ([]float64, error)
-	// LendDoubles is GatherDoubles by reference: root receives thread
-	// r's local as blocks[r], aliasing it — nothing is copied — and may
-	// read and write the blocks; non-roots return nil. A lender must not
-	// touch its block from the call until it has passed a later
-	// collective that root also enters. A thread whose local is not
-	// counts[r] long, or whose counts has the wrong shape, fails the call
-	// on every thread rather than blocking the others.
+	// LendDoubles gathers by reference: root receives thread r's
+	// local, counts[r] elements long, as blocks[r], aliasing it —
+	// nothing is copied — and may read and write the blocks; non-roots
+	// return nil. A lender must not touch its block from the call until
+	// it has passed a later collective that root also enters. A thread
+	// whose local is not counts[r] long, or whose counts has the wrong
+	// shape, fails the call on every thread rather than blocking the
+	// others.
 	LendDoubles(root int, local []float64, counts []int) ([][]float64, error)
+	// ShareDoubles is LendDoubles with every thread as root: every
+	// thread receives every thread's local, aliased, in rank order.
+	// Nothing is checked or copied; which thread may read or write
+	// which block, and until which later collective, is the callers'
+	// agreement.
+	ShareDoubles(local []float64) ([][]float64, error)
 	// AllgatherU64 gathers one uint64 per thread to all threads, in
 	// rank order. It backs the identical-scalar-argument check.
 	AllgatherU64(v uint64) ([]uint64, error)
@@ -58,31 +60,6 @@ type Thread interface {
 	SendBytes(dst, tag int, data []byte) error
 	// RecvBytes blocks until a payload matching (src, tag) arrives.
 	RecvBytes(src, tag int) ([]byte, error)
-	// ExposeWindow is the one-sided "put into remote window" primitive
-	// of the RTS flavor PARDIS left as future work. It is collective:
-	// every thread exposes its destination slice local for one epoch of
-	// puts. expectFrom[src] is the number of puts thread src will direct
-	// here (derived from the transfer plan); expectFrom[Rank()] is
-	// ignored. The slice is aliased until Fence.
-	ExposeWindow(local []float64, expectFrom []int) (Window, error)
-}
-
-// Window is one collectively exposed put epoch: between ExposeWindow
-// and Fence, every thread may Put element blocks into any thread's
-// exposed destination slice. Put ranges are bounds-checked against the
-// destination; the caller guarantees they are disjoint (the SPMD
-// transfer plan both sides computed partitions the destination index
-// space). Source blocks handed to Put and the exposed destination are
-// owned by the window until Fence returns: the runtime may alias both
-// without copying.
-type Window interface {
-	// Put writes data into thread dst's exposed slice at element
-	// offset off. Put to the calling thread's own rank copies
-	// directly.
-	Put(dst, off int, data []float64) error
-	// Fence completes the epoch. Collective: it returns only when
-	// every put of the epoch, from every thread, has landed.
-	Fence() error
 }
 
 // MessagePassing adapts an mp rank to the RTS interface. It is the
@@ -114,19 +91,14 @@ func (m *MessagePassing) Bcast(root int, data []byte) ([]byte, error) {
 	return m.proc.Bcast(root, data)
 }
 
-// GatherDoubles implements Thread.
-func (m *MessagePassing) GatherDoubles(root int, local []float64, counts []int) ([]float64, error) {
-	return m.proc.GatherV(root, local, counts)
-}
-
-// ScatterDoubles implements Thread.
-func (m *MessagePassing) ScatterDoubles(root int, data []float64, counts []int) ([]float64, error) {
-	return m.proc.ScatterV(root, data, counts)
-}
-
 // LendDoubles implements Thread.
 func (m *MessagePassing) LendDoubles(root int, local []float64, counts []int) ([][]float64, error) {
 	return m.proc.LendV(root, local, counts)
+}
+
+// ShareDoubles implements Thread.
+func (m *MessagePassing) ShareDoubles(local []float64) ([][]float64, error) {
+	return m.proc.ShareV(local)
 }
 
 // AllgatherU64 implements Thread.
@@ -145,41 +117,51 @@ func (m *MessagePassing) RecvBytes(src, tag int) ([]byte, error) {
 	return b, err
 }
 
-// mpWindow emulates a window with tagged puts: they ride mp's
-// always-buffered put queue (aliasing the source block — the epoch
-// discipline makes that race-free) and the fence drains the expected
-// counts into the exposed slice.
-type mpWindow struct {
-	m      *MessagePassing
-	local  []float64
-	expect []int
+// Window is one exposed put epoch of the one-sided flavor PARDIS left
+// as future work: between ExposeWindow and Fence, every thread may Put
+// element blocks into any thread's exposed slice. The caller guarantees
+// the puts of an epoch are disjoint (a transfer plan both sides
+// computed partitions the destination index space), and a thread reads
+// its own exposed slice only after Fence.
+type Window struct {
+	proc   *mp.Proc
+	blocks [][]float64
 }
 
-// ExposeWindow implements Thread. There is no true remote-memory
-// access between mp ranks, but the put queue still moves each block
-// with exactly one copy (receiver side) and zero encodes.
-func (m *MessagePassing) ExposeWindow(local []float64, expectFrom []int) (Window, error) {
+// ExposeWindow is collective: every thread exposes its destination
+// slice local for one epoch of puts, in one ShareDoubles round, so a
+// put is a copy straight into the peer's memory. expectFrom[src] is the
+// number of puts thread src directs here; only its shape is checked.
+// A put has landed when Put returns, so the fence has nothing to count.
+func (m *MessagePassing) ExposeWindow(local []float64, expectFrom []int) (*Window, error) {
 	if len(expectFrom) != m.proc.Size() {
 		return nil, fmt.Errorf("rts: ExposeWindow expectFrom has %d entries for %d threads",
 			len(expectFrom), m.proc.Size())
 	}
-	return &mpWindow{m: m, local: local, expect: expectFrom}, nil
-}
-
-// Put implements Window.
-func (w *mpWindow) Put(dst, off int, data []float64) error {
-	if dst == w.m.proc.Rank() {
-		if off < 0 || off+len(data) > len(w.local) {
-			return fmt.Errorf("rts: self put [%d,%d) exceeds window of %d elements",
-				off, off+len(data), len(w.local))
-		}
-		copy(w.local[off:], data)
-		return nil
+	blocks, err := m.proc.ShareV(local)
+	if err != nil {
+		return nil, err
 	}
-	return w.m.proc.PutF64(dst, off, data)
+	return &Window{proc: m.proc, blocks: blocks}, nil
 }
 
-// Fence implements Window.
-func (w *mpWindow) Fence() error { return w.m.proc.FenceF64(w.local, w.expect) }
+// Put copies data into thread dst's exposed slice at element offset
+// off. The source is free again when Put returns.
+func (w *Window) Put(dst, off int, data []float64) error {
+	if dst < 0 || dst >= len(w.blocks) {
+		return fmt.Errorf("%w: put to thread %d of %d", mp.ErrBadRank, dst, len(w.blocks))
+	}
+	blk := w.blocks[dst]
+	if off < 0 || off+len(data) > len(blk) {
+		return fmt.Errorf("rts: put [%d,%d) exceeds thread %d's window of %d elements",
+			off, off+len(data), dst, len(blk))
+	}
+	copy(blk[off:], data)
+	return nil
+}
+
+// Fence ends the epoch: a barrier, after which every put of the epoch,
+// from every thread, has landed and each thread may read its slice.
+func (w *Window) Fence() error { return w.proc.Barrier() }
 
 var _ Thread = (*MessagePassing)(nil)

@@ -1,6 +1,7 @@
 package rts_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -59,45 +60,49 @@ func TestBcast(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
+// TestShareDoubles is the all-root lend's conformance test: every
+// thread receives every thread's own slice, in rank order, and a
+// write through any thread's view is what the owner reads after the
+// next collective.
+func TestShareDoubles(t *testing.T) {
 	counts := []int{4, 1, 0, 3}
 	harness(t, 4, func(th rts.Thread) error {
-		base := 0
-		for r := 0; r < th.Rank(); r++ {
-			base += counts[r]
-		}
-		local := make([]float64, counts[th.Rank()])
+		rank := th.Rank()
+		local := make([]float64, counts[rank])
 		for i := range local {
-			local[i] = float64(base+i) * 1.5
+			local[i] = float64(10*rank + i)
 		}
-		g, err := th.GatherDoubles(0, local, counts)
+		blocks, err := th.ShareDoubles(local)
 		if err != nil {
 			return err
 		}
-		if th.Rank() == 0 {
-			if len(g) != 8 {
-				return fmt.Errorf("gathered %d elements", len(g))
+		if len(blocks) != len(counts) {
+			return fmt.Errorf("rank %d received %d blocks", rank, len(blocks))
+		}
+		for r, blk := range blocks {
+			if len(blk) != counts[r] {
+				return fmt.Errorf("rank %d: block %d has %d elements", rank, r, len(blk))
 			}
-			for i, v := range g {
-				if v != float64(i)*1.5 {
-					return fmt.Errorf("gathered[%d] = %v", i, v)
+			for i, v := range blk {
+				if v != float64(10*r+i) {
+					return fmt.Errorf("rank %d: block %d[%d] = %v", rank, r, i, v)
 				}
 			}
 		}
-		var data []float64
-		if th.Rank() == 0 {
-			data = g
-		}
-		s, err := th.ScatterDoubles(0, data, counts)
-		if err != nil {
+		// Every thread has read every block; thread r then negates
+		// its left-hand neighbour's block through the alias.
+		if err := th.Barrier(); err != nil {
 			return err
 		}
-		if len(s) != counts[th.Rank()] {
-			return fmt.Errorf("scattered %d elements, want %d", len(s), counts[th.Rank()])
+		for i, v := range blocks[(rank+3)%4] {
+			blocks[(rank+3)%4][i] = -v
 		}
-		for i, v := range s {
-			if v != float64(base+i)*1.5 {
-				return fmt.Errorf("scattered[%d] = %v", i, v)
+		if err := th.Barrier(); err != nil {
+			return err
+		}
+		for i, v := range local {
+			if v != -float64(10*rank+i) {
+				return fmt.Errorf("rank %d: local[%d] = %v after the neighbour's write", rank, i, v)
 			}
 		}
 		return nil
@@ -148,13 +153,14 @@ func TestSingleThreadSection(t *testing.T) {
 		if err := th.Barrier(); err != nil {
 			return err
 		}
-		g, err := th.GatherDoubles(0, []float64{1, 2}, []int{2})
-		if err != nil || len(g) != 2 {
-			return fmt.Errorf("gather: %v %v", g, err)
+		local := []float64{1, 2}
+		lent, err := th.LendDoubles(0, local, []int{2})
+		if err != nil || len(lent) != 1 || &lent[0][0] != &local[0] {
+			return fmt.Errorf("lend: %v %v", lent, err)
 		}
-		s, err := th.ScatterDoubles(0, g, []int{2})
-		if err != nil || len(s) != 2 || s[1] != 2 {
-			return fmt.Errorf("scatter: %v %v", s, err)
+		shared, err := th.ShareDoubles(local)
+		if err != nil || len(shared) != 1 || &shared[0][1] != &local[1] {
+			return fmt.Errorf("share: %v %v", shared, err)
 		}
 		return nil
 	})
@@ -216,11 +222,12 @@ func TestMessagePassingExposesProc(t *testing.T) {
 // exposes a window expecting one put from each peer, scatters its
 // block into every thread's window (including a self-put) at
 // rank-derived offsets, and after the fence each window must hold the
-// fully assembled vector; the message-passing adapter lands the puts
-// through its buffered put queue.
+// fully assembled vector; each put copies straight into the peer's
+// exposed slice.
 func TestWindowPutFence(t *testing.T) {
 	const blk = 8
 	harness(t, 3, func(th rts.Thread) error {
+		mpth := th.(*rts.MessagePassing)
 		size, rank := th.Size(), th.Rank()
 		window := make([]float64, size*blk)
 		local := make([]float64, blk)
@@ -233,7 +240,7 @@ func TestWindowPutFence(t *testing.T) {
 				expect[i] = 1
 			}
 		}
-		w, err := th.ExposeWindow(window, expect)
+		w, err := mpth.ExposeWindow(window, expect)
 		if err != nil {
 			return err
 		}
@@ -256,17 +263,28 @@ func TestWindowPutFence(t *testing.T) {
 
 func TestWindowArgumentErrors(t *testing.T) {
 	harness(t, 2, func(th rts.Thread) error {
-		if _, err := th.ExposeWindow(make([]float64, 4), []int{1}); err == nil {
+		mpth := th.(*rts.MessagePassing)
+		if _, err := mpth.ExposeWindow(make([]float64, 4), []int{1}); err == nil {
 			return fmt.Errorf("expectFrom of wrong length accepted")
 		}
-		// A clean epoch with no remote puts: a self-put beyond the
-		// window must fail without poisoning the fence.
-		w, err := th.ExposeWindow(make([]float64, 4), make([]int, th.Size()))
+		// A clean epoch: puts beyond a window, to a thread that does
+		// not exist or at a negative offset must fail without poisoning
+		// the fence.
+		w, err := mpth.ExposeWindow(make([]float64, 4), make([]int, th.Size()))
 		if err != nil {
 			return err
 		}
 		if err := w.Put(th.Rank(), 3, []float64{1, 2}); err == nil {
 			return fmt.Errorf("out-of-range self put accepted")
+		}
+		if err := w.Put(1-th.Rank(), 3, []float64{1, 2}); err == nil {
+			return fmt.Errorf("out-of-range remote put accepted")
+		}
+		if err := w.Put(2, 0, []float64{1}); !errors.Is(err, mp.ErrBadRank) {
+			return fmt.Errorf("put to thread 2 of 2: %v", err)
+		}
+		if err := w.Put(th.Rank(), -1, []float64{1}); err == nil {
+			return fmt.Errorf("negative offset accepted")
 		}
 		if err := w.Put(th.Rank(), 0, []float64{1}); err != nil {
 			return err

@@ -15,6 +15,7 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/mp"
 	"pardis/internal/rts"
+	"pardis/internal/telemetry"
 )
 
 // countingThread counts the RTS calls a thread has completed, by kind.
@@ -59,19 +60,14 @@ func (c *countingThread) Bcast(root int, data []byte) ([]byte, error) {
 	return c.Thread.Bcast(root, data)
 }
 
-func (c *countingThread) GatherDoubles(root int, local []float64, counts []int) ([]float64, error) {
-	defer c.done("gather")
-	return c.Thread.GatherDoubles(root, local, counts)
-}
-
-func (c *countingThread) ScatterDoubles(root int, data []float64, counts []int) ([]float64, error) {
-	defer c.done("scatter")
-	return c.Thread.ScatterDoubles(root, data, counts)
-}
-
 func (c *countingThread) LendDoubles(root int, local []float64, counts []int) ([][]float64, error) {
 	defer c.done("lend")
 	return c.Thread.LendDoubles(root, local, counts)
+}
+
+func (c *countingThread) ShareDoubles(local []float64) ([][]float64, error) {
+	defer c.done("share")
+	return c.Thread.ShareDoubles(local)
 }
 
 func (c *countingThread) AllgatherU64(v uint64) ([]uint64, error) {
@@ -276,6 +272,70 @@ func TestKeptAgreementHandler(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// TestHandlerPanicFailsInvocation: a handler that panics on one server
+// thread, the communicator or a worker, fails that invocation on every
+// thread and at the caller as a returned error does, under both
+// methods, and counts as a server panic; the object serves on, and its
+// next invocation succeeds.
+func TestHandlerPanicFailsInvocation(t *testing.T) {
+	ops := func(th rts.Thread) map[string]*Op {
+		return map[string]*Op{
+			"diffusion": {
+				Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}},
+				Handler: func(call *Call) error {
+					victim, err := call.Scalars.Long()
+					if err != nil {
+						return err
+					}
+					if int(victim) == call.Thread.Rank() {
+						panic("handler blew up")
+					}
+					return nil
+				},
+			},
+		}
+	}
+	reg := newReg()
+	obj := startObject(t, reg, 4, true, ops)
+	defer obj.close()
+	for _, method := range []TransferMethod{Centralized, MultiPort} {
+		for _, victim := range []int32{0, 2} {
+			t.Run(fmt.Sprintf("%v/thread%d", method, victim), func(t *testing.T) {
+				before := telemetry.Default.CounterValue("pardis_server_panics_total")
+				runClient(t, reg, 2, method, obj.ref, func(b *Binding, th rts.Thread) error {
+					seq, err := dseq.NewDoubles(1000, dist.Block(), th.Size(), th.Rank())
+					if err != nil {
+						return err
+					}
+					invoke := func(victim int32) error {
+						p, err := b.InvokeAsync(context.Background(), &CallSpec{
+							Operation: "diffusion",
+							Scalars:   func(e *cdr.Encoder) { e.PutLong(victim) },
+							Args:      []DistArg{{Mode: InOut, Seq: seq}},
+						})
+						if err == nil {
+							err = p.Wait(context.Background())
+						}
+						return err
+					}
+					err = invoke(victim)
+					if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), fmt.Sprintf("thread %d", victim)) {
+						return fmt.Errorf("client thread %d got %v, want ErrRemote naming server thread %d",
+							th.Rank(), err, victim)
+					}
+					if err := invoke(-1); err != nil {
+						return fmt.Errorf("next invocation: %w", err)
+					}
+					return nil
+				})
+				if got := telemetry.Default.CounterValue("pardis_server_panics_total") - before; got != 1 {
+					t.Errorf("%d panics counted, want 1", got)
+				}
+			})
+		}
 	}
 }
 

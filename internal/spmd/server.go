@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -935,7 +936,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		flag := ctrl.Scalars[0]
 		call.Scalars = cdr.NewDecoderAt(cdr.ByteOrder(flag&1), ctrl.Scalars[1:], 1)
 	}
-	herr := op.Handler(call)
+	herr := o.runHandler(op, call)
 	if err := o.agree(herr); err != nil {
 		return nil, err
 	}
@@ -986,6 +987,27 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		return nil, nil
 	}
 	return &replyWire{Scalars: call.reply.Bytes(), Args: replyArgs}, nil
+}
+
+// runHandler runs op's handler on this rank. A panic becomes the rank's
+// error for the handler agreement, as a returned error would: the
+// invocation fails on every rank and at the caller, and the object
+// serves on. It counts in pardis_server_panics_total under the
+// object's key. A panic inside a collective that the handler itself
+// entered leaves its peers in that collective; recovering here does
+// not free them.
+func (o *Object) runHandler(op *Op, call *Call) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			telemetry.Default.Counter("pardis_server_panics_total", "key", o.cfg.Key).Inc()
+			if telemetry.LogEnabled(slog.LevelError) {
+				telemetry.Logger().Error("spmd handler panic",
+					"key", o.cfg.Key, "op", call.Op, "thread", o.rank, "panic", fmt.Sprint(p))
+			}
+			err = fmt.Errorf("spmd: handler panic on thread %d: %v", o.rank, p)
+		}
+	}()
+	return op.Handler(call)
 }
 
 // argBlock returns this rank's n-element local block of distributed

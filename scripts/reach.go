@@ -79,8 +79,10 @@ var allow = map[string]entry{
 	"spmd.Object.BlockStats":             {harness, "bench/ reports spmd.pending_blocks", []string{"orb", "spmd"}, ""},
 	"core.Domain.Resolver":               {harness, "the invoke_named workload resolves through the domain's agent resolver", []string{"core"}, ""},
 	"dseq.Doubles.Redistribute":          {harness, "bench/layers.go measures dseq.redistribute_MBps", []string{"dseq"}, ""},
-	"dseq.GatherDoubles":                 {harness, "bench/layers.go measures dseq.gather_MBps (ROADMAP item 2(e))", []string{"dseq"}, ""},
-	"dseq.ScatterDoubles":                {harness, "bench/layers.go measures dseq.scatter_MBps (ROADMAP item 2(e))", []string{"dseq"}, ""},
+	"dseq.GatherDoubles":                 {harness, "bench/layers.go measures dseq.gather_MBps (ROADMAP item 16)", []string{"dseq"}, ""},
+	"dseq.ScatterDoubles":                {harness, "bench/layers.go measures dseq.scatter_MBps (ROADMAP item 16)", []string{"dseq"}, ""},
+	"rts.MessagePassing.ExposeWindow":    {harness, "bench/layers.go measures rts.window_put_MBps (ROADMAP item 16)", []string{"rts"}, ""},
+	"rts.Window.Fence":                   {harness, "bench/layers.go measures rts.window_put_MBps (ROADMAP item 16)", []string{"rts"}, ""},
 	"rts.MessagePassing.Proc":            {harness, "bench/layers.go times mp under the rts adapter", []string{"rts"}, ""},
 	"spmd.DefaultAutoTune":               {harness, "bench/ reports tune.auto_tune", []string{"spmd"}, ""},
 	"spmd.ResolvedXferChunkBytes":        {harness, "bench/ reports tune.xfer_chunk_bytes", []string{"spmd"}, ""},
