@@ -2,10 +2,13 @@
 // set of ranks exchanging tagged point-to-point byte messages, plus the
 // collective operations (barrier, broadcast, lend, share, allgather)
 // that PARDIS's argument transfer relies on. Doubles move only by
-// lending: LendV hands root every rank's block by reference, ShareV
-// hands every rank every rank's block, and no element is copied inside
-// the runtime; the gather or scatter "as part of marshaling" (paper
-// §3.2) is the caller's copy out of, or into, the lent blocks.
+// reference: LendV hands root every rank's block, ShareV hands every
+// rank every rank's block, and BcastV, its dual, hands every rank the
+// blocks root keeps for it; no element is copied inside the runtime,
+// and the gather or scatter "as part of marshaling" (paper §3.2) is the
+// caller's copy out of, or into, the blocks. AgreeLendV fuses a lend
+// with an agreement on one word, so that a call's consistency check and
+// its lend cost one round.
 //
 // The original PARDIS evaluation used MPICH 1.0.12 compiled for shared
 // memory as the run-time system underlying both client and server; mp
@@ -64,21 +67,37 @@ const (
 	kindLendV     kind = "LendV"
 	kindShareV    kind = "ShareV"
 	kindAllgather kind = "AllgatherU64"
+	kindBcastV    kind = "BcastV"
+	kindAgreeLend kind = "AgreeLendV"
 )
+
+// Disagreement is the error of an AgreeLendV round in which rank Rank,
+// the lowest such, passed a word other than root's. Every rank of the
+// round returns it.
+type Disagreement struct {
+	Rank int
+}
+
+func (e *Disagreement) Error() string {
+	return fmt.Sprintf("mp: rank %d's word differs from root's", e.Rank)
+}
 
 // slot is one rank's contribution to a round and, once the round
 // completes, its result.
 type slot struct {
 	kind kind
 	root int
-	// word is AllgatherU64's value.
-	word uint64
+	// word is AllgatherU64's value, or the word AgreeLendV checks; val
+	// is root's AgreeLendV value.
+	word, val uint64
 	// b is root's Bcast payload, and a receiver's copy of it.
 	b []byte
 	// f is the rank's lent or shared block.
 	f      []float64
 	counts []int
-	// err is the rank's own argument error (LendV).
+	// table is root's BcastV blocks, table[r] rank r's.
+	table [][][]float64
+	// err is the rank's own argument error (LendV, AgreeLendV, BcastV).
 	err error
 }
 
@@ -320,23 +339,41 @@ func (rd *round) finish() error {
 	}
 	root := &rd.slots[s0.root]
 	switch s0.kind {
-	case kindBcast:
+	case kindBcast, kindBcastV:
+		if root.err != nil {
+			return root.err
+		}
 		for r := range rd.slots {
 			if r != s0.root {
 				rd.slots[r].b = bytes.Clone(root.b)
 			}
 		}
-	case kindLendV:
-		// Root's counts rule; the first failure in rank order wins.
+	case kindAgreeLend:
+		// The words first: ranks that disagree may lend different shapes.
 		for r := range rd.slots {
-			s := &rd.slots[r]
-			if s.err != nil {
-				return s.err
+			if rd.slots[r].word != root.word {
+				return &Disagreement{Rank: r}
 			}
-			if len(root.counts) == len(rd.slots) && len(s.f) != root.counts[r] {
-				return fmt.Errorf("mp: LendV rank %d lends %d elements, root's counts say %d",
-					r, len(s.f), root.counts[r])
-			}
+		}
+		return rd.checkLend(root.counts)
+	case kindLendV:
+		return rd.checkLend(root.counts)
+	}
+	return nil
+}
+
+// checkLend checks a lend round against root's counts: the first
+// failure in rank order wins. Counts of the wrong shape were failed by
+// their rank; nil counts lend nothing.
+func (rd *round) checkLend(counts []int) error {
+	for r := range rd.slots {
+		s := &rd.slots[r]
+		if s.err != nil {
+			return s.err
+		}
+		if len(counts) == len(rd.slots) && len(s.f) != counts[r] {
+			return fmt.Errorf("mp: rank %d lends %d elements, root's counts say %d",
+				r, len(s.f), counts[r])
 		}
 	}
 	return nil
@@ -372,6 +409,33 @@ func (p *Proc) Bcast(root int, data []byte) ([]byte, error) {
 	return rd.slots[p.rank].b, nil
 }
 
+// BcastV is Bcast that also scatters by reference, the dual of LendV:
+// root passes table, one block list per rank, and every rank returns
+// root's payload (root its own data, every other rank a copy) and
+// table[r], aliasing root's blocks — nothing is copied. A nil table
+// hands out nothing. The table is root's again once every rank has
+// returned; which rank may touch which block, and until which later
+// collective, is the callers' agreement. Root returns only once every
+// rank has entered the round.
+func (p *Proc) BcastV(root int, data []byte, table [][][]float64) ([]byte, [][]float64, error) {
+	if root < 0 || root >= p.w.size {
+		return nil, nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
+	}
+	var bad error
+	if p.rank == root && table != nil && len(table) != p.w.size {
+		bad = fmt.Errorf("mp: BcastV table has %d entries for %d ranks", len(table), p.w.size)
+	}
+	rd, err := p.enter(slot{kind: kindBcastV, root: root, b: data, table: table, err: bad})
+	if err != nil {
+		return nil, nil, err
+	}
+	var mine [][]float64
+	if t := rd.slots[root].table; t != nil {
+		mine = t[p.rank]
+	}
+	return rd.slots[p.rank].b, mine, nil
+}
+
 // LendV gathers by reference: root receives every rank's block as a
 // slice aliasing that rank's local, in rank order, and no element is
 // copied; other ranks return nil. counts[r] is the length of rank r's
@@ -385,19 +449,54 @@ func (p *Proc) LendV(root int, local []float64, counts []int) ([][]float64, erro
 	if root < 0 || root >= p.w.size {
 		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
 	}
-	var bad error
-	switch {
-	case len(counts) != p.w.size:
-		bad = fmt.Errorf("mp: LendV counts has %d entries for %d ranks", len(counts), p.w.size)
-	case len(local) != counts[p.rank]:
-		bad = fmt.Errorf("mp: LendV rank %d lends %d elements, counts says %d",
-			p.rank, len(local), counts[p.rank])
-	}
-	rd, err := p.enter(slot{kind: kindLendV, root: root, f: local, counts: counts, err: bad})
+	rd, err := p.enter(slot{kind: kindLendV, root: root, f: local, counts: counts,
+		err: p.checkLendArgs(local, counts)})
 	if err != nil || p.rank != root {
 		return nil, err
 	}
 	return rd.blocks(), nil
+}
+
+// AgreeLendV is LendV fused with an agreement on one word, in one
+// round. Every rank passes word; the round fails on every rank with a
+// *Disagreement naming the lowest rank whose word differs from root's,
+// before any block is checked. Root also passes val, which every rank
+// returns. local and counts are LendV's; a round that lends nothing
+// passes nil for both on every rank. A rank in AgreeLendV and a rank in
+// LendV fail the round on every rank.
+func (p *Proc) AgreeLendV(root int, word, val uint64, local []float64, counts []int) ([][]float64, uint64, error) {
+	if root < 0 || root >= p.w.size {
+		return nil, 0, fmt.Errorf("%w: root %d", ErrBadRank, root)
+	}
+	var bad error
+	if counts != nil {
+		bad = p.checkLendArgs(local, counts)
+	} else if len(local) != 0 {
+		bad = fmt.Errorf("mp: AgreeLendV rank %d lends %d elements with no counts", p.rank, len(local))
+	}
+	rd, err := p.enter(slot{kind: kindAgreeLend, root: root, word: word, val: val,
+		f: local, counts: counts, err: bad})
+	if err != nil {
+		return nil, 0, err
+	}
+	val = rd.slots[root].val
+	if p.rank != root || counts == nil {
+		return nil, val, nil
+	}
+	return rd.blocks(), val, nil
+}
+
+// checkLendArgs checks one rank's lend arguments: counts has an entry
+// per rank, and local is this rank's count long.
+func (p *Proc) checkLendArgs(local []float64, counts []int) error {
+	switch {
+	case len(counts) != p.w.size:
+		return fmt.Errorf("mp: lend counts has %d entries for %d ranks", len(counts), p.w.size)
+	case len(local) != counts[p.rank]:
+		return fmt.Errorf("mp: rank %d lends %d elements, counts says %d",
+			p.rank, len(local), counts[p.rank])
+	}
+	return nil
 }
 
 // ShareV is LendV with every rank as root: every rank returns every

@@ -337,6 +337,118 @@ func TestLendVAliasesBlocks(t *testing.T) {
 	}
 }
 
+// TestBcastVHandsOutBlocks: every rank receives root's payload and the
+// blocks root keeps for it, aliased, not copied: what a rank writes
+// through them is what root reads after the next collective. A nil table
+// hands out nothing, and a table of the wrong shape fails every rank.
+func TestBcastVHandsOutBlocks(t *testing.T) {
+	const size = 3
+	table := make([][][]float64, size)
+	for r := range table {
+		table[r] = [][]float64{make([]float64, r+1), make([]float64, 2)}
+	}
+	err := Run(size, func(p *Proc) error {
+		var data [][][]float64
+		if p.Rank() == 1 {
+			data = table
+		}
+		payload, mine, err := p.BcastV(1, []byte("ctrl"), data)
+		if err != nil {
+			return err
+		}
+		if string(payload) != "ctrl" {
+			return fmt.Errorf("rank %d: payload %q", p.Rank(), payload)
+		}
+		if len(mine) != 2 || len(mine[0]) != p.Rank()+1 {
+			return fmt.Errorf("rank %d: handed %d blocks", p.Rank(), len(mine))
+		}
+		for _, blk := range mine {
+			for i := range blk {
+				blk[i] = float64(10*p.Rank() + i)
+			}
+		}
+		if err := p.Barrier(); err != nil {
+			return err
+		}
+		if p.Rank() == 1 {
+			for r := range table {
+				for k, blk := range table[r] {
+					for i, v := range blk {
+						if v != float64(10*r+i) {
+							return fmt.Errorf("table[%d][%d][%d] = %v: rank %d wrote to a copy", r, k, i, v, r)
+						}
+					}
+				}
+			}
+		}
+		if _, mine, err := p.BcastV(1, nil, nil); err != nil || mine != nil {
+			return fmt.Errorf("rank %d: nil table handed %v, %v", p.Rank(), mine, err)
+		}
+		if p.Rank() == 1 {
+			data = table[:2]
+		}
+		if _, _, err := p.BcastV(1, nil, data); err == nil {
+			return fmt.Errorf("rank %d accepted a table of 2 entries for 3 ranks", p.Rank())
+		}
+		return p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAgreeLendVChecksWordsFirst: ranks that pass root's word lend to
+// root and every rank returns root's value; a rank whose word differs
+// fails the round on every rank with a Disagreement naming the lowest
+// such rank, even when the ranks also lend different shapes, and the
+// world stays usable. A round may lend nothing.
+func TestAgreeLendVChecksWordsFirst(t *testing.T) {
+	counts := []int{2, 0, 3}
+	err := Run(3, func(p *Proc) error {
+		local := make([]float64, counts[p.Rank()])
+		for i := range local {
+			local[i] = float64(10*p.Rank() + i)
+		}
+		blocks, val, err := p.AgreeLendV(0, 7, uint64(100+p.Rank()), local, counts)
+		if err != nil {
+			return err
+		}
+		if val != 100 {
+			return fmt.Errorf("rank %d: val %d, want root's 100", p.Rank(), val)
+		}
+		if p.Rank() == 0 {
+			for r, blk := range blocks {
+				if len(blk) != counts[r] || (len(blk) > 0 && blk[0] != float64(10*r)) {
+					return fmt.Errorf("root got block %d = %v", r, blk)
+				}
+			}
+		} else if blocks != nil {
+			return fmt.Errorf("rank %d: non-root got blocks", p.Rank())
+		}
+		if blocks, val, err := p.AgreeLendV(0, 7, 5, nil, nil); err != nil || blocks != nil || val != 5 {
+			return fmt.Errorf("rank %d: lending nothing returned %v, %d, %v", p.Rank(), blocks, val, err)
+		}
+		// Ranks 1 and 2 disagree, and rank 2 lends a block root's counts
+		// do not expect: the words are checked first.
+		word, mine := uint64(7), local
+		if p.Rank() > 0 {
+			word = uint64(p.Rank())
+		}
+		if p.Rank() == 2 {
+			mine = mine[:1]
+		}
+		_, _, err = p.AgreeLendV(0, word, 0, mine, counts)
+		var d *Disagreement
+		if !errors.As(err, &d) || d.Rank != 1 {
+			return fmt.Errorf("rank %d: err = %v, want a Disagreement naming rank 1", p.Rank(), err)
+		}
+		return p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShareVAliasesBlocks: every rank receives every rank's own slice,
 // in rank order, not a copy: a write through one rank's view is what
 // the owner reads after the next collective.
@@ -391,6 +503,14 @@ func TestCollectiveMismatchFails(t *testing.T) {
 			func(p *Proc) error { _, err := p.Bcast(0, []byte("x")); return err },
 			func(p *Proc) error { return p.Barrier() },
 		},
+		"BcastV against Bcast": {
+			func(p *Proc) error { _, _, err := p.BcastV(0, []byte("x"), nil); return err },
+			func(p *Proc) error { _, err := p.Bcast(0, nil); return err },
+		},
+		"AgreeLendV against LendV": {
+			func(p *Proc) error { _, _, err := p.AgreeLendV(0, 1, 0, []float64{1}, counts); return err },
+			func(p *Proc) error { _, err := p.LendV(0, []float64{2}, counts); return err },
+		},
 		"Bcast roots differ": {
 			func(p *Proc) error { _, err := p.Bcast(0, []byte("x")); return err },
 			func(p *Proc) error { _, err := p.Bcast(1, []byte("y")); return err },
@@ -425,12 +545,13 @@ func TestCollectiveMismatchFails(t *testing.T) {
 // -race it pins the order in enter: a rank woken by Close that goes on
 // to its next collective must not write its slot into the buffer that
 // a slower rank is still reading (AllgatherU64, ShareV and LendV's
-// root read every slot).
+// root read every slot, and BcastV's ranks root's table).
 func TestCloseDuringCollectives(t *testing.T) {
 	const size = 4
 	counts := []int{3, 0, 2, 1}
+	table := make([][][]float64, size)
 	step := func(p *Proc, i int, local []float64) error {
-		switch i % 5 {
+		switch i % 7 {
 		case 0:
 			return p.Barrier()
 		case 1:
@@ -441,6 +562,12 @@ func TestCloseDuringCollectives(t *testing.T) {
 			return err
 		case 3:
 			_, err := p.LendV(1, local, counts)
+			return err
+		case 4:
+			_, _, err := p.BcastV(2, []byte("payload"), table)
+			return err
+		case 5:
+			_, _, err := p.AgreeLendV(3, 9, uint64(i), local, counts)
 			return err
 		default:
 			_, err := p.AllgatherU64(uint64(i))
@@ -492,9 +619,11 @@ type costedCollective struct {
 func costedCollectives(size int) []costedCollective {
 	counts := make([]int, size)
 	locals := make([][]float64, size)
+	table := make([][][]float64, size)
 	for r := range counts {
 		counts[r] = 4
 		locals[r] = make([]float64, 4)
+		table[r] = [][]float64{locals[r]}
 	}
 	payload := make([]byte, 64)
 	onRoot := func(n int) func(int) int {
@@ -514,6 +643,13 @@ func costedCollectives(size int) []costedCollective {
 			func(int) int { return 1 }},
 		// The block table at root; a lender allocates nothing.
 		{"LendV", func(p *Proc) error { _, err := p.LendV(0, locals[p.Rank()], counts); return err }, onRoot(1)},
+		// Bcast's copies; the blocks are root's, handed out by reference.
+		{"BcastV", func(p *Proc) error { _, _, err := p.BcastV(0, payload, table); return err }, onRoot(0)},
+		// LendV's table at root; the word and the value cost nothing.
+		{"AgreeLendV", func(p *Proc) error {
+			_, _, err := p.AgreeLendV(0, 42, 7, locals[p.Rank()], counts)
+			return err
+		}, onRoot(1)},
 	}
 }
 

@@ -5,9 +5,10 @@
 // functionality of message-passing runtimes (tested against MPI and
 // Tulip), and planned a second capturing one-sided runtimes as future
 // work. MessagePassing adapts an mp.Proc (the MPI stand-in) to Thread.
-// Thread moves doubles only by lending them: a collective hands root,
-// or every thread, references to the threads' own blocks, and whatever
-// copy a transfer needs is the caller's, out of or into those blocks.
+// Thread moves doubles only by reference: a collective hands root, or
+// every thread, references to the threads' own blocks, or hands every
+// thread the blocks root keeps for it, and whatever copy a transfer
+// needs is the caller's, out of or into those blocks.
 //
 // The ORB only ever sees the Thread interface, so an application built
 // on the runtime can be made into an SPMD object without rewriting its
@@ -37,6 +38,13 @@ type Thread interface {
 	// Bcast distributes root's byte payload to every thread. Root
 	// returns once every thread has entered it.
 	Bcast(root int, data []byte) ([]byte, error)
+	// BcastDoubles is Bcast that also hands each thread its blocks by
+	// reference, the dual of LendDoubles: root passes table, one block
+	// list per thread, and thread r returns table[r], aliasing root's
+	// storage, beside the payload. A nil table hands out nothing. Which
+	// thread may touch which block, and until which later collective,
+	// is the callers' agreement.
+	BcastDoubles(root int, data []byte, table [][][]float64) ([]byte, [][]float64, error)
 	// LendDoubles gathers by reference: root receives thread r's
 	// local, counts[r] elements long, as blocks[r], aliasing it —
 	// nothing is copied — and may read and write the blocks; non-roots
@@ -46,6 +54,13 @@ type Thread interface {
 	// shape, fails the call on every thread rather than blocking the
 	// others.
 	LendDoubles(root int, local []float64, counts []int) ([][]float64, error)
+	// AgreeLendDoubles is LendDoubles fused with an agreement on one
+	// word, in one round: every thread passes word, and the call fails
+	// on every thread with an *mp.Disagreement naming the lowest thread
+	// whose word differs from root's, before any block is checked. Root
+	// also passes val, which every thread returns. A call that lends
+	// nothing passes nil local and counts on every thread.
+	AgreeLendDoubles(root int, word, val uint64, local []float64, counts []int) ([][]float64, uint64, error)
 	// ShareDoubles is LendDoubles with every thread as root: every
 	// thread receives every thread's local, aliased, in rank order.
 	// Nothing is checked or copied; which thread may read or write
@@ -89,6 +104,16 @@ func (m *MessagePassing) Barrier() error { return m.proc.Barrier() }
 // Bcast implements Thread.
 func (m *MessagePassing) Bcast(root int, data []byte) ([]byte, error) {
 	return m.proc.Bcast(root, data)
+}
+
+// BcastDoubles implements Thread.
+func (m *MessagePassing) BcastDoubles(root int, data []byte, table [][][]float64) ([]byte, [][]float64, error) {
+	return m.proc.BcastV(root, data, table)
+}
+
+// AgreeLendDoubles implements Thread.
+func (m *MessagePassing) AgreeLendDoubles(root int, word, val uint64, local []float64, counts []int) ([][]float64, uint64, error) {
+	return m.proc.AgreeLendV(root, word, val, local, counts)
 }
 
 // LendDoubles implements Thread.

@@ -88,7 +88,10 @@ func TestCentralizedLargeRequestsLand(t *testing.T) {
 // dispatch code and must not pay for any of this in allocation count;
 // its payload moves caller's slice → socket → object's block. Both get
 // the same ceiling: 64 KiB per operation, process-wide (one dispatch
-// block per rank per operation alone was 1 MiB).
+// block per rank per operation alone was 1 MiB). A small blocking
+// centralized invocation — xfer_multiport_small's shape — has its own
+// row: its count is all fixed cost, so an invoke goroutine or a
+// collective added back to it shows.
 func TestCentralizedAllocBudget(t *testing.T) {
 	const (
 		doubles = 1 << 17
@@ -102,11 +105,21 @@ func TestCentralizedAllocBudget(t *testing.T) {
 		// after a collection.
 		multiPortMallocs = 375
 		// centralizedMallocs is the centralized variant's, measured at
-		// 190-191 once an invocation ran three collectives per client
-		// thread and five per server thread (236 before), plus 2 %.
-		centralizedMallocs = 195
+		// 126-127 once an invocation ran two collectives per client thread
+		// and two per server thread (138-139 with three and five, 190-191
+		// before the collectives became shared-memory rounds), plus 2 %.
+		centralizedMallocs = 130
+		// smallMallocs is a blocking 1 Ki-double inout invocation's,
+		// measured at 118.8-118.9 once it ran two collectives per client
+		// thread and two per server thread, its request sent on the
+		// caller's goroutine (137.8-137.9 with the invoke goroutine and
+		// three and five), plus one. The margin is below what either
+		// costs back: the goroutine's future, context and closure are
+		// four, and every collective but a barrier allocates at least one
+		// result per rank.
+		smallMallocs = 120
 	)
-	perOp := func(method TransferMethod) (bytes, mallocs float64) {
+	perOp := func(method TransferMethod, doubles int, blocking bool) (bytes, mallocs float64) {
 		reg := newReg()
 		obj := startObject(t, reg, 4, true, diffusionOps)
 		defer obj.close()
@@ -130,6 +143,12 @@ func TestCentralizedAllocBudget(t *testing.T) {
 						runtime.ReadMemStats(&before)
 					}
 				}
+				if blocking {
+					if err := b.Invoke(context.Background(), spec); err != nil {
+						return err
+					}
+					continue
+				}
 				// InvokeAsync keeps each binding's method: the payload is
 				// below the crossover, where Invoke would send the
 				// multi-port twin centralized.
@@ -148,20 +167,24 @@ func TestCentralizedAllocBudget(t *testing.T) {
 		})
 		return float64(after.TotalAlloc-before.TotalAlloc) / ops, float64(after.Mallocs-before.Mallocs) / ops
 	}
-	bytes, cMallocs := perOp(Centralized)
+	bytes, cMallocs := perOp(Centralized, doubles, false)
 	if bytes > 64<<10 {
 		t.Errorf("centralized: %.0f B/op allocated, ceiling %d", bytes, 64<<10)
 	}
 	if cMallocs > centralizedMallocs {
 		t.Errorf("centralized: %.0f allocations/op, ceiling %d", cMallocs, centralizedMallocs)
 	}
-	mpBytes, mallocs := perOp(MultiPort)
-	t.Logf("centralized %.0f B/op (payload %d B) in %.0f allocations/op; multi-port %.0f B/op in %.0f allocations/op",
-		bytes, doubles*8, cMallocs, mpBytes, mallocs)
+	mpBytes, mallocs := perOp(MultiPort, doubles, false)
+	_, sMallocs := perOp(Centralized, 1<<10, true)
+	t.Logf("centralized %.0f B/op (payload %d B) in %.0f allocations/op; multi-port %.0f B/op in %.0f allocations/op; small blocking %.1f allocations/op",
+		bytes, doubles*8, cMallocs, mpBytes, mallocs, sMallocs)
 	if mallocs > multiPortMallocs {
 		t.Errorf("multi-port: %.0f allocations/op, ceiling %d", mallocs, multiPortMallocs)
 	}
 	if mpBytes > 64<<10 {
 		t.Errorf("multi-port: %.0f B/op allocated, ceiling %d", mpBytes, 64<<10)
+	}
+	if sMallocs > smallMallocs {
+		t.Errorf("small blocking centralized: %.1f allocations/op, ceiling %d", sMallocs, smallMallocs)
 	}
 }

@@ -335,7 +335,12 @@ func (b *Binding) Close() {
 // derives that choice from the same global lengths and modes, which the
 // signature agreement has checked, so it costs no message. PARDIS's
 // Figure 4: multi-port pays a fixed cost per invocation and wins only
-// once the payload amortises it.
+// once the payload amortises it. A blocking invocation that travels
+// Centralized writes its request on the communicator's calling
+// goroutine, straight from the threads' lent blocks, and the reply lands
+// in them on the connection's read goroutine, which wakes the caller;
+// one that travels MultiPort, whose puts flow while the request waits,
+// writes it on a goroutine of its own, as InvokeAsync does.
 func (b *Binding) Invoke(ctx context.Context, spec *CallSpec) error {
 	p, err := b.start(ctx, spec, true)
 	if err != nil {
@@ -400,19 +405,21 @@ type Pending struct {
 
 	// lent is non-nil on every thread exactly when the invocation
 	// travels Centralized (Binding.methodFor): it carries the
-	// invocation's method, which a field of its own would carry at the
-	// cost of the next allocation size class. On the communicator,
-	// lent[i] holds every thread's local block of centralized argument
-	// i: the invoke goroutine writes the request from them on each
-	// attempt (spliced, not copied, in the host's order) and the reply
-	// lands in them (LandReply) before the goroutine learns of it, so
-	// the goroutine must have exited before Wait's status broadcast
-	// hands the blocks back to their threads.
+	// invocation's method. On the communicator, lent[i] holds every
+	// thread's local block of centralized argument i: invoke writes the
+	// request from them on each attempt (spliced, not copied, in the
+	// host's order) and the reply lands in them (LandReply) before invoke
+	// returns, so invoke must have returned before Wait's status
+	// broadcast hands the blocks back to their threads.
 	lent [][][]float64
-	// Communicator only. fut resolves when the invoke goroutine exits;
-	// stop cancels it.
-	fut  *future.Future[orb.Reply]
-	stop context.CancelFunc
+	// Communicator only. A blocking centralized invocation's outcome,
+	// which invoke returned on the caller's goroutine; any other runs
+	// invoke on a goroutine of its own, which fut resolves when it exits
+	// and stop cancels.
+	reply    orb.Reply
+	replyErr error
+	fut      *future.Future[orb.Reply]
+	stop     context.CancelFunc
 }
 
 // centralized reports whether the invocation travels Centralized.
@@ -508,16 +515,6 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		}
 	}
 	sig := mp.HashBytes(sigSrc.Bytes())
-	sigs, err := b.th.AllgatherU64(sig)
-	if err != nil {
-		return nil, err
-	}
-	for r, s := range sigs {
-		if s != sigs[0] {
-			return nil, fmt.Errorf("%w: thread %d invoked with different operation or scalars",
-				ErrInconsistent, r)
-		}
-	}
 
 	// The communicator allocates the invocation id. Only its request
 	// header reads a centralized one; a multi-port one also keys the
@@ -527,14 +524,68 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 	if b.rank == 0 {
 		inv = b.oc.NewInvocationID()
 	}
-	if method == MultiPort {
-		invs, err := b.th.AllgatherU64(inv)
-		if err != nil {
-			return nil, err
-		}
-		inv = invs[0]
-	}
 	p := &Pending{b: b, spec: spec}
+
+	// The communicator's request describes every argument; rank 0 also
+	// lends with the client counts it carries.
+	var w *invocationWire
+	if b.rank == 0 {
+		w = &invocationWire{Method: method, Scalars: scalarBytes,
+			Args: make([]*argWire, len(spec.Args))}
+		for i, a := range spec.Args {
+			aw := &argWire{
+				Mode:         a.Mode,
+				Length:       a.Seq.Len(),
+				ClientCounts: a.Seq.Layout().Counts(),
+			}
+			if method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
+				aw.ClientEndpoints = b.allEndpoints
+			}
+			w.Args[i] = aw
+		}
+	}
+
+	// One round verifies that all threads agree on the signature (§2.1's
+	// identical-values contract, checked rather than undefined) and
+	// starts the transfer. Centralized — "the distributed arguments are
+	// gathered and scattered by the communicators of the client and
+	// server as part of the marshaling or unmarshaling process" (§3.2):
+	// every thread lends the communicator its local block of each
+	// argument, the first in this round, to marshal the request from and
+	// unmarshal the reply into; the lend ends at Wait's status broadcast.
+	// Multi-port: the round hands every thread rank 0's invocation id.
+	// Threads that disagree may have chosen different methods, and so
+	// lend different shapes; the signature is checked first.
+	var first []float64
+	var firstCounts []int
+	if method == Centralized && len(spec.Args) > 0 {
+		first, firstCounts = spec.Args[0].Seq.LocalData(), p.lendCounts(0, w)
+	}
+	blocks, inv, err := b.th.AgreeLendDoubles(0, sig, inv, first, firstCounts)
+	if d := (*mp.Disagreement)(nil); errors.As(err, &d) {
+		return nil, fmt.Errorf("%w: thread %d invoked with different operation or scalars",
+			ErrInconsistent, d.Rank)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if method == Centralized {
+		p.lent = make([][][]float64, len(spec.Args))
+		for i, a := range spec.Args {
+			if i > 0 {
+				if blocks, err = b.th.LendDoubles(0, a.Seq.LocalData(), p.lendCounts(i, w)); err != nil {
+					return nil, err
+				}
+			}
+			p.lent[i] = blocks
+			if a.Mode != Out {
+				b.stats.bytesOut.Add(uint64(a.Seq.LocalLen()) * 8)
+				if w != nil {
+					w.Args[i].Blocks = blocks
+				}
+			}
+		}
+	}
 
 	// Server-side layouts for planning.
 	serverLayouts := make([]dist.Layout, len(spec.Args))
@@ -575,54 +626,6 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		}
 	}
 
-	// The communicator's request describes every argument; rank 0 also
-	// lends with the client counts it carries.
-	var w *invocationWire
-	if b.rank == 0 {
-		w = &invocationWire{Method: method, Scalars: scalarBytes,
-			Args: make([]*argWire, len(spec.Args))}
-		for i, a := range spec.Args {
-			aw := &argWire{
-				Mode:         a.Mode,
-				Length:       a.Seq.Len(),
-				ClientCounts: a.Seq.Layout().Counts(),
-			}
-			if method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
-				aw.ClientEndpoints = b.allEndpoints
-			}
-			w.Args[i] = aw
-		}
-	}
-
-	// Centralized — "the distributed arguments are gathered and scattered
-	// by the communicators of the client and server as part of the
-	// marshaling or unmarshaling process" (§3.2): every thread lends the
-	// communicator its local block of each argument, to marshal the
-	// request from and unmarshal the reply into. The lend ends at Wait's
-	// status broadcast.
-	if method == Centralized {
-		p.lent = make([][][]float64, len(spec.Args))
-		for i, a := range spec.Args {
-			var counts []int
-			if w != nil {
-				counts = w.Args[i].ClientCounts
-			} else {
-				counts = a.Seq.Layout().Counts()
-			}
-			blocks, err := b.th.LendDoubles(0, a.Seq.LocalData(), counts)
-			if err != nil {
-				return nil, err
-			}
-			p.lent[i] = blocks
-			if a.Mode != Out {
-				b.stats.bytesOut.Add(uint64(a.Seq.LocalLen()) * 8)
-				if w != nil {
-					w.Args[i].Blocks = blocks
-				}
-			}
-		}
-	}
-
 	// The communicator issues the request.
 	if b.rank == 0 {
 		hdr := giop.RequestHeader{
@@ -633,10 +636,6 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 			ThreadRank:       0,
 			ThreadCount:      int32(b.size),
 		}
-		fut, resolver := future.New[orb.Reply]()
-		p.fut = fut
-		ictx, stop := context.WithCancel(ctx)
-		p.stop = stop
 		// A reference invocation rather than a pinned communicator
 		// endpoint: for a conventional (Threads==1) object it fails over
 		// across every replica endpoint; for an SPMD object the failover
@@ -644,32 +643,29 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		// attempt, which only reads the lent blocks, and writes each
 		// attempt's request straight from them; an OK reply lands through
 		// p on the connection's read goroutine.
-		go func() {
-			r, err := b.oc.InvokeRefLanding(ictx, b.ref, hdr, w.encode, p)
-			if err != nil {
-				resolver.Reject(err)
-				return
-			}
-			switch {
-			case r.Landed, spec.Oneway:
-				resolver.Resolve(r) // a landed reply's Body is Wait's status envelope
-				return
-			case r.Header.Status == giop.ReplySystemException:
-				if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr != nil {
-					err = fmt.Errorf("%w: undecodable system exception", ErrRemote)
-				} else {
-					err = fmt.Errorf("%w: %v", ErrRemote, ex)
+		if blocking && method == Centralized {
+			// The caller waits for the reply at once, and no put has to
+			// flow meanwhile: the request goes on the caller's goroutine,
+			// and the reply's landing wakes it directly.
+			p.reply, p.replyErr = p.invoke(ctx, hdr, w)
+		} else {
+			fut, resolver := future.New[orb.Reply]()
+			ictx, stop := context.WithCancel(ctx)
+			p.fut, p.stop = fut, stop
+			go func() {
+				r, err := p.invoke(ictx, hdr, w)
+				if err != nil {
+					resolver.Reject(err)
+					return
 				}
-			default:
-				err = fmt.Errorf("%w: reply status %v", ErrRemote, r.Header.Status)
-			}
-			resolver.Reject(err)
-		}()
+				resolver.Resolve(r)
+			}()
+		}
 	}
 
-	// A centralized invocation has no send phase: the communicator's
-	// invoke goroutine sends the request, and its failure travels in
-	// Wait's status broadcast.
+	// A centralized invocation has no send phase: the communicator has
+	// sent the request, or its invoke goroutine sends it, and its failure
+	// travels in Wait's status broadcast.
 	if method == Centralized {
 		return p, nil
 	}
@@ -704,6 +700,36 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 	return p, nil
 }
 
+// lendCounts returns the counts this thread lends argument i's block
+// with: its layout's, or on the communicator those its request w
+// carries, which rule the lend.
+func (p *Pending) lendCounts(i int, w *invocationWire) []int {
+	if w != nil {
+		return w.Args[i].ClientCounts
+	}
+	return p.spec.Args[i].Seq.Layout().Counts()
+}
+
+// invoke sends the request on the communicator and returns its reply:
+// one that landed, or a oneway's; any other reply is an error.
+func (p *Pending) invoke(ctx context.Context, hdr giop.RequestHeader, w *invocationWire) (orb.Reply, error) {
+	r, err := p.b.oc.InvokeRefLanding(ctx, p.b.ref, hdr, w.encode, p)
+	switch {
+	case err != nil:
+	case r.Landed, p.spec.Oneway:
+		return r, nil // a landed reply's Body is Wait's status envelope
+	case r.Header.Status == giop.ReplySystemException:
+		if ex, derr := giop.DecodeSystemException(cdr.NewDecoder(r.Order, r.Body)); derr != nil {
+			err = fmt.Errorf("%w: undecodable system exception", ErrRemote)
+		} else {
+			err = fmt.Errorf("%w: %v", ErrRemote, ex)
+		}
+	default:
+		err = fmt.Errorf("%w: reply status %v", ErrRemote, r.Header.Status)
+	}
+	return orb.Reply{}, err
+}
+
 // sendBlocks ships this client thread's share of an in transfer,
 // chunked and windowed, as one-sided puts into the windows the server's
 // ranks registered (see sendPlanPuts).
@@ -726,12 +752,16 @@ func (p *Pending) abandon() {
 	}
 }
 
-// awaitReply returns the invoke goroutine's outcome on the
-// communicator, and only once that goroutine has exited: when ctx ends
-// first the invocation is cancelled and joined (a reply that made it
-// regardless is left to the garbage collector). The caller owns a
+// awaitReply returns the invocation's outcome on the communicator: the
+// one invoke returned on the caller's goroutine, or the invoke
+// goroutine's, and that only once the goroutine has exited: when ctx
+// ends first the invocation is cancelled and joined (a reply that made
+// it regardless is left to the garbage collector). The caller owns a
 // returned reply.
 func (p *Pending) awaitReply(ctx context.Context) (orb.Reply, error) {
+	if p.fut == nil {
+		return p.reply, p.replyErr
+	}
 	r, err := p.fut.GetContext(ctx)
 	p.stop()
 	<-p.fut.Done()

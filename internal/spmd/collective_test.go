@@ -60,6 +60,16 @@ func (c *countingThread) Bcast(root int, data []byte) ([]byte, error) {
 	return c.Thread.Bcast(root, data)
 }
 
+func (c *countingThread) BcastDoubles(root int, data []byte, table [][][]float64) ([]byte, [][]float64, error) {
+	defer c.done("bcastv")
+	return c.Thread.BcastDoubles(root, data, table)
+}
+
+func (c *countingThread) AgreeLendDoubles(root int, word, val uint64, local []float64, counts []int) ([][]float64, uint64, error) {
+	defer c.done("agreelend")
+	return c.Thread.AgreeLendDoubles(root, word, val, local, counts)
+}
+
 func (c *countingThread) LendDoubles(root int, local []float64, counts []int) ([][]float64, error) {
 	defer c.done("lend")
 	return c.Thread.LendDoubles(root, local, counts)
@@ -122,20 +132,20 @@ func TestCollectivesPerInvocation(t *testing.T) {
 		server  map[string]int
 	}{
 		{name: "centralized", binding: Centralized,
-			client: map[string]int{"allgather": 1, "lend": 1, "bcast": 1},
-			server: map[string]int{"bcast": 1, "lend": 2, "allgather": 2}},
+			client: map[string]int{"agreelend": 1, "bcast": 1},
+			server: map[string]int{"bcastv": 1, "allgather": 1}},
 		{name: "multi-port binding below the crossover", binding: MultiPort,
-			client: map[string]int{"allgather": 1, "lend": 1, "bcast": 1},
-			server: map[string]int{"bcast": 1, "lend": 2, "allgather": 2}},
+			client: map[string]int{"agreelend": 1, "bcast": 1},
+			server: map[string]int{"bcastv": 1, "allgather": 1}},
 		{name: "multi-port", binding: MultiPort, async: true,
-			client: map[string]int{"allgather": 4, "bcast": 1, "barrier": 1},
-			server: map[string]int{"bcast": 1, "allgather": 3}},
+			client: map[string]int{"agreelend": 1, "allgather": 2, "bcast": 1, "barrier": 1},
+			server: map[string]int{"bcastv": 1, "allgather": 3}},
 		{name: "centralized oneway", binding: Centralized, oneway: true,
-			client: map[string]int{"allgather": 1, "lend": 1, "barrier": 1},
-			server: map[string]int{"bcast": 1, "lend": 1, "allgather": 2}},
+			client: map[string]int{"agreelend": 1, "barrier": 1},
+			server: map[string]int{"bcastv": 1, "allgather": 1}},
 		{name: "multi-port oneway", binding: MultiPort, async: true, oneway: true,
-			client: map[string]int{"allgather": 3, "barrier": 1},
-			server: map[string]int{"bcast": 1, "allgather": 3}},
+			client: map[string]int{"agreelend": 1, "allgather": 1, "barrier": 1},
+			server: map[string]int{"bcastv": 1, "allgather": 3}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			reg := newReg()
@@ -223,7 +233,7 @@ func TestCollectivesPerInvocation(t *testing.T) {
 				<-obj.donech
 			}
 			want := maps.Clone(c.server)
-			want["bcast"]++ // the closing control broadcast
+			want["bcastv"]++ // the closing control broadcast
 			for r, ct := range srvTh {
 				if got := ct.take(); !maps.Equal(got, want) {
 					t.Errorf("server thread %d completed %v, want %v (with the closing broadcast)", r, got, want)
@@ -415,6 +425,85 @@ func TestOnewayQueuedBeforeNextCall(t *testing.T) {
 			if n != k {
 				return fmt.Errorf("thread %d: the call after oneway %d saw %d of them", th.Rank(), k, n)
 			}
+		}
+		return nil
+	})
+}
+
+// blockOwnershipRun drives invocations of "check" — one inout argument
+// of n doubles whose every element is the invocation's number k — from a
+// two-thread client to a three-thread object, back to back. Each
+// server thread's handler is handler(k, its block); the client checks
+// the reply doubled every element.
+func blockOwnershipRun(t *testing.T, handler func(k float64, blk []float64) error) {
+	t.Helper()
+	const n = 3 << 10
+	ops := func(th rts.Thread) map[string]*Op {
+		return map[string]*Op{"check": {
+			Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}},
+			Handler: func(call *Call) error {
+				k, err := call.Scalars.Double()
+				if err != nil {
+					return err
+				}
+				return handler(k, call.Args[0].LocalData())
+			},
+		}}
+	}
+	reg := newReg()
+	obj := startObject(t, reg, 3, false, ops)
+	defer obj.close()
+	runClient(t, reg, 2, Centralized, obj.ref, func(b *Binding, th rts.Thread) error {
+		seq, err := dseq.NewDoubles(n, dist.Block(), th.Size(), th.Rank())
+		if err != nil {
+			return err
+		}
+		for k := 1.0; k <= 40; k++ {
+			seq.FillIndexed(func(int) float64 { return k })
+			if err := b.Invoke(context.Background(), &CallSpec{Operation: "check",
+				Scalars: func(e *cdr.Encoder) { e.PutDouble(k) },
+				Args:    []DistArg{{Mode: InOut, Seq: seq}}}); err != nil {
+				return fmt.Errorf("invocation %v: %w", k, err)
+			}
+			for i, v := range seq.LocalData() {
+				if v != 2*k {
+					return fmt.Errorf("thread %d invocation %v: [%d] = %v, want %v", th.Rank(), k, i, v, 2*k)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// TestBlockOwnershipWorkerSpan pins the worker half of the argument
+// blocks' ownership rule (DESIGN.md §10): a worker touches the block
+// root handed it only between the control broadcast and the handler
+// agreement. Root stages each request in every rank's block while the
+// workers wait in the broadcast, so under -race a worker that reads its
+// block outside the span — before the broadcast, say, or after the
+// agreement — races root's landing of the next request.
+func TestBlockOwnershipWorkerSpan(t *testing.T) {
+	blockOwnershipRun(t, func(k float64, blk []float64) error {
+		for i := range blk {
+			blk[i] *= 2
+		}
+		return nil
+	})
+}
+
+// TestBlockOwnershipRootOutsideSpan pins the root half: root writes a
+// rank's block only outside that span, landing each request before the
+// control broadcast hands the blocks over. Every server thread's
+// handler checks the in-data it was handed, so a root that landed after
+// the broadcast fails it — under -race always, as a race with the
+// handler's reads, and without it whenever a handler is early.
+func TestBlockOwnershipRootOutsideSpan(t *testing.T) {
+	blockOwnershipRun(t, func(k float64, blk []float64) error {
+		for i, v := range blk {
+			if v != k {
+				return fmt.Errorf("[%d] = %v on entry to invocation %v", i, v, k)
+			}
+			blk[i] = 2 * v
 		}
 		return nil
 	})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -268,15 +269,18 @@ func window(b []float64) []float64 {
 	return w[: len(w)/2+fuzzReqGuard : len(w)/2+fuzzReqGuard]
 }
 
-// seed hands every rank a fresh block window per argument.
+// seed hands every rank a fresh block window per argument, in the
+// table of blocks the communicator keeps for every rank.
 func (f *requestFixture) seed() {
 	for _, b := range f.backing {
 		for i := range b {
 			b[i] = landingGuard
 		}
 	}
-	for r, o := range f.obj.threadObjects() {
-		o.argBlocks = [][]float64{window(f.backing[2*r]), window(f.backing[2*r+1])}
+	comm := f.obj.threadObjects()[0]
+	comm.argBlocks = make([][][]float64, len(f.obj.threadObjects()))
+	for r := range comm.argBlocks {
+		comm.argBlocks[r] = [][]float64{window(f.backing[2*r]), window(f.backing[2*r+1])}
 	}
 }
 
@@ -527,6 +531,50 @@ func FuzzDescribeWire(f *testing.F) {
 		}
 		if again.digest() != w.digest() {
 			t.Fatal("an accepted description changes its digest across a re-encode")
+		}
+	})
+}
+
+// FuzzDecodeControl feeds forged control records to the decoder every
+// worker runs on the control broadcast's payload. It must not panic or
+// allocate for an argument count the record cannot hold, and a record
+// it accepts must re-encode to bytes that decode to an equal record.
+func FuzzDecodeControl(f *testing.F) {
+	args := []controlArg{
+		{Mode: In, Length: 10, ClientCounts: []int{5, 5}},
+		{Mode: InOut, Length: 7, ClientCounts: []int{3, 4}, ClientEndpoints: []string{"inproc:a", "inproc:b"}},
+		{Mode: Out, Length: 0, ClientCounts: []int{0}},
+	}
+	for _, c := range []*control{
+		{OK: true, Op: "diffusion", Inv: 1, Scalars: []byte{0, 0, 0, 0, 1}, Args: args[:1]},
+		{OK: true, Op: "pair", Inv: 2, Method: MultiPort, Args: args[:2]},
+		{OK: true, Op: "mix", Inv: 3, Args: args},
+		{OK: false},
+		{OK: true, Refused: true, Inv: 0xABCDE12345},
+		{OK: true, Op: "diffusion", Inv: 4, DeadlineMicros: 1500, Args: args[1:2]},
+	} {
+		e := cdr.NewEncoder(cdr.BigEndian)
+		c.encode(e)
+		f.Add(e.Bytes())
+	}
+	e := cdr.NewEncoder(cdr.BigEndian)
+	(&control{OK: true, Op: "x"}).encode(e)
+	b := e.Bytes()
+	f.Add(append(b[:len(b)-4:len(b)-4], 0xff, 0xff, 0xff, 0xff)) // 2^32-1 arguments announced
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := decodeControl(cdr.NewDecoder(cdr.BigEndian, raw))
+		if err != nil {
+			return
+		}
+		e := cdr.NewEncoder(cdr.BigEndian)
+		c.encode(e)
+		again, err := decodeControl(cdr.NewDecoder(cdr.BigEndian, e.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted record re-encodes to bytes the decoder refuses: %v", err)
+		}
+		if !reflect.DeepEqual(again, c) {
+			t.Fatalf("an accepted record changes across a re-encode: %+v, then %+v", c, again)
 		}
 	})
 }

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"pardis/internal/cdr"
+	"pardis/internal/dist"
+	"pardis/internal/dseq"
 	"pardis/internal/giop"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
@@ -541,8 +544,9 @@ func TestCentralizedLandingParkedAtClose(t *testing.T) {
 
 // TestFaultCentralizedRequestCutMidLanding cuts the client's connection
 // half-way through the elements of a request that the communicator is
-// landing in its threads' blocks. Every rank's dispatch fails phase 1
-// together — none is stranded in a collective — and forgets its
+// landing in its threads' blocks. The communicator lands before the
+// control broadcast, so its dispatch fails alone — no worker is engaged,
+// let alone stranded in a collective — and it forgets every rank's
 // argument blocks. The request was written but no reply was framed, so
 // the client retries it (DESIGN.md §8's safe-to-retry window) on a new
 // connection, where it lands whole, and the next invocation returns the
@@ -588,11 +592,92 @@ func TestFaultCentralizedRequestCutMidLanding(t *testing.T) {
 		t.Fatalf("want one cut connection and one redial, got %+v", st)
 	}
 	for rank, o := range obj.threadObjects() {
-		if st := o.Stats(); st.Failed != 1 || st.Served != 3 {
-			t.Fatalf("rank %d: %+v, want the torn dispatch failed and the retry and the next one served", rank, st)
+		want := ObjectStats{Served: 2}
+		if rank == 0 {
+			want = ObjectStats{Served: 3, Failed: 1}
+		}
+		if st := o.Stats(); st != want {
+			t.Fatalf("rank %d: %+v, want %+v: the torn dispatch failed on the communicator alone, and the retry and the next one served", rank, st, want)
 		}
 	}
 	if err := obj.noLeak(noLeak); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplyToGoneClientKeepsServing: a client that closes its binding
+// while its centralized invocation is in the handler leaves the
+// communicator a reply it cannot write. That ends the invocation, not
+// the object: no serve loop returns, and a fresh binding's invocation
+// is served.
+func TestReplyToGoneClientKeepsServing(t *testing.T) {
+	for _, ep := range []string{"inproc:*", "tcp:127.0.0.1:0"} {
+		t.Run(strings.Split(ep, ":")[0], func(t *testing.T) {
+			entered, release := make(chan struct{}, 1), make(chan struct{})
+			reg := newReg()
+			obj := startObjectCfg(t, reg, 2, false, slowOps(entered, release), func(cfg *ObjectConfig) {
+				cfg.ListenEndpoint = ep
+			})
+			defer obj.close()
+			gone := make(chan error, 1)
+			go func() {
+				gone <- mp.Run(1, func(proc *mp.Proc) error {
+					b, err := Bind(context.Background(), BindConfig{
+						Thread: rts.NewMessagePassing(proc), Registry: reg, Method: Centralized,
+					}, obj.ref)
+					if err != nil {
+						return err
+					}
+					go func() {
+						<-entered
+						b.Close()
+					}()
+					seq, err := dseq.NewDoubles(8, dist.Block(), 1, 0)
+					if err != nil {
+						return err
+					}
+					if err := b.Invoke(context.Background(), &CallSpec{Operation: "slow",
+						Args: []DistArg{{Mode: InOut, Seq: seq}}}); err == nil {
+						return errors.New("an invocation whose binding closed under it succeeded")
+					}
+					return nil
+				})
+			}()
+			if err := <-gone; err != nil {
+				t.Fatal(err)
+			}
+			// Let the server see the connection go before the reply is
+			// written into it.
+			time.Sleep(50 * time.Millisecond)
+			close(release)
+
+			done := make(chan error, 1)
+			go func() {
+				done <- mp.Run(2, func(proc *mp.Proc) error {
+					th := rts.NewMessagePassing(proc)
+					b, err := Bind(context.Background(), BindConfig{Thread: th, Registry: reg, Method: Centralized}, obj.ref)
+					if err != nil {
+						return err
+					}
+					defer b.Close()
+					return invokeDiffusion(b, th, 64, 1)
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("the next client's invocation: %v", err)
+				}
+			case err := <-obj.donech:
+				t.Fatalf("a serve loop returned %v", err)
+			case <-time.After(5 * time.Second):
+				t.Fatal("the next client's invocation was not served within 5s")
+			}
+			select {
+			case err := <-obj.donech:
+				t.Fatalf("a serve loop returned %v", err)
+			default:
+			}
+		})
 	}
 }

@@ -106,10 +106,19 @@ type Object struct {
 	served atomic.Uint64
 	failed atomic.Uint64
 
-	// argBlocks[i] is the storage behind this rank's local block of
-	// distributed argument i, kept from one dispatch to the next (see
-	// argBlock). Touched only by the rank's serve loop.
-	argBlocks [][]float64
+	// The object's argument blocks, root's alone (DESIGN.md §10, "Argument
+	// blocks belong to the object"): argBlocks[r][i] is the storage behind
+	// rank r's local block of distributed argument i, kept from one
+	// dispatch to the next (argBlock). For the invocation being
+	// dispatched, table[r] lists rank r's blocks as the control broadcast
+	// hands them to it, and byArg[i] argument i's blocks in rank order, as
+	// the request lands in them and the reply is written from them. server
+	// and client are the invocation's layouts, as root checked them at pop
+	// and each worker recomputes them from the control record.
+	argBlocks      [][][]float64
+	table          [][][]float64
+	byArg          [][][]float64
+	server, client []dist.Layout
 
 	// readWhole counts the requests the communicator read whole at pop
 	// rather than landing them.
@@ -381,13 +390,14 @@ func (o *Object) admit(in *orb.Incoming) {
 }
 
 // requestLanding is the communicator's orb.RequestLander for a
-// centralized request: it fills the threads' lent blocks with the
+// centralized request: it fills every rank's argument blocks with the
 // request's inline elements, off the connection (LandRequest) or out of
 // the body read whole (decode), walking both the same way.
 type requestLanding struct {
 	w *invocationWire
-	// blocks[i] is argument i's lent blocks; nil for an argument that
-	// takes no elements, whose inline ones, if any, are skipped.
+	// blocks[i] is argument i's blocks in rank order; nil for an
+	// argument that takes no elements, whose inline ones, if any, are
+	// skipped.
 	blocks [][][]float64
 }
 
@@ -553,6 +563,11 @@ func decodeControl(d *cdr.Decoder) (*control, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Mode, length and two sequence counts: refuse a count the rest of
+	// the record cannot hold before allocating anything for it.
+	if uint64(n)*(1+4+4+4) > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
+	}
 	c.Args = make([]controlArg, n)
 	for i := range c.Args {
 		mo, err := d.Octet()
@@ -595,24 +610,25 @@ func (o *Object) Serve(ctx context.Context) error {
 	}
 }
 
-// communicatorServeOne pops one queued request, drives the collective
-// dispatch, and replies.
+// communicatorServeOne pops one queued request, stages it in the blocks
+// root keeps for every rank, drives the collective dispatch, and
+// replies.
 func (o *Object) communicatorServeOne(ctx context.Context) error {
 	var req request
 	select {
 	case req = <-o.queue:
 	case <-o.closed:
-		o.bcastControl(&control{OK: false})
+		o.bcastControl(&control{OK: false}, nil)
 		return ErrClosed
 	case <-ctx.Done():
-		o.bcastControl(&control{OK: false})
+		o.bcastControl(&control{OK: false}, nil)
 		return ctx.Err()
 	}
 	in := req.in
 	// The request is this function's alone: the invocation wire's
 	// scalars alias its body, and rank 0 decodes from it through phase 2
 	// of the dispatch. A body still parked on the way out, after an early
-	// reply or a failed phase 1, is skimmed.
+	// reply, is skimmed.
 	defer in.Release()
 
 	// A queued invocation whose propagated deadline already passed is
@@ -631,12 +647,11 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 
 	// Decode the invocation metadata. A centralized request whose prefix
-	// holds it, and that carries elements, lands in phase 1 of its
-	// dispatch: its scalars, which alias the connection's read buffer
-	// until the landing, are copied out for phase 2. Any other is read
-	// whole now; one with nothing to land would otherwise hold its
-	// connection through its own handler, and a cancel behind it would go
-	// unread.
+	// holds it, and that carries elements, lands when it is staged: its
+	// scalars, which alias the connection's read buffer until the landing,
+	// are copied out for phase 2. Any other is read whole now; one with
+	// nothing to land would otherwise hold its connection through its own
+	// handler, and a cancel behind it would go unread.
 	var w *invocationWire
 	if p := in.Prefix(); len(p) > 0 && p[0] == byte(Centralized) {
 		w, _ = decodeInvocation(in.Order, p, in.BodyBase)
@@ -691,6 +706,19 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 			ClientEndpoints: a.ClientEndpoints,
 		}
 	}
+	var err error
+	if o.server, o.client, err = argLayouts(op.Spec, ctrl.Args, o.size, o.server, o.client); err != nil {
+		o.refused(req)
+		_ = in.ReplySystemException("BAD_PARAM", err.Error())
+		return nil
+	}
+	if err := o.stage(ctrl, w, in); err != nil {
+		// Only root took part: the dispatch failed before it was shared.
+		o.served.Add(1)
+		o.failed.Add(1)
+		_ = in.ReplySystemException("UNKNOWN", err.Error())
+		return nil
+	}
 	if !in.Expiry.IsZero() {
 		// Re-encode the remaining budget relatively, the same scheme the
 		// PIOP header uses: workers rebase onto their own clocks, so rank
@@ -703,9 +731,11 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 			ctrl.DeadlineMicros = 1
 		}
 	}
-	o.bcastControl(ctrl)
+	// The broadcast hands every rank its blocks: from here until the
+	// handler agreement they are the ranks'.
+	o.bcastControl(ctrl, o.table)
 
-	reply, derr := o.dispatch(ctx, ctrl, w, in)
+	reply, derr := o.dispatch(ctx, ctrl, o.table[0])
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
 		// stopped waiting (or stopped existing), so the verdict must not
@@ -717,10 +747,103 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		_ = in.ReplySystemException("UNKNOWN", derr.Error())
 		return nil
 	}
-	// The reply is written straight from the threads' argument blocks;
-	// Reply returns only once the write has, before the next control
-	// broadcast lets any thread touch its blocks again.
-	return in.Reply(giop.ReplyOK, reply.encode)
+	// The reply is written straight from the blocks root owns; Reply
+	// returns only once the write has, before the next request is staged
+	// in them. A write that fails — the client has gone — ends only this
+	// invocation.
+	_ = in.Reply(giop.ReplyOK, reply.encode)
+	return nil
+}
+
+// stage readies, on root, invocation ctrl's argument blocks on every
+// rank before the control broadcast hands them over: it sizes each
+// rank's block of each argument from the layouts root checked, and lands
+// a centralized request's elements in them off the connection, or
+// decodes the request read whole into them — "scatter as part of
+// unmarshaling" (§3.2). A landing that fails, its connection gone
+// mid-body, is root's alone to answer; the blocks it tore are forgotten.
+func (o *Object) stage(ctrl *control, w *invocationWire, in *orb.Incoming) error {
+	o.table = resized(o.table, o.size)
+	o.byArg = resized(o.byArg, len(ctrl.Args))
+	for len(o.argBlocks) < o.size {
+		o.argBlocks = append(o.argBlocks, nil)
+	}
+	for r := range o.table {
+		o.table[r] = resized(o.table[r], len(ctrl.Args))
+	}
+	for i, ca := range ctrl.Args {
+		o.byArg[i] = resized(o.byArg[i], o.size)
+		for r := range o.table {
+			blk := o.argBlock(r, i, o.server[i].Count(r), ca.Mode)
+			o.table[r][i], o.byArg[i][r] = blk, blk
+		}
+	}
+	if ctrl.Method != Centralized {
+		return nil
+	}
+	// Argument i's elements land in byArg[i]; one that takes none has
+	// its inline elements, if any, skipped.
+	o.landing = requestLanding{w: w, blocks: resized(o.landing.blocks, len(ctrl.Args))}
+	for i, ca := range ctrl.Args {
+		o.landing.blocks[i] = nil
+		if ca.Mode != Out {
+			o.landing.blocks[i] = o.byArg[i]
+		}
+	}
+	var err error
+	if in.Parked() {
+		err = in.Land(&o.landing)
+	} else {
+		o.landing.decode(in)
+	}
+	clear(o.landing.blocks)
+	o.landing.w = nil
+	if err != nil {
+		o.forgetBlocks()
+	}
+	return err
+}
+
+// forgetBlocks drops, on root, every rank's argument blocks and the
+// tables that list them, after a failed dispatch or landing: the next
+// dispatch starts on fresh storage. A failed dispatch may leave a put
+// mid-landing in a rank's block, and when the runtime itself failed —
+// its world closed — the agreement that ends the ranks' span did not
+// happen, so a worker may still be reading its row of the table.
+func (o *Object) forgetBlocks() {
+	o.argBlocks, o.table, o.byArg = nil, nil, nil
+}
+
+// resized returns s with length n, reusing its storage when it holds n.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// argLayouts returns the server and client layouts of args, appended to
+// server[:0] and client[:0]: the server's as op declares them over size
+// threads, the client's from the counts it sent, which must sum to the
+// argument's length.
+func argLayouts(spec OpSpec, args []controlArg, size int, server, client []dist.Layout) ([]dist.Layout, []dist.Layout, error) {
+	server, client = server[:0], client[:0]
+	for i, ca := range args {
+		sl, err := spec.Args[i].Dist.Apply(ca.Length, size)
+		if err != nil {
+			return nil, nil, err
+		}
+		cl, err := dist.FromCounts(ca.ClientCounts)
+		if err != nil {
+			return nil, nil, err
+		}
+		if cl.Len() != ca.Length {
+			return nil, nil, fmt.Errorf("%w: client layout sums to %d, length %d",
+				ErrBadCall, cl.Len(), ca.Length)
+		}
+		server, client = append(server, sl), append(client, cl)
+	}
+	return server, client, nil
 }
 
 // refused ends the communicator's part in request req, which it answers
@@ -733,7 +856,7 @@ func (o *Object) refused(req request) {
 	if req.mp {
 		inv := req.in.Header.InvocationID
 		o.retire(inv)
-		o.bcastControl(&control{OK: true, Refused: true, Inv: inv})
+		o.bcastControl(&control{OK: true, Refused: true, Inv: inv}, nil)
 	}
 }
 
@@ -772,9 +895,10 @@ func (o *Object) refuse(w *invocationWire, op string, spec OpSpec, bodyLen int) 
 	return "", ""
 }
 
-// workerServeOne participates in one collective dispatch.
+// workerServeOne participates in one collective dispatch, on the blocks
+// the control broadcast hands this rank.
 func (o *Object) workerServeOne(ctx context.Context) error {
-	raw, err := o.th.Bcast(0, nil)
+	raw, blocks, err := o.th.BcastDoubles(0, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -789,36 +913,36 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 		o.retire(ctrl.Inv)
 		return nil
 	}
-	_, derr := o.dispatch(ctx, ctrl, nil, nil)
+	_, derr := o.dispatch(ctx, ctrl, blocks)
 	// Worker-side dispatch errors were already folded into the
 	// collective agreement; the communicator reported them.
 	_ = derr
 	return nil
 }
 
-func (o *Object) bcastControl(c *control) {
+// bcastControl broadcasts c, handing rank r table[r].
+func (o *Object) bcastControl(c *control, table [][][]float64) {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	c.encode(e)
-	_, _ = o.th.Bcast(0, e.Bytes())
+	_, _, _ = o.th.BcastDoubles(0, e.Bytes(), table)
 }
 
-// dispatch is the collective body run by every thread: materialize
-// local argument blocks, invoke the handler, return out-data. Only
-// the communicator (which passes the request and its wire w) returns
-// the reply body; it
-// references the centralized out-arguments in the threads' own blocks,
-// which stay lent to it until the reply is written. ctx is the Serve
-// context: it (or Close) unblocks threads waiting on block transfers
-// whose sender died. (The per-request Incoming.Ctx is useless here —
-// it is cancelled as soon as the request is queued.)
-func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, in *orb.Incoming) (_ *replyWire, err error) {
+// dispatch is the collective body run by every thread: take up the
+// argument blocks, invoke the handler, return out-data. blocks are this
+// rank's, as root sized them and the control broadcast handed them over;
+// a centralized invocation's in-data has landed in them already. A rank
+// touches them only until the handler agreement, after which they are
+// root's again. Only the communicator returns the reply body; it
+// references the centralized out-arguments in every rank's block. ctx
+// is the Serve context: it (or Close) unblocks threads waiting on block
+// transfers whose sender died. (The per-request Incoming.Ctx is useless
+// here — it is cancelled as soon as the request is queued.)
+func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64) (_ *replyWire, err error) {
 	o.served.Add(1)
 	defer func() {
 		if err != nil {
 			o.failed.Add(1)
-			// A failed dispatch may leave a put mid-landing or a lent
-			// block mid-read; the next one starts on fresh storage.
-			o.argBlocks = nil
+			o.forgetBlocks()
 		}
 	}()
 	// The communicator only broadcasts an operation it knows, and Export
@@ -835,90 +959,44 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		defer cancel()
 	}
 
-	// Phase 1: materialize argument sequences.
-	if o.rank == 0 {
-		o.landing = requestLanding{w: w, blocks: append(o.landing.blocks[:0], make([][][]float64, len(ctrl.Args))...)}
-	}
-	args := make([]*dseq.Doubles, len(ctrl.Args))
-	clientLayouts := make([]dist.Layout, len(ctrl.Args))
+	// Phase 1: materialize argument sequences on the blocks; a multi-port
+	// one's in-data lands in them here. Root checked the layouts at pop.
 	var firstErr error
+	if o.rank != 0 {
+		o.server, o.client, firstErr = argLayouts(op.Spec, ctrl.Args, o.size, o.server, o.client)
+	}
+	server, client := o.server, o.client
+	args := make([]*dseq.Doubles, len(ctrl.Args))
 	for i, ca := range ctrl.Args {
-		serverLayout, err := op.Spec.Args[i].Dist.Apply(ca.Length, o.size)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		clientLayout, err := dist.FromCounts(ca.ClientCounts)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		if clientLayout.Len() != ca.Length {
-			firstErr = fmt.Errorf("%w: client layout sums to %d, length %d",
-				ErrBadCall, clientLayout.Len(), ca.Length)
-			break
-		}
-		clientLayouts[i] = clientLayout
-		seq, err := dseq.DoublesFromLocal(serverLayout, o.rank,
-			o.argBlock(i, serverLayout.Count(o.rank), ca.Mode))
-		if err != nil {
-			firstErr = err
-			break
-		}
-		args[i] = seq
-
-		if ca.Mode == In || ca.Mode == InOut {
-			switch ctrl.Method {
-			case Centralized:
-				// Every thread lends the communicator its block, which it
-				// does not touch again until the agreement below; the
-				// communicator fills them all after the loop.
-				blocks, err := o.th.LendDoubles(0, seq.LocalData(), serverLayout.Counts())
-				if err != nil {
-					firstErr = err
-				} else if o.rank == 0 {
-					o.landing.blocks[i] = blocks
-				}
-			case MultiPort:
-				plan, err := dist.Plan(clientLayout, seq.Layout())
-				if err != nil {
-					firstErr = err
-					break
-				}
-				if err := o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, seq); err != nil {
-					firstErr = err
-				}
-			}
-		}
 		if firstErr != nil {
 			break
 		}
-	}
-	if o.rank == 0 {
-		// Scatter as part of unmarshaling (§3.2): the communicator lands
-		// the request's elements off the connection, or decodes the
-		// request read whole, straight into every thread's lent block.
-		if firstErr == nil && ctrl.Method == Centralized {
-			if in.Parked() {
-				firstErr = in.Land(&o.landing)
-			} else {
-				o.landing.decode(in)
-			}
+		if args[i], firstErr = dseq.DoublesFromLocal(server[i], o.rank, blocks[i]); firstErr != nil {
+			break
 		}
-		clear(o.landing.blocks)
-		o.landing.w = nil
+		if ctrl.Method == MultiPort && ca.Mode != Out {
+			plan, err := dist.Plan(client[i], server[i])
+			if err == nil {
+				err = o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, args[i])
+			}
+			firstErr = err
+		}
 	}
-	// A rank that failed phase 1 registers none of the invocation's
-	// windows from here on: the puts still due to it are skimmed, before
-	// the agreement below can wait on a client whose puts queue behind
-	// them.
-	if firstErr != nil {
-		o.retire(ctrl.Inv)
-	}
-
-	// Collective agreement on phase-1 status.
-	if err := o.agree(firstErr); err != nil {
-		return nil, err
+	if ctrl.Method == MultiPort {
+		// A rank that failed phase 1 registers none of the invocation's
+		// windows from here on: the puts still due to it are skimmed,
+		// before the agreement below can wait on a client whose puts
+		// queue behind them.
+		if firstErr != nil {
+			o.retire(ctrl.Inv)
+		}
+		// Collective agreement on phase-1 status. A centralized invocation
+		// has none: its in-data landed on root before the broadcast, and a
+		// rank that failed phase 1 regardless enters the handler agreement
+		// with its error instead of running the handler.
+		if err := o.agree(firstErr); err != nil {
+			return nil, err
+		}
 	}
 
 	// Phase 2: invoke the handler on every thread.
@@ -936,57 +1014,52 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		flag := ctrl.Scalars[0]
 		call.Scalars = cdr.NewDecoderAt(cdr.ByteOrder(flag&1), ctrl.Scalars[1:], 1)
 	}
-	herr := o.runHandler(op, call)
+	herr := firstErr
+	if herr == nil {
+		herr = o.runHandler(op, call)
+	}
 	if err := o.agree(herr); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: return out/inout data.
-	var replyArgs [][][]float64
+	// Phase 3: return out/inout data. A centralized invocation's leaves
+	// with the reply, which root writes from every rank's block: the
+	// handler agreement ended the ranks' use of them. It is §3.2's "after
+	// the invocation the server's computing threads synchronize", so no
+	// barrier follows.
+	if ctrl.Method == Centralized {
+		if o.rank != 0 {
+			return nil, nil
+		}
+		var replyArgs [][][]float64
+		for i, ca := range ctrl.Args {
+			if ca.Mode != In {
+				replyArgs = append(replyArgs, o.byArg[i])
+			}
+		}
+		return &replyWire{Scalars: call.reply.Bytes(), Args: replyArgs}, nil
+	}
 	for i, ca := range ctrl.Args {
-		if ca.Mode != Out && ca.Mode != InOut {
+		if ca.Mode == In {
 			continue
 		}
-		switch ctrl.Method {
-		case Centralized:
-			// Gather as part of marshaling: the threads lend their blocks
-			// and the communicator encodes the reply from them.
-			blocks, err := o.th.LendDoubles(0, args[i].LocalData(), args[i].Layout().Counts())
-			if err != nil {
-				firstErr = err
-			} else if o.rank == 0 {
-				replyArgs = append(replyArgs, blocks)
-			}
-		case MultiPort:
-			plan, err := dist.Plan(args[i].Layout(), clientLayouts[i])
-			if err != nil {
-				firstErr = err
-				break
-			}
-			if err := o.sendBlocks(ctrl.Inv, uint32(i), plan, args[i], ca.ClientEndpoints); err != nil {
-				firstErr = err
-			}
+		plan, err := dist.Plan(server[i], client[i])
+		if err == nil {
+			err = o.sendBlocks(ctrl.Inv, uint32(i), plan, args[i], ca.ClientEndpoints)
 		}
-		if firstErr != nil {
+		if firstErr = err; err != nil {
 			break
 		}
 	}
-	// Each centralized out-lend has answered every rank with one verdict
-	// already; the multi-port puts' outcome is agreed on here. The
-	// dispatch's last agreement is §3.2's "after the invocation the
-	// server's computing threads synchronize": every rank has entered it,
-	// so no barrier follows.
-	if ctrl.Method == MultiPort {
-		firstErr = o.agree(firstErr)
+	// The multi-port puts' outcome is agreed on here, the dispatch's last
+	// agreement: every rank has entered it.
+	if err := o.agree(firstErr); err != nil {
+		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
 	if o.rank != 0 {
 		return nil, nil
 	}
-	return &replyWire{Scalars: call.reply.Bytes(), Args: replyArgs}, nil
+	return &replyWire{Scalars: call.reply.Bytes()}, nil
 }
 
 // runHandler runs op's handler on this rank. A panic becomes the rank's
@@ -1010,25 +1083,28 @@ func (o *Object) runHandler(op *Op, call *Call) (err error) {
 	return op.Handler(call)
 }
 
-// argBlock returns this rank's n-element local block of distributed
-// argument i, reusing the storage of earlier dispatches and growing it
-// when a longer sequence arrives. Dispatches on one object are strictly
-// serial, and the last reader of a block — the out-transfer's writes,
-// or the communicator marshaling the reply from the lent blocks — is
-// done before the next control broadcast, so nothing of the previous
-// invocation still looks at it. In and InOut blocks are overwritten in
-// full by the in-transfer; Out blocks are cleared here. The capacity is
-// clipped so a handler cannot reslice into a longer predecessor's tail.
-func (o *Object) argBlock(i, n int, mode ArgMode) []float64 {
-	for len(o.argBlocks) <= i {
-		o.argBlocks = append(o.argBlocks, nil)
+// argBlock returns, on root, rank r's n-element local block of
+// distributed argument i, reusing the storage of earlier dispatches and
+// growing it when a longer sequence arrives. Dispatches on one object
+// are strictly serial, and the last reader of a block — the rank's
+// out-transfer writes before the last agreement, or root writing the
+// reply — is done before root stages the next request, so nothing of
+// the previous invocation still looks at it. In and InOut blocks are
+// overwritten in full by the in-transfer; Out blocks are cleared here.
+// The capacity is clipped so a handler cannot reslice into a longer
+// predecessor's tail.
+func (o *Object) argBlock(r, i, n int, mode ArgMode) []float64 {
+	blks := o.argBlocks[r]
+	for len(blks) <= i {
+		blks = append(blks, nil)
 	}
-	if cap(o.argBlocks[i]) < n {
-		o.argBlocks[i] = make([]float64, n)
+	if cap(blks[i]) < n {
+		blks[i] = make([]float64, n)
 	} else if mode == Out {
-		clear(o.argBlocks[i][:n])
+		clear(blks[i][:n])
 	}
-	return o.argBlocks[i][:n:n]
+	o.argBlocks[r] = blks
+	return blks[i][:n:n]
 }
 
 // receiveBlocks collects this thread's share of a multi-port in

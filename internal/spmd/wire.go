@@ -265,7 +265,7 @@ func (w *invocationWire) encode(e *cdr.Encoder) {
 }
 
 // walk lays out the inline elements as the wire does and hands read
-// every block of blocks[i], argument i's lent blocks (which hold exactly
+// every block of blocks[i], argument i's blocks (which hold exactly
 // its inline elements), with the stream offset of the block's first
 // element, in argument order. It returns the stream offset past the last
 // inline element. An argument whose blocks are nil — all of them, with
@@ -342,7 +342,8 @@ type replyWire struct {
 	// (after the byte-order flag octet).
 	Scalars []byte
 	// Args holds each centralized out/inout argument's blocks in rank
-	// order, lent to the communicator until the reply has been written.
+	// order, the object's, which root owns until the reply has been
+	// written.
 	Args [][][]float64
 }
 
