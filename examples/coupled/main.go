@@ -61,30 +61,26 @@ func (statsServant) Moments(call *core.Call, state *dseq.Doubles,
 			hi = v
 		}
 	}
-	pack := func(v float64) uint64 { return math.Float64bits(v) }
-	sums, err := call.Thread.AllgatherU64(pack(sum))
-	if err != nil {
-		return err
-	}
-	sqs, err := call.Thread.AllgatherU64(pack(sumSq))
-	if err != nil {
-		return err
-	}
-	los, err := call.Thread.AllgatherU64(pack(lo))
-	if err != nil {
-		return err
-	}
-	his, err := call.Thread.AllgatherU64(pack(hi))
-	if err != nil {
-		return err
-	}
+	// Each allgather's result is valid only until the next collective:
+	// fold it before the next one.
 	S, Q := 0.0, 0.0
 	L, H := math.Inf(1), math.Inf(-1)
-	for i := range sums {
-		S += math.Float64frombits(sums[i])
-		Q += math.Float64frombits(sqs[i])
-		L = math.Min(L, math.Float64frombits(los[i]))
-		H = math.Max(H, math.Float64frombits(his[i]))
+	for _, f := range []struct {
+		v    float64
+		fold func(float64)
+	}{
+		{sum, func(x float64) { S += x }},
+		{sumSq, func(x float64) { Q += x }},
+		{lo, func(x float64) { L = math.Min(L, x) }},
+		{hi, func(x float64) { H = math.Max(H, x) }},
+	} {
+		all, err := call.Thread.AllgatherU64(math.Float64bits(f.v))
+		if err != nil {
+			return err
+		}
+		for _, b := range all {
+			f.fold(math.Float64frombits(b))
+		}
 	}
 	n := float64(state.Len())
 	*mean = S / n

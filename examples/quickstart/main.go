@@ -195,20 +195,23 @@ func main() {
 		}
 
 		after := localSum(arr)
+		// An allgather's result is valid only until the next collective.
+		sb, sa := 0.0, 0.0
 		totBefore, err := th.AllgatherU64(mathFloat64bits(before))
 		if err != nil {
 			return err
+		}
+		for _, v := range totBefore {
+			sb += mathFloat64frombits(v)
 		}
 		totAfter, err := th.AllgatherU64(mathFloat64bits(after))
 		if err != nil {
 			return err
 		}
+		for _, v := range totAfter {
+			sa += mathFloat64frombits(v)
+		}
 		if th.Rank() == 0 {
-			sb, sa := 0.0, 0.0
-			for i := range totBefore {
-				sb += mathFloat64frombits(totBefore[i])
-				sa += mathFloat64frombits(totAfter[i])
-			}
 			fmt.Printf("application B: diffusion of %d steps on %d doubles across %d client threads\n",
 				timesteps, length, clientThreads)
 			fmt.Printf("  heat before %.1f, after %.1f (conserved: %v)\n",

@@ -581,22 +581,30 @@ func (d *Decoder) Double() (float64, error) {
 
 // String reads an IDL string and validates its NUL terminator.
 func (d *Decoder) String() (string, error) {
+	b, err := d.StringBytes()
+	return string(b), err
+}
+
+// StringBytes reads an IDL string as String does and returns its bytes
+// without the terminator, aliasing the decoder's buffer: a caller that
+// compares it with a string it holds allocates nothing.
+func (d *Decoder) StringBytes() ([]byte, error) {
 	n, err := d.ULong()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
-		return "", fmt.Errorf("%w: zero-length count (must include NUL)", ErrBadString)
+		return nil, fmt.Errorf("%w: zero-length count (must include NUL)", ErrBadString)
 	}
 	if uint64(n) > uint64(d.Remaining()) {
-		return "", fmt.Errorf("%w: string of %d bytes", ErrTooLarge, n)
+		return nil, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, n)
 	}
 	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	if b[n-1] != 0 {
-		return "", fmt.Errorf("%w: missing NUL terminator", ErrBadString)
+		return nil, fmt.Errorf("%w: missing NUL terminator", ErrBadString)
 	}
-	return string(b[:n-1]), nil
+	return b[:n-1], nil
 }
 
 // Octets reads n raw octets with no alignment. The returned slice

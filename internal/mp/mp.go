@@ -6,7 +6,9 @@
 // rank every rank's block, and BcastV, its dual, hands every rank the
 // blocks root keeps for it; no element is copied inside the runtime,
 // and the gather or scatter "as part of marshaling" (paper §3.2) is the
-// caller's copy out of, or into, the blocks. AgreeLendV fuses a lend
+// caller's copy out of, or into, the blocks. BcastV hands out root's
+// payload by reference too, and AllgatherU64 returns a buffer each rank
+// reuses, so neither allocates per round. AgreeLendV fuses a lend
 // with an agreement on one word, so that a call's consistency check and
 // its lend cost one round.
 //
@@ -22,9 +24,9 @@
 // source and tag exactly. A collective builds no message: it is one
 // shared-memory round, in which every rank writes its contribution into
 // its slot of the world's round buffer and the last rank to arrive
-// checks the round, copies root's broadcast payload and wakes the
-// others, which read their results from the slots. Nothing is relayed
-// through a root.
+// checks the round, copies root's Bcast payload and wakes the others,
+// which read their results from the slots. Nothing is relayed through a
+// root.
 package mp
 
 import (
@@ -90,7 +92,8 @@ type slot struct {
 	// word is AllgatherU64's value, or the word AgreeLendV checks; val
 	// is root's AgreeLendV value.
 	word, val uint64
-	// b is root's Bcast payload, and a receiver's copy of it.
+	// b is root's Bcast or BcastV payload, and a Bcast receiver's copy
+	// of it.
 	b []byte
 	// f is the rank's lent or shared block.
 	f      []float64
@@ -236,6 +239,8 @@ type Proc struct {
 	// seq counts the rounds this rank has entered; its low bit picks
 	// the round buffer.
 	seq uint
+	// words is AllgatherU64's result, reused by every call.
+	words []uint64
 }
 
 // Rank returns this handle's rank.
@@ -327,8 +332,8 @@ func (p *Proc) enter(s slot) (*round, error) {
 }
 
 // finish checks a round whose every slot is written and returns its
-// verdict. It also copies root's broadcast payload, so that no rank
-// leaves the round while another still reads its data.
+// verdict. It also copies root's Bcast payload, so that no rank leaves
+// the round while another still reads its data.
 func (rd *round) finish() error {
 	s0 := &rd.slots[0]
 	for r := range rd.slots {
@@ -339,10 +344,9 @@ func (rd *round) finish() error {
 	}
 	root := &rd.slots[s0.root]
 	switch s0.kind {
-	case kindBcast, kindBcastV:
-		if root.err != nil {
-			return root.err
-		}
+	case kindBcastV:
+		return root.err
+	case kindBcast:
 		for r := range rd.slots {
 			if r != s0.root {
 				rd.slots[r].b = bytes.Clone(root.b)
@@ -409,14 +413,16 @@ func (p *Proc) Bcast(root int, data []byte) ([]byte, error) {
 	return rd.slots[p.rank].b, nil
 }
 
-// BcastV is Bcast that also scatters by reference, the dual of LendV:
-// root passes table, one block list per rank, and every rank returns
-// root's payload (root its own data, every other rank a copy) and
-// table[r], aliasing root's blocks — nothing is copied. A nil table
-// hands out nothing. The table is root's again once every rank has
-// returned; which rank may touch which block, and until which later
-// collective, is the callers' agreement. Root returns only once every
-// rank has entered the round.
+// BcastV is Bcast by reference that also scatters by reference, the
+// dual of LendV: root passes table, one block list per rank, and every
+// rank returns root's data itself and table[r], aliasing root's blocks
+// — nothing is copied. A rank must not modify the payload and may read
+// it only until it enters its next collective; root must leave it
+// unmodified until it has returned from a later round, by which time
+// every rank has entered one. A nil table hands out nothing. The table
+// is root's again once every rank has returned; which rank may touch
+// which block, and until which later collective, is the callers'
+// agreement. Root returns only once every rank has entered the round.
 func (p *Proc) BcastV(root int, data []byte, table [][][]float64) ([]byte, [][]float64, error) {
 	if root < 0 || root >= p.w.size {
 		return nil, nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
@@ -433,7 +439,7 @@ func (p *Proc) BcastV(root int, data []byte, table [][][]float64) ([]byte, [][]f
 	if t := rd.slots[root].table; t != nil {
 		mine = t[p.rank]
 	}
-	return rd.slots[p.rank].b, mine, nil
+	return rd.slots[root].b, mine, nil
 }
 
 // LendV gathers by reference: root receives every rank's block as a
@@ -515,17 +521,22 @@ func (p *Proc) ShareV(local []float64) ([][]float64, error) {
 
 // AllgatherU64 gathers one uint64 from every rank to every rank, in
 // rank order. It is the primitive behind the identical-scalar-argument
-// consistency check in SPMD invocations.
+// consistency check in SPMD invocations. The result is this rank's own
+// buffer, which its next AllgatherU64 overwrites: it is valid until
+// this rank enters its next collective, and a caller that keeps the
+// values longer copies them.
 func (p *Proc) AllgatherU64(v uint64) ([]uint64, error) {
 	rd, err := p.enter(slot{kind: kindAllgather, word: v})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint64, p.w.size)
-	for r := range out {
-		out[r] = rd.slots[r].word
+	if p.words == nil {
+		p.words = make([]uint64, p.w.size)
 	}
-	return out, nil
+	for r := range p.words {
+		p.words[r] = rd.slots[r].word
+	}
+	return p.words, nil
 }
 
 // HashBytes is the canonical digest used for cross-rank consistency

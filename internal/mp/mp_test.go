@@ -347,17 +347,18 @@ func TestBcastVHandsOutBlocks(t *testing.T) {
 	for r := range table {
 		table[r] = [][]float64{make([]float64, r+1), make([]float64, 2)}
 	}
+	ctrl := []byte("ctrl")
 	err := Run(size, func(p *Proc) error {
 		var data [][][]float64
 		if p.Rank() == 1 {
 			data = table
 		}
-		payload, mine, err := p.BcastV(1, []byte("ctrl"), data)
+		payload, mine, err := p.BcastV(1, ctrl, data)
 		if err != nil {
 			return err
 		}
-		if string(payload) != "ctrl" {
-			return fmt.Errorf("rank %d: payload %q", p.Rank(), payload)
+		if string(payload) != "ctrl" || &payload[0] != &ctrl[0] {
+			return fmt.Errorf("rank %d: payload %q is not root's", p.Rank(), payload)
 		}
 		if len(mine) != 2 || len(mine[0]) != p.Rank()+1 {
 			return fmt.Errorf("rank %d: handed %d blocks", p.Rank(), len(mine))
@@ -638,13 +639,15 @@ func costedCollectives(size int) []costedCollective {
 		{"Barrier", func(p *Proc) error { return p.Barrier() }, func(int) int { return 0 }},
 		// The root keeps its payload; every receiver gets a copy.
 		{"Bcast", func(p *Proc) error { _, err := p.Bcast(0, payload); return err }, onRoot(0)},
-		// The result slice on every rank.
+		// Nothing: each rank reuses its own result buffer.
 		{"AllgatherU64", func(p *Proc) error { _, err := p.AllgatherU64(uint64(p.Rank())); return err },
-			func(int) int { return 1 }},
+			func(int) int { return 0 }},
 		// The block table at root; a lender allocates nothing.
 		{"LendV", func(p *Proc) error { _, err := p.LendV(0, locals[p.Rank()], counts); return err }, onRoot(1)},
-		// Bcast's copies; the blocks are root's, handed out by reference.
-		{"BcastV", func(p *Proc) error { _, _, err := p.BcastV(0, payload, table); return err }, onRoot(0)},
+		// Nothing: the payload and the blocks are root's, handed out by
+		// reference.
+		{"BcastV", func(p *Proc) error { _, _, err := p.BcastV(0, payload, table); return err },
+			func(int) int { return 0 }},
 		// LendV's table at root; the word and the value cost nothing.
 		{"AgreeLendV", func(p *Proc) error {
 			_, _, err := p.AgreeLendV(0, 42, 7, locals[p.Rank()], counts)

@@ -352,14 +352,20 @@ func (s *Server) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), err
 // straight off the delivering connection's read buffer into
 // dst[DstOff:DstOff+Count], bounds checked, until expect elements have
 // arrived; puts that arrived first and wait for the registration land
-// the same way. The returned cancel must be called on every exit path:
-// it removes the registration, and unless the window completed it
-// retires inv (RetireWindows), so the puts still due are skimmed instead
-// of writing into a reclaimed slice.
+// the same way. The returned cancel is the window's Cancel, and it or
+// Cancel must be called on every exit path: it removes the
+// registration, and unless the window completed it retires inv
+// (RetireWindows), so the puts still due are skimmed instead of writing
+// into a reclaimed slice. RegisterWindow inlines, so a caller that
+// drops cancel and cancels through the method allocates nothing for it
+// (spmd's windows; TestCentralizedAllocBudget counts them).
 // onPut, when non-nil, runs after every landed put on the delivering
 // connection's read goroutine (a liveness hook; it must not block).
-func (s *Server) RegisterWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, func(), error) {
-	return s.blocks.registerWindow(id, dst, expect, onPut)
+func (s *Server) RegisterWindow(id uint64, dst []float64, expect int64, onPut func()) (w *Window, cancel func(), err error) {
+	if w, err = s.blocks.registerWindow(id, dst, expect, onPut); w != nil {
+		cancel = w.Cancel
+	}
+	return w, cancel, err
 }
 
 // RetireWindows declares that no window of invocation inv registers on

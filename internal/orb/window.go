@@ -48,6 +48,11 @@ type Window struct {
 	got    atomic.Int64
 	nbytes atomic.Int64
 
+	// router is the router the window is registered with, and cancelled
+	// whether Cancel has run.
+	router    *blockRouter
+	cancelled atomic.Bool
+
 	mu   sync.Mutex
 	err  error
 	once sync.Once
@@ -190,38 +195,40 @@ func (r *blockRouter) retireLocked(inv uint64) {
 // registerWindow installs a destination window and wakes the puts
 // waiting for it. expect is the total element count after which the
 // window completes (a non-positive expectation completes immediately).
-// The returned cancel removes the registration; it must be called on
-// every exit path, success or failure, so windows never leak. Cancelling
-// a window that has not completed retires its invocation: the puts still
-// due for it are skimmed.
-func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, func(), error) {
-	w := &Window{id: id, dst: dst, expect: expect, onPut: onPut, done: make(chan struct{})}
+// It allocates the Window and its done channel, nothing else.
+func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, error) {
+	w := &Window{id: id, dst: dst, expect: expect, onPut: onPut, router: r, done: make(chan struct{})}
 	if expect <= 0 {
 		w.complete()
 	}
 	r.mu.Lock()
 	if _, dup := r.windows[id]; dup {
 		r.mu.Unlock()
-		return nil, nil, fmt.Errorf("orb: duplicate window %#x", id)
+		return nil, fmt.Errorf("orb: duplicate window %#x", id)
 	}
 	r.windows[id] = w
 	if r.waiting > 0 {
 		r.arrived.Broadcast()
 	}
 	r.mu.Unlock()
-	var cancelled atomic.Bool
-	cancel := func() {
-		if cancelled.Swap(true) {
-			return
-		}
-		r.mu.Lock()
-		delete(r.windows, id)
-		if !w.succeeded() {
-			r.retireLocked(windowInv(id))
-		}
-		r.mu.Unlock()
+	return w, nil
+}
+
+// Cancel removes the window's registration. It must be called on every
+// exit path, success or failure, so windows never leak; calls after the
+// first do nothing. Cancelling a window that has not completed retires
+// its invocation: the puts still due for it are skimmed.
+func (w *Window) Cancel() {
+	if w.cancelled.Swap(true) {
+		return
 	}
-	return w, cancel, nil
+	r := w.router
+	r.mu.Lock()
+	delete(r.windows, w.id)
+	if !w.succeeded() {
+		r.retireLocked(windowInv(w.id))
+	}
+	r.mu.Unlock()
 }
 
 // sweep drops the retirements that have lapsed by now and wakes the

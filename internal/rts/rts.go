@@ -8,7 +8,9 @@
 // Thread moves doubles only by reference: a collective hands root, or
 // every thread, references to the threads' own blocks, or hands every
 // thread the blocks root keeps for it, and whatever copy a transfer
-// needs is the caller's, out of or into those blocks.
+// needs is the caller's, out of or into those blocks. BcastDoubles'
+// payload and AllgatherU64's result are lent the same way, each valid
+// until the thread's next collective.
 //
 // The ORB only ever sees the Thread interface, so an application built
 // on the runtime can be made into an SPMD object without rewriting its
@@ -38,12 +40,15 @@ type Thread interface {
 	// Bcast distributes root's byte payload to every thread. Root
 	// returns once every thread has entered it.
 	Bcast(root int, data []byte) ([]byte, error)
-	// BcastDoubles is Bcast that also hands each thread its blocks by
-	// reference, the dual of LendDoubles: root passes table, one block
-	// list per thread, and thread r returns table[r], aliasing root's
-	// storage, beside the payload. A nil table hands out nothing. Which
-	// thread may touch which block, and until which later collective,
-	// is the callers' agreement.
+	// BcastDoubles is Bcast by reference that also hands each thread
+	// its blocks by reference, the dual of LendDoubles: root passes
+	// table, one block list per thread, and thread r returns table[r],
+	// aliasing root's storage, beside root's payload itself. A thread
+	// must not modify the payload and may read it only until it enters
+	// its next collective; root leaves it unmodified until it has
+	// returned from a later collective. A nil table hands out nothing.
+	// Which thread may touch which block, and until which later
+	// collective, is the callers' agreement.
 	BcastDoubles(root int, data []byte, table [][][]float64) ([]byte, [][]float64, error)
 	// LendDoubles gathers by reference: root receives thread r's
 	// local, counts[r] elements long, as blocks[r], aliasing it —
@@ -68,7 +73,9 @@ type Thread interface {
 	// agreement.
 	ShareDoubles(local []float64) ([][]float64, error)
 	// AllgatherU64 gathers one uint64 per thread to all threads, in
-	// rank order. It backs the identical-scalar-argument check.
+	// rank order. It backs the identical-scalar-argument check. The
+	// result is the thread's own buffer, valid until the thread enters
+	// its next collective; a caller that keeps the values copies them.
 	AllgatherU64(v uint64) ([]uint64, error)
 	// SendBytes delivers a tagged byte payload to thread dst within
 	// the section (tags must be >= 0). The payload is copied.

@@ -100,24 +100,23 @@ func TestCentralizedAllocBudget(t *testing.T) {
 		// stripe's growth dial) under the multi-port ceiling.
 		ops = 32
 		// multiPortMallocs is the multi-port variant's process-wide
-		// allocation count per operation (n=2, m=4, inproc) as measured
-		// before marshal-in-place, 361-368, plus 2 % for pool refills
-		// after a collection.
-		multiPortMallocs = 375
+		// allocation count per operation (n=2, m=4, inproc), measured at
+		// 66-68 once plans, layouts, the put fan-out and the control
+		// record were kept per binding and per object (361-368 when every
+		// invocation planned afresh), plus 2 % for pool refills after a
+		// collection.
+		multiPortMallocs = 70
 		// centralizedMallocs is the centralized variant's, measured at
-		// 126-127 once an invocation ran two collectives per client thread
-		// and two per server thread (138-139 with three and five, 190-191
+		// 44-45 once the layouts, the control record, the handler's Call
+		// and the agreements' results were reused (126-127 before; 190-191
 		// before the collectives became shared-memory rounds), plus 2 %.
-		centralizedMallocs = 130
+		centralizedMallocs = 46
 		// smallMallocs is a blocking 1 Ki-double inout invocation's,
-		// measured at 118.8-118.9 once it ran two collectives per client
-		// thread and two per server thread, its request sent on the
-		// caller's goroutine (137.8-137.9 with the invoke goroutine and
-		// three and five), plus one. The margin is below what either
-		// costs back: the goroutine's future, context and closure are
-		// four, and every collective but a barrier allocates at least one
-		// result per rank.
-		smallMallocs = 120
+		// measured at 36.9-37.1 with the same reuse (118.8-118.9 before),
+		// plus one. The margin is below what either costs back: the invoke
+		// goroutine's future, context and closure are four, and a layout
+		// or a control record rebuilt per call is at least two.
+		smallMallocs = 38
 	)
 	perOp := func(method TransferMethod, doubles int, blocking bool) (bytes, mallocs float64) {
 		reg := newReg()

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -59,8 +60,27 @@ type Binding struct {
 	// allEndpoints is the per-thread receive endpoint list, known on
 	// the communicator only (it alone builds the argument wire).
 	allEndpoints []string
+	// putEndpoint is ref.ThreadEndpoint, bound once, so a send
+	// allocates no method value.
+	putEndpoint func(int) string
+
+	// What one invocation leaves for the next of the same shape: the
+	// scalar and signature encoders, and per argument position its
+	// server layout and plans (argMemo).
+	scalarEnc, sigEnc *cdr.Encoder
+	memo              []argMemo
 
 	stats bindingStats
+}
+
+// argMemo is what a binding keeps of one argument position between
+// invocations: the server layout of operation op at length, and the
+// plans to it and from it (argPlans), each keyed by both its layouts.
+type argMemo struct {
+	op     *OpSpec
+	length int
+	server dist.Layout
+	argPlans
 }
 
 // bindingStats accumulates per-thread operational counters.
@@ -181,6 +201,10 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		ref:    ref,
 		oc:     orb.NewClient(reg, orb.WithRetryPolicy(pol)),
 		method: cfg.Method,
+
+		putEndpoint: ref.ThreadEndpoint,
+		scalarEnc:   cdr.NewEncoder(cdr.BigEndian),
+		sigEnc:      cdr.NewEncoder(cdr.BigEndian),
 	}
 	if cfg.Method == MultiPort && !ref.MultiPort() {
 		b.oc.Close()
@@ -398,10 +422,14 @@ func (b *Binding) methodFor(args []DistArg, blocking bool) TransferMethod {
 // Pending is an in-flight invocation. Wait must be called
 // collectively by every client thread exactly once.
 type Pending struct {
-	b        *Binding
-	spec     *CallSpec
-	outSinks []*outCollector
-	span     *telemetry.Span // covers start through Wait; nil unsampled
+	b    *Binding
+	spec *CallSpec
+	// outWins are the windows this thread registered for the
+	// invocation's multi-port out-arguments: each argument's local block,
+	// into which the server threads' puts land straight off their
+	// delivering connections' read buffers.
+	outWins []*orb.Window
+	span    *telemetry.Span // covers start through Wait; nil unsampled
 
 	// lent is non-nil on every thread exactly when the invocation
 	// travels Centralized (Binding.methodFor): it carries the
@@ -424,15 +452,6 @@ type Pending struct {
 
 // centralized reports whether the invocation travels Centralized.
 func (p *Pending) centralized() bool { return p.lent != nil }
-
-// outCollector is one argument's multi-port out-transfer on this client
-// thread: the sequence's local block registered as a one-sided window,
-// into which the server threads' puts land straight off their delivering
-// connections' read buffers.
-type outCollector struct {
-	win    *orb.Window
-	cancel func()
-}
 
 // start validates the call collectively, ships in-arguments, issues
 // the request, and returns a Pending for the reply. A per-invocation
@@ -494,16 +513,18 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 
 	// Marshal scalars into an encapsulation and verify all threads
 	// agree on them and on the operation (§2.1's identical-values
-	// contract, checked rather than undefined).
-	scalarEnc := cdr.NewEncoder(cdr.BigEndian)
+	// contract, checked rather than undefined). The scalars follow the
+	// byte-order flag at stream offset 1, where the encapsulation's
+	// alignment starts.
+	scalarEnc := b.scalarEnc
+	scalarEnc.Reset()
 	scalarEnc.PutOctet(byte(cdr.BigEndian))
 	if spec.Scalars != nil {
-		inner := cdr.NewEncoderAt(cdr.BigEndian, 1)
-		spec.Scalars(inner)
-		scalarEnc.PutOctets(inner.Bytes())
+		spec.Scalars(scalarEnc)
 	}
 	scalarBytes := scalarEnc.Bytes()
-	sigSrc := cdr.NewEncoder(cdr.BigEndian)
+	sigSrc := b.sigEnc
+	sigSrc.Reset()
 	sigSrc.PutString(spec.Operation)
 	sigSrc.PutOctetSeq(scalarBytes)
 	for _, a := range spec.Args {
@@ -530,7 +551,9 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 	// lends with the client counts it carries.
 	var w *invocationWire
 	if b.rank == 0 {
-		w = &invocationWire{Method: method, Scalars: scalarBytes,
+		// The request may be written after start returns, and the next
+		// invocation reuses the encoder: the wire keeps its own copy.
+		w = &invocationWire{Method: method, Scalars: bytes.Clone(scalarBytes),
 			Args: make([]*argWire, len(spec.Args))}
 		for i, a := range spec.Args {
 			aw := &argWire{
@@ -587,14 +610,20 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		}
 	}
 
-	// Server-side layouts for planning.
-	serverLayouts := make([]dist.Layout, len(spec.Args))
-	for i := range spec.Args {
-		sl, err := op.Args[i].Dist.Apply(spec.Args[i].Seq.Len(), b.desc.Threads)
+	// Server-side layouts for planning, kept while the operation and
+	// the length at each argument position repeat.
+	b.memo = resized(b.memo, len(spec.Args))
+	for i, a := range spec.Args {
+		m := &b.memo[i]
+		if m.op == op && m.length == a.Seq.Len() {
+			continue
+		}
+		sl, err := op.Args[i].Dist.Apply(a.Seq.Len(), b.desc.Threads)
 		if err != nil {
+			m.op = nil
 			return nil, err
 		}
-		serverLayouts[i] = sl
+		m.op, m.length, m.server = op, a.Seq.Len(), sl
 	}
 
 	// Register out-argument windows before anything is sent.
@@ -603,13 +632,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 			if a.Mode != Out && a.Mode != InOut {
 				continue
 			}
-			plan, err := dist.Plan(serverLayouts[i], a.Seq.Layout())
-			if err != nil {
+			m := &b.memo[i]
+			if err := m.out.update(m.server, a.Seq.Layout(), b.rank, false); err != nil {
 				p.cancelSinks()
 				return nil, err
 			}
-			expect := planElemsTo(plan, b.rank)
-			if expect == 0 {
+			if m.out.recv == 0 {
 				continue
 			}
 			key, err := giop.BlockSinkKey(inv, uint32(i))
@@ -617,12 +645,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 				p.cancelSinks()
 				return nil, err
 			}
-			win, cancel, err := b.recv.RegisterWindow(key, a.Seq.LocalData(), int64(expect), nil)
+			win, _, err := b.recv.RegisterWindow(key, a.Seq.LocalData(), int64(m.out.recv), nil)
 			if err != nil {
 				p.cancelSinks()
 				return nil, err
 			}
-			p.outSinks = append(p.outSinks, &outCollector{win: win, cancel: cancel})
+			p.outWins = append(p.outWins, win)
 		}
 	}
 
@@ -677,12 +705,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		if a.Mode != In && a.Mode != InOut {
 			continue
 		}
-		plan, err := dist.Plan(a.Seq.Layout(), serverLayouts[i])
-		if err != nil {
+		m := &b.memo[i]
+		if err := m.in.update(a.Seq.Layout(), m.server, b.rank, true); err != nil {
 			sendErr = err
 			break
 		}
-		if err := b.sendBlocks(inv, uint32(i), plan, a.Seq); err != nil {
+		if err := b.sendBlocks(inv, uint32(i), m.in.puts, a.Seq); err != nil {
 			sendErr = err
 			break
 		}
@@ -730,12 +758,12 @@ func (p *Pending) invoke(ctx context.Context, hdr giop.RequestHeader, w *invocat
 	return orb.Reply{}, err
 }
 
-// sendBlocks ships this client thread's share of an in transfer,
-// chunked and windowed, as one-sided puts into the windows the server's
-// ranks registered (see sendPlanPuts).
-func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
-	n, err := sendPlanPuts(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
-		b.ref.ThreadEndpoint, ResolvedXferWindow(), xferChunkElems)
+// sendBlocks ships this client thread's share of an in transfer, puts
+// (planMemo), as one-sided puts into the windows the server's ranks
+// registered (see sendPlanPuts).
+func (b *Binding) sendBlocks(inv uint64, argIdx uint32, puts []chunkPut, seq *dseq.Doubles) error {
+	n, err := sendPlanPuts(b.oc, inv, argIdx, b.rank, puts, seq.LocalData(),
+		b.putEndpoint, ResolvedXferWindow())
 	b.stats.bytesOut.Add(n)
 	return err
 }
@@ -913,13 +941,10 @@ func (r *replyReader) skip(n int) bool {
 }
 
 func (p *Pending) cancelSinks() {
-	for _, c := range p.outSinks {
-		if c.cancel != nil {
-			c.cancel()
-			c.cancel = nil
-		}
+	for _, win := range p.outWins {
+		win.Cancel()
 	}
-	p.outSinks = nil
+	p.outWins = nil
 }
 
 // Wait completes the invocation collectively: the communicator
@@ -1013,13 +1038,12 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	// sequences' local data through the per-argument windows — this
 	// loop only awaits completion.
 	var localErr error
-	for _, col := range p.outSinks {
+	for _, win := range p.outWins {
 		if localErr == nil {
-			localErr = waitWindow(ctx, col.win, nil, nil)
+			localErr = waitWindow(ctx, win, nil, nil)
 		}
-		b.stats.bytesIn.Add(uint64(col.win.Bytes()))
-		col.cancel()
-		col.cancel = nil
+		b.stats.bytesIn.Add(uint64(win.Bytes()))
+		win.Cancel()
 	}
 
 	// Collective verdict on the collection phase.

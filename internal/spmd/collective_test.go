@@ -508,3 +508,119 @@ func TestBlockOwnershipRootOutsideSpan(t *testing.T) {
 		return nil
 	})
 }
+
+// TestClosedWorldEndsCommunicator: once the object's world has closed,
+// the communicator cannot hand a request to its workers, so it must not
+// serve it alone. With a request queued behind a held handler, the world
+// closed, and the handler released, root answers the queued request
+// with an error without running its handler, and its Serve returns.
+func TestClosedWorldEndsCommunicator(t *testing.T) {
+	const size = 2
+	w := mp.MustWorld(size)
+	defer w.Close()
+	hold := make(chan struct{})
+	entered := make(chan struct{}, size)
+	var mu sync.Mutex
+	var rootRan []int32 // the scalar of every call root's handler ran
+	ops := map[string]*Op{
+		"hold": {
+			Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}},
+			Handler: func(call *Call) error {
+				id, err := call.Scalars.Long()
+				if err != nil {
+					return err
+				}
+				if call.Thread.Rank() == 0 {
+					mu.Lock()
+					rootRan = append(rootRan, id)
+					mu.Unlock()
+				}
+				entered <- struct{}{}
+				<-hold
+				return nil
+			},
+		},
+	}
+	reg := newReg()
+	objs := make([]*Object, size)
+	served := make([]chan error, size)
+	exported := make(chan error, size)
+	for r := range objs {
+		served[r] = make(chan error, 1)
+		go func(r int) {
+			obj, err := Export(ObjectConfig{Thread: rts.NewMessagePassing(w.Rank(r)), Registry: reg,
+				ListenEndpoint: "inproc:*", Key: "objects/closed", TypeID: "IDL:closed:1.0", Ops: ops})
+			objs[r] = obj
+			exported <- err
+			if err == nil {
+				served[r] <- obj.Serve(context.Background())
+			}
+		}(r)
+	}
+	for range objs {
+		if err := <-exported; err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		for _, o := range objs {
+			o.Close()
+		}
+	}()
+	root := objs[0]
+
+	invoke := func(id int32) <-chan error {
+		done := make(chan error, 1)
+		b, cw, err := bindPlain(context.Background(), reg, Centralized, "", root.Ref())
+		if err != nil {
+			done <- err
+			return done
+		}
+		go func() {
+			defer cw.Close()
+			defer b.Close()
+			seq, err := dseq.NewDoubles(8, dist.Block(), 1, 0)
+			if err == nil {
+				err = b.Invoke(context.Background(), &CallSpec{Operation: "hold",
+					Scalars: func(e *cdr.Encoder) { e.PutLong(id) },
+					Args:    []DistArg{{Mode: InOut, Seq: seq}}})
+			}
+			done <- err
+		}()
+		return done
+	}
+	first := invoke(1)
+	for range size {
+		<-entered // every rank holds the first call's handler
+	}
+	queued := invoke(2)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(root.queue) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w.Close()
+	close(hold)
+
+	select {
+	case err := <-served[0]:
+		if !errors.Is(err, mp.ErrClosed) {
+			t.Errorf("root's Serve returned %v, want the closed world's error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("root's Serve still runs a second after its world closed")
+	}
+	if err := <-first; err == nil {
+		t.Error("the held invocation succeeded on a closed world")
+	}
+	if err := <-queued; err == nil {
+		t.Error("the queued invocation succeeded on a closed world")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(rootRan) != 1 || rootRan[0] != 1 {
+		t.Errorf("root ran the handler for calls %v, want only the held one", rootRan)
+	}
+}

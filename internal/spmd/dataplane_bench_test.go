@@ -221,3 +221,58 @@ func benchCentralizedInvoke(b *testing.B, length int) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkMultiPortInvoke is BenchmarkCentralizedInvoke's multi-port
+// twin, the xfer_multiport_large shape scaled down: an inout
+// dsequence<double> of 1Mi elements, at the crossover and so sent
+// multi-port by Invoke, from a 2-thread client to a 4-thread object
+// over loopback TCP, every block moving as window puts between the
+// threads' own ports. Run with -benchmem it shows what one multi-port
+// invocation allocates on both sides together; bytes/s counts both
+// legs.
+func BenchmarkMultiPortInvoke(b *testing.B) {
+	const length = 1 << 20
+	reg := transport.NewRegistry()
+	reg.Register(transport.TCP{})
+	obj := startBenchObject(b, reg, 4, "tcp:127.0.0.1:0", true, benchTouchOps)
+	defer obj.close()
+	b.SetBytes(2 * length * 8)
+	b.ReportAllocs()
+	err := mp.Run(2, func(proc *mp.Proc) error {
+		th := rts.NewMessagePassing(proc)
+		bind, err := Bind(context.Background(), BindConfig{
+			Thread:         th,
+			Registry:       reg,
+			Method:         MultiPort,
+			ListenEndpoint: "tcp:127.0.0.1:0",
+		}, obj.ref)
+		if err != nil {
+			return err
+		}
+		defer bind.Close()
+		seq, err := dseq.NewDoubles(length, dist.Block(), th.Size(), th.Rank())
+		if err != nil {
+			return err
+		}
+		spec := &CallSpec{Operation: "touch", Args: []DistArg{{Mode: InOut, Seq: seq}}}
+		if err := bind.Invoke(context.Background(), spec); err != nil { // dials, pools
+			return err
+		}
+		if err := th.Barrier(); err != nil {
+			return err
+		}
+		if th.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := bind.Invoke(context.Background(), spec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+}

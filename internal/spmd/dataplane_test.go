@@ -1,14 +1,20 @@
 package spmd
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pardis/internal/dist"
+	"pardis/internal/dseq"
 	"pardis/internal/giop"
+	"pardis/internal/mp"
 	"pardis/internal/rts"
 	"pardis/internal/transport"
 )
@@ -17,23 +23,39 @@ import (
 // for the ORB client (it is called from several goroutines when the
 // send window is concurrent). With failAt set, that put (1-based) fails
 // the way a cut stream does: orb.Client.PutWindow still reports the
-// chunk's size. Only the puts that succeeded are recorded.
+// chunk's size. Only the puts that succeeded are recorded. It also
+// counts the puts in flight at once, at most maxInFlight, and the puts
+// that started after the failing one had returned, lateStarts.
 type recordingPutter struct {
-	mu     sync.Mutex
-	failAt int
-	calls  int
-	eps    []string
-	hdrs   []giop.WindowPutHeader
-	bytes  int
+	inFlight   atomic.Int32
+	failed     atomic.Bool
+	lateStarts atomic.Int32
+
+	mu          sync.Mutex
+	failAt      int
+	calls       int
+	maxInFlight int
+	eps         []string
+	hdrs        []giop.WindowPutHeader
+	bytes       int
 }
 
 var errPutCut = errors.New("put stream cut")
 
 func (r *recordingPutter) PutWindow(ep string, hdr giop.WindowPutHeader, blk []float64) (int, error) {
+	if r.failed.Load() {
+		r.lateStarts.Add(1)
+	}
+	n := int(r.inFlight.Add(1))
+	defer r.inFlight.Add(-1)
+	// A peer put stays in flight a moment, so concurrent ones overlap.
+	runtime.Gosched()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.maxInFlight = max(r.maxInFlight, n)
 	r.calls++
 	if r.calls == r.failAt {
+		r.failed.Store(true)
 		return len(blk) * 8, errPutCut
 	}
 	r.eps = append(r.eps, ep)
@@ -46,7 +68,8 @@ func (r *recordingPutter) PutWindow(ep string, hdr giop.WindowPutHeader, blk []f
 // concurrent window, the puts must tile exactly this rank's share of
 // the plan — every chunk under the threshold and addressed to its
 // destination's endpoint, destination ranges disjoint, Last on exactly
-// one chunk per destination, and the byte total 8 x the elements.
+// one chunk per destination, and the byte total 8 x the elements — with
+// at most window puts in flight, and serially none after a failed one.
 func TestChunkedSendCoversPlan(t *testing.T) {
 	src, err := dist.FromCounts([]int{1000, 1000})
 	if err != nil {
@@ -67,11 +90,18 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 	}
 	epFor := func(to int) string { return strconv.Itoa(to) }
 	local := make([]float64, 1000)
+	puts, err := chunkPuts(plan, 0, chunkElems)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, window := range []int{1, 4} {
 		rec := &recordingPutter{}
-		n, err := sendPlanPuts(rec, inv, argIdx, 0, plan, local, epFor, window, chunkElems)
+		n, err := sendPlanPuts(rec, inv, argIdx, 0, puts, local, epFor, window)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rec.maxInFlight > window {
+			t.Fatalf("window=%d: %d puts in flight at once", window, rec.maxInFlight)
 		}
 		covered := make(map[[2]int]bool) // (destination thread, offset)
 		lasts := make(map[int]int)
@@ -122,9 +152,20 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 	for _, window := range []int{1, 4} {
 		rec := &recordingPutter{failAt: 3}
 		blocksBefore := peerBlocksTotal.Value()
-		n, err := sendPlanPuts(rec, inv, argIdx, 0, plan, local, epFor, window, chunkElems)
+		n, err := sendPlanPuts(rec, inv, argIdx, 0, puts, local, epFor, window)
 		if !errors.Is(err, errPutCut) {
 			t.Fatalf("window=%d: err = %v, want the cut", window, err)
+		}
+		if rec.maxInFlight > window {
+			t.Fatalf("window=%d: %d puts in flight at once", window, rec.maxInFlight)
+		}
+		// Serially, the failed put is the last one. Under a concurrent
+		// window no put starts once a worker has seen the failure, but
+		// another worker's put may return as the failed one does and start
+		// the next before the failure is seen: that is not pinned.
+		if window == 1 && (rec.lateStarts.Load() > 0 || rec.calls != rec.failAt) {
+			t.Fatalf("window=%d: %d puts started after the failure, %d in all", window,
+				rec.lateStarts.Load(), rec.calls)
 		}
 		if got := peerBlocksTotal.Value() - blocksBefore; got != uint64(len(rec.hdrs)) {
 			t.Fatalf("window=%d: counted %d puts, %d succeeded", window, got, len(rec.hdrs))
@@ -211,3 +252,126 @@ func (c cutDialTransport) Listen(a string) (transport.Listener, error) {
 	return c.listen.Listen(a)
 }
 func (c cutDialTransport) Dial(a string) (transport.Conn, error) { return c.dial.Dial(a) }
+
+// memoOps exports two operations over one inout argument that place it
+// differently on the object's four threads: "double" blockwise, "add"
+// in the proportions 1:2:3:4.
+func memoOps(th rts.Thread) map[string]*Op {
+	weighted, err := dist.Proportions(1, 2, 3, 4)
+	if err != nil {
+		panic(err)
+	}
+	return map[string]*Op{
+		"double": {
+			Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: dist.Block()}}},
+			Handler: func(call *Call) error {
+				for i, local := 0, call.Args[0].LocalData(); i < len(local); i++ {
+					local[i] *= 2
+				}
+				return nil
+			},
+		},
+		"add": {
+			Spec: OpSpec{Args: []ArgSpec{{Mode: InOut, Dist: weighted}}},
+			Handler: func(call *Call) error {
+				for i, local := 0, call.Args[0].LocalData(); i < len(local); i++ {
+					local[i] += 10
+				}
+				return nil
+			},
+		},
+	}
+}
+
+// TestPlanMemoFollowsShapes: a binding keeps its layouts and plans from
+// one invocation to the next, and the object its own, so each must be
+// rebuilt whenever the operation, the length or the client layout
+// changes. Two clients, of 2 and 3 threads, share one 4-thread object,
+// each alternating two lengths, a block and a weighted client layout,
+// and two operations whose server layouts differ, through InvokeAsync
+// (multi-port at any size), one of the three changing at a time; every
+// element of every result is checked. The clients run one after the
+// other, so the object sees each change alone, then both at once, so it
+// sees their shapes interleave. A memo that misses a change sends puts
+// its receivers do not expect, which fails or strands the invocation: a
+// deadline bounds each client.
+func TestPlanMemoFollowsShapes(t *testing.T) {
+	reg := newReg()
+	obj := startObject(t, reg, 4, true, memoOps)
+	defer obj.close()
+	client := func(n int) error {
+		weights := make([]int, n)
+		for i := range weights {
+			weights[i] = 3*i + 1
+		}
+		weighted, err := dist.Proportions(weights...)
+		if err != nil {
+			return err
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return mp.Run(n, func(proc *mp.Proc) error {
+			th := rts.NewMessagePassing(proc)
+			b, err := Bind(ctx, BindConfig{Thread: th, Registry: reg,
+				Method: MultiPort, ListenEndpoint: "inproc:*"}, obj.ref)
+			if err != nil {
+				return err
+			}
+			defer b.Close()
+			for i := 0; i < 16; i++ {
+				// The shape walks a Gray code: one of length, client layout
+				// and operation changes from each invocation to the next.
+				g := i ^ i>>1
+				length := []int{1000, 1537}[g&1]
+				layout := []dist.Spec{dist.Block(), weighted}[g>>1&1]
+				op := []string{"double", "add"}[g>>2&1]
+				seq, err := dseq.NewDoubles(length, layout, n, th.Rank())
+				if err != nil {
+					return err
+				}
+				local := seq.LocalData()
+				for j := range local {
+					local[j] = float64(seq.Lo() + j + i)
+				}
+				p, err := b.InvokeAsync(ctx, &CallSpec{Operation: op,
+					Args: []DistArg{{Mode: InOut, Seq: seq}}})
+				if err != nil {
+					return fmt.Errorf("invocation %d (%s, %d elements): %w", i, op, length, err)
+				}
+				if err := p.Wait(ctx); err != nil {
+					return fmt.Errorf("invocation %d (%s, %d elements): %w", i, op, length, err)
+				}
+				for j, v := range local {
+					want := float64(seq.Lo() + j + i)
+					if op == "double" {
+						want *= 2
+					} else {
+						want += 10
+					}
+					if v != want {
+						return fmt.Errorf("%d-thread client, invocation %d (%s, %d elements, %v): thread %d element %d = %v, want %v",
+							n, i, op, length, layout, th.Rank(), seq.Lo()+j, v, want)
+					}
+				}
+			}
+			return noLeak(b.BlockStats())
+		})
+	}
+	for _, n := range []int{2, 3} {
+		if err := client(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 2)
+	for _, n := range []int{2, 3} {
+		go func(n int) { errs <- client(n) }(n)
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if err := obj.noLeak(noLeak); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -539,12 +539,16 @@ func FuzzDescribeWire(f *testing.F) {
 // worker runs on the control broadcast's payload. It must not panic or
 // allocate for an argument count the record cannot hold, and a record
 // it accepts must re-encode to bytes that decode to an equal record.
+// A worker decodes every record into the struct that held the last
+// one: decoding a record there must give what decoding it fresh gives,
+// the same verdict and, on success, nothing left of the earlier record.
 func FuzzDecodeControl(f *testing.F) {
 	args := []controlArg{
 		{Mode: In, Length: 10, ClientCounts: []int{5, 5}},
 		{Mode: InOut, Length: 7, ClientCounts: []int{3, 4}, ClientEndpoints: []string{"inproc:a", "inproc:b"}},
 		{Mode: Out, Length: 0, ClientCounts: []int{0}},
 	}
+	var seeds [][]byte
 	for _, c := range []*control{
 		{OK: true, Op: "diffusion", Inv: 1, Scalars: []byte{0, 0, 0, 0, 1}, Args: args[:1]},
 		{OK: true, Op: "pair", Inv: 2, Method: MultiPort, Args: args[:2]},
@@ -555,26 +559,60 @@ func FuzzDecodeControl(f *testing.F) {
 	} {
 		e := cdr.NewEncoder(cdr.BigEndian)
 		c.encode(e)
+		seeds = append(seeds, e.Bytes())
 		f.Add(e.Bytes())
 	}
 	e := cdr.NewEncoder(cdr.BigEndian)
 	(&control{OK: true, Op: "x"}).encode(e)
 	b := e.Bytes()
 	f.Add(append(b[:len(b)-4:len(b)-4], 0xff, 0xff, 0xff, 0xff)) // 2^32-1 arguments announced
+	ops := map[string]*Op{"diffusion": nil, "pair": nil}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		c, err := decodeControl(cdr.NewDecoder(cdr.BigEndian, raw))
+		var c control
+		err := decodeControl(cdr.NewDecoder(cdr.BigEndian, raw), &c, nil)
+		for _, prev := range seeds {
+			var held control
+			if err := decodeControl(cdr.NewDecoder(cdr.BigEndian, prev), &held, ops); err != nil {
+				t.Fatalf("a seed record does not decode: %v", err)
+			}
+			herr := decodeControl(cdr.NewDecoder(cdr.BigEndian, raw), &held, ops)
+			if (herr == nil) != (err == nil) {
+				t.Fatalf("decoding over a held record says %v, fresh %v", herr, err)
+			}
+			if err == nil && !sameControl(&held, &c) {
+				t.Fatalf("decoding over a held record gives %+v, fresh %+v", held, c)
+			}
+		}
 		if err != nil {
 			return
 		}
 		e := cdr.NewEncoder(cdr.BigEndian)
 		c.encode(e)
-		again, err := decodeControl(cdr.NewDecoder(cdr.BigEndian, e.Bytes()))
-		if err != nil {
+		var again control
+		if err := decodeControl(cdr.NewDecoder(cdr.BigEndian, e.Bytes()), &again, nil); err != nil {
 			t.Fatalf("an accepted record re-encodes to bytes the decoder refuses: %v", err)
 		}
-		if !reflect.DeepEqual(again, c) {
+		if !sameControl(&again, &c) {
 			t.Fatalf("an accepted record changes across a re-encode: %+v, then %+v", c, again)
 		}
 	})
+}
+
+// sameControl reports whether two control records hold the same
+// values, an empty slice equal to a nil one.
+func sameControl(a, b *control) bool {
+	if a.OK != b.OK || a.Refused != b.Refused || a.Op != b.Op || a.Inv != b.Inv ||
+		a.Method != b.Method || a.DeadlineMicros != b.DeadlineMicros ||
+		!bytes.Equal(a.Scalars, b.Scalars) || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		x, y := &a.Args[i], &b.Args[i]
+		if x.Mode != y.Mode || x.Length != y.Length || !slices.Equal(x.ClientCounts, y.ClientCounts) ||
+			!slices.Equal(x.ClientEndpoints, y.ClientEndpoints) {
+			return false
+		}
+	}
+	return true
 }

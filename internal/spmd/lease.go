@@ -65,6 +65,9 @@ type lease struct {
 	// last is the unix-nano timestamp of the client's most recent
 	// traffic on this rank.
 	last atomic.Int64
+	// renew stores the current time in last: the onPut hook of the
+	// windows the client's puts land in, made once per lease.
+	renew func()
 }
 
 // leaseTable tracks the live clients of one rank.
@@ -88,6 +91,7 @@ func (t *leaseTable) acquire(client uint64) *lease {
 	l := t.m[client]
 	if l == nil {
 		l = &lease{expired: make(chan struct{})}
+		l.renew = func() { l.last.Store(time.Now().UnixNano()) }
 		t.m[client] = l
 		leasesActive.Inc()
 	}

@@ -93,7 +93,11 @@ func TestPeerTransferCrossEndian(t *testing.T) {
 			chunks := dist.Chunk(plan, xferChunkElems)
 			inv := cli.NewInvocationID()
 			put := func(chunks []dist.Transfer) {
-				if _, err := sendPlanPuts(cli, inv, 0, 0, chunks, data, obj.ref.ThreadEndpoint, len(chunks), 0); err != nil {
+				puts, err := chunkPuts(chunks, 0, 0)
+				if err == nil {
+					_, err = sendPlanPuts(cli, inv, 0, 0, puts, data, obj.ref.ThreadEndpoint, len(puts))
+				}
+				if err != nil {
 					t.Error(err)
 				}
 			}

@@ -228,7 +228,11 @@ func TestFaultMultiPortExpiredOnArrival(t *testing.T) {
 		}
 		start := time.Now()
 		// Over inproc a put's write returns only once the server reads it.
-		if err := b.sendBlocks(inv, 0, plan, seq); err != nil {
+		puts, err := chunkPuts(plan, th.Rank(), xferChunkElems)
+		if err != nil {
+			return err
+		}
+		if err := b.sendBlocks(inv, 0, puts, seq); err != nil {
 			return fmt.Errorf("thread %d: puts of the expired invocation: %v", th.Rank(), err)
 		}
 		if took := time.Since(start); took > time.Second {

@@ -38,7 +38,8 @@ type Call struct {
 	// place. The local blocks belong to the object, which hands the
 	// same storage to later invocations: they are valid until the
 	// handler returns, and a handler that wants the data afterwards
-	// copies it.
+	// copies it. So are the Call itself, its Scalars decoder and its
+	// Reply encoder, which the object reuses for the next invocation.
 	Args []*dseq.Doubles
 
 	reply *cdr.Encoder
@@ -128,6 +129,36 @@ type Object struct {
 	// encapsulation, both reused by every dispatch.
 	landing requestLanding
 	scalars []byte
+
+	// What one dispatch leaves for the next of the same shape (DESIGN.md
+	// §10, "Plan memos"). server and client above stay while the
+	// operation, layoutOp, and every argument's length and client counts
+	// repeat; plans[i] is argument i's plan memo in each direction.
+	layoutOp *Op
+	plans    []argPlans
+	// ctrl is the invocation's control record: root assembles it, a
+	// worker decodes the broadcast into it, each time in the same
+	// storage.
+	ctrl control
+	// ctrlEnc is root's two control-record buffers, used by alternate
+	// broadcasts: the broadcast lends a record to the workers until they
+	// enter their next collective, so record k+2 overwrites record k only
+	// once root has returned from broadcasting record k+1.
+	ctrlEnc [2]*cdr.Encoder
+	ctrlSeq int
+	// call, scalarDec, replyEnc and args are the handler's Call, its
+	// scalar decoder and reply encoder, and its argument list; reply is
+	// root's reply body. Every dispatch reuses them.
+	call      Call
+	scalarDec cdr.Decoder
+	replyEnc  *cdr.Encoder
+	args      []*dseq.Doubles
+	reply     replyWire
+	// sendEndpoint maps a client thread to its endpoint among sendEPs,
+	// the client endpoints of the out-transfer being sent: one closure
+	// made at Export, so a send allocates none.
+	sendEndpoint func(int) string
+	sendEPs      []string
 }
 
 // request is one queued invocation, its body still parked on its
@@ -202,12 +233,20 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		ttl = DefaultLeaseTTL
 	}
 	o := &Object{
-		cfg:    cfg,
-		th:     th,
-		rank:   th.Rank(),
-		size:   th.Size(),
-		closed: make(chan struct{}),
-		leases: newLeaseTable(ttl),
+		cfg:      cfg,
+		th:       th,
+		rank:     th.Rank(),
+		size:     th.Size(),
+		closed:   make(chan struct{}),
+		leases:   newLeaseTable(ttl),
+		ctrlEnc:  [2]*cdr.Encoder{cdr.NewEncoder(cdr.BigEndian), cdr.NewEncoder(cdr.BigEndian)},
+		replyEnc: cdr.NewEncoderAt(cdr.BigEndian, 1),
+	}
+	o.sendEndpoint = func(to int) string {
+		if to < len(o.sendEPs) {
+			return o.sendEPs[to]
+		}
+		return o.sendEPs[0]
 	}
 
 	needPort := o.rank == 0 || cfg.MultiPort
@@ -533,66 +572,117 @@ func (c *control) encode(e *cdr.Encoder) {
 	}
 }
 
-func decodeControl(d *cdr.Decoder) (*control, error) {
-	var c control
+// decodeControl decodes a control record into c, reusing its storage:
+// the argument slice, each argument's counts and endpoint list, and the
+// scalars' buffer. A string the record repeats allocates nothing: the
+// operation name when it is c's or, with ops, one of ops' names, and an
+// endpoint equal to the one c held at its position. Everything c held
+// before is overwritten.
+func decodeControl(d *cdr.Decoder, c *control, ops map[string]*Op) error {
 	var err error
 	if c.OK, err = d.Boolean(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Refused, err = d.Boolean(); err != nil {
-		return nil, err
+		return err
 	}
-	if c.Op, err = d.String(); err != nil {
-		return nil, err
+	name, err := d.StringBytes()
+	if err != nil {
+		return err
+	}
+	if string(name) != c.Op {
+		c.Op = internOp(name, ops)
 	}
 	if c.Inv, err = d.ULongLong(); err != nil {
-		return nil, err
+		return err
 	}
 	m, err := d.Octet()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.Method = TransferMethod(m)
 	if c.DeadlineMicros, err = d.ULongLong(); err != nil {
-		return nil, err
+		return err
 	}
-	if c.Scalars, err = d.OctetSeq(); err != nil {
-		return nil, err
+	scalars, err := d.OctetSeq()
+	if err != nil {
+		return err
 	}
+	c.Scalars = append(c.Scalars[:0], scalars...)
 	n, err := d.ULong()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Mode, length and two sequence counts: refuse a count the rest of
 	// the record cannot hold before allocating anything for it.
 	if uint64(n)*(1+4+4+4) > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
+		return fmt.Errorf("%w: %d arguments", ErrBadCall, n)
 	}
-	c.Args = make([]controlArg, n)
+	c.Args = resized(c.Args, int(n))
 	for i := range c.Args {
-		mo, err := d.Octet()
-		if err != nil {
-			return nil, err
-		}
-		c.Args[i].Mode = ArgMode(mo)
-		l, err := d.ULong()
-		if err != nil {
-			return nil, err
-		}
-		c.Args[i].Length = int(l)
-		u, err := d.ULongSeq()
-		if err != nil {
-			return nil, err
-		}
-		c.Args[i].ClientCounts = make([]int, len(u))
-		for j, x := range u {
-			c.Args[i].ClientCounts[j] = int(x)
-		}
-		if c.Args[i].ClientEndpoints, err = d.StringSeq(); err != nil {
-			return nil, err
+		if err := decodeControlArg(d, &c.Args[i]); err != nil {
+			return err
 		}
 	}
-	return &c, nil
+	return nil
+}
+
+// decodeControlArg decodes one argument of a control record into a,
+// reusing its storage as decodeControl does.
+func decodeControlArg(d *cdr.Decoder, a *controlArg) error {
+	mo, err := d.Octet()
+	if err != nil {
+		return err
+	}
+	a.Mode = ArgMode(mo)
+	l, err := d.ULong()
+	if err != nil {
+		return err
+	}
+	a.Length = int(l)
+	n, err := d.ULong()
+	if err != nil {
+		return err
+	}
+	if uint64(n)*4 > uint64(d.Remaining()) {
+		return fmt.Errorf("%w: %d client counts", cdr.ErrTooLarge, n)
+	}
+	a.ClientCounts = resized(a.ClientCounts, int(n))
+	for j := range a.ClientCounts {
+		c, err := d.ULong()
+		if err != nil {
+			return err
+		}
+		a.ClientCounts[j] = int(c)
+	}
+	if n, err = d.ULong(); err != nil {
+		return err
+	}
+	if uint64(n) > uint64(d.Remaining()) {
+		return fmt.Errorf("%w: %d client endpoints", cdr.ErrTooLarge, n)
+	}
+	a.ClientEndpoints = resized(a.ClientEndpoints, int(n))
+	for j := range a.ClientEndpoints {
+		ep, err := d.StringBytes()
+		if err != nil {
+			return err
+		}
+		if string(ep) != a.ClientEndpoints[j] {
+			a.ClientEndpoints[j] = string(ep)
+		}
+	}
+	return nil
+}
+
+// internOp returns name as a string: ops' own key when ops holds it, so
+// that it allocates nothing, or else a new string.
+func internOp(name []byte, ops map[string]*Op) string {
+	for k := range ops {
+		if k == string(name) {
+			return k
+		}
+	}
+	return string(name)
 }
 
 // Serve processes requests until Close; it must run on every
@@ -618,10 +708,10 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	select {
 	case req = <-o.queue:
 	case <-o.closed:
-		o.bcastControl(&control{OK: false}, nil)
+		_ = o.bcastControl(&control{OK: false}, nil) // failing, it has no worker left to tell
 		return ErrClosed
 	case <-ctx.Done():
-		o.bcastControl(&control{OK: false}, nil)
+		_ = o.bcastControl(&control{OK: false}, nil)
 		return ctx.Err()
 	}
 	in := req.in
@@ -635,15 +725,14 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	// shed here, before the collective is engaged: the client has given
 	// up, so burning every rank on its dispatch would only add load.
 	if !in.Expiry.IsZero() && !time.Now().Before(in.Expiry) {
-		o.refused(req)
+		err := o.refused(req)
 		shedExpiredSPMD.Inc()
 		_ = in.ReplySystemException("TIMEOUT",
 			"request deadline expired before collective dispatch")
-		return nil
+		return err
 	}
 	if req.gaveUp { // its caller is gone: nothing to answer
-		o.refused(req)
-		return nil
+		return o.refused(req)
 	}
 
 	// Decode the invocation metadata. A centralized request whose prefix
@@ -669,24 +758,27 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 			// A body that does not decode is MARSHAL; one that cannot be
 			// read, its connection gone while it was queued, is answered
 			// by no reply. The collective is not engaged; keep serving.
-			o.refused(req)
+			rerr := o.refused(req)
 			_ = in.ReplySystemException("MARSHAL", err.Error())
-			return nil
+			return rerr
 		}
 	}
 	op, ok := o.cfg.Ops[in.Header.Operation]
 	if !ok {
-		o.refused(req)
+		err := o.refused(req)
 		_ = in.ReplySystemException("BAD_OPERATION", in.Header.Operation)
-		return nil
+		return err
 	}
 	if code, detail := o.refuse(w, in.Header.Operation, op.Spec, in.BodyLen()); code != "" {
-		o.refused(req)
+		err := o.refused(req)
 		_ = in.ReplySystemException(code, detail)
-		return nil
+		return err
 	}
 
-	ctrl := &control{
+	// The record aliases the invocation wire, which lives as long as the
+	// request.
+	ctrl := &o.ctrl
+	*ctrl = control{
 		OK:     true,
 		Op:     in.Header.Operation,
 		Inv:    in.Header.InvocationID,
@@ -696,7 +788,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		// that the same value of non-distributed argument will be
 		// delivered to all computing threads of the server" (§2.1).
 		Scalars: w.Scalars,
-		Args:    make([]controlArg, len(w.Args)),
+		Args:    resized(ctrl.Args, len(w.Args)),
 	}
 	for i, a := range w.Args {
 		ctrl.Args[i] = controlArg{
@@ -706,11 +798,10 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 			ClientEndpoints: a.ClientEndpoints,
 		}
 	}
-	var err error
-	if o.server, o.client, err = argLayouts(op.Spec, ctrl.Args, o.size, o.server, o.client); err != nil {
-		o.refused(req)
+	if err := o.layoutsFor(op, ctrl.Args); err != nil {
+		rerr := o.refused(req)
 		_ = in.ReplySystemException("BAD_PARAM", err.Error())
-		return nil
+		return rerr
 	}
 	if err := o.stage(ctrl, w, in); err != nil {
 		// Only root took part: the dispatch failed before it was shared.
@@ -732,8 +823,18 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		}
 	}
 	// The broadcast hands every rank its blocks: from here until the
-	// handler agreement they are the ranks'.
-	o.bcastControl(ctrl, o.table)
+	// handler agreement they are the ranks'. A broadcast that fails — the
+	// object's world has closed — reached no worker: root answers the
+	// request alone, forgets the blocks it handed out, and stops serving,
+	// as on Close.
+	if err := o.bcastControl(ctrl, o.table); err != nil {
+		o.forgetBlocks()
+		if req.mp {
+			o.retire(ctrl.Inv)
+		}
+		_ = in.ReplySystemException("OBJ_ADAPTER", "object's runtime closed: "+err.Error())
+		return err
+	}
 
 	reply, derr := o.dispatch(ctx, ctrl, o.table[0])
 	if derr != nil {
@@ -822,6 +923,43 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// layoutsFor makes o.server and o.client the layouts of op's arguments
+// args (argLayouts), keeping the previous dispatch's while the
+// operation, every argument's length and its client counts repeat.
+func (o *Object) layoutsFor(op *Op, args []controlArg) error {
+	if o.layoutOp == op && sameShape(o.server, o.client, args) {
+		return nil
+	}
+	o.layoutOp = nil
+	var err error
+	if o.server, o.client, err = argLayouts(op.Spec, args, o.size, o.server, o.client); err != nil {
+		return err
+	}
+	o.layoutOp = op
+	return nil
+}
+
+// sameShape reports whether server and client are the layouts of args
+// for the operation they were computed for: one pair per argument, the
+// server layout as long as the argument, the client layout of its
+// counts.
+func sameShape(server, client []dist.Layout, args []controlArg) bool {
+	if len(server) != len(args) {
+		return false
+	}
+	for i, a := range args {
+		if server[i].Len() != a.Length || client[i].P() != len(a.ClientCounts) {
+			return false
+		}
+		for r, n := range a.ClientCounts {
+			if client[i].Count(r) != n {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // argLayouts returns the server and client layouts of args, appended to
 // server[:0] and client[:0]: the server's as op declares them over size
 // threads, the client's from the counts it sent, which must sum to the
@@ -851,13 +989,15 @@ func argLayouts(spec OpSpec, args []controlArg, size int, server, client []dist.
 // puts that sit on the ranks' read loops, waiting for windows that will
 // not register: every rank, the others through the control broadcast,
 // retires the invocation, so they are skimmed. A centralized one ships
-// none, and costs no broadcast.
-func (o *Object) refused(req request) {
-	if req.mp {
-		inv := req.in.Header.InvocationID
-		o.retire(inv)
-		o.bcastControl(&control{OK: true, Refused: true, Inv: inv}, nil)
+// none, and costs no broadcast. It returns the broadcast's error: the
+// object's world has closed, and root stops serving.
+func (o *Object) refused(req request) error {
+	if !req.mp {
+		return nil
 	}
+	inv := req.in.Header.InvocationID
+	o.retire(inv)
+	return o.bcastControl(&control{OK: true, Refused: true, Inv: inv}, nil)
 }
 
 // retire declares that none of invocation inv's windows registers on
@@ -902,8 +1042,8 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ctrl, err := decodeControl(cdr.NewDecoder(cdr.BigEndian, raw))
-	if err != nil {
+	ctrl := &o.ctrl
+	if err := decodeControl(cdr.NewDecoder(cdr.BigEndian, raw), ctrl, o.cfg.Ops); err != nil {
 		return err
 	}
 	if !ctrl.OK {
@@ -920,11 +1060,16 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 	return nil
 }
 
-// bcastControl broadcasts c, handing rank r table[r].
-func (o *Object) bcastControl(c *control, table [][][]float64) {
-	e := cdr.NewEncoder(cdr.BigEndian)
+// bcastControl broadcasts c from root, handing rank r table[r], and
+// returns the broadcast's error. The record goes out by reference, in
+// the buffer of the record before last (ctrlEnc).
+func (o *Object) bcastControl(c *control, table [][][]float64) error {
+	e := o.ctrlEnc[o.ctrlSeq&1]
+	o.ctrlSeq++
+	e.Reset()
 	c.encode(e)
-	_, _, _ = o.th.BcastDoubles(0, e.Bytes(), table)
+	_, _, err := o.th.BcastDoubles(0, e.Bytes(), table)
+	return err
 }
 
 // dispatch is the collective body run by every thread: take up the
@@ -963,10 +1108,13 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 	// one's in-data lands in them here. Root checked the layouts at pop.
 	var firstErr error
 	if o.rank != 0 {
-		o.server, o.client, firstErr = argLayouts(op.Spec, ctrl.Args, o.size, o.server, o.client)
+		firstErr = o.layoutsFor(op, ctrl.Args)
 	}
 	server, client := o.server, o.client
-	args := make([]*dseq.Doubles, len(ctrl.Args))
+	o.plans = resized(o.plans, len(ctrl.Args))
+	o.args = resized(o.args, len(ctrl.Args))
+	clear(o.args)
+	args := o.args
 	for i, ca := range ctrl.Args {
 		if firstErr != nil {
 			break
@@ -975,9 +1123,10 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 			break
 		}
 		if ctrl.Method == MultiPort && ca.Mode != Out {
-			plan, err := dist.Plan(client[i], server[i])
+			m := &o.plans[i].in
+			err := m.update(client[i], server[i], o.rank, false)
 			if err == nil {
-				err = o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, args[i])
+				err = o.receiveBlocks(ctx, ctrl.Inv, uint32(i), m.recv, args[i])
 			}
 			firstErr = err
 		}
@@ -999,21 +1148,18 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 		}
 	}
 
-	// Phase 2: invoke the handler on every thread.
-	call := &Call{
-		Op:      ctrl.Op,
-		Thread:  o.th,
-		Scalars: cdr.NewDecoderAt(cdr.BigEndian, nil, 0),
-		Args:    args,
-		// Reply bytes are embedded in an encapsulation whose payload
-		// starts at stream offset 1 (after the byte-order flag).
-		reply: cdr.NewEncoderAt(cdr.BigEndian, 1),
-	}
-	// The scalar encapsulation carries its own byte-order flag.
+	// Phase 2: invoke the handler on every thread. Reply bytes are
+	// embedded in an encapsulation whose payload starts at stream offset
+	// 1 (after the byte-order flag); the scalar encapsulation carries its
+	// own byte-order flag.
+	o.replyEnc.ResetTo(cdr.BigEndian, 1)
+	o.scalarDec = *cdr.NewDecoderAt(cdr.BigEndian, nil, 0)
 	if len(ctrl.Scalars) > 0 {
 		flag := ctrl.Scalars[0]
-		call.Scalars = cdr.NewDecoderAt(cdr.ByteOrder(flag&1), ctrl.Scalars[1:], 1)
+		o.scalarDec = *cdr.NewDecoderAt(cdr.ByteOrder(flag&1), ctrl.Scalars[1:], 1)
 	}
+	call := &o.call
+	*call = Call{Op: ctrl.Op, Thread: o.th, Scalars: &o.scalarDec, Args: args, reply: o.replyEnc}
 	herr := firstErr
 	if herr == nil {
 		herr = o.runHandler(op, call)
@@ -1031,21 +1177,22 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 		if o.rank != 0 {
 			return nil, nil
 		}
-		var replyArgs [][][]float64
+		o.reply = replyWire{Scalars: call.reply.Bytes(), Args: o.reply.Args[:0]}
 		for i, ca := range ctrl.Args {
 			if ca.Mode != In {
-				replyArgs = append(replyArgs, o.byArg[i])
+				o.reply.Args = append(o.reply.Args, o.byArg[i])
 			}
 		}
-		return &replyWire{Scalars: call.reply.Bytes(), Args: replyArgs}, nil
+		return &o.reply, nil
 	}
 	for i, ca := range ctrl.Args {
 		if ca.Mode == In {
 			continue
 		}
-		plan, err := dist.Plan(server[i], client[i])
+		m := &o.plans[i].out
+		err := m.update(server[i], client[i], o.rank, true)
 		if err == nil {
-			err = o.sendBlocks(ctrl.Inv, uint32(i), plan, args[i], ca.ClientEndpoints)
+			err = o.sendBlocks(ctrl.Inv, uint32(i), m.puts, args[i], ca.ClientEndpoints)
 		}
 		if firstErr = err; err != nil {
 			break
@@ -1059,7 +1206,8 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 	if o.rank != 0 {
 		return nil, nil
 	}
-	return &replyWire{Scalars: call.reply.Bytes()}, nil
+	o.reply = replyWire{Scalars: call.reply.Bytes(), Args: o.reply.Args[:0]}
+	return &o.reply, nil
 }
 
 // runHandler runs op's handler on this rank. A panic becomes the rank's
@@ -1108,14 +1256,13 @@ func (o *Object) argBlock(r, i, n int, mode ArgMode) []float64 {
 }
 
 // receiveBlocks collects this thread's share of a multi-port in
-// transfer into seq's local block: the block is registered as a
-// one-sided window and the senders' puts land in it straight off their
-// delivering connections' read buffers (concurrently and out of order),
-// while this thread waits for the element count to reach the plan's
-// total. ctx (or object close) bounds the wait so a dead sender cannot
-// strand the dispatch.
-func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
-	expect := planElemsTo(plan, o.rank)
+// transfer, expect elements, into seq's local block: the block is
+// registered as a one-sided window and the senders' puts land in it
+// straight off their delivering connections' read buffers (concurrently
+// and out of order), while this thread waits for the element count to
+// reach expect. ctx (or object close) bounds the wait so a dead sender
+// cannot strand the dispatch.
+func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, expect int, seq *dseq.Doubles) error {
 	if expect == 0 {
 		return nil
 	}
@@ -1131,33 +1278,27 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, p
 	// expiry unwinds the wait (teardown via the deferred cancel) instead
 	// of stranding the collective until the Serve context ends.
 	l := o.leases.acquire(leaseClient(inv))
-	win, cancel, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect),
-		func() { l.last.Store(time.Now().UnixNano()) })
+	win, _, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect), l.renew)
 	if err != nil {
 		return err
 	}
-	defer cancel()
+	defer win.Cancel()
 	return waitWindow(ctx, win, o.closed, l.expired)
 }
 
-// sendBlocks ships this thread's share of a multi-port out transfer
-// directly to the client threads' endpoints, chunked and windowed, as
-// puts into the windows the client registered (see sendPlanPuts).
-func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles, endpoints []string) error {
-	if len(dist.PlanFor(plan, o.rank)) == 0 {
+// sendBlocks ships this thread's share of a multi-port out transfer,
+// puts (planMemo), directly to the client threads' endpoints as puts
+// into the windows the client registered (see sendPlanPuts).
+func (o *Object) sendBlocks(inv uint64, argIdx uint32, puts []chunkPut, seq *dseq.Doubles, endpoints []string) error {
+	if len(puts) == 0 {
 		return nil
 	}
 	if len(endpoints) == 0 {
 		return fmt.Errorf("%w: client sent no endpoints for multi-port out transfer", ErrBadCall)
 	}
-	endpointFor := func(to int) string {
-		if to < len(endpoints) {
-			return endpoints[to]
-		}
-		return endpoints[0]
-	}
-	_, err := sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
-		endpointFor, ResolvedXferWindow(), xferChunkElems)
+	o.sendEPs = endpoints
+	_, err := sendPlanPuts(o.out, inv, argIdx, o.rank, puts, seq.LocalData(),
+		o.sendEndpoint, ResolvedXferWindow())
 	return err
 }
 

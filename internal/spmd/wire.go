@@ -92,7 +92,8 @@ func collectiveVerdict(th rts.Thread, local error, remote func(rank int) error) 
 
 // verdictWords is collectiveVerdict carrying, in the same allgather, a
 // word from every thread beside its verdict: on success it returns the
-// words in rank order. A word keeps its low 63 bits.
+// words in rank order, in the allgather's buffer (rts.Thread.AllgatherU64).
+// A word keeps its low 63 bits.
 func verdictWords(th rts.Thread, local error, word uint64, remote func(rank int) error) ([]uint64, error) {
 	word <<= 1
 	if local != nil {
@@ -119,14 +120,16 @@ func verdictWords(th rts.Thread, local error, word uint64, remote func(rank int)
 // setupVerdict is verdictWords for a setup phase, what describing it
 // (e.g. "open its receive port"): every thread's error is an
 // ErrPartialFailure naming the failed rank, the failed thread's also
-// carrying its local detail.
+// carrying its local detail. The words are the caller's own copy, not
+// the allgather's buffer, which the thread's next collective reuses.
 func setupVerdict(th rts.Thread, local error, what string, word uint64) ([]uint64, error) {
 	if local != nil {
 		local = fmt.Errorf("%w: thread %d failed to %s: %w", ErrPartialFailure, th.Rank(), what, local)
 	}
-	return verdictWords(th, local, word, func(r int) error {
+	words, err := verdictWords(th, local, word, func(r int) error {
 		return fmt.Errorf("%w: thread %d failed to %s", ErrPartialFailure, r, what)
 	})
+	return slices.Clone(words), err
 }
 
 // argWire is the per-argument metadata the client sends in the

@@ -176,8 +176,8 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 	for name, c := range cases {
 		roundTrip(t, name, c.encode, func(d *cdr.Decoder) (func(*cdr.Encoder), error) {
-			got, err := decodeControl(d)
-			if err != nil {
+			var got control
+			if err := decodeControl(d, &got, nil); err != nil {
 				return nil, err
 			}
 			return got.encode, nil

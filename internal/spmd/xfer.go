@@ -2,12 +2,14 @@
 // multi-port transfer use to ship distributed-argument blocks and await
 // their landing.
 //
-// Sending: sendPlanPuts fans a thread's share of a transfer plan out
-// to the destination threads as one-sided window puts with a bounded
-// in-flight window, after splitting oversized blocks into pipelined
-// chunks (dist.Chunk), so the write of chunk N overlaps the landing of
-// chunk N-1 and transfers to different ranks ride different
-// connections simultaneously.
+// Sending: sendPlanPuts ships a thread's share of a transfer plan to
+// the destination threads as one-sided window puts, with a bounded
+// number in flight, after splitting oversized blocks into pipelined
+// chunks, so the write of chunk N overlaps the landing of chunk N-1 and
+// transfers to different ranks ride different connections
+// simultaneously. The share and its chunks depend only on the two
+// layouts, which a binding repeats call after call: a planMemo keeps
+// them, and is rebuilt only when a layout changes.
 //
 // Receiving: the destination rank registers its local block as an
 // orb.Window and waitWindow awaits it; a put that arrives first waits on
@@ -24,6 +26,7 @@ package spmd
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,97 +71,153 @@ type peerPutter interface {
 	PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []float64) (int, error)
 }
 
-// sendPlanPuts ships rank's share of a transfer plan for one argument,
-// chunked and windowed, as MsgWindowPut frames straight to the
+// chunkPut is one window put of a thread's share of a transfer plan:
+// Count elements from the sender's local offset SrcOff to thread To's
+// local offset DstOff. Last marks the final put to To.
+type chunkPut struct {
+	To, SrcOff, DstOff, Count int
+	Last                      bool
+}
+
+// chunkPuts returns rank's share of plan as puts of at most chunkElems
+// elements each (chunkElems <= 0 keeps every block whole), in plan
+// order. Every block must fit what a put header can address.
+func chunkPuts(plan []dist.Transfer, rank, chunkElems int) ([]chunkPut, error) {
+	var puts []chunkPut
+	for _, tr := range plan {
+		if tr.From != rank {
+			continue
+		}
+		if err := giop.CheckBlockRange(tr.DstOff, tr.Count); err != nil {
+			return nil, err
+		}
+		for _, c := range dist.Chunk([]dist.Transfer{tr}, chunkElems) {
+			puts = append(puts, chunkPut{To: c.To, SrcOff: c.SrcOff, DstOff: c.DstOff, Count: c.Count})
+		}
+	}
+	for i := len(puts) - 1; i >= 0; i-- {
+		puts[i].Last = !slices.ContainsFunc(puts[i+1:], func(p chunkPut) bool { return p.To == puts[i].To })
+	}
+	return puts, nil
+}
+
+// planMemo is one argument's transfer plan in one direction, as one
+// thread takes part in it: the puts it sends, if it sends, or the
+// elements it receives. A binding and an object keep one per argument
+// position and direction from one invocation to the next; update
+// rebuilds it only when a layout differs from the ones it was built
+// for.
+type planMemo struct {
+	src, dst dist.Layout
+	built    bool
+	puts     []chunkPut
+	recv     int
+}
+
+// update makes m rank's part in the plan that moves a sequence from
+// layout src to layout dst: as a sender (send), its puts, blocks cut
+// into chunks of at most xferChunkElems elements; as a receiver, the
+// element count it awaits.
+func (m *planMemo) update(src, dst dist.Layout, rank int, send bool) error {
+	if m.built && m.src.Equal(src) && m.dst.Equal(dst) {
+		return nil
+	}
+	m.built = false
+	plan, err := dist.Plan(src, dst)
+	if err != nil {
+		return err
+	}
+	var puts []chunkPut
+	recv := 0
+	if send {
+		puts, err = chunkPuts(plan, rank, xferChunkElems)
+	} else {
+		recv = planElemsTo(plan, rank)
+	}
+	if err != nil {
+		return err
+	}
+	*m = planMemo{src: src, dst: dst, built: true, puts: puts, recv: recv}
+	return nil
+}
+
+// argPlans is the plan memo of one argument position in each direction.
+type argPlans struct {
+	in, out planMemo
+}
+
+// sendPlanPuts ships puts, rank's share of a transfer plan for one
+// argument (chunkPuts), as MsgWindowPut frames straight to the
 // destination ranks' endpoints (endpointFor maps a destination thread
 // to its endpoint), landing in the window they registered under
 // BlockSinkKey(inv, argIdx) — no CDR sequence framing and (native
-// order) no payload copy on either side. The plan-derived bounds
-// checks apply before anything is sent. It returns the payload bytes
-// shipped.
+// order) no payload copy on either side. At most window puts are in
+// flight: min(window, len(puts)) workers, the caller one of them, take
+// the puts in index order; once one fails, no worker starts another,
+// and the first failure is returned. It returns the payload bytes of
+// the puts that succeeded.
 func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
-	plan []dist.Transfer, local []float64, endpointFor func(int) string,
-	window, chunkElems int) (uint64, error) {
+	puts []chunkPut, local []float64, endpointFor func(int) string, window int) (uint64, error) {
+	if len(puts) == 0 {
+		return 0, nil
+	}
 	key, err := giop.BlockSinkKey(inv, argIdx)
 	if err != nil {
 		return 0, err
 	}
-	mine := dist.PlanFor(plan, rank)
-	if len(mine) == 0 {
-		return 0, nil
+	r := &putRun{pc: pc, puts: puts, local: local, endpointFor: endpointFor,
+		hdr: giop.WindowPutHeader{WindowID: key, FromThread: int32(rank)}}
+	workers := min(max(window, 1), len(puts))
+	r.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() {
+			defer r.wg.Done()
+			r.work()
+		}()
 	}
-	for _, tr := range mine {
-		if err := giop.CheckBlockRange(tr.DstOff, tr.Count); err != nil {
-			return 0, err
-		}
-	}
-	mine = dist.Chunk(mine, chunkElems)
-	lastIdx := make(map[int]int, len(mine))
-	for idx, tr := range mine {
-		lastIdx[tr.To] = idx
-	}
-	header := func(idx int, tr dist.Transfer) giop.WindowPutHeader {
-		return giop.WindowPutHeader{
-			WindowID:   key,
-			FromThread: int32(rank),
-			DstOff:     uint32(tr.DstOff),
-			Count:      uint32(tr.Count),
-			Last:       lastIdx[tr.To] == idx,
-		}
-	}
+	r.work()
+	r.wg.Wait()
+	return r.total.Load(), r.err
+}
 
-	if window <= 1 || len(mine) == 1 {
-		var total uint64
-		for idx, tr := range mine {
-			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
-			if err != nil {
-				return total, err
-			}
-			peerBlocksTotal.Inc()
-			total += uint64(n)
-		}
-		return total, nil
-	}
+// putRun is one sendPlanPuts call: its workers share the next put
+// index, the payload total and the first failure.
+type putRun struct {
+	pc          peerPutter
+	puts        []chunkPut
+	local       []float64
+	endpointFor func(int) string
+	hdr         giop.WindowPutHeader
 
-	var (
-		sem      = make(chan struct{}, window)
-		wg       sync.WaitGroup
-		total    atomic.Uint64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for idx, tr := range mine {
-		if failed.Load() {
-			break
+	wg     sync.WaitGroup
+	next   atomic.Int64
+	total  atomic.Uint64
+	failed atomic.Bool
+	// err is the first failure, written once by the worker that set
+	// failed and read after wg.Wait.
+	err error
+}
+
+// work ships puts in index order until none is left or one has failed.
+func (r *putRun) work() {
+	for !r.failed.Load() {
+		i := int(r.next.Add(1) - 1)
+		if i >= len(r.puts) {
+			return
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(idx int, tr dist.Transfer) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
-			if err != nil {
-				if failed.CompareAndSwap(false, true) {
-					errMu.Lock()
-					firstErr = err
-					errMu.Unlock()
-				}
-				return
+		p := &r.puts[i]
+		h := r.hdr
+		h.DstOff, h.Count, h.Last = uint32(p.DstOff), uint32(p.Count), p.Last
+		n, err := r.pc.PutWindow(r.endpointFor(p.To), h, r.local[p.SrcOff:p.SrcOff+p.Count])
+		if err != nil {
+			if r.failed.CompareAndSwap(false, true) {
+				r.err = err
 			}
-			peerBlocksTotal.Inc()
-			total.Add(uint64(n))
-		}(idx, tr)
+			return
+		}
+		peerBlocksTotal.Inc()
+		r.total.Add(uint64(n))
 	}
-	wg.Wait()
-	errMu.Lock()
-	err = firstErr
-	errMu.Unlock()
-	return total.Load(), err
 }
 
 // waitWindow awaits a registered destination window: until completion
