@@ -149,6 +149,24 @@ func ageMicros(d time.Duration) uint64 {
 	return uint64((d + time.Microsecond - 1) / time.Microsecond)
 }
 
+// maxWireMicros is the longest duration, in microseconds, a snapshot
+// or registration may carry: a longer one overflows a time.Duration, or
+// rounds past it when re-encoded (ageMicros).
+const maxWireMicros = (1<<63 - 1 - 999) / 1000
+
+// durationMicros decodes a duration sent in microseconds, refusing one
+// a time.Duration cannot hold.
+func durationMicros(d *cdr.Decoder, what string) (time.Duration, error) {
+	us, err := d.ULongLong()
+	if err != nil {
+		return 0, err
+	}
+	if us > maxWireMicros {
+		return 0, fmt.Errorf("%w: %s of %d µs", ErrProtocol, what, us)
+	}
+	return time.Duration(us) * time.Microsecond, nil
+}
+
 func encodeSnapshot(e *cdr.Encoder, s SyncSnapshot) {
 	e.PutULong(uint32(len(s.Entries)))
 	for _, en := range s.Entries {
@@ -194,16 +212,12 @@ func decodeSnapshot(d *cdr.Decoder) (SyncSnapshot, error) {
 		if en.Load, err = decodeLoad(d); err != nil {
 			return s, err
 		}
-		ageMicros, err := d.ULongLong()
-		if err != nil {
+		if en.Age, err = durationMicros(d, "age"); err != nil {
 			return s, err
 		}
-		en.Age = time.Duration(ageMicros) * time.Microsecond
-		ttlMicros, err := d.ULongLong()
-		if err != nil {
+		if en.TTL, err = durationMicros(d, "TTL"); err != nil {
 			return s, err
 		}
-		en.TTL = time.Duration(ttlMicros) * time.Microsecond
 		s.Entries = append(s.Entries, en)
 	}
 	nt, err := d.ULong()
@@ -218,16 +232,12 @@ func decodeSnapshot(d *cdr.Decoder) (SyncSnapshot, error) {
 		if tb.Instance, err = d.String(); err != nil {
 			return s, err
 		}
-		ageMicros, err := d.ULongLong()
-		if err != nil {
+		if tb.Age, err = durationMicros(d, "age"); err != nil {
 			return s, err
 		}
-		tb.Age = time.Duration(ageMicros) * time.Microsecond
-		ttlMicros, err := d.ULongLong()
-		if err != nil {
+		if tb.TTL, err = durationMicros(d, "TTL"); err != nil {
 			return s, err
 		}
-		tb.TTL = time.Duration(ttlMicros) * time.Microsecond
 		s.Tombs = append(s.Tombs, tb)
 	}
 	return s, nil
@@ -251,11 +261,9 @@ func decodeRegistration(d *cdr.Decoder) (Registration, error) {
 	if r.Instance, err = d.String(); err != nil {
 		return r, err
 	}
-	ttlMicros, err := d.ULongLong()
-	if err != nil {
+	if r.TTL, err = durationMicros(d, "TTL"); err != nil {
 		return r, err
 	}
-	r.TTL = time.Duration(ttlMicros) * time.Microsecond
 	if r.Load, err = decodeLoad(d); err != nil {
 		return r, err
 	}

@@ -163,7 +163,7 @@ func BenchmarkSendBlock(b *testing.B) {
 // BenchmarkWindowPut is BenchmarkSendBlock's one-sided counterpart:
 // the same 32 KiB payload lands straight into a registered window with
 // no CDR sequence framing and (native order) no payload copy on either
-// side. The window is re-registered per put so each iteration measures
+// side. The window is re-armed per put so each iteration measures
 // a complete land, not a hot overshoot. The foreign sub-benchmark pins
 // the client to the other byte order: no default reaches the swap path
 // (encode into a pooled buffer, chunked swap on landing) any more, and

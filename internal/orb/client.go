@@ -215,12 +215,7 @@ func (c *Client) conn(endpoint string, puts bool) (*clientConn, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	key := stripeKey{endpoint, puts}
-	st := c.stripes[key]
-	if st == nil {
-		st = &stripe{}
-		c.stripes[key] = st
-	}
+	st := c.stripeLocked(stripeKey{endpoint, puts})
 	var best *clientConn
 	var bestDepth int64
 	for _, cc := range st.conns {
@@ -233,12 +228,32 @@ func (c *Client) conn(endpoint string, puts bool) (*clientConn, error) {
 	if best != nil && (bestDepth == 0 || len(st.conns) >= c.stripeWidth) {
 		return best, nil
 	}
-	raw, err := c.reg.Dial(endpoint)
+	cc, err := c.dialLocked(st, stripeKey{endpoint, puts})
 	if err != nil {
 		if best != nil {
 			return best, nil
 		}
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, endpoint, err)
+		return nil, err
+	}
+	return cc, nil
+}
+
+// stripeLocked returns the stripe of key, made empty when it has none.
+func (c *Client) stripeLocked(key stripeKey) *stripe {
+	st := c.stripes[key]
+	if st == nil {
+		st = &stripe{}
+		c.stripes[key] = st
+	}
+	return st
+}
+
+// dialLocked adds a freshly dialed connection to st, the stripe of key.
+// A failed dial is tagged ErrUnreachable.
+func (c *Client) dialLocked(st *stripe, key stripeKey) (*clientConn, error) {
+	raw, err := c.reg.Dial(key.endpoint)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, key.endpoint, err)
 	}
 	cc := &clientConn{
 		owner:   c,
@@ -252,6 +267,29 @@ func (c *Client) conn(endpoint string, puts bool) (*clientConn, error) {
 	st.conns = append(st.conns, cc)
 	go cc.readLoop()
 	return cc, nil
+}
+
+// ReservePuts opens put connections to endpoint until its put stripe
+// holds n of them, or as many as the stripe's width allows. A sender
+// that will keep n puts to endpoint in flight at once calls it before
+// them: the stripe then holds the connections those puts need from the
+// first, where lazy growth would dial each one only when puts happen to
+// meet on a busy connection, which may be many calls later. Once the
+// stripe holds them, it allocates nothing.
+func (c *Client) ReservePuts(endpoint string, n int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
+	key := stripeKey{endpoint, true}
+	st := c.stripeLocked(key)
+	for len(st.conns) < min(n, c.stripeWidth) {
+		if _, err := c.dialLocked(st, key); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dropConn removes a dead connection from its stripe.

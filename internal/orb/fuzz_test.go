@@ -46,16 +46,16 @@ const (
 	fuzzWindowN  = 64 // elements in each fuzzed window
 	fuzzGuardN   = 8  // guard elements past its end
 	fuzzGuard    = -7.25
-	fuzzRegID    = 0x1100
-	fuzzUnregID  = 0x2200
-	fuzzProbeID  = 0x3300
+	fuzzRegID    = 0x1100 // three windows of one binding (prefix 0), each for its own
+	fuzzUnregID  = 0x2201 // argument, so arming the probe's epoch 0x33 neither lands
+	fuzzProbeID  = 0x3302 // nor skims a put for epoch 0x11 or 0x22
 	fuzzProbeLen = 4
 )
 
 // How the harness ends the wait of a put for the unregistered ID.
 const (
 	fuzzEndRegister = iota // the window registers, and the put lands
-	fuzzEndRetire          // the invocation retires, and the put is skimmed
+	fuzzEndEpoch           // the epoch ends, and the put is skimmed
 	fuzzEndClose           // the connection ends
 	fuzzEnds
 )
@@ -102,7 +102,7 @@ func FuzzWindowPut(f *testing.F) {
 	put(foreign, true, 0, 8, 16, base+128)                        // foreign byte order
 	put(native, false, fuzzEndRegister, 0, 16, base+128)          // waits, then lands
 	put(foreign, false, fuzzEndRegister, 8, 16, base+128)         // waits, then lands, foreign order
-	put(native, false, fuzzEndRetire, 0, 16, base+128)            // retired
+	put(native, false, fuzzEndEpoch, 0, 16, base+128)             // its epoch ends
 	put(native, false, fuzzEndClose, 0, 16, base+128)             // the connection ends
 	put(native, false, fuzzEndRegister, 0, 1<<17, base+8*(1<<17)) // a 1 MiB put waits, its payload unsent
 
@@ -190,8 +190,8 @@ func FuzzWindowPut(f *testing.F) {
 					t.Fatal(err)
 				}
 				defer cancelLate()
-			case fuzzEndRetire:
-				srv.RetireWindows(windowInv(fuzzUnregID))
+			case fuzzEndEpoch:
+				srv.EndEpoch(fuzzUnregID >> 8)
 			case fuzzEndClose:
 				sc.close()
 			}

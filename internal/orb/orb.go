@@ -63,13 +63,10 @@ type Block struct {
 }
 
 // The bound on a put's wait for its window (see awaitWindow), and how
-// often a Server's sweeper wakes the waiting puts to check it and drops
-// lapsed retirements.
+// often a Server's sweeper wakes the waiting puts to check it.
 const (
 	putWaitTTL       = 30 * time.Second
 	putSweepInterval = 5 * time.Second
-	// maxRetired bounds the live retirements of a router (see retire).
-	maxRetired = 4096
 )
 
 // blockSink is one registered consumer of block transfers: a callback
@@ -79,28 +76,28 @@ const (
 type blockSink func(Block) error
 
 // blockRouter delivers incoming block transfers to the sinks expecting
-// them and window puts to their registered windows; a put whose window
-// has not registered waits for it on its connection's read loop.
+// them and window puts to the windows armed for them; a put whose epoch
+// is not armed yet waits for it on its connection's read loop.
 type blockRouter struct {
-	mu      sync.Mutex
-	sinks   map[uint64]blockSink
-	windows map[uint64]*Window
-	// retired maps each invocation none of whose windows registers any
-	// more to the moment its retirement lapses (see retire).
-	retired map[uint64]time.Time
+	mu    sync.Mutex
+	sinks map[uint64]blockSink
+	// bindings holds each client's windows, by the client's invocation
+	// prefix (windowClient), and armed counts the windows armed.
+	bindings map[uint64]*windowSet
+	armed    int
 	// arrived is broadcast on r.mu by everything that may end a put's
-	// wait: a registration, a retirement, a connection's end, a sweep.
+	// wait: an arming, a disarming, an ended epoch, a drop, a
+	// connection's end, a sweep.
 	arrived sync.Cond
 	waiting int           // puts waiting for their window
-	ttl     time.Duration // the bound on one wait, and on a retirement
+	ttl     time.Duration // the bound on one wait
 }
 
 func newBlockRouter() *blockRouter {
 	r := &blockRouter{
-		sinks:   make(map[uint64]blockSink),
-		windows: make(map[uint64]*Window),
-		retired: make(map[uint64]time.Time),
-		ttl:     putWaitTTL,
+		sinks:    make(map[uint64]blockSink),
+		bindings: make(map[uint64]*windowSet),
+		ttl:      putWaitTTL,
 	}
 	r.arrived.L = &r.mu
 	return r
@@ -111,11 +108,11 @@ func newBlockRouter() *blockRouter {
 type BlockRouterStats struct {
 	// Sinks is the number of registered (not yet cancelled) sinks.
 	Sinks int
-	// Windows is the number of registered (not yet cancelled)
-	// one-sided destination windows.
+	// Windows is the number of one-sided destination windows armed
+	// (registered and not yet cancelled); between invocations it is 0.
 	Windows int
-	// Pending is the number of window puts waiting for their window
-	// to register, each on its connection's read loop.
+	// Pending is the number of window puts waiting for their epoch to
+	// be armed, each on its connection's read loop.
 	Pending int
 }
 
@@ -124,7 +121,7 @@ func (r *blockRouter) stats() BlockRouterStats {
 	defer r.mu.Unlock()
 	return BlockRouterStats{
 		Sinks:   len(r.sinks),
-		Windows: len(r.windows),
+		Windows: r.armed,
 		Pending: r.waiting,
 	}
 }

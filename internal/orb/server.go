@@ -267,9 +267,8 @@ func NewServer(reg *transport.Registry, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	// The sweeper bounds the waits of puts whose window neither
-	// registers nor retires — say, a forged window ID — and drops
-	// lapsed retirements.
+	// The sweeper bounds the waits of puts whose epoch is neither armed
+	// nor ended — say, a forged window ID.
 	s.wg.Add(1)
 	go s.sweepLoop()
 	return s
@@ -282,7 +281,7 @@ func (s *Server) sweepLoop() {
 	for {
 		select {
 		case <-t.C:
-			s.blocks.sweep(time.Now())
+			s.blocks.wake()
 		case <-s.quit:
 			return
 		}
@@ -347,20 +346,23 @@ func (s *Server) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), err
 	return s.blocks.registerFunc(inv, fn)
 }
 
-// RegisterWindow exposes dst as a one-sided destination window:
-// MsgWindowPut frames addressed to id, giop.BlockSinkKey(inv, arg), land
-// straight off the delivering connection's read buffer into
-// dst[DstOff:DstOff+Count], bounds checked, until expect elements have
-// arrived; puts that arrived first and wait for the registration land
-// the same way. The returned cancel is the window's Cancel, and it or
-// Cancel must be called on every exit path: it removes the
-// registration, and unless the window completed it retires inv
-// (RetireWindows), so the puts still due are skimmed instead of writing
-// into a reclaimed slice. RegisterWindow inlines, so a caller that
-// drops cancel and cancels through the method allocates nothing for it
-// (spmd's windows; TestCentralizedAllocBudget counts them).
-// onPut, when non-nil, runs after every landed put on the delivering
-// connection's read goroutine (a liveness hook; it must not block).
+// RegisterWindow arms dst as a one-sided destination window for id,
+// giop.BlockSinkKey(inv, arg): the window of inv's binding (its client's
+// invocation prefix) and argument, at inv's invocation counter as the
+// epoch (see window.go). MsgWindowPut frames for id land straight off
+// the delivering connection's read buffer into dst[DstOff:DstOff+Count],
+// bounds checked, until expect elements have arrived; puts that arrived
+// first and wait for the arming land the same way. The returned cancel
+// is the window's Cancel, and it or Cancel must be called on every exit
+// path: it disarms the window, whose epoch then becomes its floor, so
+// the puts still due are skimmed instead of writing into a reclaimed
+// slice. The window stays, and the binding's next RegisterWindow for the
+// argument re-arms it, allocating nothing. RegisterWindow inlines, so a
+// caller that drops cancel and cancels through the method allocates
+// nothing for it (spmd's windows; TestCentralizedAllocBudget counts
+// them). onPut, when non-nil, runs after every landed put on the
+// delivering connection's read goroutine (a liveness hook; it must not
+// block).
 func (s *Server) RegisterWindow(id uint64, dst []float64, expect int64, onPut func()) (w *Window, cancel func(), err error) {
 	if w, err = s.blocks.registerWindow(id, dst, expect, onPut); w != nil {
 		cancel = w.Cancel
@@ -368,12 +370,18 @@ func (s *Server) RegisterWindow(id uint64, dst []float64, expect int64, onPut fu
 	return w, cancel, err
 }
 
-// RetireWindows declares that no window of invocation inv registers on
-// this server any more: a put for one — waiting already, or arriving
-// within the wait bound — is skimmed, and its connection reads on. Every
-// path that gives up an invocation before registering all of its windows
-// must retire it, or its puts stall their connections until the bound.
-func (s *Server) RetireWindows(inv uint64) { s.blocks.retire(inv) }
+// EndEpoch raises the floor of invocation inv's binding on this server
+// to inv's epoch: a put for inv — waiting already, or arriving later —
+// or for any earlier invocation of the binding is skimmed unless its
+// window is armed, and its connection reads on. Every path that gives
+// up an invocation before arming all of its windows must end its epoch,
+// or its puts stall their connections until the bound.
+func (s *Server) EndEpoch(inv uint64) { s.blocks.endEpoch(inv) }
+
+// DropWindows removes the windows of client, an invocation ID's 24-bit
+// prefix (inv >> 32): an armed epoch fails, and a put that waited on
+// them is skimmed. The client's next RegisterWindow starts afresh.
+func (s *Server) DropWindows(client uint64) { s.blocks.drop(client, errWindowsDropped) }
 
 // BlockStats reports the server block router's sink, window and
 // waiting-put counts.
@@ -455,6 +463,7 @@ func (s *Server) Close() error {
 		sc.close()
 	}
 	s.wg.Wait()
+	s.blocks.dropAll(ErrClosed)
 	return nil
 }
 
@@ -521,6 +530,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		sc.close()
 	}
 	s.wg.Wait()
+	s.blocks.dropAll(ErrClosed)
 	return drainErr
 }
 
@@ -670,34 +680,27 @@ func (sc *serverConn) readLoop() {
 
 // handleWindowPut lands one MsgWindowPut: its payload streams wire →
 // destination slice, bounds checked first; a range violation poisons the
-// window, not the connection, and the payload is skimmed to keep the
-// stream framed. A put whose window has not registered waits for it
+// window's epoch, not the connection, and the payload is skimmed to keep
+// the stream framed. A put whose epoch is not armed yet waits for it
 // here, the connection unread behind it (blockRouter.awaitWindow), and
-// is skimmed if its invocation is retired instead. Only stream-level
-// failures and a wait that ends without either tear the connection down.
+// is skimmed if its epoch is over instead. Only stream-level failures
+// and a wait that ends without either tear the connection down.
 func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader) error {
 	wh, err := fr.ReadWindowPut(fh)
 	if err != nil {
 		return err
 	}
-	w, ok := sc.srv.blocks.windowFor(wh.WindowID)
-	if !ok {
-		if w, err = sc.srv.blocks.awaitWindow(wh.WindowID, sc.done); err != nil {
-			return err
-		}
+	dst, w, gen, err := sc.srv.blocks.admit(wh, sc.done)
+	if err != nil {
+		return err
 	}
 	if w == nil {
 		return fr.DiscardPayload(int(wh.Count) * 8)
 	}
-	if err := w.checkRange(wh); err != nil {
-		w.fail(err)
-		return fr.DiscardPayload(int(wh.Count) * 8)
-	}
-	dst := w.dst[wh.DstOff : int64(wh.DstOff)+int64(wh.Count)]
 	if err := fr.ReadWindowPayload(fh.Order, dst); err != nil {
 		return err
 	}
-	w.landed(wh.Count)
+	w.landed(gen, wh.Count)
 	return nil
 }
 
@@ -933,8 +936,8 @@ func (sc *serverConn) dispatch(in *Incoming, parked bool) bool {
 		// handler: the caller has stopped waiting, so the TIMEOUT reply
 		// only tells its ORB to stop too. A parked request is its
 		// handler's to shed: an SPMD communicator must see every
-		// multi-port request, expired or not, to retire its windows on
-		// every rank.
+		// multi-port request, expired or not, to end its epoch on every
+		// rank.
 		if !parked && !in.Expiry.IsZero() && !time.Now().Before(in.Expiry) {
 			shedExpired.Inc()
 			failure = "deadline expired before dispatch"

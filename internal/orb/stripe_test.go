@@ -2,6 +2,7 @@ package orb
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -161,6 +162,37 @@ func TestWithStripesClamp(t *testing.T) {
 	}
 	if w := DefaultStripeWidth(); w < 1 || w > 4 {
 		t.Fatalf("DefaultStripeWidth() = %d, want within [1,4]", w)
+	}
+}
+
+// TestReservePutsOpensPutStripe: ReservePuts dials the put stripe up to
+// the connections asked for, never past the width and never back down,
+// leaves the request stripe alone, and allocates nothing once the stripe
+// holds them.
+func TestReservePutsOpensPutStripe(t *testing.T) {
+	const width = 3
+	cli, _, ep := newPair(t, WithStripes(width))
+	for _, tc := range []struct{ n, want int }{{2, 2}, {1, 2}, {5, width}} {
+		if err := cli.ReservePuts(ep, tc.n); err != nil {
+			t.Fatal(err)
+		}
+		if got := putConns(cli, ep); got != tc.want {
+			t.Fatalf("after ReservePuts(%d): %d put connections, want %d", tc.n, got, tc.want)
+		}
+	}
+	if n := stripeConns(cli, ep); n != 0 {
+		t.Fatalf("ReservePuts opened %d request connections", n)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = cli.ReservePuts(ep, width) }); a != 0 {
+		t.Fatalf("ReservePuts on a reserved stripe: %v allocs, want 0", a)
+	}
+
+	if err := cli.ReservePuts("inproc:nowhere", 2); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("ReservePuts to no endpoint: %v, want ErrUnreachable", err)
+	}
+	cli.Close()
+	if err := cli.ReservePuts(ep, 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReservePuts after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -1,92 +1,124 @@
 // One-sided destination windows: the receiving half of the multi-port
-// data plane. A Window is a caller-owned []float64 registered under a
-// 64-bit ID, giop.BlockSinkKey(inv, arg); MsgWindowPut frames addressed
-// to it are landed by the connection read loop straight off the read
-// buffer into dst[DstOff:DstOff+Count] — no body allocation, no copy,
-// no CDR sequence framing. A put that beats its window's registration
-// is not buffered: its read loop stops reading the connection and waits
-// until the window registers (the payload then lands as for any put),
-// the invocation is retired (the payload is skimmed), the connection
-// ends, or the wait outlasts the router's TTL (the connection is
-// failed). Waiting is safe because no connection carries both a
-// Request and a put (Client.PutWindow writes on put-only connections):
-// nothing a waiting connection queues behind the put can be what the
-// window's registration needs.
+// data plane. A window is one binding's destination for one argument
+// on one server, kept from one invocation to the next and re-armed for
+// each: MPI-RMA's fence epochs, with the invocation counter as the
+// epoch. A put's 64-bit window ID is giop.BlockSinkKey(inv, arg); with
+// the invocation's 32-bit counter masked off it names the window — the
+// 24-bit prefix of the client ORB that issued inv (the binding) and the
+// argument index — and the counter is the put's epoch. The owner arms
+// the window on a caller-owned []float64 for an epoch (RegisterWindow)
+// and disarms it (Window.Cancel); neither allocates once the window
+// exists. MsgWindowPut frames for the armed epoch are landed by the
+// connection read loop straight off the read buffer into
+// dst[DstOff:DstOff+Count] — no body allocation, no copy, no CDR
+// sequence framing.
 //
-// The safety argument: every put is bounds-checked against the
-// registered destination before any byte lands; the sender derives
-// disjoint [DstOff, DstOff+Count) ranges from the same transfer plan
-// both sides computed, so concurrent lands from multiple connections
-// never overlap; and completion is element-counted against the plan
-// total, so a short stream can only end in a failed window, never a
-// silently partial one.
+// A put's epoch decides what becomes of it (blockRouter.find):
+//   - the armed epoch: it lands;
+//   - at or below a floor: it is skimmed. A window's floor is the epoch
+//     it was last armed at, once disarmed; a binding's floor covers every
+//     argument and is raised by Server.EndEpoch (a refused or failed
+//     invocation whose windows will never be armed);
+//   - below the armed epoch: it is skimmed, stale;
+//   - above the armed epoch, or any floor: it waits.
+//
+// A waiting put is not buffered: its read loop stops reading the
+// connection and waits until its epoch is armed (the payload then lands
+// as for any put) or ended (the payload is skimmed), the binding's
+// windows are dropped while its epoch is at or below one they armed or
+// ended (Server.DropWindows: skimmed; a later epoch waits on, to land
+// in the windows its arming makes afresh), the connection ends, or the
+// wait outlasts the router's TTL (the connection is failed). Waiting
+// is safe because no connection carries both a Request and a put
+// (Client.PutWindow writes on put-only connections): nothing a waiting
+// connection queues behind the put can be what arms its window. Epochs
+// compare in serial-number arithmetic, so the counter's wrap neither
+// skims nor strands a live binding's puts.
+//
+// The safety argument: every put is bounds-checked against the armed
+// destination before any byte lands; the sender derives disjoint
+// [DstOff, DstOff+Count) ranges from the same transfer plan both sides
+// computed, so concurrent lands from multiple connections never
+// overlap; completion is element-counted against the plan total, so a
+// short stream can only end in a failed epoch, never a silently
+// partial one; and a put counts toward the arming it was admitted in
+// only, so one still landing when its epoch is disarmed never completes
+// the next.
 package orb
 
 import (
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pardis/internal/giop"
 )
 
-// Window is one registered one-sided destination. It completes when
-// the expected element count has landed, or fails on the first
-// out-of-range put; Done/Err expose that to the waiter. All methods
-// are safe for concurrent use — puts land from connection read
-// goroutines while the owner waits.
+// errWindowsDropped fails an epoch armed when its binding's windows are
+// dropped (Server.DropWindows).
+var errWindowsDropped = errors.New("orb: the binding's windows were dropped")
+
+// Window is one binding's destination window for one argument. Each
+// arming is an epoch: it completes when the expected element count has
+// landed, or fails on the first out-of-range put; Done/Err expose that
+// to its owner. The owner arms it, waits and disarms it from one
+// goroutine at a time; puts land from connection read goroutines
+// meanwhile.
 type Window struct {
-	id     uint64
+	router *blockRouter
+	// done receives one value per arming, when the epoch completes or
+	// fails: the channel is the window's, so no arming allocates one.
+	done chan struct{}
+
+	// Guarded by router.mu.
+	id     uint64 // the window ID of the epoch armed, or last armed
+	epoch  uint32
+	armed  bool
+	gen    uint64 // counts armings: a put counts toward the one it was admitted in
 	dst    []float64
 	expect int64
+	got    int64
+	nbytes int64
 	// onPut, when set, runs after each landed put (on the delivering
 	// connection's read goroutine — it must be cheap and non-blocking).
 	// Receivers use it as a liveness signal, e.g. lease renewal.
-	onPut func()
-
-	got    atomic.Int64
-	nbytes atomic.Int64
-
-	// router is the router the window is registered with, and cancelled
-	// whether Cancel has run.
-	router    *blockRouter
-	cancelled atomic.Bool
-
-	mu   sync.Mutex
-	err  error
-	once sync.Once
-	done chan struct{}
+	onPut     func()
+	err       error
+	signalled bool
 }
 
-// Done is closed once the window has completed or failed.
+// Done receives one value once the armed epoch has completed or
+// failed. Its owner receives it at most once per arming.
 func (w *Window) Done() <-chan struct{} { return w.done }
 
-// Err reports the window's failure, if any, once Done is closed.
+// Err reports the armed epoch's failure, if any, once Done has fired.
 func (w *Window) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.router.mu.Lock()
+	defer w.router.mu.Unlock()
 	return w.err
 }
 
-// Bytes is the payload volume landed so far.
-func (w *Window) Bytes() int64 { return w.nbytes.Load() }
-
-func (w *Window) fail(err error) {
-	w.once.Do(func() {
-		w.mu.Lock()
-		w.err = err
-		w.mu.Unlock()
-		close(w.done)
-	})
+// Bytes is the payload volume landed in the armed epoch so far.
+func (w *Window) Bytes() int64 {
+	w.router.mu.Lock()
+	defer w.router.mu.Unlock()
+	return w.nbytes
 }
 
-func (w *Window) complete() {
-	w.once.Do(func() { close(w.done) })
+// signalLocked ends the armed epoch, failed with err when it is not nil.
+func (w *Window) signalLocked(err error) {
+	if w.signalled {
+		return
+	}
+	w.signalled, w.err = true, err
+	select {
+	case w.done <- struct{}{}:
+	default:
+	}
 }
 
-// checkRange validates a put against the registered destination before
-// any byte lands.
+// checkRange validates a put against the armed destination before any
+// byte lands.
 func (w *Window) checkRange(h giop.WindowPutHeader) error {
 	if int64(h.DstOff)+int64(h.Count) > int64(len(w.dst)) {
 		return fmt.Errorf("orb: window %#x put [%d,%d) exceeds destination of %d elements",
@@ -95,74 +127,167 @@ func (w *Window) checkRange(h giop.WindowPutHeader) error {
 	return nil
 }
 
-// landed accounts count elements already written into dst, completing
-// the window when the plan total is reached.
-func (w *Window) landed(count uint32) {
-	w.nbytes.Add(int64(count) * 8)
-	if w.onPut != nil {
-		w.onPut()
-	}
-	if w.got.Add(int64(count)) >= w.expect {
-		w.complete()
-	}
-}
-
-// succeeded reports whether the window completed without failing: no
-// further put is due for it.
-func (w *Window) succeeded() bool {
-	select {
-	case <-w.done:
-		return w.Err() == nil
-	default:
-		return false
-	}
-}
-
-// windowInv is the invocation a window ID belongs to: window IDs are
-// giop.BlockSinkKey(inv, arg).
-func windowInv(id uint64) uint64 { return id >> 8 }
-
-// windowFor resolves a put's destination window, if registered.
-func (r *blockRouter) windowFor(id uint64) (*Window, bool) {
+// landed accounts count elements already written into the destination
+// of arming gen, completing the epoch when the plan total is reached.
+// A put whose epoch was disarmed while it landed counts for nothing.
+func (w *Window) landed(gen uint64, count uint32) {
+	r := w.router
 	r.mu.Lock()
-	w, ok := r.windows[id]
+	if !w.armed || w.gen != gen {
+		r.mu.Unlock()
+		return
+	}
+	w.nbytes += int64(count) * 8
+	w.got += int64(count)
+	if w.got >= w.expect {
+		w.signalLocked(nil)
+	}
+	onPut := w.onPut
 	r.mu.Unlock()
-	return w, ok
+	if onPut != nil {
+		onPut()
+	}
 }
 
-// awaitWindow holds a put for window id, which is not registered, on
-// the read loop of the connection it arrived on, and returns once the
-// put can go: the window once it registers, nil once its invocation is
-// retired (the put is then skimmed). It fails when the connection ends
-// (done closes) or the wait outlasts the router's TTL. It allocates
-// nothing: the wait is the router's condition variable, broadcast by
-// whatever may end it.
-func (r *blockRouter) awaitWindow(id uint64, done <-chan struct{}) (*Window, error) {
+// Cancel disarms the window: it must be called on every exit path of
+// an arming, success or failure. Calls after the first, until the next
+// arming, do nothing. The disarmed epoch becomes the window's floor, so
+// a put still due for it is skimmed.
+func (w *Window) Cancel() {
+	r := w.router
+	r.mu.Lock()
+	if w.armed {
+		r.disarmLocked(w)
+		if r.waiting > 0 {
+			r.arrived.Broadcast()
+		}
+	}
+	r.mu.Unlock()
+}
+
+// The parts of a window ID.
+func windowClient(id uint64) uint64 { return id >> 40 }        // the issuing client's invocation prefix
+func windowEpoch(id uint64) uint32  { return uint32(id >> 8) } // the invocation counter
+func windowArg(id uint64) int       { return int(id & 0xFF) }  // the argument index
+
+// before reports whether epoch a precedes b in serial-number order,
+// which survives the counter's wrap.
+func before(a, b uint32) bool { return int32(a-b) < 0 }
+
+// windowSet is one binding's windows on a router.
+type windowSet struct {
+	// floor is the binding's floor: every epoch at or below it is over.
+	floor uint32
+	// dropped is set when the set leaves the router (drop, close), with
+	// floor raised to the last epoch any of its windows was armed at: a
+	// put that waited on it is skimmed if its epoch is at or below floor.
+	dropped bool
+	// args[i] holds argument i's windows: one, or more while the
+	// binding's invocations overlap (InvokeAsync before an earlier
+	// Wait), each armed for its own epoch.
+	args [][]*Window
+}
+
+// putVerdict is what becomes of a put (blockRouter.find).
+type putVerdict int
+
+const (
+	putWaits putVerdict = iota
+	putLands
+	putSkims
+)
+
+// find decides a put for window id, returning the window it lands in.
+func (r *blockRouter) find(id uint64) (*Window, putVerdict) {
+	set := r.bindings[windowClient(id)]
+	if set == nil {
+		return nil, putWaits
+	}
+	e, arg := windowEpoch(id), windowArg(id)
+	var wins []*Window
+	if arg < len(set.args) {
+		wins = set.args[arg]
+	}
+	for _, w := range wins {
+		if w.armed && w.epoch == e {
+			return w, putLands
+		}
+	}
+	if !before(set.floor, e) {
+		return nil, putSkims
+	}
+	for _, w := range wins {
+		if before(e, w.epoch) || (!w.armed && e == w.epoch) {
+			return nil, putSkims
+		}
+	}
+	return nil, putWaits
+}
+
+// admit returns where the put h lands: a subslice of its window's
+// armed destination, with the window and the arming it belongs to.
+// A nil window and error mean the payload is skimmed — its epoch is
+// over, or the put is out of range, which fails the epoch. A put whose
+// epoch is not armed yet waits for it (awaitWindow). It allocates
+// nothing.
+func (r *blockRouter) admit(h giop.WindowPutHeader, done <-chan struct{}) ([]float64, *Window, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	w, v := r.find(h.WindowID)
+	if v == putWaits {
+		var err error
+		if w, v, err = r.awaitWindow(h.WindowID, done); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if v == putSkims {
+		return nil, nil, 0, nil
+	}
+	if err := w.checkRange(h); err != nil {
+		w.signalLocked(err)
+		return nil, nil, 0, nil
+	}
+	return w.dst[h.DstOff : int64(h.DstOff)+int64(h.Count)], w, w.gen, nil
+}
+
+// awaitWindow holds a put for window id, whose epoch is not armed, on
+// the read loop of the connection it arrived on, with r.mu held, and
+// returns once the put can go: land once its epoch is armed, skim once
+// it is over, or once the binding's windows it waited on are dropped
+// and its epoch is one they armed or ended. A put for a later epoch
+// waits on across a drop: a live client's lease can lapse on a rank
+// while its next invocation's puts wait there (a waiting put renews
+// nothing), and that invocation's arming makes fresh windows. It fails
+// when the connection ends (done closes) or the wait outlasts the
+// router's TTL. The wait is the router's condition variable, broadcast
+// by whatever may end it.
+func (r *blockRouter) awaitWindow(id uint64, done <-chan struct{}) (*Window, putVerdict, error) {
 	since := time.Now()
 	r.waiting++
 	defer func() { r.waiting-- }()
+	var seen *windowSet
 	for {
-		if w, ok := r.windows[id]; ok {
-			return w, nil
+		if seen != nil && seen.dropped && !before(seen.floor, windowEpoch(id)) {
+			return nil, putSkims, nil
 		}
-		if _, ok := r.retired[windowInv(id)]; ok {
-			return nil, nil
+		seen = r.bindings[windowClient(id)]
+		if w, v := r.find(id); v != putWaits {
+			return w, v, nil
 		}
 		select {
 		case <-done:
-			return nil, ErrConnectionLost
+			return nil, putWaits, ErrConnectionLost
 		default:
 		}
 		if time.Since(since) >= r.ttl {
-			return nil, fmt.Errorf("orb: a put waited %v for window %#x, which neither registered nor retired", r.ttl, id)
+			return nil, putWaits, fmt.Errorf("orb: a put waited %v for window %#x, whose epoch was neither armed nor ended", r.ttl, id)
 		}
 		r.arrived.Wait()
 	}
 }
 
-// wake ends every wait whose reason to end has come (see awaitWindow).
+// wake ends every wait whose reason to end has come (see awaitWindow):
+// a connection's end, or the bound passing.
 func (r *blockRouter) wake() {
 	r.mu.Lock()
 	if r.waiting > 0 {
@@ -171,77 +296,117 @@ func (r *blockRouter) wake() {
 	r.mu.Unlock()
 }
 
-// retire declares that no window of invocation inv registers from now
-// on, so a put for one is skimmed instead of waiting. The retirement
-// lapses after the router's TTL, the longest any put may wait. At most
-// maxRetired retirements are live: a peer that has many invocations
-// refused cannot grow the table without bound.
-func (r *blockRouter) retire(inv uint64) {
-	r.mu.Lock()
-	r.retireLocked(inv)
-	r.mu.Unlock()
+// set returns the windows of client, made with floor when it has none.
+func (r *blockRouter) set(client uint64, floor uint32) *windowSet {
+	set := r.bindings[client]
+	if set == nil {
+		set = &windowSet{floor: floor}
+		r.bindings[client] = set
+	}
+	return set
 }
 
-func (r *blockRouter) retireLocked(inv uint64) {
-	if len(r.retired) >= maxRetired {
-		return // the puts of inv wait out the bound instead
-	}
-	r.retired[inv] = time.Now().Add(r.ttl)
-	if r.waiting > 0 {
-		r.arrived.Broadcast()
-	}
-}
-
-// registerWindow installs a destination window and wakes the puts
-// waiting for it. expect is the total element count after which the
-// window completes (a non-positive expectation completes immediately).
-// It allocates the Window and its done channel, nothing else.
+// registerWindow arms the window of id's binding and argument for id's
+// epoch on dst, and wakes the puts waiting for it. expect is the total
+// element count after which the epoch completes (a non-positive
+// expectation completes it at once). The first arming of a binding's
+// argument allocates the window and its done channel; every later one
+// allocates nothing.
 func (r *blockRouter) registerWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, error) {
-	w := &Window{id: id, dst: dst, expect: expect, onPut: onPut, router: r, done: make(chan struct{})}
-	if expect <= 0 {
-		w.complete()
-	}
+	e, arg := windowEpoch(id), windowArg(id)
 	r.mu.Lock()
-	if _, dup := r.windows[id]; dup {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("orb: duplicate window %#x", id)
+	defer r.mu.Unlock()
+	set := r.set(windowClient(id), e-1) // what precedes a binding's first epoch is stale
+	for len(set.args) <= arg {
+		set.args = append(set.args, nil)
 	}
-	r.windows[id] = w
+	var w *Window
+	for _, x := range set.args[arg] {
+		if x.armed && x.epoch == e {
+			return nil, fmt.Errorf("orb: duplicate window %#x", id)
+		}
+		if !x.armed && w == nil {
+			w = x
+		}
+	}
+	if w == nil {
+		w = &Window{router: r, done: make(chan struct{}, 1)}
+		set.args[arg] = append(set.args[arg], w)
+	}
+	select {
+	case <-w.done: // the last epoch's signal, which its owner did not take
+	default:
+	}
+	w.id, w.epoch, w.armed, w.dst, w.expect, w.onPut = id, e, true, dst, expect, onPut
+	w.gen++
+	w.got, w.nbytes, w.err, w.signalled = 0, 0, nil, false
+	r.armed++
+	if expect <= 0 {
+		w.signalLocked(nil)
+	}
 	if r.waiting > 0 {
 		r.arrived.Broadcast()
 	}
-	r.mu.Unlock()
 	return w, nil
 }
 
-// Cancel removes the window's registration. It must be called on every
-// exit path, success or failure, so windows never leak; calls after the
-// first do nothing. Cancelling a window that has not completed retires
-// its invocation: the puts still due for it are skimmed.
-func (w *Window) Cancel() {
-	if w.cancelled.Swap(true) {
-		return
-	}
-	r := w.router
+// disarmLocked disarms w, keeping its epoch as its floor and dropping
+// its hold on the owner's destination.
+func (r *blockRouter) disarmLocked(w *Window) {
+	w.armed, w.dst, w.onPut = false, nil, nil
+	r.armed--
+}
+
+// endEpoch raises the floor of inv's binding to inv's epoch: a put for
+// it, or any epoch before it, is skimmed unless its window is armed.
+func (r *blockRouter) endEpoch(inv uint64) {
+	id := inv << 8 // the window ID of its first argument
+	e := windowEpoch(id)
 	r.mu.Lock()
-	delete(r.windows, w.id)
-	if !w.succeeded() {
-		r.retireLocked(windowInv(w.id))
+	if set := r.set(windowClient(id), e); before(set.floor, e) {
+		set.floor = e
+	}
+	if r.waiting > 0 {
+		r.arrived.Broadcast()
 	}
 	r.mu.Unlock()
 }
 
-// sweep drops the retirements that have lapsed by now and wakes the
-// waiting puts, so one waiting past the TTL fails its connection.
-func (r *blockRouter) sweep(now time.Time) {
+// drop removes client's windows, failing every armed epoch with err; a
+// put that waited on them is skimmed if its epoch is at or below the
+// last one they armed or ended.
+func (r *blockRouter) drop(client uint64, err error) {
 	r.mu.Lock()
-	for inv, until := range r.retired {
-		if !now.Before(until) {
-			delete(r.retired, inv)
+	if set := r.bindings[client]; set != nil {
+		r.dropLocked(client, set, err)
+	}
+	r.mu.Unlock()
+}
+
+// dropAll is drop for every client's windows.
+func (r *blockRouter) dropAll(err error) {
+	r.mu.Lock()
+	for client, set := range r.bindings {
+		r.dropLocked(client, set, err)
+	}
+	r.mu.Unlock()
+}
+
+func (r *blockRouter) dropLocked(client uint64, set *windowSet, err error) {
+	delete(r.bindings, client)
+	set.dropped = true
+	for _, wins := range set.args {
+		for _, w := range wins {
+			if before(set.floor, w.epoch) {
+				set.floor = w.epoch
+			}
+			if w.armed {
+				w.signalLocked(err)
+				r.disarmLocked(w)
+			}
 		}
 	}
 	if r.waiting > 0 {
 		r.arrived.Broadcast()
 	}
-	r.mu.Unlock()
 }

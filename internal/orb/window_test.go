@@ -201,7 +201,9 @@ func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 		defer close(done)
 		got := make(chan *Window, 1)
 		go func() {
-			w, _ := srv.blocks.awaitWindow(key, done)
+			srv.blocks.mu.Lock()
+			w, _, _ := srv.blocks.awaitWindow(key, done)
+			srv.blocks.mu.Unlock()
 			got <- w
 		}()
 		select {
@@ -367,9 +369,9 @@ func putConns(cli *Client, endpoint string) int {
 }
 
 // TestFaultCancelledWindowPutSkimmed: cancelling a window that has not
-// completed retires its invocation, so the put still due for it —
-// waiting already, or arriving later — is skimmed, and the next put on
-// the same connection lands.
+// completed makes its epoch the window's floor, so the put still due
+// for it is skimmed, and the next epoch's put on the same connection
+// waits for its arming and lands.
 func TestFaultCancelledWindowPutSkimmed(t *testing.T) {
 	cli, srv, ep := newPair(t)
 	const n = 64
@@ -547,19 +549,254 @@ func TestFaultPutWaitEndsWithConnection(t *testing.T) {
 	}
 }
 
-// TestRetirementsBounded: a router keeps at most maxRetired live
-// retirements, however many invocations are refused within the bound;
-// a sweep past the bound drops them.
-func TestRetirementsBounded(t *testing.T) {
-	r := newBlockRouter()
-	for inv := uint64(1); inv <= maxRetired+10; inv++ {
-		r.retire(inv)
+// putAsync ships one put of vals to window id on its own goroutine:
+// over inproc the write returns only once the server has read the put,
+// so the channel answers only once it has landed or been skimmed.
+func putAsync(cli *Client, ep string, id uint64, vals []float64) <-chan error {
+	sent := make(chan error, 1)
+	go func() {
+		_, err := cli.PutWindow(ep, giop.WindowPutHeader{WindowID: id, Last: true}, vals)
+		sent <- err
+	}()
+	return sent
+}
+
+// awaitSent fails the test unless the put behind sent has been read
+// within a second.
+func awaitSent(t *testing.T, sent <-chan error) {
+	t.Helper()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a put is still unread after 1 s")
 	}
-	if n := len(r.retired); n != maxRetired {
-		t.Fatalf("%d live retirements, want the bound %d", n, maxRetired)
+}
+
+func filled(n int, v float64) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = v
 	}
-	r.sweep(time.Now().Add(r.ttl))
-	if n := len(r.retired); n != 0 {
-		t.Fatalf("%d retirements outlive the bound", n)
+	return s
+}
+
+// TestStaleEpochPutSkimmed: a put for an epoch below the armed one —
+// a straggler of the binding's previous invocation — is skimmed: it
+// neither lands in the armed epoch's destination nor counts toward its
+// completion, and it does not wait. Fails when find lands a put in the
+// armed window whatever its epoch.
+func TestStaleEpochPutSkimmed(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const n = 16
+	win, cancel, err := srv.RegisterWindow(windowKey(t, 6, 0), make([]float64, n), n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	dst := win.dst
+	awaitSent(t, putAsync(cli, ep, windowKey(t, 5, 0), filled(n, -1)))
+	if st := srv.BlockStats(); st.Pending != 0 {
+		t.Fatalf("a stale put waits: %+v", st)
+	}
+	select {
+	case <-win.Done():
+		t.Fatal("a stale put completed the armed epoch")
+	default:
+	}
+	awaitSent(t, putAsync(cli, ep, windowKey(t, 6, 0), filled(n, 6)))
+	waitDone(t, win)
+	if err := win.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range dst {
+		if v != 6 {
+			t.Fatalf("element %d = %v, want 6", i, v)
+		}
+	}
+	if win.Bytes() != n*8 {
+		t.Fatalf("the epoch landed %d bytes, want %d", win.Bytes(), n*8)
+	}
+}
+
+// TestHigherEpochPutWaitsForItsArming: a put for an epoch above the
+// armed one — the binding's next invocation, whose put beat this one's
+// end — waits, lands nothing in the armed epoch's destination, and
+// lands in its own once that epoch is armed on the same window. Fails
+// when find lands a put in the armed window whatever its epoch.
+func TestHigherEpochPutWaitsForItsArming(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const n = 16
+	first := make([]float64, n)
+	win, cancel, err := srv.RegisterWindow(windowKey(t, 7, 1), first, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := putAsync(cli, ep, windowKey(t, 8, 1), filled(n, 8))
+	awaitPending(t, srv, 1)
+	for i, v := range first {
+		if v != 0 {
+			t.Fatalf("the next epoch's put wrote %v at element %d of the armed one", v, i)
+		}
+	}
+	awaitSent(t, putAsync(cli, ep, windowKey(t, 7, 1), filled(n, 7)))
+	waitDone(t, win)
+	cancel()
+	second := make([]float64, n)
+	again, cancel, err := srv.RegisterWindow(windowKey(t, 8, 1), second, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if again != win {
+		t.Fatal("the binding's next epoch armed a new window")
+	}
+	awaitSent(t, sent)
+	waitDone(t, again)
+	for i := range second {
+		if first[i] != 7 || second[i] != 8 {
+			t.Fatalf("element %d: epochs hold %v and %v, want 7 and 8", i, first[i], second[i])
+		}
+	}
+}
+
+// TestEndEpochWithoutWindowSkims: ending an epoch of a binding that
+// has no window on the server yet — a refused invocation's first —
+// ends the puts that wait for it within a second, and those of later
+// epochs still wait. Fails when ending an epoch keeps no floor for a
+// binding without windows.
+func TestEndEpochWithoutWindowSkims(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const inv = 0x00AB_0000_0000_0010
+	sent := putAsync(cli, ep, windowKey(t, inv, 2), make([]float64, 4))
+	later := putAsync(cli, ep, windowKey(t, inv+1, 0), make([]float64, 4))
+	awaitPending(t, srv, 2)
+	srv.EndEpoch(inv)
+	awaitSent(t, sent)
+	awaitPending(t, srv, 1)
+	dst := make([]float64, 4)
+	win, cancel, err := srv.RegisterWindow(windowKey(t, inv+1, 0), dst, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	awaitSent(t, later)
+	waitDone(t, win)
+}
+
+// TestDropWindowsEndsWaitingPut: dropping a binding's windows — its
+// lease expired — fails the epoch armed and skims within a second a put
+// that waited on them for that epoch, so its connection reads on. A
+// put for a later epoch — a live client's next invocation, whose lease
+// lapsed while the put waited — waits on, and lands once its epoch is
+// armed on the windows made afresh. Fails when a wait forgets the
+// windows it waited on, and when a drop skims every put waiting on them.
+func TestDropWindowsEndsWaitingPut(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const inv = 0x00CD_0000_0000_0040
+	win, _, err := srv.RegisterWindow(windowKey(t, inv, 0), make([]float64, 4), 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := putAsync(cli, ep, windowKey(t, inv, 1), make([]float64, 4))
+	later := putAsync(cli, ep, windowKey(t, inv+1, 0), filled(4, 1))
+	awaitPending(t, srv, 2)
+	srv.DropWindows(inv >> 32)
+	awaitSent(t, sent)
+	waitDone(t, win)
+	if win.Err() == nil {
+		t.Fatal("the epoch armed when its windows were dropped succeeded")
+	}
+	win.Cancel() // harmless after the drop
+	if st := srv.BlockStats(); st != (BlockRouterStats{Pending: 1}) {
+		t.Fatalf("%+v after the drop, want the later epoch's put waiting", st)
+	}
+	dst := make([]float64, 4)
+	again, cancel, err := srv.RegisterWindow(windowKey(t, inv+1, 0), dst, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == win {
+		t.Fatal("the dropped window was armed again")
+	}
+	awaitSent(t, later)
+	waitDone(t, again)
+	cancel()
+	if err := again.Err(); err != nil || dst[3] != 1 {
+		t.Fatalf("the later epoch: err %v, dst %v", err, dst)
+	}
+	if st := srv.BlockStats(); st != (BlockRouterStats{}) {
+		t.Fatalf("%+v after the later epoch", st)
+	}
+}
+
+// TestEpochWrapLandsPuts: the invocation counter wraps from 2^32-1 to
+// 0 without skimming or stranding a binding's puts — each epoch's put,
+// early or late, lands in its own arming — while a straggler from before
+// the wrap is still skimmed. Fails when epochs compare as plain
+// integers.
+func TestEpochWrapLandsPuts(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	ids := NewClient(nil)
+	defer ids.Close()
+	ids.invCounter.Store(1<<32 - 3)
+	const n = 8
+	var past []uint64
+	for round := 0; round < 4; round++ {
+		inv := ids.NewInvocationID()
+		key := windowKey(t, inv, 0)
+		early := round%2 == 0
+		var sent <-chan error
+		if early {
+			sent = putAsync(cli, ep, key, filled(n, float64(round)))
+			awaitPending(t, srv, 1)
+		}
+		dst := make([]float64, n)
+		win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !early {
+			for _, old := range past {
+				awaitSent(t, putAsync(cli, ep, windowKey(t, old, 0), filled(n, -1)))
+			}
+			sent = putAsync(cli, ep, key, filled(n, float64(round)))
+		}
+		awaitSent(t, sent)
+		waitDone(t, win)
+		cancel()
+		for i, v := range dst {
+			if v != float64(round) {
+				t.Fatalf("epoch %#x element %d = %v, want %d", uint32(inv), i, v, round)
+			}
+		}
+		past = append(past, inv)
+	}
+	if c := uint32(past[len(past)-1]); c != 1 {
+		t.Fatalf("the last epoch is %#x: the counter did not wrap", c)
+	}
+}
+
+// TestArmDisarmAllocatesNothing: re-arming a binding's window and
+// disarming it allocates nothing; only its first arming makes the
+// window.
+func TestArmDisarmAllocatesNothing(t *testing.T) {
+	srv := NewServer(nil)
+	defer srv.Close()
+	dst := make([]float64, 4)
+	inv := uint64(0x00EF_0000_0000_0001)
+	arm := func() {
+		w, _, err := srv.RegisterWindow(inv<<8, dst, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Cancel()
+		inv++
+	}
+	arm()
+	if n := testing.AllocsPerRun(100, arm); n != 0 {
+		t.Fatalf("an arm and a disarm allocate %v times", n)
 	}
 }

@@ -101,22 +101,27 @@ func TestCentralizedAllocBudget(t *testing.T) {
 		ops = 32
 		// multiPortMallocs is the multi-port variant's process-wide
 		// allocation count per operation (n=2, m=4, inproc), measured at
-		// 66-68 once plans, layouts, the put fan-out and the control
-		// record were kept per binding and per object (361-368 when every
-		// invocation planned afresh), plus 2 % for pool refills after a
-		// collection.
-		multiPortMallocs = 70
+		// 29.2-30.6 once every binding's windows were kept and re-armed
+		// per invocation, its request wire and put fan-out kept, and root
+		// decoding every request into kept storage (66-68 when each
+		// invocation registered its windows afresh; 361-368 when it also
+		// planned afresh), plus 2 % for pool refills after a collection,
+		// rounded up.
+		multiPortMallocs = 32
 		// centralizedMallocs is the centralized variant's, measured at
-		// 44-45 once the layouts, the control record, the handler's Call
-		// and the agreements' results were reused (126-127 before; 190-191
+		// 32.1-33.1 once the request wire and root's request decode were
+		// kept and the signature check stopped allocating on success
+		// (44-45 before; 126-127 before the layouts, control record,
+		// handler's Call and agreements' results were reused; 190-191
 		// before the collectives became shared-memory rounds), plus 2 %.
-		centralizedMallocs = 46
+		centralizedMallocs = 34
 		// smallMallocs is a blocking 1 Ki-double inout invocation's,
-		// measured at 36.9-37.1 with the same reuse (118.8-118.9 before),
-		// plus one. The margin is below what either costs back: the invoke
-		// goroutine's future, context and closure are four, and a layout
-		// or a control record rebuilt per call is at least two.
-		smallMallocs = 38
+		// measured at 24.9-25.1 with the same reuse (36.9-37.1 before;
+		// 118.8-118.9 before that), plus one. The margin is below what
+		// either costs back: the invoke goroutine's future, context and
+		// closure are four, and a layout or a control record rebuilt per
+		// call is at least two.
+		smallMallocs = 26
 	)
 	perOp := func(method TransferMethod, doubles int, blocking bool) (bytes, mallocs float64) {
 		reg := newReg()
@@ -175,7 +180,7 @@ func TestCentralizedAllocBudget(t *testing.T) {
 	}
 	mpBytes, mallocs := perOp(MultiPort, doubles, false)
 	_, sMallocs := perOp(Centralized, 1<<10, true)
-	t.Logf("centralized %.0f B/op (payload %d B) in %.0f allocations/op; multi-port %.0f B/op in %.0f allocations/op; small blocking %.1f allocations/op",
+	t.Logf("centralized %.0f B/op (payload %d B) in %.1f allocations/op; multi-port %.0f B/op in %.1f allocations/op; small blocking %.1f allocations/op",
 		bytes, doubles*8, cMallocs, mpBytes, mallocs, sMallocs)
 	if mallocs > multiPortMallocs {
 		t.Errorf("multi-port: %.0f allocations/op, ceiling %d", mallocs, multiPortMallocs)

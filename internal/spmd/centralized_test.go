@@ -336,7 +336,8 @@ func TestCentralizedCrossEndian(t *testing.T) {
 			var mu sync.Mutex
 			calls := 0 // odd calls answer gathered, even ones in place
 			ref := fakeObject(t, reg, "scale", spec, func(in *orb.Incoming) {
-				w, err := decodeInvocation(in.Order, in.Body, in.BodyBase)
+				w := new(invocationWire)
+				err := w.decode(in.Order, in.Body, in.BodyBase)
 				if err != nil || len(w.Args) != 4 {
 					_ = in.ReplySystemException("MARSHAL", fmt.Sprint(err))
 					return

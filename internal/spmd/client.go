@@ -1,7 +1,6 @@
 package spmd
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -65,10 +64,14 @@ type Binding struct {
 	putEndpoint func(int) string
 
 	// What one invocation leaves for the next of the same shape: the
-	// scalar and signature encoders, and per argument position its
-	// server layout and plans (argMemo).
+	// scalar and signature encoders, per argument position its server
+	// layout and plans (argMemo), and on the communicator the request
+	// wire, which an invocation holds (wireHeld) from its start until its
+	// request is no longer written (Pending.releaseWire).
 	scalarEnc, sigEnc *cdr.Encoder
 	memo              []argMemo
+	wire              invocationWire
+	wireHeld          bool
 
 	stats bindingStats
 }
@@ -424,12 +427,16 @@ func (b *Binding) methodFor(args []DistArg, blocking bool) TransferMethod {
 type Pending struct {
 	b    *Binding
 	spec *CallSpec
-	// outWins are the windows this thread registered for the
-	// invocation's multi-port out-arguments: each argument's local block,
-	// into which the server threads' puts land straight off their
-	// delivering connections' read buffers.
+	// outWins are the binding's windows this thread armed for the
+	// invocation's multi-port out-arguments, each on the argument's local
+	// block, into which the server threads' puts land straight off their
+	// delivering connections' read buffers; outBuf holds the common one.
 	outWins []*orb.Window
+	outBuf  [1]*orb.Window
 	span    *telemetry.Span // covers start through Wait; nil unsampled
+	// wire is the request on the communicator: the binding's, or the
+	// invocation's own while an earlier one holds the binding's.
+	wire *invocationWire
 
 	// lent is non-nil on every thread exactly when the invocation
 	// travels Centralized (Binding.methodFor): it carries the
@@ -479,7 +486,7 @@ func (b *Binding) start(ctx context.Context, spec *CallSpec, blocking bool) (*Pe
 }
 
 // startPhase is the uninstrumented body of start.
-func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool) (*Pending, error) {
+func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool) (_ *Pending, err error) {
 	if spec == nil || spec.Operation == "" {
 		return nil, fmt.Errorf("%w: missing operation", ErrBadCall)
 	}
@@ -546,25 +553,38 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		inv = b.oc.NewInvocationID()
 	}
 	p := &Pending{b: b, spec: spec}
+	// A start that fails has joined its invoke goroutine, if it had one.
+	defer func() {
+		if err != nil {
+			p.releaseWire()
+		}
+	}()
 
 	// The communicator's request describes every argument; rank 0 also
 	// lends with the client counts it carries.
 	var w *invocationWire
 	if b.rank == 0 {
+		w = b.takeWire()
+		p.wire = w
 		// The request may be written after start returns, and the next
 		// invocation reuses the encoder: the wire keeps its own copy.
-		w = &invocationWire{Method: method, Scalars: bytes.Clone(scalarBytes),
-			Args: make([]*argWire, len(spec.Args))}
+		w.Method = method
+		w.Scalars = append(w.Scalars[:0], scalarBytes...)
+		w.Args = resized(w.Args, len(spec.Args))
 		for i, a := range spec.Args {
-			aw := &argWire{
+			aw := w.Args[i]
+			if aw == nil {
+				aw = new(argWire)
+				w.Args[i] = aw
+			}
+			*aw = argWire{
 				Mode:         a.Mode,
 				Length:       a.Seq.Len(),
-				ClientCounts: a.Seq.Layout().Counts(),
+				ClientCounts: appendCounts(aw.ClientCounts[:0], a.Seq.Layout()),
 			}
 			if method == MultiPort && (a.Mode == Out || a.Mode == InOut) {
 				aw.ClientEndpoints = b.allEndpoints
 			}
-			w.Args[i] = aw
 		}
 	}
 
@@ -585,11 +605,11 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		first, firstCounts = spec.Args[0].Seq.LocalData(), p.lendCounts(0, w)
 	}
 	blocks, inv, err := b.th.AgreeLendDoubles(0, sig, inv, first, firstCounts)
-	if d := (*mp.Disagreement)(nil); errors.As(err, &d) {
-		return nil, fmt.Errorf("%w: thread %d invoked with different operation or scalars",
-			ErrInconsistent, d.Rank)
-	}
 	if err != nil {
+		if d := (*mp.Disagreement)(nil); errors.As(err, &d) {
+			return nil, fmt.Errorf("%w: thread %d invoked with different operation or scalars",
+				ErrInconsistent, d.Rank)
+		}
 		return nil, err
 	}
 	if method == Centralized {
@@ -626,8 +646,9 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		m.op, m.length, m.server = op, a.Seq.Len(), sl
 	}
 
-	// Register out-argument windows before anything is sent.
+	// Arm the out-argument windows before anything is sent.
 	if method == MultiPort {
+		p.outWins = p.outBuf[:0]
 		for i, a := range spec.Args {
 			if a.Mode != Out && a.Mode != InOut {
 				continue
@@ -710,7 +731,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 			sendErr = err
 			break
 		}
-		if err := b.sendBlocks(inv, uint32(i), m.in.puts, a.Seq); err != nil {
+		if err := b.sendBlocks(inv, uint32(i), &m.in, a.Seq); err != nil {
 			sendErr = err
 			break
 		}
@@ -726,6 +747,25 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 		return nil, err
 	}
 	return p, nil
+}
+
+// takeWire returns the binding's request wire for an invocation to
+// hold, or a fresh one while an earlier invocation holds it.
+func (b *Binding) takeWire() *invocationWire {
+	if b.wireHeld {
+		return new(invocationWire)
+	}
+	b.wireHeld = true
+	return &b.wire
+}
+
+// releaseWire ends p's hold on its request wire, once nothing writes
+// its request any more: the invoke goroutine has exited, or never ran.
+func (p *Pending) releaseWire() {
+	if p.wire == &p.b.wire {
+		p.b.wireHeld = false
+	}
+	p.wire = nil
 }
 
 // lendCounts returns the counts this thread lends argument i's block
@@ -758,12 +798,11 @@ func (p *Pending) invoke(ctx context.Context, hdr giop.RequestHeader, w *invocat
 	return orb.Reply{}, err
 }
 
-// sendBlocks ships this client thread's share of an in transfer, puts
-// (planMemo), as one-sided puts into the windows the server's ranks
-// registered (see sendPlanPuts).
-func (b *Binding) sendBlocks(inv uint64, argIdx uint32, puts []chunkPut, seq *dseq.Doubles) error {
-	n, err := sendPlanPuts(b.oc, inv, argIdx, b.rank, puts, seq.LocalData(),
-		b.putEndpoint, ResolvedXferWindow())
+// sendBlocks ships this client thread's share of an in transfer, m's
+// puts, as one-sided puts into the windows the server's ranks armed
+// (see putRun.send).
+func (b *Binding) sendBlocks(inv uint64, argIdx uint32, m *planMemo, seq *dseq.Doubles) error {
+	n, err := m.send(b.oc, inv, argIdx, b.rank, seq.LocalData(), b.putEndpoint, ResolvedXferWindow())
 	b.stats.bytesOut.Add(n)
 	return err
 }
@@ -976,6 +1015,7 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	if p.spec.Oneway {
 		if b.rank == 0 {
 			_, _ = p.awaitReply(ctx)
+			p.releaseWire()
 		}
 		return b.th.Barrier()
 	}
@@ -990,6 +1030,7 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	var envBytes []byte
 	if b.rank == 0 {
 		r, err := p.awaitReply(ctx)
+		p.releaseWire()
 		envBytes = r.Body
 		if err != nil {
 			e := cdr.NewEncoder(cdr.BigEndian)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,13 +20,14 @@ import (
 	"pardis/internal/transport"
 )
 
-// recordingPutter captures the puts sendPlanPuts issues, standing in
+// recordingPutter captures the puts putRun.send issues, standing in
 // for the ORB client (it is called from several goroutines when the
 // send window is concurrent). With failAt set, that put (1-based) fails
 // the way a cut stream does: orb.Client.PutWindow still reports the
 // chunk's size. Only the puts that succeeded are recorded. It also
 // counts the puts in flight at once, at most maxInFlight, and the puts
-// that started after the failing one had returned, lateStarts.
+// that started after the failing one had returned, lateStarts, and
+// records each ReservePuts with the count of puts begun before it.
 type recordingPutter struct {
 	inFlight   atomic.Int32
 	failed     atomic.Bool
@@ -38,6 +40,22 @@ type recordingPutter struct {
 	eps         []string
 	hdrs        []giop.WindowPutHeader
 	bytes       int
+	reserves    []reservation
+}
+
+// reservation is one recorded ReservePuts: n connections to ep, asked
+// for once afterPuts puts had begun.
+type reservation struct {
+	ep        string
+	n         int
+	afterPuts int
+}
+
+func (r *recordingPutter) ReservePuts(ep string, n int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reserves = append(r.reserves, reservation{ep, n, r.calls})
+	return nil
 }
 
 var errPutCut = errors.New("put stream cut")
@@ -62,6 +80,48 @@ func (r *recordingPutter) PutWindow(ep string, hdr giop.WindowPutHeader, blk []f
 	r.hdrs = append(r.hdrs, hdr)
 	r.bytes += len(blk) * 8
 	return len(blk) * 8, nil
+}
+
+// TestMemoSendReservesPutStripes: before its first put, a memo's send
+// reserves on each destination's put stripe as many connections as the
+// fan-out may keep in flight there — min(window, puts to it) — and none
+// for a destination that gets one put, so no stripe grows while later
+// sends run.
+func TestMemoSendReservesPutStripes(t *testing.T) {
+	const n0, n1 = 2*xferChunkElems + 1, xferChunkElems // three chunks to thread 0, one to thread 1
+	src, err := dist.FromCounts([]int{n0 + n1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := dist.FromCounts([]int{n0, n1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m planMemo
+	if err := m.update(src, dst, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	epFor := func(to int) string { return strconv.Itoa(to) }
+	local := make([]float64, n0+n1)
+	for _, tc := range []struct {
+		window int
+		want   []reservation
+	}{
+		{1, nil},
+		{2, []reservation{{"0", 2, 0}}},
+		{4, []reservation{{"0", 3, 0}}},
+	} {
+		rec := &recordingPutter{}
+		if _, err := m.send(rec, 7, 0, 0, local, epFor, tc.window); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rec.reserves, tc.want) {
+			t.Fatalf("window=%d: reservations %+v, want %+v", tc.window, rec.reserves, tc.want)
+		}
+		if rec.calls != 4 {
+			t.Fatalf("window=%d: %d puts, want 4", tc.window, rec.calls)
+		}
+	}
 }
 
 // TestChunkedSendCoversPlan: with chunking, serially and under a
@@ -96,7 +156,7 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 	}
 	for _, window := range []int{1, 4} {
 		rec := &recordingPutter{}
-		n, err := sendPlanPuts(rec, inv, argIdx, 0, puts, local, epFor, window)
+		n, err := newPutRun().send(rec, inv, argIdx, 0, puts, local, epFor, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +212,7 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 	for _, window := range []int{1, 4} {
 		rec := &recordingPutter{failAt: 3}
 		blocksBefore := peerBlocksTotal.Value()
-		n, err := sendPlanPuts(rec, inv, argIdx, 0, puts, local, epFor, window)
+		n, err := newPutRun().send(rec, inv, argIdx, 0, puts, local, epFor, window)
 		if !errors.Is(err, errPutCut) {
 			t.Fatalf("window=%d: err = %v, want the cut", window, err)
 		}

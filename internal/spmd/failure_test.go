@@ -25,10 +25,10 @@ import (
 // Invocation ids are client-chosen and sequential per ORB client, so
 // client thread 1 forges a put at server thread 1 under the id its
 // binding's next invocation will use, ahead of its own legitimate put on
-// the same put connection. The forged put waits for its window; when the
-// invocation registers it, the forged put is read first and poisons it,
-// so every invocation fails deterministically, and the legitimate put
-// behind it is landed or skimmed, never left waiting.
+// the same put connection. The forged put waits for that epoch; when the
+// invocation arms the window for it, the forged put is read first and
+// poisons the epoch, so every invocation fails deterministically, and the
+// legitimate put behind it is landed or skimmed, never left waiting.
 func TestMaliciousBlockRejected(t *testing.T) {
 	// Over TCP a small put's write returns once the kernel has it, so the
 	// legitimate put finds the forged one's connection idle and follows

@@ -364,12 +364,11 @@ func landBoth(t *testing.T, o *Object, order cdr.ByteOrder, op string, body func
 	base := len(e.Bytes())
 	body(e)
 	b := e.Bytes()
-	landed, err := decodeInvocation(order, b[base:min(len(b), giop.DefaultReadBufSize)], base)
-	if err != nil || landed.Method != Centralized {
+	landed, whole := new(invocationWire), new(invocationWire)
+	if err := landed.decode(order, b[base:min(len(b), giop.DefaultReadBufSize)], base); err != nil || landed.Method != Centralized {
 		return // read whole, the one way left
 	}
-	whole, err := decodeInvocation(order, b[base:], base)
-	if err != nil {
+	if err := whole.decode(order, b[base:], base); err != nil {
 		t.Fatalf("a prefix that decodes for landing does not decode whole: %v", err)
 	}
 	spec := o.cfg.Ops[op].Spec
@@ -611,6 +610,80 @@ func sameControl(a, b *control) bool {
 		x, y := &a.Args[i], &b.Args[i]
 		if x.Mode != y.Mode || x.Length != y.Length || !slices.Equal(x.ClientCounts, y.ClientCounts) ||
 			!slices.Equal(x.ClientEndpoints, y.ClientEndpoints) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeInvocation holds the communicator's request decode to
+// FuzzDecodeControl's property: every request decodes into the wire the
+// object keeps (invocationWire.decode), and decoding into a wire that
+// last held any seed request gives the fresh decode's verdict and
+// values. A decode that kept a count, an endpoint or an argument of the
+// request before would show here as a value the bytes do not carry.
+func FuzzDecodeInvocation(f *testing.F) {
+	var seeds [][]byte
+	for _, w := range []*invocationWire{
+		{Method: Centralized, Scalars: []byte{1, 0, 0, 0, 7}, Args: []*argWire{
+			{Mode: In, Length: 3, ClientCounts: []int{2, 1}, Blocks: [][]float64{{1.5, -2}, {3}}},
+			{Mode: Out, Length: 4, ClientCounts: []int{4}},
+		}},
+		{Method: MultiPort, Scalars: []byte{0}, Args: []*argWire{
+			{Mode: InOut, Length: 1 << 20, ClientCounts: []int{1 << 19, 1 << 19},
+				ClientEndpoints: []string{"tcp:127.0.0.1:4000", "tcp:127.0.0.1:4001"}},
+		}},
+		// The same shape, its endpoints swapped: equal lengths, other bytes.
+		{Method: MultiPort, Scalars: []byte{0}, Args: []*argWire{
+			{Mode: InOut, Length: 1 << 20, ClientCounts: []int{1 << 19, 1 << 19},
+				ClientEndpoints: []string{"tcp:127.0.0.1:4001", "tcp:127.0.0.1:4000"}},
+		}},
+		{Method: MultiPort, Args: []*argWire{
+			{Mode: In, Length: 10, ClientCounts: []int{5, 5}},
+			{Mode: Out, Length: 7, ClientCounts: []int{3, 4}, ClientEndpoints: []string{"inproc:a", ""}},
+			{Mode: InOut, Length: 0, ClientCounts: []int{0}},
+		}},
+		{Method: Centralized},
+	} {
+		e := cdr.NewEncoder(cdr.BigEndian)
+		w.encode(e)
+		seeds = append(seeds, e.Bytes())
+		f.Add(e.Bytes())
+	}
+	e := cdr.NewEncoder(cdr.BigEndian)
+	(&invocationWire{Method: MultiPort}).encode(e)
+	b := e.Bytes()
+	f.Add(append(b[:len(b)-4:len(b)-4], 0xff, 0xff, 0xff, 0xff)) // 2^32-1 arguments announced
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var fresh invocationWire
+		err := fresh.decode(cdr.BigEndian, raw, 0)
+		for _, prev := range seeds {
+			var held invocationWire
+			if err := held.decode(cdr.BigEndian, prev, 0); err != nil {
+				t.Fatalf("a seed request does not decode: %v", err)
+			}
+			herr := held.decode(cdr.BigEndian, raw, 0)
+			if (herr == nil) != (err == nil) {
+				t.Fatalf("decoding over a held request says %v, fresh %v", herr, err)
+			}
+			if err == nil && !sameWire(&held, &fresh) {
+				t.Fatalf("decoding over a held request gives %+v, fresh %+v", held, fresh)
+			}
+		}
+	})
+}
+
+// sameWire reports whether two decoded invocation wires hold the same
+// values, an empty slice equal to a nil one.
+func sameWire(a, b *invocationWire) bool {
+	if a.Method != b.Method || !bytes.Equal(a.Scalars, b.Scalars) || a.elems != b.elems || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		x, y := a.Args[i], b.Args[i]
+		if x.Mode != y.Mode || x.Length != y.Length || x.Inline != y.Inline || x.Blocks != nil || y.Blocks != nil ||
+			!slices.Equal(x.ClientCounts, y.ClientCounts) || !slices.Equal(x.ClientEndpoints, y.ClientEndpoints) {
 			return false
 		}
 	}

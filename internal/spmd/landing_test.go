@@ -338,8 +338,8 @@ func TestCallerBehindTwoParkedRequests(t *testing.T) {
 // TestFaultMultiPortCutWhileQueued: a multi-port request whose
 // connection is torn while it waits parked in the queue cannot be read
 // when the communicator pops it. The communicator refuses it, so every
-// rank retires the invocation: a put for it waiting on a worker rank is
-// skimmed within a second, and the object serves on.
+// rank ends the invocation's epoch: a put for it waiting on a worker
+// rank is skimmed within a second, and the object serves on.
 func TestFaultMultiPortCutWhileQueued(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
 	reg := newReg()

@@ -3,15 +3,18 @@
 // Every client of an SPMD object holds an implicit lease on each
 // server rank, identified by the 24-bit random prefix of its
 // invocation ids (one prefix per client ORB process). Traffic renews
-// the lease: requests and describe calls at the communicator,
-// put arrivals at every rank. When a client dies — between
-// `_spmd_bind` and invoke, or mid-transfer — its traffic stops, the
-// lease expires TTL later, and every rank-side wait tied to it
-// unwinds with ErrLeaseExpired: windows are cancelled by their
-// owning dispatch, the collective agrees on the failure, and the
-// object keeps serving other clients. An idle client's lease lapses
-// the same way, holding no rank-side state; its next invocation
-// opens a fresh one.
+// the lease: requests and describe calls at the communicator, the
+// arming of its windows and each put landed in them at every rank (a
+// put still waiting for its epoch renews nothing, and survives the
+// lease: the windows that go with it skim only puts for epochs they
+// armed or ended). When a client dies — between `_spmd_bind` and
+// invoke, or mid-transfer — its traffic stops, the lease expires TTL
+// later, and every rank-side wait tied to it unwinds with
+// ErrLeaseExpired: the client's windows go with the lease
+// (orb.Server.DropWindows), the collective agrees on the
+// failure, and the object keeps serving other clients. An idle
+// client's lease lapses the same way, taking its windows with it; its
+// next invocation opens a fresh lease and arms fresh windows.
 package spmd
 
 import (
@@ -68,6 +71,24 @@ type lease struct {
 	// renew stores the current time in last: the onPut hook of the
 	// windows the client's puts land in, made once per lease.
 	renew func()
+	// epoch is the last multi-port epoch the communicator dispatched or
+	// refused for the client (passed), once passed is set. Only the
+	// communicator's serve loop touches either.
+	epoch  uint32
+	passed bool
+}
+
+// pass records that the communicator dispatches or refuses the client's
+// multi-port invocation of epoch e, and reports whether e comes in
+// order: not before an epoch it passed already. The ranks arm a
+// binding's epochs in the order the communicator passes them, and a put
+// for an epoch they have passed is skimmed (orb.Server.RegisterWindow).
+func (l *lease) pass(e uint32) bool {
+	if l.passed && int32(e-l.epoch) < 0 {
+		return false
+	}
+	l.epoch, l.passed = e, true
+	return true
 }
 
 // leaseTable tracks the live clients of one rank.
@@ -75,6 +96,10 @@ type leaseTable struct {
 	ttl time.Duration
 	mu  sync.Mutex
 	m   map[uint64]*lease
+	// onExpire, when set, releases what the rank holds for an expired
+	// client. The sweep runs it under mu, so a client that comes back
+	// acquires its fresh lease only after its old state is gone.
+	onExpire func(client uint64)
 }
 
 func newLeaseTable(ttl time.Duration) *leaseTable {
@@ -114,6 +139,9 @@ func (t *leaseTable) sweep(now time.Time) int {
 		}
 		delete(t.m, id)
 		close(l.expired)
+		if t.onExpire != nil {
+			t.onExpire(id)
+		}
 		n++
 	}
 	t.mu.Unlock()

@@ -62,11 +62,14 @@ func TestLeaseTableSweep(t *testing.T) {
 
 // TestFaultLeaseReclaimsAbandonedTransfer is the headline reclamation
 // scenario: a client engages the collective (the invocation control
-// reaches every rank and every rank registers a window) and then
-// dies without shipping a single argument block. Lease expiry must
-// unwind every rank's wait, reclaim every window, answer the
-// orphaned request with a timeout-class verdict, and leave the object
-// serving other clients.
+// reaches every rank and every rank arms a window) and then dies
+// without shipping a single argument block. Lease expiry must unwind
+// every rank's wait, reclaim every window, answer the orphaned request
+// with a timeout-class verdict, end within a second the wait of a put
+// the client had shipped for the invocation's second argument, which
+// no rank arms (the failed dispatch ends the epoch, and the lease's
+// windows go with it; the put waits out the 30 s bound without both),
+// and leave the object serving other clients.
 func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 	reg := newReg()
 	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
@@ -92,6 +95,28 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 	w := &invocationWire{Method: MultiPort, Scalars: scal.Bytes(),
 		Args: []*argWire{{Mode: InOut, Length: 300, ClientCounts: []int{300},
 			ClientEndpoints: []string{"inproc:nowhere"}}}}
+
+	// A put for a second argument, which the invocation does not
+	// declare, waits on thread 1 for a window that will never be armed
+	// there.
+	late := orb.NewClient(reg)
+	defer late.Close()
+	key, err := giop.BlockSinkKey(hdr.InvocationID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skimmed := make(chan error, 1)
+	go func() {
+		// Over inproc a put's write returns only once the server reads it.
+		_, err := late.PutWindow(obj.ref.ThreadEndpoint(1), giop.WindowPutHeader{WindowID: key, Last: true}, make([]float64, 100))
+		skimmed <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); obj.threadObjects()[1].BlockStats().Pending != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second argument's put does not wait")
+		}
+	}
+
 	done := make(chan error, 1)
 	go func() {
 		_, _, _, err := cli.Invoke(context.Background(), obj.ref.Endpoints[0], hdr, w.encode)
@@ -112,6 +137,14 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 		t.Fatal("abandoned invocation never unwound — lease expiry did not fire")
 	}
 	cli.Close()
+	select {
+	case err := <-skimmed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("a put of the expired client still waits: %+v", obj.threadObjects()[1].BlockStats())
+	}
 
 	// Every rank's window and lease must be reclaimed.
 	deadline := time.Now().Add(10 * time.Second)
@@ -130,31 +163,6 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 			t.Fatalf("rank state not reclaimed: %v, %d leases", leakErr, leases)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The lease expiry cancelled every rank's window incomplete, which
-	// retired the invocation: a put the dead client still had in flight
-	// is skimmed on arrival instead of waiting for a window that will not
-	// register.
-	late := orb.NewClient(reg)
-	defer late.Close()
-	key, err := giop.BlockSinkKey(hdr.InvocationID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skimmed := make(chan error, 1)
-	go func() {
-		// Over inproc a put's write returns only once the server reads it.
-		_, err := late.PutWindow(obj.ref.ThreadEndpoint(1), giop.WindowPutHeader{WindowID: key, Last: true}, make([]float64, 100))
-		skimmed <- err
-	}()
-	select {
-	case err := <-skimmed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("a put for the reclaimed invocation waits: %+v", obj.threadObjects()[1].BlockStats())
 	}
 
 	// The object must still serve a well-behaved multi-port client end
@@ -176,6 +184,95 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 		case <-time.After(20 * time.Second):
 			t.Fatal("a server thread did not unwind after Close")
 		}
+	}
+}
+
+// TestFaultLiveClientPutSurvivesLeaseExpiry: a live client's lease
+// lapses on a worker rank while its next invocation's puts wait there —
+// root is busy with another client's dispatch, and a waiting put renews
+// no lease. The expiry drops the client's windows, but the puts, for an
+// epoch the windows never armed, wait on, land once root dispatches the
+// invocation, and it succeeds. Fails with ErrLeaseExpired when a drop
+// skims every put waiting on the dropped windows.
+func TestFaultLiveClientPutSurvivesLeaseExpiry(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	ops := func(th rts.Thread) map[string]*Op {
+		m := diffusionOps(th)
+		m["hold"] = &Op{Handler: func(call *Call) error {
+			if call.Thread.Rank() == 0 {
+				close(held)
+			}
+			<-release
+			return nil
+		}}
+		return m
+	}
+	reg := newReg()
+	obj := startObjectCfg(t, reg, 2, true, ops, func(cfg *ObjectConfig) {
+		cfg.LeaseTTL = 300 * time.Millisecond
+	})
+	defer obj.close()
+	holder, hw, err := bindPlain(context.Background(), reg, Centralized, "", obj.ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hw.Close()
+	defer holder.Close()
+
+	// watch releases root once the client's lease on the worker has
+	// expired while its puts wait there.
+	worker := obj.threadObjects()[1]
+	leased := func(client uint64) bool {
+		worker.leases.mu.Lock()
+		defer worker.leases.mu.Unlock()
+		return worker.leases.m[client] != nil
+	}
+	watch := func(client uint64) error {
+		defer close(release)
+		deadline := time.Now().Add(5 * time.Second)
+		for worker.BlockStats().Pending == 0 {
+			if time.Now().After(deadline) {
+				return errors.New("the client's puts do not wait on the worker")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if !leased(client) {
+			return errors.New("the client's lease expired before its puts waited: the test shows nothing")
+		}
+		for leased(client) {
+			if time.Now().After(deadline) {
+				return errors.New("the client's lease did not expire while its puts waited")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+
+	holdDone, watched := make(chan error, 1), make(chan error, 1)
+	runClient(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
+		// The first invocation makes the binding's windows on every rank.
+		if err := invokeAsyncDiffusion(context.Background(), b, th, 1000); err != nil {
+			return err
+		}
+		if th.Rank() == 0 {
+			client := leaseClient(b.oc.NewInvocationID()) // an epoch left unused
+			go func() { holdDone <- holder.Invoke(context.Background(), &CallSpec{Operation: "hold"}) }()
+			<-held
+			go func() { watched <- watch(client) }()
+		}
+		if err := th.Barrier(); err != nil {
+			return err
+		}
+		return invokeAsyncDiffusion(context.Background(), b, th, 1000)
+	})
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-holdDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.noLeak(noLeak); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestPeerTransferCrossEndian(t *testing.T) {
 			put := func(chunks []dist.Transfer) {
 				puts, err := chunkPuts(chunks, 0, 0)
 				if err == nil {
-					_, err = sendPlanPuts(cli, inv, 0, 0, puts, data, obj.ref.ThreadEndpoint, len(puts))
+					_, err = newPutRun().send(cli, inv, 0, 0, puts, data, obj.ref.ThreadEndpoint, len(puts))
 				}
 				if err != nil {
 					t.Error(err)

@@ -124,9 +124,11 @@ type Object struct {
 	// readWhole counts the requests the communicator read whole at pop
 	// rather than landing them.
 	readWhole atomic.Uint64
-	// landing is the communicator's lander for the request it is
-	// dispatching, and scalars its copy of a landing request's scalar
-	// encapsulation, both reused by every dispatch.
+	// wire is the request the communicator is dispatching, decoded into
+	// the same storage by every request; landing is its lander, and
+	// scalars its copy of a landing request's scalar encapsulation, all
+	// reused by every dispatch.
+	wire    invocationWire
 	landing requestLanding
 	scalars []byte
 
@@ -241,6 +243,12 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		leases:   newLeaseTable(ttl),
 		ctrlEnc:  [2]*cdr.Encoder{cdr.NewEncoder(cdr.BigEndian), cdr.NewEncoder(cdr.BigEndian)},
 		replyEnc: cdr.NewEncoderAt(cdr.BigEndian, 1),
+	}
+	// A client's windows on this rank go with its lease.
+	o.leases.onExpire = func(client uint64) {
+		if o.srv != nil {
+			o.srv.DropWindows(client)
+		}
 	}
 	o.sendEndpoint = func(to int) string {
 		if to < len(o.sendEPs) {
@@ -405,8 +413,8 @@ func (o *Object) admit(in *orb.Incoming) {
 	req := request{in: in, mp: multiPort(in)}
 	// A request whose caller gives up before the communicator takes it
 	// is dropped, unless it travels multi-port: its client's puts wait on
-	// every rank for its windows, and only the communicator reaches every
-	// rank to retire them (refused), so it is queued all the same.
+	// every rank for its epoch, and only the communicator reaches every
+	// rank to end it (refused), so it is queued all the same.
 	giveUp := in.Ctx.Done()
 	for {
 		if giveUp != nil && in.Ctx.Err() != nil { // the caller gave up
@@ -533,8 +541,8 @@ func (o *Object) Close() {
 type control struct {
 	OK bool // false: serve loop should exit
 	// Refused means the communicator answered invocation Inv before the
-	// collective: no rank dispatches it, and every rank retires its
-	// windows, so the puts its client shipped are skimmed, not waited on.
+	// collective: no rank dispatches it, and every rank ends its epoch,
+	// so the puts its client shipped are skimmed, not waited on.
 	Refused bool
 	Op      string
 	Inv     uint64
@@ -640,38 +648,11 @@ func decodeControlArg(d *cdr.Decoder, a *controlArg) error {
 		return err
 	}
 	a.Length = int(l)
-	n, err := d.ULong()
-	if err != nil {
+	if a.ClientCounts, err = decodeCounts(d, a.ClientCounts); err != nil {
 		return err
 	}
-	if uint64(n)*4 > uint64(d.Remaining()) {
-		return fmt.Errorf("%w: %d client counts", cdr.ErrTooLarge, n)
-	}
-	a.ClientCounts = resized(a.ClientCounts, int(n))
-	for j := range a.ClientCounts {
-		c, err := d.ULong()
-		if err != nil {
-			return err
-		}
-		a.ClientCounts[j] = int(c)
-	}
-	if n, err = d.ULong(); err != nil {
-		return err
-	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return fmt.Errorf("%w: %d client endpoints", cdr.ErrTooLarge, n)
-	}
-	a.ClientEndpoints = resized(a.ClientEndpoints, int(n))
-	for j := range a.ClientEndpoints {
-		ep, err := d.StringBytes()
-		if err != nil {
-			return err
-		}
-		if string(ep) != a.ClientEndpoints[j] {
-			a.ClientEndpoints[j] = string(ep)
-		}
-	}
-	return nil
+	a.ClientEndpoints, err = decodeEndpoints(d, a.ClientEndpoints)
+	return err
 }
 
 // internOp returns name as a string: ops' own key when ops holds it, so
@@ -721,6 +702,13 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	// reply, is skimmed.
 	defer in.Release()
 
+	// A multi-port invocation popped after a later one of its binding was
+	// dispatched or refused — overlapping InvokeAsync calls whose requests
+	// crossed — finds its puts skimmed on every rank, which has armed or
+	// ended the later epoch: it is refused at once (below), not left to
+	// wait out its client's lease.
+	inOrder := !req.mp || o.leases.acquire(leaseClient(in.Header.InvocationID)).pass(uint32(in.Header.InvocationID))
+
 	// A queued invocation whose propagated deadline already passed is
 	// shed here, before the collective is engaged: the client has given
 	// up, so burning every rank on its dispatch would only add load.
@@ -734,25 +722,33 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	if req.gaveUp { // its caller is gone: nothing to answer
 		return o.refused(req)
 	}
+	if !inOrder {
+		err := o.refused(req)
+		_ = in.ReplySystemException("BAD_INV_ORDER",
+			"a later invocation of the binding was dispatched first")
+		return err
+	}
 
 	// Decode the invocation metadata. A centralized request whose prefix
 	// holds it, and that carries elements, lands when it is staged: its
 	// scalars, which alias the connection's read buffer until the landing,
 	// are copied out for phase 2. Any other is read whole now; one with
 	// nothing to land would otherwise hold its connection through its own
-	// handler, and a cancel behind it would go unread.
-	var w *invocationWire
+	// handler, and a cancel behind it would go unread. Every request
+	// decodes into the same wire (o.wire).
+	w := &o.wire
+	landing := false
 	if p := in.Prefix(); len(p) > 0 && p[0] == byte(Centralized) {
-		w, _ = decodeInvocation(in.Order, p, in.BodyBase)
+		landing = w.decode(in.Order, p, in.BodyBase) == nil && w.hasInline()
 	}
-	if w != nil && w.hasInline() {
+	if landing {
 		o.scalars = append(o.scalars[:0], w.Scalars...)
 		w.Scalars = o.scalars
 	} else {
 		o.readWhole.Add(1)
 		err := in.ReadBody()
 		if err == nil {
-			w, err = decodeInvocation(in.Order, in.Body, in.BodyBase)
+			err = w.decode(in.Order, in.Body, in.BodyBase)
 		}
 		if err != nil {
 			// A body that does not decode is MARSHAL; one that cannot be
@@ -830,7 +826,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	if err := o.bcastControl(ctrl, o.table); err != nil {
 		o.forgetBlocks()
 		if req.mp {
-			o.retire(ctrl.Inv)
+			o.endEpoch(ctrl.Inv)
 		}
 		_ = in.ReplySystemException("OBJ_ADAPTER", "object's runtime closed: "+err.Error())
 		return err
@@ -986,25 +982,28 @@ func argLayouts(spec OpSpec, args []controlArg, size int, server, client []dist.
 
 // refused ends the communicator's part in request req, which it answers
 // before the collective. A multi-port invocation's client has shipped
-// puts that sit on the ranks' read loops, waiting for windows that will
-// not register: every rank, the others through the control broadcast,
-// retires the invocation, so they are skimmed. A centralized one ships
-// none, and costs no broadcast. It returns the broadcast's error: the
-// object's world has closed, and root stops serving.
+// puts that sit on the ranks' read loops, waiting for an epoch that
+// will not be armed: every rank, the others through the control
+// broadcast, ends the epoch, so they are skimmed. A centralized one
+// ships none, and costs no broadcast. It returns the broadcast's error:
+// the object's world has closed, and root stops serving.
 func (o *Object) refused(req request) error {
 	if !req.mp {
 		return nil
 	}
 	inv := req.in.Header.InvocationID
-	o.retire(inv)
+	o.endEpoch(inv)
 	return o.bcastControl(&control{OK: true, Refused: true, Inv: inv}, nil)
 }
 
-// retire declares that none of invocation inv's windows registers on
-// this rank any more (orb.Server.RetireWindows).
-func (o *Object) retire(inv uint64) {
+// endEpoch declares that none of invocation inv's windows is armed on
+// this rank any more (orb.Server.EndEpoch). The binding's floor it
+// raises is held under its client's lease, renewed here, and goes with
+// it.
+func (o *Object) endEpoch(inv uint64) {
 	if o.srv != nil {
-		o.srv.RetireWindows(inv)
+		o.leases.acquire(leaseClient(inv))
+		o.srv.EndEpoch(inv)
 	}
 }
 
@@ -1050,7 +1049,7 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 		return ErrClosed
 	}
 	if ctrl.Refused {
-		o.retire(ctrl.Inv)
+		o.endEpoch(ctrl.Inv)
 		return nil
 	}
 	_, derr := o.dispatch(ctx, ctrl, blocks)
@@ -1132,12 +1131,12 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 		}
 	}
 	if ctrl.Method == MultiPort {
-		// A rank that failed phase 1 registers none of the invocation's
-		// windows from here on: the puts still due to it are skimmed,
-		// before the agreement below can wait on a client whose puts
-		// queue behind them.
+		// A rank that failed phase 1 arms none of the invocation's
+		// windows from here on: its epoch ends, so the puts still due to
+		// it are skimmed, before the agreement below can wait on a client
+		// whose puts queue behind them.
 		if firstErr != nil {
-			o.retire(ctrl.Inv)
+			o.endEpoch(ctrl.Inv)
 		}
 		// Collective agreement on phase-1 status. A centralized invocation
 		// has none: its in-data landed on root before the broadcast, and a
@@ -1192,7 +1191,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, blocks [][]float64
 		m := &o.plans[i].out
 		err := m.update(server[i], client[i], o.rank, true)
 		if err == nil {
-			err = o.sendBlocks(ctrl.Inv, uint32(i), m.puts, args[i], ca.ClientEndpoints)
+			err = o.sendBlocks(ctrl.Inv, uint32(i), m, args[i], ca.ClientEndpoints)
 		}
 		if firstErr = err; err != nil {
 			break
@@ -1256,12 +1255,13 @@ func (o *Object) argBlock(r, i, n int, mode ArgMode) []float64 {
 }
 
 // receiveBlocks collects this thread's share of a multi-port in
-// transfer, expect elements, into seq's local block: the block is
-// registered as a one-sided window and the senders' puts land in it
-// straight off their delivering connections' read buffers (concurrently
-// and out of order), while this thread waits for the element count to
-// reach expect. ctx (or object close) bounds the wait so a dead sender
-// cannot strand the dispatch.
+// transfer, expect elements, into seq's local block, the block root
+// handed over: the client binding's window for the argument is armed on
+// it for invocation inv, and the senders' puts land in it straight off
+// their delivering connections' read buffers (concurrently and out of
+// order), while this thread waits for the element count to reach
+// expect. ctx (or object close) bounds the wait so a dead sender cannot
+// strand the dispatch.
 func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, expect int, seq *dseq.Doubles) error {
 	if expect == 0 {
 		return nil
@@ -1275,7 +1275,7 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, e
 	}
 	// The wait rides the invoking client's lease: every put it lands
 	// renews the lease, and if the client dies mid-transfer the lease
-	// expiry unwinds the wait (teardown via the deferred cancel) instead
+	// expiry unwinds the wait (and drops the client's windows) instead
 	// of stranding the collective until the Serve context ends.
 	l := o.leases.acquire(leaseClient(inv))
 	win, _, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect), l.renew)
@@ -1287,18 +1287,17 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, e
 }
 
 // sendBlocks ships this thread's share of a multi-port out transfer,
-// puts (planMemo), directly to the client threads' endpoints as puts
-// into the windows the client registered (see sendPlanPuts).
-func (o *Object) sendBlocks(inv uint64, argIdx uint32, puts []chunkPut, seq *dseq.Doubles, endpoints []string) error {
-	if len(puts) == 0 {
+// m's puts, directly to the client threads' endpoints as puts into the
+// windows the client armed (see putRun.send).
+func (o *Object) sendBlocks(inv uint64, argIdx uint32, m *planMemo, seq *dseq.Doubles, endpoints []string) error {
+	if len(m.puts) == 0 {
 		return nil
 	}
 	if len(endpoints) == 0 {
 		return fmt.Errorf("%w: client sent no endpoints for multi-port out transfer", ErrBadCall)
 	}
 	o.sendEPs = endpoints
-	_, err := sendPlanPuts(o.out, inv, argIdx, o.rank, puts, seq.LocalData(),
-		o.sendEndpoint, ResolvedXferWindow())
+	_, err := m.send(o.out, inv, argIdx, o.rank, seq.LocalData(), o.sendEndpoint, ResolvedXferWindow())
 	return err
 }
 

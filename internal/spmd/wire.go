@@ -170,6 +170,14 @@ func putCounts(e *cdr.Encoder, counts []int) {
 	}
 }
 
+// appendCounts appends l's per-thread counts to dst.
+func appendCounts(dst []int, l dist.Layout) []int {
+	for r := 0; r < l.P(); r++ {
+		dst = append(dst, l.Count(r))
+	}
+	return dst
+}
+
 // putDoubleBlocks marshals rank-ordered blocks as the one
 // sequence<double> they partition. Each block goes in by PutDoublesRef:
 // spliced — written to the socket straight from the block — when e is
@@ -203,40 +211,82 @@ func (a *argWire) encode(e *cdr.Encoder) {
 	}
 }
 
-// decodeArgWire decodes one argument's metadata.
-func decodeArgWire(d *cdr.Decoder) (*argWire, error) {
-	var a argWire
+// decode decodes one argument's metadata into a, reusing its storage
+// as decodeControlArg does: the counts, and an endpoint equal to the
+// one a held at its position. Everything a held before is overwritten.
+func (a *argWire) decode(d *cdr.Decoder) error {
 	m, err := d.Octet()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if m > byte(InOut) {
-		return nil, fmt.Errorf("%w: argument mode %d", ErrBadCall, m)
+		return fmt.Errorf("%w: argument mode %d", ErrBadCall, m)
 	}
-	a.Mode = ArgMode(m)
+	a.Mode, a.Blocks, a.Inline = ArgMode(m), nil, 0
+	n, err := d.ULong()
+	if err != nil {
+		return err
+	}
+	a.Length = int(n)
+	if a.ClientCounts, err = decodeCounts(d, a.ClientCounts); err != nil {
+		return err
+	}
+	if a.ClientEndpoints, err = decodeEndpoints(d, a.ClientEndpoints); err != nil {
+		return err
+	}
+	hasData, err := d.Boolean()
+	if err != nil || !hasData {
+		return err
+	}
+	n, err = d.ULong()
+	a.Inline = int(n)
+	return err
+}
+
+// decodeCounts decodes a sequence<unsigned long> of per-thread counts
+// into dst's storage, refusing a count the rest of d cannot hold before
+// allocating anything for it.
+func decodeCounts(d *cdr.Decoder, dst []int) ([]int, error) {
 	n, err := d.ULong()
 	if err != nil {
 		return nil, err
 	}
-	a.Length = int(n)
-	counts, err := d.ULongSeq()
+	if uint64(n)*4 > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d client counts", cdr.ErrTooLarge, n)
+	}
+	dst = resized(dst, int(n))
+	for j := range dst {
+		c, err := d.ULong()
+		if err != nil {
+			return nil, err
+		}
+		dst[j] = int(c)
+	}
+	return dst, nil
+}
+
+// decodeEndpoints decodes a sequence<string> of endpoints into dst's
+// storage: an endpoint equal to the one dst held at its position is
+// kept, allocating nothing.
+func decodeEndpoints(d *cdr.Decoder, dst []string) ([]string, error) {
+	n, err := d.ULong()
 	if err != nil {
 		return nil, err
 	}
-	a.ClientCounts = make([]int, len(counts))
-	for i, c := range counts {
-		a.ClientCounts[i] = int(c)
+	if uint64(n) > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: %d client endpoints", cdr.ErrTooLarge, n)
 	}
-	if a.ClientEndpoints, err = d.StringSeq(); err != nil {
-		return nil, err
+	dst = resized(dst, int(n))
+	for j := range dst {
+		ep, err := d.StringBytes()
+		if err != nil {
+			return nil, err
+		}
+		if string(ep) != dst[j] {
+			dst[j] = string(ep)
+		}
 	}
-	hasData, err := d.Boolean()
-	if err != nil || !hasData {
-		return &a, err
-	}
-	n, err = d.ULong()
-	a.Inline = int(n)
-	return &a, err
+	return dst, nil
 }
 
 // invocationWire is the invocation body the client communicator sends
@@ -299,40 +349,46 @@ func (w *invocationWire) hasInline() bool {
 	return slices.ContainsFunc(w.Args, func(a *argWire) bool { return a.Inline > 0 })
 }
 
-// decodeInvocation decodes the metadata of the invocation body b, which
-// starts at stream offset base: all of it up to the inline elements,
-// which it leaves where they are.
-func decodeInvocation(order cdr.ByteOrder, b []byte, base int) (*invocationWire, error) {
+// decode decodes the metadata of the invocation body b, which starts
+// at stream offset base, into w: all of it up to the inline elements,
+// which it leaves where they are. It reuses w's storage — the argument
+// list, each argument's metadata (argWire.decode) — so a request that
+// repeats the last one's shape allocates nothing; the scalars alias b.
+// Everything w held before is overwritten.
+func (w *invocationWire) decode(order cdr.ByteOrder, b []byte, base int) error {
 	d := cdr.NewDecoderAt(order, b, base)
-	var w invocationWire
 	m, err := d.Octet()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if m > byte(MultiPort) {
-		return nil, fmt.Errorf("%w: transfer method %d", ErrBadCall, m)
+		return fmt.Errorf("%w: transfer method %d", ErrBadCall, m)
 	}
 	w.Method = TransferMethod(m)
 	if w.Scalars, err = d.OctetSeq(); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := d.ULong()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Refuse a count the rest of the body cannot hold before allocating
 	// anything for it.
 	if uint64(n)*minArgWire > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: %d arguments", ErrBadCall, n)
+		return fmt.Errorf("%w: %d arguments", ErrBadCall, n)
 	}
-	w.Args = make([]*argWire, n)
-	for i := range w.Args {
-		if w.Args[i], err = decodeArgWire(d); err != nil {
-			return nil, err
+	w.Args = resized(w.Args, int(n))
+	for i, a := range w.Args {
+		if a == nil {
+			a = new(argWire)
+			w.Args[i] = a
+		}
+		if err := a.decode(d); err != nil {
+			return err
 		}
 	}
 	w.elems = base + d.Pos()
-	return &w, nil
+	return nil
 }
 
 // replyWire is the reply body the communicator sends after the

@@ -107,8 +107,8 @@ func TestInvocationWireRoundTrip(t *testing.T) {
 	for name, w := range cases {
 		roundTrip(t, name, w.encode, func(d *cdr.Decoder) (func(*cdr.Encoder), error) {
 			body, _ := d.Octets(d.Remaining())
-			got, err := decodeInvocation(d.Order(), body, 0)
-			if err != nil {
+			got := new(invocationWire)
+			if err := got.decode(d.Order(), body, 0); err != nil {
 				return nil, err
 			}
 			// The metadata decodes to inline counts, and the elements after
@@ -196,7 +196,7 @@ func TestInvocationArgumentCountBounded(t *testing.T) {
 	body := append(e.Bytes(), make([]byte, 1<<20)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeInvocation(cdr.BigEndian, body, 0)
+	err := new(invocationWire).decode(cdr.BigEndian, body, 0)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadCall) {
 		t.Fatalf("decode: %v, want ErrBadCall", err)

@@ -2,18 +2,21 @@
 // multi-port transfer use to ship distributed-argument blocks and await
 // their landing.
 //
-// Sending: sendPlanPuts ships a thread's share of a transfer plan to
+// Sending: putRun.send ships a thread's share of a transfer plan to
 // the destination threads as one-sided window puts, with a bounded
 // number in flight, after splitting oversized blocks into pipelined
 // chunks, so the write of chunk N overlaps the landing of chunk N-1 and
 // transfers to different ranks ride different connections
 // simultaneously. The share and its chunks depend only on the two
 // layouts, which a binding repeats call after call: a planMemo keeps
-// them, and is rebuilt only when a layout changes.
+// them, and is rebuilt only when a layout changes. Its send reserves
+// the put connections its puts will use in parallel before the first,
+// so no connection is dialed in the middle of a later call.
 //
-// Receiving: the destination rank registers its local block as an
-// orb.Window and waitWindow awaits it; a put that arrives first waits on
-// its connection for the registration. Puts land straight off the
+// Receiving: the destination rank arms the sending binding's
+// orb.Window for the argument on its local block, for the invocation's
+// epoch, and waitWindow awaits it; a put that arrives first waits on
+// its connection for the arming. Puts land straight off the
 // delivering connection's read buffer, counting elements rather than
 // messages, so chunks may arrive out of order, interleaved across
 // senders, and concurrently. Safety argument: the transfer plan
@@ -66,9 +69,10 @@ func ResolvedXferChunkBytes() int { return DefaultXferChunkBytes }
 // size, so only puts whose write succeeded are counted.
 var peerBlocksTotal = telemetry.Default.Counter("pardis_spmd_peer_blocks_total")
 
-// peerPutter abstracts orb.Client.PutWindow for the send path.
+// peerPutter abstracts orb.Client's put path for the send path.
 type peerPutter interface {
 	PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []float64) (int, error)
+	ReservePuts(endpoint string, n int) error
 }
 
 // chunkPut is one window put of a thread's share of a transfer plan:
@@ -106,12 +110,33 @@ func chunkPuts(plan []dist.Transfer, rank, chunkElems int) ([]chunkPut, error) {
 // elements it receives. A binding and an object keep one per argument
 // position and direction from one invocation to the next; update
 // rebuilds it only when a layout differs from the ones it was built
-// for.
+// for. run is the put fan-out its sends reuse, kept across rebuilds.
 type planMemo struct {
 	src, dst dist.Layout
 	built    bool
 	puts     []chunkPut
-	recv     int
+	// dests counts puts per destination thread, which bounds how many
+	// may be in flight to it at once.
+	dests []destPuts
+	recv  int
+	run   *putRun
+}
+
+// destPuts is how many of a memo's puts go to destination thread To.
+type destPuts struct{ To, Puts int }
+
+// countDests returns how many of puts go to each destination thread.
+func countDests(puts []chunkPut) []destPuts {
+	var ds []destPuts
+	for _, p := range puts {
+		i := slices.IndexFunc(ds, func(d destPuts) bool { return d.To == p.To })
+		if i < 0 {
+			i = len(ds)
+			ds = append(ds, destPuts{To: p.To})
+		}
+		ds[i].Puts++
+	}
+	return ds
 }
 
 // update makes m rank's part in the plan that moves a sequence from
@@ -137,8 +162,29 @@ func (m *planMemo) update(src, dst dist.Layout, rank int, send bool) error {
 	if err != nil {
 		return err
 	}
-	*m = planMemo{src: src, dst: dst, built: true, puts: puts, recv: recv}
+	*m = planMemo{src: src, dst: dst, built: true, puts: puts, dests: countDests(puts), recv: recv, run: m.run}
 	return nil
+}
+
+// send ships m's puts (putRun.send) on the memo's kept fan-out, so a
+// send allocates nothing. It first reserves, on each destination's put
+// stripe, a connection for every put the fan-out may have in flight to
+// it (orb.Client.ReservePuts): the stripe then has them from the first
+// send, and no later one dials.
+func (m *planMemo) send(pc peerPutter, inv uint64, argIdx uint32, rank int,
+	local []float64, endpointFor func(int) string, window int) (uint64, error) {
+	if m.run == nil {
+		m.run = newPutRun()
+	}
+	workers := min(max(window, 1), len(m.puts))
+	for _, d := range m.dests {
+		if n := min(workers, d.Puts); n > 1 {
+			if err := pc.ReservePuts(endpointFor(d.To), n); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return m.run.send(pc, inv, argIdx, rank, m.puts, local, endpointFor, window)
 }
 
 // argPlans is the plan memo of one argument position in each direction.
@@ -146,42 +192,9 @@ type argPlans struct {
 	in, out planMemo
 }
 
-// sendPlanPuts ships puts, rank's share of a transfer plan for one
-// argument (chunkPuts), as MsgWindowPut frames straight to the
-// destination ranks' endpoints (endpointFor maps a destination thread
-// to its endpoint), landing in the window they registered under
-// BlockSinkKey(inv, argIdx) — no CDR sequence framing and (native
-// order) no payload copy on either side. At most window puts are in
-// flight: min(window, len(puts)) workers, the caller one of them, take
-// the puts in index order; once one fails, no worker starts another,
-// and the first failure is returned. It returns the payload bytes of
-// the puts that succeeded.
-func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
-	puts []chunkPut, local []float64, endpointFor func(int) string, window int) (uint64, error) {
-	if len(puts) == 0 {
-		return 0, nil
-	}
-	key, err := giop.BlockSinkKey(inv, argIdx)
-	if err != nil {
-		return 0, err
-	}
-	r := &putRun{pc: pc, puts: puts, local: local, endpointFor: endpointFor,
-		hdr: giop.WindowPutHeader{WindowID: key, FromThread: int32(rank)}}
-	workers := min(max(window, 1), len(puts))
-	r.wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		go func() {
-			defer r.wg.Done()
-			r.work()
-		}()
-	}
-	r.work()
-	r.wg.Wait()
-	return r.total.Load(), r.err
-}
-
-// putRun is one sendPlanPuts call: its workers share the next put
-// index, the payload total and the first failure.
+// putRun is the put fan-out of one send at a time: its workers
+// share the next put index, the payload total and the first failure. A
+// plan memo keeps one, worker closure and all, from one send to the next.
 type putRun struct {
 	pc          peerPutter
 	puts        []chunkPut
@@ -196,6 +209,55 @@ type putRun struct {
 	// err is the first failure, written once by the worker that set
 	// failed and read after wg.Wait.
 	err error
+	// worker is what every worker goroutine but the caller runs, made
+	// once, so starting one allocates no closure.
+	worker func()
+}
+
+func newPutRun() *putRun {
+	r := &putRun{}
+	r.worker = func() {
+		defer r.wg.Done()
+		r.work()
+	}
+	return r
+}
+
+// send ships puts, rank's share of a transfer plan for one argument
+// (chunkPuts), as MsgWindowPut frames straight to the destination
+// ranks' endpoints (endpointFor maps a destination thread to its
+// endpoint), landing in the window armed for them under
+// BlockSinkKey(inv, argIdx) — no CDR sequence framing and (native
+// order) no payload copy on either side. At most window puts are in
+// flight: min(window, len(puts)) workers, the caller one of them, take
+// the puts in index order; once one fails, no worker starts another,
+// and the first failure is returned. It returns the payload bytes of
+// the puts that succeeded. No other send may use r meanwhile.
+func (r *putRun) send(pc peerPutter, inv uint64, argIdx uint32, rank int,
+	puts []chunkPut, local []float64, endpointFor func(int) string, window int) (uint64, error) {
+	if len(puts) == 0 {
+		return 0, nil
+	}
+	key, err := giop.BlockSinkKey(inv, argIdx)
+	if err != nil {
+		return 0, err
+	}
+	r.pc, r.puts, r.local, r.endpointFor = pc, puts, local, endpointFor
+	r.hdr = giop.WindowPutHeader{WindowID: key, FromThread: int32(rank)}
+	r.next.Store(0)
+	r.total.Store(0)
+	r.failed.Store(false)
+	r.err = nil
+	workers := min(max(window, 1), len(puts))
+	r.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go r.worker()
+	}
+	r.work()
+	r.wg.Wait()
+	// The run holds nothing of the caller's between sends.
+	r.pc, r.puts, r.local, r.endpointFor = nil, nil, nil, nil
+	return r.total.Load(), r.err
 }
 
 // work ships puts in index order until none is left or one has failed.
