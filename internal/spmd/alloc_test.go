@@ -101,27 +101,29 @@ func TestCentralizedAllocBudget(t *testing.T) {
 		ops = 32
 		// multiPortMallocs is the multi-port variant's process-wide
 		// allocation count per operation (n=2, m=4, inproc), measured at
-		// 29.2-30.6 once every binding's windows were kept and re-armed
-		// per invocation, its request wire and put fan-out kept, and root
-		// decoding every request into kept storage (66-68 when each
+		// 27.3-29.5 once the invoke goroutine handed its outcome over a
+		// channel instead of a future (29.2-30.6 before; 66-68 when each
 		// invocation registered its windows afresh; 361-368 when it also
-		// planned afresh), plus 2 % for pool refills after a collection,
-		// rounded up.
-		multiPortMallocs = 32
+		// planned afresh), the top of that range with other packages'
+		// tests running beside it, plus 5 % for pool refills after a
+		// collection, rounded.
+		multiPortMallocs = 31
 		// centralizedMallocs is the centralized variant's, measured at
-		// 32.1-33.1 once the request wire and root's request decode were
-		// kept and the signature check stopped allocating on success
-		// (44-45 before; 126-127 before the layouts, control record,
-		// handler's Call and agreements' results were reused; 190-191
-		// before the collectives became shared-memory rounds), plus 2 %.
-		centralizedMallocs = 34
+		// 29.1-30.9 once a worker's lend counts were kept per argument and
+		// the invoke goroutine lost its future (32.1-33.1 before; 44-45
+		// before the request wire and root's request decode were kept;
+		// 126-127 before the layouts, control record, handler's Call and
+		// agreements' results were reused; 190-191 before the collectives
+		// became shared-memory rounds), plus 5 %, rounded.
+		centralizedMallocs = 32
 		// smallMallocs is a blocking 1 Ki-double inout invocation's,
-		// measured at 24.9-25.1 with the same reuse (36.9-37.1 before;
-		// 118.8-118.9 before that), plus one. The margin is below what
-		// either costs back: the invoke goroutine's future, context and
-		// closure are four, and a layout or a control record rebuilt per
-		// call is at least two.
-		smallMallocs = 26
+		// measured at 23.9-24.3 with the same reuse (24.9-25.1 before the
+		// lend counts were kept; 36.9-37.1 before that), plus under one.
+		// The margin is below what any costs back: a worker's lend counts
+		// built per call are one, an invoke goroutine's channel, context
+		// and closure at least three, and a layout or a control record
+		// rebuilt per call at least two.
+		smallMallocs = 25
 	)
 	perOp := func(method TransferMethod, doubles int, blocking bool) (bytes, mallocs float64) {
 		reg := newReg()

@@ -11,7 +11,6 @@ import (
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
-	"pardis/internal/future"
 	"pardis/internal/giop"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
@@ -77,13 +76,16 @@ type Binding struct {
 }
 
 // argMemo is what a binding keeps of one argument position between
-// invocations: the server layout of operation op at length, and the
-// plans to it and from it (argPlans), each keyed by both its layouts.
+// invocations: the server layout of operation op at length, the plans
+// to it and from it (argPlans), each keyed by both its layouts, and the
+// counts of the client layout a centralized lend last went with.
 type argMemo struct {
 	op     *OpSpec
 	length int
 	server dist.Layout
 	argPlans
+	client dist.Layout
+	counts []int
 }
 
 // bindingStats accumulates per-thread operational counters.
@@ -180,7 +182,7 @@ func Bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	return b, err
 }
 
-func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
+func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (_ *Binding, err error) {
 	if cfg.Thread == nil {
 		return nil, fmt.Errorf("%w: nil RTS thread", ErrBadCall)
 	}
@@ -209,129 +211,70 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		scalarEnc:   cdr.NewEncoder(cdr.BigEndian),
 		sigEnc:      cdr.NewEncoder(cdr.BigEndian),
 	}
-	if cfg.Method == MultiPort && !ref.MultiPort() {
-		b.oc.Close()
+	defer func() {
+		if err != nil {
+			b.Close()
+		}
+	}()
+	multiPort := cfg.Method == MultiPort
+	if multiPort && !ref.MultiPort() {
 		return nil, fmt.Errorf("%w: object %s does not export multi-port endpoints",
 			ErrBadCall, ref.Key)
 	}
-	// Per-thread receive port for out-argument blocks, with a
-	// collective verdict on the listen phase: a thread whose port
-	// failed to open must not leave its peers deadlocked in the
-	// endpoint exchange — every thread instead learns which rank
-	// failed and returns a partial-failure error naming it.
-	if cfg.Method == MultiPort {
-		var listenErr error
+	// Per-thread receive port for out-argument blocks.
+	var listenErr error
+	if multiPort {
 		if cfg.ListenEndpoint == "" {
 			listenErr = fmt.Errorf("%w: multi-port binding needs a ListenEndpoint", ErrBadCall)
 		} else {
 			b.recv = orb.NewServer(reg)
-			ep, err := b.recv.Listen(cfg.ListenEndpoint)
-			if err != nil {
-				listenErr = err
-			} else {
-				b.recvEP = ep
-			}
-		}
-		if _, err := setupVerdict(b.th, listenErr, "open its receive port", 0); err != nil {
-			b.Close()
-			return nil, err
+			b.recvEP, listenErr = b.recv.Listen(cfg.ListenEndpoint)
 		}
 	}
 
-	// Exchange receive endpoints so the communicator can advertise
-	// them for out-argument transfers.
-	if cfg.Method == MultiPort {
-		if b.rank == 0 {
-			b.allEndpoints = make([]string, b.size)
-			b.allEndpoints[0] = b.recvEP
-			for i := 1; i < b.size; i++ {
-				raw, err := b.th.RecvBytes(i, tagRefExchange)
-				if err != nil {
-					b.Close()
-					return nil, err
-				}
-				b.allEndpoints[i] = string(raw)
+	// One set-up step (setUp). Under MultiPort every thread reports its
+	// receive endpoint, which the communicator advertises for
+	// out-argument transfers, and a thread whose port failed to open
+	// fails the bind on every thread, naming its rank, instead of
+	// leaving its peers waiting. The communicator fetches the interface
+	// description once and broadcasts it (collective part of
+	// _spmd_bind): the reply's byte-order octet, in which every thread
+	// decodes it, then its body as the server wrote it. The describe
+	// invocation fails over across every replica endpoint of the
+	// reference (InvokeRef), so a dead first endpoint does not doom the
+	// bind.
+	raw, err := setUp(b.th, multiPort, "open its receive port", listenErr, 0, b.recvEP,
+		func(endpoints []string) ([]byte, error) {
+			b.allEndpoints = endpoints
+			hdr := giop.RequestHeader{
+				InvocationID:     b.oc.NewInvocationID(),
+				ResponseExpected: true,
+				ObjectKey:        ref.Key,
+				Operation:        DescribeOperation,
+				ThreadRank:       0,
+				ThreadCount:      int32(b.size),
 			}
-		} else {
-			if err := b.th.SendBytes(0, tagRefExchange, []byte(b.recvEP)); err != nil {
-				b.Close()
+			r, err := b.oc.InvokeRef(ctx, ref, hdr, nil)
+			if err != nil {
 				return nil, err
 			}
-		}
-	}
-
-	// The communicator fetches the interface description once and
-	// broadcasts it (collective part of _spmd_bind). The describe
-	// invocation fails over across every replica endpoint of the
-	// reference (InvokeRef), so a dead first endpoint does not doom
-	// the bind. The broadcast payload is tagged: 1 + the reply's
-	// byte-order octet + describe bytes on success, 0 + error text on
-	// failure, so the peers report the failed thread and cause instead
-	// of a bare "bind failed".
-	var raw []byte
-	if b.rank == 0 {
-		hdr := giop.RequestHeader{
-			InvocationID:     b.oc.NewInvocationID(),
-			ResponseExpected: true,
-			ObjectKey:        ref.Key,
-			Operation:        DescribeOperation,
-			ThreadRank:       0,
-			ThreadCount:      int32(b.size),
-		}
-		r, err := b.oc.InvokeRef(ctx, ref, hdr, nil)
-		if err == nil && r.Header.Status != giop.ReplyOK {
-			err = fmt.Errorf("%w: describe returned %v", ErrRemote, r.Header.Status)
-		}
-		var payload []byte
-		if err != nil {
-			payload = append([]byte{0}, err.Error()...)
-		} else {
-			// The reply travels on as the server wrote it, behind its
-			// byte-order octet: every thread decodes in that order.
-			payload = append([]byte{1, byte(r.Order)}, r.Body...)
-		}
-		if _, berr := b.th.Bcast(0, payload); berr != nil {
-			b.Close()
-			return nil, berr
-		}
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
-		raw = payload[1:]
-	} else {
-		payload, err := b.th.Bcast(0, nil)
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
-		if len(payload) == 0 {
-			b.Close()
-			return nil, fmt.Errorf("%w: bind failed on communicator", ErrRemote)
-		}
-		if payload[0] == 0 {
-			b.Close()
-			return nil, fmt.Errorf("%w: bind failed on thread 0: %s",
-				ErrPartialFailure, payload[1:])
-		}
-		raw = payload[1:]
-	}
-	if len(raw) < 2 {
-		b.Close()
-		return nil, fmt.Errorf("%w: bind failed on communicator", ErrRemote)
+			if r.Header.Status != giop.ReplyOK {
+				return nil, fmt.Errorf("%w: describe returned %v", ErrRemote, r.Header.Status)
+			}
+			return append([]byte{byte(r.Order)}, r.Body...), nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	desc, err := decodeDescribeWire(cdr.NewDecoder(cdr.ByteOrder(raw[0]&1), raw[1:]))
 	if err != nil {
-		b.Close()
 		return nil, err
 	}
 	if desc.Threads != ref.Threads {
-		b.Close()
 		return nil, fmt.Errorf("%w: reference says %d threads, object says %d",
 			ErrRemote, ref.Threads, desc.Threads)
 	}
-	if cfg.Method == MultiPort && !desc.MultiPort {
-		b.Close()
+	if multiPort && !desc.MultiPort {
 		return nil, fmt.Errorf("%w: object %s was not exported multi-port",
 			ErrBadCall, ref.Key)
 	}
@@ -447,13 +390,14 @@ type Pending struct {
 	// returns, so invoke must have returned before Wait's status
 	// broadcast hands the blocks back to their threads.
 	lent [][][]float64
-	// Communicator only. A blocking centralized invocation's outcome,
-	// which invoke returned on the caller's goroutine; any other runs
-	// invoke on a goroutine of its own, which fut resolves when it exits
-	// and stop cancels.
+	// Communicator only. The invocation's outcome, which invoke returned
+	// on the caller's goroutine for a blocking centralized invocation.
+	// Any other runs invoke on a goroutine of its own, which stop cancels
+	// and which sends on invoked, once, when it has set the outcome and
+	// exits: receiving joins it.
 	reply    orb.Reply
 	replyErr error
-	fut      *future.Future[orb.Reply]
+	invoked  chan struct{}
 	stop     context.CancelFunc
 }
 
@@ -599,6 +543,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 	// Multi-port: the round hands every thread rank 0's invocation id.
 	// Threads that disagree may have chosen different methods, and so
 	// lend different shapes; the signature is checked first.
+	b.memo = resized(b.memo, len(spec.Args))
 	var first []float64
 	var firstCounts []int
 	if method == Centralized && len(spec.Args) > 0 {
@@ -632,7 +577,6 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 
 	// Server-side layouts for planning, kept while the operation and
 	// the length at each argument position repeat.
-	b.memo = resized(b.memo, len(spec.Args))
 	for i, a := range spec.Args {
 		m := &b.memo[i]
 		if m.op == op && m.length == a.Seq.Len() {
@@ -698,16 +642,11 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec, blocking bool)
 			// and the reply's landing wakes it directly.
 			p.reply, p.replyErr = p.invoke(ctx, hdr, w)
 		} else {
-			fut, resolver := future.New[orb.Reply]()
 			ictx, stop := context.WithCancel(ctx)
-			p.fut, p.stop = fut, stop
+			p.invoked, p.stop = make(chan struct{}, 1), stop
 			go func() {
-				r, err := p.invoke(ictx, hdr, w)
-				if err != nil {
-					resolver.Reject(err)
-					return
-				}
-				resolver.Resolve(r)
+				p.reply, p.replyErr = p.invoke(ictx, hdr, w)
+				p.invoked <- struct{}{}
 			}()
 		}
 	}
@@ -769,13 +708,18 @@ func (p *Pending) releaseWire() {
 }
 
 // lendCounts returns the counts this thread lends argument i's block
-// with: its layout's, or on the communicator those its request w
-// carries, which rule the lend.
+// with: its layout's, kept in the argument's memo while the layout
+// repeats, or on the communicator those its request w carries, which
+// rule the lend.
 func (p *Pending) lendCounts(i int, w *invocationWire) []int {
 	if w != nil {
 		return w.Args[i].ClientCounts
 	}
-	return p.spec.Args[i].Seq.Layout().Counts()
+	m := &p.b.memo[i]
+	if l := p.spec.Args[i].Seq.Layout(); !m.client.Equal(l) {
+		m.client, m.counts = l, appendCounts(m.counts[:0], l)
+	}
+	return m.counts
 }
 
 // invoke sends the request on the communicator and returns its reply:
@@ -813,9 +757,9 @@ func (b *Binding) sendBlocks(inv uint64, argIdx uint32, m *planMemo, seq *dseq.D
 // start has returned.
 func (p *Pending) abandon() {
 	p.cancelSinks()
-	if p.fut != nil {
+	if p.invoked != nil {
 		p.stop()
-		<-p.fut.Done()
+		<-p.invoked
 	}
 }
 
@@ -826,13 +770,18 @@ func (p *Pending) abandon() {
 // it regardless is left to the garbage collector). The caller owns a
 // returned reply.
 func (p *Pending) awaitReply(ctx context.Context) (orb.Reply, error) {
-	if p.fut == nil {
+	if p.invoked == nil {
 		return p.reply, p.replyErr
 	}
-	r, err := p.fut.GetContext(ctx)
-	p.stop()
-	<-p.fut.Done()
-	return r, err
+	select {
+	case <-p.invoked:
+		p.stop()
+		return p.reply, p.replyErr
+	case <-ctx.Done():
+		p.stop()
+		<-p.invoked
+		return orb.Reply{}, ctx.Err()
+	}
 }
 
 // LandReply lands the reply to the invocation on the communicator's

@@ -243,6 +243,65 @@ func TestCollectivesPerInvocation(t *testing.T) {
 	}
 }
 
+// TestCollectivesPerSetUp pins the RTS calls of the set-up step that
+// Export and Bind share (setUp) on every thread: each worker sends the
+// communicator its part and the communicator broadcasts one answer, with
+// no allgather; a centralized Bind gathers no parts, and its one call is
+// the broadcast of the interface description.
+func TestCollectivesPerSetUp(t *testing.T) {
+	const clients, servers = 2, 3
+	want := func(rank, size int, gather bool) map[string]int {
+		switch {
+		case !gather:
+			return map[string]int{"bcast": 1}
+		case rank == 0:
+			return map[string]int{"recv": size - 1, "bcast": 1}
+		default:
+			return map[string]int{"send": 1, "bcast": 1}
+		}
+	}
+	for _, multiPort := range []bool{false, true} {
+		reg := newReg()
+		var mu sync.Mutex
+		srvTh := make([]*countingThread, servers)
+		obj := startObjectCfg(t, reg, servers, multiPort, collectiveOps, func(cfg *ObjectConfig) {
+			ct := newCountingThread(cfg.Thread)
+			cfg.Thread = ct
+			mu.Lock()
+			srvTh[ct.Rank()] = ct
+			mu.Unlock()
+		})
+		for r, ct := range srvTh {
+			if got, w := ct.take(), want(r, servers, true); !maps.Equal(got, w) {
+				t.Errorf("Export (multi-port %v): server thread %d completed %v, want %v", multiPort, r, got, w)
+			}
+		}
+		for _, method := range []TransferMethod{Centralized, MultiPort} {
+			if method == MultiPort && !multiPort {
+				continue
+			}
+			err := mp.Run(clients, func(proc *mp.Proc) error {
+				ct := newCountingThread(rts.NewMessagePassing(proc))
+				b, err := Bind(context.Background(), BindConfig{
+					Thread: ct, Registry: reg, Method: method, ListenEndpoint: "inproc:*",
+				}, obj.ref)
+				if err != nil {
+					return err
+				}
+				b.Close()
+				if got, w := ct.take(), want(ct.Rank(), clients, method == MultiPort); !maps.Equal(got, w) {
+					return fmt.Errorf("%v Bind: client thread %d completed %v, want %v", method, ct.Rank(), got, w)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		obj.close()
+	}
+}
+
 // TestKeptAgreementHandler: the agreement after the handler is what
 // carries one server rank's handler error to the reply. A handler that
 // fails on server rank 3 alone fails the invocation on every client

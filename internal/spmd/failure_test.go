@@ -15,6 +15,7 @@ import (
 	"pardis/internal/giop"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
+	"pardis/internal/orb"
 	"pardis/internal/rts"
 )
 
@@ -361,6 +362,47 @@ func TestFaultBindPartialFailure(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBindDescribeFailureReachesEveryRank: when the communicator's
+// describe invocation fails (no listener behind the reference's
+// communicator endpoint), the communicator returns its cause and every
+// other thread an ErrPartialFailure naming thread 0, under either
+// method, rather than waiting for an interface description that never
+// comes.
+func TestBindDescribeFailureReachesEveryRank(t *testing.T) {
+	reg := newReg()
+	ref := &ior.Ref{TypeID: "IDL:nobody:1.0", Key: "objects/nobody", Threads: 2,
+		Endpoints: []string{"inproc:nobody-0", "inproc:nobody-1"}}
+	for _, method := range []TransferMethod{Centralized, MultiPort} {
+		err := mp.Run(3, func(proc *mp.Proc) error {
+			th := rts.NewMessagePassing(proc)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Bind(context.Background(), BindConfig{
+					Thread: th, Registry: reg, Method: method, ListenEndpoint: "inproc:*",
+				}, ref)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				switch {
+				case err == nil:
+					return fmt.Errorf("%v thread %d: bind to no listener succeeded", method, th.Rank())
+				case th.Rank() == 0 && (errors.Is(err, ErrPartialFailure) || !errors.Is(err, orb.ErrUnreachable)):
+					return fmt.Errorf("%v thread 0: want the describe's own cause, got %v", method, err)
+				case th.Rank() != 0 && (!errors.Is(err, ErrPartialFailure) || !strings.Contains(err.Error(), "thread 0")):
+					return fmt.Errorf("%v thread %d: want ErrPartialFailure naming thread 0, got %v", method, th.Rank(), err)
+				}
+				return nil
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("%v thread %d: Bind stranded on the communicator's describe failure", method, th.Rank())
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -9,32 +9,42 @@ import (
 	"time"
 )
 
-// putWait is the frame a goroutine's stack shows while a window put
-// waits for its window.
-const putWait = "pardis/internal/orb.(*blockRouter).awaitWindow"
+// stuckWaits are the frames a goroutine's stack shows while a window put
+// waits for its window, or while a rank waits in an mp collective round
+// or for a point-to-point message.
+var stuckWaits = []string{
+	"pardis/internal/orb.(*blockRouter).awaitWindow",
+	"pardis/internal/mp.(*Proc).enter",
+	"pardis/internal/mp.(*Proc).Recv",
+}
 
-// TestMain fails the package when a put still waits for its window
-// after the last test: every wait must end by the window registering,
-// its invocation retiring, its connection ending or the bound passing,
-// and a wait no test ends is one that none of those ended.
+// TestMain fails the package when a put still waits for its window, or
+// a rank in the runtime, after the last test: every put's wait must end
+// by the window registering, its invocation retiring, its connection
+// ending or the bound passing, and every rank's by its peers arriving,
+// its message being sent or its world closing. A wait no test ends is
+// one that none of those ended: a leaked put or a stranded rank.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if stuck := stuckPutWaits(); code == 0 && stuck != "" {
-		fmt.Fprintf(os.Stderr, "a window put still waits after the last test:\n%s\n", stuck)
+	if stuck := stuckGoroutines(); code == 0 && stuck != "" {
+		fmt.Fprintf(os.Stderr, "a window put or a rank still waits after the last test:\n%s\n", stuck)
 		code = 1
 	}
 	os.Exit(code)
 }
 
-// stuckPutWaits returns the stacks of the goroutines sitting in a put's
-// wait, after giving waits that are ending a moment to do so.
-func stuckPutWaits() string {
+// stuckGoroutines returns the stacks of the goroutines sitting in one of
+// stuckWaits, after giving waits that are ending a moment to do so.
+func stuckGoroutines() string {
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		var stuck []string
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, putWait) {
-				stuck = append(stuck, g)
+			for _, w := range stuckWaits {
+				if strings.Contains(g, w) {
+					stuck = append(stuck, g)
+					break
+				}
 			}
 		}
 		if len(stuck) == 0 || time.Now().After(deadline) {

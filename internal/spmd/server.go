@@ -210,15 +210,11 @@ func (o *Object) BlockStats() orb.BlockRouterStats {
 	return o.srv.BlockStats()
 }
 
-// tagRefExchange keeps SPMD-engine RTS messages clear of application
-// tags used inside servant handlers.
-const tagRefExchange = 1 << 20
-
 // Export creates the thread's share of an SPMD object: it opens this
 // thread's port (communicator always; other threads only under
-// MultiPort), exchanges endpoints, and assembles the object
-// reference. It must be called collectively.
-func Export(cfg ObjectConfig) (*Object, error) {
+// MultiPort), and the communicator assembles the object reference from
+// every thread's endpoint. It must be called collectively.
+func Export(cfg ObjectConfig) (_ *Object, err error) {
 	if cfg.Thread == nil {
 		return nil, fmt.Errorf("%w: nil RTS thread", ErrBadCall)
 	}
@@ -241,9 +237,18 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		size:     th.Size(),
 		closed:   make(chan struct{}),
 		leases:   newLeaseTable(ttl),
+		out:      orb.NewClient(reg),
 		ctrlEnc:  [2]*cdr.Encoder{cdr.NewEncoder(cdr.BigEndian), cdr.NewEncoder(cdr.BigEndian)},
 		replyEnc: cdr.NewEncoderAt(cdr.BigEndian, 1),
 	}
+	defer func() {
+		if err != nil {
+			if o.srv != nil {
+				o.srv.Close()
+			}
+			o.out.Close()
+		}
+	}()
 	// A client's windows on this rank go with its lease.
 	o.leases.onExpire = func(client uint64) {
 		if o.srv != nil {
@@ -257,115 +262,38 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		return o.sendEPs[0]
 	}
 
-	needPort := o.rank == 0 || cfg.MultiPort
-	var myEndpoint string
+	var endpoint string
 	var listenErr error
-	if needPort {
+	if o.rank == 0 || cfg.MultiPort {
 		o.srv = orb.NewServer(reg)
-		ep, err := o.srv.Listen(cfg.ListenEndpoint)
-		if err != nil {
-			listenErr = err
-		} else {
-			myEndpoint = ep
-		}
-	}
-	o.out = orb.NewClient(reg)
-
-	// Collective verdict on the listen phase: if any thread failed to
-	// open its port, every thread learns which one and returns a
-	// partial-failure error, instead of the communicator deadlocking
-	// in the endpoint exchange waiting for a port that will never
-	// exist. The verdict carries each thread's digest of what describe
-	// answers (operations, their arguments' modes and distributions,
-	// MultiPort): a worker that lacked an operation the communicator
-	// broadcast would leave the others waiting in the dispatch's
-	// collectives, so threads that disagree fail here, every one of them.
-	digests, err := setupVerdict(th, listenErr, "open its port", o.describe().digest())
-	if err == nil {
-		for r, d := range digests {
-			if d != digests[0] {
-				err = fmt.Errorf("%w: thread %d exported a different interface than thread 0",
-					ErrInconsistent, r)
-				break
-			}
-		}
-	}
-	if err != nil {
-		if o.srv != nil {
-			o.srv.Close()
-		}
-		o.out.Close()
-		return nil, err
+		endpoint, listenErr = o.srv.Listen(cfg.ListenEndpoint)
 	}
 
-	// Endpoint exchange: every thread reports to the communicator,
-	// which assembles and validates the reference, then broadcasts
-	// the stringified form. The broadcast is tagged (1 + IOR on
-	// success, 0 + error text on failure) so a communicator-side
-	// failure reaches the peers as a named error instead of leaving
-	// them deadlocked in the collective.
-	if o.rank == 0 {
-		endpoints := make([]string, o.size)
-		endpoints[0] = myEndpoint
-		var refErr error
-		if cfg.MultiPort {
-			for i := 1; i < o.size; i++ {
-				b, err := th.RecvBytes(i, tagRefExchange)
-				if err != nil {
-					refErr = err
-					break
-				}
-				endpoints[i] = string(b)
+	// One set-up step (setUp): a thread whose port failed to open fails
+	// Export on every thread, naming its rank, instead of leaving the
+	// communicator waiting for a port that will never exist. Every part
+	// carries its thread's digest of what describe answers (operations,
+	// their arguments' modes and distributions, MultiPort): a worker that
+	// lacked an operation the communicator broadcast would leave the
+	// others waiting in the dispatch's collectives, so threads that
+	// disagree fail here, every one of them. The communicator assembles
+	// and validates the reference and broadcasts its stringified form.
+	ref, err := setUp(th, true, "open its port", listenErr, o.describe().digest(), endpoint,
+		func(endpoints []string) ([]byte, error) {
+			if !cfg.MultiPort {
+				endpoints = endpoints[:1]
 			}
-		} else {
-			endpoints = endpoints[:1]
-		}
-		if refErr == nil {
-			o.ref = &ior.Ref{
-				TypeID:    cfg.TypeID,
-				Key:       cfg.Key,
-				Threads:   o.size,
-				Endpoints: endpoints,
-			}
-			refErr = o.ref.Validate()
-		}
-		var payload []byte
-		if refErr != nil {
-			payload = append([]byte{0}, refErr.Error()...)
-		} else {
-			payload = append([]byte{1}, o.ref.Stringify()...)
-		}
-		if _, err := th.Bcast(0, payload); err != nil {
-			return nil, err
-		}
-		if refErr != nil {
-			o.srv.Close()
-			o.out.Close()
-			return nil, refErr
-		}
-	} else {
-		if cfg.MultiPort {
-			if err := th.SendBytes(0, tagRefExchange, []byte(myEndpoint)); err != nil {
+			o.ref = &ior.Ref{TypeID: cfg.TypeID, Key: cfg.Key, Threads: o.size, Endpoints: endpoints}
+			if err := o.ref.Validate(); err != nil {
 				return nil, err
 			}
-		}
-		payload, err := th.Bcast(0, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(payload) == 0 || payload[0] == 0 {
-			if o.srv != nil {
-				o.srv.Close()
-			}
-			o.out.Close()
-			msg := "unknown error"
-			if len(payload) > 1 {
-				msg = string(payload[1:])
-			}
-			return nil, fmt.Errorf("%w: thread 0 failed to assemble the object reference: %s",
-				ErrPartialFailure, msg)
-		}
-		if o.ref, err = ior.Parse(string(payload[1:])); err != nil {
+			return []byte(o.ref.Stringify()), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if o.rank != 0 {
+		if o.ref, err = ior.Parse(string(ref)); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,9 @@
 package spmd
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -86,50 +89,124 @@ var (
 // the first failed rank r. If the allgather itself fails, a failed
 // thread still returns its own error and the others the allgather's.
 func collectiveVerdict(th rts.Thread, local error, remote func(rank int) error) error {
-	_, err := verdictWords(th, local, 0, remote)
-	return err
-}
-
-// verdictWords is collectiveVerdict carrying, in the same allgather, a
-// word from every thread beside its verdict: on success it returns the
-// words in rank order, in the allgather's buffer (rts.Thread.AllgatherU64).
-// A word keeps its low 63 bits.
-func verdictWords(th rts.Thread, local error, word uint64, remote func(rank int) error) ([]uint64, error) {
-	word <<= 1
+	var word uint64
 	if local != nil {
-		word |= 1
+		word = 1
 	}
 	words, err := th.AllgatherU64(word)
 	if local != nil {
-		return nil, local
+		return local
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for r, w := range words {
-		if w&1 != 0 {
-			return nil, remote(r)
+		if w != 0 {
+			return remote(r)
 		}
 	}
-	for r := range words {
-		words[r] >>= 1
-	}
-	return words, nil
+	return nil
 }
 
-// setupVerdict is verdictWords for a setup phase, what describing it
-// (e.g. "open its receive port"): every thread's error is an
-// ErrPartialFailure naming the failed rank, the failed thread's also
-// carrying its local detail. The words are the caller's own copy, not
-// the allgather's buffer, which the thread's next collective reuses.
-func setupVerdict(th rts.Thread, local error, what string, word uint64) ([]uint64, error) {
+// tagSetUp keeps the set-up parts clear of application tags used
+// inside servant handlers.
+const tagSetUp = 1 << 20
+
+// The leading octet of a set-up part or answer: ok, followed by its
+// payload, or the class of its error, followed by the error's text.
+const (
+	setUpOK byte = iota
+	setUpInconsistent
+	setUpPartial
+)
+
+// setUp is the one collective set-up step of Export and Bind: the
+// communicator decides and every thread shares the result (§2.1). When
+// gather is set, every thread sends the communicator its part: its
+// digest and endpoint, or, when local is set, that it failed to do what
+// (say, "open its port"). The communicator settles on the first failed
+// part, then on the first digest that differs from its own, then on its
+// own work: decide takes the threads' endpoints in rank order (its own
+// alone when gather is not set) and returns the answer's payload. It
+// broadcasts one answer, which every thread returns: the payload, an
+// ErrPartialFailure naming the failed thread and its detail, or an
+// ErrInconsistent naming the mismatched one. A failed thread returns its
+// own error instead, which wraps its cause, and the communicator the
+// error of decide.
+func setUp(th rts.Thread, gather bool, what string, local error, digest uint64, endpoint string,
+	decide func(endpoints []string) ([]byte, error)) ([]byte, error) {
+	var part []byte
 	if local != nil {
-		local = fmt.Errorf("%w: thread %d failed to %s: %w", ErrPartialFailure, th.Rank(), what, local)
+		text := fmt.Sprintf("thread %d failed to %s", th.Rank(), what)
+		part = encodeSetUp(setUpPartial, fmt.Appendf(nil, "%s: %v", text, local))
+		local = fmt.Errorf("%w: %s: %w", ErrPartialFailure, text, local)
+	} else {
+		part = encodeSetUp(setUpOK, append(binary.BigEndian.AppendUint64(nil, digest), endpoint...))
 	}
-	words, err := verdictWords(th, local, word, func(r int) error {
-		return fmt.Errorf("%w: thread %d failed to %s", ErrPartialFailure, r, what)
-	})
-	return slices.Clone(words), err
+	var answer []byte
+	var decideErr, err error
+	if th.Rank() == 0 {
+		answer = part
+		endpoints := []string{endpoint}
+		for r := 1; gather && r < th.Size(); r++ {
+			p, err := th.RecvBytes(r, tagSetUp)
+			if err != nil {
+				return nil, cmp.Or(local, err)
+			}
+			body, perr := decodeSetUp(p)
+			switch {
+			case answer[0] != setUpOK: // the first failure stands; the rest is drained
+			case perr != nil:
+				answer = p
+			case !bytes.Equal(body[:8], part[1:9]):
+				answer = encodeSetUp(setUpInconsistent,
+					fmt.Appendf(nil, "thread %d exported a different interface than thread 0", r))
+			default:
+				endpoints = append(endpoints, string(body[8:]))
+			}
+		}
+		if answer[0] == setUpOK {
+			var payload []byte
+			if payload, decideErr = decide(endpoints); decideErr != nil {
+				answer = encodeSetUp(setUpPartial, fmt.Appendf(nil, "thread 0 failed: %v", decideErr))
+			} else {
+				answer = encodeSetUp(setUpOK, payload)
+			}
+		}
+		_, err = th.Bcast(0, answer)
+	} else {
+		if gather {
+			if err := th.SendBytes(0, tagSetUp, part); err != nil {
+				return nil, cmp.Or(local, err)
+			}
+		}
+		answer, err = th.Bcast(0, nil)
+	}
+	if err = cmp.Or(local, decideErr, err); err != nil {
+		return nil, err
+	}
+	return decodeSetUp(answer)
+}
+
+// encodeSetUp encodes a set-up part or answer: its class, then body,
+// the payload when class is setUpOK and the error's text otherwise.
+func encodeSetUp(class byte, body []byte) []byte {
+	return append([]byte{class}, body...)
+}
+
+// decodeSetUp decodes what encodeSetUp encodes: the payload, or the
+// error its class and text make.
+func decodeSetUp(b []byte) ([]byte, error) {
+	switch {
+	case len(b) == 0:
+		return nil, fmt.Errorf("%w: empty set-up answer", ErrRemote)
+	case b[0] == setUpOK:
+		return b[1:], nil
+	case b[0] == setUpInconsistent:
+		return nil, fmt.Errorf("%w: %s", ErrInconsistent, b[1:])
+	default:
+		return nil, fmt.Errorf("%w: %s", ErrPartialFailure, b[1:])
+	}
 }
 
 // argWire is the per-argument metadata the client sends in the
